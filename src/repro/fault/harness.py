@@ -94,9 +94,15 @@ def verify_value_indexes(db) -> None:
 
     Rebuilds each index from its store's records and compares the complete
     sorted entry lists; raises ``AssertionError`` on any divergence.  Also
-    checks every DocID index covers exactly the stored documents.
+    checks every DocID index covers exactly the stored documents, and runs
+    :meth:`BTree.verify` over every value, DocID and NodeID index, so a
+    restart that leaves a structurally damaged node page fails here with a
+    typed :class:`~repro.errors.IndexError_` before its entries are trusted.
     """
+    for store in db.xml_stores.values():
+        store.node_index.tree.verify()
     for name, index in db.value_indexes.items():
+        index.tree.verify()
         ix_def = db.catalog.index(name)
         store = db.xml_stores[(ix_def.table, ix_def.spec["column"])]
         rebuilt = XPathValueIndex(index.definition, db.pool,
@@ -106,6 +112,7 @@ def verify_value_indexes(db) -> None:
         want = sorted((bytes(k), bytes(v)) for k, v in rebuilt.tree.scan())
         assert got == want, f"value index {name!r} diverges from its store"
     for table, docid_index in db.docid_indexes.items():
+        docid_index.verify()
         indexed = {int.from_bytes(bytes(k), "big")
                    for k, _ in docid_index.scan()}
         stored: set[int] = set()

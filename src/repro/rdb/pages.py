@@ -10,6 +10,13 @@ Layout (all offsets little-endian u16)::
 
 A slot with ``offset == 0`` is a tombstone and may be reused.  Records are
 addressed as ``(page_id, slot_no)`` — the RID of the paper's Figure 3.
+
+The directory shape — a ``(slot_count, free_end)`` header, slots growing up
+behind it, payloads packed down from the page tail, every offset a u16 — is
+shared with the B+tree node page (:mod:`repro.rdb.btree`), which places the
+same header behind its node prefix.  The shared pieces are
+:data:`DIRECTORY_HEADER`, :data:`OFFSET`, :data:`MAX_PAGE_SIZE` and
+:func:`check_directory`.
 """
 
 from __future__ import annotations
@@ -19,17 +26,34 @@ from typing import Iterator
 
 from repro.errors import PageFullError, RecordNotFoundError, StorageError
 
-_HEADER = struct.Struct("<HH")
+#: ``(slot_count, free_end)`` — the prefix of every slot directory.
+DIRECTORY_HEADER = struct.Struct("<HH")
+#: One in-page offset.
+OFFSET = struct.Struct("<H")
+#: Largest page a u16 offset can address.
+MAX_PAGE_SIZE = 0xFFFF
+
 _SLOT = struct.Struct("<HH")
-HEADER_SIZE = _HEADER.size
+HEADER_SIZE = DIRECTORY_HEADER.size
 SLOT_SIZE = _SLOT.size
+
+
+def check_directory(slot_count: int, free_end: int, directory_start: int,
+                    slot_size: int, page_size: int) -> None:
+    """Raise :class:`StorageError` unless the directory and the data area
+    are disjoint and inside the page: ``directory_start + slot_size *
+    slot_count <= free_end <= page_size``."""
+    if not directory_start + slot_size * slot_count <= free_end <= page_size:
+        raise StorageError(
+            f"corrupt page header: free_end={free_end} with "
+            f"{slot_count} slots on a {page_size}-byte page")
 
 
 class SlottedPage:
     """Mutable view over one page's bytes with slot-directory bookkeeping."""
 
     def __init__(self, data: bytearray) -> None:
-        if len(data) > 0xFFFF:
+        if len(data) > MAX_PAGE_SIZE:
             raise StorageError("slotted pages support at most 65535 bytes")
         self.data = data
         self.page_size = len(data)
@@ -44,10 +68,10 @@ class SlottedPage:
     # -- header helpers ----------------------------------------------------
 
     def _header(self) -> tuple[int, int]:
-        return _HEADER.unpack_from(self.data, 0)
+        return DIRECTORY_HEADER.unpack_from(self.data, 0)
 
     def _set_header(self, slot_count: int, free_end: int) -> None:
-        _HEADER.pack_into(self.data, 0, slot_count, free_end)
+        DIRECTORY_HEADER.pack_into(self.data, 0, slot_count, free_end)
 
     def _slot(self, slot_no: int) -> tuple[int, int]:
         return _SLOT.unpack_from(self.data, HEADER_SIZE + SLOT_SIZE * slot_no)
@@ -189,11 +213,8 @@ class SlottedPage:
         Raises :class:`StorageError` on any violated invariant.
         """
         slot_count, free_end = self._header()
-        directory_end = HEADER_SIZE + SLOT_SIZE * slot_count
-        if free_end > self.page_size or free_end < directory_end:
-            raise StorageError(
-                f"corrupt page header: free_end={free_end} with "
-                f"{slot_count} slots on a {self.page_size}-byte page")
+        check_directory(slot_count, free_end, HEADER_SIZE, SLOT_SIZE,
+                        self.page_size)
         for slot_no in range(slot_count):
             offset, length = self._slot(slot_no)
             if offset == 0:

@@ -12,6 +12,7 @@ from repro.analyze.threads import ThreadAnalysis
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
 from repro.errors import ServerClosedError, TransactionError
+from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
 from repro.obs.monitor import Monitor
 from repro.rdb.locks import LockMode
@@ -66,6 +67,58 @@ class TestServing:
         assert db.tables["docs"].row_count == 32
         assert db.stats.get("serve.sessions_opened") == 32
         assert db.stats.get("serve.sessions_closed") == 32
+
+    def test_replace_workload_leaves_every_index_verifiable(self):
+        # Two clients insert, read and replace (delete + insert in one
+        # transaction) their own documents: every B+tree sees interleaved
+        # inserts and deletes on small pages under a pool that evicts.
+        db = make_db(page_size=1024, buffer_pool_pages=24, serve_workers=2,
+                     lock_wait_budget=512)
+        db.create_xpath_index("by_price", "docs", "doc", "/Product/Price",
+                              "double")
+        errors = []
+
+        def client(index):
+            def replace_doc(key, version):
+                def body(db, txn):
+                    txn.lock(("table", "docs"), LockMode.IX)
+                    (old,) = db.xpath("docs", "doc",
+                                      f"/Product[Price = {key}]")
+                    db.delete_row("docs", old.base_rid, txn_id=txn.txn_id)
+                    text = DOC.format(i=key).replace(
+                        "widget", f"widget v{version}")
+                    return db.insert("docs", (f"k{key}", text),
+                                     txn_id=txn.txn_id)
+                return body
+
+            try:
+                with server.session() as session:
+                    keys = range(index, 120, 2)
+                    for key in keys:
+                        session.insert("docs", (f"k{key}", DOC.format(i=key)))
+                    for version in (1, 2):
+                        for key in keys[::3]:
+                            session.run(replace_doc(key, version))
+                            (hit,) = session.query(
+                                "docs", "doc", f"/Product[Price = {key}]/Name")
+                            assert hit.match.item.value == \
+                                f"widget v{version} {key}"
+            except Exception as error:  # noqa: BLE001 - tally any failure
+                errors.append(error)
+
+        with DatabaseServer(db) as server:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert db.tables["docs"].row_count == 120
+        assert db.value_indexes["by_price"].entry_count == 120
+        assert db.value_indexes["by_price"].tree.height() > 1
+        verify_value_indexes(db)
 
     def test_statement_cache_hits_and_lru(self):
         db = make_db(serve_stmt_cache_size=2)
