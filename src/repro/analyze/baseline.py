@@ -68,13 +68,12 @@ class Baseline:
                 raise BaselineError(
                     f"{path}:{lineno}: expected 'CODE fingerprint  # reason'")
             code, rest = parts[0], parts[1].strip()
-            if code.startswith(("RACE", "LATCH", "SHARD")) and \
+            if code.startswith(("RACE", "LATCH")) and \
                     not reason.lower().startswith("reason:"):
                 raise BaselineError(
                     f"{path}:{lineno}: baselined {code} entries must carry "
                     f"a '# reason: ...' comment stating the runtime claim "
-                    f"that makes the race (or cross-shard reach) "
-                    f"intentional")
+                    f"that makes the race intentional")
             entries.append(BaselineEntry(f"{code}:{rest}", reason, lineno))
         return cls(entries)
 

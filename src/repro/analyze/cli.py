@@ -23,7 +23,6 @@ from repro.analyze.pins import PinLeakChecker
 from repro.analyze.progcache import cached_program
 from repro.analyze.races import LatchBlockingChecker, SharedStateRaceChecker
 from repro.analyze.rawdisk import RawDiskChecker
-from repro.analyze.resources import ResourceFlowChecker
 from repro.analyze.sarif import to_sarif
 from repro.analyze.statshygiene import StatsHygieneChecker
 from repro.analyze.txnscope import TxnScopeChecker
@@ -45,7 +44,6 @@ def all_checkers() -> list[Checker]:
         TxnScopeChecker(),
         SharedStateRaceChecker(),
         LatchBlockingChecker(),
-        ResourceFlowChecker(),
     ]
 
 

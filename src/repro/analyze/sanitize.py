@@ -238,11 +238,10 @@ def cross_check_lock_summaries(static_classes: Iterable[str]) -> list[str]:
 
 
 def reset_witness() -> None:
-    """Forget witnessed lock order, locksets and resource flows."""
+    """Forget witnessed lock order and locksets."""
     _lock_classes.clear()
     _witnessed_edges.clear()
     _witnessed_classes.clear()
-    _witnessed_flows.clear()
     with _field_states_lock:
         _field_states.clear()
 
@@ -521,158 +520,3 @@ def check_lsn_monotonic(stats: "StatsRegistry", last_lsn: int,
         trip(stats, "lsn_regression",
              f"WAL LSN regressed: append produced lsn {lsn} after "
              f"{last_lsn} — log ordering is broken")
-
-
-# -- shard stamps ----------------------------------------------------------
-#
-# The dynamic counterpart of the SHARD001–004 resource-flow checkers
-# (repro.analyze.resources).  Every poolable resource bundled into a
-# ShardContext is stamped with the context's shard_id at construction;
-# storage components built *with* a context inherit the stamp of the pool
-# they were handed.  check_shard_mix sits at the engine sites where several
-# resources combine (store insert, checkpoint trickle, ...) and trips
-# ``sanitize.shard.mix`` the moment two stamps disagree — the runtime shape
-# of the future cross-shard bug SHARD002 hunts statically.  Each check also
-# witnesses a (site, resource-kind) flow, so cross_check_resource_footprints
-# can confront the witnessed flows with the statically computed footprints,
-# exactly like the lockset/guard cross-checks above.
-
-_SHARD_ATTR = "_repro_shard_id"
-
-#: runtime class name -> resource kind (mirrors the static classifier in
-#: repro.analyze.resources; subclasses match through the MRO).
-_RESOURCE_CLASS_KINDS = {
-    "BufferPool": "pool",
-    "LogManager": "log",
-    "LockManager": "locks",
-    "Catalog": "catalog",
-    "StatsRegistry": "stats",
-    "TableSpace": "tablespace",
-    "BTree": "index",
-    "NodeIdIndex": "index",
-    "XPathValueIndex": "index",
-}
-
-#: witnessed (site qualname, resource kind) flows since the last reset.
-_witnessed_flows: set[tuple[str, str]] = set()
-
-
-def classify_resource(resource: object) -> str | None:
-    """Resource kind of ``resource`` by class name, or ``None``."""
-    for base in type(resource).__mro__:
-        kind = _RESOURCE_CLASS_KINDS.get(base.__name__)
-        if kind is not None:
-            return kind
-    return None
-
-
-def stamp_shard(resource: object, shard_id: int) -> None:
-    """Stamp ``resource`` as belonging to shard ``shard_id``.
-
-    Stamps are inert metadata (one attribute), set unconditionally so a
-    test can arm the sanitizers *after* engine construction and still get
-    meaningful mix checks.  Restamping with the same id is idempotent;
-    restamping with a different id is itself a wiring bug and raises.
-    """
-    current = getattr(resource, _SHARD_ATTR, None)
-    if current is not None and current != shard_id:
-        raise SanitizerError(
-            f"resource {type(resource).__name__} already stamped for shard "
-            f"{current}, cannot restamp for shard {shard_id} — one resource "
-            f"bundled into two contexts")
-    try:
-        setattr(resource, _SHARD_ATTR, shard_id)
-    except AttributeError:  # pragma: no cover - slotted resource class
-        pass
-
-
-def shard_stamp(resource: object) -> int | None:
-    """The shard id stamped on ``resource``, or ``None`` if unstamped."""
-    stamp = getattr(resource, _SHARD_ATTR, None)
-    return stamp if isinstance(stamp, int) else None
-
-
-def inherit_shard(resource: object, source: object) -> None:
-    """Stamp ``resource`` with the shard id of ``source`` (if any).
-
-    Called by storage components at construction: a table space built over
-    a stamped pool belongs to that pool's shard.
-    """
-    stamp = shard_stamp(source)
-    if stamp is not None:
-        stamp_shard(resource, stamp)
-
-
-def check_shard_mix(stats: "StatsRegistry", where: str,
-                    *resources: object) -> None:
-    """Witness one multi-resource operation; trip on cross-shard mixing.
-
-    ``where`` is the qualified name of the operation (``Class.method``) —
-    it must match the static analysis's function naming so the footprint
-    cross-check can join the two views.  ``resources`` are the engine
-    resources the operation is about to combine; ``None`` entries are
-    skipped so call sites can pass optional collaborators unconditionally.
-    """
-    if not enabled():
-        return
-    stats.add("sanitize.checks")
-    stamps: dict[int, str] = {}
-    for resource in resources:
-        if resource is None:
-            continue
-        kind = classify_resource(resource)
-        if kind is not None:
-            _witnessed_flows.add((where, kind))
-        stamp = shard_stamp(resource)
-        if stamp is not None:
-            stamps.setdefault(stamp, type(resource).__name__)
-    if len(stamps) > 1:
-        described = ", ".join(
-            f"shard {stamp} ({cls})" for stamp, cls in sorted(stamps.items()))
-        trip(stats, "shard.mix",
-             f"{where} combines resources stamped for different shards: "
-             f"{described} — a cross-shard flow the shard context should "
-             f"have prevented")
-
-
-def witnessed_resource_flows() -> set[tuple[str, str]]:
-    """Copy of the witnessed (site, kind) flows (for cross-checks/tests)."""
-    return set(_witnessed_flows)
-
-
-def cross_check_resource_footprints(
-        static_footprints: "Iterable[tuple[str, Iterable[str]]] | "
-                           "dict[str, Iterable[str]]") -> list[str]:
-    """Witnessed resource flows the static footprints cannot account for.
-
-    ``static_footprints`` maps function qualnames to the resource kinds the
-    static analysis (:meth:`repro.analyze.resources.ResourceAnalysis.
-    footprint_map`) proved may reach them.  A flow witnessed at runtime at a
-    site the analysis knows, but of a kind absent from that site's static
-    footprint, means a resource reached the operation through a path the
-    call graph could not see — the resource-flow analogue of
-    :func:`cross_check_lock_summaries`.  Sites unknown to the analysis are
-    reported too: the runtime check names a function the static side never
-    summarized, so one of the two views is mis-wired.  Empty list =
-    agreement.
-    """
-    if isinstance(static_footprints, dict):
-        items = static_footprints.items()
-    else:
-        items = static_footprints
-    static: dict[str, set[str]] = {name: set(kinds) for name, kinds in items}
-    discrepancies: list[str] = []
-    for where, kind in sorted(_witnessed_flows):
-        kinds = static.get(where)
-        if kinds is None:
-            discrepancies.append(
-                f"runtime witnessed a {kind!r} flow at {where!r} but the "
-                f"static analysis has no footprint for that function — "
-                f"check-site naming and the call graph disagree")
-        elif kind not in kinds:
-            discrepancies.append(
-                f"runtime witnessed a {kind!r} flow at {where!r} but its "
-                f"static footprint only covers {sorted(kinds)} — a resource "
-                f"reached the operation through a path the analysis "
-                f"cannot see")
-    return discrepancies

@@ -31,10 +31,6 @@ def doc_resource(column: str, docid: int) -> tuple:
 class DocumentLockProtocol:
     """Lock-based document-level concurrency over the shared lock manager."""
 
-    #: Declared resource capture (SHARD003): the protocol acquires every
-    #: lock through the one manager it was constructed over.
-    _shard_scoped_ = ("locks",)
-
     def __init__(self, locks: LockManager, column: str = "doc") -> None:
         self.locks = locks
         self.column = column

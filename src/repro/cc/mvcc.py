@@ -75,10 +75,6 @@ class _SnapshotView:
 class VersionedXmlStore:
     """XML storage with document-level version history."""
 
-    #: Declared resource capture (SHARD003): version storage lives in the
-    #: pool the store was constructed over.
-    _shard_scoped_ = ("pool",)
-
     def __init__(self, pool: BufferPool, names: NameTable,
                  record_limit: int = 1024,
                  retained_versions: int = 4) -> None:

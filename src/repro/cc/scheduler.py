@@ -108,10 +108,6 @@ class Scheduler:
     timeout victim.
     """
 
-    #: Declared resource captures (SHARD003): the scheduler drives one
-    #: lock backend and charges one stats sink for its whole run.
-    _shard_scoped_ = ("locks", "stats")
-
     def __init__(self, locks: LockBackend, seed: int = 0,
                  max_steps: int = 100_000,
                  wait_budget: int | None = None,

@@ -45,10 +45,6 @@ class PrefixLockTable:
     ``(docid, node_id)`` pairs.
     """
 
-    #: Declared resource capture (SHARD003): the lock table's stats
-    #: sink may be supplied by its owner.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, stats: StatsRegistry | None = None) -> None:
         self.stats = default_stats(stats)
         self._granted: dict[int, dict[tuple[int, bytes], LockMode]] = \

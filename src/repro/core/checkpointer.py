@@ -34,7 +34,6 @@ from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
     from repro.core.engine import Database
 
 
@@ -45,25 +44,12 @@ class Checkpointer:
     A fatal error in the background thread (including a simulated crash
     from a fault plan) is captured in :attr:`error` and ends the loop;
     the serving layer surfaces it at shutdown.
-
-    Trickle writes run against an explicit :class:`ShardContext` — the
-    lazy writer is the per-shard castout engine, so its pool and log come
-    from the context (defaulting to the database's single shard), never
-    from ambient ``db.*`` reach.  Full checkpoints stay an engine-level
-    operation (``db.txns.checkpoint()``): the WAL checkpoint record spans
-    the transaction manager's in-flight set, not one shard's pages.
     """
 
-    #: Declared resource capture (SHARD003): the checkpointer charges its
-    #: cycle metrics to its shard's stats sink for its whole life.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, db: "Database", interval: float = 0.005,
-                 trickle_pages: int = 8,
-                 context: "ShardContext | None" = None) -> None:
+                 trickle_pages: int = 8) -> None:
         self.db = db
-        self.context = context if context is not None else db.shard
-        self.stats: StatsRegistry = self.context.stats
+        self.stats: StatsRegistry = db.stats
         #: Idle period between lazy-writer cycles.
         self.interval = interval
         #: Most dirty pages one trickle cycle writes back.
@@ -182,10 +168,7 @@ class Checkpointer:
 
     def _trickle(self) -> None:
         """Write back up to ``trickle_pages`` old dirty unpinned frames."""
-        context = self.context
-        pool = context.pool
-        _sanitize.check_shard_mix(self.stats, "Checkpointer._trickle",
-                                  pool, context.log, self.stats)
+        pool = self.db.pool
         candidates = pool.dirty_page_ages()
         if not candidates:
             return
@@ -199,7 +182,7 @@ class Checkpointer:
             return
         # WAL rule: force the log before pages describing logged updates
         # can reach the device.
-        context.log.flush()
+        self.db.log.flush()
         for page_id in victims:
             pool.flush_page(page_id)
         self.stats.add("ckpt.trickle_pages", len(victims))

@@ -24,7 +24,6 @@ from typing import Callable, TypeVar
 
 from repro.analyze import sanitize as _sanitize
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.context import ShardContext
 from repro.core.deadline import Deadline
 from repro.core.stats import StatsRegistry
 from repro.errors import (CatalogError, DeadlineExceededError, DeadlockError,
@@ -82,11 +81,6 @@ class Database:
     failures without further plumbing.
     """
 
-    #: Declared resource capture (SHARD003): the engine's stats sink may
-    #: be supplied by the caller (experiments share one registry across
-    #: engines); everything else the facade owns it constructs itself.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, config: EngineConfig = DEFAULT_CONFIG,
                  stats: StatsRegistry | None = None,
                  injector: "object | None" = None) -> None:
@@ -140,14 +134,6 @@ class Database:
                 window=config.txn_group_commit_window,
                 max_group=config.txn_group_commit_max)
             self.txns.group_commit = self.group_commit
-        #: The engine's single shard (ROADMAP item 2): every storage
-        #: component below the facade takes its singleton resources from
-        #: this explicit capability bundle instead of ambient reach —
-        #: today one context over the engine's own singletons, later N
-        #: contexts over N pools/logs without touching the components.
-        self.shard = ShardContext(
-            shard_id=0, pool=self.pool, log=self.log,
-            locks=self.txns.locks, catalog=self.catalog, stats=self.stats)
         #: Slow-query ring buffer (see ``EngineConfig.slow_query_*``).
         self.slow_queries = SlowQueryLog(config.slow_query_log_size)
         self._slow_thresholds = config.slow_query_thresholds()
@@ -177,17 +163,15 @@ class Database:
 
     def _apply_create_table(self, definition: TableDef) -> None:
         self.catalog.add_table(definition)
-        table = Table(definition, self.pool, context=self.shard)
+        table = Table(definition, self.pool)
         self.tables[definition.name] = table
         if definition.has_xml:
             self.docid_indexes[definition.name] = BTree(
-                self.pool, name=f"docix.{definition.name}", unique=True,
-                context=self.shard)
+                self.pool, name=f"docix.{definition.name}", unique=True)
             for column in definition.xml_columns:
                 store = XmlStore(self.pool, self.catalog.names,
                                  record_limit=self.config.record_size_limit,
-                                 name=f"{definition.name}.{column.name}",
-                                 context=self.shard)
+                                 name=f"{definition.name}.{column.name}")
                 self.xml_stores[(definition.name, column.name)] = store
 
     def create_xpath_index(self, name: str, table: str, column: str,
@@ -197,8 +181,7 @@ class Database:
         """Create an XPath value index on an XML column (§3.3)."""
         store = self._store(table, column)
         definition = XPathIndexDefinition(name, path, key_type, namespaces)
-        index = XPathValueIndex(definition, self.pool, self.catalog.names,
-                                context=self.shard)
+        index = XPathValueIndex(definition, self.pool, self.catalog.names)
         index.attach(store)
         self.value_indexes[name] = index
         self.catalog.add_index(IndexDef(name, table, "xpath", {
@@ -671,8 +654,7 @@ class Database:
             name, table, column, path, key_type = fields
             store = self._store(table, column)
             definition = XPathIndexDefinition(name, path, key_type)
-            index = XPathValueIndex(definition, self.pool, self.catalog.names,
-                                    context=self.shard)
+            index = XPathValueIndex(definition, self.pool, self.catalog.names)
             index.attach(store)
             self.value_indexes[name] = index
             self.catalog.add_index(IndexDef(name, table, "xpath", {

@@ -70,7 +70,6 @@ METRICS: frozenset[str] = frozenset({
     "sanitize.lock_order", "sanitize.lsn_regression",
     "sanitize.active_txns_at_close", "sanitize.accounting_overcharge",
     "sanitize.race.lockset", "sanitize.waits.reconcile",
-    "sanitize.shard.mix",
     # wait-state accounting (DB2 class-3 suspension analogue): microseconds
     # suspended per wait class.  Derived from :data:`WAITS` via
     # :func:`wait_counter`; both sides are listed so the registries stay
@@ -232,6 +231,13 @@ class Histogram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Histogram(count={self.count}, sum={self.sum}, "
                 f"max={self.max})")
+
+
+#: The sanitizers' count of their own checks.  It measures observation, not
+#: engine work (every whole-map read of a registry bumps it while armed), so
+#: counter deltas leave it out, as accounting records do: a sanitized run
+#: reports the same deltas as an unsanitized one.
+SANITIZE_CHECKS = "sanitize.checks"
 
 
 class StatsRegistry:
@@ -579,7 +585,7 @@ class StatsRegistry:
                 after = dict(self._counters)
             for name, value in after.items():
                 diff = value - before.get(name, 0)
-                if diff:
+                if diff and name != SANITIZE_CHECKS:
                     out[name] = diff
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -611,11 +617,8 @@ def default_stats(stats: StatsRegistry | None = None) -> StatsRegistry:
 
     This is the **single sanctioned fallback** to :data:`GLOBAL_STATS`:
     constructors that accept ``stats=None`` call this instead of reading
-    the module global themselves, so the resource-flow analysis
-    (``repro.analyze.resources``, SHARD001) sees exactly one ambient reach
-    to the process-wide registry — here, in its defining module — rather
-    than one per component.  Components inside a shard should be handed
-    ``ShardContext.stats`` explicitly; the global is for scaffolding,
-    tests, and pre-context construction order.
+    the module global themselves.  Engine components are handed the
+    ``Database``'s registry explicitly; the global is for scaffolding and
+    tests.
     """
     return stats if stats is not None else GLOBAL_STATS

@@ -142,10 +142,6 @@ class FaultInjector:
     matter which component issued it.
     """
 
-    #: Declared resource capture (SHARD003): fault counters report to
-    #: whichever registry the harness supplies.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, plan: Iterable[FaultSpec] = (), seed: int = 0,
                  stats: StatsRegistry | None = None) -> None:
         self.plan = list(plan)

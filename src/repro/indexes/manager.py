@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from decimal import Decimal
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import DuplicateKeyError
 from repro.rdb.btree import BTree
@@ -26,20 +26,15 @@ from repro.indexes.definition import (IndexHit, XPathIndexDefinition,
                                       decode_entry_value, encode_entry_value)
 from repro.indexes.keygen import generate_keys
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
-
 
 class XPathValueIndex:
     """One XPath value index attached to an :class:`XmlStore`."""
 
     def __init__(self, definition: XPathIndexDefinition, pool: BufferPool,
-                 names: NameTable,
-                 context: "ShardContext | None" = None) -> None:
+                 names: NameTable) -> None:
         self.definition = definition
         self.names = names
-        self.tree = BTree(pool, name=f"vix.{definition.name}", unique=False,
-                          context=context)
+        self.tree = BTree(pool, name=f"vix.{definition.name}", unique=False)
         self.keys_generated = 0
 
     # -- RecordObserver protocol --------------------------------------------

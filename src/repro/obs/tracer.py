@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.core.stats import StatsRegistry
+from repro.core.stats import SANITIZE_CHECKS, StatsRegistry
 
 
 class Span:
@@ -137,6 +137,6 @@ class Tracer:
         out: dict[str, int] = {}
         for name, value in self.stats.counters().items():
             diff = value - before.get(name, 0)
-            if diff:
+            if diff and name != SANITIZE_CHECKS:
                 out[name] = diff
         return out

@@ -38,10 +38,6 @@ class QueryMatch:
 class Executor:
     """Executes access plans against one XML store."""
 
-    #: Declared resource capture (SHARD003): the executor charges the
-    #: stats sink it was handed for the life of the plan run.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, store: XmlStore,
                  stats: StatsRegistry | None = None) -> None:
         self.store = store

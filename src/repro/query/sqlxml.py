@@ -582,11 +582,6 @@ def parse_statement(text: str) -> Statement:
 class SqlSession:
     """Statement executor bound to one :class:`Database`."""
 
-    #: Declared resource captures (SHARD003): the session resolves table
-    #: definitions against its database's catalog and charges its stats
-    #: sink for its whole life.
-    _shard_scoped_ = ("catalog", "stats")
-
     def __init__(self, db: Database) -> None:
         self.db = db
         self.catalog = db.catalog

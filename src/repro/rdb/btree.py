@@ -38,17 +38,13 @@ room) or emptied.  A node splits when its cells would exceed ``order_bytes``
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.analyze import sanitize as _sanitize
 from repro.errors import DuplicateKeyError, IndexError_, StorageError
 from repro.rdb import codec
 from repro.rdb.buffer import BufferPool
 from repro.rdb.pages import (DIRECTORY_HEADER, MAX_PAGE_SIZE, OFFSET,
                              check_directory)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
 
 _LEAF = 0
 _INTERNAL = 1
@@ -303,23 +299,13 @@ class BTree:
     and NodeID indexes enforce their invariants.
     """
 
-    #: Declared resource captures (SHARD003): an index manager lives on
-    #: the buffer pool it was built over, and charges that pool's stats
-    #: sink — both shard-scoped with the tree itself.
-    _shard_scoped_ = ("pool", "stats")
-
     def __init__(self, pool: BufferPool, name: str = "ix", unique: bool = False,
-                 order_bytes: int | None = None,
-                 context: "ShardContext | None" = None) -> None:
+                 order_bytes: int | None = None) -> None:
         if pool.page_size > MAX_PAGE_SIZE:
             raise IndexError_("index node pages support at most 65535 bytes")
         self.pool = pool
         self.name = name
         self.unique = unique
-        self.context = context
-        _sanitize.inherit_shard(self, pool)
-        if context is not None:
-            context.register_index(name, self)
         self.order_bytes = order_bytes or max(pool.page_size - 512, 512)
         if self.order_bytes > pool.page_size - 16:
             self.order_bytes = pool.page_size - 16
@@ -383,7 +369,7 @@ class BTree:
                 slot, child = self._route(page_id, key, value)
                 path.append((page_id, slot))
                 page_id = child
-            split = self._insert_leaf(page_id, key, value, cell)
+            split = self._insert_leaf(page_id, key, value, cell, path)
             while split is not None and path:
                 page_id, slot = path.pop()
                 entry, right = split
@@ -519,7 +505,8 @@ class BTree:
         return header
 
     def _insert_leaf(self, page_id: int, key: bytes, value: bytes,
-                     cell: bytes) -> tuple[bytes, int] | None:
+                     cell: bytes, path: list[tuple[int, int]]
+                     ) -> tuple[bytes, int] | None:
         dirty = False
         data = self.pool.fetch(page_id)
         try:
@@ -529,7 +516,8 @@ class BTree:
             if self.unique:
                 neighbours = _entries(data, max(slot - 1, 0),
                                       min(slot + 1, count), free_end)
-                if any(k == key for k, _ in neighbours):
+                if any(k == key for k, _ in neighbours) or \
+                        self._key_past_edge(key, slot, count, link, path):
                     raise DuplicateKeyError(
                         f"duplicate key in unique index {self.name!r}")
             elif _entries(data, slot, min(slot + 1, count),
@@ -548,6 +536,44 @@ class BTree:
         right = self._new_node(_LEAF, link, cells[mid:])
         self._rewrite(page_id, _LEAF, right + 1, cells[:mid])
         return cells[mid], right
+
+    def _key_past_edge(self, key: bytes, slot: int, count: int, link: int,
+                       path: list[tuple[int, int]]) -> bool:
+        """Whether ``key`` is stored in another leaf than the one a unique
+        insert landed in (at ``slot`` of its ``count`` cells).
+
+        Separators are copies of entries and outlive their deletion, so
+        ``(k, v1)`` can route left of a stale separator ``(k, v5)`` and
+        ``(k, v9)`` right of it.  An equal key in another leaf is then the
+        nearest entry past this leaf's edge, so only an edge slot needs
+        the check.  Rightwards the leaf chain reaches it.  Leftwards there
+        is no chain: the key can only be there if the separator bounding
+        the leaf on the left has it, and only then is it looked up from
+        the root.
+        """
+        if slot == count and link:
+            entry = self._first_from(key, link - 1)
+            if entry is not None and entry[0] == key:
+                return True
+        if slot == 0:
+            for page_id, child in reversed(path):
+                if child:
+                    if self._separator_key(page_id, child - 1) != key:
+                        return False
+                    entry = self._first_from(key)
+                    return entry is not None and entry[0] == key
+        return False
+
+    def _separator_key(self, page_id: int, slot: int) -> bytes:
+        """Key of the separator in ``slot`` of an internal node."""
+        data = self.pool.fetch(page_id)
+        try:
+            _, _, _, _, free_end = _open(data, page_id)
+            off = _offset(data, _HDR + _SLOT * slot)[0]
+            key_start, key_end, _, _ = _cell_at(data, off, free_end)
+            return bytes(data[key_start:key_end])
+        finally:
+            self.pool.unpin(page_id)
 
     def _insert_cell(self, page_id: int, slot: int, cell: bytes
                      ) -> tuple[bytes, int] | None:
@@ -634,9 +660,11 @@ class BTree:
             return entries, None
         return entries, link - 1
 
-    def _first_from(self, key: bytes) -> Entry | None:
-        """Smallest entry with key ≥ ``key``, read straight off its leaf."""
-        page_id: int | None = self._leaf_for(key)
+    def _first_from(self, key: bytes, leaf: int | None = None
+                    ) -> Entry | None:
+        """Smallest entry with key ≥ ``key``, read straight off its leaf;
+        from ``leaf`` onwards along the chain when given."""
+        page_id: int | None = self._leaf_for(key) if leaf is None else leaf
         while page_id is not None:
             data = self.pool.fetch(page_id)
             try:

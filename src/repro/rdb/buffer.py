@@ -33,10 +33,6 @@ class _Frame:
 class BufferPool:
     """Fixed-capacity LRU cache of disk pages with pin/unpin protocol."""
 
-    #: Declared resource capture (SHARD003): the pool charges the stats
-    #: sink of the device it caches — shard-scoped with the pool.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, disk: Disk, capacity: int = 256) -> None:
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")

@@ -128,10 +128,6 @@ class LockManager:
     manager accepts, and engine entries still run under the engine latch.
     """
 
-    #: Declared resource capture (SHARD003): the lock manager's stats
-    #: sink may be supplied by its owner.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, stats: StatsRegistry | None = None,
                  stripes: int = 16) -> None:
         self.stats = default_stats(stats)

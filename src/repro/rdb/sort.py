@@ -142,10 +142,6 @@ class ExternalSorter:
     heap while streaming records back from the work files.
     """
 
-    #: Declared resource capture (SHARD003): spilled runs live in the one
-    #: work-file table space the sorter was handed.
-    _shard_scoped_ = ("work_space",)
-
     def __init__(self, work_space: TableSpace, encode: Callable[[object], bytes],
                  decode: Callable[[bytes], object], run_limit: int = 128) -> None:
         if run_limit < 2:

@@ -34,10 +34,6 @@ class Disk:
     the fault injector can model torn writes and media corruption.
     """
 
-    #: Declared resource capture (SHARD003): the device's stats sink
-    #: may be supplied by its owner (engine or test harness).
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, page_size: int = 4096, stats: StatsRegistry | None = None) -> None:
         if page_size < 64:
             raise StorageError(f"page size {page_size} is too small")

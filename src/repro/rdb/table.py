@@ -9,7 +9,7 @@ document's DocID (a BIGINT) — the engine facade translates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.errors import CatalogError, RecordNotFoundError
 from repro.rdb.btree import BTree
@@ -18,24 +18,14 @@ from repro.rdb.catalog import TableDef
 from repro.rdb.tablespace import Rid, TableSpace
 from repro.rdb.values import SqlType, decode_row, encode_row, key_encode
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
-
 
 class Table:
     """Storage-facing view of one base table."""
 
-    #: Declared resource capture (SHARD003): the table's storage lives on
-    #: the buffer pool it was created over — shard-scoped with the table.
-    _shard_scoped_ = ("pool",)
-
-    def __init__(self, definition: TableDef, pool: BufferPool,
-                 context: "ShardContext | None" = None) -> None:
+    def __init__(self, definition: TableDef, pool: BufferPool) -> None:
         self.definition = definition
         self.pool = pool
-        self.context = context
-        self.space = TableSpace(pool, name=f"ts.{definition.name}",
-                                context=context)
+        self.space = TableSpace(pool, name=f"ts.{definition.name}")
         # XML columns store the DocID at this layer.
         self._storage_types = [
             SqlType.BIGINT if c.sql_type is SqlType.XML else c.sql_type
@@ -53,7 +43,7 @@ class Table:
         col_no = self.definition.column_index(column)
         sql_type = self._storage_types[col_no]
         tree = BTree(self.pool, name=f"ix.{self.definition.name}.{column}",
-                     unique=unique, context=self.context)
+                     unique=unique)
         for rid, row in self.scan_rids():
             tree.insert(key_encode(sql_type, row[col_no]), rid.to_bytes())
         self._column_indexes[column] = tree

@@ -13,15 +13,11 @@ used inside index entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.analyze import sanitize as _sanitize
 from repro.errors import PageFullError, StorageError
 from repro.rdb.buffer import BufferPool
 from repro.rdb.pages import HEADER_SIZE, SLOT_SIZE, SlottedPage
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
 
 _INLINE_TAG = 0
 _OVERFLOW_TAG = 1
@@ -58,18 +54,9 @@ class TableSpace:
     free-space map and reused.
     """
 
-    #: Declared resource capture (SHARD003): a table space lives on the
-    #: buffer pool it was built over — shard-scoped with its owner.
-    _shard_scoped_ = ("pool",)
-
-    def __init__(self, pool: BufferPool, name: str = "ts",
-                 context: "ShardContext | None" = None) -> None:
+    def __init__(self, pool: BufferPool, name: str = "ts") -> None:
         self.pool = pool
         self.name = name
-        self.context = context
-        _sanitize.inherit_shard(self, pool)
-        if context is not None:
-            context.register_tablespace(self)
         self.page_ids: list[int] = []
         self._free: dict[int, int] = {}  # page_id -> free_for_insert estimate
         self._buckets: list[set[int]] = [set() for _ in range(17)]

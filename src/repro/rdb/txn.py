@@ -196,13 +196,6 @@ class AccountingLog:
 class Transaction:
     """One unit of work; obtained from :class:`TransactionManager`."""
 
-    #: Declared resource captures (see SHARD003 in ``repro.analyze``): a
-    #: txn handle works against its manager's lock/log/stats managers for
-    #: its whole life, captured once here instead of reached through
-    #: ``self._manager`` on every call — the txn is scoped to whatever
-    #: shard its manager belongs to.
-    _shard_scoped_ = ("_locks", "_log", "_stats")
-
     def __init__(self, txn_id: int, manager: "TransactionManager",
                  isolation: IsolationLevel) -> None:
         self.txn_id = txn_id
@@ -357,11 +350,6 @@ class TransactionManager:
     pool's ``flush_all``) runs first so the checkpoint describes state
     that actually reached the device.
     """
-
-    #: Declared resource captures (SHARD003): the manager *owns* the
-    #: shard's lock and log managers and its stats sink — they may be
-    #: supplied by the engine or self-constructed.
-    _shard_scoped_ = ("locks", "log", "stats")
 
     def __init__(self, locks: LockManager | None = None,
                  log: LogManager | None = None,

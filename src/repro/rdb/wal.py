@@ -133,10 +133,6 @@ class LogManager:
     defined instants.
     """
 
-    #: Declared resource capture (SHARD003): the log manager's stats
-    #: sink may be supplied by its owner.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, stats: StatsRegistry | None = None,
                  injector: "object | None" = None,
                  auto_flush: bool = True) -> None:
@@ -412,10 +408,6 @@ class GroupCommitter:
     crash inside the window halts the log: surviving workers' commits
     re-raise instead of hardening post-mortem state.
     """
-
-    #: Declared resource captures (SHARD003): the committer hardens one
-    #: log and reports to that log's (or a supplied) stats sink.
-    _shard_scoped_ = ("log", "stats")
 
     def __init__(self, log: LogManager, stats: StatsRegistry | None = None,
                  window: float = 0.002, max_group: int = 64) -> None:

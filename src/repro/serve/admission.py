@@ -44,10 +44,6 @@ class OverloadGuard:
     queue overflow.
     """
 
-    #: Declared resource capture (SHARD003): shed decisions are charged to
-    #: the stats sink the guard was constructed over.
-    _shard_scoped_ = ("_stats",)
-
     def __init__(self, monitor: "Monitor", config: "EngineConfig",
                  stats: "StatsRegistry") -> None:
         self._monitor = monitor
@@ -97,10 +93,6 @@ class AdmissionController:
     ``serve.requests`` and ends in exactly one of ``serve.admitted``,
     ``serve.shed_overload`` (guard verdict) or ``serve.shed_queue_full``.
     """
-
-    #: Declared resource capture (SHARD003): admission verdicts are charged
-    #: to the stats sink the controller was constructed over.
-    _shard_scoped_ = ("_stats",)
 
     def __init__(self, guard: OverloadGuard, queue_limit: int,
                  stats: "StatsRegistry") -> None:

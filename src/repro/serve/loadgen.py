@@ -320,12 +320,9 @@ class LoadHarness:
         # A sanitized run is only verified if no runtime witness tripped:
         # a non-zero sanitize.race.* counter is a found data race, a
         # non-zero sanitize.waits.* one a wait clock that charged more
-        # suspension time than the interval it measured contained, and a
-        # non-zero sanitize.shard.* one a cross-shard resource mix the
-        # static footprints promised could not happen.
+        # suspension time than the interval it measured contained.
         for name, value in sorted(snapshot.items()):
-            if name.startswith(("sanitize.race", "sanitize.waits",
-                                "sanitize.shard")) \
+            if name.startswith(("sanitize.race", "sanitize.waits")) \
                     and value:
                 verify_errors.append(
                     f"runtime sanitizer tripped: {name} = {value}")

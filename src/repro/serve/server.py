@@ -98,12 +98,6 @@ class DatabaseServer:
     #: transaction was aborted cleanly (victim) or never started (shed).
     RETRYABLE = (DeadlockError, LockTimeoutError, ServerOverloadedError)
 
-    #: Declared resource capture (SHARD003): the serving layer sits above
-    #: the shard boundary and reports into the engine-global registry —
-    #: a deliberate cross-shard sink (requests span shards once
-    #: scatter-gather lands), captured once at construction.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, db: "Database",
                  monitor: Monitor | None = None) -> None:
         self.db = db

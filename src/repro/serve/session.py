@@ -62,11 +62,6 @@ class PreparedStatement:
 class Session:
     """One client's server-side state (see module docstring)."""
 
-    #: deliberate resource capture (see repro.analyze.resources SHARD003):
-    #: the session charges statement-cache counters on every prepare and
-    #: must not reach them through the server on the hot path.
-    _shard_scoped_ = ("_stats",)
-
     def __init__(self, server: "DatabaseServer", session_id: int) -> None:
         self._server = server
         self._stats = server.stats

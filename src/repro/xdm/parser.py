@@ -31,6 +31,12 @@ _PREDEFINED_ENTITIES = {
 
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
 
+#: Deepest element nesting a document may have.  The parser recurses once
+#: per level, so without a bound a hostile document would exhaust the
+#: interpreter stack (a server worker thread first) instead of getting an
+#: :class:`XmlParseError`.
+MAX_DEPTH = 256
+
 _NAME_START_EXTRA = set("_:")
 _NAME_EXTRA = set("_:.-·")
 
@@ -191,6 +197,10 @@ class XmlParser:
 
     def _element(self, scanner: _Scanner, emit,
                  ns_stack: list[dict[str, str]]) -> None:
+        # ns_stack holds the document scope plus one scope per open element.
+        if len(ns_stack) > MAX_DEPTH:
+            raise scanner.error(
+                f"elements nested deeper than {MAX_DEPTH} levels")
         scanner.expect("<")
         qname = scanner.read_name()
         raw_attrs: list[tuple[str, str]] = []

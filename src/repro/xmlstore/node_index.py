@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analyze import sanitize as _sanitize
 from repro.rdb.btree import BTree
 from repro.rdb.tablespace import Rid
 from repro.xmlstore import format as fmt
@@ -36,13 +35,8 @@ def split_key(key: bytes) -> tuple[int, bytes]:
 class NodeIdIndex:
     """Interval-endpoint index over one XML table."""
 
-    #: Declared resource capture (SHARD003): the interval index is a thin
-    #: façade over one B+tree; it is shard-scoped with that tree.
-    _shard_scoped_ = ("tree",)
-
     def __init__(self, tree: BTree) -> None:
         self.tree = tree
-        _sanitize.inherit_shard(self, tree)
 
     @property
     def entry_count(self) -> int:

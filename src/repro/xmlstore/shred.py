@@ -54,10 +54,6 @@ def _decode_row(row: bytes) -> tuple[int, bytes, int, str]:
 class ShreddedStore:
     """One-node-per-row XML storage (the Tian-et-al.-style baseline)."""
 
-    #: Declared resource capture (SHARD003): the shredded rows and their
-    #: node index live in the pool the store was constructed over.
-    _shard_scoped_ = ("pool",)
-
     def __init__(self, pool: BufferPool, names: NameTable,
                  name: str = "shred") -> None:
         self.pool = pool

@@ -14,13 +14,9 @@ generation "fits existing infrastructure very well".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import ShardContext
 from repro.errors import DocumentNotFoundError
 from repro.rdb.btree import BTree
 from repro.rdb.buffer import BufferPool
@@ -55,22 +51,15 @@ class DocumentInfo:
 class XmlStore:
     """Native XML storage for one XML column."""
 
-    #: Declared resource capture (SHARD003): the store's records live on
-    #: the buffer pool it was built over — shard-scoped with the store.
-    _shard_scoped_ = ("pool",)
-
     def __init__(self, pool: BufferPool, names: NameTable,
-                 record_limit: int = 1024, name: str = "xmlcol",
-                 context: "ShardContext | None" = None) -> None:
+                 record_limit: int = 1024, name: str = "xmlcol") -> None:
         self.pool = pool
         self.names = names
         self.record_limit = record_limit
         self.name = name
-        self.context = context
-        _sanitize.inherit_shard(self, pool)
-        self.space = TableSpace(pool, name=f"xmlts.{name}", context=context)
+        self.space = TableSpace(pool, name=f"xmlts.{name}")
         self.node_index = NodeIdIndex(
-            BTree(pool, name=f"nix.{name}", unique=False, context=context))
+            BTree(pool, name=f"nix.{name}", unique=False))
         self.observers: list[RecordObserver] = []
         self._doc_count = 0
         self._docids: dict[int, int] = {}  # docid -> node count
@@ -99,8 +88,6 @@ class XmlStore:
     def insert_packed(self, docid: int,
                       decorated_events: Iterable[SaxEvent]) -> DocumentInfo:
         """Store an event stream that already carries node IDs."""
-        _sanitize.check_shard_mix(self.stats, "XmlStore.insert_packed",
-                                  self.pool, self.space, self.node_index)
         if self.node_index.probe(docid, b"") is not None:
             raise DocumentNotFoundError(
                 f"DocID {docid} already exists in {self.name!r}")
@@ -145,8 +132,6 @@ class XmlStore:
 
     def delete_document(self, docid: int) -> int:
         """Remove a document; returns the number of records dropped."""
-        _sanitize.check_shard_mix(self.stats, "XmlStore.delete_document",
-                                  self.pool, self.space, self.node_index)
         rids = self.node_index.record_rids(docid)
         if not rids:
             raise DocumentNotFoundError(f"no document with DocID {docid}")

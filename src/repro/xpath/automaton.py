@@ -38,9 +38,6 @@ class _Instance:
 class NaiveStreamEvaluator:
     """Per-instance NFA evaluation without state merging."""
 
-    #: Declared resource capture (SHARD003): evaluator-lifetime sink.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, path: ast.LocationPath | str,
                  stats: StatsRegistry | None = None) -> None:
         self.stats = default_stats(stats)

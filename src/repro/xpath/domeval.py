@@ -28,9 +28,6 @@ from repro.xpath.values import (Item, arithmetic, effective_boolean,
 class DomEvaluator:
     """Navigational evaluator over a materialized tree."""
 
-    #: Declared resource capture (SHARD003): evaluator-lifetime sink.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, stats: StatsRegistry | None = None) -> None:
         self.stats = default_stats(stats)
         self._order: dict[int, int] = {}

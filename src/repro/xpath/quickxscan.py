@@ -89,9 +89,6 @@ def _dedup(seq: list[Item]) -> list[Item]:
 class QuickXScan:
     """One-pass streaming evaluator for a compiled query tree."""
 
-    #: Declared resource capture (SHARD003): evaluator-lifetime sink.
-    _shard_scoped_ = ("stats",)
-
     def __init__(self, query: QueryTree,
                  stats: StatsRegistry | None = None) -> None:
         self.query = query

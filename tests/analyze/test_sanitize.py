@@ -497,99 +497,3 @@ class TestEngineWiring:
                      "sanitize.active_txns_at_close",
                      "sanitize.race.lockset"):
             assert name in METRICS
-
-
-class TestShardStamps:
-    def test_stamp_is_idempotent_and_restamp_raises(self, armed, stats):
-        pool = make_pool(stats)
-        sanitize.stamp_shard(pool, 0)
-        sanitize.stamp_shard(pool, 0)  # idempotent
-        assert sanitize.shard_stamp(pool) == 0
-        with pytest.raises(SanitizerError, match="already stamped"):
-            sanitize.stamp_shard(pool, 1)
-
-    def test_inherit_propagates_the_source_stamp(self, armed, stats):
-        pool = make_pool(stats)
-        sanitize.stamp_shard(pool, 3)
-        other = make_pool(stats)
-        sanitize.inherit_shard(other, pool)
-        assert sanitize.shard_stamp(other) == 3
-        unstamped = make_pool(stats)
-        inheritor = make_pool(stats)
-        sanitize.inherit_shard(inheritor, unstamped)
-        assert sanitize.shard_stamp(inheritor) is None
-
-    def test_cross_shard_mix_trips(self, armed, stats):
-        pool_a = make_pool(stats)
-        pool_b = make_pool(stats)
-        sanitize.stamp_shard(pool_a, 0)
-        sanitize.stamp_shard(pool_b, 1)
-        with pytest.raises(SanitizerError, match="different shards"):
-            sanitize.check_shard_mix(stats, "Store.migrate", pool_a, pool_b)
-        assert stats.get("sanitize.shard.mix") == 1
-
-    def test_same_shard_and_none_entries_are_silent(self, armed, stats):
-        pool_a = make_pool(stats)
-        pool_b = make_pool(stats)
-        sanitize.stamp_shard(pool_a, 0)
-        sanitize.stamp_shard(pool_b, 0)
-        sanitize.check_shard_mix(stats, "Store.migrate", pool_a, None,
-                                 pool_b)
-        assert stats.get("sanitize.shard.mix") == 0
-
-    def test_engine_context_stamps_shard_zero(self, armed):
-        db = Database()
-        assert db.shard.shard_id == 0
-        for resource in (db.pool, db.log, db.txns.locks, db.catalog,
-                         db.stats):
-            assert sanitize.shard_stamp(resource) == 0
-
-    def test_engine_smoke_has_no_cross_shard_mixing(self, armed):
-        clear_caches()
-        with Database() as db:
-            db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
-            rid = db.insert("t", (1, "<a><b>x</b></a>"))
-            db.delete_row("t", rid)
-        assert db.stats.get("sanitize.shard.mix") == 0
-
-
-class TestResourceFootprintCrossCheck:
-    def test_agreement_is_silent(self, armed, stats):
-        pool = make_pool(stats)
-        sanitize.check_shard_mix(stats, "XmlStore.insert_packed", pool)
-        assert ("XmlStore.insert_packed", "pool") in \
-            sanitize.witnessed_resource_flows()
-        assert sanitize.cross_check_resource_footprints(
-            {"XmlStore.insert_packed": {"pool", "stats", "tablespace"}}) \
-            == []
-
-    def test_uncovered_kind_is_a_discrepancy(self, armed, stats):
-        pool = make_pool(stats)
-        sanitize.check_shard_mix(stats, "XmlStore.insert_packed", pool)
-        problems = sanitize.cross_check_resource_footprints(
-            {"XmlStore.insert_packed": {"log"}})
-        assert len(problems) == 1
-        assert "'pool'" in problems[0]
-
-    def test_unknown_site_is_a_discrepancy(self, armed, stats):
-        pool = make_pool(stats)
-        sanitize.check_shard_mix(stats, "Nowhere.op", pool)
-        problems = sanitize.cross_check_resource_footprints({})
-        assert len(problems) == 1
-        assert "no footprint" in problems[0]
-
-    def test_engine_flows_agree_with_the_static_footprints(self, armed):
-        """The acceptance cross-check: every flow witnessed during a real
-        engine workload is accounted for by the static footprint map."""
-        from pathlib import Path
-
-        from repro.analyze.resources import footprint_map
-
-        clear_caches()
-        with Database() as db:
-            db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
-            rid = db.insert("t", (1, "<a><b>x</b></a>"))
-            db.delete_row("t", rid)
-        assert sanitize.witnessed_resource_flows()
-        static = footprint_map([Path("src")], root=Path.cwd())
-        assert sanitize.cross_check_resource_footprints(static) == []

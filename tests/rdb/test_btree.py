@@ -58,6 +58,34 @@ class TestBasics:
         assert tree.search_one(b"zz") is None
 
 
+class TestUniqueAcrossLeaves:
+    """A separator outlives the entry it was copied from.  Once that entry
+    is deleted, two entries of its key route to opposite sides of it, so
+    the unique check has to look past the edge of the target leaf."""
+
+    @pytest.mark.parametrize("first, second", [(b"v1", b"v9"),
+                                               (b"v9", b"v1")])
+    def test_duplicate_straddling_a_stale_separator_is_rejected(
+            self, first, second):
+        tree = make_tree(unique=True)
+        keys = [f"k{i:04d}".encode() for i in range(0, 200, 2)]
+        for key in keys:
+            tree.insert(key, b"v5")
+        assert tree.height() > 1
+        accepted = []
+        for key in keys:
+            assert tree.delete(key, b"v5")
+            tree.insert(key, first)
+            try:
+                tree.insert(key, second)
+            except DuplicateKeyError:
+                continue
+            accepted.append(key)
+        assert accepted == []
+        assert all(tree.search(key) == [first] for key in keys)
+        tree.verify()
+
+
 class TestSplitsAndOrder:
     def test_many_inserts_sorted_scan(self):
         tree = make_tree()

@@ -11,7 +11,7 @@ from repro.analyze.framework import Program, SourceModule
 from repro.analyze.threads import ThreadAnalysis
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
-from repro.errors import ServerClosedError, TransactionError
+from repro.errors import ServerClosedError, TransactionError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
 from repro.obs.monitor import Monitor
@@ -258,6 +258,26 @@ class TestServing:
         for name in ("serve.request_us", "serve.queue_wait_us"):
             hist = db.stats.histogram(name)
             assert hist is not None and hist.count == 3
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("depth", [600, 10_000])
+    def test_deep_nesting_fails_typed_and_leaves_the_store_intact(
+            self, depth):
+        db = make_db()
+        db.create_xpath_index("by_price", "docs", "doc", "/Product/Price",
+                              "double")
+        with DatabaseServer(db) as server:
+            with server.session() as session:
+                session.insert("docs", ("k0", DOC.format(i=0)))
+                with pytest.raises(XmlParseError, match="nested deeper"):
+                    session.insert("docs", ("deep",
+                                            "<a>" * depth + "</a>" * depth))
+                session.insert("docs", ("k1", DOC.format(i=1)))
+                out = session.query("docs", "doc", "/Product/Name")
+        assert len(out) == 2
+        assert db.tables["docs"].row_count == 2
+        verify_value_indexes(db)
 
 
 class TestThreadSafetyRegressions:

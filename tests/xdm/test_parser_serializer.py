@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import XmlParseError
 from repro.xdm.events import EventKind, build_tree
-from repro.xdm.parser import parse, parse_sax
+from repro.xdm.parser import MAX_DEPTH, parse, parse_sax
 from repro.xdm.serializer import serialize
 from repro.xdm.tokens import TokenStream
 
@@ -152,6 +152,20 @@ class TestParserErrors:
         with pytest.raises(XmlParseError) as err:
             parse("<a>\n<b></c>\n</a>")
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("depth", [600, 10_000])
+    def test_deep_nesting_is_a_positioned_parse_error(self, depth):
+        with pytest.raises(XmlParseError) as err:
+            parse("<a>" * depth + "</a>" * depth)
+        column = 3 * MAX_DEPTH + 1  # the first start tag past the limit
+        assert str(err.value) == (
+            f"elements nested deeper than {MAX_DEPTH} levels "
+            f"at line 1, column {column}")
+
+    def test_nesting_at_the_limit_parses(self):
+        stream = parse("<a>" * MAX_DEPTH + "</a>" * MAX_DEPTH)
+        starts = [e for e in stream.events() if e.kind is EventKind.ELEM_START]
+        assert len(starts) == MAX_DEPTH
 
 
 class TestTokenStream:
