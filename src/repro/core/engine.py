@@ -379,9 +379,9 @@ class Database:
 
         This is the prepared-statement entry point: the serving layer's
         per-session statement cache plans a path once and replays the plan
-        per execution.  Note a cached plan reflects the indexes that
-        existed when it was planned; DDL invalidates it (the session cache
-        drops plans on DDL, ad-hoc callers should re-plan).
+        per execution.  A plan reflects the indexes that existed when it
+        was planned: the session cache re-plans when ``catalog.version``
+        has moved since; ad-hoc callers must do the same.
         """
         store = self._store(table, column)
         matches = Executor(store, stats=self.stats).execute(plan)
@@ -704,7 +704,12 @@ def _encode_engine_row(row: tuple) -> bytes:
             codec.write_str(out, repr(value))
         elif isinstance(value, str):
             out.append(_CELL_STR)
-            codec.write_str(out, value)
+            try:
+                codec.write_str(out, value)
+            except UnicodeEncodeError as error:
+                raise QueryError(
+                    f"text cell is not encodable as UTF-8: {error.reason} "
+                    f"at offset {error.start}") from None
         elif isinstance(value, (bytes, bytearray)):
             out.append(_CELL_BYTES)
             codec.write_bytes(out, bytes(value))

@@ -4,10 +4,12 @@
 record, which fits existing infrastructure very well."  A record is
 self-contained: its header carries the context path (ancestor element names)
 and in-scope namespaces, so the index path can be evaluated against a single
-record — ancestors are replayed as synthetic events, proxies are *not*
-followed (packed-out subtrees produce their keys when their own records are
-processed).  "A simplified version of our streaming XPath algorithm
-(QuickXScan) is used to evaluate the XPath on each record."
+record.  The events come from the stored-document reader
+(:mod:`repro.xmlstore.traversal`): its walker run without a proxy resolver,
+so packed-out subtrees produce their keys when their own records are
+processed, inside its ancestor replay.  "A simplified version of our
+streaming XPath algorithm (QuickXScan) is used to evaluate the XPath on each
+record."
 
 Known simplification (documented in DESIGN.md): a matched element whose text
 was split into a packed-out record contributes only the text present in its
@@ -19,9 +21,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.xdm.events import EventKind, SaxEvent
+from repro.xdm.events import SaxEvent
 from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
+from repro.xmlstore.traversal import in_context_events, walk
 from repro.xpath.qtree import QueryTree, compile_query
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
@@ -31,62 +34,15 @@ from repro.indexes.definition import XPathIndexDefinition
 
 def record_local_events(record: bytes, names: NameTable
                         ) -> Iterator[SaxEvent]:
-    """Virtual SAX events for one record only (ancestors synthesized,
-    proxies skipped)."""
+    """Virtual SAX events for one record only (ancestors and the context
+    node's in-scope namespaces replayed from the header, proxies skipped)."""
     header, body_start = fmt.decode_header(record)
-    yield SaxEvent(EventKind.DOC_START)
     ancestors = [names.name(name_id) for name_id in header.context_path]
-    for local, uri in ancestors:
-        yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
-    # In-scope namespaces of the context node apply to the whole record.
-    for prefix, uri_id in header.namespaces:
-        uri = names.uri(uri_id)
-        if uri:
-            yield SaxEvent(EventKind.NS, local=prefix, value=uri)
-
-    stack: list[tuple] = [("span", body_start, len(record),
-                           header.context_id)]
-    view = memoryview(record)
-    while stack:
-        item = stack.pop()
-        if item[0] == "end":
-            yield SaxEvent(EventKind.ELEM_END, local=item[1], uri=item[2])
-            continue
-        _, pos, end, parent = item
-        if pos >= end:
-            continue
-        entry = fmt.parse_entry(view, pos)
-        if entry.next_pos < end:
-            stack.append(("span", entry.next_pos, end, parent))
-        if entry.kind == fmt.EntryKind.PROXY:
-            continue  # per-record generation: never follow proxies
-        abs_id = parent + entry.rel_id
-        if entry.kind == fmt.EntryKind.ELEMENT:
-            local, uri = names.name(entry.name_id)
-            yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri,
-                           node_id=abs_id)
-            stack.append(("end", local, uri))
-            stack.append(("span", entry.content_start, entry.content_end,
-                          abs_id))
-        elif entry.kind == fmt.EntryKind.TEXT:
-            yield SaxEvent(EventKind.TEXT, value=entry.text, node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.ATTRIBUTE:
-            local, uri = names.name(entry.name_id)
-            yield SaxEvent(EventKind.ATTR, local=local, uri=uri,
-                           value=entry.text, node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.NAMESPACE:
-            yield SaxEvent(EventKind.NS, local=entry.target,
-                           value=names.uri(entry.uri_id), node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.COMMENT:
-            yield SaxEvent(EventKind.COMMENT, value=entry.text,
-                           node_id=abs_id)
-        else:  # PI
-            yield SaxEvent(EventKind.PI, local=entry.target,
-                           value=entry.text, node_id=abs_id)
-
-    for local, uri in reversed(ancestors):
-        yield SaxEvent(EventKind.ELEM_END, local=local, uri=uri)
-    yield SaxEvent(EventKind.DOC_END)
+    namespaces = [(prefix, uri) for prefix, uri_id in header.namespaces
+                  if (uri := names.uri(uri_id))]
+    yield from in_context_events(ancestors, walk(
+        record, body_start, len(record), header.context_id, names),
+        namespaces)
 
 
 def generate_keys(definition: XPathIndexDefinition, record: bytes,

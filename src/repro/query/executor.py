@@ -17,8 +17,8 @@ from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import NodeIdError, PlanningError, StorageError, XmlError
 from repro.lang import ast
 from repro.xdm import nodeid
-from repro.xdm.events import EventKind, SaxEvent
 from repro.xmlstore.store import XmlStore
+from repro.xmlstore.traversal import in_context_events
 from repro.xpath.cache import cached_compile
 from repro.xpath.qtree import QueryTree
 from repro.xpath.quickxscan import QuickXScan
@@ -178,20 +178,10 @@ class Executor:
             ancestors = doc.ancestry(anchor)
         except (XmlError, StorageError):
             return []  # anchor does not exist (stale/foreign hit)
-        # Replay ancestors from record-header context, then the subtree.
-        # The anchor's own element is the first event of node_events.
-        ancestor_names = ancestors  # root-first (local, uri) pairs
-
-        def stream():
-            yield SaxEvent(EventKind.DOC_START)
-            for local, uri in ancestor_names:
-                yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
-            yield from doc.node_events(anchor)
-            for local, uri in reversed(ancestor_names):
-                yield SaxEvent(EventKind.ELEM_END, local=local, uri=uri)
-            yield SaxEvent(EventKind.DOC_END)
-
-        items = QuickXScan(query, stats=self.stats).run(stream())
+        # Replay the ancestors from record-header context around the
+        # anchor's subtree; the anchor's own element opens node_events.
+        events = in_context_events(ancestors, doc.node_events(anchor))
+        items = QuickXScan(query, stats=self.stats).run(events)
         # Keep only the anchor's own match: nested matches inside the
         # subtree are separate candidates (verified via their own index
         # hits), so counting them here would duplicate results.

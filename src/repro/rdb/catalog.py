@@ -89,6 +89,10 @@ class Catalog:
         self._indexes: dict[str, IndexDef] = {}
         self._schemas: dict[str, bytes] = {}
         self._next_docid: dict[str, int] = {}
+        #: Bumped by every add or drop of a table or index, so anything
+        #: derived from the catalog (a cached access plan) can tell it is
+        #: stale.
+        self.version = 0
 
     # -- tables ---------------------------------------------------------------
 
@@ -96,6 +100,7 @@ class Catalog:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self.version += 1
         if table.has_xml:
             self._next_docid[table.name] = 1
 
@@ -112,6 +117,7 @@ class Catalog:
         if name not in self._tables:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[name]
+        self.version += 1
         self._next_docid.pop(name, None)
         for ix_name in [n for n, ix in self._indexes.items() if ix.table == name]:
             del self._indexes[ix_name]
@@ -131,6 +137,7 @@ class Catalog:
             raise CatalogError(f"index {index.name!r} already exists")
         self.table(index.table)  # must exist
         self._indexes[index.name] = index
+        self.version += 1
 
     def index(self, name: str) -> IndexDef:
         try:
@@ -148,6 +155,7 @@ class Catalog:
         if name not in self._indexes:
             raise CatalogError(f"unknown index {name!r}")
         del self._indexes[name]
+        self.version += 1
 
     # -- registered schemas --------------------------------------------------------
 

@@ -65,6 +65,9 @@ class TableSpace:
         self._overflow_pages = 0
         # A record must leave room for the header and one slot.
         self.max_inline = pool.page_size - HEADER_SIZE - SLOT_SIZE - 1
+        #: Longest storable record: its overflow head (13 bytes plus 4 per
+        #: overflow page) must itself fit inline.
+        self.max_record = (self.max_inline - 13) // 4 * pool.page_size
 
     # -- space map ---------------------------------------------------------
 
@@ -137,7 +140,7 @@ class TableSpace:
         page_id = self._find_page_with(needed)
         if page_id is None:
             page_id = self._new_data_page()
-            if self._free[page_id] < needed:  # pragma: no cover - guarded by max_inline
+            if self._free[page_id] < needed:  # pragma: no cover - guarded by max_record
                 raise PageFullError(f"record of {len(payload)} bytes exceeds page capacity")
         with self.pool.page(page_id, write=True) as data:
             page = SlottedPage(data)
@@ -223,6 +226,9 @@ class TableSpace:
         """Return the inline payload, spilling long records to overflow pages."""
         if len(record) + 1 <= self.max_inline:
             return bytes([_INLINE_TAG]) + record
+        if len(record) > self.max_record:
+            raise PageFullError(f"record of {len(record)} bytes exceeds the "
+                                f"{self.max_record}-byte record limit")
         chunk = self.pool.page_size
         page_ids = []
         for start in range(0, len(record), chunk):

@@ -13,7 +13,9 @@ analogue of a DB2 *thread* bound to one connection.  It owns
   plans it once through :meth:`~repro.core.engine.Database.plan_xpath`
   (whose parse/compile steps already hit the global caches in
   :mod:`repro.xpath.cache`); later executions replay the stored
-  :class:`~repro.query.plan.AccessPlan` via ``Database.execute_plan``.
+  :class:`~repro.query.plan.AccessPlan` via ``Database.execute_plan``
+  until the catalog's ``version`` moves (a table or index was added or
+  dropped), which re-plans.
 
 A session object is *not* itself thread-safe — it models one client
 connection, and one client issues one request at a time.  All engine work
@@ -50,9 +52,11 @@ class PreparedStatement:
     column: str
     path: str
     namespaces: tuple[tuple[str, str], ...] = ()
-    #: Built under the engine latch on first execution; dropped by
-    #: :meth:`Session.invalidate` after DDL.
+    #: Built under the engine latch on first execution, and rebuilt when
+    #: the catalog has changed since (``version`` is the catalog version
+    #: it was planned at), so an index created later gets used.
     plan: "AccessPlan | None" = field(default=None, compare=False)
+    version: int = field(default=-1, compare=False)
 
     @property
     def namespace_map(self) -> dict[str, str] | None:
@@ -94,11 +98,6 @@ class Session:
             self._stmts.popitem(last=False)
         return stmt
 
-    def invalidate(self) -> None:
-        """Drop cached plans (call after DDL; statements re-plan lazily)."""
-        for stmt in self._stmts.values():
-            stmt.plan = None
-
     # -- auto-commit requests ----------------------------------------------
 
     def run(self, body: Callable[["Database", Transaction], Any],
@@ -134,9 +133,10 @@ class Session:
 
         def body(db: "Database", txn: Transaction) -> "list[XPathResult]":
             txn.lock(("table", stmt.table), LockMode.IS)
-            if stmt.plan is None:
+            if stmt.version != db.catalog.version:
                 stmt.plan = db.plan_xpath(stmt.table, stmt.column, stmt.path,
                                           stmt.namespace_map)
+                stmt.version = db.catalog.version
             return db.execute_plan(stmt.table, stmt.column, stmt.plan)
 
         return self.run(body, deadline=deadline,

@@ -30,6 +30,8 @@ ROOT_ID = b""
 
 _MAX_EVEN = 254
 _MAX_SINGLE_ORDINAL = _MAX_EVEN // 2  # 127
+#: Leading ``0xFF`` bytes a child ID may carry before its number widens.
+_UNARY_FF = 8
 
 
 def is_valid_relative(rel: bytes) -> bool:
@@ -48,17 +50,26 @@ def validate_absolute(abs_id: bytes) -> None:
 def relative_from_ordinal(ordinal: int) -> bytes:
     """Relative ID for the ``ordinal``-th child slot (1-based).
 
-    Ordinals 1..127 get the single even byte ``2*ordinal``; larger ordinals
-    prepend ``0xFF`` continuation bytes (one per 127 slots), which preserves
-    allocation order because ``0xFF`` sorts after every even byte.
+    An ID is ``f`` ``0xFF`` bytes and then a base-127 number of ``d`` digits:
+    odd bytes ``1..253`` and a final even byte ``2..254``.  Ordinals fill
+    ``f = 0, 1, 2, ...`` in turn, so allocation order is kept (``0xFF`` sorts
+    after every other byte).  Up to :data:`_UNARY_FF` leading ``0xFF`` bytes
+    the number has one digit (the first 1 143 children: ``2*ordinal``, then
+    one ``0xFF`` more per 127 siblings); past that each ``0xFF`` adds a
+    digit, so a wide fan-out costs logarithmic, not linear, ID length.
     """
     if ordinal < 1:
         raise NodeIdError(f"child ordinal must be positive, got {ordinal}")
-    prefix = b""
-    while ordinal > _MAX_SINGLE_ORDINAL:
-        prefix += b"\xff"
-        ordinal -= _MAX_SINGLE_ORDINAL
-    return prefix + bytes([2 * ordinal])
+    index, ffs, digits = ordinal - 1, 0, 1
+    while index >= _MAX_SINGLE_ORDINAL ** digits:
+        index -= _MAX_SINGLE_ORDINAL ** digits
+        ffs += 1
+        digits = max(1, ffs - _UNARY_FF + 1)
+    out = [2 * (index % _MAX_SINGLE_ORDINAL) + 2]
+    for _ in range(digits - 1):
+        index //= _MAX_SINGLE_ORDINAL
+        out.append(2 * (index % _MAX_SINGLE_ORDINAL) + 1)
+    return b"\xff" * ffs + bytes(reversed(out))
 
 
 def split_levels(abs_id: bytes) -> list[bytes]:

@@ -19,6 +19,7 @@ comments, and processing instructions.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 from repro.errors import XmlParseError
@@ -30,6 +31,11 @@ _PREDEFINED_ENTITIES = {
 }
 
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
+
+#: A character outside XML 1.0's ``Char`` production: C0 controls other
+#: than tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
+_NOT_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_CHAR_REF = re.compile("#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 #: Deepest element nesting a document may have.  The parser recurses once
 #: per level, so without a bound a hostile document would exhaust the
@@ -125,6 +131,11 @@ class XmlParser:
 
     def _run(self, text: str, emit: Callable[[SaxEvent], None]) -> None:
         scanner = _Scanner(text)
+        bad = _NOT_CHAR.search(text)
+        if bad is not None:
+            scanner.pos = bad.start()
+            raise scanner.error(
+                f"character U+{ord(bad[0]):04X} is not allowed in XML")
         if scanner.startswith("﻿"):
             scanner.pos += 1
         emit(SaxEvent(EventKind.DOC_START))
@@ -362,16 +373,13 @@ class XmlParser:
             pos = semi + 1
 
     def _decode_entity(self, scanner: _Scanner, body: str) -> str:
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                return chr(int(body[2:], 16))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{body};") from None
         if body.startswith("#"):
-            try:
-                return chr(int(body[1:]))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{body};") from None
+            ref = _CHAR_REF.fullmatch(body)
+            code = -1 if ref is None else \
+                int(ref[1], 16) if ref[1] else int(ref[2])
+            if not 0 <= code <= 0x10FFFF or _NOT_CHAR.match(chr(code)):
+                raise scanner.error(f"bad character reference &{body};")
+            return chr(code)
         expansion = _PREDEFINED_ENTITIES.get(body)
         if expansion is None:
             raise scanner.error(f"unknown entity &{body};")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
 from repro.core.stats import StatsRegistry
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, PageFullError
 from repro.rdb.btree import BTree
 from repro.rdb.buffer import BufferPool
 from repro.rdb.tablespace import Rid, TableSpace
@@ -93,6 +93,13 @@ class XmlStore:
                 f"DocID {docid} already exists in {self.name!r}")
         records, node_count = pack_document(
             docid, decorated_events, self.names, self.record_limit)
+        # All or nothing: a record that cannot be stored fails the document
+        # before any of its records or index entries is written.
+        longest = max(map(len, records))
+        if longest > self.space.max_record:
+            raise PageFullError(
+                f"DocID {docid} packs into a {longest}-byte record; at most "
+                f"{self.space.max_record} bytes can be stored")
         index_entries = 0
         data_bytes = 0
         for record in records:  # already in (DocID, minNodeID) order

@@ -15,10 +15,12 @@ from repro.errors import ServerClosedError, TransactionError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
 from repro.obs.monitor import Monitor
+from repro.query.plan import AccessMethod
 from repro.rdb.locks import LockMode
 from repro.serve import DatabaseServer
 
 DOC = "<Product><Name>widget {i}</Name><Price>{i}</Price></Product>"
+CATALOG = '<Catalog><Product id="p{i}"><Name>n{i}</Name></Product></Catalog>'
 
 
 def make_db(**overrides):
@@ -135,17 +137,28 @@ class TestServing:
             # ... so its fourth use re-plans: 4 misses total, 2 hits.
             assert db.stats.get("serve.stmt_misses") == 4
 
-    def test_prepared_plan_reused_until_invalidate(self):
+    def test_prepared_plan_reused_until_ddl(self):
         db = make_db()
+        path = '/Catalog/Product[@id = "p7"]'
         with DatabaseServer(db) as server:
             session = server.session()
-            session.insert("docs", ("k", DOC.format(i=1)))
-            session.query("docs", "doc", "/Product/Name")
-            stmt = session.prepare("docs", "doc", "/Product/Name")
-            assert stmt.plan is not None
-            session.invalidate()
-            assert stmt.plan is None
-            assert session.query("docs", "doc", "/Product/Name")
+            for i in range(200):
+                session.insert("docs", (f"k{i}", CATALOG.format(i=i)))
+            assert len(session.query("docs", "doc", path)) == 1
+            stmt = session.prepare("docs", "doc", path)
+            scan_plan = stmt.plan
+            assert db.stats.get("exec.docs_evaluated") == 200
+            # Without DDL the cached plan is replayed as is ...
+            session.query("docs", "doc", path)
+            assert stmt.plan is scan_plan
+            # ... and an index created afterwards is used at once.
+            db.create_xpath_index("by_id", "docs", "doc",
+                                  "/Catalog/Product/@id", "varchar")
+            before = db.stats.get("exec.docs_evaluated")
+            assert len(session.query("docs", "doc", path)) == 1
+            assert db.stats.get("exec.docs_evaluated") - before == 1
+            assert scan_plan.method is AccessMethod.FULL_SCAN
+            assert stmt.plan.method is AccessMethod.DOCID_LIST
 
     def test_explicit_txn_holds_locks_across_requests(self):
         db = make_db(serve_workers=2)
