@@ -6,7 +6,7 @@ explicit hot-row update transactions, cached XPath queries) and reports
 p50/p99 request and queue-wait latency from the engine's histograms.  A
 second scenario deliberately undersizes the pool and admission queue to
 measure behaviour at the shed point.  Each run re-verifies the zero
-lost/duplicated-commit invariant against the accounting log, so the
+lost/duplicated-commit invariant against the accounting records, so the
 numbers are only reported for correct runs.
 
 The JSON latency report lands in ``benchmarks/artifacts/`` — the same

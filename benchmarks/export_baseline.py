@@ -18,16 +18,16 @@ Besides the deterministic artifact, the export runs timed *scenarios* on
 separate engine instances — ``commits_per_sec`` (the same insert stream
 committed with per-commit forcing vs. group commit),
 ``wal_bytes_per_commit``, and ``tracing_overhead`` (the same commit loop
-with no event trace, with a trace installed but every class disabled, and
-with all classes enabled; best-of-3 interleaved runs) — recorded under the
-artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
+with an event ring that records nothing, with the engine's default
+accounting ring, and with every class enabled; best-of-5 interleaved
+runs) — recorded under the artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
 CI drift gate compares only ``counters``/``gauges``/``histograms`` and
 ignores ``scenarios``; the same exemption covers ``waits_profile``, where
 this exporter moves the wall-clock-derived ``waits.*`` counters and the
 ``waits.request_wait_us`` histogram so the deterministic keys stay
 deterministic.  The CI observability job separately gates
-``tracing_overhead``: the installed-but-disabled mode must stay within 5%
-of the no-trace reference.
+``tracing_overhead``: the default ring must stay within 5% of the
+record-nothing reference.
 """
 
 import sys
@@ -36,7 +36,7 @@ from dataclasses import replace
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.obs.events import ALL_CLASSES, EventTrace
+from repro.core.events import ALL_CLASSES, EventTrace
 from repro.obs.exporters import engine_metrics, write_metrics_json
 
 #: Fixed workload shape — change deliberately; the baseline diffs on it.
@@ -129,8 +129,8 @@ def _commit_scenario(group_commit: bool) -> dict:
     }
 
 
-#: Trace modes the overhead scenario times, in run order.
-_TRACE_MODES = ("reference", "events_off", "events_on")
+#: Event-ring modes the overhead scenario times, in run order.
+_TRACE_MODES = ("reference", "default", "all_classes")
 
 #: Commits per overhead-scenario run: longer than the commit-path
 #: scenarios so scheduler jitter amortizes below the 5% CI gate.
@@ -138,18 +138,18 @@ OVERHEAD_COMMITS = 192
 
 
 def _traced_commit_run(mode: str) -> float:
-    """One timed commit loop under the given trace mode; returns seconds.
+    """One timed commit loop under the given ring mode; returns seconds.
 
-    ``reference`` runs with no trace installed (the emit sites pay one
-    ``stats.events is None`` test), ``events_off`` with a trace installed
-    but every class disabled (one frozenset membership test per emit),
-    ``events_on`` with all classes recording.
+    ``reference`` records nothing (every class disabled: one frozenset
+    membership test per emit), ``default`` keeps the engine's own ring
+    (one ACCOUNTING record per transaction), ``all_classes`` records every
+    suspension too.
     """
     db = Database(BASELINE_CONFIG)
     db.create_table("bench", [("id", "bigint"), ("doc", "xml")])
-    if mode == "events_off":
+    if mode == "reference":
         EventTrace(classes=()).install(db.stats)
-    elif mode == "events_on":
+    elif mode == "all_classes":
         EventTrace(classes=ALL_CLASSES).install(db.stats)
     started = time.perf_counter()
     for i in range(OVERHEAD_COMMITS):
@@ -168,7 +168,7 @@ def run_tracing_overhead(repeats: int = 5) -> dict:
     discarded warmup round per mode pays the import/allocator cold-start
     before anything is timed.  The ``overhead_ratio`` of each traced mode
     is its best time over the reference's best time — the number the CI
-    observability job gates (``events_off`` <= 1.05).
+    observability job gates (``default`` <= 1.05).
     """
     for mode in _TRACE_MODES:  # warmup, discarded
         _traced_commit_run(mode)

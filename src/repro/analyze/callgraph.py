@@ -39,11 +39,6 @@ from typing import Iterator
 from repro.analyze.framework import SourceModule, call_name, receiver_text
 
 
-def _method_table() -> dict[str, list["FunctionInfo"]]:
-    """Picklable default factory for the per-class method index."""
-    return defaultdict(list)
-
-
 class FunctionInfo:
     """One function (or method) of the analyzed program."""
 
@@ -105,11 +100,9 @@ class CallGraph:
         #: (relpath, name) -> module-level function
         self._module_functions: dict[tuple[str, str], FunctionInfo] = {}
         #: class name -> {method name -> [FunctionInfo]} (name collisions
-        #: across modules keep every candidate — conservative).  The
-        #: factory is a named function so the graph stays picklable for
-        #: the on-disk program cache.
+        #: across modules keep every candidate — conservative).
         self._class_methods: dict[str, dict[str, list[FunctionInfo]]] = \
-            defaultdict(_method_table)
+            defaultdict(lambda: defaultdict(list))
         #: method name -> every class method with that name
         self._methods_by_name: dict[str, list[FunctionInfo]] = \
             defaultdict(list)

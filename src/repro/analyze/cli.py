@@ -20,7 +20,6 @@ from repro.analyze.excsafety import ExceptionSafetyChecker
 from repro.analyze.framework import Checker, run_checkers
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
-from repro.analyze.progcache import cached_program
 from repro.analyze.races import LatchBlockingChecker, SharedStateRaceChecker
 from repro.analyze.rawdisk import RawDiskChecker
 from repro.analyze.sarif import to_sarif
@@ -66,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "codes to run (e.g. pin-leak,LOCK001)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="parse and analyze from scratch, bypassing the "
-                             "on-disk program cache")
     parser.add_argument("--explain", action="store_true",
                         help="print the witnessing call path under every "
                              "interprocedural finding")
@@ -123,10 +119,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     checkers, code_filter = _select(checkers, args.select)
 
-    program, parse_errors, cache_info = cached_program(
-        paths, root=Path.cwd(), enabled=not args.no_cache)
-    findings = run_checkers(checkers, paths, root=Path.cwd(),
-                            program=program)
+    parse_errors: list[str] = []
+    findings = run_checkers(
+        checkers, paths, root=Path.cwd(),
+        on_error=lambda path, exc: parse_errors.append(f"{path}: {exc}"))
     if code_filter is not None:
         findings = [f for f in findings if f.code in code_filter]
 
@@ -160,7 +156,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "baselined": [f.as_dict() for f in suppressed],
             "stale_baseline_entries": [e.fingerprint for e in stale],
             "parse_errors": parse_errors,
-            "cache": cache_info.as_dict(),
         }, indent=2))
     elif args.format == "sarif":
         justifications = {fingerprint: entry.reason

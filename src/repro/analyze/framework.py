@@ -220,42 +220,30 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 def run_checkers(checkers: Iterable[Checker], paths: Iterable[Path],
                  root: Path | None = None,
-                 on_error: Callable[[Path, Exception], None] | None = None,
-                 program: Program | None = None) -> list[Finding]:
+                 on_error: Callable[[Path, Exception], None] | None = None
+                 ) -> list[Finding]:
     """Parse every file under ``paths`` and run ``checkers`` over them.
 
     Files that fail to parse are reported through ``on_error`` (a callable
     receiving ``(path, exception)``) and skipped — the analyzer must degrade
     gracefully on a broken tree rather than crash the CI job.
-
-    A pre-built ``program`` (e.g. from
-    :func:`repro.analyze.progcache.cached_program`) skips parsing entirely:
-    ``paths`` and ``on_error`` are then ignored and the checkers visit the
-    program's modules as-is.
     """
     checkers = list(checkers)
     root = root if root is not None else Path.cwd()
     findings: list[Finding] = []
-    if program is not None:
+    program = Program()
+    for checker in checkers:
+        checker.begin(program)
+    for path in iter_python_files(paths):
+        try:
+            module = SourceModule(path, root)
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            if on_error is not None:
+                on_error(path, exc)
+            continue
+        program.add(module)
         for checker in checkers:
-            checker.begin(program)
-        for module in program.modules:
-            for checker in checkers:
-                findings.extend(checker.check_module(module))
-    else:
-        program = Program()
-        for checker in checkers:
-            checker.begin(program)
-        for path in iter_python_files(paths):
-            try:
-                module = SourceModule(path, root)
-            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-                if on_error is not None:
-                    on_error(path, exc)
-                continue
-            program.add(module)
-            for checker in checkers:
-                findings.extend(checker.check_module(module))
+            findings.extend(checker.check_module(module))
     for checker in checkers:
         findings.extend(checker.finish())
     findings.sort(key=lambda f: (f.path, f.line, f.code))

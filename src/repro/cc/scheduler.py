@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Protocol
 from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import TransactionError
-from repro.rdb.txn import AccountingLog, AccountingRecord
+from repro.rdb.txn import emit_accounting
 
 
 class LockBackend(Protocol):
@@ -105,7 +105,8 @@ class Scheduler:
     exponential backoff starting at ``backoff_initial`` steps and doubling
     up to ``backoff_cap``.  ``max_restarts`` (``None`` = unlimited) bounds
     how often one program is restarted after being chosen as a deadlock or
-    timeout victim.
+    timeout victim.  Every finished program records one accounting event
+    in ``stats.events``, the stream interactive transactions record in.
     """
 
     def __init__(self, locks: LockBackend, seed: int = 0,
@@ -114,8 +115,7 @@ class Scheduler:
                  backoff_initial: int = 1,
                  backoff_cap: int = 16,
                  max_restarts: int | None = None,
-                 stats: StatsRegistry | None = None,
-                 accounting: AccountingLog | None = None) -> None:
+                 stats: StatsRegistry | None = None) -> None:
         self.locks = locks
         self.rng = random.Random(seed)
         self.max_steps = max_steps
@@ -125,11 +125,6 @@ class Scheduler:
         self.max_restarts = max_restarts
         self.stats = stats if stats is not None else \
             default_stats(getattr(locks, "stats", None))
-        #: Accounting-trace ring: one record per finished program.  Pass a
-        #: :class:`TransactionManager`'s log to merge scheduler programs
-        #: into the same accounting stream as interactive transactions.
-        self.accounting = accounting if accounting is not None \
-            else AccountingLog()
         self._next_txn = 1000  # distinct from interactive txns
 
     def run(self, programs: list[tuple[str, ProgramBody]],
@@ -185,14 +180,11 @@ class Scheduler:
     def _emit(self, runner: _Runner) -> None:
         """Record the finished program's accounting (one record, with all
         victim attempts folded in)."""
-        self.accounting.emit(AccountingRecord(
-            txn_id=runner.txn_id,
-            isolation="-",  # scheduler programs manage their own locks
-            outcome="committed" if runner.committed else "aborted",
-            retries=runner.restarts,
-            victim_attempts=tuple(runner.victim_txns),
-            counters=dict(runner.sink)))
-        self.stats.add("obs.accounting_records")
+        emit_accounting(
+            self.stats, runner.txn_id,
+            "-",  # scheduler programs manage their own locks
+            "committed" if runner.committed else "aborted",
+            runner.restarts, tuple(runner.victim_txns), dict(runner.sink))
 
     def _choose(self, active: list[_Runner], cursor: int,
                 round_robin: bool) -> _Runner | None:

@@ -22,10 +22,6 @@ class EngineConfig:
             sibling subtrees) is spilled into its own record once its encoded
             size exceeds this many bytes.  This is the packing-factor knob
             swept by experiments E1-E3.
-        btree_order_bytes: Soft per-page payload budget before a B+tree node
-            splits.
-        lock_timeout_steps: Deterministic-scheduler steps a lock request may
-            wait before timing out (concurrency experiments).
         lock_wait_budget: Simulated wait steps an *interactive*
             ``Transaction.lock`` call spends retrying a blocked request
             before raising ``LockTimeoutError``.
@@ -69,20 +65,12 @@ class EngineConfig:
             has reached the ``buffer.eviction_residency`` histogram median
             — pages old enough that eviction would soon write them
             synchronously anyway.
-        mvcc_retained_versions: How many committed document versions the
-            versioned NodeID index keeps before garbage collection.
-        validate_on_insert: Whether document inserts run schema validation
-            when the column has a registered schema.
-        accounting_ring_size: Capacity of the per-transaction accounting
-            ring buffer (DB2 accounting-trace analogue); old records fall
-            off the front once the buffer wraps.
-        slow_query_log_size: Capacity of the slow-query ring buffer.
-        slow_query_page_reads / slow_query_entries_scanned /
-        slow_query_events: Per-query thresholds on ``disk.page_reads``,
-            ``btree.entries_scanned`` and ``xscan.events`` counter deltas.
-            A query exceeding any of them is captured — plan, span tree and
-            counter deltas — in ``Database.slow_queries``.  0 disables a
-            threshold; all-zero disables slow-query capture entirely (and
+        slow_query_entries_scanned / slow_query_events: Per-query
+            thresholds on the ``btree.entries_scanned`` and ``xscan.events``
+            counter deltas.  A query exceeding either is captured — plan,
+            span tree and counter deltas — as an ACCOUNTING record in the
+            engine's event ring (``Database.slow_queries``).  0 disables a
+            threshold; both zero disables slow-query capture entirely (and
             its per-query tracer).
         serve_workers: Worker threads in the serving layer's pool — the
             admission controller's concurrency-token count (DB2 z/OS:
@@ -115,8 +103,6 @@ class EngineConfig:
     page_size: int = 4096
     buffer_pool_pages: int = 256
     record_size_limit: int = 1024
-    btree_order_bytes: int = 3500
-    lock_timeout_steps: int = 10_000
     lock_wait_budget: int = 64
     lock_backoff_initial: int = 1
     lock_backoff_cap: int = 16
@@ -131,11 +117,6 @@ class EngineConfig:
     ckpt_background: bool = False
     ckpt_interval_seconds: float = 0.005
     ckpt_trickle_pages: int = 8
-    mvcc_retained_versions: int = 4
-    validate_on_insert: bool = True
-    accounting_ring_size: int = 256
-    slow_query_log_size: int = 32
-    slow_query_page_reads: int = 0
     slow_query_entries_scanned: int = 0
     slow_query_events: int = 0
     serve_workers: int = 4
@@ -151,7 +132,6 @@ class EngineConfig:
     def slow_query_thresholds(self) -> dict[str, int]:
         """Enabled slow-query thresholds as ``{counter name: limit}``."""
         thresholds = {
-            "disk.page_reads": self.slow_query_page_reads,
             "btree.entries_scanned": self.slow_query_entries_scanned,
             "xscan.events": self.slow_query_events,
         }

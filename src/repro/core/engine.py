@@ -32,7 +32,7 @@ from repro.indexes.definition import XPathIndexDefinition
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
 from repro.obs.explain import ExplainResult
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
+from repro.obs.slowlog import SlowQueryRecord
 from repro.obs.tracer import Tracer
 from repro.query.executor import Executor, QueryMatch
 from repro.query.plan import AccessMethod, AccessPlan
@@ -45,7 +45,7 @@ from repro.rdb.storage import Disk
 from repro.rdb.table import Table
 from repro.rdb.tablespace import Rid
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.values import SqlType
+from repro.rdb.values import SqlType, coerce
 from repro.rdb.wal import (GroupCommitter, LogManager, LogOp,
                            replay as wal_replay)
 from repro.xdm.serializer import serialize
@@ -120,8 +120,7 @@ class Database:
             lock_backoff_initial=config.lock_backoff_initial,
             lock_backoff_cap=config.lock_backoff_cap,
             checkpoint_every=config.checkpoint_interval,
-            on_checkpoint=self.pool.flush_all,
-            accounting_size=config.accounting_ring_size)
+            on_checkpoint=self.pool.flush_all)
         self.txns.on_txn_end = self._sanitize_txn_end
         #: Group committer (``config.txn_group_commit``): commits are
         #: hardened by shared window forces; the serving layer installs
@@ -134,8 +133,6 @@ class Database:
                 window=config.txn_group_commit_window,
                 max_group=config.txn_group_commit_max)
             self.txns.group_commit = self.group_commit
-        #: Slow-query ring buffer (see ``EngineConfig.slow_query_*``).
-        self.slow_queries = SlowQueryLog(config.slow_query_log_size)
         self._slow_thresholds = config.slow_query_thresholds()
         self.tables: dict[str, Table] = {}
         self.xml_stores: dict[tuple[str, str], XmlStore] = {}
@@ -217,6 +214,11 @@ class Database:
                 raise QueryError(
                     f"row has {len(row)} values for "
                     f"{len(definition.columns)} columns of {table!r}")
+            # A value the table would refuse must not reach the log first:
+            # replay re-applies every logged auto-commit insert.
+            for column, value in zip(definition.columns, row, strict=True):
+                if column.sql_type is not SqlType.XML:
+                    coerce(column.sql_type, value)
             self.log.append(txn_id, LogOp.INSERT, table,
                             _encode_engine_row(row),
                             validate_against.encode()
@@ -243,8 +245,7 @@ class Database:
                     storage_row[position] = None
                     continue
                 store = self.xml_stores[(definition.name, column.name)]
-                if validate_against is not None and \
-                        self.config.validate_on_insert:
+                if validate_against is not None:
                     from repro.xschema.validator import validate_text
                     stream = validate_text(
                         self.catalog.schema(validate_against), xml_text)
@@ -334,17 +335,17 @@ class Database:
 
         With any ``EngineConfig.slow_query_*`` threshold set, the query
         runs under a private tracer and its counter deltas are checked on
-        completion: offenders land in :attr:`slow_queries` with their plan
-        and span tree (see :mod:`repro.obs.slowlog`).
+        completion: offenders are recorded in the event ring with their
+        plan and span tree (see :attr:`slow_queries`).
         """
         if not self._slow_thresholds:
             return self._xpath(table, column, path_text, namespaces,
                                method)[1]
         tracer = Tracer(self.stats, name="slow_query")
         with tracer.install():
-            with self.stats.delta() as deltas:
-                plan, out = self._xpath(table, column, path_text,
-                                        namespaces, method)
+            plan, out = self._xpath(table, column, path_text, namespaces,
+                                    method)
+        deltas = tracer.root.counters
         exceeded = {
             name: (deltas.get(name, 0), limit)
             for name, limit in self._slow_thresholds.items()
@@ -352,12 +353,18 @@ class Database:
         }
         if exceeded:
             self.stats.add("obs.slow_queries")
-            self.slow_queries.emit(SlowQueryRecord(
-                table=table, column=column, path=path_text,
-                method=plan.method.value, rows=len(out),
-                counters=deltas, exceeded=exceeded,
-                plan_text=plan.explain(), root=tracer.root))
+            self.stats.events.accounting(
+                "db.slow_query", table=table, column=column, path=path_text,
+                method=plan.method.value, rows=len(out), counters=deltas,
+                exceeded=exceeded, plan_text=plan.explain(),
+                root=tracer.root)
         return out
+
+    @property
+    def slow_queries(self) -> list[SlowQueryRecord]:
+        """Slow queries retained in the event ring, oldest first."""
+        return [SlowQueryRecord(**record.payload)
+                for record in self.stats.events.records("db.slow_query")]
 
     def _xpath(self, table: str, column: str, path_text: str,
                namespaces: dict[str, str] | None = None,
@@ -573,14 +580,16 @@ class Database:
                     with txn.charging():
                         result = body(self, txn)
                 except (DeadlockError, LockTimeoutError):
+                    retrying = attempt < limit
                     if txn.state is TxnState.ACTIVE:
-                        txn.abort()
+                        # A victim about to be retried records nothing: its
+                        # work folds into the next attempt's record.
+                        txn.abort(account=not retrying)
                     if span is not None:
                         span.set("outcome", "victim")
-                    if attempt >= limit:
+                    if not retrying:
                         raise
                     attempt += 1
-                    self.txns.accounting.retract(txn.txn_id)
                     delay = self._retry_backoff_delay(attempt - 1)
                     if deadline is not None:
                         delay = deadline.clamp(delay)

@@ -13,9 +13,10 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.analyze import sanitize as _sanitize
+from repro.core.events import EventTrace
 
 
 #: The metric registry: every counter and gauge name engine code reports.
@@ -79,7 +80,7 @@ METRICS: frozenset[str] = frozenset({
     "waits.buffer_read_io_us", "waits.buffer_write_io_us",
     "waits.ckpt_interference_us", "waits.txn_retry_backoff_us",
     "waits.deadline_sleep_us",
-    # instrumentation facility (repro.obs.monitor / slow-query log)
+    # records emitted to the event ring (accounting / slow-query views)
     "obs.slow_queries", "obs.accounting_records",
     # serving layer (repro.serve): admission, sessions, outcomes
     "serve.requests", "serve.admitted", "serve.completed", "serve.failed",
@@ -128,16 +129,17 @@ HISTOGRAMS: frozenset[str] = frozenset({
 #: database I/O, ...).  Each class ``c`` owns the counter
 #: ``wait_counter(c)`` of microseconds suspended; the ``stats-hygiene``
 #: checker (STAT004) verifies every literal ``wait_timer``/``charge_wait``
-#: call site against this set and that every blocking sleep site charges
-#: *some* registered class.
-WAITS: frozenset[str] = frozenset({
+#: call site against this registry and that every blocking sleep site
+#: charges *some* registered class.  The order is the rendering order of
+#: every wait breakdown: biggest architectural layers first.
+WAITS: tuple[str, ...] = (
     # serving layer: queued behind the admission queue before a worker
     # picked the request up
     "admission.queue",
-    # lock manager: suspended in a lock-wait retry loop
-    "lock.wait",
     # engine latch: blocked acquiring ``db.latch`` before running work
     "latch.wait",
+    # lock manager: suspended in a lock-wait retry loop
+    "lock.wait",
     # WAL: forcing the log (durable-prefix advance)
     "wal.force",
     # WAL: parked in the group-commit window (leader) or waiting for the
@@ -153,12 +155,28 @@ WAITS: frozenset[str] = frozenset({
     "txn.retry_backoff",
     # deadline-bounded timer sleeps (client retry backoff in the harness)
     "deadline.sleep",
-})
+)
 
 
 def wait_counter(wait_class: str) -> str:
     """Counter name charged for ``wait_class`` (microseconds suspended)."""
     return "waits." + wait_class.replace(".", "_") + "_us"
+
+
+def wait_breakdown(counters: Mapping[str, int]) -> dict[str, int]:
+    """Per-class microseconds from a counters mapping (non-zero only).
+
+    Accepts either a global ``StatsRegistry.counters()`` dict or a
+    per-transaction accounting ``counters`` dict — both charge waits
+    through the same ``waits.<class>_us`` names.  Classes come out in
+    :data:`WAITS` order.
+    """
+    out: dict[str, int] = {}
+    for wait_class in WAITS:
+        micros = counters.get(wait_counter(wait_class), 0)
+        if micros:
+            out[wait_class] = micros
+    return out
 
 
 class Histogram:
@@ -178,6 +196,17 @@ class Histogram:
         self.sum = 0
         self.max = 0
         self._buckets: Counter[int] = Counter()
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "Histogram":
+        """Rebuild a histogram from its :meth:`as_dict` rendering."""
+        histogram = cls()
+        histogram.count = int(data.get("count", 0))
+        histogram.sum = int(data.get("sum", 0))
+        histogram.max = int(data.get("max", 0))
+        for bound, count in data.get("buckets", []):
+            histogram._buckets[int(bound).bit_length() - 1] = int(count)
+        return histogram
 
     def observe(self, value: int) -> None:
         """Record one observation (values are clamped at zero)."""
@@ -240,53 +269,31 @@ class Histogram:
 SANITIZE_CHECKS = "sanitize.checks"
 
 
+def counter_deltas(before: Mapping[str, int],
+                   after: Mapping[str, int]) -> dict[str, int]:
+    """Non-zero ``after - before`` per counter, :data:`SANITIZE_CHECKS`
+    left out — the one diff behind ``StatsRegistry.delta``, tracer spans
+    and statistics intervals."""
+    return {name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value != before.get(name, 0) and name != SANITIZE_CHECKS}
+
+
 class StatsRegistry:
     """A named bag of monotonically increasing counters.
 
     Counters are created on first use, so layers do not need to pre-declare
-    what they report.  Well-known counter names used across the engine:
-
-    ``disk.page_reads`` / ``disk.page_writes``
-        physical page transfers on the simulated device
-    ``buffer.hits`` / ``buffer.misses`` / ``buffer.evictions``
-        buffer-pool behaviour
-    ``btree.searches`` / ``btree.inserts`` / ``btree.deletes`` /
-    ``btree.entries_scanned``
-        index-manager traffic
-    ``ts.records_read`` / ``ts.records_inserted`` / ``ts.bytes_touched``
-        table-space record traffic
-    ``wal.records`` / ``wal.bytes`` / ``wal.checkpoints``
-        log volume and checkpoint activity
-    ``lock.acquired`` / ``lock.waits`` / ``lock.wait_steps`` /
-    ``lock.deadlocks``
-        lock-manager behaviour
-    ``txn.begun`` / ``txn.aborts`` / ``txn.retries`` /
-    ``txn.deadlock_aborts`` / ``txn.timeout_aborts`` /
-    ``txn.deadlocks`` / ``txn.lock_timeouts``
-        transaction outcomes, including deadlock/timeout victims and the
-        retry machinery
-    ``fault.injected`` / ``fault.crashes`` / ``disk.checksum_failures``
-        fault-injection activity and checksum verification failures
-    ``recovery.replayed`` / ``recovery.torn_tail_dropped`` /
-    ``recovery.from_checkpoint``
-        restart-recovery behaviour (records redone, torn WAL tails
-        dropped, analysis passes started from a checkpoint)
-    ``xscan.events`` / ``xscan.matchings`` / ``xscan.peak_units``
-        QuickXScan work
-    ``xpath.parse_hits`` / ``xpath.parse_misses`` /
-    ``xpath.compile_hits`` / ``xpath.compile_misses``
-        XPath parse/compile cache behaviour (:mod:`repro.xpath.cache`)
-    ``sanitize.checks`` / ``sanitize.*``
-        runtime invariant sanitizer activity: checks performed and trips
-        per invariant (:mod:`repro.analyze.sanitize`)
-
-    The full machine-checked list lives in :data:`METRICS`; a new metric
-    must be added there (the ``stats-hygiene`` checker enforces it).
+    what they report.  Every name engine code reports is registered in
+    :data:`METRICS` (the ``stats-hygiene`` checker enforces it), grouped by
+    component there.
 
     A registry can additionally carry a :class:`~repro.obs.tracer.Tracer`
     (``stats.tracer``); components open spans through :meth:`trace` /
     :meth:`trace_event`, which are reusable no-ops while no tracer is
-    installed, so permanent instrumentation stays ~free.
+    installed, so permanent instrumentation stays ~free.  Every registry
+    also carries its event ring (``stats.events``, a
+    :class:`~repro.core.events.EventTrace`), where finished units of work
+    are recorded.
 
     The registry is **thread-safe**: counter/gauge/histogram mutation is
     guarded by internal locks *striped by metric name* (a read-modify-write
@@ -310,10 +317,10 @@ class StatsRegistry:
         #: Installed tracer (see :class:`repro.obs.tracer.Tracer`), or None.
         #: Duck-typed (``Any``) so the substrate never imports ``repro.obs``.
         self.tracer: Any = None
-        #: Installed structured event trace
-        #: (see :class:`repro.obs.events.EventTrace`), or None.  Duck-typed
-        #: like the tracer so the substrate never imports ``repro.obs``.
-        self.events: Any = None
+        #: The event ring every finished unit of work is recorded in;
+        #: replace it (:meth:`EventTrace.install`) for a bigger ring or more
+        #: event classes.
+        self.events = EventTrace()
         #: Name-striped locks guarding the shared maps above.
         self._locks = [threading.Lock() for _ in range(self._STRIPES)]
         #: Per-thread innermost accounting sink — see :meth:`charge`.
@@ -468,9 +475,9 @@ class StatsRegistry:
         ``waits.<class>_us`` counter (and, through the thread's accounting
         sink, the running transaction's per-txn breakdown — which is what
         makes wait fields fold across victim retries for free), every wait
-        clock open on this thread (see :meth:`request_clock`), and — when a
-        structured event trace is installed with the PERFORMANCE class
-        enabled — a ``wait.<class>`` trace event.  Zero-microsecond waits
+        clock open on this thread (see :meth:`request_clock`), and — when
+        the event ring has the PERFORMANCE class enabled — a
+        ``wait.<class>`` event.  Zero-microsecond waits
         are dropped: a suspension that never suspended is not a wait, and
         recording it would materialize noise counters in deterministic
         baselines.
@@ -482,9 +489,7 @@ class StatsRegistry:
         if frames:
             for frame in frames:
                 frame[wait_class] = frame.get(wait_class, 0) + int(micros)
-        events = self.events
-        if events is not None:
-            events.performance("wait." + wait_class, us=int(micros))
+        self.events.performance("wait." + wait_class, us=int(micros))
 
     @contextmanager
     def wait_timer(self, wait_class: str) -> Iterator[None]:
@@ -583,10 +588,7 @@ class StatsRegistry:
         finally:
             with self._all_locks():
                 after = dict(self._counters)
-            for name, value in after.items():
-                diff = value - before.get(name, 0)
-                if diff and name != SANITIZE_CHECKS:
-                    out[name] = diff
+            out.update(counter_deltas(before, after))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))

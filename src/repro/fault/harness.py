@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
+from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.fault.injector import FaultInjector, FaultSpec, SimulatedCrash
-from repro.obs.events import EventTrace
 from repro.indexes.manager import XPathValueIndex
 from repro.rdb.storage import Disk
 from repro.rdb.wal import LogManager, LogOp
@@ -132,9 +132,9 @@ class CrashHarness:
         self.workdir = str(workdir)
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        #: Optional structured event trace (flight recorder): installed on
-        #: the harness registry so the run's suspensions and injected
-        #: faults are retained for the post-crash dump.
+        #: Optional flight recorder: an event ring installed on the harness
+        #: registry (with PERFORMANCE enabled, suspensions and injected
+        #: faults are retained too) and dumped after the crash.
         self.trace = trace
         if trace is not None:
             trace.install(self.stats)

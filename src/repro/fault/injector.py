@@ -169,9 +169,7 @@ class FaultInjector:
         # Injected faults are PERFORMANCE trace events (the IFCID-style
         # "something abnormal happened here" record) so a crash post-mortem
         # can line the fault up against the suspensions around it.
-        events = getattr(self.stats, "events", None)
-        if events is not None:
-            events.performance("fault." + kind, detail=detail)
+        self.stats.events.performance("fault." + kind, detail=detail)
 
     def _active(self, kind: str, count: int) -> FaultSpec | None:
         if not self.armed:

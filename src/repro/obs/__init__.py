@@ -1,35 +1,37 @@
-"""Query-level observability: hierarchical tracing and EXPLAIN ANALYZE.
+"""Query-level observability: tracing, EXPLAIN ANALYZE, and the readers of
+the event ring.
 
 The paper's infrastructure box (Fig. 1) lists *instrumentation* among the
 relational assets the XML engine inherits.  :mod:`repro.core.stats` provides
-the flat counter bag; this package adds the hierarchical view on top of it:
+the flat counter bag and :mod:`repro.core.events` the one bounded ring that
+records every finished unit of work (transactions, served requests, slow
+queries; suspensions and faults when enabled).  This package adds the
+views on top of them:
 
 * :class:`~repro.obs.tracer.Span` / :class:`~repro.obs.tracer.Tracer` — a
   span tree whose every node captures the :class:`StatsRegistry` counter
   deltas between enter and exit, so "how many page reads did this B+tree
-  probe cost" falls out of the existing accounting;
+  probe cost" falls out of the existing accounting; span trees export as
+  JSON (:meth:`Span.to_dict`, :func:`~repro.obs.exporters.write_trace`);
 * :class:`~repro.obs.explain.ExplainResult` — the DB2-style EXPLAIN ANALYZE
   surface returned by :meth:`repro.core.engine.Database.explain_analyze`:
   the chosen :class:`~repro.query.plan.AccessPlan` annotated with actual
   row/entry/page counts per operator;
-* :mod:`repro.obs.export` — JSON export of span trees, used by the
-  benchmarks to attach trace artifacts to BENCH runs;
 * :class:`~repro.obs.monitor.Monitor` — DISPLAY-style snapshots of live
   engine state (buffer pool, lock table + waits-for DOT, WAL, transaction
-  table, per-table-space/per-index footprints);
-* :class:`~repro.obs.slowlog.SlowQueryLog` — bounded ring of auto-captured
-  offender queries (plan + span tree + counter deltas);
+  table, per-table-space/per-index footprints, accounting summary);
+* :class:`~repro.obs.slowlog.SlowQueryRecord` — an auto-captured offender
+  query (plan + span tree + counter deltas), read back from the ring by
+  ``Database.slow_queries``;
 * :mod:`repro.obs.exporters` — Prometheus-text and JSON exposition of
   counters/gauges/histograms;
 * :mod:`repro.obs.waits` — the reading side of the wait clock: per-class
   suspension breakdowns (DB2 accounting class-3 analogue) folded from the
   ``waits.*_us`` counters charged by ``StatsRegistry.wait_timer``;
-* :mod:`repro.obs.events` — :class:`~repro.obs.events.EventTrace`, the
-  IFCID-style structured event trace (accounting / statistics /
-  performance records in per-thread bounded rings) plus the
+* :mod:`repro.obs.events` — JSONL import of an exported ring and the
   statistics-interval :class:`~repro.obs.events.StatsCollector`;
 * :mod:`repro.obs.perf` — ``python -m repro.obs.perf``, the wait-state
-  profiler over a JSONL trace export (imported lazily — it pulls in the
+  profiler over a JSONL ring export (imported lazily — it pulls in the
   serving layer for its live mode, so it is deliberately *not* re-exported
   here);
 * :mod:`repro.obs.report` — ``python -m repro.obs.report``, the
@@ -40,24 +42,21 @@ reusable no-op unless a :class:`Tracer` is installed on the registry, so the
 uninstrumented cost is ~zero.
 """
 
-from repro.obs.events import (EventClass, EventRecord, EventTrace,
-                              StatsCollector)
+from repro.core.events import EventClass, EventRecord, EventTrace
+from repro.obs.events import StatsCollector
 from repro.obs.explain import ExplainResult
-from repro.obs.export import span_to_dict, write_trace
 from repro.obs.exporters import (engine_metrics, metrics_to_dict,
                                  render_prometheus, write_metrics_json,
-                                 write_prometheus)
+                                 write_prometheus, write_trace)
 from repro.obs.monitor import Monitor, MonitorSnapshot
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
-from repro.obs.tracer import Span, Tracer
-from repro.obs.waits import (WAIT_CLASS_ORDER, format_breakdown,
-                             total_wait_us, wait_breakdown, wait_profile)
+from repro.obs.slowlog import SlowQueryRecord
+from repro.obs.tracer import Span, Tracer, trace_to_json
+from repro.obs.waits import format_breakdown, wait_breakdown, wait_profile
 
 __all__ = [
     "EventClass", "EventRecord", "EventTrace", "ExplainResult", "Monitor",
-    "MonitorSnapshot", "SlowQueryLog", "SlowQueryRecord", "Span",
-    "StatsCollector", "Tracer", "WAIT_CLASS_ORDER", "engine_metrics",
-    "format_breakdown", "metrics_to_dict", "render_prometheus",
-    "span_to_dict", "total_wait_us", "wait_breakdown", "wait_profile",
-    "write_metrics_json", "write_prometheus", "write_trace",
+    "MonitorSnapshot", "SlowQueryRecord", "Span", "StatsCollector", "Tracer",
+    "engine_metrics", "format_breakdown", "metrics_to_dict",
+    "render_prometheus", "trace_to_json", "wait_breakdown",
+    "wait_profile", "write_metrics_json", "write_prometheus", "write_trace",
 ]

@@ -1,251 +1,16 @@
-"""IFCID-style structured event trace: typed records in per-thread rings.
-
-DB2 for z/OS performance work runs on *trace classes*: accounting records
-(IFCID 3) per unit of work, statistics records at a fixed interval, and
-performance IFCIDs for individual suspensions, log writes and faults.  This
-module is that facility for the reproduction: an :class:`EventTrace`
-installed on a :class:`~repro.core.stats.StatsRegistry` (``stats.events``,
-duck-typed exactly like the tracer so the substrate never imports
-``repro.obs``) collects :class:`EventRecord`\\ s into **per-thread bounded
-rings** — no shared lock on the emit path, old records overwritten when a
-ring fills — and merges them by monotonic timestamp on drain.
-
-Cost model: while no trace is installed, emit sites pay one attribute test
-(``stats.events is None``).  While installed with a class *disabled*, an
-emit is one frozenset membership test.  Only enabled classes pay for record
-construction.  The ``tracing_overhead`` scenario in
-``benchmarks/export_baseline.py`` gates the installed-but-disabled cost.
-
-Event classes (:class:`EventClass`):
-
-``ACCOUNTING``
-    one record per completed unit of work — a served request
-    (``serve.request``) or a finished transaction (``txn.accounting``),
-    carrying its elapsed time and wait breakdown;
-``STATISTICS``
-    periodic counter/histogram deltas emitted by a
-    :class:`StatsCollector` interval thread (``stats.interval``);
-``PERFORMANCE``
-    individual suspensions (``wait.<class>``, emitted by
-    ``StatsRegistry.charge_wait``) and injected faults (``fault.<kind>``,
-    emitted by :class:`~repro.fault.injector.FaultInjector`).
-
-Thread-local **context** (:meth:`EventTrace.context`) stamps records with
-the request label / txn id of whatever unit of work the thread is running,
-so a drained trace can be regrouped per request — the input of the
-``python -m repro.obs.perf`` wait-state profiler.
-"""
+"""Outside the engine's event ring (:mod:`repro.core.events`): loading an
+exported ring back for ``python -m repro.obs.perf``, and the
+STATISTICS-interval producer."""
 
 from __future__ import annotations
 
-import enum
-import itertools
 import json
 import threading
-import time
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from repro.core.stats import StatsRegistry
-
-
-class EventClass(enum.Enum):
-    """DB2-style trace classes; members compare by identity, export by value."""
-
-    ACCOUNTING = "accounting"
-    STATISTICS = "statistics"
-    PERFORMANCE = "performance"
-
-
-#: Convenience: every trace class (the default for a fully-on trace).
-ALL_CLASSES: frozenset[EventClass] = frozenset(EventClass)
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One structured trace event (the IFCID-record analogue).
-
-    ``ts_ns`` is ``time.monotonic_ns()`` — ordering within a process, not
-    wall-clock time.  ``request``/``txn_id`` come from explicit arguments
-    or the emitting thread's ambient :meth:`EventTrace.context`.
-    """
-
-    event_id: int
-    name: str
-    event_class: str
-    ts_ns: int
-    thread: str
-    request: str | None = None
-    txn_id: int | None = None
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe rendering (JSONL export)."""
-        out: dict[str, Any] = {
-            "id": self.event_id,
-            "name": self.name,
-            "class": self.event_class,
-            "ts_ns": self.ts_ns,
-            "thread": self.thread,
-        }
-        if self.request is not None:
-            out["request"] = self.request
-        if self.txn_id is not None:
-            out["txn_id"] = self.txn_id
-        if self.payload:
-            out["payload"] = self.payload
-        return out
-
-
-class EventTrace:
-    """Bounded per-thread event rings with class-gated emission.
-
-    ``ring_size`` bounds each *thread's* ring; a thread that emits more
-    than that between drains keeps only the newest records (the DB2 trace
-    wraps the same way).  ``classes`` is the enabled set — emits for a
-    disabled class return after one membership test.
-    """
-
-    def __init__(self, ring_size: int = 4096,
-                 classes: Iterable[EventClass] = ALL_CLASSES) -> None:
-        if ring_size <= 0:
-            raise ValueError("ring_size must be positive")
-        self.ring_size = int(ring_size)
-        self.enabled: frozenset[EventClass] = frozenset(classes)
-        self._ids = itertools.count(1)
-        self._local = threading.local()
-        #: All rings ever created, registered once per thread under a lock
-        #: the emit fast path never takes.
-        self._rings_lock = threading.Lock()
-        self._rings: list[deque[EventRecord]] = []
-        #: Total records dropped to ring wrap-around (per-ring shortfall is
-        #: invisible once overwritten, so count at append time).
-        self._dropped = 0
-
-    # -- emission ---------------------------------------------------------
-
-    def _ring(self) -> deque[EventRecord]:
-        ring: deque[EventRecord] | None = getattr(self._local, "ring", None)
-        if ring is None:
-            ring = deque(maxlen=self.ring_size)
-            self._local.ring = ring
-            with self._rings_lock:
-                self._rings.append(ring)
-        return ring
-
-    def emit(self, event_class: EventClass, name: str, *,
-             request: str | None = None, txn_id: int | None = None,
-             **payload: Any) -> EventRecord | None:
-        """Append one record to the calling thread's ring (if enabled)."""
-        if event_class not in self.enabled:
-            return None
-        ctx = getattr(self._local, "ctx", None)
-        if ctx is not None:
-            if request is None:
-                request = ctx.get("request")
-            if txn_id is None:
-                txn_id = ctx.get("txn_id")
-        record = EventRecord(
-            event_id=next(self._ids),
-            name=name,
-            event_class=event_class.value,
-            ts_ns=time.monotonic_ns(),
-            thread=threading.current_thread().name,
-            request=request,
-            txn_id=txn_id,
-            payload=payload,
-        )
-        ring = self._ring()
-        if len(ring) == self.ring_size:
-            self._dropped += 1
-        ring.append(record)
-        return record
-
-    def accounting(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit an ACCOUNTING record (unit-of-work completion)."""
-        return self.emit(EventClass.ACCOUNTING, name, **kwargs)
-
-    def statistics(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit a STATISTICS record (interval deltas)."""
-        return self.emit(EventClass.STATISTICS, name, **kwargs)
-
-    def performance(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit a PERFORMANCE record (suspension / fault)."""
-        return self.emit(EventClass.PERFORMANCE, name, **kwargs)
-
-    @contextmanager
-    def context(self, *, request: str | None = None,
-                txn_id: int | None = None) -> Iterator[None]:
-        """Stamp records emitted by this thread inside the block.
-
-        Contexts nest and merge: an inner txn context inherits the outer
-        request label unless it overrides it.
-        """
-        previous: dict[str, Any] | None = getattr(self._local, "ctx", None)
-        merged = dict(previous) if previous else {}
-        if request is not None:
-            merged["request"] = request
-        if txn_id is not None:
-            merged["txn_id"] = txn_id
-        self._local.ctx = merged
-        try:
-            yield
-        finally:
-            self._local.ctx = previous
-
-    # -- installation -----------------------------------------------------
-
-    def install(self, stats: StatsRegistry) -> "EventTrace":
-        """Attach this trace to ``stats`` (``stats.events``)."""
-        stats.events = self
-        return self
-
-    def uninstall(self, stats: StatsRegistry) -> None:
-        """Detach from ``stats`` if this trace is the one installed."""
-        if stats.events is self:
-            stats.events = None
-
-    @contextmanager
-    def installed(self, stats: StatsRegistry) -> Iterator["EventTrace"]:
-        """Install for the duration of the block."""
-        self.install(stats)
-        try:
-            yield self
-        finally:
-            self.uninstall(stats)
-
-    # -- drain / export ---------------------------------------------------
-
-    def records(self) -> list[EventRecord]:
-        """All retained records, merged across threads in timestamp order."""
-        with self._rings_lock:
-            rings = list(self._rings)
-        merged: list[EventRecord] = []
-        for ring in rings:
-            merged.extend(ring)
-        merged.sort(key=lambda record: (record.ts_ns, record.event_id))
-        return merged
-
-    def last(self, n: int) -> list[EventRecord]:
-        """The newest ``n`` retained records (crash post-mortem dumps)."""
-        records = self.records()
-        return records[-n:] if n > 0 else []
-
-    @property
-    def dropped(self) -> int:
-        """Records lost to ring wrap-around since construction."""
-        return self._dropped
-
-    def write_jsonl(self, path: str) -> int:
-        """Export the retained records as JSON lines; returns the count."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_dict(),
-                                        sort_keys=True) + "\n")
-        return len(records)
+from repro.core.events import EventTrace
+from repro.core.stats import StatsRegistry, counter_deltas
 
 
 def read_jsonl(path: str) -> list[dict[str, Any]]:
@@ -266,7 +31,8 @@ class StatsCollector:
     and histograms against its previous snapshot and emits one
     ``stats.interval`` record carrying the non-zero counter deltas and
     per-histogram ``(count, sum)`` deltas.  A final record is emitted on
-    :meth:`stop` so short runs still get at least one interval.
+    :meth:`stop` so short runs still get at least one interval.  The
+    ``trace`` needs the STATISTICS class enabled to keep them.
     """
 
     def __init__(self, stats: StatsRegistry, trace: EventTrace,
@@ -287,21 +53,18 @@ class StatsCollector:
         histograms = {
             name: (histogram.count, histogram.sum)
             for name, histogram in self.stats.histograms().items()}
-        counter_deltas = {
-            name: value - self._last_counters.get(name, 0)
-            for name, value in counters.items()
-            if value != self._last_counters.get(name, 0)}
         histogram_deltas = {
             name: {"count": count - self._last_histograms.get(name, (0, 0))[0],
                    "sum": total - self._last_histograms.get(name, (0, 0))[1]}
             for name, (count, total) in histograms.items()
             if (count, total) != self._last_histograms.get(name, (0, 0))}
+        counter_delta = counter_deltas(self._last_counters, counters)
         self._last_counters = counters
         self._last_histograms = histograms
         self.intervals += 1
         self.trace.statistics(
             "stats.interval", interval=self.intervals,
-            counters=counter_deltas, histograms=histogram_deltas)
+            counters=counter_delta, histograms=histogram_deltas)
 
     def _run(self) -> None:
         while not self._wake.wait(self.interval):
@@ -336,11 +99,4 @@ class StatsCollector:
             self.stop()
 
 
-__all__ = [
-    "ALL_CLASSES",
-    "EventClass",
-    "EventRecord",
-    "EventTrace",
-    "StatsCollector",
-    "read_jsonl",
-]
+__all__ = ["StatsCollector", "read_jsonl"]

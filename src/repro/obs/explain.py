@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.export import span_to_dict, trace_to_json
 from repro.obs.tracer import Span
 from repro.query.plan import AccessPlan
 
@@ -98,7 +97,7 @@ class ExplainResult:
                 ],
             },
             "rows": self.row_count,
-            "trace": span_to_dict(self.root),
+            "trace": self.root.to_dict(),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -107,8 +106,3 @@ class ExplainResult:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def trace_json(result: ExplainResult) -> str:
-    """The span tree alone, as JSON (benchmark artifacts)."""
-    return trace_to_json(result.root)

@@ -1,6 +1,8 @@
 """Metric exposition: Prometheus text format and JSON artifacts.
 
-Two renderings of the same :class:`~repro.core.stats.StatsRegistry` state:
+Two renderings of the same :class:`~repro.core.stats.StatsRegistry` state
+(plus :func:`write_trace`, the span-tree artifact benchmarks attach to
+their runs):
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (``# TYPE`` comments, ``_total`` counters, cumulative ``le`` histogram
@@ -17,9 +19,11 @@ are mangled to ``repro_component_metric`` for Prometheus.
 from __future__ import annotations
 
 import json
+import os
 from typing import TYPE_CHECKING
 
 from repro.core.stats import StatsRegistry
+from repro.obs.tracer import Span, Tracer, trace_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> obs)
     from repro.core.engine import Database
@@ -114,16 +118,18 @@ def metrics_to_dict(stats: StatsRegistry) -> dict:
 def engine_metrics(db: "Database") -> dict:
     """The full metrics artifact for a live engine.
 
-    Extends :func:`metrics_to_dict` with the accounting ring, the
-    slow-query log, and a monitor snapshot — everything the report CLI
-    can render from a file instead of a live engine.
+    Extends :func:`metrics_to_dict` with the accounting and slow-query
+    records retained in the event ring, and a monitor snapshot —
+    everything the report CLI can render from a file instead of a live
+    engine.
     """
     from repro.obs.monitor import Monitor
     from repro.obs.waits import wait_profile
+    from repro.rdb.txn import accounting_records
 
     artifact = metrics_to_dict(db.stats)
     artifact["accounting"] = [record.to_dict()
-                              for record in db.txns.accounting]
+                              for record in accounting_records(db.stats)]
     artifact["slow_queries"] = [record.to_dict()
                                 for record in db.slow_queries]
     artifact["waits"] = wait_profile(db.stats)
@@ -143,3 +149,14 @@ def write_metrics_json(metrics: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(metrics, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_trace(path: str, trace: Span | Tracer) -> str:
+    """Write a span tree as a JSON artifact; returns the path written."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(trace_to_json(trace))
+        handle.write("\n")
+    return path

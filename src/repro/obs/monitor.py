@@ -7,7 +7,7 @@ module is that surface for the reproduction.  :class:`Monitor` wraps a
 one consistent :class:`MonitorSnapshot` from the buffer pool, lock manager
 (holders, waiters, and the waits-for graph — exportable as Graphviz DOT),
 write-ahead log, transaction table, per-table-space / per-index footprints,
-and the accounting and slow-query ring buffers.
+and the accounting and slow-query records retained in the event ring.
 
 Everything is copied at snapshot time: the views stay valid (and stable)
 after the engine moves on, so tests and the report CLI can inspect them
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rdb.txn import AccountingRecord
+from repro.rdb.txn import accounting_records
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,10 @@ class MonitorSnapshot:
     docid_indexes: dict[str, dict] = field(default_factory=dict)
     #: Per XPath value index sizes.
     value_indexes: dict[str, dict] = field(default_factory=dict)
-    #: Accounting ring summary plus the buffered records.
+    #: Accounting summary (emitted/buffered counts) plus the records the
+    #: event ring still holds.
     accounting: dict = field(default_factory=dict)
-    #: Slow-query ring summary (captured/buffered counts).
+    #: Slow-query summary (captured/buffered counts).
     slow_queries: dict = field(default_factory=dict)
     #: Serving-layer view (``DatabaseServer.view()``): worker pool state,
     #: queue depth, session count, request outcome counters.  Empty when
@@ -313,12 +314,13 @@ class Monitor:
         commands must work *while* the engine is busy, including when a
         request thread is stuck holding the latch.  Each view builder is
         therefore a latch-free read retried on torn dict iteration (see
-        :meth:`_stable`); structures with their own latches (lock stripes,
-        the accounting ring) copy under those.
+        :meth:`_stable`); structures with their own latches (lock stripes)
+        copy under those, and the event ring copies atomically.
         """
         from repro.obs.waits import wait_profile
 
         db = self.db
+        accounting = accounting_records(db.stats)
         return MonitorSnapshot(
             server=dict(self.server.view()) if self.server is not None
             else {},
@@ -332,20 +334,15 @@ class Monitor:
             docid_indexes=self._stable(self._docid_indexes),
             value_indexes=self._stable(self._value_indexes),
             accounting={
-                "emitted": db.txns.accounting.emitted,
-                "buffered": len(db.txns.accounting),
-                "records": [record.to_dict()
-                            for record in db.txns.accounting],
+                "emitted": db.stats.get("obs.accounting_records"),
+                "buffered": len(accounting),
+                "records": [record.to_dict() for record in accounting],
             },
             slow_queries={
-                "captured": db.slow_queries.captured,
+                "captured": db.stats.get("obs.slow_queries"),
                 "buffered": len(db.slow_queries),
             },
         )
-
-    def accounting_records(self) -> list[AccountingRecord]:
-        """The buffered accounting records, oldest first."""
-        return self.db.txns.accounting.records()
 
     # -- view builders -----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Wait-state profiler CLI: trace -> where did the wall-clock go.
 
-``python -m repro.obs.perf trace.jsonl`` analyzes a JSONL event-trace
+``python -m repro.obs.perf trace.jsonl`` analyzes a JSONL event-ring
 export (``repro.serve.loadgen --trace-out``, or any
-:meth:`~repro.obs.events.EventTrace.write_jsonl`) into the question DB2
+:meth:`~repro.core.events.EventTrace.write_jsonl`) into the question DB2
 accounting class-3 reports answer: which suspension classes ate the
 elapsed time, how waits break down per request, and what the slowest
 request was actually doing.  With no arguments it runs a small live load
@@ -28,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.core.stats import WAITS
 from repro.obs.events import read_jsonl
-from repro.obs.waits import WAIT_CLASS_ORDER
 
 _WAIT_PREFIX = "wait."
 
@@ -123,8 +123,8 @@ def profile_records(records: Iterable[dict[str, Any]]) -> TraceProfile:
 
 
 def _class_order(totals: Counter) -> list[str]:
-    known = [cls for cls in WAIT_CLASS_ORDER if totals.get(cls)]
-    unknown = sorted(cls for cls in totals if cls not in WAIT_CLASS_ORDER)
+    known = [cls for cls in WAITS if totals.get(cls)]
+    unknown = sorted(cls for cls in totals if cls not in WAITS)
     return sorted(known + unknown,
                   key=lambda cls: totals[cls], reverse=True)
 
@@ -215,10 +215,10 @@ def _render_span_tree(request: RequestProfile) -> list[str]:
 
 def _live_records(clients: int, ops: int, seed: int) -> list[dict[str, Any]]:
     """Run a small traced load in-process and return its records."""
-    from repro.obs.events import EventTrace
-    from repro.serve.loadgen import run_load
+    from repro.core.events import ALL_CLASSES, EventTrace
+    from repro.serve.loadgen import load_ring_size, run_load
 
-    trace = EventTrace()
+    trace = EventTrace(load_ring_size(clients, ops), ALL_CLASSES)
     run_load(clients=clients, ops_per_client=ops, seed=seed, trace=trace)
     return [record.to_dict() for record in trace.records()]
 

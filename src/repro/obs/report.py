@@ -21,19 +21,7 @@ from __future__ import annotations
 import json
 import sys
 
-
-def _histogram_quantile(buckets: list[list[int]], count: int,
-                        q: float) -> int:
-    """Bucket upper bound holding the ``q``-quantile (artifact form)."""
-    if not count:
-        return 0
-    rank = q * count
-    running = 0
-    for bound, bucket_count in buckets:
-        running += bucket_count
-        if running >= rank:
-            return bound
-    return buckets[-1][0] if buckets else 0
+from repro.core.stats import Histogram
 
 
 def render_counters(counters: dict[str, int]) -> list[str]:
@@ -71,15 +59,10 @@ def render_histograms(histograms: dict[str, dict]) -> list[str]:
         lines.append("  (no histograms)")
         return lines
     for name, data in sorted(histograms.items()):
-        count = data.get("count", 0)
-        total = data.get("sum", 0)
-        buckets = data.get("buckets", [])
-        mean = total / count if count else 0.0
-        p50 = _histogram_quantile(buckets, count, 0.5)
-        p90 = _histogram_quantile(buckets, count, 0.9)
-        p99 = _histogram_quantile(buckets, count, 0.99)
-        lines.append(f"  {name:<28} {count:>8} {mean:>10.1f} "
-                     f"{p50:>8} {p90:>8} {p99:>8} {data.get('max', 0):>10}")
+        h = Histogram.from_dict(data)
+        lines.append(f"  {name:<28} {h.count:>8} {h.mean:>10.1f} "
+                     f"{h.quantile(0.5):>8} {h.quantile(0.9):>8} "
+                     f"{h.quantile(0.99):>8} {h.max:>10}")
     return lines
 
 

@@ -1,20 +1,19 @@
-"""Slow-query log: auto-captured evidence for queries that blew a budget.
+"""Slow-query records: auto-captured evidence for queries over a budget.
 
 The DB2 analogue is the performance trace one turns on *after* noticing a
 problem; here the engine watches every ``Database.xpath`` call's counter
 deltas against the ``EngineConfig.slow_query_*`` thresholds and, for
-offenders, keeps the whole story — chosen access plan, span tree, counter
-deltas, and which thresholds were exceeded — in a bounded ring buffer
-(``Database.slow_queries``).  Queries under threshold leave no trace behind.
+offenders, records the whole story — chosen access plan, span tree, counter
+deltas, and which thresholds were exceeded — as a ``db.slow_query``
+ACCOUNTING record in the engine's event ring.  ``Database.slow_queries``
+reads them back as :class:`SlowQueryRecord` objects.  Queries under
+threshold leave no trace behind.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from repro.obs.export import span_to_dict
 from repro.obs.tracer import Span
 
 
@@ -61,29 +60,6 @@ class SlowQueryRecord:
                          for name, (value, limit)
                          in sorted(self.exceeded.items())},
             "plan": self.plan_text,
-            "trace": span_to_dict(self.root),
+            "trace": self.root.to_dict(),
         }
 
-
-class SlowQueryLog:
-    """Bounded ring buffer of :class:`SlowQueryRecord` (newest kept)."""
-
-    def __init__(self, capacity: int = 32) -> None:
-        self.capacity = capacity
-        self._ring: deque[SlowQueryRecord] = deque(maxlen=max(1, capacity))
-        self.captured = 0
-
-    def emit(self, record: SlowQueryRecord) -> None:
-        """Append one record (dropping the oldest when full)."""
-        self._ring.append(record)
-        self.captured += 1
-
-    def records(self) -> list[SlowQueryRecord]:
-        """Buffered records, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[SlowQueryRecord]:
-        return iter(self._ring)

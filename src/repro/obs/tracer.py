@@ -7,14 +7,20 @@ On exit each span records the registry's counter deltas between its enter and
 exit, so the span tree is a hierarchical decomposition of the same numbers
 EXPERIMENTS.md reports globally — page I/O, index traffic, lock waits —
 attributed to the operator that caused them.
+
+Span trees export as plain JSON (:meth:`Span.to_dict`, :func:`trace_to_json`)
+with a deliberately flat schema (name/kind/attrs/counters/children), so
+external tooling can consume them without knowing engine internals.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.core.stats import SANITIZE_CHECKS, StatsRegistry
+from repro.core.events import jsonable
+from repro.core.stats import StatsRegistry, counter_deltas
 
 
 class Span:
@@ -73,6 +79,17 @@ class Span:
             lines.append(child.format(indent + 1))
         return "\n".join(lines)
 
+    def to_dict(self) -> dict:
+        """Plain-dict rendering of the subtree (JSON-safe)."""
+        out: dict[str, object] = {"name": self.name, "kind": self.kind}
+        if self.attrs:
+            out["attrs"] = jsonable(self.attrs)
+        if self.counters:
+            out["counters"] = dict(sorted(self.counters.items()))
+        if self.children:
+            out["children"] = [child.to_dict() for child in self.children]
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, attrs={self.attrs}, "
                 f"children={len(self.children)})")
@@ -108,7 +125,7 @@ class Tracer:
         try:
             yield span
         finally:
-            span.counters = self._delta_since(before)
+            span.counters = counter_deltas(before, self.stats.counters())
             self._stack.pop()
 
     def event(self, name: str, **attrs: object) -> Span:
@@ -130,13 +147,12 @@ class Tracer:
         try:
             yield self
         finally:
-            self.root.counters = self._delta_since(before)
+            self.root.counters = counter_deltas(before,
+                                                self.stats.counters())
             self.stats.tracer = previous
 
-    def _delta_since(self, before: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for name, value in self.stats.counters().items():
-            diff = value - before.get(name, 0)
-            if diff and name != SANITIZE_CHECKS:
-                out[name] = diff
-        return out
+
+def trace_to_json(trace: Span | Tracer, indent: int | None = 2) -> str:
+    """JSON text for a span tree (or a tracer's root)."""
+    span = trace.root if isinstance(trace, Tracer) else trace
+    return json.dumps(span.to_dict(), indent=indent)

@@ -1,12 +1,13 @@
 """Wait-state profiling helpers (DB2 accounting class-3 analogue).
 
-The mechanism lives in :mod:`repro.core.stats` — the :data:`WAITS` registry
-of named suspension classes, ``StatsRegistry.wait_timer(cls)`` wrapping
-every blocking site, and ``StatsRegistry.request_clock()`` decomposing each
-request/transaction as ``elapsed = cpuish + Σ waits`` (reconciled by the
-``sanitize.waits.reconcile`` runtime check).  This module is the *reading*
-side: fold the ``waits.<class>_us`` counters back into per-class
-breakdowns for reports, the monitor, the load harness and the
+The mechanism lives in :mod:`repro.core.stats` — the ordered :data:`WAITS`
+registry of named suspension classes, ``StatsRegistry.wait_timer(cls)``
+wrapping every blocking site, ``StatsRegistry.request_clock()`` decomposing
+each request/transaction as ``elapsed = cpuish + Σ waits`` (reconciled by
+the ``sanitize.waits.reconcile`` runtime check), and :func:`wait_breakdown`
+folding the ``waits.<class>_us`` counters back into per-class totals.
+This module is the *reading* side built on them: totals, profiles and
+report lines for the monitor, the load harness and the
 ``python -m repro.obs.perf`` profiler.
 
 The class inventory and its DB2 class-3 / IFCID mapping are documented in
@@ -17,38 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.stats import WAITS, StatsRegistry, wait_counter
-
-#: Stable rendering order: biggest architectural layers first.
-WAIT_CLASS_ORDER: tuple[str, ...] = (
-    "admission.queue", "latch.wait", "lock.wait",
-    "wal.force", "wal.group_commit",
-    "buffer.read_io", "buffer.write_io",
-    "ckpt.interference", "txn.retry_backoff", "deadline.sleep",
-)
-
-assert frozenset(WAIT_CLASS_ORDER) == WAITS, \
-    "WAIT_CLASS_ORDER must enumerate exactly the registered wait classes"
-
-
-def wait_breakdown(counters: Mapping[str, int]) -> dict[str, int]:
-    """Per-class microseconds from a counters mapping (non-zero only).
-
-    Accepts either a global ``StatsRegistry.counters()`` dict or a
-    per-transaction accounting ``counters`` dict — both charge waits
-    through the same ``waits.<class>_us`` names.
-    """
-    out: dict[str, int] = {}
-    for wait_class in WAIT_CLASS_ORDER:
-        micros = counters.get(wait_counter(wait_class), 0)
-        if micros:
-            out[wait_class] = micros
-    return out
-
-
-def total_wait_us(counters: Mapping[str, int]) -> int:
-    """Sum of all per-class wait charges in a counters mapping."""
-    return sum(wait_breakdown(counters).values())
+from repro.core.stats import (WAITS, StatsRegistry, wait_breakdown,
+                              wait_counter)
 
 
 def wait_profile(stats: StatsRegistry) -> dict:
@@ -83,8 +54,7 @@ def format_breakdown(by_class: Mapping[str, int],
     unsuspended remainder — the ``elapsed = cpuish + Σ waits`` identity
     made visible.
     """
-    ordered = [(cls, by_class[cls]) for cls in WAIT_CLASS_ORDER
-               if by_class.get(cls)]
+    ordered = [(cls, by_class[cls]) for cls in WAITS if by_class.get(cls)]
     ordered.sort(key=lambda item: item[1], reverse=True)
     total = sum(micros for _, micros in ordered)
     lines: list[str] = []
@@ -105,9 +75,7 @@ def format_breakdown(by_class: Mapping[str, int],
 
 __all__ = [
     "WAITS",
-    "WAIT_CLASS_ORDER",
     "format_breakdown",
-    "total_wait_us",
     "wait_breakdown",
     "wait_counter",
     "wait_profile",

@@ -31,6 +31,7 @@ from repro.rdb.sort import (ExternalSorter, linked_list_from,
                             linked_list_to_list, quicksort_linked_list)
 from repro.rdb.tablespace import TableSpace
 from repro.xdm.events import EventKind, SaxEvent
+from repro.xdm.names import QNAME
 from repro.xdm.nodes import ElementNode
 from repro.xdm.serializer import serialize
 
@@ -183,6 +184,14 @@ def _text(value: object) -> str:
     return str(value)
 
 
+def _qname(name: str) -> str:
+    """``name`` if it is an XML ``QName``: anything else would serialize
+    as ill-formed markup (``NAME "a><x"``)."""
+    if QNAME.fullmatch(name) is None:
+        raise QueryError(f"{name!r} is not a valid XML name")
+    return name
+
+
 def compile_template(spec: Spec) -> Template:
     """Flatten a nested constructor spec into one tagging template."""
     template = Template()
@@ -206,15 +215,15 @@ def compile_template(spec: Spec) -> Template:
         if isinstance(node, (Arg, Const)):
             emit_value(node, None)
         elif isinstance(node, XElem):
-            template.ops.append((_Op.OPEN, node.name))
+            template.ops.append((_Op.OPEN, _qname(node.name)))
             for attr in node.attrs:
-                emit_value(attr.value, attr.name)
+                emit_value(attr.value, _qname(attr.name))
             for child in node.children:
                 walk(child)
             template.ops.append((_Op.CLOSE, node.name))
         elif isinstance(node, XForest):
             for name, value in node.items:
-                template.ops.append((_Op.OPEN, name))
+                template.ops.append((_Op.OPEN, _qname(name)))
                 emit_value(value, None)
                 template.ops.append((_Op.CLOSE, name))
         elif isinstance(node, XConcat):

@@ -722,9 +722,7 @@ class SqlSession:
         if isinstance(expression, SLiteral):
             return expression.value
         if isinstance(expression, ColRef):
-            if expression.name not in row:
-                raise SqlSyntaxError(f"unknown column {expression.name!r}")
-            return row[expression.name]
+            return _column(row, expression.name)
         if isinstance(expression, Concat):
             return "".join(
                 "" if part is None else str(part)
@@ -745,7 +743,7 @@ class SqlSession:
         return value
 
     def _xml_column_events(self, table: str, column: str, row: dict):
-        docid = row[column]
+        docid = _column(row, column)
         store = self.db.xml_stores.get((table, column))
         if store is None or docid is None:
             return None
@@ -753,10 +751,10 @@ class SqlSession:
 
     def _xmlquery(self, expression: XmlQuery, table: str,
                   row: dict) -> str | None:
-        events = self._xml_column_events(table, expression.column, row)
-        if events is None:
+        document = self._xml_column_events(table, expression.column, row)
+        if document is None:
             return None
-        items = xscan_evaluate(expression.xpath, events,
+        items = xscan_evaluate(expression.xpath, document,
                                stats=self.stats)
         store = self.db.xml_stores[(table, expression.column)]
         docid = row[expression.column]
@@ -779,10 +777,11 @@ class SqlSession:
         if isinstance(condition, NotOp):
             return not self._truth(condition.operand, table, row)
         if isinstance(condition, XmlExists):
-            events = self._xml_column_events(table, condition.column, row)
-            if events is None:
+            document = self._xml_column_events(table, condition.column,
+                                               row)
+            if document is None:
                 return False
-            return bool(xscan_evaluate(condition.xpath, events,
+            return bool(xscan_evaluate(condition.xpath, document,
                                        stats=self.stats,
                                        collect_result_values=False))
         if isinstance(condition, Comparison):
@@ -802,6 +801,13 @@ class SqlSession:
             }
             return table_ops[condition.op]
         raise SqlSyntaxError(f"cannot evaluate condition {condition!r}")
+
+
+def _column(row: dict, name: str) -> object:
+    """The value of column ``name`` in ``row`` (typed error if unknown)."""
+    if name not in row:
+        raise SqlSyntaxError(f"unknown column {name!r}")
+    return row[name]
 
 
 class _Reversed:

@@ -51,7 +51,7 @@ def uvarint_size(value: int) -> int:
 
 def write_svarint(out: bytearray, value: int) -> None:
     """Append a signed integer using zig-zag + LEB128."""
-    write_uvarint(out, (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
+    write_uvarint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
 
 
 def read_svarint(buf: bytes | memoryview, pos: int) -> tuple[int, int]:

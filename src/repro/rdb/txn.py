@@ -8,25 +8,24 @@ the standard relational design the paper builds on.
 The layer also hosts the engine's DB2-style *accounting trace*: every
 transaction owns a private counter sink, work performed on its behalf is
 charged there through :meth:`repro.core.stats.StatsRegistry.charge`, and
-commit/abort emits one :class:`AccountingRecord` — txn id, isolation,
-outcome, retries, pages read/written, lock waits, WAL bytes — into the
-manager's bounded :class:`AccountingLog` ring buffer.
+commit/abort records one ``txn.accounting`` ACCOUNTING event — txn id,
+isolation, outcome, retries, charged counters — in the registry's event
+ring.  :func:`accounting_records` reads them back as
+:class:`AccountingRecord` objects.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import threading
-from collections import Counter, deque
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.analyze import sanitize as _sanitize
 from repro.core.deadline import Deadline
-from repro.core.stats import (WAITS, StatsRegistry, default_stats,
-                              wait_counter)
+from repro.core.stats import StatsRegistry, default_stats, wait_breakdown
 from repro.errors import (DeadlineExceededError, DeadlockError,
                           LockTimeoutError, TransactionError)
 from repro.rdb.locks import LockManager, LockMode
@@ -81,17 +80,8 @@ class AccountingRecord:
         return self.counters.get("disk.page_writes", 0)
 
     @property
-    def buffer_touches(self) -> int:
-        return (self.counters.get("buffer.hits", 0)
-                + self.counters.get("buffer.misses", 0))
-
-    @property
     def lock_waits(self) -> int:
         return self.counters.get("lock.waits", 0)
-
-    @property
-    def lock_wait_steps(self) -> int:
-        return self.counters.get("lock.wait_steps", 0)
 
     @property
     def wal_records(self) -> int:
@@ -113,12 +103,7 @@ class AccountingRecord:
         is carried into its successor) and sums against the global
         ``waits.*_us`` counters in the accounting-caps check.
         """
-        out: dict[str, int] = {}
-        for wait_class in sorted(WAITS):
-            micros = self.counters.get(wait_counter(wait_class), 0)
-            if micros:
-                out[wait_class] = micros
-        return out
+        return wait_breakdown(self.counters)
 
     @property
     def wait_us(self) -> int:
@@ -143,54 +128,27 @@ class AccountingRecord:
         }
 
 
-class AccountingLog:
-    """Bounded ring buffer of :class:`AccountingRecord`.
+def emit_accounting(stats: StatsRegistry, txn_id: int, isolation: str,
+                    outcome: str, retries: int,
+                    victim_attempts: tuple[int, ...],
+                    counters: dict[str, int]) -> None:
+    """Record one finished unit of work in the event ring.
 
-    Old records fall off the front once ``capacity`` is reached, like a
-    wrapped trace dataset; ``emitted`` keeps the lifetime total so tooling
-    can tell a quiet engine from a wrapped buffer.
-
-    The ring is thread-safe: concurrent sessions finish transactions on
-    different serving-layer workers, so emit/retract and the read side are
-    guarded by a lock (``retract`` in particular is a check-then-pop that
-    must be atomic against a racing ``emit``).
+    The fields are :class:`AccountingRecord`'s, so :func:`accounting_records`
+    rebuilds the record from the event without a second copy being kept.
     """
+    stats.add("obs.accounting_records")
+    stats.events.accounting(
+        "txn.accounting", txn_id=txn_id, isolation=isolation,
+        outcome=outcome, retries=retries, victim_attempts=victim_attempts,
+        counters=counters)
 
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._ring: deque[AccountingRecord] = deque(maxlen=max(1, capacity))
-        self._lock = threading.Lock()
-        self.emitted = 0
 
-    def emit(self, record: AccountingRecord) -> None:
-        """Append one record (dropping the oldest when full)."""
-        with self._lock:
-            self._ring.append(record)
-            self.emitted += 1
-
-    def retract(self, txn_id: int) -> AccountingRecord | None:
-        """Remove and return the newest record if it belongs to ``txn_id``.
-
-        The retry machinery uses this to *fold* a victim attempt's record
-        into its successor instead of leaving one record per attempt.
-        """
-        with self._lock:
-            if self._ring and self._ring[-1].txn_id == txn_id:
-                self.emitted -= 1
-                return self._ring.pop()
-            return None
-
-    def records(self) -> list[AccountingRecord]:
-        """Buffered records, oldest first."""
-        with self._lock:
-            return list(self._ring)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-    def __iter__(self) -> Iterator[AccountingRecord]:
-        return iter(self.records())
+def accounting_records(stats: StatsRegistry) -> list[AccountingRecord]:
+    """The accounting records retained in ``stats``'s event ring, oldest
+    first.  ``obs.accounting_records`` counts every one ever emitted."""
+    return [AccountingRecord(txn_id=record.txn_id, **record.payload)
+            for record in stats.events.records("txn.accounting")]
 
 
 class Transaction:
@@ -320,7 +278,9 @@ class Transaction:
         self._undo.clear()
         self._manager._finish(self)
 
-    def abort(self) -> None:
+    def abort(self, account: bool = True) -> None:
+        """Roll back.  ``account=False`` records no accounting event: the
+        retry machinery folds this attempt into the next one's record."""
         self._check_active()
         with self.charging():
             for action in reversed(self._undo):
@@ -329,7 +289,7 @@ class Transaction:
             self._log.append(self.txn_id, LogOp.ABORT)
             self._stats.add("txn.aborts")
         self.state = TxnState.ABORTED
-        self._manager._finish(self)
+        self._manager._finish(self, account)
 
     def _check_active(self) -> None:
         if self.state is not TxnState.ACTIVE:
@@ -358,8 +318,7 @@ class TransactionManager:
                  lock_backoff_initial: int = 1,
                  lock_backoff_cap: int = 16,
                  checkpoint_every: int = 0,
-                 on_checkpoint: Callable[[], None] | None = None,
-                 accounting_size: int = 256) -> None:
+                 on_checkpoint: Callable[[], None] | None = None) -> None:
         self.stats = default_stats(stats)
         self.locks = locks if locks is not None else LockManager(self.stats)
         self.log = log if log is not None else LogManager(self.stats)
@@ -368,8 +327,6 @@ class TransactionManager:
         self.lock_backoff_cap = lock_backoff_cap
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
-        #: Accounting-trace ring buffer (one record per finished txn).
-        self.accounting = AccountingLog(accounting_size)
         #: optional hook run after every commit/abort once locks are
         #: released — the engine wires the buffer-pool quiesce sanitizer
         #: here (see :mod:`repro.analyze.sanitize`).
@@ -427,28 +384,18 @@ class TransactionManager:
         self.log.checkpoint(set(self.active))
         self._commits_since_checkpoint = 0
 
-    def _finish(self, txn: Transaction) -> None:
+    def _finish(self, txn: Transaction, account: bool = True) -> None:
         with txn.charging():
             self.locks.release_all(txn.txn_id)
         self.active.pop(txn.txn_id, None)
-        record = AccountingRecord(
-            txn_id=txn.txn_id,
-            isolation=txn.isolation.value,
-            outcome=("committed" if txn.state is TxnState.COMMITTED
-                     else "aborted"),
-            retries=txn.retries,
-            victim_attempts=txn.victim_attempts,
-            counters=dict(txn.acct))
-        self.accounting.emit(record)
-        self.stats.add("obs.accounting_records")
-        events = self.stats.events
-        if events is not None:
-            # The IFCID 3 analogue: one ACCOUNTING trace record per
-            # finished unit of work, wait breakdown included.
-            events.accounting(
-                "txn.accounting", txn_id=txn.txn_id,
-                outcome=record.outcome, retries=record.retries,
-                wait_us=record.wait_us, waits=record.waits)
+        if account:
+            # The IFCID 3 analogue: one ACCOUNTING record per finished
+            # unit of work.
+            emit_accounting(
+                self.stats, txn.txn_id, txn.isolation.value,
+                "committed" if txn.state is TxnState.COMMITTED
+                else "aborted",
+                txn.retries, txn.victim_attempts, dict(txn.acct))
         if _sanitize.enabled():
             _sanitize.check_txn_locks_released(self.locks, txn.txn_id,
                                                self.stats)

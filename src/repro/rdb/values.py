@@ -23,6 +23,10 @@ DECFLOAT_CONTEXT = Context(prec=34, rounding=ROUND_HALF_EVEN)
 
 _EPOCH = _dt.date(1970, 1, 1)
 
+#: BIGINT is a signed 64-bit integer.
+BIGINT_MIN = -(1 << 63)
+BIGINT_MAX = (1 << 63) - 1
+
 
 class SqlType(enum.Enum):
     """Column/key types supported by the relational layer."""
@@ -56,7 +60,10 @@ def coerce(sql_type: SqlType, value: object) -> object:
         if sql_type is SqlType.BIGINT:
             if isinstance(value, bool):
                 raise TypeError_("BIGINT cannot store bool")
-            return int(value)  # type: ignore[arg-type]
+            number = int(value)  # type: ignore[arg-type]
+            if not BIGINT_MIN <= number <= BIGINT_MAX:
+                raise TypeError_(f"BIGINT out of range: {number}")
+            return number
         if sql_type is SqlType.DOUBLE:
             return float(value)  # type: ignore[arg-type]
         if sql_type is SqlType.DECFLOAT:
@@ -79,7 +86,7 @@ def coerce(sql_type: SqlType, value: object) -> object:
             return _dt.date.fromisoformat(str(value).strip())
         if sql_type is SqlType.XML:
             return value
-    except (ValueError, InvalidOperation) as exc:
+    except (ValueError, OverflowError, InvalidOperation) as exc:
         raise TypeError_(f"cannot coerce {value!r} to {sql_type.value}") from exc
     raise TypeError_(f"unhandled SQL type {sql_type}")
 
@@ -187,10 +194,12 @@ def key_encode(sql_type: SqlType, value: object) -> bytes:
 
 
 def _key_encode_int(value: int) -> bytes:
-    """64-bit two's complement with the sign bit flipped (memcomparable)."""
-    if not -(1 << 63) <= value < (1 << 63):
-        raise TypeError_(f"BIGINT key out of range: {value}")
-    return ((value + (1 << 63)) & ((1 << 64) - 1)).to_bytes(8, "big")
+    """64-bit two's complement with the sign bit flipped (memcomparable).
+
+    BIGINT values are range-checked by :func:`coerce`; DATE day counts of
+    any representable date are far inside the range.
+    """
+    return (value - BIGINT_MIN).to_bytes(8, "big")
 
 
 def _key_encode_double(value: float) -> bytes:

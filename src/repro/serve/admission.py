@@ -106,7 +106,8 @@ class AdmissionController:
         reason = self.guard.check()
         if reason is not None:
             self._stats.add("serve.shed_overload")
-            self._shed_event("overload", reason)
+            self._stats.events.performance("serve.shed", kind="overload",
+                                           reason=reason)
             raise ServerOverloadedError(
                 f"request shed before any work started: {reason} — "
                 f"safe to retry after backoff")
@@ -114,19 +115,14 @@ class AdmissionController:
             self.queue.put_nowait(request)
         except queue.Full:
             self._stats.add("serve.shed_queue_full")
-            self._shed_event("queue_full",
-                             f"wait queue full ({self.queue.maxsize})")
+            self._stats.events.performance(
+                "serve.shed", kind="queue_full",
+                reason=f"wait queue full ({self.queue.maxsize})")
             raise ServerOverloadedError(
                 f"request shed before any work started: wait queue full "
                 f"({self.queue.maxsize} waiting) — safe to retry after "
                 f"backoff") from None
         self._stats.add("serve.admitted")
-
-    def _shed_event(self, kind: str, reason: str) -> None:
-        """PERFORMANCE trace record for a shed decision (if tracing on)."""
-        events = getattr(self._stats, "events", None)
-        if events is not None:
-            events.performance("serve.shed", kind=kind, reason=reason)
 
     def depth(self) -> int:
         """Approximate number of queued (admitted, unstarted) requests."""

@@ -17,7 +17,7 @@ Every client classifies its failures with the typed taxonomy
 deadlock/timeout → retryable) and the harness then **verifies the
 no-lost-no-duplicated-commit invariant** two independent ways: the base
 table must contain exactly the acknowledged keys (each once), and the
-accounting log must hold exactly one committed insert record per
+event ring must hold exactly one committed insert accounting record per
 acknowledged key.  The report carries p50/p99 request and queue-wait
 latency read from the ``serve.*`` histograms.
 
@@ -40,11 +40,13 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import Database
+from repro.core.events import ALL_CLASSES, EventTrace
+from repro.core.stats import wait_breakdown
 from repro.errors import (DeadlineExceededError, ReproError,
                           ServerClosedError, ServerOverloadedError)
-from repro.obs.events import EventTrace, StatsCollector
-from repro.obs.waits import wait_breakdown
+from repro.obs.events import StatsCollector
 from repro.rdb.locks import LockMode
+from repro.rdb.txn import accounting_records
 from repro.serve.server import DatabaseServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,17 +60,11 @@ _DOC = ("<Product id=\"{key}\"><Name>item {key}</Name>"
         "<Price>{price}</Price></Product>")
 
 
-def serving_config(clients: int, ops_per_client: int,
-                   base: EngineConfig = DEFAULT_CONFIG,
+def serving_config(base: EngineConfig = DEFAULT_CONFIG,
                    **overrides) -> EngineConfig:
-    """A config sized for a load run.
-
-    The accounting ring must hold every transaction the run can produce
-    (the verification pass reads it back), and the lock-wait budget is
-    kept small so contention resolves in bounded time.
-    """
+    """A config for a load run: no automatic checkpoints, and a lock-wait
+    budget sized for hot locks held across queued requests."""
     sized = {
-        "accounting_ring_size": max(1024, clients * ops_per_client * 4),
         "checkpoint_interval": 0,
         # Hot locks are held across queued requests, so waiters need more
         # simulated budget than the single-threaded default before they
@@ -80,14 +76,35 @@ def serving_config(clients: int, ops_per_client: int,
     return replace(base, **sized)
 
 
+#: Event-ring size of a load engine built without an explicit ring.
+MIN_LOAD_RING = 4096
+
+
+def load_ring_size(clients: int, ops_per_client: int) -> int:
+    """An event ring that holds every record a load run can produce.
+
+    The verification pass reads every transaction's accounting record back
+    from the ring.  An op is at most three requests (a hot update's
+    begin/lock/commit), each retried a few times; each request leaves its
+    own record and its transaction's, and — with every class enabled —
+    one suspension record per lock-wait backoff step.  The size is a cap:
+    the ring only holds what was emitted.
+    """
+    return max(MIN_LOAD_RING, clients * ops_per_client * 256)
+
+
 def build_database(config: EngineConfig, hot_docs: int = 8,
-                   injector: object | None = None) -> tuple[Database, list]:
+                   injector: object | None = None,
+                   trace: EventTrace | None = None) -> tuple[Database, list]:
     """Fresh engine with the load schema and ``hot_docs`` seeded rows.
 
-    Returns the database and the seeded hot DocIDs (the rows hot-update
-    clients fight over).
+    ``trace`` (default: an accounting ring of :data:`MIN_LOAD_RING`
+    records) is installed before anything runs, so it holds the seed
+    transaction's record too.  Returns the database and the seeded hot
+    DocIDs (the rows hot-update clients fight over).
     """
     db = Database(config, injector=injector)
+    (trace or EventTrace(MIN_LOAD_RING)).install(db.stats)
     db.create_table(TABLE, [("key", "varchar"), (COLUMN, "xml")])
 
     def seed(db: Database, txn) -> list:
@@ -330,7 +347,7 @@ class LoadHarness:
         # accounting-caps check: summed per-transaction wait charges can
         # never exceed the global per-class counter they flowed through.
         acct_waits: dict = {}
-        for record in self.db.txns.accounting.records():
+        for record in accounting_records(stats):
             for name, value in record.counters.items():
                 if name.startswith("waits."):
                     acct_waits[name] = acct_waits.get(name, 0) + value
@@ -391,11 +408,16 @@ class LoadHarness:
            seeded rows, each exactly once: a key acknowledged but absent
            is a *lost* commit, present twice a *duplicated* one, and a
            non-acknowledged client key present means an abort leaked.
-        2. The accounting log holds exactly one committed record with
-           inserted rows per acknowledged insert (plus the seed txns):
-           the attribution view must agree with the storage view.
+        2. The event ring holds exactly one committed accounting record
+           with inserted rows per acknowledged insert (plus the seed txns):
+           the attribution view must agree with the storage view.  A ring
+           too small for the run cannot tell, and says so.
         """
         errors: list = []
+        dropped = self.db.stats.events.dropped
+        if dropped:
+            errors.append(f"event ring wrapped ({dropped} records dropped): "
+                          f"size it with load_ring_size()")
         acknowledged: dict = {}
         for tally in tallies:
             for key in tally.committed_keys:
@@ -421,7 +443,7 @@ class LoadHarness:
                 errors.append(f"key {key!r} acknowledged but not stored "
                               f"(lost commit)")
         committed_insert_records = sum(
-            1 for record in self.db.txns.accounting.records()
+            1 for record in accounting_records(self.db.stats)
             if record.outcome == "committed"
             and record.counters.get("ts.records_inserted", 0) > 0
             and record.counters.get("wal.records", 0) > 0)
@@ -441,24 +463,23 @@ def run_load(clients: int = 100, ops_per_client: int = 5, seed: int = 0,
              **config_overrides) -> LoadReport:
     """Build engine + server, run the workload, tear down, report.
 
-    Passing ``trace`` installs the structured event trace on the engine's
-    registry for the duration of the run (IFCID-style records: accounting
-    per request/transaction, performance per suspension); a positive
-    ``stats_interval`` additionally runs the statistics-interval collector
-    thread against it.  The caller owns the trace — export it with
-    :meth:`~repro.obs.events.EventTrace.write_jsonl` afterwards.
+    The run records into ``trace`` — by default an accounting-only ring of
+    :func:`load_ring_size` records; pass one with more classes enabled
+    (``ALL_CLASSES``: suspensions too) to keep a full trace, and export it
+    with :meth:`~repro.core.events.EventTrace.write_jsonl` afterwards.  A
+    positive ``stats_interval`` additionally runs the statistics-interval
+    collector thread against it.
     """
-    config = serving_config(clients, ops_per_client,
-                            serve_workers=workers,
+    config = serving_config(serve_workers=workers,
                             serve_queue_limit=queue_limit,
                             **config_overrides)
-    db, hot_ids = build_database(config)
+    if trace is None:
+        trace = EventTrace(load_ring_size(clients, ops_per_client))
+    db, hot_ids = build_database(config, trace=trace)
     collector = None
-    if trace is not None:
-        trace.install(db.stats)
-        if stats_interval > 0:
-            collector = StatsCollector(db.stats, trace,
-                                       interval=stats_interval).start()
+    if stats_interval > 0:
+        collector = StatsCollector(db.stats, trace,
+                                   interval=stats_interval).start()
     try:
         server = DatabaseServer(db).start()
         harness = LoadHarness(db, server, hot_ids)
@@ -467,8 +488,6 @@ def run_load(clients: int = 100, ops_per_client: int = 5, seed: int = 0,
     finally:
         if collector is not None:
             collector.stop()
-        if trace is not None:
-            trace.uninstall(db.stats)
     db.close()
     return report
 
@@ -501,7 +520,8 @@ def main(argv: list | None = None) -> int:
                         help="with --trace-out: emit STATISTICS interval "
                              "records every this many seconds")
     options = parser.parse_args(argv)
-    trace = EventTrace() if options.trace_out else None
+    trace = EventTrace(load_ring_size(options.clients, options.ops),
+                       ALL_CLASSES) if options.trace_out else None
     report = run_load(clients=options.clients, ops_per_client=options.ops,
                       seed=options.seed, workers=options.workers,
                       queue_limit=options.queue_limit,

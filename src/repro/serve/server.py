@@ -35,7 +35,6 @@ import itertools
 import queue as _queue
 import threading
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analyze import sanitize as _sanitize
@@ -44,7 +43,7 @@ from repro.errors import (DeadlineExceededError, DeadlockError,
                           FaultInjectionError, LockTimeoutError,
                           ServerClosedError, ServerOverloadedError)
 from repro.fault.injector import SimulatedCrash
-from repro.rdb.txn import TxnState
+from repro.rdb.txn import TxnState, accounting_records
 from repro.obs.monitor import Monitor
 from repro.serve.admission import AdmissionController, OverloadGuard
 from repro.serve.session import Session
@@ -224,7 +223,7 @@ class DatabaseServer:
                 self._state = "closed"
         if _sanitize.enabled():
             _sanitize.check_accounting_caps(
-                self.stats, self.db.txns.accounting.records())
+                self.stats, accounting_records(self.stats))
         crashed = self.crashed
         if crashed is not None:
             raise crashed
@@ -368,17 +367,15 @@ class DatabaseServer:
         up front, the engine-latch acquisition as ``latch.wait``, and
         every suspension the work itself hits (lock waits, group commit,
         buffer I/O, retry backoff) through the engine's own wait timers.
-        With an event trace installed the worker also stamps its records
-        with the request label, which is how ``repro.obs.perf``
-        reassembles per-request span trees from a trace.
+        The worker also stamps the request's event records with its label,
+        which is how ``repro.obs.perf`` reassembles per-request span trees
+        from an exported ring.
         """
         queue_wait_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.queue_wait_us", queue_wait_us)
-        events = self.stats.events
-        ctx = (events.context(request=request.label)
-               if events is not None else nullcontext())
-        with ctx, self.stats.request_clock(
-                started_ns=request.submitted_ns) as waits:
+        with self.stats.events.context(request=request.label), \
+                self.stats.request_clock(
+                    started_ns=request.submitted_ns) as waits:
             self.stats.charge_wait("admission.queue", queue_wait_us)
             if request.deadline is not None and request.deadline.expired():
                 self.stats.add("serve.deadline_expired")
@@ -436,14 +433,11 @@ class DatabaseServer:
                          waits: dict[str, int] | None = None) -> None:
         elapsed_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.request_us", elapsed_us)
-        events = self.stats.events
-        if events is not None:
-            error = request.error
-            events.accounting(
-                "serve.request", request=request.label,
-                elapsed_us=elapsed_us,
-                outcome=("ok" if error is None else type(error).__name__),
-                waits=dict(waits) if waits else {})
+        error = request.error
+        self.stats.events.accounting(
+            "serve.request", request=request.label, elapsed_us=elapsed_us,
+            outcome="ok" if error is None else type(error).__name__,
+            waits=dict(waits) if waits else {})
 
     def _purge_queue(self) -> None:
         while True:

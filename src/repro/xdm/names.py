@@ -9,11 +9,24 @@ across restarts.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import CatalogError
 from repro.rdb import codec
 
 #: Reserved URI id meaning "no namespace".
 NO_NAMESPACE = 0
+
+_NAME_START = ("A-Z_a-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d"
+               "\u037f-\u1fff\u200c-\u200d\u2070-\u218f\u2c00-\u2fef"
+               "\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd"
+               "\U00010000-\U000effff")
+_NAME_CHAR = _NAME_START + "\\-.0-9\u00b7\u0300-\u036f\u203f-\u2040"
+_NCNAME = f"[{_NAME_START}][{_NAME_CHAR}]*"
+
+#: The XML Namespaces ``QName`` production: ``prefix:local`` or ``local``,
+#: each part an ``NCName`` (XML 1.0 5th-edition name characters).
+QNAME = re.compile(f"(?:{_NCNAME}:)?{_NCNAME}")
 
 
 class NameTable:

@@ -14,7 +14,6 @@ from repro.analyze import Baseline, BaselineError, main, run_checkers
 from repro.analyze.baseline import write_baseline
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
-from repro.analyze.progcache import CACHE_DIR_NAME, cached_program
 from repro.analyze.rawdisk import RawDiskChecker
 from repro.analyze.statshygiene import StatsHygieneChecker
 from repro.analyze.waldiscipline import WalDisciplineChecker
@@ -510,61 +509,6 @@ class TestStat005RegistryDrift:
                     pass
             """)
         assert [f for f in findings if f.code == "STAT005"] == []
-
-
-class TestProgramCache:
-    def test_second_run_hits_and_agrees(self, tmp_path):
-        path = write(tmp_path, "leak.py", SEEDED_LEAK)
-        program1, errors1, info1 = cached_program([path], root=tmp_path)
-        assert not info1.hit
-        assert (tmp_path / CACHE_DIR_NAME).is_dir()
-        program2, errors2, info2 = cached_program([path], root=tmp_path)
-        assert info2.hit and info2.key == info1.key
-        findings1 = run_checkers([PinLeakChecker()], [path],
-                                 root=tmp_path, program=program1)
-        findings2 = run_checkers([PinLeakChecker()], [path],
-                                 root=tmp_path, program=program2)
-        assert findings1
-        assert [f.fingerprint for f in findings2] == \
-            [f.fingerprint for f in findings1]
-
-    def test_source_edit_misses(self, tmp_path):
-        path = write(tmp_path, "mod.py", "X = 1\n")
-        _, _, first = cached_program([path], root=tmp_path)
-        path.write_text("X = 2\n")
-        _, _, second = cached_program([path], root=tmp_path)
-        assert not second.hit
-        assert second.key != first.key
-
-    def test_disabled_cache_never_hits_or_writes(self, tmp_path):
-        path = write(tmp_path, "mod.py", "X = 1\n")
-        _, _, info = cached_program([path], root=tmp_path, enabled=False)
-        assert not info.enabled and not info.hit
-        assert not (tmp_path / CACHE_DIR_NAME).exists()
-
-    def test_parse_errors_replay_from_the_cache(self, tmp_path):
-        good = write(tmp_path, "good.py", "X = 1\n")
-        bad = write(tmp_path, "bad.py", "def broken(:\n")
-        _, errors1, info1 = cached_program([good, bad], root=tmp_path)
-        assert not info1.hit and len(errors1) == 1
-        _, errors2, info2 = cached_program([good, bad], root=tmp_path)
-        assert info2.hit
-        assert errors2 == errors1
-
-    def test_cli_reports_cache_state_in_json(self, tmp_path, capsys,
-                                             monkeypatch):
-        write(tmp_path, "mod.py", "X = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert main([str(tmp_path / "mod.py"), "--format", "json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert first["cache"]["enabled"] and not first["cache"]["hit"]
-        assert main([str(tmp_path / "mod.py"), "--format", "json"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert second["cache"]["hit"]
-        assert main([str(tmp_path / "mod.py"), "--format", "json",
-                     "--no-cache"]) == 0
-        bypassed = json.loads(capsys.readouterr().out)
-        assert not bypassed["cache"]["enabled"]
 
 
 class TestShippedTree:

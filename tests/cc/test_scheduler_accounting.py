@@ -12,12 +12,13 @@ from collections import Counter
 from repro.core.stats import StatsRegistry
 from repro.cc.scheduler import Do, Lock, Scheduler
 from repro.rdb.locks import LockManager, LockMode
+from repro.rdb.txn import accounting_records
 
 
 def run_sum_check(result, scheduler, deltas, expected_records):
-    records = scheduler.accounting.records()
+    records = accounting_records(scheduler.stats)
     assert len(records) == expected_records
-    assert scheduler.accounting.emitted == expected_records
+    assert scheduler.stats.get("obs.accounting_records") == expected_records
     total: Counter = Counter()
     for record in records:
         total.update(record.counters)
@@ -95,10 +96,10 @@ class TestSchedulerAccounting:
         result = scheduler.run([("hog", hog), ("starved", starved)],
                                round_robin=True)
         if result.failed:
-            aborted = [r for r in scheduler.accounting.records()
+            aborted = [r for r in accounting_records(stats)
                        if r.outcome == "aborted"]
             assert len(aborted) == 1
             assert aborted[0].retries == 1
             assert len(aborted[0].victim_attempts) == 1
         # Either way, every program produced exactly one record.
-        assert scheduler.accounting.emitted == 2
+        assert stats.get("obs.accounting_records") == 2

@@ -12,9 +12,11 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
+from repro.core.events import EventTrace
 from repro.core.stats import HISTOGRAMS, METRICS, Histogram, StatsRegistry
 from repro.errors import FaultInjectionError, LockTimeoutError
 from repro.rdb.locks import LockMode
+from repro.rdb.txn import accounting_records
 
 
 def summed(records) -> Counter:
@@ -143,7 +145,7 @@ class TestAccountingRecords:
     def test_one_record_per_txn_and_deltas_sum_to_global(self):
         db = Database()
         db.create_table("t", [("n", "bigint"), ("doc", "xml")])
-        emitted_before = db.txns.accounting.emitted
+        emitted_before = db.stats.get("obs.accounting_records")
         with db.stats.delta() as deltas:
             db.run_in_txn(lambda eng, txn: eng.insert(
                 "t", (1, "<a>one</a>"), txn_id=txn.txn_id))
@@ -152,8 +154,9 @@ class TestAccountingRecords:
             loser = db.txns.begin()
             db.insert("t", (3, "<a>three</a>"), txn_id=loser.txn_id)
             loser.abort()
-        records = db.txns.accounting.records()
-        new = records[-(db.txns.accounting.emitted - emitted_before):]
+        records = accounting_records(db.stats)
+        new = records[-(db.stats.get("obs.accounting_records")
+                        - emitted_before):]
         assert len(new) == 3
         assert [r.outcome for r in new] == ["committed", "committed",
                                             "aborted"]
@@ -164,7 +167,7 @@ class TestAccountingRecords:
         db.create_table("t", [("doc", "xml")])
         db.run_in_txn(lambda eng, txn: eng.insert(
             "t", ("<a>payload</a>",), txn_id=txn.txn_id))
-        record = db.txns.accounting.records()[-1]
+        record = accounting_records(db.stats)[-1]
         assert record.outcome == "committed"
         assert record.isolation == "cs"
         assert record.wal_records == record.counters.get("wal.records", 0) > 0
@@ -172,11 +175,12 @@ class TestAccountingRecords:
         assert record.to_dict()["txn_id"] == record.txn_id
 
     def test_ring_buffer_wraps_but_counts_lifetime(self):
-        db = Database(EngineConfig(accounting_ring_size=2))
+        db = Database()
+        EventTrace(ring_size=2).install(db.stats)
         for _ in range(5):
             db.txns.begin().commit()
-        assert len(db.txns.accounting) == 2
-        assert db.txns.accounting.emitted == 5
+        assert len(accounting_records(db.stats)) == 2
+        assert db.stats.events.dropped == 3
         assert db.stats.get("obs.accounting_records") == 5
 
 
@@ -191,7 +195,7 @@ class TestRetryFolding:
         blocker = db.txns.begin()
         blocker.lock(("doc", "t", 99), LockMode.X)
         attempts: list[int] = []
-        emitted_before = db.txns.accounting.emitted
+        emitted_before = db.stats.get("obs.accounting_records")
 
         def body(eng, txn):
             attempts.append(txn.txn_id)
@@ -204,10 +208,11 @@ class TestRetryFolding:
             final_txn = db.run_in_txn(body)
         assert len(attempts) == 2
         # Exactly one record for the logical transaction: the victim
-        # attempt's record was retracted and folded into the final one.
-        new = db.txns.accounting.emitted - emitted_before
+        # attempt recorded nothing and was folded into the final one.
+        new = db.stats.get("obs.accounting_records") - emitted_before
         assert new == 1
-        record = db.txns.accounting.records()[-1]
+        assert len(accounting_records(db.stats)) == 1
+        record = accounting_records(db.stats)[-1]
         blocker.commit()
         assert record.txn_id == final_txn
         assert record.outcome == "committed"
@@ -233,7 +238,7 @@ class TestRetryFolding:
 
         with pytest.raises(LockTimeoutError):
             db.run_in_txn(body, retries=1)
-        record = db.txns.accounting.records()[-1]
+        record = accounting_records(db.stats)[-1]
         blocker.commit()
         assert record.outcome == "aborted"
         assert record.retries == 1

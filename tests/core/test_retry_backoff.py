@@ -9,6 +9,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.deadline import Deadline
 from repro.core.engine import Database
 from repro.errors import DeadlineExceededError, DeadlockError
+from repro.rdb.txn import accounting_records
 
 
 def make_db(**overrides):
@@ -73,7 +74,7 @@ class TestJitteredBackoff:
         db = make_db(txn_retry_jitter_seed=7)
         slept = capture_sleeps(db)
         db.run_in_txn(failing_body(2), retries=5)
-        record = db.txns.accounting.records()[-1]
+        record = accounting_records(db.stats)[-1]
         assert record.outcome == "committed"
         assert record.retries == 2
         assert len(record.victim_attempts) == 2

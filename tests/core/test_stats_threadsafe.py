@@ -6,19 +6,22 @@ only its own transaction) and all map mutation is lock-guarded, so the
 PR 4 invariant survives concurrency: per-transaction deltas sum to (at
 most) the global deltas — never more, which would mean double
 attribution.  ``check_accounting_caps`` is the sanitizer form of that
-cross-check; the AccountingLog ring itself is lock-guarded for the
-emit/retract check-then-pop race.
+cross-check.  The event ring the records land in takes no lock at all:
+one ``deque.append`` per record, atomic under the GIL.
 """
 
+import sys
 import threading
 from collections import Counter
 
 import pytest
 
 from repro.analyze import sanitize
+from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.errors import SanitizerError
-from repro.rdb.txn import AccountingLog, AccountingRecord, TransactionManager
+from repro.rdb.txn import (AccountingRecord, TransactionManager,
+                           accounting_records)
 
 
 class TestConcurrentCharging:
@@ -67,29 +70,38 @@ class TestConcurrentCharging:
         assert stats.gauge("xscan.peak_units") == 5499
 
 
-class TestAccountingLogThreadSafety:
-    def test_concurrent_emit_and_retract_keep_ring_consistent(self):
-        log = AccountingLog(capacity=10_000)
+class TestEventRingThreadSafety:
+    def test_concurrent_emits_lose_nothing(self):
+        trace = EventTrace(ring_size=10_000)
+        seen = []
 
         def emitter(thread_id):
             for index in range(500):
-                txn_id = thread_id * 1_000 + index
-                log.emit(AccountingRecord(txn_id=txn_id, isolation="cs",
-                                          outcome="committed"))
-                if index % 3 == 0:
-                    log.retract(txn_id)  # may race another emit: fine
+                trace.accounting("txn.accounting",
+                                 txn_id=thread_id * 1_000 + index)
+                if index % 50 == 0:
+                    seen.append(len(trace.records()))  # reads race emits
 
         threads = [threading.Thread(target=emitter, args=(t,))
                    for t in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        records = log.records()
-        # retract only pops its own txn's record, so nothing is lost to
-        # the race: every buffered record is unique and emitted == len.
-        assert len({r.txn_id for r in records}) == len(records)
-        assert log.emitted == len(records)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        records = trace.records()
+        # No record is lost or duplicated by the unlocked appends, ids are
+        # unique, and concurrent readers always saw a consistent copy.
+        assert len(records) == 3_000
+        assert len({r.txn_id for r in records}) == 3_000
+        assert sorted(r.event_id for r in records) == list(range(1, 3_001))
+        assert trace.dropped == 0
+        assert all(0 < count <= 3_000 for count in seen)
 
 
 class TestAccountingCapsSanitizer:
@@ -117,7 +129,8 @@ class TestAccountingCapsSanitizer:
 
     def test_manager_records_reconcile_after_concurrent_txns(self):
         stats = StatsRegistry()
-        manager = TransactionManager(stats=stats, accounting_size=4096)
+        EventTrace(ring_size=4096).install(stats)
+        manager = TransactionManager(stats=stats)
         lock = threading.Lock()
 
         def worker():
@@ -134,8 +147,8 @@ class TestAccountingCapsSanitizer:
             thread.start()
         for thread in threads:
             thread.join()
-        sanitize.check_accounting_caps(stats,
-                                       manager.accounting.records())
+        records = accounting_records(stats)
+        sanitize.check_accounting_caps(stats, records)
         charged = sum(r.counters.get("ts.records_inserted", 0)
-                      for r in manager.accounting.records())
+                      for r in records)
         assert charged == stats.get("ts.records_inserted") == 300

@@ -1,4 +1,4 @@
-"""The structured event trace, the interval collector, and the profiler."""
+"""The event ring, the interval collector, and the profiler."""
 
 import subprocess
 import sys
@@ -9,9 +9,9 @@ from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
 from repro.fault.harness import CrashHarness
+from repro.core.events import ALL_CLASSES, EventClass, EventTrace
 from repro.fault.injector import FaultInjector, FaultPlan
-from repro.obs.events import (ALL_CLASSES, EventClass, EventTrace,
-                              StatsCollector, read_jsonl)
+from repro.obs.events import StatsCollector, read_jsonl
 from repro.obs.perf import profile_records, render_profile
 
 
@@ -22,7 +22,7 @@ def stats():
 
 class TestEventTrace:
     def test_emit_and_drain_in_timestamp_order(self):
-        trace = EventTrace()
+        trace = EventTrace(classes=ALL_CLASSES)
         trace.accounting("txn.accounting", txn_id=1, outcome="committed")
         trace.performance("wait.lock_wait", us=20)
         records = trace.records()
@@ -44,7 +44,7 @@ class TestEventTrace:
         assert trace.records() == []
 
     def test_ring_wraps_and_counts_drops(self):
-        trace = EventTrace(ring_size=4)
+        trace = EventTrace(ring_size=4, classes=ALL_CLASSES)
         for i in range(10):
             trace.performance("wait.latch_wait", us=i)
         records = trace.records()
@@ -54,7 +54,7 @@ class TestEventTrace:
         assert [r.payload["us"] for r in records] == [6, 7, 8, 9]
 
     def test_context_stamps_and_nests(self):
-        trace = EventTrace()
+        trace = EventTrace(classes=ALL_CLASSES)
         with trace.context(request="c1-op2"):
             trace.performance("wait.lock_wait", us=1)
             with trace.context(txn_id=9):
@@ -69,21 +69,30 @@ class TestEventTrace:
         # Outside any context, no stamp.
         assert by_name["wait.latch_wait"].request is None
 
+    def test_every_registry_carries_an_accounting_ring(self, stats):
+        ring = stats.events
+        assert isinstance(ring, EventTrace)
+        assert ring.enabled == {EventClass.ACCOUNTING}
+        assert ring.ring_size == 256
+
     def test_install_gates_stats_emission(self, stats):
-        stats.charge_wait("lock.wait", 10)  # no trace: one None test
-        trace = EventTrace()
+        default = stats.events
+        stats.charge_wait("lock.wait", 10)  # PERFORMANCE off by default
+        trace = EventTrace(classes=ALL_CLASSES)
         with trace.installed(stats):
             stats.charge_wait("lock.wait", 25)
-        stats.charge_wait("lock.wait", 40)  # uninstalled again
+        stats.charge_wait("lock.wait", 40)  # the default ring again
         records = trace.records()
         assert [r.payload["us"] for r in records] == [25]
         assert records[0].name == "wait.lock.wait"
-        assert stats.events is None
+        assert stats.events is default
+        assert default.records() == []
 
-    def test_uninstall_leaves_a_foreign_trace_alone(self, stats):
+    def test_installed_restores_the_previous_ring(self, stats):
         mine, other = EventTrace(), EventTrace()
         mine.install(stats)
-        other.uninstall(stats)  # not the installed one: no-op
+        with other.installed(stats):
+            assert stats.events is other
         assert stats.events is mine
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -98,10 +107,27 @@ class TestEventTrace:
         assert loaded[0]["request"] == "c0-op0"
         assert loaded[0]["payload"]["waits"] == {"lock.wait": 30}
 
+    def test_jsonl_export_of_engine_records_is_json_safe(self, tmp_path):
+        # Accounting records carry tuples, slow-query records a span tree:
+        # the export renders both as plain JSON.
+        db = Database(EngineConfig(slow_query_events=1))
+        db.create_table("t", [("id", "bigint"), ("doc", "xml")])
+        db.run_in_txn(lambda eng, txn: eng.insert(
+            "t", (1, "<a><b>x</b></a>"), txn_id=txn.txn_id))
+        db.xpath("t", "doc", "/a/b")
+        path = str(tmp_path / "engine.jsonl")
+        assert db.stats.events.write_jsonl(path) == 2
+        txn, slow = read_jsonl(path)
+        assert txn["name"] == "txn.accounting"
+        assert txn["payload"]["victim_attempts"] == []
+        assert slow["name"] == "db.slow_query"
+        assert slow["payload"]["root"]["name"] == "slow_query"
+        assert slow["payload"]["exceeded"]["xscan.events"][1] == 1
+
 
 class TestStatsCollector:
     def test_interval_deltas(self, stats):
-        trace = EventTrace()
+        trace = EventTrace(classes=ALL_CLASSES)
         collector = StatsCollector(stats, trace, interval=0.01)
         with collector.running():
             stats.add("buffer.hits", 3)
@@ -120,7 +146,7 @@ class TestStatsCollector:
 
 class TestFaultEvents:
     def test_injected_fault_emits_performance_event(self, stats):
-        trace = EventTrace().install(stats)
+        trace = EventTrace(classes=ALL_CLASSES).install(stats)
         injector = FaultInjector([FaultPlan.fail_nth_write(1)], stats=stats)
         outcome = injector.on_write(0, b"\x00" * 8)
         assert outcome.fail
@@ -136,7 +162,7 @@ class TestFaultEvents:
                     "t", (i, f"<a><b>{i}</b></a>"), txn_id=txn.txn_id))
 
         harness = CrashHarness(str(tmp_path), config=EngineConfig(),
-                               trace=EventTrace())
+                               trace=EventTrace(classes=ALL_CLASSES))
         outcome = harness.run(
             load, plan=[FaultPlan.crash_at("wal.commit.pre", 3)])
         assert outcome.crashed

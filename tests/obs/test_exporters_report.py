@@ -1,4 +1,4 @@
-"""Exporters (Prometheus text + JSON), the slow-query log, and the report CLI."""
+"""Exporters (Prometheus text + JSON), slow-query records, and the report CLI."""
 
 import json
 import subprocess
@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
+from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.obs import (Tracer, engine_metrics, metrics_to_dict,
                        render_prometheus, write_metrics_json,
@@ -130,7 +131,7 @@ class TestSlowQueryLog:
         db = self.make_db(slow_query_events=1)
         db.xpath("t", "doc", "/a/b")
         assert len(db.slow_queries) == 1
-        record = db.slow_queries.records()[0]
+        record = db.slow_queries[0]
         assert record.path == "/a/b"
         assert record.table == "t" and record.column == "doc"
         assert "xscan.events" in record.exceeded
@@ -168,11 +169,12 @@ class TestSlowQueryLog:
         assert len(db.slow_queries) == 1
 
     def test_ring_is_bounded(self):
-        db = self.make_db(slow_query_events=1, slow_query_log_size=2)
+        db = self.make_db(slow_query_events=1)
+        EventTrace(ring_size=2).install(db.stats)
         for _ in range(4):
             db.xpath("t", "doc", "/a/b")
         assert len(db.slow_queries) == 2
-        assert db.slow_queries.captured == 4
+        assert db.stats.get("obs.slow_queries") == 4
 
 
 class TestReportCli:

@@ -3,8 +3,7 @@
 import json
 
 from repro.core.stats import StatsRegistry
-from repro.obs import Span, Tracer, span_to_dict, write_trace
-from repro.obs.export import trace_to_json
+from repro.obs import Span, Tracer, trace_to_json, write_trace
 
 
 class TestNullPath:
@@ -142,4 +141,4 @@ class TestExport:
         loaded = json.loads(path.read_text())
         assert loaded["name"] == "root"
         assert loaded["children"][0]["attrs"] == {"k": 1}
-        assert span_to_dict(span) == loaded
+        assert span.to_dict() == loaded

@@ -45,6 +45,17 @@ class TestCoerce:
         with pytest.raises(TypeError_):
             coerce(SqlType.DATE, "June 16")
 
+    def test_bigint_outside_64_bits_raises(self):
+        # BIGINT is 64-bit: a wider value is refused, never stored as some
+        # other number.
+        for value in (2**63, -2**63 - 1, 2**70, "99999999999999999999"):
+            with pytest.raises(TypeError_, match="BIGINT"):
+                coerce(SqlType.BIGINT, value)
+        for value in (2**63 - 1, -2**63):
+            out = bytearray()
+            encode_value(out, SqlType.BIGINT, value)
+            assert decode_value(bytes(out), 0, SqlType.BIGINT)[0] == value
+
     def test_parse_type_names(self):
         assert SqlType.parse("VARCHAR") is SqlType.VARCHAR
         assert SqlType.parse(" xml ") is SqlType.XML

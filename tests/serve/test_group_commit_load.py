@@ -14,8 +14,7 @@ from repro.serve.server import DatabaseServer
 class TestGroupCommitUnderLoad:
     def test_forces_batch_multiple_commits(self):
         config = serving_config(
-            clients=16, ops_per_client=4, serve_workers=8,
-            serve_queue_limit=256, txn_group_commit=True,
+            serve_workers=8, serve_queue_limit=256, txn_group_commit=True,
             txn_group_commit_window=0.05)
         db, hot_ids = build_database(config)
         server = DatabaseServer(db).start()
@@ -32,9 +31,7 @@ class TestGroupCommitUnderLoad:
         db.close()
 
     def test_group_commit_off_forces_every_commit(self):
-        config = serving_config(
-            clients=8, ops_per_client=3, serve_workers=4,
-            serve_queue_limit=256)
+        config = serving_config(serve_workers=4, serve_queue_limit=256)
         db, hot_ids = build_database(config)
         server = DatabaseServer(db).start()
         harness = LoadHarness(db, server, hot_ids)

@@ -49,7 +49,7 @@ class TestLoadHarness:
         """The monitor-driven guard: many waiting transactions flip the
         health verdict and admission sheds before the queue fills."""
         config = serving_config(
-            20, 3, serve_workers=2, serve_queue_limit=1024,
+            serve_workers=2, serve_queue_limit=1024,
             serve_shed_lock_waiters=1, serve_shed_check_interval=1,
             lock_wait_budget=4096)
         db, hot_ids = build_database(config)
@@ -77,9 +77,10 @@ class TestLoadHarness:
         per-request wait breakdown is populated, and the trace retains
         accounting records for served requests."""
         from repro.analyze import sanitize
-        from repro.obs.events import EventTrace
+        from repro.core.events import ALL_CLASSES, EventTrace
+        from repro.serve.loadgen import load_ring_size
 
-        trace = EventTrace()
+        trace = EventTrace(load_ring_size(12, 3), ALL_CLASSES)
         was_armed = sanitize.enabled()
         sanitize.enable()
         try:
@@ -91,7 +92,7 @@ class TestLoadHarness:
         assert report.verified, report.verify_errors
         assert report.counters.get("sanitize.waits.reconcile", 0) == 0
         from repro.core.stats import WAITS
-        assert set(report.waits_by_class) <= WAITS
+        assert set(report.waits_by_class) <= set(WAITS)
         served = [r for r in trace.records() if r.name == "serve.request"]
         assert served and all(r.request for r in served)
         assert any(r.name.startswith("wait.") for r in trace.records())
