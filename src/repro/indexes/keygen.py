@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.core.stats import StatsRegistry
 from repro.xdm.events import SaxEvent
 from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
@@ -46,15 +47,17 @@ def record_local_events(record: bytes, names: NameTable
 
 
 def generate_keys(definition: XPathIndexDefinition, record: bytes,
-                  names: NameTable) -> list[tuple[bytes, Item]]:
-    """Evaluate the index path over one record.
+                  names: NameTable, stats: StatsRegistry | None = None
+                  ) -> list[tuple[bytes, Item]]:
+    """Evaluate the index path over one record, charging ``stats``.
 
     Returns ``(encoded_key, item)`` pairs — zero, one or more per record
     (the extended-index property the index manager must support, §3.3).
     Nodes whose value does not convert to the key type are skipped.
     """
     query = _query_for(definition)
-    items = QuickXScan(query).run(record_local_events(record, names))
+    items = QuickXScan(query, stats=stats).run(
+        record_local_events(record, names))
     out = []
     for item in items:
         if item.node_id is None:

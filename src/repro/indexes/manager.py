@@ -35,12 +35,16 @@ class XPathValueIndex:
         self.definition = definition
         self.names = names
         self.tree = BTree(pool, name=f"vix.{definition.name}", unique=False)
+        #: The engine's registry (the pool's, as for the tree): key
+        #: generation is charged where the rest of the insert is.
+        self.stats = pool.stats
         self.keys_generated = 0
 
     # -- RecordObserver protocol --------------------------------------------
 
     def record_added(self, docid: int, record: bytes, rid: Rid) -> None:
-        for key, item in generate_keys(self.definition, record, self.names):
+        for key, item in generate_keys(self.definition, record, self.names,
+                                       self.stats):
             assert item.node_id is not None
             try:
                 self.tree.insert(
@@ -50,7 +54,8 @@ class XPathValueIndex:
             self.keys_generated += 1
 
     def record_removed(self, docid: int, record: bytes, rid: Rid) -> None:
-        for key, item in generate_keys(self.definition, record, self.names):
+        for key, item in generate_keys(self.definition, record, self.names,
+                                       self.stats):
             assert item.node_id is not None
             self.tree.delete(
                 key, encode_entry_value(docid, item.node_id, rid))

@@ -18,9 +18,7 @@ from repro.errors import NodeIdError, PlanningError, StorageError, XmlError
 from repro.lang import ast
 from repro.xdm import nodeid
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import in_context_events
 from repro.xpath.cache import cached_compile
-from repro.xpath.qtree import QueryTree
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
 
@@ -46,17 +44,19 @@ class Executor:
     def execute(self, plan: AccessPlan) -> list[QueryMatch]:
         with self.stats.trace("exec.compile"):
             query = cached_compile(plan.path, stats=self.stats)
+        # One scanner per execution: its set-up serves every document.
+        scan = QuickXScan(query, stats=self.stats)
         if plan.method is AccessMethod.FULL_SCAN:
-            return self._full_scan(plan, query)
+            return self._full_scan(plan, scan)
         if plan.method is AccessMethod.DOCID_LIST:
-            return self._docid_list(plan, query)
+            return self._docid_list(plan, scan)
         if plan.method is AccessMethod.NODEID_LIST:
-            return self._nodeid_list(plan, query)
+            return self._nodeid_list(plan, scan)
         raise PlanningError(f"unknown access method {plan.method}")
 
     # -- full scan ----------------------------------------------------------------
 
-    def _full_scan(self, plan: AccessPlan, query: QueryTree
+    def _full_scan(self, plan: AccessPlan, scan: QuickXScan
                    ) -> list[QueryMatch]:
         with self.stats.trace("exec.full_scan") as span:
             out: list[QueryMatch] = []
@@ -65,7 +65,7 @@ class Executor:
                 docs += 1
                 self.stats.add("exec.docs_evaluated")
                 events = self.store.document(docid).events()
-                for item in QuickXScan(query, stats=self.stats).run(events):
+                for item in scan.run(events):
                     out.append(QueryMatch(docid, item))
             if span is not None:
                 span.set("docs", docs)
@@ -97,7 +97,7 @@ class Executor:
                 span.set("candidates", len(candidate_set or ()))
             return sorted(candidate_set or ())
 
-    def _docid_list(self, plan: AccessPlan, query: QueryTree
+    def _docid_list(self, plan: AccessPlan, scan: QuickXScan
                     ) -> list[QueryMatch]:
         with self.stats.trace("exec.docid_list") as span:
             out: list[QueryMatch] = []
@@ -105,7 +105,7 @@ class Executor:
             for docid in candidates:
                 self.stats.add("exec.docs_evaluated")
                 events = self.store.document(docid).events()
-                items = QuickXScan(query, stats=self.stats).run(events)
+                items = scan.run(events)
                 if not items and plan.exact:
                     self.stats.add("exec.exactness_misses")
                 for item in items:
@@ -150,7 +150,7 @@ class Executor:
                 span.set("candidates", len(candidate_set or ()))
             return sorted(candidate_set or ())
 
-    def _nodeid_list(self, plan: AccessPlan, query: QueryTree
+    def _nodeid_list(self, plan: AccessPlan, scan: QuickXScan
                      ) -> list[QueryMatch]:
         with self.stats.trace("exec.nodeid_list") as span:
             out: list[QueryMatch] = []
@@ -158,7 +158,7 @@ class Executor:
             with self.stats.trace("exec.anchor") as verify_span:
                 for docid, anchor in anchors:
                     self.stats.add("exec.anchors_verified")
-                    items = self._verify_anchor(docid, anchor, query)
+                    items = self._verify_anchor(docid, anchor, scan)
                     if not items and plan.exact:
                         self.stats.add("exec.exactness_misses")
                     for item in items:
@@ -171,17 +171,16 @@ class Executor:
             return out
 
     def _verify_anchor(self, docid: int, anchor: bytes,
-                       query: QueryTree) -> list[Item]:
+                       scan: QuickXScan) -> list[Item]:
         """Re-evaluate the query over the anchor's self-contained context."""
-        doc = self.store.document(docid)
         try:
-            ancestors = doc.ancestry(anchor)
+            # One descent: the ancestors replayed from record-header context
+            # around the anchor's subtree, which opens with its own element.
+            events = self.store.document(docid).node_events(
+                anchor, in_context=True)
         except (XmlError, StorageError):
             return []  # anchor does not exist (stale/foreign hit)
-        # Replay the ancestors from record-header context around the
-        # anchor's subtree; the anchor's own element opens node_events.
-        events = in_context_events(ancestors, doc.node_events(anchor))
-        items = QuickXScan(query, stats=self.stats).run(events)
+        items = scan.run(events)
         # Keep only the anchor's own match: nested matches inside the
         # subtree are separate candidates (verified via their own index
         # hits), so counting them here would duplicate results.

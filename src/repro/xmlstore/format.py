@@ -147,20 +147,35 @@ def encode_proxy(first_abs_id: bytes) -> bytes:
 # Entry decoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Entry:
-    """One decoded node entry (children left as an encoded span)."""
+    """One decoded node entry (children left as an encoded span).
 
-    kind: int
-    rel_id: bytes           # absolute id for PROXY entries
-    name_id: int = 0        # ELEMENT / ATTRIBUTE
-    text: str = ""          # TEXT / COMMENT / ATTRIBUTE value / PI data
-    target: str = ""        # PI target / NAMESPACE prefix
-    uri_id: int = 0         # NAMESPACE
-    entry_count: int = 0    # ELEMENT: nested entry count
-    content_start: int = 0  # ELEMENT: nested entries span
-    content_end: int = 0
-    next_pos: int = 0       # position just past this entry (nextSibling)
+    ``rel_id`` is the absolute ID for PROXY entries; ``name_id`` is set for
+    ELEMENT/ATTRIBUTE, ``text`` for TEXT/COMMENT (the value for ATTRIBUTE,
+    the data for PI), ``target`` for PI (the prefix for NAMESPACE), and
+    ``uri_id`` for NAMESPACE.  An ELEMENT's nested entries (``entry_count``
+    of them) span ``content_start:content_end``; ``next_pos`` is the
+    position just past the entry (nextSibling).  A plain slotted class: the
+    point-access descent decodes one per entry it passes.
+    """
+
+    __slots__ = ("kind", "rel_id", "name_id", "text", "target", "uri_id",
+                 "entry_count", "content_start", "content_end", "next_pos")
+
+    def __init__(self, kind: int, rel_id: bytes, name_id: int = 0,
+                 text: str = "", target: str = "", uri_id: int = 0,
+                 entry_count: int = 0, content_start: int = 0,
+                 content_end: int = 0, next_pos: int = 0) -> None:
+        self.kind = kind
+        self.rel_id = rel_id
+        self.name_id = name_id
+        self.text = text
+        self.target = target
+        self.uri_id = uri_id
+        self.entry_count = entry_count
+        self.content_start = content_start
+        self.content_end = content_end
+        self.next_pos = next_pos
 
 
 def parse_entry(buf: bytes | memoryview, pos: int) -> Entry:

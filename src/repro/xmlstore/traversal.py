@@ -15,13 +15,22 @@ evaluation index key generation runs (§3.2-§3.3), whose ancestors
 element entries carry their subtree length, so locating a node by ID
 (:meth:`StoredDocument.find_node`) skips every subtree that cannot contain
 it in O(1).
+
+The walk uses the same subtree lengths for a *skip hint*: a consumer that
+sends ``True`` right after an element start gets that element's end next,
+and nothing inside it — packed-out records included — is decoded or read.
+QuickXScan sends it when no live query node can match inside the element.
+The hint passes through ``yield from`` (:meth:`StoredDocument.events`,
+:meth:`StoredDocument.node_events`, :func:`in_context_events`); a consumer
+that never sends sees every event, as before.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
 from repro.errors import DocumentNotFoundError, PackingError
+from repro.rdb import codec
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
@@ -31,51 +40,98 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xmlstore.store import XmlStore
 
 
+_ELEMENT = fmt.EntryKind.ELEMENT
+_TEXT = fmt.EntryKind.TEXT
+_ATTRIBUTE = fmt.EntryKind.ATTRIBUTE
+_PROXY = fmt.EntryKind.PROXY
+_ELEM_START = EventKind.ELEM_START
+_ELEM_END = EventKind.ELEM_END
+
+
 def walk(record: bytes, start: int, end: int, parent_abs: bytes,
          names: NameTable, resolve: Callable[[bytes], bytes] | None = None
-         ) -> Iterator[SaxEvent]:
+         ) -> Generator[SaxEvent, bool | None, None]:
     """Document-order events for the entries in ``record[start:end]``.
 
     ``parent_abs`` is the absolute ID the entries' relative IDs extend.  A
     proxy is followed by reading the record ``resolve(proxy_id)`` returns,
     or skipped when ``resolve`` is ``None``.
+
+    Skip hint: ``send(True)`` right after an ``ELEM_START`` makes the next
+    event that element's ``ELEM_END``; nothing inside it is decoded and no
+    proxy inside it is resolved.  Element, text and attribute entries are
+    decoded inline (one-byte varints on the fast path), with no
+    :class:`~repro.xmlstore.format.Entry` per node.
     """
-    # Work items: ("span", buf, pos, end, parent_abs) | ("end", local, uri)
-    stack: list[tuple] = [("span", record, start, end, parent_abs)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "end":
-            yield SaxEvent(EventKind.ELEM_END, local=item[1], uri=item[2])
+    name_of = names.name
+    read_uvarint = codec.read_uvarint
+    # Suspended spans, innermost last: (buf, resume_pos, end, parent_abs,
+    # closing) where ``closing`` is the (local, uri) whose ELEM_END follows
+    # the span, or None when the span is a proxy's record.
+    stack: list[tuple] = []
+    buf, pos, parent = record, start, parent_abs
+    while True:
+        if pos >= end:
+            if not stack:
+                return
+            buf, pos, end, parent, closing = stack.pop()
+            if closing is not None:
+                yield SaxEvent(_ELEM_END, closing[0], closing[1])
             continue
-        _, buf, pos, span_end, parent = item
-        if pos >= span_end:
+        kind = buf[pos]
+        if kind == _ELEMENT or kind == _TEXT or kind == _ATTRIBUTE:
+            size = buf[pos + 1]
+            pos += 2
+            if size > 0x7F:
+                size, pos = read_uvarint(buf, pos - 1)
+            abs_id = parent + buf[pos:pos + size]
+            pos += size
+            if kind != _TEXT:
+                name_id = buf[pos]
+                pos += 1
+                if name_id > 0x7F:
+                    name_id, pos = read_uvarint(buf, pos - 1)
+                name = name_of(name_id)
+            if kind == _ELEMENT:
+                if buf[pos] > 0x7F:  # nested entry count: not needed here
+                    _count, pos = read_uvarint(buf, pos)
+                else:
+                    pos += 1
+                size = buf[pos]
+                pos += 1
+                if size > 0x7F:
+                    size, pos = read_uvarint(buf, pos - 1)
+                if (yield SaxEvent(_ELEM_START, name[0], name[1], "",
+                                   abs_id)):
+                    pos += size  # skipped: the subtree is never decoded
+                    yield SaxEvent(_ELEM_END, name[0], name[1])
+                    continue
+                stack.append((buf, pos + size, end, parent, name))
+                end, parent = pos + size, abs_id
+                continue
+            size = buf[pos]
+            pos += 1
+            if size > 0x7F:
+                size, pos = read_uvarint(buf, pos - 1)
+            value = str(buf[pos:pos + size], "utf-8")
+            pos += size
+            if kind == _TEXT:
+                yield SaxEvent(EventKind.TEXT, "", "", value, abs_id)
+            else:
+                yield SaxEvent(EventKind.ATTR, name[0], name[1], value,
+                               abs_id)
             continue
         entry = fmt.parse_entry(buf, pos)
-        # Continuation of this span resumes after the current entry.
-        if entry.next_pos < span_end:
-            stack.append(("span", buf, entry.next_pos, span_end, parent))
-        if entry.kind == fmt.EntryKind.PROXY:
+        pos = entry.next_pos
+        if kind == _PROXY:
             if resolve is not None:
-                child_record = resolve(entry.rel_id)
-                child_header, child_start = fmt.decode_header(child_record)
-                stack.append(("span", child_record, child_start,
-                              len(child_record), child_header.context_id))
+                stack.append((buf, pos, end, parent, None))
+                buf = resolve(entry.rel_id)
+                header, pos = fmt.decode_header(buf)
+                end, parent = len(buf), header.context_id
             continue
         abs_id = parent + entry.rel_id
-        if entry.kind == fmt.EntryKind.ELEMENT:
-            local, uri = names.name(entry.name_id)
-            yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri,
-                           node_id=abs_id)
-            stack.append(("end", local, uri))
-            stack.append(("span", buf, entry.content_start,
-                          entry.content_end, abs_id))
-        elif entry.kind == fmt.EntryKind.TEXT:
-            yield SaxEvent(EventKind.TEXT, value=entry.text, node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.ATTRIBUTE:
-            local, uri = names.name(entry.name_id)
-            yield SaxEvent(EventKind.ATTR, local=local, uri=uri,
-                           value=entry.text, node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.NAMESPACE:
+        if entry.kind == fmt.EntryKind.NAMESPACE:
             yield SaxEvent(EventKind.NS, local=entry.target,
                            value=names.uri(entry.uri_id), node_id=abs_id)
         elif entry.kind == fmt.EntryKind.COMMENT:
@@ -93,7 +149,9 @@ def in_context_events(ancestors: list[tuple[str, str]],
     """``body`` as a document: under synthetic starts and ends of the
     ``(local, uri)`` ancestors, root first, with the ``(prefix, uri)``
     in-scope namespaces declared on the innermost one.  The synthetic
-    events carry no node IDs (§3.1's self-containment property)."""
+    events carry no node IDs (§3.1's self-containment property).  A skip
+    hint sent while ``body`` is yielding reaches it, so ``body`` is a
+    generator (a :func:`walk`); one sent at a synthetic start is ignored."""
     yield SaxEvent(EventKind.DOC_START)
     for local, uri in ancestors:
         yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
@@ -121,11 +179,20 @@ class StoredDocument:
                         self.store.names, self._resolve_proxy)
         yield SaxEvent(EventKind.DOC_END)
 
-    def node_events(self, node_id: bytes) -> Iterator[SaxEvent]:
-        """Events for the subtree rooted at ``node_id``."""
-        record, pos, entry, parent, _ = self._descend(node_id)
-        yield from walk(record, pos, entry.next_pos, parent,
-                        self.store.names, self._resolve_proxy)
+    def node_events(self, node_id: bytes, in_context: bool = False
+                    ) -> Iterator[SaxEvent]:
+        """Events for the subtree rooted at ``node_id``, from one descent
+        (one NodeID-index probe) made now: a missing node raises here, not
+        at the first event.
+
+        With ``in_context`` the subtree comes as a document under its
+        replayed ancestors (:func:`in_context_events`), the self-contained
+        context a NodeID-list plan re-evaluates its query over (§3.1).
+        """
+        record, pos, entry, parent, ancestors = self._descend(node_id)
+        events = walk(record, pos, entry.next_pos, parent, self.store.names,
+                      self._resolve_proxy)
+        return in_context_events(ancestors, events) if in_context else events
 
     def find_node(self, node_id: bytes
                   ) -> tuple[bytes, fmt.Entry, bytes]:

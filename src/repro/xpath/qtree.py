@@ -102,28 +102,6 @@ class QNode:
     predicates: list[PExpr] = field(default_factory=list)
     need_value: bool = False
 
-    def matches_element(self, local: str, uri: str) -> bool:
-        if self.target not in (Target.ELEMENT, Target.ANY):
-            return False
-        if isinstance(self.test, ast.NameTest):
-            return self.test.matches(local, uri)
-        return True  # node() kind test (or the virtual root)
-
-    def matches_leaf(self, kind: Target, local: str, uri: str) -> bool:
-        """Match a text/comment/PI/attribute event."""
-        if kind is Target.ATTRIBUTE:
-            if self.target is not Target.ATTRIBUTE:
-                return False
-            assert isinstance(self.test, ast.NameTest)
-            return self.test.matches(local, uri)
-        if self.target is Target.ANY:
-            return True
-        if self.target is not kind:
-            return False
-        if isinstance(self.test, ast.KindTest) and self.test.target:
-            return self.test.target == local  # PI target test
-        return True
-
     def label(self) -> str:
         return str(self.test) if self.test is not None else "r"
 

@@ -29,6 +29,27 @@ streaming/state bounds, slightly more work at predicate evaluation.
 
 The evaluator consumes virtual SAX events, so it runs unchanged over parsed
 token streams, persistent records, and constructed data (Fig. 8).
+
+Per event the work is kept small: an element or attribute start looks its
+candidate query nodes up by local name (wildcard and ``node()`` tests sit in
+every list), an element end finalizes only the instances its start pushed,
+and the ``xscan.*`` counters are charged once per run.
+
+Skipping subtrees.  When an element start leaves nothing for its subtree to
+match, the scan sends the source a skip hint (``send(True)``; see
+:func:`repro.xmlstore.traversal.walk`), and the stored-record walker steps
+over the subtree without decoding it (§3.4's subtree lengths).  All three
+must hold:
+
+* the element pushed no matching instance, so no child step can extend it;
+* no value collector is live, so no ancestor needs the subtree's text;
+* no query node with a descendant edge has a live parent instance (a
+  counter kept on push and pop), so no deeper step can match.
+
+Under those conditions the subtree's events would match nothing, so a
+source without ``send`` (a list, a token stream) or one that ignores the
+hint gives the identical result.  ``xscan.events`` counts the events the
+evaluator consumed: a skipped subtree's never reach it.
 """
 
 from __future__ import annotations
@@ -37,6 +58,7 @@ from typing import Iterable
 
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import ExecutionError
+from repro.lang import ast
 from repro.lang.ast import LocationPath
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xpath import functions
@@ -46,6 +68,15 @@ from repro.xpath.qtree import (EdgeType, PBinary, PFunction, PLiteral,
                                Target)
 from repro.xpath.values import (Item, arithmetic, effective_boolean,
                                 general_compare, to_number)
+
+_DOC_START = EventKind.DOC_START
+_DOC_END = EventKind.DOC_END
+_ELEM_START = EventKind.ELEM_START
+_ELEM_END = EventKind.ELEM_END
+_ATTR = EventKind.ATTR
+_TEXT = EventKind.TEXT
+_COMMENT = EventKind.COMMENT
+_PI = EventKind.PI
 
 
 class MatchInstance:
@@ -86,30 +117,74 @@ def _dedup(seq: list[Item]) -> list[Item]:
     return out
 
 
+#: Candidates for one event: ``(qnode, uri)`` pairs in qid order, ``uri``
+#: the namespace the node's test requires (None: any).
+_Candidates = list[tuple[QNode, "str | None"]]
+
+
+def _name_dispatch(qnodes: list[QNode]
+                   ) -> tuple[dict[str, _Candidates], _Candidates]:
+    """``local name -> candidates`` for named tests, plus the shared list of
+    wildcard and ``node()`` tests (also merged into every name's list).
+
+    Each list keeps qid order: a descendant-or-self child links to its
+    parent's instance pushed for the same node in the same event, so the
+    parent must be pushed first.
+    """
+    named: dict[str, _Candidates] = {}
+    wild: _Candidates = []
+    for qnode in qnodes:
+        test = qnode.test
+        if not isinstance(test, ast.NameTest):  # node(): any element
+            wild.append((qnode, None))
+            continue
+        # The uri half of ast.NameTest.matches, decided once.
+        if test.uri is None:
+            if test.prefix is not None:
+                continue  # unresolved prefix: matches nothing
+            uri = None if test.local == "*" else ""
+        else:
+            uri = None if test.uri == "*" else test.uri
+        if test.local == "*":
+            wild.append((qnode, uri))
+        else:
+            named.setdefault(test.local, []).append((qnode, uri))
+    return ({local: sorted(candidates + wild, key=lambda c: c[0].qid)
+             for local, candidates in named.items()}, wild)
+
+
 class QuickXScan:
-    """One-pass streaming evaluator for a compiled query tree."""
+    """One-pass streaming evaluator for a compiled query tree.
+
+    Construction does the per-query set-up (name dispatch), so one scanner
+    serves every document of an execution; :meth:`run` keeps no state
+    between documents.
+    """
 
     def __init__(self, query: QueryTree,
                  stats: StatsRegistry | None = None) -> None:
         self.query = query
         self.stats = default_stats(stats)
         # Pre-split query nodes by what they can match.
-        self._element_nodes = [q for q in query.nodes
-                               if q.target in (Target.ELEMENT, Target.ANY)
-                               and q.test is not None]
-        self._leaf_nodes = {
-            Target.ATTRIBUTE: [q for q in query.nodes
-                               if q.target is Target.ATTRIBUTE],
-            Target.TEXT: [q for q in query.nodes
-                          if q.target in (Target.TEXT, Target.ANY)
-                          and q.test is not None],
-            Target.COMMENT: [q for q in query.nodes
-                             if q.target in (Target.COMMENT, Target.ANY)
-                             and q.test is not None],
-            Target.PI: [q for q in query.nodes
-                        if q.target in (Target.PI, Target.ANY)
-                        and q.test is not None],
-        }
+        self._elements, self._any_element = _name_dispatch(
+            [q for q in query.nodes
+             if q.target in (Target.ELEMENT, Target.ANY)
+             and q.test is not None])
+        self._attributes, self._any_attribute = _name_dispatch(
+            [q for q in query.nodes if q.target is Target.ATTRIBUTE])
+        self._texts = [q for q in query.nodes
+                       if q.target in (Target.TEXT, Target.ANY)
+                       and q.test is not None]
+        self._comments = [q for q in query.nodes
+                          if q.target in (Target.COMMENT, Target.ANY)
+                          and q.test is not None]
+        # With the PI target its kind test names (None: any).
+        self._pis = [(q, q.test.target) for q in query.nodes
+                     if q.target in (Target.PI, Target.ANY)
+                     and isinstance(q.test, ast.KindTest)]
+        #: By qid: does an instance of this node arm a descendant edge?
+        self._arms = [any(child.edge is not EdgeType.CHILD
+                          for child in q.children) for q in query.nodes]
 
     # -- public API ------------------------------------------------------------
 
@@ -125,6 +200,10 @@ class QuickXScan:
     def _run(self, events: Iterable[SaxEvent]) -> list[Item]:
         stacks: list[list[MatchInstance]] = [[] for _ in self.query.nodes]
         collectors: list[MatchInstance] = []
+        #: Per open element, the instances its start pushed (None: none).
+        opened: list[list[MatchInstance] | None] = []
+        arms = self._arms
+        armed = 0  # live instances with a descendant-edge child query node
         live_units = 0
         peak_units = 0
         matchings = 0
@@ -135,13 +214,15 @@ class QuickXScan:
 
         def push(qnode: QNode, node_id: bytes | None, kind: str,
                  local: str, link: MatchInstance | None) -> MatchInstance:
-            nonlocal live_units, peak_units, matchings
+            nonlocal live_units, peak_units, matchings, armed
             instance = MatchInstance(qnode, depth, order, node_id, kind,
                                      local, link)
             stacks[qnode.qid].append(instance)
             if instance.value_parts is not None:
                 instance.cidx = len(collectors)
                 collectors.append(instance)
+            if arms[qnode.qid]:
+                armed += 1
             live_units += 1
             matchings += 1
             peak_units = max(peak_units, live_units)
@@ -169,8 +250,10 @@ class QuickXScan:
             return None
 
         def finalize(instance: MatchInstance) -> None:
-            nonlocal live_units
+            nonlocal live_units, armed
             live_units -= 1
+            if arms[instance.qnode.qid]:
+                armed -= 1
             if instance.cidx >= 0:
                 # O(1) removal: swap the last live collector into this
                 # instance's slot (order among collectors is irrelevant —
@@ -228,66 +311,91 @@ class QuickXScan:
             link.seq.setdefault(qnode.qid, []).append(
                 Item(order, node_id, kind, local, value))
 
-        for event in events:
-            stats.add("xscan.events")
+        elements, any_element = self._elements, self._any_element
+        attributes, any_attribute = self._attributes, self._any_attribute
+        source = iter(events)
+        advance = source.__next__
+        # Only a generator can take the skip hint; one that ignores it
+        # yields the subtree anyway, which then matches nothing.
+        send = getattr(source, "send", None)
+        skip = False
+        while True:
+            try:
+                event = send(True) if skip else advance()
+            except StopIteration:
+                break
+            skip = False
             order += 1
             kind = event.kind
-            if kind is EventKind.DOC_START:
-                root_instance = push(self.query.root, event.node_id,
-                                     "document", "", None)
-            elif kind is EventKind.ELEM_START:
+            if kind is _ELEM_START:
                 depth += 1
-                for qnode in self._element_nodes:
-                    if not qnode.matches_element(event.local, event.uri):
+                local = event.local
+                pushed = None
+                for qnode, uri in elements.get(local, any_element):
+                    if uri is not None and uri != event.uri:
                         continue
                     link = parent_link(qnode, depth)
                     if link is None:
                         continue
-                    push(qnode, event.node_id, "element", event.local, link)
-            elif kind is EventKind.ELEM_END:
-                # Children-first (reverse topological) pop order so upward
-                # propagation reaches parent instances before they finalize.
-                for qid in range(len(stacks) - 1, -1, -1):
-                    stack = stacks[qid]
-                    if stack and stack[-1].depth == depth and \
-                            stack[-1].kind == "element":
-                        finalize(stack.pop())
+                    instance = push(qnode, event.node_id, "element", local,
+                                    link)
+                    if pushed is None:
+                        pushed = [instance]
+                    else:
+                        pushed.append(instance)
+                opened.append(pushed)
+                # Nothing in this subtree can match: no instance here for a
+                # child step to extend, no descendant step armed, and no
+                # string value being collected.
+                skip = pushed is None and not armed and not collectors \
+                    and send is not None
+            elif kind is _ELEM_END:
+                if not opened:
+                    raise ExecutionError("unbalanced event stream")
+                pushed = opened.pop()
+                if pushed is not None:
+                    # Children-first (reverse topological) pop order so
+                    # upward propagation reaches parent instances before
+                    # they finalize.
+                    for instance in reversed(pushed):
+                        stacks[instance.qnode.qid].pop()
+                        finalize(instance)
                 depth -= 1
-            elif kind is EventKind.TEXT:
+            elif kind is _TEXT:
                 for collector in collectors:
                     collector.value_parts.append(event.value)  # type: ignore[union-attr]
-                for qnode in self._leaf_nodes[Target.TEXT]:
+                for qnode in self._texts:
                     link = parent_link(qnode, depth + 1)
-                    if link is not None and qnode.matches_leaf(
-                            Target.TEXT, "", ""):
+                    if link is not None:
                         finalize_leaf(qnode, event.node_id, "text", "",
                                       event.value, link)
-            elif kind is EventKind.ATTR:
-                for qnode in self._leaf_nodes[Target.ATTRIBUTE]:
-                    if not qnode.matches_leaf(Target.ATTRIBUTE, event.local,
-                                              event.uri):
+            elif kind is _ATTR:
+                for qnode, uri in attributes.get(event.local, any_attribute):
+                    if uri is not None and uri != event.uri:
                         continue
                     link = parent_link(qnode, depth + 1)
                     if link is not None:
                         finalize_leaf(qnode, event.node_id, "attribute",
                                       event.local, event.value, link)
-            elif kind is EventKind.COMMENT:
-                for qnode in self._leaf_nodes[Target.COMMENT]:
+            elif kind is _DOC_START:
+                root_instance = push(self.query.root, event.node_id,
+                                     "document", "", None)
+            elif kind is _COMMENT:
+                for qnode in self._comments:
                     link = parent_link(qnode, depth + 1)
-                    if link is not None and qnode.matches_leaf(
-                            Target.COMMENT, "", ""):
+                    if link is not None:
                         finalize_leaf(qnode, event.node_id, "comment", "",
                                       event.value, link)
-            elif kind is EventKind.PI:
-                for qnode in self._leaf_nodes[Target.PI]:
-                    if not qnode.matches_leaf(Target.PI, event.local, ""):
+            elif kind is _PI:
+                for qnode, target in self._pis:
+                    if target and target != event.local:
                         continue
                     link = parent_link(qnode, depth + 1)
                     if link is not None:
                         finalize_leaf(qnode, event.node_id,
                                       "processing-instruction", event.local,
                                       event.value, link)
-            elif kind is EventKind.DOC_END:
+            elif kind is _DOC_END:
                 if root_instance is None:
                     raise ExecutionError("document end before start")
                 # NS events and unclosed elements would leave stacks dirty.
@@ -298,6 +406,9 @@ class QuickXScan:
                 live_units -= 1
             # NS events carry no query-visible content here.
 
+        # One charge per run: events consumed (a skipped subtree's never
+        # reached the evaluator), matchings, and the per-document shapes.
+        stats.add("xscan.events", order)
         stats.add("xscan.matchings", matchings)
         stats.set_high_water("xscan.peak_units", peak_units)
         # Distribution variants of the global totals: one observation per

@@ -263,3 +263,19 @@ class TestValueIndexManager:
         data_bytes = store.storage_footprint()["data_bytes"]
         index_bytes = index.size_stats()["entries"] * 32  # ~ entry size
         assert index_bytes < data_bytes
+
+    def test_key_generation_charges_the_engines_registry(self):
+        """Key generation runs QuickXScan on the engine's registry, so an
+        insert's ``xscan.*`` work shows there and not in the process-wide
+        registry another engine would share."""
+        from repro.core.config import EngineConfig
+        from repro.core.engine import Database
+        from repro.core.stats import GLOBAL_STATS
+        db = Database(EngineConfig(page_size=1024, buffer_pool_pages=64))
+        db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
+        db.create_xpath_index("ix", "t", "doc", "//RegPrice", "double")
+        engine_before = db.stats.get("xscan.events")
+        global_before = GLOBAL_STATS.get("xscan.events")
+        db.insert("t", (1, CATALOG))
+        assert db.stats.get("xscan.events") > engine_before
+        assert GLOBAL_STATS.get("xscan.events") == global_before
