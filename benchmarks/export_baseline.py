@@ -15,12 +15,12 @@ BENCH_baseline.json`` renders it)::
     PYTHONPATH=src python benchmarks/export_baseline.py [output.json]
 
 Besides the deterministic artifact, the export runs timed *scenarios* on
-separate engine instances — ``commits_per_sec`` (the same insert stream
-committed with per-commit forcing vs. group commit),
-``wal_bytes_per_commit``, and ``tracing_overhead`` (the same commit loop
-with an event ring that records nothing, with the engine's default
-accounting ring, and with every class enabled; best-of-5 interleaved
-runs) — recorded under the artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
+separate engine instances — ``commits_per_sec`` (one insert per
+committed transaction), ``wal_bytes_per_commit``, and
+``tracing_overhead`` (the same commit loop with an event ring that
+records nothing, with the engine's default accounting ring, and with
+every class enabled; best-of-5 interleaved runs) — recorded under the
+artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
 CI drift gate compares only ``counters``/``gauges``/``histograms`` and
 ignores ``scenarios``; the same exemption covers ``waits_profile``, where
 this exporter moves the wall-clock-derived ``waits.*`` counters and the
@@ -32,7 +32,6 @@ record-nothing reference.
 
 import sys
 import time
-from dataclasses import replace
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
@@ -102,14 +101,13 @@ def run_workload(db: Database) -> None:
 SCENARIO_COMMITS = 64
 
 
-def _commit_scenario(group_commit: bool) -> dict:
+def _commit_scenario() -> dict:
     """Time ``SCENARIO_COMMITS`` single-insert commits on a fresh engine.
 
     Runs on its own :class:`Database` (own stats) so scenario counters
     never leak into the deterministic baseline artifact.
     """
-    config = replace(BASELINE_CONFIG, txn_group_commit=group_commit)
-    db = Database(config)
+    db = Database(BASELINE_CONFIG)
     db.create_table("bench", [("id", "bigint"), ("doc", "xml")])
     started = time.perf_counter()
     for i in range(SCENARIO_COMMITS):
@@ -125,7 +123,6 @@ def _commit_scenario(group_commit: bool) -> dict:
         if elapsed > 0 else 0.0,
         "wal_bytes": counters.get("wal.bytes", 0),
         "wal_forces": counters.get("wal.flushes", 0),
-        "group_commits": counters.get("wal.group_commits", 0),
     }
 
 
@@ -194,18 +191,14 @@ def run_tracing_overhead(repeats: int = 5) -> dict:
 
 def run_scenarios() -> dict:
     """Timed scenarios (wall-clock; excluded from the CI drift gate)."""
-    single = _commit_scenario(group_commit=False)
-    grouped = _commit_scenario(group_commit=True)
+    single = _commit_scenario()
     return {
         "commits_per_sec": {
             "single_commit": single,
-            "group_commit": grouped,
         },
         "wal_bytes_per_commit": {
             "single_commit": round(
                 single["wal_bytes"] / single["commits"], 1),
-            "group_commit": round(
-                grouped["wal_bytes"] / grouped["commits"], 1),
         },
         "tracing_overhead": run_tracing_overhead(),
     }
@@ -245,9 +238,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(artifact['histograms'])} histograms, "
           f"{len(artifact['accounting'])} accounting records, "
           f"{len(artifact['slow_queries'])} slow queries")
-    print(f"commits/sec: single "
-          f"{rate['single_commit']['commits_per_sec']}, group "
-          f"{rate['group_commit']['commits_per_sec']}")
+    print(f"commits/sec: {rate['single_commit']['commits_per_sec']}")
     return 0
 
 

@@ -286,9 +286,8 @@ class TrackedLock:
     the token once per level) and records its *token* in a thread-local
     stack while held, so :func:`shared_access` can intersect candidate
     locksets against what the accessing thread actually holds.  The token
-    is a stable name ("db.latch", "server._state_lock"), not the instance:
-    stripe latches share one token per stripe *family*, which is exactly
-    the granularity the static guard inference works at.
+    is a stable name ("db.latch", "server._state_lock"), not the instance,
+    which is exactly the granularity the static guard inference works at.
 
     Supports the same surface the engine uses on its latches: ``with``,
     explicit ``acquire``/``release`` (the serving layer's ``_latch_sleep``
@@ -365,8 +364,8 @@ def shared_access(stats: "StatsRegistry", struct: str, field: str,
     ``extra_held`` names latches the caller verifiably held *during* the
     access but has already released by the time it can report — the stats
     registry's own whole-map operations use it, because reporting from
-    inside their stripe region would recurse into ``stats.add`` against
-    non-reentrant stripe locks.
+    inside their locked region would recurse into ``stats.add`` against
+    its non-reentrant lock.
     """
     if not enabled():
         return
@@ -424,7 +423,7 @@ def witnessed_field_states() -> dict[tuple[str, str], str]:
 def _token_tail(token: str) -> str:
     """Last dotted segment of a latch token, call suffix stripped.
 
-    Static guard tokens look like ``db.latch`` or ``_lock_for()``; runtime
+    Static guard tokens look like ``db.latch`` or ``lock_of()``; runtime
     TrackedLock tokens like ``db.latch`` or ``server._state_lock``.  Tails
     are the comparable part.
     """

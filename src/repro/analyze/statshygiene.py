@@ -26,7 +26,7 @@ garbage.  Three invariants keep the namespace sound:
   call, so no suspension site can dodge the wait clock.  The one
   allowlisted scope is ``DatabaseServer._latch_sleep`` — the
   release-sleep-reacquire yield primitive whose callers (lock-wait
-  backoff, the group-commit window, retry backoff) each charge their own
+  backoff, retry backoff) each charge their own
   class; timing it again here would double-count every yielded wait.
   ``Event.wait``/``queue.get`` coordination waits are out of scope by
   documented choice: they park worker threads, not units of work.
@@ -65,8 +65,8 @@ _CONVENTION_ONLY_METHODS = {"trace", "trace_event", "get", "gauge",
                             "histogram"}
 
 #: Scopes whose bare sleeps are the engine's latch-yield primitive: the
-#: *callers* charge the wait (lock.wait, wal.group_commit,
-#: txn.retry_backoff), so a timer here would nest and double-count.
+#: *callers* charge the wait (lock.wait, txn.retry_backoff), so a timer
+#: here would nest and double-count.
 #: Qualnames, same shape the race checkers use for entry roots.
 _SLEEP_ALLOWLIST = {"DatabaseServer._latch_sleep"}
 

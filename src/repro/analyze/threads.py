@@ -1,17 +1,16 @@
 """Thread-entry reachability and shared-field/latch inference.
 
-The serving layer (PRs 6–7) made the engine multi-threaded the way DB2
-for z/OS is: a worker pool, a background checkpointer, leader/follower
-group commit, and striped latches.  This module gives the static analyzer
-the thread model those PRs only documented in prose:
+The serving layer made the engine multi-threaded the way DB2 for z/OS
+is: a worker pool over one engine latch, with client threads admitting
+requests and a monitor reading state off the latch.  This module gives
+the static analyzer that thread model:
 
 1. **Thread roots** — functions that start executing on their own thread.
    Spawn sites (``threading.Thread(target=self._worker_loop)``) are
-   detected syntactically; entry points reached through *dynamic dispatch*
-   (``db.group_commit.commit`` from every committing worker,
-   ``txns.checkpoint_async`` posting to the checkpointer) are declared in
-   :data:`KNOWN_ROOTS` — the same philosophy as the call graph: every edge
-   either proven from the AST or explicitly documented.
+   detected syntactically; entry points that client threads enter
+   directly (``DatabaseServer.submit``, ``StatsRegistry.add``) are
+   declared in :data:`KNOWN_ROOTS` — the same philosophy as the call
+   graph: every edge either proven from the AST or explicitly documented.
 
 2. **Contexts** — for every function, the set of roots that reach it over
    the call graph.  A function no root reaches runs only on the main
@@ -61,11 +60,6 @@ KNOWN_ROOTS: dict[str, tuple[str, bool]] = {
         ("client threads open sessions concurrently", True),
     "DatabaseServer._release_session":
         ("Session.close runs on the closing client's thread", True),
-    "GroupCommitter.commit":
-        ("every committing worker enters via Database.group_commit", True),
-    "Checkpointer.request_checkpoint":
-        ("committing threads post checkpoint requests via "
-         "TransactionManager.checkpoint_async", True),
     "StatsRegistry.add":
         ("every thread reports counters", True),
     "StatsRegistry.observe":
@@ -97,9 +91,9 @@ def _is_safe_delegate(field: str) -> bool:
     """Fields holding internally-synchronized components.
 
     A mutator call on ``self.stats`` or ``self.queue`` mutates the
-    *registry/queue object*, which carries its own striped latches
-    (StatsRegistry) or lock (queue.Queue) — the stats-hygiene checker and
-    the component's own tests cover those.  Only *rebinding* such a field
+    *registry/queue object*, which carries its own lock (StatsRegistry,
+    queue.Queue) — the stats-hygiene checker and the component's own
+    tests cover those.  Only *rebinding* such a field
     counts as a write.
     """
     name = field.lower().lstrip("_")
@@ -129,7 +123,7 @@ def guard_token(expr: ast.expr) -> str | None:
     """Normalized latch token of a ``with`` context expression, if lock-ish.
 
     ``with self._state_lock:`` -> ``_state_lock``; ``with self.db.latch:``
-    -> ``db.latch``; ``with self._lock_for(name):`` -> ``_lock_for()``.
+    -> ``db.latch``; ``with self.lock_of(name):`` -> ``lock_of()``.
     Context managers whose last segment does not smell like a lock
     (``stats.trace(...)``, ``open(...)``) yield ``None`` — they scope
     resources, not mutual exclusion.

@@ -46,8 +46,7 @@ from repro.rdb.table import Table
 from repro.rdb.tablespace import Rid
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
 from repro.rdb.values import SqlType, coerce
-from repro.rdb.wal import (GroupCommitter, LogManager, LogOp,
-                           replay as wal_replay)
+from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xdm.serializer import serialize
 from repro.xmlstore.store import XmlStore
 from repro.xmlstore.update import XmlUpdater
@@ -93,11 +92,12 @@ class Database:
         #: while a transaction sleeps — inside the lock-wait backoff loop
         #: (``TransactionManager.lock_wait_yield``) and during victim-retry
         #: backoff (:attr:`backoff_sleep`) — which is exactly when another
-        #: session's progress is what unblocks this one.  Wrapped in a
-        #: :class:`~repro.analyze.sanitize.TrackedLock` so the lockset
-        #: sanitizer can witness "held the engine latch" — the ambient
-        #: guard the static race analysis cannot prove for structures like
-        #: the group committer.
+        #: session's progress is what unblocks this one.  It is the
+        #: engine's one concurrency mechanism: only the lock table and the
+        #: stats registry keep a lock of their own (one each), for the
+        #: monitor and admission readers that run off the latch.  Wrapped
+        #: in a :class:`~repro.analyze.sanitize.TrackedLock` so the lockset
+        #: sanitizer can witness "held the engine latch".
         self.latch = _sanitize.TrackedLock("db.latch", threading.RLock())
         #: Jitter source for victim-retry backoff (seeded for determinism).
         self._retry_rng = random.Random(config.txn_retry_jitter_seed)
@@ -112,8 +112,7 @@ class Database:
         self.disk = disk
         self.pool = BufferPool(self.disk, capacity=config.buffer_pool_pages)
         self.catalog = Catalog()
-        self.log = LogManager(stats=self.stats, injector=injector,
-                              auto_flush=not config.txn_group_commit)
+        self.log = LogManager(stats=self.stats, injector=injector)
         self.txns = TransactionManager(
             log=self.log, stats=self.stats,
             lock_wait_budget=config.lock_wait_budget,
@@ -122,17 +121,6 @@ class Database:
             checkpoint_every=config.checkpoint_interval,
             on_checkpoint=self.pool.flush_all)
         self.txns.on_txn_end = self._sanitize_txn_end
-        #: Group committer (``config.txn_group_commit``): commits are
-        #: hardened by shared window forces; the serving layer installs
-        #: its latch-yielding wait hook so a leader can actually collect
-        #: companions.  ``None`` keeps the auto-flush-per-append path.
-        self.group_commit: GroupCommitter | None = None
-        if config.txn_group_commit:
-            self.group_commit = GroupCommitter(
-                self.log, self.stats,
-                window=config.txn_group_commit_window,
-                max_group=config.txn_group_commit_max)
-            self.txns.group_commit = self.group_commit
         self._slow_thresholds = config.slow_query_thresholds()
         self.tables: dict[str, Table] = {}
         self.xml_stores: dict[tuple[str, str], XmlStore] = {}
@@ -542,8 +530,8 @@ class Database:
 
         The whole call runs under a wait clock
         (:meth:`~repro.core.stats.StatsRegistry.request_clock`): every
-        suspension any attempt hits — lock waits, the group-commit
-        window, buffer I/O, the retry backoff itself — decomposes the
+        suspension any attempt hits — lock waits, log forces, buffer
+        I/O, the retry backoff itself — decomposes the
         call's elapsed time into per-class waits, reconciled by the
         ``sanitize.waits.reconcile`` check when sanitizers are armed.
         """

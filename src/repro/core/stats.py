@@ -38,15 +38,9 @@ METRICS: frozenset[str] = frozenset({
     "ts.records_read", "ts.records_inserted", "ts.records_updated",
     "ts.records_deleted", "ts.bytes_touched",
     # write-ahead log and recovery
-    "wal.records", "wal.bytes", "wal.checkpoints",
-    # group commit: log forces, groups formed, leader/follower split
-    "wal.flushes", "wal.group_commits", "wal.group_leads",
-    "wal.group_follows",
+    "wal.records", "wal.bytes", "wal.checkpoints", "wal.flushes",
     "recovery.replayed", "recovery.torn_tail_dropped",
     "recovery.from_checkpoint",
-    # background checkpointer / lazy writer
-    "ckpt.cycles", "ckpt.trickle_pages", "ckpt.background_checkpoints",
-    "ckpt.requests",
     # lock manager
     "lock.acquired", "lock.waits", "lock.wait_steps", "lock.deadlocks",
     # transactions
@@ -76,10 +70,9 @@ METRICS: frozenset[str] = frozenset({
     # :func:`wait_counter`; both sides are listed so the registries stay
     # greppable and the exporters see them like any other counter.
     "waits.admission_queue_us", "waits.lock_wait_us", "waits.latch_wait_us",
-    "waits.wal_force_us", "waits.wal_group_commit_us",
+    "waits.wal_force_us",
     "waits.buffer_read_io_us", "waits.buffer_write_io_us",
-    "waits.ckpt_interference_us", "waits.txn_retry_backoff_us",
-    "waits.deadline_sleep_us",
+    "waits.txn_retry_backoff_us", "waits.deadline_sleep_us",
     # records emitted to the event ring (accounting / slow-query views)
     "obs.slow_queries", "obs.accounting_records",
     # serving layer (repro.serve): admission, sessions, outcomes
@@ -107,11 +100,8 @@ HISTOGRAMS: frozenset[str] = frozenset({
     "xscan.doc_events", "xscan.doc_peak_units",
     # lock manager: simulated wait steps per interactive lock acquire
     "lock.acquire_wait_steps",
-    # write-ahead log: encoded bytes per hardened record, and commits
-    # hardened per group-commit force (p50 > 1 means batching is working)
-    "wal.record_bytes", "wal.group_size",
-    # background checkpointer: dirty pages trickled per lazy-writer cycle
-    "ckpt.trickle_batch",
+    # write-ahead log: encoded bytes per hardened record
+    "wal.record_bytes",
     # buffer pool: pool accesses a frame stayed resident before eviction
     "buffer.eviction_residency",
     # serving layer: admission-queue wait and end-to-end request latency
@@ -142,15 +132,10 @@ WAITS: tuple[str, ...] = (
     "lock.wait",
     # WAL: forcing the log (durable-prefix advance)
     "wal.force",
-    # WAL: parked in the group-commit window (leader) or waiting for the
-    # leader's force to cover our commit (follower)
-    "wal.group_commit",
     # buffer pool: reading a page from the device on miss
     "buffer.read_io",
     # buffer pool: writing a dirty page out (flush or eviction writeback)
     "buffer.write_io",
-    # background checkpointer blocked on the engine latch by foreground work
-    "ckpt.interference",
     # victim-retry backoff sleep between transaction attempts
     "txn.retry_backoff",
     # deadline-bounded timer sleeps (client retry backoff in the harness)
@@ -296,19 +281,17 @@ class StatsRegistry:
     are recorded.
 
     The registry is **thread-safe**: counter/gauge/histogram mutation is
-    guarded by internal locks *striped by metric name* (a read-modify-write
-    on a shared Counter is not atomic, but two threads bumping *different*
-    metrics have no reason to serialize on one hot lock — the same IRLM
-    hashing idea as the striped lock manager).  Whole-map reads
-    (:meth:`snapshot`, :meth:`counters`, :meth:`delta`, :meth:`reset`)
-    take every stripe in index order for a consistent copy.  The
-    accounting sink of :meth:`charge` is *per-thread* — each serving-layer
-    worker charges the transaction it is running, concurrently, without
-    cross-attributing work.  This is what keeps the "per-txn deltas sum to
-    global deltas" reconciliation invariant true under concurrent sessions.
+    guarded by one internal lock (a read-modify-write on a shared Counter
+    is not atomic).  Almost every :meth:`add` already runs under the
+    engine latch; the lock is for the ``serve.*`` counters charged on
+    client threads and for the monitor's reads off the latch.  Whole-map
+    reads (:meth:`snapshot`, :meth:`counters`, :meth:`delta`,
+    :meth:`reset`) copy under it.  The accounting sink of :meth:`charge`
+    is *per-thread* — each serving-layer worker charges the transaction
+    it is running, concurrently, without cross-attributing work.  This is
+    what keeps the "per-txn deltas sum to global deltas" reconciliation
+    invariant true under concurrent sessions.
     """
-
-    _STRIPES = 8
 
     def __init__(self) -> None:
         self._counters: Counter[str] = Counter()
@@ -321,24 +304,10 @@ class StatsRegistry:
         #: replace it (:meth:`EventTrace.install`) for a bigger ring or more
         #: event classes.
         self.events = EventTrace()
-        #: Name-striped locks guarding the shared maps above.
-        self._locks = [threading.Lock() for _ in range(self._STRIPES)]
+        #: The lock guarding the shared maps above.
+        self._lock = threading.Lock()
         #: Per-thread innermost accounting sink — see :meth:`charge`.
         self._local = threading.local()
-
-    def _lock_for(self, name: str) -> threading.Lock:
-        return self._locks[hash(name) % self._STRIPES]
-
-    @contextmanager
-    def _all_locks(self) -> Iterator[None]:
-        """Every stripe, in index order (whole-map consistency)."""
-        for lock in self._locks:
-            lock.acquire()
-        try:
-            yield
-        finally:
-            for lock in reversed(self._locks):
-                lock.release()
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increase counter ``name`` by ``amount``.
@@ -355,7 +324,7 @@ class StatsRegistry:
             # costs (and how many checks fire depends on thread timing,
             # breaking the deltas-sum-to-global reconciliation).
             sink = None
-        with self._lock_for(name):
+        with self._lock:
             self._counters[name] += amount
             if sink is not None:
                 sink[name] += amount
@@ -366,7 +335,7 @@ class StatsRegistry:
 
     def set_high_water(self, name: str, value: int) -> None:
         """Record ``value`` into gauge ``name`` if it exceeds the old mark."""
-        with self._lock_for(name):
+        with self._lock:
             if value > self._gauges.get(name, 0):
                 self._gauges[name] = value
 
@@ -376,7 +345,7 @@ class StatsRegistry:
 
     def gauges(self) -> dict[str, int]:
         """All gauges (high-water marks) as a plain dict."""
-        with self._all_locks():
+        with self._lock:
             return dict(self._gauges)
 
     def observe(self, name: str, value: int) -> None:
@@ -386,7 +355,7 @@ class StatsRegistry:
         ``stats-hygiene`` checker (STAT003) enforces it, exactly as
         STAT002 does for counters.
         """
-        with self._lock_for(name):
+        with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
@@ -398,12 +367,12 @@ class StatsRegistry:
 
     def histograms(self) -> dict[str, Histogram]:
         """All histograms keyed by name."""
-        with self._all_locks():
+        with self._lock:
             return dict(self._histograms)
 
     def reset(self) -> None:
         """Zero every counter, gauge and histogram."""
-        with self._all_locks():
+        with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
@@ -411,7 +380,7 @@ class StatsRegistry:
 
     def counters(self) -> dict[str, int]:
         """All counters (no gauges) as a plain dict."""
-        with self._all_locks():
+        with self._lock:
             copied = dict(self._counters)
         self._witness_whole_map(write=False)
         return copied
@@ -423,7 +392,7 @@ class StatsRegistry:
         sharing a counter's name can never clobber the counter (they are
         different quantities: monotone totals vs high-water marks).
         """
-        with self._all_locks():
+        with self._lock:
             merged: dict[str, int] = dict(self._counters)
             for name, value in self._gauges.items():
                 merged[f"gauge:{name}"] = value
@@ -433,14 +402,14 @@ class StatsRegistry:
     def _witness_whole_map(self, write: bool) -> None:
         """Report a whole-map operation to the lockset sanitizer.
 
-        Reported *after* the stripe region (reporting inside it would
-        recurse into :meth:`add` against the non-reentrant stripes), with
-        the stripe family attested via ``extra_held`` — every whole-map
-        operation really does hold all stripes for its duration.
+        Reported *after* the locked region (reporting inside it would
+        recurse into :meth:`add` against the non-reentrant lock), with the
+        lock attested via ``extra_held`` — every whole-map operation really
+        does hold it for its duration.
         """
         if _sanitize.enabled():
             _sanitize.shared_access(self, "StatsRegistry", "_counters",
-                                    write, extra_held=("stats.stripe",))
+                                    write, extra_held=("stats._lock",))
 
     # -- tracing hooks ----------------------------------------------------
 
@@ -580,13 +549,13 @@ class StatsRegistry:
                 run_query()
             print(d.get("disk.page_reads", 0))
         """
-        with self._all_locks():
+        with self._lock:
             before = dict(self._counters)
         out: dict[str, int] = {}
         try:
             yield out
         finally:
-            with self._all_locks():
+            with self._lock:
                 after = dict(self._counters)
             out.update(counter_deltas(before, after))
 

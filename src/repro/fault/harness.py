@@ -12,16 +12,13 @@ document plus every base row) and cross-check every XPath value index
 against a freshly rebuilt one, so crash tests can assert the recovered
 database is exactly the committed prefix with consistent indexes.
 
-Group commit adds two crash points inside the group force itself —
-``wal.group.pre_flush`` (the batch of COMMIT records is appended but none
-is durable) and ``wal.group.post_flush`` (the whole batch just hardened).
-Because :class:`~repro.rdb.wal.LogManager.save` persists only the durable
-prefix and the log *halts* when a crash escapes the force, ``run`` hardens
-exactly what a real crash would have: pre-flush loses the whole group,
-post-flush keeps it, and nothing the dead process did afterwards can leak
-into the WAL.  :func:`recovered_commit_txns` extracts the committed txn
-ids from a reloaded log so tests can assert "every acknowledged commit is
-recovered; nothing unacknowledged is acknowledged twice".
+Because :meth:`~repro.rdb.wal.LogManager.save` persists only the durable
+prefix and the log *halts* when a crash fires at one of its points,
+``run`` hardens exactly what a real crash would have: nothing a surviving
+worker did after the crash can leak into the WAL.
+:func:`recovered_commit_txns` extracts the committed txn ids from a
+reloaded log so tests can assert "acknowledged ⊆ recovered ⊆
+submitted".
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ def recovered_commit_txns(log: LogManager) -> set[int]:
     """Txn ids whose COMMIT record survived in ``log``.
 
     After a crash-and-reload this is the set of transactions recovery will
-    replay as committed.  Group-commit tests compare it against the ids the
+    replay as committed.  Crash tests compare it against the ids the
     *clients* saw acknowledged: acknowledged ⊆ recovered proves no durable
     commit was lost; recovered ⊆ submitted proves no phantom commit was
     manufactured.

@@ -40,7 +40,6 @@ _HELP_OVERRIDES = {
                            "microseconds",
     "waits.request_wait_us": "Total suspension time per request/txn wait "
                              "clock in microseconds (all wait classes)",
-    "wal.group_size": "COMMIT records hardened per group-commit log force",
 }
 
 

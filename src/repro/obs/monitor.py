@@ -98,12 +98,11 @@ class WalView:
     bytes_since_checkpoint: int
     last_checkpoint_lsn: int | None
     checkpoints: int
-    #: Records at or below the flush boundary; with group commit off this
-    #: always equals ``records`` (every append auto-flushes).
+    #: Records at or below the flush boundary; equals ``records`` unless
+    #: the log runs with ``auto_flush`` off.
     durable_records: int = 0
     unflushed_records: int = 0
     flushes: int = 0
-    group_commits: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +115,6 @@ class WalView:
             "durable_records": self.durable_records,
             "unflushed_records": self.unflushed_records,
             "flushes": self.flushes,
-            "group_commits": self.group_commits,
         }
 
 
@@ -215,7 +213,7 @@ class MonitorSnapshot:
              f"last checkpoint LSN {wal.last_checkpoint_lsn})"),
             (f"  durable {wal.durable_records} "
              f"(+{wal.unflushed_records} volatile), "
-             f"{wal.flushes} forces, {wal.group_commits} group commits"),
+             f"{wal.flushes} forces"),
             "=== TRANSACTIONS ===",
         ]
         if self.transactions:
@@ -314,8 +312,8 @@ class Monitor:
         commands must work *while* the engine is busy, including when a
         request thread is stuck holding the latch.  Each view builder is
         therefore a latch-free read retried on torn dict iteration (see
-        :meth:`_stable`); structures with their own latches (lock stripes)
-        copy under those, and the event ring copies atomically.
+        :meth:`_stable`); the lock table copies under its own lock, and the
+        event ring copies atomically.
         """
         from repro.obs.waits import wait_profile
 
@@ -400,7 +398,6 @@ class Monitor:
             durable_records=log.durable_count,
             unflushed_records=log.unflushed_count,
             flushes=stats.get("wal.flushes"),
-            group_commits=stats.get("wal.group_commits"),
         )
 
     def _transactions(self) -> tuple[TxnView, ...]:

@@ -47,9 +47,8 @@ def render_histograms(histograms: dict[str, dict]) -> list[str]:
 
     Every histogram present in the artifact is rendered — including the
     serving-layer latency distributions (``serve.request_us``,
-    ``serve.queue_wait_us``), the group-commit batch shape
-    (``wal.group_size``) and the wait clock (``waits.request_wait_us``) —
-    the report computes quantiles from whatever buckets it is handed
+    ``serve.queue_wait_us``) and the wait clock (``waits.request_wait_us``)
+    — the report computes quantiles from whatever buckets it is handed
     rather than a fixed name list.
     """
     lines = ["== HISTOGRAMS ==",
@@ -148,19 +147,17 @@ def render_artifact(artifact: dict, title: str = "") -> str:
 def _demo_artifact() -> dict:
     """Run a tiny workload on an in-memory engine and export it.
 
-    The demo goes through the *serving layer* with group commit enabled —
-    not straight engine calls — so the report's own smoke path populates
-    the post-serving-layer histograms (``serve.request_us``,
-    ``serve.queue_wait_us``, ``wal.group_size``) and the wait clock,
-    exactly the distributions a real artifact carries.
+    The demo goes through the *serving layer* — not straight engine
+    calls — so the report's own smoke path populates the post-serving-layer
+    histograms (``serve.request_us``, ``serve.queue_wait_us``) and the wait
+    clock, exactly the distributions a real artifact carries.
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import Database
     from repro.obs.exporters import engine_metrics
     from repro.serve.server import DatabaseServer
 
-    config = EngineConfig(slow_query_events=1, txn_group_commit=True,
-                          serve_workers=2)
+    config = EngineConfig(slow_query_events=1, serve_workers=2)
     db = Database(config)
     db.create_table("demo", [("id", "bigint"), ("doc", "xml")])
     server = DatabaseServer(db).start()
@@ -171,10 +168,6 @@ def _demo_artifact() -> dict:
                                            f"widget</item></order>"))
             session.query("demo", "doc", "/order/item")
     finally:
-        # Every write goes through the server: with group commit on, the
-        # log is a shared field the lockset sanitizer tracks, and mixing
-        # served (latch-held) commits with direct engine commits would be
-        # exactly the disjoint-lockset pattern it exists to reject.
         server.shutdown(drain=True)
     return engine_metrics(db)
 

@@ -120,8 +120,8 @@ class BufferPool:
         """
         frame = self._frames.get(page_id)
         if frame is not None and frame.dirty:
-            # Checkpoint flushes, lazy-writer trickles and eviction
-            # writeback all suspend here (DB2 class-3 "write I/O").
+            # Checkpoint flushes and eviction writeback both suspend here
+            # (DB2 class-3 "write I/O").
             with self.stats.wait_timer("buffer.write_io"):
                 self.disk.write_page(page_id, bytes(frame.data))
             frame.dirty = False
@@ -142,22 +142,6 @@ class BufferPool:
     def dirty_count(self) -> int:
         """Number of resident frames holding unflushed modifications."""
         return sum(1 for frame in self._frames.values() if frame.dirty)
-
-    def dirty_page_ages(self) -> list[tuple[int, int]]:
-        """``(residency age, page_id)`` of dirty unpinned frames, oldest
-        first.
-
-        Age is pool accesses since the frame was loaded — the same
-        quantity the ``buffer.eviction_residency`` histogram observes at
-        eviction time, which is how the background lazy writer picks
-        victims: a dirty page whose age has reached the histogram median
-        is one eviction would soon write back *synchronously* anyway.
-        """
-        ages = [(self._clock - frame.loaded_tick, page_id)
-                for page_id, frame in self._frames.items()
-                if frame.dirty and frame.pin_count == 0]
-        ages.sort(reverse=True)
-        return ages
 
     def pinned_pages(self) -> list[int]:
         """Page ids of frames currently pinned (sanitizer/quiesce probe)."""

@@ -73,74 +73,35 @@ def mode_lub(a: LockMode, b: LockMode) -> LockMode:
     return _LUB[(a, b)]
 
 
-def _stripe_latch(token: str) -> object:
-    """A stripe latch: tracked when the sanitizers are armed at build time.
-
-    Token identity is the stripe *family*, not the instance — the lockset
-    discipline reasons about "some resource-stripe latch held", which is
-    the same granularity the static guard inference uses.  Plain
-    ``threading.Lock`` when disarmed: stripes are the lock manager's hot
-    path and the tracked wrapper is not free.
-    """
-    if _sanitize.enabled():
-        return _sanitize.TrackedLock(token)
-    return threading.Lock()
-
-
-class _ResourceStripe:
-    """One shard of the granted-lock table, with its own latch."""
-
-    __slots__ = ("latch", "granted")
-
-    def __init__(self) -> None:
-        self.latch = _stripe_latch("lock.resource_stripe")
-        #: {resource: {txn_id: mode}}
-        self.granted: dict[object, dict[int, LockMode]] = {}
-
-
-class _TxnStripe:
-    """One shard of the per-transaction bookkeeping (held + waits-for)."""
-
-    __slots__ = ("latch", "held", "waits_for")
-
-    def __init__(self) -> None:
-        self.latch = _stripe_latch("lock.txn_stripe")
-        #: {txn_id: set of resources held}
-        self.held: dict[int, set[object]] = {}
-        #: {waiter txn_id: set of blocker txn_ids}
-        self.waits_for: dict[int, set[int]] = {}
-
-
 class LockManager:
-    """Striped lock table with per-transaction bookkeeping.
+    """The lock table: granted modes, per-transaction holdings, waits-for.
 
-    The table is sharded the way DB2's IRLM hashes lock names: resources
-    hash onto :class:`_ResourceStripe` shards of the granted-lock table and
-    transaction ids onto :class:`_TxnStripe` shards of the held/waits-for
-    maps, each stripe with its own latch.  A request touches exactly one
-    stripe of each kind and never holds two stripe latches at once, so the
-    stripes cannot deadlock against each other and concurrent requests on
-    different resources no longer serialize on one hot dict lock.
-
-    Consistency note: an operation sees each stripe atomically but the
-    *cross*-stripe view (``lock_table``, ``find_deadlock``) is a sequence
-    of per-stripe snapshots — the same fuzziness a real striped lock
-    manager accepts, and engine entries still run under the engine latch.
+    Three plain maps behind **one** lock.  Every engine entry already runs
+    under the engine latch, so the lock never splits real contention; it
+    exists for the readers that run off the latch — the monitor's
+    lock-table snapshot and the overload guard's :meth:`waiter_count` on
+    the admission path.  It is a tracked latch (token ``locks._lock``) when
+    the sanitizers are armed at construction, a plain ``threading.Lock``
+    otherwise.
     """
 
-    def __init__(self, stats: StatsRegistry | None = None,
-                 stripes: int = 16) -> None:
+    def __init__(self, stats: StatsRegistry | None = None) -> None:
         self.stats = default_stats(stats)
-        count = max(1, stripes)
-        self._resource_stripes = [_ResourceStripe() for _ in range(count)]
-        self._txn_stripes = [_TxnStripe() for _ in range(count)]
+        self._lock = _sanitize.TrackedLock("locks._lock") \
+            if _sanitize.enabled() else threading.Lock()
+        #: {resource: {txn_id: mode}}
+        self._granted: dict[object, dict[int, LockMode]] = {}
+        #: {txn_id: set of resources held}
+        self._held: dict[int, set[object]] = {}
+        #: {waiter txn_id: set of blocker txn_ids}
+        self._waits_for: dict[int, set[int]] = {}
 
-    def _resource_stripe(self, resource: object) -> _ResourceStripe:
-        return self._resource_stripes[hash(resource)
-                                      % len(self._resource_stripes)]
-
-    def _txn_stripe(self, txn_id: int) -> _TxnStripe:
-        return self._txn_stripes[hash(txn_id) % len(self._txn_stripes)]
+    def _witness(self, *fields: str) -> None:
+        """Report writes to the lock-table maps to the lockset sanitizer."""
+        if _sanitize.enabled():
+            for field in fields:
+                _sanitize.shared_access(self.stats, "LockManager", field,
+                                        write=True)
 
     def try_acquire(self, txn_id: int, resource: object, mode: LockMode) -> bool:
         """Grant ``mode`` on ``resource`` to ``txn_id`` if compatible.
@@ -148,12 +109,9 @@ class LockManager:
         Re-requests upgrade to the least upper bound of held and requested
         modes.  On conflict, records waits-for edges and returns ``False``.
         """
-        stripe = self._resource_stripe(resource)
-        with stripe.latch:
-            if _sanitize.enabled():
-                _sanitize.shared_access(self.stats, "LockStripe",
-                                        "granted", write=True)
-            holders = stripe.granted.setdefault(resource, {})
+        with self._lock:
+            self._witness("_granted", "_held", "_waits_for")
+            holders = self._granted.setdefault(resource, {})
             held = holders.get(txn_id)
             effective = mode if held is None else mode_lub(held, mode)
             blockers = [
@@ -161,30 +119,19 @@ class LockManager:
                 if other != txn_id
                 and not mode_compatible(effective, other_mode)
             ]
-            if not blockers:
+            if blockers:
+                self._waits_for.setdefault(txn_id, set()).update(blockers)
+            else:
                 holders[txn_id] = effective
-        txn_stripe = self._txn_stripe(txn_id)
+                self._held.setdefault(txn_id, set()).add(resource)
+                self._waits_for.pop(txn_id, None)
         if blockers:
             self.stats.add("lock.waits")
             self.stats.trace_event("lock.wait", txn=txn_id,
                                    resource=str(resource),
                                    mode=effective.name,
                                    blockers=len(blockers))
-            with txn_stripe.latch:
-                if _sanitize.enabled():
-                    _sanitize.shared_access(self.stats, "LockStripe",
-                                            "waits_for", write=True)
-                txn_stripe.waits_for.setdefault(txn_id, set()) \
-                    .update(blockers)
             return False
-        with txn_stripe.latch:
-            if _sanitize.enabled():
-                _sanitize.shared_access(self.stats, "LockStripe",
-                                        "held", write=True)
-                _sanitize.shared_access(self.stats, "LockStripe",
-                                        "waits_for", write=True)
-            txn_stripe.held.setdefault(txn_id, set()).add(resource)
-            txn_stripe.waits_for.pop(txn_id, None)
         self.stats.add("lock.acquired")
         if _sanitize.enabled():
             _sanitize.on_lock_acquired(self.stats, txn_id, resource)
@@ -193,18 +140,16 @@ class LockManager:
     def holds(self, txn_id: int, resource: object,
               mode: LockMode | None = None) -> bool:
         """Whether ``txn_id`` holds ``resource`` (at least in ``mode``)."""
-        stripe = self._resource_stripe(resource)
-        with stripe.latch:
-            held = stripe.granted.get(resource, {}).get(txn_id)
+        with self._lock:
+            held = self._granted.get(resource, {}).get(txn_id)
         if held is None:
             return False
         return mode is None or mode_lub(held, mode) == held
 
     def holders(self, resource: object) -> dict[int, LockMode]:
         """Snapshot of granted modes on ``resource``."""
-        stripe = self._resource_stripe(resource)
-        with stripe.latch:
-            return dict(stripe.granted.get(resource, {}))
+        with self._lock:
+            return dict(self._granted.get(resource, {}))
 
     def release_all(self, txn_id: int) -> None:
         """Drop every lock held by ``txn_id`` (commit/abort time).
@@ -216,33 +161,20 @@ class LockManager:
         overload guard sheds on that number) even though nothing blocks
         the transaction any more.
         """
-        txn_stripe = self._txn_stripe(txn_id)
-        with txn_stripe.latch:
-            if _sanitize.enabled():
-                _sanitize.shared_access(self.stats, "LockStripe",
-                                        "held", write=True)
-                _sanitize.shared_access(self.stats, "LockStripe",
-                                        "waits_for", write=True)
-            held = txn_stripe.held.pop(txn_id, set())
-            txn_stripe.waits_for.pop(txn_id, None)
-        for resource in held:
-            stripe = self._resource_stripe(resource)
-            with stripe.latch:
-                if _sanitize.enabled():
-                    _sanitize.shared_access(self.stats, "LockStripe",
-                                            "granted", write=True)
-                holders = stripe.granted.get(resource)
+        with self._lock:
+            self._witness("_granted", "_held", "_waits_for")
+            for resource in self._held.pop(txn_id, ()):
+                holders = self._granted.get(resource)
                 if holders is not None:
                     holders.pop(txn_id, None)
                     if not holders:
-                        del stripe.granted[resource]
-        for stripe in self._txn_stripes:
-            with stripe.latch:
-                for waiter in list(stripe.waits_for):
-                    edges = stripe.waits_for[waiter]
-                    edges.discard(txn_id)
-                    if not edges:
-                        del stripe.waits_for[waiter]
+                        del self._granted[resource]
+            self._waits_for.pop(txn_id, None)
+            for waiter in list(self._waits_for):
+                edges = self._waits_for[waiter]
+                edges.discard(txn_id)
+                if not edges:
+                    del self._waits_for[waiter]
         if _sanitize.enabled():
             _sanitize.on_locks_released(txn_id)
 
@@ -253,59 +185,39 @@ class LockManager:
         transaction keeps what it holds but no longer waits, so its stale
         edges cannot produce false deadlock cycles.
         """
-        stripe = self._txn_stripe(txn_id)
-        with stripe.latch:
-            stripe.waits_for.pop(txn_id, None)
+        with self._lock:
+            self._witness("_waits_for")
+            self._waits_for.pop(txn_id, None)
 
     def locks_held(self, txn_id: int) -> int:
         """Number of resources currently locked by ``txn_id``."""
-        stripe = self._txn_stripe(txn_id)
-        with stripe.latch:
-            return len(stripe.held.get(txn_id, ()))
+        with self._lock:
+            return len(self._held.get(txn_id, ()))
 
     # -- introspection (DISPLAY-style snapshots, repro.obs.monitor) --------
 
     def lock_table(self) -> dict[object, dict[int, LockMode]]:
-        """Copy of the granted-lock table: ``{resource: {txn: mode}}``.
-
-        Empty holder maps (a resource whose last lock was just released)
-        are omitted, so the result reflects only live grants.
-        """
-        table: dict[object, dict[int, LockMode]] = {}
-        for stripe in self._resource_stripes:
-            with stripe.latch:
-                for resource, holders in stripe.granted.items():
-                    if holders:
-                        table[resource] = dict(holders)
-        return table
+        """Copy of the granted-lock table: ``{resource: {txn: mode}}``."""
+        with self._lock:
+            return {resource: dict(holders)
+                    for resource, holders in self._granted.items()}
 
     def waiter_count(self) -> int:
         """Number of transactions currently recorded as waiting.
 
-        Unlike :meth:`waits_for_edges` this does not copy the graph — it
-        sums per-stripe dict lengths, each atomic under the GIL — so it is
-        safe (and O(stripes)) to call from a monitoring thread without the
-        engine latch; the serving layer's overload guard reads it on the
-        admission path.  :meth:`release_all` keeps the stripes free of
-        empty edge sets, so every counted entry is a real waiter.
-
-        Deliberately *not* witnessed by the lockset sanitizer: this is the
-        one latch-free read of ``waits_for``, and it is latch-free by
-        design — witnessing it would (correctly, per the Eraser rules)
-        empty the field's candidate lockset and trip on an access the
-        engine has decided to allow.
+        Unlike :meth:`waits_for_edges` this does not copy the graph, so the
+        serving layer's overload guard can afford it on the admission path.
+        :meth:`release_all` keeps the map free of empty edge sets, so every
+        counted entry is a real waiter.
         """
-        return sum(len(stripe.waits_for) for stripe in self._txn_stripes)
+        with self._lock:
+            return len(self._waits_for)
 
     def waits_for_edges(self) -> dict[int, frozenset[int]]:
         """Copy of the waits-for graph: ``{waiter: blockers}``."""
-        edges: dict[int, frozenset[int]] = {}
-        for stripe in self._txn_stripes:
-            with stripe.latch:
-                for waiter, blockers in stripe.waits_for.items():
-                    if blockers:
-                        edges[waiter] = frozenset(blockers)
-        return edges
+        with self._lock:
+            return {waiter: frozenset(blockers)
+                    for waiter, blockers in self._waits_for.items()}
 
     def find_deadlock(self) -> list[int] | None:
         """Return a cycle of transaction ids in the waits-for graph, if any."""

@@ -267,12 +267,8 @@ class Transaction:
     def commit(self) -> None:
         self._check_active()
         with self.charging():
-            # Routed through the manager: with a GroupCommitter attached
-            # the COMMIT record is hardened by a shared group force (and
-            # this call returns only once it is durable); without one it
-            # is a plain auto-flushed append.  If the force raises (a
-            # simulated crash mid-group) the transaction stays ACTIVE —
-            # its commit was never acknowledged.
+            # If the COMMIT append raises (a simulated crash) the
+            # transaction stays ACTIVE: its commit was never acknowledged.
             self._manager.commit_record(self.txn_id)
         self.state = TxnState.COMMITTED
         self._undo.clear()
@@ -337,14 +333,6 @@ class TransactionManager:
         #: another worker thread and release it.  ``None`` (the default)
         #: keeps the single-threaded simulated wait loop unchanged.
         self.lock_wait_yield: Callable[[], None] | None = None
-        #: optional :class:`~repro.rdb.wal.GroupCommitter`: when attached,
-        #: :meth:`commit_record` batches COMMIT hardening through it.
-        self.group_commit: "object | None" = None
-        #: optional hook that *requests* a checkpoint from a background
-        #: checkpointer instead of running one synchronously on the
-        #: committing thread; installed by the serving layer alongside
-        #: :class:`~repro.core.checkpointer.Checkpointer`.
-        self.checkpoint_async: Callable[[], None] | None = None
         self._commits_since_checkpoint = 0
         self._ids = itertools.count(1)
         self.active: dict[int, Transaction] = {}
@@ -371,11 +359,8 @@ class TransactionManager:
         return txn.charging()
 
     def commit_record(self, txn_id: int) -> None:
-        """Harden ``txn_id``'s COMMIT record (group force or plain append)."""
-        if self.group_commit is not None:
-            self.group_commit.commit(txn_id)
-        else:
-            self.log.append(txn_id, LogOp.COMMIT)
+        """Harden ``txn_id``'s COMMIT record."""
+        self.log.append(txn_id, LogOp.COMMIT)
 
     def checkpoint(self) -> None:
         """Write a WAL checkpoint describing the in-flight transactions."""
@@ -404,11 +389,4 @@ class TransactionManager:
         if txn.state is TxnState.COMMITTED and self.checkpoint_every > 0:
             self._commits_since_checkpoint += 1
             if self._commits_since_checkpoint >= self.checkpoint_every:
-                if self.checkpoint_async is not None:
-                    # Background checkpointer attached: signal it instead
-                    # of stalling this (request) thread on a synchronous
-                    # flush-everything checkpoint.
-                    self._commits_since_checkpoint = 0
-                    self.checkpoint_async()
-                else:
-                    self.checkpoint()
+                self.checkpoint()

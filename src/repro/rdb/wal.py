@@ -16,14 +16,11 @@ gives — while corruption in the *middle* of the log raises
 no longer be trusted.
 
 The log distinguishes the *appended* tail from the *durable* prefix.  With
-``auto_flush`` (the default) every append hardens immediately — the
-single-threaded behaviour every pre-group-commit test relies on.  With
+``auto_flush`` (the default) every append hardens immediately.  With
 ``auto_flush`` off, appends land in the volatile tail and only
 :meth:`LogManager.flush` advances the durable boundary; :meth:`save`
 persists the durable prefix only, exactly what stable storage would hold
-after a crash.  :class:`GroupCommitter` builds the DB2-style group commit
-(one log force shared by every committer in a window — the "log latch"
-batching of DB2 for z/OS) on top of that boundary.
+after a crash.
 
 ``CHECKPOINT`` records carry the set of loser transactions (in-flight or
 aborted) at checkpoint time, so :func:`replay`'s analysis pass can start at
@@ -37,7 +34,6 @@ have to harden.
 from __future__ import annotations
 
 import enum
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -130,7 +126,7 @@ class LogManager:
     fires the crash points ``wal.append.pre`` / ``wal.append.post`` (and
     op-specific ``wal.commit.pre`` / ``wal.commit.post`` /
     ``wal.checkpoint.post``) so crash tests can cut the log at precisely
-    defined instants.
+    defined instants.  A crash at any of them halts the log (:meth:`halt`).
     """
 
     def __init__(self, stats: StatsRegistry | None = None,
@@ -139,8 +135,8 @@ class LogManager:
         self.stats = default_stats(stats)
         self.injector = injector
         #: With ``auto_flush`` every append is immediately durable (the
-        #: classic one-force-per-record discipline).  Group commit turns it
-        #: off so :meth:`flush` can harden a whole window in one force.
+        #: classic one-force-per-record discipline); off, appends wait in
+        #: the volatile tail for :meth:`flush`.
         self.auto_flush = auto_flush
         self._records: list[LogRecord] = []
         self._bytes = 0
@@ -178,25 +174,30 @@ class LogManager:
         return self._durable_count
 
     @property
-    def durable_lsn(self) -> int:
-        """LSN of the newest durable record (-1 while nothing is durable)."""
-        return self._durable_count - 1
-
-    @property
     def unflushed_count(self) -> int:
         """Appended records still in the volatile tail."""
         return len(self._records) - self._durable_count
 
     def _hit(self, point: str) -> None:
-        if self.injector is not None:
+        if self.injector is None:
+            return
+        try:
             self.injector.hit(point)
+        except Exception:
+            raise  # a non-fatal injected failure: the log lives on
+        except BaseException as crash:
+            # A simulated crash: the log dies before the exception leaves
+            # the caller's latched region, so no surviving worker can
+            # harden a record after it.
+            self.halt(crash)
+            raise
 
     def _check_halted(self) -> None:
         if self._halted is not None:
             raise self._halted
 
     def halt(self, error: BaseException) -> None:
-        """Mark the logging path dead (simulated crash mid-group-commit).
+        """Mark the logging path dead (a simulated crash hit a log point).
 
         Surviving worker threads that try to append or flush afterwards
         re-raise ``error`` — a crashed process cannot keep hardening log
@@ -276,7 +277,7 @@ class LogManager:
                                  encode_checkpoint(losers))
             # A checkpoint must reach stable storage: recovery's analysis
             # pass starts here, so the record (and everything before it)
-            # is forced even when group commit has auto_flush off.
+            # is forced even with auto_flush off.
             self.flush()
             self._bytes_at_checkpoint = self._bytes
             self.stats.add("wal.checkpoints")
@@ -312,8 +313,8 @@ class LogManager:
         Each record is framed as ``length(4) || crc32(4) || body`` so that
         :meth:`load` can tell a torn tail from mid-log corruption.  Only
         records at or below the flush boundary are written: a volatile tail
-        (appends never forced by group commit before the crash) is exactly
-        what a real crash loses.  Under ``auto_flush`` the boundary tracks
+        (appends never forced before the crash) is exactly what a real
+        crash loses.  Under ``auto_flush`` the boundary tracks
         every append, so the whole log persists as before.
         """
         with open(path, "wb") as fh:
@@ -380,133 +381,6 @@ class LogManager:
         # durable.
         log._durable_count = len(log._records)
         return log
-
-
-class GroupCommitter:
-    """Batch COMMIT-record hardening from concurrent transactions.
-
-    The leader/follower protocol of DB2's log latch: the first committer
-    in a window becomes the *leader*, waits briefly for companions (with
-    the engine latch yielded, so they can actually append), then forces
-    the whole volatile tail in one :meth:`LogManager.flush`.  *Followers*
-    — committers arriving while a leader is collecting — append their
-    COMMIT record and block on their ticket (their LSN crossing the
-    durable boundary) instead of forcing their own flush.
-
-    All state is mutated only under the engine latch (every caller is an
-    engine entry), so the class needs no lock of its own; the only blocking
-    primitive is ``yield_wait``, the latch-release-and-sleep hook the
-    serving layer installs.  Without a server (``yield_wait`` is ``None``)
-    a commit leads immediately and flushes a group of one — the
-    single-threaded behaviour, just routed through the same window.
-
-    Crash points ``wal.group.pre_flush`` / ``wal.group.post_flush`` fire
-    around the group force so the crash harness can kill the process with
-    a window's commits appended-but-volatile (all of them must vanish on
-    restart: none was acknowledged) or flushed-but-unacknowledged (all of
-    them must survive: they were durable, only the acks were lost).  A
-    crash inside the window halts the log: surviving workers' commits
-    re-raise instead of hardening post-mortem state.
-    """
-
-    def __init__(self, log: LogManager, stats: StatsRegistry | None = None,
-                 window: float = 0.002, max_group: int = 64) -> None:
-        self.log = log
-        self.stats = stats if stats is not None else log.stats
-        #: Seconds the leader waits for companions before forcing.
-        self.window = window
-        #: Force early once this many commits are waiting on the window.
-        self.max_group = max(1, max_group)
-        #: Latch-release-and-sleep hook (installed by the serving layer).
-        #: ``None`` means single-threaded: lead and force immediately.
-        self.yield_wait: Callable[[float], None] | None = None
-        #: Sleep per collection step — fine enough that followers notice
-        #: the flush promptly, long enough to actually yield the latch.
-        self.step = 0.0002
-        self._leader_active = False
-        self._pending = 0  # COMMIT records appended but not yet forced
-
-    @property
-    def pending(self) -> int:
-        """COMMIT records waiting on the next group force."""
-        return self._pending
-
-    def commit(self, txn_id: int) -> LogRecord:
-        """Append ``txn_id``'s COMMIT record and return once it is durable.
-
-        Raises whatever killed the group (a simulated crash) if the log
-        has been halted — an unacknowledged commit, by construction.
-        """
-        # Baselined RACE001s (ambient engine latch): every caller reaches
-        # here with db.latch held, which the static call graph cannot
-        # prove.  The lockset witnesses below keep the claim honest — if a
-        # latchless caller ever commits, sanitize.race.lockset trips.
-        if _sanitize.enabled():
-            _sanitize.shared_access(self.stats, "GroupCommitter", "log",
-                                    write=True)
-            _sanitize.shared_access(self.stats, "GroupCommitter",
-                                    "_pending", write=True)
-        record = self.log.append(txn_id, LogOp.COMMIT)
-        self._pending += 1
-        if self._leader_active:
-            self.stats.add("wal.group_follows")
-            self._follow(record.lsn)
-        else:
-            self.stats.add("wal.group_leads")
-            self._lead()
-        return record
-
-    def _lead(self) -> None:
-        """Collect companions for a window, then force the group."""
-        if _sanitize.enabled():
-            _sanitize.shared_access(self.stats, "GroupCommitter",
-                                    "_leader_active", write=True)
-        self._leader_active = True
-        try:
-            waiter = self.yield_wait
-            if waiter is not None and self.window > 0:
-                deadline = time.monotonic() + self.window
-                with self.stats.wait_timer("wal.group_commit"):
-                    while (self._pending < self.max_group
-                           and time.monotonic() < deadline):
-                        waiter(self.step)  # latch released: followers append
-            self._force_group()
-        finally:
-            self._leader_active = False
-
-    def _follow(self, lsn: int) -> None:
-        """Wait on the ticket: our LSN crossing the durable boundary."""
-        waiter = self.yield_wait
-        while self.log.durable_lsn < lsn:
-            if waiter is None or not self._leader_active:
-                # The leader is gone (or there is no way to wait): force
-                # the remainder ourselves rather than spin.  Charged per
-                # step (not around the loop): _force_group's flush has its
-                # own wal.force timer, and wait regions must not nest.
-                self._force_group()
-                return
-            with self.stats.wait_timer("wal.group_commit"):
-                waiter(self.step)
-
-    def _force_group(self) -> None:
-        """One log force covering every pending commit in the window."""
-        if _sanitize.enabled():
-            _sanitize.shared_access(self.stats, "GroupCommitter",
-                                    "_pending", write=True)
-        batch = self._pending
-        try:
-            self.log._hit("wal.group.pre_flush")
-            self.log.flush()
-            self.log._hit("wal.group.post_flush")
-        except BaseException as error:
-            # The simulated process died mid-force.  Nothing else may
-            # harden log state after this instant.
-            self.log.halt(error)
-            raise
-        self._pending = 0
-        if batch > 0:
-            self.stats.add("wal.group_commits")
-            self.stats.observe("wal.group_size", batch)
 
 
 def replay(log: LogManager,

@@ -158,12 +158,6 @@ class LoadReport:
     verified: bool
     verify_errors: list
     counters: dict
-    #: group-commit shape: how many txns each log force hardened (0s when
-    #: group commit is off — every commit forces alone).
-    wal_flushes: int = 0
-    wal_group_commits: int = 0
-    group_size_p50: int = 0
-    group_size_max: int = 0
     #: class-3-style wait profile: per-class totals plus the per-request
     #: total-wait distribution (`waits.request_wait_us`).
     waits_by_class: dict = field(default_factory=dict)
@@ -192,12 +186,6 @@ class LoadReport:
             },
             "verified": self.verified,
             "verify_errors": self.verify_errors,
-            "group_commit": {
-                "wal_flushes": self.wal_flushes,
-                "group_commits": self.wal_group_commits,
-                "group_size_p50": self.group_size_p50,
-                "group_size_max": self.group_size_max,
-            },
             "waits": {
                 "total_us": self.wait_total_us,
                 "request_wait_p50_us": self.p50_request_wait_us,
@@ -364,8 +352,7 @@ class LoadHarness:
         failures = [f for tally in tallies for f in tally.failures]
         counters = {name: value for name, value in snapshot.items()
                     if name.startswith(("serve.", "txn.", "lock.", "wal.",
-                                        "ckpt.", "waits.", "sanitize."))}
-        group_hist = stats.histogram("wal.group_size")
+                                        "waits.", "sanitize."))}
         return LoadReport(
             clients=len(tallies),
             ops_per_client=ops_per_client,
@@ -388,10 +375,6 @@ class LoadHarness:
             verified=not verify_errors and not failures,
             verify_errors=verify_errors,
             counters=counters,
-            wal_flushes=counters.get("wal.flushes", 0),
-            wal_group_commits=counters.get("wal.group_commits", 0),
-            group_size_p50=group_hist.quantile(0.5) if group_hist else 0,
-            group_size_max=group_hist.max if group_hist else 0,
             waits_by_class=waits_by_class,
             wait_total_us=sum(waits_by_class.values()),
             p50_request_wait_us=wait_hist.quantile(0.5)
@@ -504,12 +487,6 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--queue-limit", type=int, default=64)
     parser.add_argument("--deadline", type=float, default=5.0,
                         help="per-request deadline in seconds")
-    parser.add_argument("--group-commit", action="store_true",
-                        help="batch COMMIT hardening across sessions "
-                             "(one log force per group)")
-    parser.add_argument("--background-checkpointer", action="store_true",
-                        help="run checkpoints and dirty-page trickling on "
-                             "a background thread")
     parser.add_argument("--out", type=str, default="",
                         help="write the JSON report here")
     parser.add_argument("--trace-out", type=str, default="",
@@ -527,9 +504,7 @@ def main(argv: list | None = None) -> int:
                       queue_limit=options.queue_limit,
                       deadline=options.deadline,
                       trace=trace,
-                      stats_interval=options.stats_interval,
-                      txn_group_commit=options.group_commit,
-                      ckpt_background=options.background_checkpointer)
+                      stats_interval=options.stats_interval)
     if trace is not None:
         count = trace.write_jsonl(options.trace_out)
         print(f"# wrote {count} trace records to {options.trace_out}",

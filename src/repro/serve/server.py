@@ -121,15 +121,6 @@ class DatabaseServer:
         self._session_ids = itertools.count(1)
         self._sessions: dict[int, Session] = {}
         self._lock_yield = config.serve_lock_yield
-        #: Background checkpointer/lazy writer (``config.ckpt_background``):
-        #: started with the pool, wired to ``txns.checkpoint_async`` so
-        #: commit-threshold checkpoints stop stalling request threads.
-        self.checkpointer = None
-        if config.ckpt_background:
-            from repro.core.checkpointer import Checkpointer
-            self.checkpointer = Checkpointer(
-                db, interval=config.ckpt_interval_seconds,
-                trickle_pages=config.ckpt_trickle_pages)
         #: First :class:`SimulatedCrash` a worker hit, if any (a crash
         #: plan fired mid-request): the server stops admitting and the
         #: harness re-raises it from :meth:`shutdown`.  Workers and the
@@ -149,16 +140,6 @@ class DatabaseServer:
             self._state = "serving"
         self.db.txns.lock_wait_yield = self._yield_latch
         self.db.backoff_sleep = self._latch_sleep
-        if self.db.group_commit is not None:
-            # The leader's collection window and the followers' ticket
-            # waits sleep through the same latch-releasing hook as lock
-            # waits — that is what lets companion committers actually
-            # reach the log while a leader collects.
-            self.db.group_commit.yield_wait = self._latch_sleep
-        if self.checkpointer is not None:
-            self.db.txns.checkpoint_async = \
-                self.checkpointer.request_checkpoint
-            self.checkpointer.start()
         for index in range(self.workers):
             thread = threading.Thread(target=self._worker_loop,
                                       name=f"serve-worker-{index}",
@@ -201,22 +182,12 @@ class DatabaseServer:
                 try:
                     self._rollback_abandoned(session)
                 except SimulatedCrash as crash:
-                    # A halted log (crash mid group force) makes the
-                    # abort's ABORT append re-raise the crash; keep
-                    # tearing down — shutdown re-raises it at the end.
+                    # A crash at a log point halted the log, so the
+                    # abort's ABORT append re-raises it; keep tearing
+                    # down — shutdown re-raises it at the end.
                     self._note_crash(crash)
-        ckpt_error: BaseException | None = None
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
-            self.db.txns.checkpoint_async = None
-            ckpt_error = self.checkpointer.error
-            if isinstance(ckpt_error, SimulatedCrash):
-                self._note_crash(ckpt_error)
-                ckpt_error = None
         self.db.txns.lock_wait_yield = None
         self.db.backoff_sleep = None
-        if self.db.group_commit is not None:
-            self.db.group_commit.yield_wait = None
         with self._state_lock:
             self._witness("_state", write=True)
             if self._state != "closed":
@@ -227,10 +198,6 @@ class DatabaseServer:
         crashed = self.crashed
         if crashed is not None:
             raise crashed
-        if ckpt_error is not None:
-            # A real bug killed the lazy writer: surface it rather than
-            # finish a "clean" shutdown over a dead background thread.
-            raise ckpt_error
 
     def __enter__(self) -> "DatabaseServer":
         return self.start()
@@ -365,7 +332,7 @@ class DatabaseServer:
         submit timestamp, so the request's elapsed time decomposes as
         ``elapsed = cpuish + Σ waits``: the admission-queue wait charged
         up front, the engine-latch acquisition as ``latch.wait``, and
-        every suspension the work itself hits (lock waits, group commit,
+        every suspension the work itself hits (lock waits, log forces,
         buffer I/O, retry backoff) through the engine's own wait timers.
         The worker also stamps the request's event records with its label,
         which is how ``repro.obs.perf`` reassembles per-request span trees

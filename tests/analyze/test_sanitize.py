@@ -365,7 +365,7 @@ class TestLocksetDiscipline:
         assert stats.get("sanitize.race.lockset") == 1
 
     def test_consistently_guarded_reads_stay_shared(self, armed, stats):
-        latch = sanitize.TrackedLock("stats.stripe")
+        latch = sanitize.TrackedLock("stats._lock")
         with latch:
             sanitize.shared_access(stats, *self.KEY, write=True)
 
@@ -376,20 +376,20 @@ class TestLocksetDiscipline:
         in_thread(reader)
         assert sanitize.witnessed_field_states()[self.KEY] == "shared"
         assert sanitize.witnessed_locksets()[self.KEY] == \
-            frozenset(("stats.stripe",))
+            frozenset(("stats._lock",))
 
     def test_extra_held_stands_in_for_released_stripes(self, armed, stats):
-        # The stats registry reports its whole-map ops *after* leaving the
-        # stripe region (reporting inside would recurse into stats.add);
+        # The stats registry reports its whole-map ops *after* leaving its
+        # locked region (reporting inside would recurse into stats.add);
         # extra_held carries the latch it verifiably held.
         sanitize.shared_access(stats, "StatsRegistry", "_counters",
-                               write=True, extra_held=("stats.stripe",))
+                               write=True, extra_held=("stats._lock",))
         in_thread(lambda: sanitize.shared_access(
             stats, "StatsRegistry", "_counters", write=True,
-            extra_held=("stats.stripe",)))
+            extra_held=("stats._lock",)))
         key = ("StatsRegistry", "_counters")
         assert sanitize.witnessed_locksets()[key] == \
-            frozenset(("stats.stripe",))
+            frozenset(("stats._lock",))
         assert stats.get("sanitize.race.lockset") == 0
 
     def test_disarmed_access_is_a_no_op(self, stats):
@@ -427,12 +427,12 @@ class TestFieldGuardCrossCheck:
             [("Ghost", "field", "db.latch")]) == []
 
     def test_tokens_compare_by_tail(self, armed, stats):
-        # Static factory-call tokens ('_lock_for()') and runtime family
-        # tokens ('lock._lock_for') meet at the tail.
-        self._witness(stats, "lock._lock_for", cls="LockStripe",
-                      field="granted")
+        # Static factory-call tokens ('lock_of()') and runtime tokens
+        # ('registry.lock_of') meet at the tail.
+        self._witness(stats, "registry.lock_of", cls="Registry",
+                      field="entries")
         assert sanitize.cross_check_field_guards(
-            [("LockStripe", "granted", "_lock_for()")]) == []
+            [("Registry", "entries", "lock_of()")]) == []
 
 
 class TestWalSanitizers:

@@ -73,11 +73,11 @@ class TestThreadRoots:
 
     def test_known_roots_are_declared_entry_points(self, tmp_path):
         analysis = analyze(tmp_path, """\
-            class GroupCommitter:
-                def commit(self, txn_id):
+            class DatabaseServer:
+                def submit(self, request):
                     self._pending += 1
             """)
-        root = analysis.roots["GroupCommitter.commit"]
+        root = analysis.roots["DatabaseServer.submit"]
         assert root.many
         assert "declared concurrent entry point" in root.provenance()
 

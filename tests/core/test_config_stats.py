@@ -28,6 +28,12 @@ class TestConfig:
         db.create_table("t", [("doc", "xml")])
         assert db.xml_stores[("t", "doc")].record_limit == 64
 
+    @pytest.mark.parametrize("field", ["txn_group_commit", "ckpt_background"])
+    def test_removed_features_accept_only_false(self, field):
+        assert getattr(EngineConfig(**{field: False}), field) is False
+        with pytest.raises(ValueError, match="removed"):
+            EngineConfig(**{field: True})
+
 
 class TestStats:
     def test_counters(self):

@@ -1,10 +1,20 @@
 """Tests for the lock manager, transactions, and the write-ahead log."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
+from repro.analyze import sanitize
+from repro.core.config import DEFAULT_CONFIG
+from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
-from repro.errors import TransactionError
+from repro.errors import FaultInjectionError, TransactionError
+from repro.fault.injector import FaultInjector, FaultPlan, SimulatedCrash
+from repro.obs.monitor import Monitor
 from repro.rdb.locks import LockManager, LockMode, mode_compatible, mode_lub
+from repro.serve.admission import OverloadGuard
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
 from repro.rdb.wal import LogManager, LogOp, LogRecord, replay
 
@@ -54,6 +64,15 @@ class TestLockManager:
         assert lm.try_acquire(1, "r", LockMode.X)  # upgrade, no other holder
         assert lm.holds(1, "r", LockMode.X)
 
+    def test_upgrade_among_many_held_resources(self):
+        lm = LockManager(StatsRegistry())
+        for i in range(2, 18):
+            assert lm.try_acquire(i, f"r{i}", LockMode.X)
+        assert lm.try_acquire(1, "r", LockMode.S)
+        assert lm.try_acquire(1, "r", LockMode.X)
+        assert lm.holds(1, "r", LockMode.X)
+        assert lm.holders("r") == {1: LockMode.X}
+
     def test_upgrade_blocked_by_other_reader(self):
         lm = LockManager(StatsRegistry())
         lm.try_acquire(1, "r", LockMode.S)
@@ -98,6 +117,141 @@ class TestLockManager:
         lm.try_acquire(2, "a", LockMode.S)
         assert stats.get("lock.acquired") == 1
         assert stats.get("lock.waits") == 1
+
+    def test_grants_and_holders_across_many_resources(self):
+        lm = LockManager(StatsRegistry())
+        resources = [f"r{i}" for i in range(32)]
+        for i, resource in enumerate(resources):
+            assert lm.try_acquire(i, resource, LockMode.X)
+        table = lm.lock_table()
+        assert len(table) == len(resources)
+        for i, resource in enumerate(resources):
+            assert lm.holders(resource) == {i: LockMode.X}
+            assert lm.holds(i, resource, LockMode.X)
+
+    def test_conflicts_are_per_resource(self):
+        lm = LockManager(StatsRegistry())
+        assert lm.try_acquire(1, "a", LockMode.X)
+        assert lm.try_acquire(2, "b", LockMode.X)
+        assert not lm.try_acquire(3, "a", LockMode.S)
+
+    def test_release_all_drops_every_lock(self):
+        lm = LockManager(StatsRegistry())
+        for i in range(16):
+            assert lm.try_acquire(1, f"r{i}", LockMode.X)
+        assert lm.locks_held(1) == 16
+        lm.release_all(1)
+        assert lm.locks_held(1) == 0
+        assert lm.lock_table() == {}
+        for i in range(16):
+            assert lm.try_acquire(2, f"r{i}", LockMode.S)
+
+
+class TestPhantomWaiterRegression:
+    """``release_all`` used to leave ``{waiter: set()}`` husks in the
+    waits-for map, so :meth:`LockManager.waiter_count` kept counting
+    transactions that no longer waited on anything — and the serving
+    layer's overload guard sheds new work on that number."""
+
+    def test_release_all_drops_emptied_waiters(self):
+        lm = LockManager(StatsRegistry())
+        lm.try_acquire(1, "a", LockMode.X)
+        assert not lm.try_acquire(2, "a", LockMode.X)  # 2 waits on 1
+        assert lm.waiter_count() == 1
+        lm.release_all(1)
+        # Regression: the emptied edge set used to linger, so txn 2 kept
+        # counting as a waiter forever.
+        assert lm.waiter_count() == 0
+        assert lm.waits_for_edges() == {}
+
+    def test_waiter_count_agrees_with_edges_through_churn(self):
+        lm = LockManager(StatsRegistry())
+        lm.try_acquire(1, "a", LockMode.X)
+        lm.try_acquire(2, "b", LockMode.X)
+        assert not lm.try_acquire(3, "a", LockMode.X)
+        assert not lm.try_acquire(3, "b", LockMode.S)
+        assert not lm.try_acquire(4, "a", LockMode.S)
+        for txn_id in (1, 2, 3, 4):
+            assert lm.waiter_count() == len(lm.waits_for_edges())
+            lm.release_all(txn_id)
+        assert lm.waiter_count() == 0
+        assert lm.waits_for_edges() == {}
+
+    def test_find_deadlock_sees_no_cycle_after_release(self):
+        lm = LockManager(StatsRegistry())
+        lm.try_acquire(1, "a", LockMode.X)
+        lm.try_acquire(2, "b", LockMode.X)
+        assert not lm.try_acquire(1, "b", LockMode.X)
+        assert not lm.try_acquire(2, "a", LockMode.X)
+        assert lm.find_deadlock() is not None
+        lm.release_all(1)
+        assert lm.find_deadlock() is None
+        assert lm.waiter_count() == len(lm.waits_for_edges())
+
+    def test_overload_guard_stops_shedding_after_release(self):
+        config = replace(DEFAULT_CONFIG, serve_shed_lock_waiters=1,
+                         serve_shed_check_interval=1)
+        db = Database(config)
+        guard = OverloadGuard(Monitor(db), config, db.stats)
+        locks = db.txns.locks
+        locks.try_acquire(1, "hot", LockMode.X)
+        locks.try_acquire(2, "hot", LockMode.X)
+        locks.try_acquire(3, "hot", LockMode.S)
+        assert guard.check() is not None  # two real waiters > limit of 1
+        locks.release_all(1)
+        locks.release_all(2)
+        locks.release_all(3)
+        # Regression: phantom waiters kept the guard shedding every new
+        # request even though the lock table was completely idle.
+        assert guard.check() is None
+
+
+class TestLockTableLock:
+    def test_concurrent_acquires_witness_one_token(self):
+        # Built while the sanitizers are armed, the table's one lock is
+        # tracked, so every mutation of the three maps is witnessed
+        # holding it.
+        sanitize.enable()
+        sanitize.reset_witness()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lm = LockManager(StatsRegistry())
+            barrier = threading.Barrier(4)
+
+            def txn_body(txn_id):
+                barrier.wait()
+                for i in range(8):
+                    # Half the resources are shared, so threads conflict.
+                    lm.try_acquire(txn_id, f"r{i % 4}" if i % 2 else
+                                   f"r{txn_id}-{i}", LockMode.X)
+                lm.release_all(txn_id)
+
+            threads = [threading.Thread(target=txn_body, args=(t,))
+                       for t in range(1, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            # A lost update would leave a grant or a waiter behind.
+            assert lm.lock_table() == {}
+            assert lm.waiter_count() == 0
+            locksets = sanitize.witnessed_locksets()
+            for field in ("_granted", "_held", "_waits_for"):
+                assert locksets[("LockManager", field)] == \
+                    frozenset(("locks._lock",))
+            assert lm.stats.get("sanitize.race.lockset") == 0
+        finally:
+            sys.setswitchinterval(interval)
+            sanitize.reset_witness()
+
+    def test_disarmed_table_witnesses_nothing(self):
+        sanitize.disable()
+        lm = LockManager(StatsRegistry())
+        assert lm.try_acquire(1, "r", LockMode.X)
+        lm.release_all(1)
+        assert sanitize.witnessed_locksets() == {}
 
 
 class TestTransactions:
@@ -199,3 +353,118 @@ class TestWal:
         log.append(1, LogOp.INSERT, "t", b"a")
         log.truncate()
         assert list(log.records()) == []
+
+    def test_crash_at_a_log_point_halts_the_log(self):
+        stats = StatsRegistry()
+        injector = FaultInjector([FaultPlan.crash_at("wal.commit.pre")],
+                                 stats=stats)
+        log = LogManager(stats, injector=injector)
+        log.append(1, LogOp.BEGIN)
+        with pytest.raises(SimulatedCrash):
+            log.append(1, LogOp.COMMIT)
+        # The process is dead: survivors cannot harden post-mortem state.
+        with pytest.raises(SimulatedCrash):
+            log.append(2, LogOp.BEGIN)
+        with pytest.raises(SimulatedCrash):
+            log.flush()
+        assert log.durable_count == 1
+
+    def test_injected_failure_does_not_halt_the_log(self):
+        stats = StatsRegistry()
+        injector = FaultInjector([FaultPlan.fail_at("wal.commit.pre")],
+                                 stats=stats)
+        log = LogManager(stats, injector=injector)
+        with pytest.raises(FaultInjectionError):
+            log.append(1, LogOp.COMMIT)
+        assert log.append(2, LogOp.COMMIT).lsn == 0
+
+
+class TestVolatileTail:
+    """The durable boundary: with ``auto_flush`` off appends stay volatile
+    until :meth:`LogManager.flush`, and ``save`` persists only the durable
+    prefix."""
+
+    def test_auto_flush_default_keeps_every_append_durable(self):
+        stats = StatsRegistry()
+        log = LogManager(stats)
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.COMMIT)
+        assert log.durable_count == 2
+        assert log.unflushed_count == 0
+        assert log.flush() == 0  # nothing outstanding, no counter traffic
+        assert stats.get("wal.flushes") == 0
+
+    def test_appends_stay_volatile_until_flush(self):
+        stats = StatsRegistry()
+        log = LogManager(stats, auto_flush=False)
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.INSERT, "t", b"row")
+        assert log.durable_count == 0
+        assert log.unflushed_count == 2
+        assert log.flush() == 2
+        assert log.durable_count == 2
+        assert stats.get("wal.flushes") == 1
+
+    def test_save_persists_only_the_durable_prefix(self, tmp_path):
+        log = LogManager(StatsRegistry(), auto_flush=False)
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.COMMIT)
+        log.flush()
+        log.append(2, LogOp.BEGIN)
+        log.append(2, LogOp.COMMIT)  # volatile: a crash would lose these
+        path = str(tmp_path / "tail.wal")
+        log.save(path)
+        reloaded = LogManager.load(path)
+        assert [r.txn_id for r in reloaded.records()] == [1, 1]
+        assert reloaded.durable_count == 2
+
+    def test_checkpoint_forces_the_volatile_tail(self):
+        log = LogManager(StatsRegistry(), auto_flush=False)
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.COMMIT)
+        log.checkpoint()
+        assert log.unflushed_count == 0  # CHECKPOINT implies a force
+        assert log.durable_count == 3
+
+
+class TestLoadRestartState:
+    """A reloaded log must continue the LSN sequence and keep
+    ``bytes_since_checkpoint`` correct instead of resetting both."""
+
+    def test_reload_continues_the_lsn_sequence(self, tmp_path):
+        log = LogManager(StatsRegistry())
+        for _ in range(3):
+            log.append(1, LogOp.INSERT, "t", b"x")
+        path = str(tmp_path / "state.wal")
+        log.save(path)
+        reloaded = LogManager.load(path)
+        # Regression: load used to leave _last_lsn at -1, so the LSN
+        # monotonicity sanitizer saw the next append as a fresh log.
+        assert reloaded._last_lsn == 2
+        assert reloaded.append(2, LogOp.BEGIN).lsn == 3
+
+    def test_reload_restores_checkpoint_byte_mark(self, tmp_path):
+        log = LogManager(StatsRegistry())
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.COMMIT)
+        log.checkpoint()
+        log.append(2, LogOp.BEGIN)
+        log.append(2, LogOp.COMMIT)
+        path = str(tmp_path / "ckpt.wal")
+        log.save(path)
+        reloaded = LogManager.load(path)
+        # Regression: load used to leave _bytes_at_checkpoint at 0, so a
+        # restarted engine counted the whole pre-checkpoint volume as
+        # outstanding checkpoint lag.
+        assert reloaded.bytes_since_checkpoint == log.bytes_since_checkpoint
+        assert reloaded.bytes_since_checkpoint < reloaded.bytes_written
+
+    def test_reload_marks_everything_durable(self, tmp_path):
+        log = LogManager(StatsRegistry(), auto_flush=False)
+        log.append(1, LogOp.COMMIT)
+        log.flush()
+        path = str(tmp_path / "durable.wal")
+        log.save(path)
+        reloaded = LogManager.load(path)
+        assert reloaded.durable_count == 1
+        assert reloaded.unflushed_count == 0

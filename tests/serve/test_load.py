@@ -62,6 +62,21 @@ class TestLoadHarness:
         assert db.stats.get("serve.overload_checks") > 0
         db.close()
 
+    def test_every_commit_is_durable_under_load(self):
+        """Each COMMIT record hardens as it is appended: after a concurrent
+        run every acknowledged commit is verified and the log has no
+        volatile tail."""
+        config = serving_config(serve_workers=4, serve_queue_limit=256)
+        db, hot_ids = build_database(config)
+        server = DatabaseServer(db).start()
+        harness = LoadHarness(db, server, hot_ids)
+        report = harness.run(clients=8, ops_per_client=3, seed=5)
+        assert report.verified, report.verify_errors or report.failures
+        assert report.committed_inserts > 0
+        assert db.log.unflushed_count == 0
+        assert db.log.durable_count == len(list(db.log.records()))
+        db.close()
+
     def test_report_round_trips_to_json(self):
         import json
         report = run_load(clients=8, ops_per_client=2, seed=1, workers=2)
