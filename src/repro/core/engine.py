@@ -48,7 +48,7 @@ from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
 from repro.rdb.values import SqlType, coerce
 from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xdm.serializer import serialize
-from repro.xmlstore.store import XmlStore
+from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.cache import cached_parse
 
@@ -203,15 +203,20 @@ class Database:
                     f"row has {len(row)} values for "
                     f"{len(definition.columns)} columns of {table!r}")
             # A value the table would refuse must not reach the log first:
-            # replay re-applies every logged auto-commit insert.
+            # replay re-applies every logged auto-commit insert.  So every
+            # check runs before the append — coercion, then the prepare
+            # phase (parse, validate, pack) — and a refused document
+            # consumes no DocID, so replay allocates the same ones.
             for column, value in zip(definition.columns, row, strict=True):
                 if column.sql_type is not SqlType.XML:
                     coerce(column.sql_type, value)
+            documents = self._prepare_insert(definition, row,
+                                             validate_against)
             self.log.append(txn_id, LogOp.INSERT, table,
                             _encode_engine_row(row),
                             validate_against.encode()
                             if validate_against else b"")
-            rid = self._apply_insert(definition, row, validate_against)
+            rid = self._apply_insert(definition, row, documents)
             txn = self.txns.active.get(txn_id)
             if txn is not None:
                 txn.on_abort(lambda: self._apply_delete(table, rid))
@@ -219,27 +224,47 @@ class Database:
                 span.set("rid", str(rid))
             return rid
 
+    def _prepare_insert(self, definition: TableDef, row: tuple,
+                        validate_against: str | None
+                        ) -> dict[int, PreparedDocument]:
+        """Prepare phase: parse, validate and pack the row's XML values
+        for the table's next DocID; nothing is stored or allocated."""
+        documents: dict[int, PreparedDocument] = {}
+        if not definition.has_xml:
+            return documents
+        docid = self.catalog.peek_docid(definition.name)
+        for position, column in enumerate(definition.columns):
+            xml_text = row[position]
+            if column.sql_type is not SqlType.XML or xml_text is None:
+                continue
+            store = self.xml_stores[(definition.name, column.name)]
+            if validate_against is not None:
+                from repro.xschema.validator import validate_text
+                stream = validate_text(
+                    self.catalog.schema(validate_against), xml_text)
+                documents[position] = store.prepare_events(docid,
+                                                           stream.events())
+            else:
+                documents[position] = store.prepare_text(docid, str(xml_text))
+        return documents
+
     def _apply_insert(self, definition: TableDef, row: tuple,
-                      validate_against: str | None) -> Rid:
+                      documents: dict[int, PreparedDocument]) -> Rid:
+        """Apply phase: DocID, stored documents, base row, DocID index."""
         storage_row = list(row)
         docid = None
         if definition.has_xml:
             docid = self.catalog.next_docid(definition.name)
-            for position, column in enumerate(definition.columns):
-                if column.sql_type is not SqlType.XML:
-                    continue
-                xml_text = row[position]
-                if xml_text is None:
-                    storage_row[position] = None
-                    continue
-                store = self.xml_stores[(definition.name, column.name)]
-                if validate_against is not None:
-                    from repro.xschema.validator import validate_text
-                    stream = validate_text(
-                        self.catalog.schema(validate_against), xml_text)
-                    store.insert_document_events(docid, stream.events())
-                else:
-                    store.insert_document_text(docid, str(xml_text))
+            for position, document in documents.items():
+                # Records carry the DocID they were packed for: a prepare
+                # that raced another insert must not be stored under ours.
+                if document.docid != docid:
+                    raise CatalogError(
+                        f"DocID {document.docid} was prepared but {docid} "
+                        f"allocated in {definition.name!r}")
+                column = definition.columns[position].name
+                self.xml_stores[(definition.name, column)].insert_packed(
+                    document)
                 storage_row[position] = docid
         rid = self.tables[definition.name].insert(tuple(storage_row))
         if docid is not None:
@@ -264,7 +289,8 @@ class Database:
             self._apply_delete(table, rid)
             if txn is not None:
                 txn.on_abort(lambda: self._apply_insert(
-                    definition, restore_row, None))
+                    definition, restore_row,
+                    self._prepare_insert(definition, restore_row, None)))
 
     def _snapshot_row(self, definition: TableDef, rid: Rid) -> tuple:
         """Engine-level row image at ``rid`` (XML columns as text).
@@ -625,7 +651,8 @@ class Database:
                 row = _decode_engine_row(record.payload)
                 definition = db.catalog.table(record.target)
                 validate = record.extra.decode() if record.extra else None
-                db._apply_insert(definition, row, validate)
+                db._apply_insert(definition, row,
+                                 db._prepare_insert(definition, row, validate))
             elif record.op is LogOp.DELETE:
                 db._apply_delete(record.target, Rid.from_bytes(record.payload))
 

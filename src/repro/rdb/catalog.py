@@ -122,11 +122,15 @@ class Catalog:
         for ix_name in [n for n, ix in self._indexes.items() if ix.table == name]:
             del self._indexes[ix_name]
 
-    def next_docid(self, table: str) -> int:
-        """Allocate the next DocID for ``table`` (monotonic, never reused)."""
+    def peek_docid(self, table: str) -> int:
+        """The DocID :meth:`next_docid` will allocate next for ``table``."""
         if table not in self._next_docid:
             raise CatalogError(f"table {table!r} has no XML columns")
-        docid = self._next_docid[table]
+        return self._next_docid[table]
+
+    def next_docid(self, table: str) -> int:
+        """Allocate the next DocID for ``table`` (monotonic, never reused)."""
+        docid = self.peek_docid(table)
         self._next_docid[table] = docid + 1
         return docid
 

@@ -202,6 +202,11 @@ def build_tree(events: Iterable[SaxEvent]) -> Node:
     raise XmlError(f"event stream produced {len(roots)} top-level nodes")
 
 
+#: Events that are nodes and so get an ID: elements and the leaf kinds.
+_NODE_KINDS = frozenset((EventKind.ELEM_START, EventKind.ATTR, EventKind.NS,
+                         EventKind.TEXT, EventKind.COMMENT, EventKind.PI))
+
+
 def assign_node_ids(events: Iterable[SaxEvent]) -> Iterator[SaxEvent]:
     """Decorate a raw event stream with Dewey node IDs (insertion path).
 
@@ -209,38 +214,32 @@ def assign_node_ids(events: Iterable[SaxEvent]) -> Iterator[SaxEvent]:
     sequence, in the order the events arrive (NS, then attributes, then
     children) — matching the traversal order of ``Node.descendants_or_self``.
     """
-    from repro.xdm import nodeid
+    from repro.xdm.nodeid import ROOT_ID, child_id
 
     path: list[bytes] = []        # absolute id of each open container
     counters: list[int] = []      # next child ordinal per open container
     for event in events:
-        if event.kind is EventKind.DOC_START:
-            path.append(nodeid.ROOT_ID)
-            counters.append(1)
-            yield SaxEvent(event.kind, node_id=nodeid.ROOT_ID)
-        elif event.kind is EventKind.DOC_END:
+        kind = event.kind
+        if kind is EventKind.ELEM_END or kind is EventKind.DOC_END:
             path.pop()
             counters.pop()
             yield event
-        elif event.kind is EventKind.ELEM_START:
-            if not path:  # fragment without document wrapper
-                path.append(nodeid.ROOT_ID)
+        elif kind is EventKind.DOC_START:
+            path.append(ROOT_ID)
+            counters.append(1)
+            yield SaxEvent(kind, node_id=ROOT_ID)
+        elif kind in _NODE_KINDS:
+            if kind is EventKind.ELEM_START and not path:
+                path.append(ROOT_ID)  # fragment without document wrapper
                 counters.append(1)
-            abs_id = nodeid.child_id(path[-1], counters[-1])
+            abs_id = child_id(path[-1], counters[-1])
             counters[-1] += 1
-            path.append(abs_id)
-            counters.append(1)
-            yield SaxEvent(event.kind, event.local, event.uri,
-                           node_id=abs_id)
-        elif event.kind is EventKind.ELEM_END:
-            path.pop()
-            counters.pop()
-            yield event
-        elif event.kind in (EventKind.ATTR, EventKind.NS, EventKind.TEXT,
-                            EventKind.COMMENT, EventKind.PI):
-            abs_id = nodeid.child_id(path[-1], counters[-1])
-            counters[-1] += 1
-            yield SaxEvent(event.kind, event.local, event.uri, event.value,
-                           node_id=abs_id)
+            if kind is EventKind.ELEM_START:
+                path.append(abs_id)
+                counters.append(1)
+                yield SaxEvent(kind, event.local, event.uri, node_id=abs_id)
+            else:
+                yield SaxEvent(kind, event.local, event.uri, event.value,
+                               abs_id)
         else:  # pragma: no cover - exhaustive
             raise XmlError(f"unknown event kind {event.kind}")

@@ -32,6 +32,8 @@ _MAX_EVEN = 254
 _MAX_SINGLE_ORDINAL = _MAX_EVEN // 2  # 127
 #: Leading ``0xFF`` bytes a child ID may carry before its number widens.
 _UNARY_FF = 8
+#: The one-byte relative IDs of the first 127 ordinals (index = ordinal).
+_ONE_BYTE = [b""] + [bytes([2 * n]) for n in range(1, _MAX_SINGLE_ORDINAL + 1)]
 
 
 def is_valid_relative(rel: bytes) -> bool:
@@ -58,6 +60,8 @@ def relative_from_ordinal(ordinal: int) -> bytes:
     one ``0xFF`` more per 127 siblings); past that each ``0xFF`` adds a
     digit, so a wide fan-out costs logarithmic, not linear, ID length.
     """
+    if 0 < ordinal <= _MAX_SINGLE_ORDINAL:
+        return _ONE_BYTE[ordinal]
     if ordinal < 1:
         raise NodeIdError(f"child ordinal must be positive, got {ordinal}")
     index, ffs, digits = ordinal - 1, 0, 1

@@ -1,15 +1,18 @@
 """Non-validating XML parser (Fig. 4, right-hand path).
 
 A from-scratch, namespace-aware parser "custom-made for high-performance"
-(§3.2): a single left-to-right scan with no intermediate DOM.  Two output
-interfaces are provided:
+(§3.2): one left-to-right pass of compiled-regex token matches (text run,
+start tag with its attributes, end tag) on one explicit stack of open
+elements, with no intermediate DOM.  Entities, comments, CDATA, PIs, the
+prolog and every malformed construct go step by step, so a rejection names
+the position a character-by-character scan would.  Two interfaces:
 
-* :func:`parse` — the engine's own interface: a buffered
-  :class:`~repro.xdm.tokens.TokenStream` with prefixes resolved and
-  namespace/attribute order adjusted;
-* :func:`parse_sax` — a per-event callback interface, kept as the baseline
-  the paper argues *against* ("significant overhead of excessive procedure
-  calls for event handling"); experiment E4 compares the two.
+* :func:`parse_sax` — one callback per event.  The engine's insert path
+  (:meth:`repro.xmlstore.store.XmlStore.prepare_text`) collects them in a
+  list and feeds node-ID assignment and the record packer directly;
+* :func:`parse` — a buffered :class:`~repro.xdm.tokens.TokenStream`, with
+  prefixes resolved and namespace/attribute order adjusted: the input of
+  schema validation and one of experiment E4's front ends.
 
 The recognized grammar covers the XML 1.0 constructs the engine stores:
 prolog, DOCTYPE (skipped), elements, attributes, character data with the five
@@ -26,82 +29,65 @@ from repro.errors import XmlParseError
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.tokens import TokenStream
 
-_PREDEFINED_ENTITIES = {
-    "amp": "&", "lt": "<", "gt": ">", "apos": "'", "quot": '"',
-}
+_PREDEFINED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "apos": "'", "quot": '"'}
 
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
+
+#: The namespace scope outside the document element ("" is the default).
+_DOCUMENT_SCOPE = {"": "", "xml": _XML_NS}
 
 #: A character outside XML 1.0's ``Char`` production: C0 controls other
 #: than tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
 _NOT_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _CHAR_REF = re.compile("#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
 
-#: Deepest element nesting a document may have.  The parser recurses once
-#: per level, so without a bound a hostile document would exhaust the
-#: interpreter stack (a server worker thread first) instead of getting an
-#: :class:`XmlParseError`.
+#: Deepest element nesting a document may have.  The parser keeps its own
+#: stack, but the stored-record walker (``xmlstore.format.record_node_stream``)
+#: recurses once per level: without a bound a hostile document would exhaust
+#: the interpreter stack there instead of getting an XmlParseError here.
 MAX_DEPTH = 256
 
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-·")
+# A name starts with an ASCII letter, "_", ":" or any non-ASCII character
+# and goes on with those, digits, "." and "-": classes written as the ASCII
+# they exclude, since a class spanning Unicode takes milliseconds to compile.
+# The lookahead keeps a name whole: no match splits one to fit a later part.
+_NAME_CHAR = r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NAME = rf"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]{_NAME_CHAR}*(?!{_NAME_CHAR})"
+_WS = "[ \t\r\n]*"
+_NAME_RE = re.compile(_NAME)
+_WS_RE = re.compile(_WS)
+#: One well-formed attribute: name, then a double- or single-quoted value.
+_ATTR = re.compile(f"{_WS}({_NAME}){_WS}={_WS}(?:\"([^\"<]*)\"|'([^'<]*)')")
+#: The well-formed content tokens; ``lastindex`` tells them apart: 1 a text
+#: run; 4 a start tag (2 its name, 3 its attributes, 4 "/" if empty); 5 an
+#: end tag.  Anything else is left to the step-by-step path.
+_TOKEN = re.compile(
+    "([^<&]+)"
+    f"|<({_NAME})((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"<]*\"|'[^'<]*'))*)"
+    f"{_WS}(/?)>"
+    f"|</({_NAME}){_WS}>")
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA or ord(ch) > 0x7F
+def _error(text: str, pos: int, message: str) -> XmlParseError:
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return XmlParseError(f"{message} at line {line}, column {col}")
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA or ord(ch) > 0x7F
+def _name(text: str, pos: int) -> re.Match[str]:
+    name = _NAME_RE.match(text, pos)
+    if name is None:
+        raise _error(text, pos, "expected a name")
+    return name
 
 
-class _Scanner:
-    """Cursor over the document text with positioned error reporting."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def error(self, message: str) -> XmlParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        col = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
-        return XmlParseError(f"{message} at line {line}, column {col}")
-
-    def eof(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def read_until(self, token: str, what: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated {what}")
-        chunk = self.text[self.pos:end]
-        self.pos = end + len(token)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.eof() or not _is_name_start(self.text[self.pos]):
-            raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
+def _find(text: str, token: str, pos: int, what: str) -> int:
+    """Index of ``token`` at or after ``pos``; else "unterminated what"."""
+    end = text.find(token, pos)
+    if end < 0:
+        raise _error(text, pos, f"unterminated {what}")
+    return end
 
 
 class XmlParser:
@@ -118,272 +104,286 @@ class XmlParser:
     # -- public interfaces ----------------------------------------------------
 
     def parse(self, text: str) -> TokenStream:
-        """Parse into a buffered token stream (the engine path)."""
+        """Parse into a buffered token stream (validation and E4)."""
         stream = TokenStream()
         self._run(text, stream.append_event)
         return stream
 
     def parse_sax(self, text: str, handler: Callable[[SaxEvent], None]) -> None:
-        """Parse invoking ``handler`` once per event (the baseline path)."""
+        """Parse invoking ``handler`` once per event (the insert path)."""
         self._run(text, handler)
 
-    # -- scanning core -----------------------------------------------------------
+    # -- document ----------------------------------------------------------------
 
     def _run(self, text: str, emit: Callable[[SaxEvent], None]) -> None:
-        scanner = _Scanner(text)
         bad = _NOT_CHAR.search(text)
         if bad is not None:
-            scanner.pos = bad.start()
-            raise scanner.error(
-                f"character U+{ord(bad[0]):04X} is not allowed in XML")
-        if scanner.startswith("﻿"):
-            scanner.pos += 1
+            raise _error(text, bad.start(), f"character U+{ord(bad[0]):04X} is not allowed in XML")
         emit(SaxEvent(EventKind.DOC_START))
-        self._prolog(scanner, emit)
-        if scanner.eof() or scanner.peek() != "<":
-            raise scanner.error("expected the document element")
-        # ns_stack maps prefix -> uri; "" is the default namespace.
-        ns_stack: list[dict[str, str]] = [{"": "", "xml": _XML_NS}]
-        self._element(scanner, emit, ns_stack)
-        self._misc(scanner, emit)
-        if not scanner.eof():
-            raise scanner.error("content after the document element")
+        pos = _WS_RE.match(text, 1 if text.startswith("\ufeff") else 0).end()
+        if text.startswith("<?xml", pos):
+            pos = _find(text, "?>", pos, "XML declaration") + 2
+        pos = self._misc(text, pos, emit, prolog=True)
+        if not text.startswith("<", pos):
+            raise _error(text, pos, "expected the document element")
+        pos = self._misc(text, self._element(text, pos, emit), emit, prolog=False)
+        if pos < len(text):
+            raise _error(text, pos, "content after the document element")
         emit(SaxEvent(EventKind.DOC_END))
 
-    def _prolog(self, scanner: _Scanner, emit) -> None:
-        scanner.skip_ws()
-        if scanner.startswith("<?xml"):
-            scanner.read_until("?>", "XML declaration")
+    def _misc(self, text: str, pos: int, emit, prolog: bool) -> int:
+        """Skip whitespace, comments, PIs (and in the prolog a DOCTYPE)."""
         while True:
-            scanner.skip_ws()
-            if scanner.startswith("<!--"):
-                scanner.pos += 4
-                self._comment(scanner, emit)
-            elif scanner.startswith("<!DOCTYPE"):
-                self._doctype(scanner)
-            elif scanner.startswith("<?"):
-                scanner.pos += 2
-                self._pi(scanner, emit)
+            pos = _WS_RE.match(text, pos).end()
+            if text.startswith("<!--", pos):
+                pos = self._comment(text, pos + 4, emit)
+            elif prolog and text.startswith("<!DOCTYPE", pos):
+                pos = _skip_doctype(text, pos + 9)
+            elif text.startswith("<?", pos):
+                pos = self._pi(text, pos + 2, emit)
             else:
-                return
+                return pos
 
-    def _misc(self, scanner: _Scanner, emit) -> None:
+    # -- the document element ----------------------------------------------------
+
+    def _element(self, text: str, pos: int, emit) -> int:
+        """Parse the document element at ``pos``; returns the end position."""
+        strip = self.strip_whitespace
+        # (qname, local, uri, namespace scope) of every open element.
+        stack: list[tuple[str, str, str, dict[str, str]]] = []
+        parts: list[str] = []  # character data not yet emitted
+        match = _TOKEN.match
+        length = len(text)
         while True:
-            scanner.skip_ws()
-            if scanner.startswith("<!--"):
-                scanner.pos += 4
-                self._comment(scanner, emit)
-            elif scanner.startswith("<?"):
-                scanner.pos += 2
-                self._pi(scanner, emit)
+            m = match(text, pos)
+            kind = m.lastindex if m is not None else 0
+            if not stack and kind != 4:
+                kind = -1  # the document element, found step by step
+            elif kind == 1:
+                parts.append(m[1])  # type: ignore[index]
+                pos = m.end()  # type: ignore[union-attr]
+                continue
+            elif kind == 0:
+                if pos >= length:
+                    raise _error(text, pos, "unterminated element content")
+                if text[pos] == "&":
+                    end = _find(text, ";", pos + 1, "entity reference") + 1
+                    parts.append(_decode_entity(text, text[pos + 1:end - 1],
+                                                end))
+                    pos = end
+                    continue
+                if text.startswith("<![CDATA[", pos):
+                    end = _find(text, "]]>", pos + 9, "CDATA section")
+                    parts.append(text[pos + 9:end])
+                    pos = end + 3
+                    continue
+            if parts:
+                data = parts[0] if len(parts) == 1 else "".join(parts)
+                parts.clear()
+                if not strip or data.strip():
+                    emit(SaxEvent(EventKind.TEXT, "", "", data))
+            if kind == 5 or kind == 0 and text.startswith("</", pos):
+                qname, local, uri, _scope = stack.pop()
+                pos = _end_tag(text, pos, m, qname)
+                emit(SaxEvent(EventKind.ELEM_END, local, uri))
+                if not stack:
+                    return pos
+            elif kind == 0 and text.startswith("<!--", pos):
+                pos = self._comment(text, pos + 4, emit)
+            elif kind == 0 and text.startswith("<?", pos):
+                pos = self._pi(text, pos + 2, emit)
             else:
-                return
+                pos = _start_tag(text, pos, m if kind == 4 else None,
+                                 stack, emit)
+                if not stack:
+                    return pos  # an empty document element
 
-    def _doctype(self, scanner: _Scanner) -> None:
-        scanner.pos += len("<!DOCTYPE")
-        depth = 0
-        while not scanner.eof():
-            ch = scanner.peek()
-            scanner.pos += 1
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth == 0:
-                return
-        raise scanner.error("unterminated DOCTYPE")
-
-    def _comment(self, scanner: _Scanner, emit) -> None:
-        body = scanner.read_until("-->", "comment")
+    def _comment(self, text: str, pos: int, emit) -> int:
+        end = _find(text, "-->", pos, "comment")
+        body = text[pos:end]
         if "--" in body:
-            raise scanner.error("'--' inside a comment")
+            raise _error(text, end + 3, "'--' inside a comment")
         emit(SaxEvent(EventKind.COMMENT, value=body))
+        return end + 3
 
-    def _pi(self, scanner: _Scanner, emit) -> None:
-        target = scanner.read_name()
+    def _pi(self, text: str, pos: int, emit) -> int:
+        name = _name(text, pos)
+        target, pos = name[0], name.end()
         if target.lower() == "xml":
-            raise scanner.error("processing instruction target 'xml' is reserved")
-        body = scanner.read_until("?>", "processing instruction")
-        emit(SaxEvent(EventKind.PI, local=target, value=body.lstrip()))
+            raise _error(text, pos,
+                         "processing instruction target 'xml' is reserved")
+        end = _find(text, "?>", pos, "processing instruction")
+        emit(SaxEvent(EventKind.PI, local=target, value=text[pos:end].lstrip()))
+        return end + 2
 
-    def _element(self, scanner: _Scanner, emit,
-                 ns_stack: list[dict[str, str]]) -> None:
-        # ns_stack holds the document scope plus one scope per open element.
-        if len(ns_stack) > MAX_DEPTH:
-            raise scanner.error(
-                f"elements nested deeper than {MAX_DEPTH} levels")
-        scanner.expect("<")
-        qname = scanner.read_name()
-        raw_attrs: list[tuple[str, str]] = []
-        while True:
-            scanner.skip_ws()
-            ch = scanner.peek()
-            if ch == ">" or scanner.startswith("/>"):
-                break
-            if scanner.eof():
-                raise scanner.error(f"unterminated start tag <{qname}>")
-            attr_name = scanner.read_name()
-            scanner.skip_ws()
-            scanner.expect("=")
-            scanner.skip_ws()
-            quote = scanner.peek()
-            if quote not in "'\"":
-                raise scanner.error("attribute value must be quoted")
-            scanner.pos += 1
-            raw_value = scanner.read_until(quote, "attribute value")
-            if "<" in raw_value:
-                raise scanner.error("'<' in attribute value")
-            if any(name == attr_name for name, _ in raw_attrs):
-                raise scanner.error(f"duplicate attribute {attr_name!r}")
-            raw_attrs.append((attr_name, self._expand_entities(scanner, raw_value)))
 
-        # Namespace processing: collect declarations first.
-        scope = dict(ns_stack[-1])
-        declarations: list[tuple[str, str]] = []
-        plain_attrs: list[tuple[str, str]] = []
-        for name, value in raw_attrs:
-            if name == "xmlns":
-                scope[""] = value
-                declarations.append(("", value))
-            elif name.startswith("xmlns:"):
-                prefix = name[6:]
-                if not prefix:
-                    raise scanner.error("empty namespace prefix")
-                scope[prefix] = value
-                declarations.append((prefix, value))
-            else:
-                plain_attrs.append((name, value))
-        ns_stack.append(scope)
+# -- tags -------------------------------------------------------------------------
 
-        local, uri = self._resolve(scanner, qname, scope, is_attribute=False)
-        emit(SaxEvent(EventKind.ELEM_START, local=local, uri=uri))
-        # "namespace and attribute order adjusted" (§3.2): declarations by
-        # prefix, attributes by (uri, local).
-        for prefix, value in sorted(declarations):
-            emit(SaxEvent(EventKind.NS, local=prefix, value=value))
-        resolved_attrs = []
-        seen: set[tuple[str, str]] = set()
-        for name, value in plain_attrs:
-            a_local, a_uri = self._resolve(scanner, name, scope, is_attribute=True)
-            if (a_uri, a_local) in seen:
-                raise scanner.error(
-                    f"attribute {a_local!r} bound twice in namespace {a_uri!r}")
-            seen.add((a_uri, a_local))
-            resolved_attrs.append((a_uri, a_local, value))
-        for a_uri, a_local, value in sorted(resolved_attrs):
-            emit(SaxEvent(EventKind.ATTR, local=a_local, uri=a_uri, value=value))
+def _start_tag(text: str, pos: int, m: re.Match[str] | None,
+               stack: list[tuple[str, str, str, dict[str, str]]],
+               emit) -> int:
+    """Emit the start tag at ``pos``, pushing it on ``stack`` unless empty.
 
-        if scanner.startswith("/>"):
-            scanner.pos += 2
-            emit(SaxEvent(EventKind.ELEM_END, local=local, uri=uri))
-            ns_stack.pop()
-            return
-        scanner.expect(">")
-        self._content(scanner, emit, ns_stack)
-        scanner.expect("</")
-        end_qname = scanner.read_name()
-        if end_qname != qname:
-            raise scanner.error(
-                f"mismatched end tag </{end_qname}> for <{qname}>")
-        scanner.skip_ws()
-        scanner.expect(">")
-        emit(SaxEvent(EventKind.ELEM_END, local=local, uri=uri))
-        ns_stack.pop()
+    ``m`` is its :data:`_TOKEN` match, or ``None`` to scan it step by step.
+    Returns the position after the tag.
+    """
+    if len(stack) >= MAX_DEPTH:
+        raise _error(text, pos, f"elements nested deeper than {MAX_DEPTH} levels")
+    raw: dict[str, str] = {}
+    if m is not None:
+        qname, empty, end = m[2], m[4] == "/", m.end()
+        if m[3]:
+            for attr in _ATTR.finditer(text, m.start(3), m.end(3)):
+                _add_attribute(text, raw, attr[1], attr[2] if attr[3] is None
+                               else attr[3], attr.end())
+    else:
+        qname, empty, end = _scan_start_tag(text, pos, raw)
+    close = end - 2 if empty else end - 1  # the "/>" or ">": errors below
+    parent = stack[-1][3] if stack else _DOCUMENT_SCOPE
+    scope = parent
+    declarations: list[tuple[str, str]] = []
+    plain: list[tuple[str, str]] = []
+    for name, value in raw.items():
+        if name == "xmlns":
+            prefix = ""
+        elif name.startswith("xmlns:"):
+            prefix = name[6:]
+            if not prefix:
+                raise _error(text, close, "empty namespace prefix")
+        else:
+            plain.append((name, value))
+            continue
+        if scope is parent:
+            scope = dict(parent)
+        scope[prefix] = value
+        declarations.append((prefix, value))
+    local, uri = _resolve(text, close, qname, scope, attribute=False)
+    emit(SaxEvent(EventKind.ELEM_START, local, uri))
+    # "namespace and attribute order adjusted" (§3.2): declarations by
+    # prefix, attributes by (uri, local).
+    for prefix, value in sorted(declarations):
+        emit(SaxEvent(EventKind.NS, local=prefix, value=value))
+    if plain:
+        resolved: dict[tuple[str, str], str] = {}
+        for name, value in plain:
+            a_local, a_uri = _resolve(text, close, name, scope, attribute=True)
+            if (a_uri, a_local) in resolved:
+                raise _error(text, close, f"attribute {a_local!r} bound twice "
+                                          f"in namespace {a_uri!r}")
+            resolved[(a_uri, a_local)] = value
+        for (a_uri, a_local), value in sorted(resolved.items()):
+            emit(SaxEvent(EventKind.ATTR, a_local, a_uri, value))
+    if empty:
+        emit(SaxEvent(EventKind.ELEM_END, local, uri))
+    else:
+        stack.append((qname, local, uri, scope))
+    return end
 
-    def _content(self, scanner: _Scanner, emit,
-                 ns_stack: list[dict[str, str]]) -> None:
-        text_parts: list[str] = []
 
-        def flush_text() -> None:
-            if not text_parts:
-                return
-            text = "".join(text_parts)
-            text_parts.clear()
-            if self.strip_whitespace and not text.strip():
-                return
-            emit(SaxEvent(EventKind.TEXT, value=text))
+def _scan_start_tag(text: str, pos: int,
+                    raw: dict[str, str]) -> tuple[str, bool, int]:
+    """The start tag at ``pos``, one step at a time: every malformed tag
+    is rejected here.  Fills ``raw``; returns ``(qname, empty, end)``."""
+    name = _name(text, pos + 1)
+    qname, pos = name[0], name.end()
+    while True:
+        pos = _WS_RE.match(text, pos).end()
+        if text.startswith((">", "/>"), pos):
+            empty = text.startswith("/", pos)
+            return qname, empty, pos + 1 + empty
+        if pos >= len(text):
+            raise _error(text, pos, f"unterminated start tag <{qname}>")
+        name = _name(text, pos)
+        pos = _WS_RE.match(text, name.end()).end()
+        if not text.startswith("=", pos):
+            raise _error(text, pos, "expected '='")
+        pos = _WS_RE.match(text, pos + 1).end()
+        quote = text[pos:pos + 1]  # "" at the end of the input
+        if quote not in "'\"":
+            raise _error(text, pos, "attribute value must be quoted")
+        end = _find(text, quote, pos + 1, "attribute value")
+        _add_attribute(text, raw, name[0], text[pos + 1:end], end + 1)
+        pos = end + 1
 
-        while True:
-            if scanner.eof():
-                raise scanner.error("unterminated element content")
-            ch = scanner.peek()
-            if ch == "<":
-                if scanner.startswith("</"):
-                    flush_text()
-                    return
-                if scanner.startswith("<!--"):
-                    flush_text()
-                    scanner.pos += 4
-                    self._comment(scanner, emit)
-                elif scanner.startswith("<![CDATA["):
-                    scanner.pos += 9
-                    text_parts.append(scanner.read_until("]]>", "CDATA section"))
-                elif scanner.startswith("<?"):
-                    flush_text()
-                    scanner.pos += 2
-                    self._pi(scanner, emit)
-                else:
-                    flush_text()
-                    self._element(scanner, emit, ns_stack)
-            elif ch == "&":
-                text_parts.append(self._entity(scanner))
-            else:
-                start = scanner.pos
-                while (scanner.pos < scanner.length
-                       and scanner.text[scanner.pos] not in "<&"):
-                    scanner.pos += 1
-                text_parts.append(scanner.text[start:scanner.pos])
 
-    # -- helpers --------------------------------------------------------------
+def _add_attribute(text: str, raw: dict[str, str], name: str, value: str,
+                   pos: int) -> None:
+    if "<" in value:
+        raise _error(text, pos, "'<' in attribute value")
+    if name in raw:
+        raise _error(text, pos, f"duplicate attribute {name!r}")
+    raw[name] = _expand_entities(text, value, pos) if "&" in value else value
 
-    def _resolve(self, scanner: _Scanner, qname: str, scope: dict[str, str],
-                 is_attribute: bool) -> tuple[str, str]:
-        if ":" in qname:
-            prefix, _, local = qname.partition(":")
-            if not local or ":" in local:
-                raise scanner.error(f"malformed qualified name {qname!r}")
-            uri = scope.get(prefix)
-            if uri is None:
-                raise scanner.error(f"unbound namespace prefix {prefix!r}")
-            return local, uri
-        if is_attribute:
-            return qname, ""  # unprefixed attributes have no namespace
-        return qname, scope.get("", "")
 
-    def _entity(self, scanner: _Scanner) -> str:
-        scanner.expect("&")
-        body = scanner.read_until(";", "entity reference")
-        return self._decode_entity(scanner, body)
+def _end_tag(text: str, pos: int, m: re.Match[str] | None, qname: str) -> int:
+    """Check the end tag at ``pos`` closes ``qname``; returns its end."""
+    if m is not None:
+        if m[5] != qname:
+            raise _error(text, m.end(5),
+                         f"mismatched end tag </{m[5]}> for <{qname}>")
+        return m.end()
+    name = _name(text, pos + 2)
+    if name[0] != qname:
+        raise _error(text, name.end(),
+                     f"mismatched end tag </{name[0]}> for <{qname}>")
+    pos = _WS_RE.match(text, name.end()).end()
+    if not text.startswith(">", pos):
+        raise _error(text, pos, "expected '>'")
+    return pos + 1
 
-    def _expand_entities(self, scanner: _Scanner, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        parts: list[str] = []
-        pos = 0
-        while True:
-            amp = raw.find("&", pos)
-            if amp < 0:
-                parts.append(raw[pos:])
-                return "".join(parts)
-            parts.append(raw[pos:amp])
-            semi = raw.find(";", amp)
-            if semi < 0:
-                raise scanner.error("unterminated entity in attribute value")
-            parts.append(self._decode_entity(scanner, raw[amp + 1:semi]))
-            pos = semi + 1
 
-    def _decode_entity(self, scanner: _Scanner, body: str) -> str:
-        if body.startswith("#"):
-            ref = _CHAR_REF.fullmatch(body)
-            code = -1 if ref is None else \
-                int(ref[1], 16) if ref[1] else int(ref[2])
-            if not 0 <= code <= 0x10FFFF or _NOT_CHAR.match(chr(code)):
-                raise scanner.error(f"bad character reference &{body};")
-            return chr(code)
-        expansion = _PREDEFINED_ENTITIES.get(body)
-        if expansion is None:
-            raise scanner.error(f"unknown entity &{body};")
-        return expansion
+def _skip_doctype(text: str, pos: int) -> int:
+    depth = 0
+    for mark in _DOCTYPE_MARK.finditer(text, pos):
+        if mark[0] == "[":
+            depth += 1
+        elif mark[0] == "]":
+            depth -= 1
+        elif depth == 0:
+            return mark.end()
+    raise _error(text, len(text), "unterminated DOCTYPE")
+
+
+# -- names and entities -----------------------------------------------------------
+
+def _resolve(text: str, pos: int, qname: str, scope: dict[str, str],
+             attribute: bool) -> tuple[str, str]:
+    if ":" not in qname:  # unprefixed attributes have no namespace
+        return qname, "" if attribute else scope.get("", "")
+    prefix, _, local = qname.partition(":")
+    if not local or ":" in local:
+        raise _error(text, pos, f"malformed qualified name {qname!r}")
+    uri = scope.get(prefix)
+    if uri is None:
+        raise _error(text, pos, f"unbound namespace prefix {prefix!r}")
+    return local, uri
+
+
+def _expand_entities(text: str, raw: str, pos: int) -> str:
+    parts: list[str] = []
+    start = 0
+    while (amp := raw.find("&", start)) >= 0:
+        semi = raw.find(";", amp)
+        if semi < 0:
+            raise _error(text, pos, "unterminated entity in attribute value")
+        parts += raw[start:amp], _decode_entity(text, raw[amp + 1:semi], pos)
+        start = semi + 1
+    parts.append(raw[start:])
+    return "".join(parts)
+
+
+def _decode_entity(text: str, body: str, pos: int) -> str:
+    if body.startswith("#"):
+        ref = _CHAR_REF.fullmatch(body)
+        code = -1 if ref is None else \
+            int(ref[1], 16) if ref[1] else int(ref[2])
+        if not 0 <= code <= 0x10FFFF or _NOT_CHAR.match(chr(code)):
+            raise _error(text, pos, f"bad character reference &{body};")
+        return chr(code)
+    expansion = _PREDEFINED_ENTITIES.get(body)
+    if expansion is None:
+        raise _error(text, pos, f"unknown entity &{body};")
+    return expansion
 
 
 def parse(text: str, strip_whitespace: bool = False) -> TokenStream:
@@ -393,5 +393,5 @@ def parse(text: str, strip_whitespace: bool = False) -> TokenStream:
 
 def parse_sax(text: str, handler: Callable[[SaxEvent], None],
               strip_whitespace: bool = False) -> None:
-    """Parse ``text`` calling ``handler`` per event (baseline interface)."""
+    """Parse ``text`` calling ``handler`` per event."""
     XmlParser(strip_whitespace=strip_whitespace).parse_sax(text, handler)

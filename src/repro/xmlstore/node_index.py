@@ -42,11 +42,18 @@ class NodeIdIndex:
     def entry_count(self) -> int:
         return self.tree.entry_count
 
-    def add_record(self, docid: int, record: bytes, rid: Rid) -> int:
-        """Index every node-ID interval of ``record``; returns entries added."""
-        intervals = fmt.record_intervals(record)
+    def add_record(self, docid: int, intervals: list[tuple[bytes, bytes]],
+                   rid: Rid) -> int:
+        """Index the node-ID ``intervals`` of the record stored at ``rid``;
+        returns entries added.
+
+        A freshly packed record brings the intervals the packer noted
+        (:attr:`~repro.xmlstore.packing.PackedRecord.intervals`); a
+        rewritten one brings :func:`fmt.record_intervals` of its bytes.
+        """
+        rid_bytes = rid.to_bytes()
         for _low, high in intervals:
-            self.tree.insert(index_key(docid, high), rid.to_bytes())
+            self.tree.insert(index_key(docid, high), rid_bytes)
         return len(intervals)
 
     def remove_record(self, docid: int, record: bytes, rid: Rid) -> int:

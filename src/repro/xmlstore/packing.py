@@ -14,14 +14,16 @@ Attributes and namespace declarations always stay inline with their element.
 
 The packer consumes virtual SAX events that already carry Dewey node IDs
 (see :func:`repro.xdm.events.assign_node_ids`) and produces encoded records.
-Records are emitted bottom-up; the store sorts them by ``minNodeID`` before
-writing so that physical placement follows the ``(DocID, minNodeID)``
-clustering order.
+Records are emitted bottom-up; :meth:`TreePacker.finish` sorts them by
+``minNodeID`` so that physical placement follows the ``(DocID, minNodeID)``
+clustering order.  As it emits a record the packer also notes the record's
+node-ID intervals — the NodeID index keys of §3.1 — so the insert path never
+decodes a record it has just built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import PackingError
 from repro.xdm import nodeid
@@ -30,12 +32,31 @@ from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
 
 
-class _OpenContainer:
-    """State for one open element (or the document node)."""
+class PackedRecord(NamedTuple):
+    """One emitted record and the NodeID-index keys it needs.
 
-    __slots__ = ("abs_id", "rel_id", "name_id", "scope", "inline",
-                 "done", "pending", "pending_size", "pending_first",
-                 "no_flush")
+    ``intervals`` are the ``(low, high)`` node-ID runs of the record in
+    document order, exactly :func:`fmt.record_intervals` of ``data``, and
+    ``min_node_id`` is the first of them (:func:`fmt.record_min_node_id`).
+    """
+
+    min_node_id: bytes
+    data: bytes
+    intervals: list[tuple[bytes, bytes]]
+
+
+class _OpenContainer:
+    """State for one open element (or the document node).
+
+    Node-ID runs are ``[low, high]`` lists: ``pending_runs`` covers the
+    pending entries in document order, and ``pending_open`` says whether
+    the last of them ends with a node (a following node extends that run)
+    rather than with a proxy (which ends it).
+    """
+
+    __slots__ = ("abs_id", "rel_id", "name_id", "scope", "inline", "last",
+                 "done", "pending", "pending_size", "pending_runs",
+                 "pending_open", "no_flush")
 
     def __init__(self, abs_id: bytes, rel_id: bytes, name_id: int,
                  scope: dict[str, int], no_flush: bool = False) -> None:
@@ -44,10 +65,12 @@ class _OpenContainer:
         self.name_id = name_id
         self.scope = scope                      # prefix -> uri id, in scope
         self.inline: list[bytes] = []           # NS + attribute entries
+        self.last = abs_id                      # last of self + inline nodes
         self.done: list[bytes] = []             # proxies from earlier flushes
         self.pending: list[bytes] = []          # unflushed child entries
         self.pending_size = 0
-        self.pending_first: bytes | None = None  # abs id of first pending node
+        self.pending_runs: list[list[bytes]] = []
+        self.pending_open = False
         #: The document container never flushes: the root record must hold
         #: the top of the tree so the (DocID, 00) probe finds it (§3.4).
         self.no_flush = no_flush
@@ -69,7 +92,7 @@ class TreePacker:
         self.docid = docid
         self.names = names
         self.record_limit = record_limit
-        self.records: list[bytes] = []
+        self.records: list[PackedRecord] = []
         self.node_count = 0
         self._stack: list[_OpenContainer] = []
         self._path: list[int] = []  # element name ids from the root down
@@ -112,6 +135,7 @@ class TreePacker:
             top.scope[event.local] = uri_id
             rel_id = event.node_id[len(top.abs_id):]  # type: ignore[index]
             top.inline.append(fmt.encode_namespace(rel_id, event.local, uri_id))
+            top.last = event.node_id  # type: ignore[assignment]
             self.node_count += 1
         elif kind is EventKind.ATTR:
             self._require_id(event)
@@ -119,6 +143,7 @@ class TreePacker:
             name_id = self.names.intern_name(event.local, event.uri)
             rel_id = event.node_id[len(top.abs_id):]  # type: ignore[index]
             top.inline.append(fmt.encode_attribute(rel_id, name_id, event.value))
+            top.last = event.node_id  # type: ignore[assignment]
             self.node_count += 1
         elif kind in (EventKind.TEXT, EventKind.COMMENT, EventKind.PI):
             self._require_id(event)
@@ -130,16 +155,17 @@ class TreePacker:
                 chunk = fmt.encode_comment(rel_id, event.value)
             else:
                 chunk = fmt.encode_pi(rel_id, event.local, event.value)
-            self._add_child(top, chunk, event.node_id)  # type: ignore[arg-type]
+            node_id = event.node_id
+            self._add_child(top, chunk, [[node_id, node_id]], True)  # type: ignore[list-item]
             self.node_count += 1
         else:  # pragma: no cover - exhaustive
             raise PackingError(f"unexpected event kind {kind}")
 
-    def finish(self) -> list[bytes]:
+    def finish(self) -> list[PackedRecord]:
         """Return all records, sorted by minNodeID (clustering order)."""
         if not self._finished:
             raise PackingError("event stream did not close the document")
-        return sorted(self.records, key=fmt.record_min_node_id)
+        return sorted(self.records)
 
     # -- internals --------------------------------------------------------------
 
@@ -156,14 +182,16 @@ class TreePacker:
                 "wrap the stream with repro.xdm.events.assign_node_ids")
 
     def _add_child(self, parent: _OpenContainer, chunk: bytes,
-                   first_abs: bytes) -> None:
+                   runs: list[list[bytes]], open_end: bool) -> None:
+        """Append a child subtree; ``runs`` are its node-ID runs (it starts
+        with a node) and ``open_end`` whether it also ends with one."""
         if not parent.no_flush and parent.pending and \
                 parent.pending_size + len(chunk) > self.record_limit:
             self._flush_pending(parent)
-        if not parent.pending:
-            parent.pending_first = first_abs
         parent.pending.append(chunk)
         parent.pending_size += len(chunk)
+        _extend_runs(parent.pending_runs, parent.pending_open, runs)
+        parent.pending_open = open_end
         if not parent.no_flush and len(chunk) > self.record_limit:
             # A single oversized subtree gets its own record.
             self._flush_pending(parent)
@@ -177,16 +205,20 @@ class TreePacker:
             context_path=tuple(self._path_to(parent)),
             namespaces=tuple(sorted(parent.scope.items())),
         )
-        out = bytearray()
-        fmt.encode_header(out, header)
-        for chunk in parent.pending:
-            out.extend(chunk)
-        self.records.append(bytes(out))
-        assert parent.pending_first is not None
-        parent.done.append(fmt.encode_proxy(parent.pending_first))
+        self._emit(header, parent.pending, parent.pending_runs)
+        parent.done.append(fmt.encode_proxy(parent.pending_runs[0][0]))
         parent.pending = []
         parent.pending_size = 0
-        parent.pending_first = None
+        parent.pending_runs = []
+
+    def _emit(self, header: fmt.RecordHeader, chunks: list[bytes],
+              runs: list[list[bytes]]) -> None:
+        out = bytearray()
+        fmt.encode_header(out, header)
+        for chunk in chunks:
+            out.extend(chunk)
+        self.records.append(PackedRecord(
+            runs[0][0], bytes(out), [(low, high) for low, high in runs]))
 
     def _path_to(self, container: _OpenContainer) -> list[int]:
         # self._path covers every open element; the container is either the
@@ -205,22 +237,35 @@ class TreePacker:
         content = b"".join(entries)
         chunk = fmt.encode_element(elem.rel_id, elem.name_id,
                                    len(entries), content)
-        self._add_child(self._stack[-1], chunk, elem.abs_id)
+        # The element and its inline nodes, then any proxies, then the
+        # pending children.
+        runs = [[elem.abs_id, elem.last]]
+        _extend_runs(runs, not elem.done, elem.pending_runs)
+        open_end = elem.pending_open if elem.pending else not elem.done
+        self._add_child(self._stack[-1], chunk, runs, open_end)
 
     def _close_document(self) -> None:
         if len(self._stack) != 1:
             raise PackingError("document end with open elements")
         doc = self._stack.pop()
-        if not doc.pending and not doc.done:
+        if not doc.pending:
             raise PackingError("empty document")
         # The root record: context is the (implicit) document node.
+        # The document never flushes, so it has no proxies of its own.
         header = fmt.RecordHeader(self.docid, nodeid.ROOT_ID, (), ())
-        out = bytearray()
-        fmt.encode_header(out, header)
-        for chunk in doc.done + doc.pending:
-            out.extend(chunk)
-        self.records.append(bytes(out))
+        self._emit(header, doc.pending, doc.pending_runs)
         self._finished = True
+
+
+def _extend_runs(runs: list[list[bytes]], open_end: bool,
+                 more: list[list[bytes]]) -> None:
+    """Append ``more`` to ``runs``, joining the first of ``more`` onto the
+    last of ``runs`` when ``open_end`` says no proxy lies between them."""
+    if open_end and runs and more:
+        runs[-1][1] = more[0][1]
+        runs.extend(more[1:])
+    else:
+        runs.extend(more)
 
 
 def pack_document(docid: int, events: Iterable[SaxEvent], names: NameTable,
@@ -231,4 +276,4 @@ def pack_document(docid: int, events: Iterable[SaxEvent], names: NameTable,
     """
     packer = TreePacker(docid, names, record_limit)
     packer.feed(events)
-    return packer.finish(), packer.node_count
+    return [record.data for record in packer.finish()], packer.node_count

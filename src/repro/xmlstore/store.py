@@ -2,9 +2,20 @@
 
 Each XML column owns an internal table ``(DocID, minNodeID, XMLData)`` in its
 own table space, clustered by ``(DocID, minNodeID)``, plus a NodeID index.
-Insertion is the paper's streaming pipeline (§3.2): parse → token stream →
-node-ID assignment → bottom-up tree packing → records + "index keys for the
-node ID index and XPath value indexes ... generated per record".
+Insertion is the paper's streaming pipeline (§3.2), in two phases:
+
+* *prepare* (:meth:`XmlStore.prepare_text`) is one pass over the text: the
+  parser's events, collected through
+  :meth:`~repro.xdm.parser.XmlParser.parse_sax`, go through node-ID
+  assignment into the bottom-up tree packer, which returns the records with
+  their NodeID-index intervals.  No token stream is built and no record is
+  decoded again.  A validated document comes in as the schema VM's events
+  (:meth:`XmlStore.prepare_events`); the buffered token stream stays on that
+  path and in experiment E4.  Everything that can refuse a document runs
+  here, before the engine logs it;
+* *apply* (:meth:`XmlStore.insert_packed`) writes the records and the
+  "index keys for the node ID index and XPath value indexes ... generated
+  per record".
 
 XPath value indexes hook in as *key generators*: callables invoked once per
 record at insert/delete time — the paper's point that per-record key
@@ -23,9 +34,10 @@ from repro.rdb.buffer import BufferPool
 from repro.rdb.tablespace import Rid, TableSpace
 from repro.xdm.events import SaxEvent, assign_node_ids
 from repro.xdm.names import NameTable
-from repro.xdm.parser import parse as parse_xml
+from repro.xdm.parser import XmlParser
+from repro.xmlstore import format as fmt
 from repro.xmlstore.node_index import NodeIdIndex
-from repro.xmlstore.packing import pack_document
+from repro.xmlstore.packing import PackedRecord, TreePacker
 from repro.xmlstore.traversal import StoredDocument
 
 
@@ -35,6 +47,18 @@ class RecordObserver(Protocol):
     def record_added(self, docid: int, record: bytes, rid: Rid) -> None: ...
 
     def record_removed(self, docid: int, record: bytes, rid: Rid) -> None: ...
+
+
+@dataclass(frozen=True)
+class PreparedDocument:
+    """A parsed and packed document, not stored yet.
+
+    ``records`` are in ``(DocID, minNodeID)`` order and each fits a page.
+    """
+
+    docid: int
+    records: list[PackedRecord]
+    node_count: int
 
 
 @dataclass(frozen=True)
@@ -77,41 +101,53 @@ class XmlStore:
     def insert_document_text(self, docid: int, text: str,
                              strip_whitespace: bool = False) -> DocumentInfo:
         """Parse and store an XML string under ``docid``."""
-        stream = parse_xml(text, strip_whitespace=strip_whitespace)
-        return self.insert_document_events(docid, stream.events())
+        return self.insert_packed(
+            self.prepare_text(docid, text, strip_whitespace))
 
     def insert_document_events(self, docid: int,
                                events: Iterable[SaxEvent]) -> DocumentInfo:
         """Store a raw (undecorated) event stream under ``docid``."""
-        return self.insert_packed(docid, assign_node_ids(events))
+        return self.insert_packed(self.prepare_events(docid, events))
 
-    def insert_packed(self, docid: int,
-                      decorated_events: Iterable[SaxEvent]) -> DocumentInfo:
-        """Store an event stream that already carries node IDs."""
-        if self.node_index.probe(docid, b"") is not None:
-            raise DocumentNotFoundError(
-                f"DocID {docid} already exists in {self.name!r}")
-        records, node_count = pack_document(
-            docid, decorated_events, self.names, self.record_limit)
+    def prepare_text(self, docid: int, text: str,
+                     strip_whitespace: bool = False) -> PreparedDocument:
+        """Parse and pack an XML string for ``docid`` without storing it."""
+        events: list[SaxEvent] = []
+        XmlParser(strip_whitespace).parse_sax(text, events.append)
+        return self.prepare_events(docid, events)
+
+    def prepare_events(self, docid: int,
+                       events: Iterable[SaxEvent]) -> PreparedDocument:
+        """Pack a raw (undecorated) event stream without storing it."""
+        packer = TreePacker(docid, self.names, self.record_limit)
+        records = packer.feed(assign_node_ids(events)).finish()
         # All or nothing: a record that cannot be stored fails the document
         # before any of its records or index entries is written.
-        longest = max(map(len, records))
+        longest = max(len(record.data) for record in records)
         if longest > self.space.max_record:
             raise PageFullError(
                 f"DocID {docid} packs into a {longest}-byte record; at most "
                 f"{self.space.max_record} bytes can be stored")
+        return PreparedDocument(docid, records, packer.node_count)
+
+    def insert_packed(self, document: PreparedDocument) -> DocumentInfo:
+        """Store a prepared document: records, NodeID index, observers."""
+        docid = document.docid
+        if self.node_index.probe(docid, b"") is not None:
+            raise DocumentNotFoundError(
+                f"DocID {docid} already exists in {self.name!r}")
         index_entries = 0
         data_bytes = 0
-        for record in records:  # already in (DocID, minNodeID) order
+        for _min_id, record, intervals in document.records:
             rid = self.space.insert(record)
-            index_entries += self.node_index.add_record(docid, record, rid)
+            index_entries += self.node_index.add_record(docid, intervals, rid)
             data_bytes += len(record)
             for observer in self.observers:
                 observer.record_added(docid, record, rid)
         self._doc_count += 1
-        self._docids[docid] = node_count
-        return DocumentInfo(docid, node_count, len(records), index_entries,
-                            data_bytes)
+        self._docids[docid] = document.node_count
+        return DocumentInfo(docid, document.node_count, len(document.records),
+                            index_entries, data_bytes)
 
     # -- reads --------------------------------------------------------------------
 
@@ -161,7 +197,8 @@ class XmlStore:
             observer.record_removed(docid, old_record, rid)
         self.node_index.remove_record(docid, old_record, rid)
         new_rid = self.space.update(rid, new_record)
-        self.node_index.add_record(docid, new_record, new_rid)
+        self.node_index.add_record(docid, fmt.record_intervals(new_record),
+                                   new_rid)
         for observer in self.observers:
             observer.record_added(docid, new_record, new_rid)
         return new_rid

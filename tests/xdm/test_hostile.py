@@ -16,11 +16,11 @@ import pytest
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
-from repro.errors import ReproError
+from repro.errors import ReproError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.rdb.locks import LockMode
 from repro.serve import DatabaseServer
-from repro.xdm.parser import parse
+from repro.xdm.parser import MAX_DEPTH, parse
 
 SMALL = ('<?xml version="1.0"?><!--c--><p:a xmlns:p="urn:p" i="&amp;">'
          '<?t d?><p:b>x&lt;y</p:b><![CDATA[<&]]></p:a>')
@@ -139,3 +139,38 @@ class TestServer:
                 assert hit.row[0] == name
             insert_query_delete(session, 1)
         assert db.tables["docs"].row_count == len(ACCEPTED)
+
+
+class TestDepthBoundary:
+    """The parser keeps its own stack, but the stored-record walker still
+    recurses once per level: a document exactly ``MAX_DEPTH`` deep must
+    pass every layer, and one level more is a positioned parse error."""
+
+    @staticmethod
+    def nested(depth):
+        return "<a>" * depth + "leaf" + "</a>" * depth
+
+    @pytest.mark.parametrize("record_limit", [64, 4000])
+    def test_deepest_document_round_trips(self, record_limit):
+        db = Database(replace(DEFAULT_CONFIG, checkpoint_interval=0,
+                              record_size_limit=record_limit))
+        db.create_table("docs", [("key", "varchar"), ("doc", "xml")])
+        deepest = self.nested(MAX_DEPTH)
+        rid = db.insert("docs", ("deep", deepest))
+        db.insert("docs", ("flat", "<a>flat</a>"))
+        assert len(db.xpath("docs", "doc", "//*")) == MAX_DEPTH + 1
+        assert db.get_document("docs", "doc", 1) == deepest
+        replayed = Database.replay(db.log, db.config)
+        assert replayed.get_document("docs", "doc", 1) == deepest
+        db.delete_row("docs", rid)
+        assert len(db.xpath("docs", "doc", "//*")) == 1
+        replayed = Database.replay(db.log, db.config)
+        assert len(replayed.xpath("docs", "doc", "//*")) == 1
+
+    def test_one_level_deeper_is_refused_at_the_pinned_column(self):
+        db = make_db()
+        with pytest.raises(XmlParseError) as err:
+            db.insert("docs", ("deep", self.nested(MAX_DEPTH + 1)))
+        column = 3 * MAX_DEPTH + 1  # the first start tag past the limit
+        assert str(err.value).endswith(f"at line 1, column {column}")
+        assert db.tables["docs"].row_count == 0

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.engine import Database
 from repro.errors import (CatalogError, QueryError, ReproError,
-                          SqlSyntaxError, TypeError_)
+                          SqlSyntaxError, TypeError_, XmlParseError)
 from repro.query.sqlxml import SqlSession
 
 BIGINT_MAX = 2**63 - 1
@@ -108,6 +108,26 @@ def test_out_of_range_bigint_is_refused_before_the_log(session):
         db.insert("t", (2**70, "<a/>"))
     assert db.log.bytes_written == wal_bytes
     assert [row[0] for row in db.tables["t"].scan()] == [1]
+
+
+def test_malformed_document_is_refused_before_the_log(session):
+    """An auto-commit INSERT whose XML does not parse logs nothing and
+    consumes no DocID, so replay rebuilds the same store."""
+    db = session.db
+    wal_records = db.stats.get("wal.records")
+    with pytest.raises(XmlParseError):
+        session.execute("INSERT INTO t VALUES (2, '<a><b>y</a>')")
+    assert db.stats.get("wal.records") == wal_records
+    session.execute("INSERT INTO t VALUES (3, '<a><b>z</b></a>')")
+    live = {row[0]: row[1] for row in db.tables["t"].scan()}
+    assert live == {1: 1, 3: 2}
+
+    replayed = Database.replay(db.log)
+    assert {row[0]: row[1] for row in replayed.tables["t"].scan()} == live
+    for docid in live.values():
+        assert replayed.get_document("t", "doc", docid) == \
+            db.get_document("t", "doc", docid)
+    assert replayed.xpath("t", "doc", "/a/b") == db.xpath("t", "doc", "/a/b")
 
 
 def test_qualified_names_are_still_accepted(session):

@@ -1,13 +1,17 @@
 """Tests for the packed-record format and the bottom-up tree packer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PackingError
+from repro.workload.generator import catalog_document, recursive_document
 from repro.xdm.events import assign_node_ids
 from repro.xdm.names import NameTable
 from repro.xdm.parser import parse
 from repro.xmlstore import format as fmt
 from repro.xmlstore.packing import TreePacker, pack_document
+from repro.xmlstore.store import XmlStore
 
 
 def pack(xml, limit=128, names=None):
@@ -189,3 +193,106 @@ class TestPacker:
     def test_record_limit_validation(self):
         with pytest.raises(PackingError):
             TreePacker(1, NameTable(), 4)
+
+
+# -- the packer's NodeID-index intervals ------------------------------------------
+
+LIMITS = [64, 128, 256, 1024, 4096]
+
+
+@st.composite
+def documents(draw, max_depth=5):
+    """Elements with attributes, namespaces, text, comments and PIs; some
+    text runs outgrow small limits, so proxies land in the middle of runs."""
+    def build(depth):
+        tag = draw(st.sampled_from(["r", "item", "p:x", "deep"]))
+        attrs = "".join(f' a{i}="{i}"' for i in range(draw(st.integers(0, 2))))
+        if draw(st.booleans()):
+            attrs += ' xmlns:p="urn:p"'
+        children = []
+        if depth < max_depth:
+            for _ in range(draw(st.integers(0, 4))):
+                children.append(draw(st.one_of(
+                    st.just(None), st.sampled_from(
+                        ["t", "text", "<!--c-->", "<?pi d?>", "z" * 300]))))
+        body = "".join(build(depth + 1) if child is None else child
+                       for child in children)
+        return f"<{tag}{attrs}>{body}</{tag}>"
+
+    return f'<root xmlns:p="urn:p">{build(0)}</root>'
+
+
+def packed(xml, limit):
+    events = assign_node_ids(parse(xml).events())
+    return TreePacker(1, NameTable(), limit).feed(events).finish()
+
+
+def assert_intervals_match_the_decoder(records):
+    for min_node_id, data, intervals in records:
+        assert intervals == fmt.record_intervals(data)
+        assert min_node_id == fmt.record_min_node_id(data)
+    mins = [record.min_node_id for record in records]
+    assert mins == sorted(mins)
+
+
+class TestPackerIntervals:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(documents(), st.sampled_from(LIMITS))
+    def test_generated_documents(self, xml, limit):
+        assert_intervals_match_the_decoder(packed(xml, limit))
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    @pytest.mark.parametrize("xml", [
+        catalog_document(20, seed=3),
+        recursive_document(60),
+        recursive_document(40, leaf_text="y" * 500),
+        # Children flushed between inline nodes and later children: the
+        # element's own run ends at a proxy and a new one starts after it.
+        "<a k='1' j='2'>" + "<b>some text here</b>" * 30 + "t"
+        + "<big>" + "Z" * 5000 + "</big><c/>" + "<d>x</d>" * 30 + "</a>",
+    ], ids=["catalog", "recursive", "recursive with long leaf",
+            "proxies mid-run"])
+    def test_shaped_documents(self, xml, limit):
+        records = packed(xml, limit)
+        if limit == 64:
+            assert len(records) > 1
+        assert_intervals_match_the_decoder(records)
+
+    @pytest.mark.parametrize("limit", [64, 4096])
+    def test_wide_fan_out(self, limit):
+        xml = "<P>" + "<c/>" * 100_000 + "<Price>3</Price></P>"
+        assert_intervals_match_the_decoder(packed(xml, limit))
+
+
+class TestNodeIdIndexFromThePacker:
+    """Index keys taken from the packer serve every probe, across delete
+    and re-insert, and leave a structurally sound B+tree."""
+
+    XML = ("<a k='1'>" + "".join(f"<b i='{i}'>text {i}<c/></b>"
+                                 for i in range(60)) + "</a>")
+
+    def assert_every_node_probes_to_its_record(self, store, docid):
+        records = 0
+        for rid in store.node_index.record_rids(docid):
+            for entry, abs_id, _ in fmt.record_node_stream(store.read_record(rid)):
+                if entry.kind != fmt.EntryKind.PROXY:
+                    assert store.node_index.probe(docid, abs_id) == rid
+            records += 1
+        assert records > 1
+
+    @pytest.mark.parametrize("limit", [64, 512])
+    def test_insert_delete_reinsert(self, pool, names, limit):
+        store = XmlStore(pool, names, record_limit=limit)
+        info = store.insert_document_text(1, self.XML)
+        store.insert_document_text(2, self.XML)
+        self.assert_every_node_probes_to_its_record(store, 1)
+        store.node_index.tree.verify()
+        store.delete_document(1)
+        assert store.node_index.probe(1, b"") is None
+        store.node_index.tree.verify()
+        again = store.insert_document_text(1, self.XML)
+        assert again == info
+        for docid in (1, 2):
+            self.assert_every_node_probes_to_its_record(store, docid)
+        store.node_index.tree.verify()
+        assert store.node_index.entry_count == 2 * info.index_entries

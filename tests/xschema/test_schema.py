@@ -220,6 +220,21 @@ class TestEngineIntegration:
             db.insert("orders", ("<order id='1'/>",),
                       validate_against="order.xsd")
 
+    def test_invalid_document_is_refused_before_the_log(self):
+        from repro.core.engine import Database
+        db = Database()
+        db.create_table("orders", [("doc", "xml")])
+        db.register_schema("order.xsd", ORDER_XSD)
+        wal_records = db.stats.get("wal.records")
+        with pytest.raises(XmlValidationError):
+            db.insert("orders", ("<order id='1'/>",),
+                      validate_against="order.xsd")
+        assert db.stats.get("wal.records") == wal_records
+        db.insert("orders", (VALID_ORDER,), validate_against="order.xsd")
+        replayed = Database.replay(db.log)
+        assert replayed.get_document("orders", "doc", 1) == \
+            db.get_document("orders", "doc", 1)
+
     def test_schema_survives_recovery(self):
         from repro.core.engine import Database
         db = Database()
