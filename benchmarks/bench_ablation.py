@@ -11,6 +11,7 @@
 
 from conftest import fresh_names, fresh_pool, print_table
 
+from repro.lang.parser import parse_xpath
 from repro.rdb.btree import BTree
 from repro.workload.generator import wide_document
 from repro.xdm.events import EventKind
@@ -18,9 +19,12 @@ from repro.xmlstore import format as fmt
 from repro.xmlstore.node_index import index_key
 from repro.xmlstore.store import XmlStore
 from repro.xmlstore.update import XmlUpdater
-from repro.xpath.quickxscan import evaluate
+from repro.xpath.qtree import compile_query
+from repro.xpath.quickxscan import QuickXScan, evaluate
 
 DOC = wide_document(n_children=300, payload_words=4, seed=21)
+#: Compiled once, so each run measures the scan, not the XPath parser.
+ROW_250 = compile_query(parse_xpath("//row[@n = '250']"))
 
 
 def test_ablation_interval_vs_per_node_index(benchmark):
@@ -110,8 +114,7 @@ def test_ablation_record_limit_query_cost(benchmark):
         store.insert_document_text(1, DOC)
         pool.evict_all()
         with stats.delta() as delta:
-            matches = evaluate("//row[@n = '250']",
-                               store.document(1).events())
+            matches = QuickXScan(ROW_250).run(store.document(1).events())
         assert len(matches) == 1
         rows.append([limit, store.space.record_count,
                      delta.get("buffer.misses", 0),
@@ -124,5 +127,4 @@ def test_ablation_record_limit_query_cost(benchmark):
     pool, _stats = fresh_pool()
     store = XmlStore(pool, fresh_names(), record_limit=1024)
     store.insert_document_text(1, DOC)
-    benchmark(lambda: evaluate("//row[@n = '250']",
-                               store.document(1).events()))
+    benchmark(lambda: QuickXScan(ROW_250).run(store.document(1).events()))

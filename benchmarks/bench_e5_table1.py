@@ -13,7 +13,7 @@ from repro.xdm.events import assign_node_ids
 from repro.xdm.parser import parse
 from repro.xpath.domeval import evaluate_dom
 from repro.xpath.qtree import compile_query
-from repro.xpath.quickxscan import QuickXScan, evaluate
+from repro.xpath.quickxscan import QuickXScan
 
 
 def _case1(n):  # a/b, flat
@@ -44,7 +44,8 @@ def test_e5c_table1_propagation(benchmark):
     for label, make in CASES:
         doc, query = make(n)
         events = list(assign_node_ids(parse(doc).events()))
-        stream = evaluate(query, iter(events))
+        stream = QuickXScan(compile_query(parse_xpath(query))).run(
+            iter(events))
         dom = evaluate_dom(query, iter(events))
         ids = [i.node_id for i in stream]
         assert ids == [i.node_id for i in dom], label

@@ -13,16 +13,24 @@ import time
 
 from conftest import fresh_names, fresh_pool, print_table
 
+from repro.lang.parser import parse_xpath
 from repro.query.constructors import Arg, XElem, compile_template
 from repro.workload.generator import catalog_document
 from repro.xdm.events import build_tree, events_from_tree
 from repro.xdm.parser import parse
 from repro.xdm.serializer import serialize
 from repro.xmlstore.store import XmlStore
-from repro.xpath.quickxscan import evaluate
+from repro.xpath.qtree import compile_query
+from repro.xpath.quickxscan import QuickXScan
 
 DOC = catalog_document(n_products=80, seed=2)
 QUERY = "//Product[RegPrice > 250]/ProductName"
+#: Compiled once, so each run measures the scan, not the XPath parser.
+QUERY_TREE = compile_query(parse_xpath(QUERY))
+
+
+def xscan(events):
+    return QuickXScan(QUERY_TREE).run(events)
 
 
 def sources():
@@ -52,7 +60,7 @@ def test_e8_task_matrix(benchmark):
         serialized = serialize(make_events())
         rebuilt = build_tree(make_events()) if label != "constructed data" \
             else build_tree(make_events())
-        matches = evaluate(QUERY, make_events()) \
+        matches = xscan(make_events()) \
             if label != "constructed data" else []
         rows.append([label, len(serialized),
                      sum(1 for _ in rebuilt.descendants_or_self()),
@@ -67,8 +75,8 @@ def test_e8_task_matrix(benchmark):
     assert serialize(forms["token stream"]()) == \
         serialize(forms["persistent records"]()) == \
         serialize(forms["in-memory tree"]())
-    assert len(evaluate(QUERY, forms["token stream"]())) == \
-        len(evaluate(QUERY, forms["persistent records"]()))
+    assert len(xscan(forms["token stream"]())) == \
+        len(xscan(forms["persistent records"]()))
 
     store_events = forms["persistent records"]
     benchmark(lambda: serialize(store_events()))

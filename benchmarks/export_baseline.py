@@ -4,8 +4,10 @@ Runs a deterministic miniature of the E-series workloads — bulk insert
 with tree packing (E1/E4), navigational and scan queries (E2/E5), value
 index probes (E6), node-level updates (E3), and a transactional mix with
 an aborted delete — on a fixed configuration, then writes the engine's
-full metrics artifact (counters, gauges, histograms, accounting records,
-slow queries, monitor snapshot) through :mod:`repro.obs.exporters`.
+counters, gauges and histograms through :mod:`repro.obs.exporters`
+(``metrics_to_dict``, not ``engine_metrics``: no gate reads the accounting,
+slow-query and monitor-snapshot dumps, and ``repro.obs.report`` renders
+their absence as empty sections).
 
 The engine is deterministic, so the counter values are stable across runs
 and machines; the committed ``BENCH_baseline.json`` is the reference a
@@ -36,7 +38,8 @@ import time
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.events import ALL_CLASSES, EventTrace
-from repro.obs.exporters import engine_metrics, write_metrics_json
+from repro.obs.exporters import metrics_to_dict, write_metrics_json
+from repro.obs.waits import wait_profile
 
 #: Fixed workload shape — change deliberately; the baseline diffs on it.
 DOCS = 96
@@ -209,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     out = argv[0] if argv else "BENCH_baseline.json"
     db = Database(BASELINE_CONFIG)
     run_workload(db)
-    artifact = engine_metrics(db)
+    artifact = metrics_to_dict(db.stats)
     # The wait clock measures real time, so its metrics are the one part
     # of the artifact that is *not* deterministic across machines.  Move
     # them out of the drift-gated counters/histograms keys into the
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
                      if name.startswith("waits.")},
         "request_wait_us": artifact["histograms"].pop(
             "waits.request_wait_us", None),
-        "profile": artifact.pop("waits", {}),
+        "profile": wait_profile(db.stats),
     }
     artifact["workload"] = {
         "name": "bench-baseline",
@@ -235,9 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     counters = artifact["counters"]
     rate = artifact["scenarios"]["commits_per_sec"]
     print(f"wrote {out}: {len(counters)} counters, "
-          f"{len(artifact['histograms'])} histograms, "
-          f"{len(artifact['accounting'])} accounting records, "
-          f"{len(artifact['slow_queries'])} slow queries")
+          f"{len(artifact['histograms'])} histograms")
     print(f"commits/sec: {rate['single_commit']['commits_per_sec']}")
     return 0
 

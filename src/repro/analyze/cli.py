@@ -22,7 +22,6 @@ from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
 from repro.analyze.races import LatchBlockingChecker, SharedStateRaceChecker
 from repro.analyze.rawdisk import RawDiskChecker
-from repro.analyze.sarif import to_sarif
 from repro.analyze.statshygiene import StatsHygieneChecker
 from repro.analyze.txnscope import TxnScopeChecker
 from repro.analyze.waldiscipline import WalDisciplineChecker
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", default=None,
                         help="comma-separated checker names or finding "
                              "codes to run (e.g. pin-leak,LOCK001)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--explain", action="store_true",
                         help="print the witnessing call path under every "
@@ -157,11 +156,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "stale_baseline_entries": [e.fingerprint for e in stale],
             "parse_errors": parse_errors,
         }, indent=2))
-    elif args.format == "sarif":
-        justifications = {fingerprint: entry.reason
-                          for fingerprint, entry in baseline.entries.items()}
-        print(json.dumps(to_sarif(checkers, new, suppressed, parse_errors,
-                                  justifications), indent=2))
     else:
         for error in parse_errors:
             print(f"parse error: {error}", file=sys.stderr)

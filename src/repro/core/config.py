@@ -79,9 +79,6 @@ class EngineConfig:
         serve_lock_yield: Seconds a server-mode lock wait sleeps per
             backoff step *with the engine latch released*, letting the
             lock holder's session run on another worker.
-        serve_stmt_cache_size: Prepared statements cached per session
-            (parsed path + access plan, over the global
-            :mod:`repro.xpath.cache` LRUs).
     """
 
     page_size: int = 4096
@@ -107,7 +104,6 @@ class EngineConfig:
     serve_shed_min_touches: int = 256
     serve_shed_check_interval: int = 16
     serve_lock_yield: float = 0.0005
-    serve_stmt_cache_size: int = 64
 
     def __post_init__(self) -> None:
         for name in ("txn_group_commit", "ckpt_background"):

@@ -17,7 +17,7 @@ import datetime as _dt
 import random
 import threading
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, TypeVar
@@ -31,6 +31,7 @@ from repro.errors import (CatalogError, DeadlineExceededError, DeadlockError,
 from repro.indexes.definition import XPathIndexDefinition
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
+from repro.lang.parser import parse_xpath
 from repro.obs.explain import ExplainResult
 from repro.obs.slowlog import SlowQueryRecord
 from repro.obs.tracer import Tracer
@@ -50,7 +51,10 @@ from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xdm.serializer import serialize
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
-from repro.xpath.cache import cached_parse
+from repro.xpath.qtree import QueryTree, compile_query
+
+#: Entries in a :class:`Database`'s query cache (parsed path + query tree).
+QUERY_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,9 @@ class Database:
             on_checkpoint=self.pool.flush_all)
         self.txns.on_txn_end = self._sanitize_txn_end
         self._slow_thresholds = config.slow_query_thresholds()
+        #: The engine's one query cache (see :meth:`compile_xpath`).
+        self._queries: OrderedDict[
+            tuple, tuple[ast.LocationPath, QueryTree]] = OrderedDict()
         self.tables: dict[str, Table] = {}
         self.xml_stores: dict[tuple[str, str], XmlStore] = {}
         self.docid_indexes: dict[str, BTree] = {}
@@ -331,13 +338,42 @@ class Database:
         ]
         return Planner(store, indexes)
 
+    def compile_xpath(self, path_text: str,
+                      namespaces: dict[str, str] | None = None
+                      ) -> tuple[ast.LocationPath, QueryTree]:
+        """Parse and compile a location path through the query cache.
+
+        The cache is the engine's dynamic statement cache: an LRU of
+        :data:`QUERY_CACHE_SIZE` entries keyed on the path text and its
+        sorted namespace bindings, counted by ``xpath.parse_hits`` /
+        ``xpath.parse_misses``.  Parsing and compiling are pure in that
+        key, so an entry never goes stale; plans are not cached, so an
+        index created later is used at once.  The returned objects are
+        shared: callers must treat them as immutable.
+        """
+        key = (path_text, tuple(sorted((namespaces or {}).items())))
+        cache = self._queries
+        hit = cache.get(key)
+        if hit is not None:
+            cache.move_to_end(key)
+            self.stats.add("xpath.parse_hits")
+            return hit
+        self.stats.add("xpath.parse_misses")
+        path = parse_xpath(path_text, namespaces)
+        if not isinstance(path, ast.LocationPath):
+            raise QueryError(f"{path_text!r} is not a location path")
+        entry = (path, compile_query(path))
+        cache[key] = entry
+        if len(cache) > QUERY_CACHE_SIZE:
+            cache.popitem(last=False)
+        return entry
+
     def plan_xpath(self, table: str, column: str, path_text: str,
                    namespaces: dict[str, str] | None = None,
                    method: AccessMethod | None = None) -> AccessPlan:
-        path = cached_parse(path_text, namespaces, stats=self.stats)
-        if not isinstance(path, ast.LocationPath):
-            raise QueryError(f"{path_text!r} is not a location path")
-        return self.planner(table, column).plan(path, force_method=method)
+        path, query = self.compile_xpath(path_text, namespaces)
+        return self.planner(table, column).plan(path, query,
+                                                force_method=method)
 
     def xpath(self, table: str, column: str, path_text: str,
               namespaces: dict[str, str] | None = None,
@@ -396,13 +432,10 @@ class Database:
 
     def execute_plan(self, table: str, column: str,
                      plan: AccessPlan) -> list[XPathResult]:
-        """Execute a previously built :class:`AccessPlan` (skip planning).
+        """Execute a :class:`AccessPlan` built by :meth:`plan_xpath`.
 
-        This is the prepared-statement entry point: the serving layer's
-        per-session statement cache plans a path once and replays the plan
-        per execution.  A plan reflects the indexes that existed when it
-        was planned: the session cache re-plans when ``catalog.version``
-        has moved since; ad-hoc callers must do the same.
+        A plan reflects the indexes that existed when it was planned, so
+        a caller that keeps one across DDL must plan again.
         """
         store = self._store(table, column)
         matches = Executor(store, stats=self.stats).execute(plan)

@@ -56,9 +56,8 @@ METRICS: frozenset[str] = frozenset({
     "xscan.events", "xscan.matchings", "xscan.peak_units",
     "automaton.peak_instances",
     "domeval.node_visits", "domeval.tree_nodes",
-    # XPath parse/compile caches
+    # the engine's query cache (Database.compile_xpath)
     "xpath.parse_hits", "xpath.parse_misses",
-    "xpath.compile_hits", "xpath.compile_misses",
     # runtime invariant sanitizers (repro.analyze.sanitize)
     "sanitize.checks", "sanitize.double_unpin",
     "sanitize.pinned_at_txn_end", "sanitize.locks_at_txn_end",
@@ -80,7 +79,6 @@ METRICS: frozenset[str] = frozenset({
     "serve.shed_queue_full", "serve.shed_overload", "serve.shed_closed",
     "serve.deadline_expired", "serve.overload_checks",
     "serve.sessions_opened", "serve.sessions_closed",
-    "serve.stmt_hits", "serve.stmt_misses",
     "serve.chaos_faults",
 })
 

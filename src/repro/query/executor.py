@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import NodeIdError, PlanningError, StorageError, XmlError
-from repro.lang import ast
 from repro.xdm import nodeid
 from repro.xmlstore.store import XmlStore
-from repro.xpath.cache import cached_compile
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
 
@@ -42,10 +40,8 @@ class Executor:
         self.stats = default_stats(stats)
 
     def execute(self, plan: AccessPlan) -> list[QueryMatch]:
-        with self.stats.trace("exec.compile"):
-            query = cached_compile(plan.path, stats=self.stats)
         # One scanner per execution: its set-up serves every document.
-        scan = QuickXScan(query, stats=self.stats)
+        scan = QuickXScan(plan.query, stats=self.stats)
         if plan.method is AccessMethod.FULL_SCAN:
             return self._full_scan(plan, scan)
         if plan.method is AccessMethod.DOCID_LIST:
@@ -186,13 +182,3 @@ class Executor:
         # hits), so counting them here would duplicate results.
         return [item for item in items if item.node_id == anchor]
 
-
-def run_query(store: XmlStore, plan: AccessPlan,
-              stats: StatsRegistry | None = None) -> list[QueryMatch]:
-    """One-shot plan execution."""
-    return Executor(store, stats=stats).execute(plan)
-
-
-def scan_plan(path: ast.LocationPath) -> AccessPlan:
-    """A bare full-scan plan (no planner required)."""
-    return AccessPlan(AccessMethod.FULL_SCAN, path)

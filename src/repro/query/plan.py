@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.indexes.containment import PathRelation
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
+from repro.xpath.qtree import QueryTree
 
 
 class AccessMethod(enum.Enum):
@@ -59,6 +60,8 @@ class AccessPlan:
 
     method: AccessMethod
     path: ast.LocationPath
+    #: ``path`` compiled for QuickXScan (the executor compiles nothing).
+    query: QueryTree
     #: Conjunctive groups: candidates = AND over groups of (OR over sources).
     source_groups: list[list[IndexSource]] = field(default_factory=list)
     #: Whether index results are guaranteed-precise candidates (every source

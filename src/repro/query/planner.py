@@ -19,13 +19,12 @@ picks among full scan, DocID-list and NodeID-list access:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.indexes.containment import (PathRelation, child_only_suffix_depth,
                                        relate)
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
 from repro.xmlstore.store import XmlStore
+from repro.xpath.qtree import QueryTree
 
 from repro.query.plan import AccessMethod, AccessPlan, IndexSource
 
@@ -43,21 +42,21 @@ class Planner:
         #: Average nodes/document above which NodeID-list access is chosen.
         self.nodeid_threshold = nodeid_threshold
 
-    def plan(self, path: ast.LocationPath,
+    def plan(self, path: ast.LocationPath, query: QueryTree,
              force_method: AccessMethod | None = None) -> AccessPlan:
-        """Produce an access plan for ``path``."""
+        """Produce an access plan for ``path`` (compiled as ``query``)."""
         groups, fully_covered = self._extract_sources(path)
         if not groups:
-            return AccessPlan(AccessMethod.FULL_SCAN, path)
+            return AccessPlan(AccessMethod.FULL_SCAN, path, query)
         exact = fully_covered and all(
             source.exact for group in groups for source in group)
         method = force_method or self._choose_method(groups)
         if method is AccessMethod.FULL_SCAN:
-            return AccessPlan(AccessMethod.FULL_SCAN, path)
+            return AccessPlan(AccessMethod.FULL_SCAN, path, query)
         if method is AccessMethod.NODEID_LIST and \
                 not self._nodeid_usable(path, groups):
             method = AccessMethod.DOCID_LIST
-        return AccessPlan(method, path, groups, exact)
+        return AccessPlan(method, path, query, groups, exact)
 
     # -- sargable predicate extraction ---------------------------------------
 
@@ -155,10 +154,3 @@ class Planner:
             return False
         return all(source.suffix_depth is not None
                    for group in groups for source in group)
-
-    def replan_with(self, plan: AccessPlan,
-                    method: AccessMethod) -> AccessPlan:
-        """The same plan with a forced access method (experiments)."""
-        if method is AccessMethod.FULL_SCAN:
-            return AccessPlan(method, plan.path)
-        return replace(plan, method=method)

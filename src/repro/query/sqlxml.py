@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.engine import Database
-from repro.errors import QueryError, SqlSyntaxError
+from repro.errors import SqlSyntaxError
 from repro.query.constructors import (Arg, Const, Spec, XAttr, XConcat,
                                       XElem, XForest, XmlAggregator,
                                       compile_template)
 from repro.xdm.serializer import serialize
-from repro.xpath.quickxscan import evaluate as xscan_evaluate
+from repro.xpath.quickxscan import QuickXScan
 
 _KEYWORDS = {
     "create", "table", "index", "on", "insert", "into", "values", "select",
@@ -656,23 +656,16 @@ class SqlSession:
         """
         condition = statement.where
         if isinstance(condition, XmlExists):
-            from repro.lang import ast as xpath_ast
-            from repro.lang.parser import parse_xpath as _parse_xpath
-            try:
-                parsed = _parse_xpath(condition.xpath)
-            except QueryError:
-                parsed = None
-            if isinstance(parsed, xpath_ast.LocationPath):
-                matches = self.db.xpath(statement.table, condition.column,
-                                        condition.xpath)
-                qualifying = {m.docid for m in matches}
-                definition = self.catalog.table(statement.table)
-                names = [c.name for c in definition.columns]
-                return [dict(zip(names, row, strict=True))
-                        for _rid, row in
-                        self.db.tables[statement.table].scan_rids()
-                        if row[definition.column_index(condition.column)]
-                        in qualifying]
+            matches = self.db.xpath(statement.table, condition.column,
+                                    condition.xpath)
+            qualifying = {m.docid for m in matches}
+            definition = self.catalog.table(statement.table)
+            names = [c.name for c in definition.columns]
+            return [dict(zip(names, row, strict=True))
+                    for _rid, row in
+                    self.db.tables[statement.table].scan_rids()
+                    if row[definition.column_index(condition.column)]
+                    in qualifying]
         return [row for _rid, row in self._rows(statement.table)
                 if condition is None
                 or self._truth(condition, statement.table, row)]
@@ -749,13 +742,21 @@ class SqlSession:
             return None
         return store.document(docid).events()
 
+    def _xscan(self, xpath: str, events) -> list:
+        """The items ``xpath`` matches in one row's document.
+
+        The path comes from the engine's query cache, so a statement
+        compiles it once, not once per row.
+        """
+        return QuickXScan(self.db.compile_xpath(xpath)[1],
+                          stats=self.stats).run(events)
+
     def _xmlquery(self, expression: XmlQuery, table: str,
                   row: dict) -> str | None:
         document = self._xml_column_events(table, expression.column, row)
         if document is None:
             return None
-        items = xscan_evaluate(expression.xpath, document,
-                               stats=self.stats)
+        items = self._xscan(expression.xpath, document)
         store = self.db.xml_stores[(table, expression.column)]
         docid = row[expression.column]
         parts = []
@@ -781,9 +782,7 @@ class SqlSession:
                                                row)
             if document is None:
                 return False
-            return bool(xscan_evaluate(condition.xpath, document,
-                                       stats=self.stats,
-                                       collect_result_values=False))
+            return bool(self._xscan(condition.xpath, document))
         if isinstance(condition, Comparison):
             left = self._scalar(condition.left, table, row)
             right = self._scalar(condition.right, table, row)

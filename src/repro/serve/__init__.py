@@ -13,7 +13,7 @@ Run a load experiment from the command line::
 
 from repro.serve.admission import AdmissionController, OverloadGuard
 from repro.serve.server import DatabaseServer
-from repro.serve.session import PreparedStatement, Session
+from repro.serve.session import Session
 
 
 def __getattr__(name: str):
@@ -30,6 +30,5 @@ __all__ = [
     "LoadHarness",
     "LoadReport",
     "OverloadGuard",
-    "PreparedStatement",
     "Session",
 ]

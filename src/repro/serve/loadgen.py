@@ -9,7 +9,7 @@ with N real client threads running a seeded mixed workload:
   DocIDs / commit across three requests, holding the lock between
   requests: this is where genuine multi-session contention (lock waits,
   deadlock victims, retries) comes from;
-* **queries** — prepared-statement XPath reads over the seeded corpus.
+* **queries** — `Session.query` XPath reads over the seeded corpus.
 
 Every client classifies its failures with the typed taxonomy
 (:class:`~repro.errors.ServerOverloadedError` → shed, backoff and move on;

@@ -1,21 +1,18 @@
-"""Per-client sessions: transaction state and a prepared-statement cache.
+"""Per-client sessions: transaction state.
 
 A :class:`Session` is the serving layer's unit of client state — the
-analogue of a DB2 *thread* bound to one connection.  It owns
+analogue of a DB2 *thread* bound to one connection.  It owns the session's
+**transaction state**: at most one explicit transaction at a time, begun
+with :meth:`Session.begin`, operated on across requests with
+:meth:`Session.execute`, and ended with :meth:`Session.commit` /
+:meth:`Session.rollback`.  Locks are held *between* requests, which is
+where real multi-session contention comes from.
 
-* the session's **transaction state**: at most one explicit transaction at
-  a time, begun with :meth:`Session.begin`, operated on across requests
-  with :meth:`Session.execute`, and ended with :meth:`Session.commit` /
-  :meth:`Session.rollback`.  Locks are held *between* requests, which is
-  where real multi-session contention comes from; and
-* a bounded LRU **statement cache**: :meth:`Session.prepare` interns a
-  (table, column, path, namespaces) statement, and the first execution
-  plans it once through :meth:`~repro.core.engine.Database.plan_xpath`
-  (whose parse/compile steps already hit the global caches in
-  :mod:`repro.xpath.cache`); later executions replay the stored
-  :class:`~repro.query.plan.AccessPlan` via ``Database.execute_plan``
-  until the catalog's ``version`` moves (a table or index was added or
-  dropped), which re-plans.
+A session caches nothing: :meth:`Session.query` runs
+:meth:`~repro.core.engine.Database.xpath`, whose parse and compile go
+through the engine's one query cache (shared by every session, as DB2's
+dynamic statement cache is) and whose plan is made per call, so an index
+created later is used at once.
 
 A session object is *not* itself thread-safe — it models one client
 connection, and one client issues one request at a time.  All engine work
@@ -29,8 +26,6 @@ exactly one session's transaction mid-flight while the rest keep serving.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ServerClosedError, TransactionError
@@ -40,27 +35,7 @@ from repro.rdb.txn import IsolationLevel, Transaction, TxnState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.deadline import Deadline
     from repro.core.engine import Database, XPathResult
-    from repro.query.plan import AccessPlan
     from repro.serve.server import DatabaseServer
-
-
-@dataclass
-class PreparedStatement:
-    """One cached statement: identity plus its lazily built access plan."""
-
-    table: str
-    column: str
-    path: str
-    namespaces: tuple[tuple[str, str], ...] = ()
-    #: Built under the engine latch on first execution, and rebuilt when
-    #: the catalog has changed since (``version`` is the catalog version
-    #: it was planned at), so an index created later gets used.
-    plan: "AccessPlan | None" = field(default=None, compare=False)
-    version: int = field(default=-1, compare=False)
-
-    @property
-    def namespace_map(self) -> dict[str, str] | None:
-        return dict(self.namespaces) if self.namespaces else None
 
 
 class Session:
@@ -68,35 +43,11 @@ class Session:
 
     def __init__(self, server: "DatabaseServer", session_id: int) -> None:
         self._server = server
-        self._stats = server.stats
         self.session_id = session_id
         self.closed = False
         #: The session's explicit transaction, if one is open.  Only
         #: touched by worker threads while they hold the engine latch.
         self.txn: Transaction | None = None
-        self._stmts: OrderedDict[tuple, PreparedStatement] = OrderedDict()
-        self._stmt_limit = max(1, server.db.config.serve_stmt_cache_size)
-
-    # -- statement cache ---------------------------------------------------
-
-    def prepare(self, table: str, column: str, path: str,
-                namespaces: dict[str, str] | None = None
-                ) -> PreparedStatement:
-        """Intern a statement in the session's LRU cache (no engine work)."""
-        ns = tuple(sorted((namespaces or {}).items()))
-        key = (table, column, path, ns)
-        stats = self._stats
-        stmt = self._stmts.get(key)
-        if stmt is not None:
-            self._stmts.move_to_end(key)
-            stats.add("serve.stmt_hits")
-            return stmt
-        stats.add("serve.stmt_misses")
-        stmt = PreparedStatement(table, column, path, ns)
-        self._stmts[key] = stmt
-        while len(self._stmts) > self._stmt_limit:
-            self._stmts.popitem(last=False)
-        return stmt
 
     # -- auto-commit requests ----------------------------------------------
 
@@ -123,24 +74,18 @@ class Session:
               namespaces: dict[str, str] | None = None,
               deadline: "Deadline | float | None" = None
               ) -> "list[XPathResult]":
-        """Auto-commit XPath query through the prepared-statement cache.
+        """Auto-commit XPath query: :meth:`Database.xpath` under a lock.
 
         Takes a table-level IS intent lock (readers coexist with other
         readers and with IX writers; DocID-level conflicts are left to the
         caller's explicit locks, as in §5.1's granular scheme).
         """
-        stmt = self.prepare(table, column, path, namespaces)
 
         def body(db: "Database", txn: Transaction) -> "list[XPathResult]":
-            txn.lock(("table", stmt.table), LockMode.IS)
-            if stmt.version != db.catalog.version:
-                stmt.plan = db.plan_xpath(stmt.table, stmt.column, stmt.path,
-                                          stmt.namespace_map)
-                stmt.version = db.catalog.version
-            return db.execute_plan(stmt.table, stmt.column, stmt.plan)
+            txn.lock(("table", table), LockMode.IS)
+            return db.xpath(table, column, path, namespaces)
 
-        return self.run(body, deadline=deadline,
-                        label=f"query:{stmt.path}")
+        return self.run(body, deadline=deadline, label=f"query:{path}")
 
     def insert(self, table: str, row: tuple,
                deadline: "Deadline | float | None" = None) -> Any:

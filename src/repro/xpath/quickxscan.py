@@ -60,12 +60,12 @@ from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import ExecutionError
 from repro.lang import ast
 from repro.lang.ast import LocationPath
+from repro.lang.parser import parse_xpath
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xpath import functions
-from repro.xpath.cache import cached_compile, cached_parse
 from repro.xpath.qtree import (EdgeType, PBinary, PFunction, PLiteral,
                                PPathRef, PSelfRef, PUnary, QNode, QueryTree,
-                               Target)
+                               Target, compile_query)
 from repro.xpath.values import (Item, arithmetic, effective_boolean,
                                 general_compare, to_number)
 
@@ -469,17 +469,16 @@ def evaluate(path: LocationPath | str, events: Iterable[SaxEvent],
              namespaces: dict[str, str] | None = None,
              stats: StatsRegistry | None = None,
              collect_result_values: bool = True) -> list[Item]:
-    """Parse/compile (if needed) and run QuickXScan over an event stream.
+    """Parse (if needed), compile and run QuickXScan over an event stream.
 
-    Parsing and compilation go through the LRU caches of
-    :mod:`repro.xpath.cache`, so repeated evaluation of the same path only
-    pays for the scan itself.
+    Nothing is cached: a caller that runs one path many times compiles it
+    once and reuses one :class:`QuickXScan` (the engine's query cache,
+    ``Database.compile_xpath``, does this for stored documents).
     """
     if isinstance(path, str):
-        parsed = cached_parse(path, namespaces, stats=stats)
+        parsed = parse_xpath(path, namespaces)
         if not isinstance(parsed, LocationPath):
             raise ExecutionError(f"{path!r} is not a location path")
         path = parsed
-    query = cached_compile(path, collect_result_values=collect_result_values,
-                           stats=stats)
+    query = compile_query(path, collect_result_values=collect_result_values)
     return QuickXScan(query, stats=stats).run(events)

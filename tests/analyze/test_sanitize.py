@@ -16,7 +16,6 @@ from repro.rdb.buffer import BufferPool
 from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.storage import Disk
 from repro.rdb.wal import LogManager, LogOp
-from repro.xpath.cache import clear_caches
 
 
 @pytest.fixture
@@ -481,7 +480,6 @@ class TestEngineWiring:
         assert db.stats.get("sanitize.active_txns_at_close") == 1
 
     def test_context_manager_closes_cleanly(self, armed):
-        clear_caches()
         with Database() as db:
             db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
             db.insert("t", (1, "<a>x</a>"))

@@ -106,11 +106,11 @@ class TestPlanner:
     def test_method_threshold(self, indexed_db):
         planner = indexed_db.planner("catalog", "doc")
         planner.nodeid_threshold = 1  # force "large documents"
-        from repro.lang.parser import parse_xpath
-        plan = planner.plan(parse_xpath(QUERY_PRICE))
+        compiled = indexed_db.compile_xpath(QUERY_PRICE)
+        plan = planner.plan(*compiled)
         assert plan.method is AccessMethod.NODEID_LIST
         planner.nodeid_threshold = 10**9
-        plan = planner.plan(parse_xpath(QUERY_PRICE))
+        plan = planner.plan(*compiled)
         assert plan.method is AccessMethod.DOCID_LIST
 
     def test_explain(self, indexed_db):

@@ -10,7 +10,7 @@ from repro.analyze import sanitize
 from repro.analyze.framework import Program, SourceModule
 from repro.analyze.threads import ThreadAnalysis
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.engine import Database
+from repro.core.engine import QUERY_CACHE_SIZE, Database
 from repro.errors import ServerClosedError, TransactionError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
@@ -123,21 +123,27 @@ class TestServing:
         verify_value_indexes(db)
 
     def test_statement_cache_hits_and_lru(self):
-        db = make_db(serve_stmt_cache_size=2)
+        """Served queries go through the engine's one statement cache,
+        shared by every session."""
+        db = make_db()
         with DatabaseServer(db) as server:
-            session = server.session()
-            session.insert("docs", ("k", DOC.format(i=1)))
-            for _ in range(3):
-                session.query("docs", "doc", "/Product/Name")
-            assert db.stats.get("serve.stmt_hits") == 2
-            # Two more statements evict /Product/Name (cache size 2) ...
-            session.query("docs", "doc", "/Product/Price")
-            session.query("docs", "doc", "/Product")
-            session.query("docs", "doc", "/Product/Name")
-            # ... so its fourth use re-plans: 4 misses total, 2 hits.
-            assert db.stats.get("serve.stmt_misses") == 4
+            first, second = server.session(), server.session()
+            first.insert("docs", ("k", DOC.format(i=1)))
+            for session in (first, second, first):
+                (hit,) = session.query("docs", "doc", "/Product/Name")
+                assert hit.match.item.value == "widget 1"
+            assert db.stats.get("xpath.parse_misses") == 1
+            assert db.stats.get("xpath.parse_hits") == 2
+            # Filling the cache evicts /Product/Name, so it parses again.
+            for i in range(QUERY_CACHE_SIZE):
+                first.query("docs", "doc", f"/Product[Price = {i}]")
+            second.query("docs", "doc", "/Product/Name")
+            assert db.stats.get("xpath.parse_misses") == QUERY_CACHE_SIZE + 2
+            assert db.stats.get("xpath.parse_hits") == 2
 
     def test_prepared_plan_reused_until_ddl(self):
+        """The parse is reused; the plan is made per query, so an index
+        created between two executions is used by the second."""
         db = make_db()
         path = '/Catalog/Product[@id = "p7"]'
         with DatabaseServer(db) as server:
@@ -145,20 +151,30 @@ class TestServing:
             for i in range(200):
                 session.insert("docs", (f"k{i}", CATALOG.format(i=i)))
             assert len(session.query("docs", "doc", path)) == 1
-            stmt = session.prepare("docs", "doc", path)
-            scan_plan = stmt.plan
             assert db.stats.get("exec.docs_evaluated") == 200
-            # Without DDL the cached plan is replayed as is ...
-            session.query("docs", "doc", path)
-            assert stmt.plan is scan_plan
-            # ... and an index created afterwards is used at once.
+            assert db.plan_xpath("docs", "doc", path).method \
+                is AccessMethod.FULL_SCAN
+            # An index created afterwards is used at once.
             db.create_xpath_index("by_id", "docs", "doc",
                                   "/Catalog/Product/@id", "varchar")
             before = db.stats.get("exec.docs_evaluated")
             assert len(session.query("docs", "doc", path)) == 1
             assert db.stats.get("exec.docs_evaluated") - before == 1
-            assert scan_plan.method is AccessMethod.FULL_SCAN
-            assert stmt.plan.method is AccessMethod.DOCID_LIST
+            assert db.plan_xpath("docs", "doc", path).method \
+                is AccessMethod.DOCID_LIST
+            assert db.stats.get("xpath.parse_misses") == 1
+
+    def test_served_queries_reach_slow_query_capture(self):
+        db = make_db(slow_query_events=1)
+        with DatabaseServer(db) as server:
+            session = server.session()
+            session.insert("docs", ("k", DOC.format(i=3)))
+            (hit,) = session.query("docs", "doc", "/Product/Name")
+            assert hit.match.item.value == "widget 3"
+        (record,) = db.slow_queries
+        assert record.path == "/Product/Name"
+        assert record.rows == 1
+        assert "xscan.events" in record.exceeded
 
     def test_explicit_txn_holds_locks_across_requests(self):
         db = make_db(serve_workers=2)

@@ -1,101 +1,80 @@
-"""Tests for the parse/compile LRU caches (repro.xpath.cache)."""
+"""Tests for the engine's query cache (``Database.compile_xpath``).
 
-import pytest
+One LRU per :class:`Database`, keyed on (path text, sorted namespace
+bindings), holding the parsed location path and its compiled query tree.
+"""
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.engine import Database
-from repro.core.stats import StatsRegistry
+from repro.core.engine import QUERY_CACHE_SIZE, Database
 from repro.lang.parser import parse_xpath
-from repro.xpath import cache
-from repro.xpath.cache import (CACHE_SIZE, cache_info, cached_compile,
-                               cached_parse, clear_caches)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
+from repro.query.sqlxml import SqlSession
 
 
 class TestCachedParse:
     def test_hit_and_miss_counters(self):
-        stats = StatsRegistry()
-        first = cached_parse("/a/b", stats=stats)
-        again = cached_parse("/a/b", stats=stats)
-        assert again is first                  # shared AST object
-        assert stats.get("xpath.parse_misses") == 1
-        assert stats.get("xpath.parse_hits") == 1
+        db = Database()
+        first = db.compile_xpath("/a/b")
+        again = db.compile_xpath("/a/b")
+        assert again is first                  # shared (path, tree) pair
+        assert db.stats.get("xpath.parse_misses") == 1
+        assert db.stats.get("xpath.parse_hits") == 1
 
     def test_namespaces_participate_in_key(self):
-        stats = StatsRegistry()
-        plain = cached_parse("/x:a", {"x": "urn:one"}, stats=stats)
-        other = cached_parse("/x:a", {"x": "urn:two"}, stats=stats)
+        db = Database()
+        plain = db.compile_xpath("/x:a", {"x": "urn:one"})
+        other = db.compile_xpath("/x:a", {"x": "urn:two"})
         assert plain is not other
-        assert stats.get("xpath.parse_misses") == 2
+        assert plain[0].steps[0].test.uri == "urn:one"
+        assert other[0].steps[0].test.uri == "urn:two"
+        assert db.stats.get("xpath.parse_misses") == 2
         # Binding order does not matter.
-        a = cached_parse("/x:a", {"x": "u1", "y": "u2"}, stats=stats)
-        b = cached_parse("/x:a", {"y": "u2", "x": "u1"}, stats=stats)
+        a = db.compile_xpath("/x:a", {"x": "u1", "y": "u2"})
+        b = db.compile_xpath("/x:a", {"y": "u2", "x": "u1"})
         assert a is b
+        # No bindings and empty bindings are one key.
+        assert db.compile_xpath("/a", None) is db.compile_xpath("/a", {})
 
     def test_parse_result_matches_uncached(self):
-        assert repr(cached_parse("/a//b[@c > 3]")) == \
-            repr(parse_xpath("/a//b[@c > 3]"))
+        path, _query = Database().compile_xpath("/a//b[@c > 3]")
+        assert repr(path) == repr(parse_xpath("/a//b[@c > 3]"))
 
 
 class TestCachedCompile:
     def test_hit_and_miss_counters(self):
-        stats = StatsRegistry()
-        path = parse_xpath("/a/b[c]")
-        first = cached_compile(path, stats=stats)
-        again = cached_compile(path, stats=stats)
-        assert again is first
-        assert stats.get("xpath.compile_misses") == 1
-        assert stats.get("xpath.compile_hits") == 1
-
-    def test_structurally_equal_paths_share_one_entry(self):
-        stats = StatsRegistry()
-        a = cached_compile(parse_xpath("/a/b"), stats=stats)
-        b = cached_compile(parse_xpath("/a/b"), stats=stats)
-        assert a is b
-
-    def test_collect_flag_is_part_of_the_key(self):
-        stats = StatsRegistry()
-        path = parse_xpath("/a/b")
-        with_values = cached_compile(path, True, stats=stats)
-        without = cached_compile(path, False, stats=stats)
-        assert with_values is not without
-        assert stats.get("xpath.compile_misses") == 2
+        db = Database()
+        _path, query = db.compile_xpath("/a/b[c]")
+        _again, query_again = db.compile_xpath("/a/b[c]")
+        assert query_again is query            # compiled once, then reused
+        assert db.stats.get("xpath.parse_misses") == 1
+        assert db.stats.get("xpath.parse_hits") == 1
+        assert "xpath.compile_hits" not in db.stats.snapshot()
 
 
 class TestLruBehaviour:
     def test_eviction_at_capacity(self):
-        stats = StatsRegistry()
-        for i in range(CACHE_SIZE + 10):
-            cached_parse(f"/a/e{i}", stats=stats)
-        assert cache_info()["parse"] == CACHE_SIZE
-        # The oldest entries were evicted; re-parsing them misses.
-        before = stats.get("xpath.parse_misses")
-        cached_parse("/a/e0", stats=stats)
-        assert stats.get("xpath.parse_misses") == before + 1
+        db = Database()
+        for i in range(QUERY_CACHE_SIZE + 10):
+            db.compile_xpath(f"/a/e{i}")
+        assert len(db._queries) == QUERY_CACHE_SIZE
+        # The oldest entries were evicted: re-asking misses again.
+        before = db.stats.get("xpath.parse_misses")
+        db.compile_xpath("/a/e0")
+        assert db.stats.get("xpath.parse_misses") == before + 1
+        # The newest entry is still there.
+        hits = db.stats.get("xpath.parse_hits")
+        db.compile_xpath(f"/a/e{QUERY_CACHE_SIZE + 9}")
+        assert db.stats.get("xpath.parse_hits") == hits + 1
 
     def test_recent_use_protects_against_eviction(self):
-        stats = StatsRegistry()
-        cached_parse("/keep/me", stats=stats)
-        for i in range(CACHE_SIZE - 1):
-            cached_parse(f"/fill/e{i}", stats=stats)
-            cached_parse("/keep/me", stats=stats)   # refresh recency
-        cached_parse("/one/more", stats=stats)      # evicts the LRU entry
-        before = stats.get("xpath.parse_hits")
-        cached_parse("/keep/me", stats=stats)
-        assert stats.get("xpath.parse_hits") == before + 1
-
-    def test_clear_caches(self):
-        cached_parse("/a")
-        cached_compile(parse_xpath("/a"))
-        clear_caches()
-        assert cache_info()["parse"] == 0
-        assert cache_info()["compile"] == 0
+        db = Database()
+        db.compile_xpath("/keep/me")
+        for i in range(QUERY_CACHE_SIZE - 1):
+            db.compile_xpath(f"/fill/e{i}")
+            db.compile_xpath("/keep/me")   # refresh recency
+        db.compile_xpath("/one/more")      # evicts the LRU entry
+        before = db.stats.get("xpath.parse_hits")
+        db.compile_xpath("/keep/me")
+        assert db.stats.get("xpath.parse_hits") == before + 1
 
 
 class TestEngineIntegration:
@@ -106,14 +85,13 @@ class TestEngineIntegration:
             db.insert("t", (f"<r><v>{i}</v></r>",))
         first = db.xpath("t", "doc", "/r/v")
         assert db.stats.get("xpath.parse_misses") == 1
-        assert db.stats.get("xpath.compile_misses") == 1
         second = db.xpath("t", "doc", "/r/v")
-        assert db.stats.get("xpath.parse_hits") >= 1
-        assert db.stats.get("xpath.compile_hits") >= 1
+        assert db.stats.get("xpath.parse_hits") == 1
+        assert db.stats.get("xpath.parse_misses") == 1
         assert [(m.docid, m.match.item.value) for m in first] == \
             [(m.docid, m.match.item.value) for m in second]
 
-    def test_cache_shared_across_engines_but_counted_per_engine(self):
+    def test_engines_share_no_entries(self):
         a = Database()
         b = Database()
         for db in (a, b):
@@ -122,10 +100,19 @@ class TestEngineIntegration:
         a.xpath("t", "doc", "/r/v")
         b.xpath("t", "doc", "/r/v")
         assert a.stats.get("xpath.parse_misses") == 1
-        assert b.stats.get("xpath.parse_hits") >= 1
-        assert b.stats.get("xpath.parse_misses") == 0
+        assert b.stats.get("xpath.parse_misses") == 1
+        assert b.stats.get("xpath.parse_hits") == 0
+        assert a.compile_xpath("/r/v") is not b.compile_xpath("/r/v")
 
-    def test_module_state_is_reachable_for_tests(self):
-        # Guard against the caches being rebound (tests rely on clearing).
-        assert cache._parse_cache is not None
-        assert cache._compile_cache is not None
+    def test_sql_statement_compiles_its_path_once(self):
+        db = Database()
+        db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
+        for i in range(5):
+            db.insert("t", (i, f"<r><v>{i}</v></r>"))
+        rows = SqlSession(db).execute(
+            "SELECT id, XMLQUERY('/r/v' PASSING doc) AS v FROM t")
+        assert [row["v"] for row in rows] == \
+            [f"<v>{i}</v>" for i in range(5)]
+        # One parse and compile; every later row is a cache hit.
+        assert db.stats.get("xpath.parse_misses") == 1
+        assert db.stats.get("xpath.parse_hits") == 4
