@@ -9,9 +9,13 @@ namespace.  This package machine-checks those contracts twice over:
 * statically: ``python -m repro.analyze src/`` runs AST-based checkers
   (:mod:`~repro.analyze.pins`, :mod:`~repro.analyze.rawdisk`,
   :mod:`~repro.analyze.lockorder`, :mod:`~repro.analyze.waldiscipline`,
-  :mod:`~repro.analyze.statshygiene`, :mod:`~repro.analyze.races`) against
-  the tree, with a documented suppression baseline
-  (:mod:`~repro.analyze.baseline`);
+  :mod:`~repro.analyze.statshygiene`, :mod:`~repro.analyze.excsafety`,
+  :mod:`~repro.analyze.txnscope`, and the two checkers of
+  :mod:`~repro.analyze.races`) against the tree, with a documented
+  suppression baseline (:mod:`~repro.analyze.baseline`).  The shared facts
+  they reason with — call graph, effect summaries, acquisition sites — live
+  in :mod:`~repro.analyze.callgraph` and :mod:`~repro.analyze.effects`;
+  the driver is :mod:`~repro.analyze.cli`;
 * dynamically: :mod:`~repro.analyze.sanitize` arms assertions inside the
   buffer pool, lock manager, WAL and transaction manager (zero pins and
   zero locks at every transaction boundary, LSN monotonicity, witnessed
@@ -27,24 +31,7 @@ blocking call); and the sanitizer's Eraser-style lockset machinery
 (:class:`~repro.analyze.sanitize.TrackedLock`, ``shared_access``) witnesses
 the same guards at runtime, cross-checked against the static inference via
 ``cross_check_field_guards``.
+
+Importing this package loads nothing else: the engine imports only
+:mod:`~repro.analyze.sanitize`, and never pays for the static side.
 """
-
-from repro.analyze.baseline import Baseline, BaselineError, write_baseline
-from repro.analyze.cli import all_checkers, main
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import (Checker, SourceModule, iter_python_files,
-                                     run_checkers)
-
-__all__ = [
-    "Baseline",
-    "BaselineError",
-    "Checker",
-    "Finding",
-    "Severity",
-    "SourceModule",
-    "all_checkers",
-    "iter_python_files",
-    "main",
-    "run_checkers",
-    "write_baseline",
-]

@@ -36,7 +36,8 @@ import ast
 from collections import defaultdict
 from typing import Iterator
 
-from repro.analyze.framework import SourceModule, call_name, receiver_text
+from repro.analyze.framework import (SourceModule, call_name, call_text,
+                                     receiver_text)
 
 
 class FunctionInfo:
@@ -78,9 +79,7 @@ class CallSite:
         self.callee = callee
         self.call = call
         self.line = call.lineno
-        receiver = receiver_text(call)
-        name = call_name(call)
-        self.text = f"{receiver}.{name}" if receiver else name
+        self.text = call_text(call)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"CallSite({self.caller.qualname} -> "
@@ -162,11 +161,7 @@ class CallGraph:
     def resolve(self) -> None:
         """Build the edge set once every module has been added."""
         for info in list(self.functions.values()):
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if info.module.enclosing_function(node) is not info.node:
-                    continue  # belongs to a nested function
+            for node in info.module.own_calls(info.node):
                 for callee in self.resolve_call(info, node):
                     site = CallSite(info, callee, node)
                     self.callees_of[info.fid].append(site)

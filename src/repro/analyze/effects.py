@@ -34,15 +34,24 @@ itself or the call site it was inherited through.  :meth:`EffectAnalysis.
 witness_path` rebuilds the full call chain for ``--explain`` — the chain is
 finite because a witness is recorded only the first time an effect enters a
 summary, so following it strictly descends toward a primitive site.
+
+This module is also the analyzer's one fact base.  The AST facts the
+protocol checkers share are defined here once: what a call does by itself
+(:func:`direct_effect`), try/finally protection for a set of release
+names (:func:`protected_by_finally`), and pin hand-off through ``return``
+(:func:`hands_back_pin`).  :meth:`EffectAnalysis.sites` lists every call
+in a function that performs an effect, primitive or through a callee, so
+PIN, LOCK, EXC and WAL001 each walk one list of acquisition sites.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable
 
 from repro.analyze.callgraph import CallGraph, CallSite, FunctionInfo
-from repro.analyze.framework import call_name, receiver_text
+from repro.analyze.framework import (SourceModule, call_name, call_text,
+                                     receiver_text)
 
 PINS = "pins_page"
 UNPINS = "unpins_page"
@@ -54,9 +63,12 @@ BLOCKS = "may_block"
 ACQUIRES_PREFIX = "acquires_lock:"
 
 _PIN_METHODS = {"fetch", "new_page"}
+#: lock-acquisition method -> positional index of its resource argument
 _ACQUIRE_METHODS = {"try_acquire": 1, "lock": 0, "try_lock": 0}
 _WAL_METHODS = {"append", "checkpoint", "log", "flush"}
-_FLUSH_METHODS = {"flush_page", "flush_all"}
+FLUSH_METHODS = frozenset({"flush_page", "flush_all"})
+PIN_RELEASES = frozenset({"unpin"})
+LOCK_RELEASES = frozenset({"release", "release_all", "unlock"})
 
 
 def _receiver_tail(call: ast.Call) -> str:
@@ -109,26 +121,23 @@ def lock_class_of(effect: str) -> str | None:
 
 
 def is_pool_receiver(call: ast.Call) -> bool:
-    """Heuristic shared with the pin checker: pool-ish attribute receiver."""
-    receiver = receiver_text(call).lower()
-    if not receiver:
-        return False
-    last = receiver.rsplit(".", 1)[-1]
-    return last == "pool" or last.endswith("pool")
+    """Pool-ish attribute receiver (``self.pool``, ``buffer_pool``...)."""
+    return _receiver_tail(call).endswith("pool")
 
 
 def is_log_receiver(call: ast.Call) -> bool:
     """Log-ish attribute receiver (``self.log``, ``wal``, ``txn_log``...)."""
-    receiver = receiver_text(call).lower()
-    if not receiver:
-        return False
-    last = receiver.rsplit(".", 1)[-1]
+    last = _receiver_tail(call)
     return last in ("log", "wal") or last.endswith("_log") or \
         last.endswith("_wal")
 
 
 def classify_resource(node: ast.expr | None) -> str | None:
-    """Static lock class of a resource expression, if derivable."""
+    """Static lock class of a resource expression, if derivable.
+
+    ``("row", table, rid)`` → ``row``; ``row_resource(...)`` → ``row``;
+    anything else (bare names, parameters) is unclassifiable.
+    """
     if node is None:
         return None
     if isinstance(node, ast.Tuple) and node.elts:
@@ -155,6 +164,99 @@ def lock_resource_arg(call: ast.Call) -> ast.expr | None:
     return None
 
 
+def direct_effect(call: ast.Call) -> str | None:
+    """The resource effect ``call`` performs by itself, if any: a pin
+    (``fetch``/``new_page`` on a pool), an unpin, a lock acquisition with
+    its resource class, or a page flush."""
+    name = call_name(call)
+    if name in _PIN_METHODS and is_pool_receiver(call):
+        return PINS
+    if name == "unpin":
+        return UNPINS
+    if name in _ACQUIRE_METHODS:
+        return acquires(classify_resource(lock_resource_arg(call)) or "?")
+    if name in FLUSH_METHODS:
+        return FLUSHES
+    return None
+
+
+def _contains_call(nodes: Iterable[ast.AST], names: Iterable[str]) -> bool:
+    """Is a call to one of ``names`` anywhere under ``nodes``?"""
+    wanted = set(names)
+    return any(isinstance(node, ast.Call) and call_name(node) in wanted
+               for root in nodes for node in ast.walk(root))
+
+
+def unpins(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Does ``function``'s body unpin anywhere?"""
+    return _contains_call(function.body, PIN_RELEASES)
+
+
+def _finally_releases(node: ast.AST, releases: frozenset[str]) -> bool:
+    return isinstance(node, ast.Try) and bool(node.finalbody) and \
+        _contains_call(node.finalbody, releases)
+
+
+def protected_by_finally(module: SourceModule, node: ast.AST,
+                         releases: frozenset[str]) -> bool:
+    """``node`` sits inside a try whose finally calls one of ``releases``,
+    or its statement is immediately followed by such a try (the ``data =
+    pool.fetch(p)`` / ``try: ... finally: unpin`` idiom of
+    ``BufferPool.page``)."""
+    stmt = module.statement_of(node)
+    if stmt is None:  # pragma: no cover - calls always sit in statements
+        return False
+    if any(_finally_releases(ancestor, releases)
+           for ancestor in module.ancestors(stmt)):
+        return True
+    parent = module.parent(stmt)
+    for field_name in ("body", "orelse", "finalbody"):
+        block = getattr(parent, field_name, None)
+        if isinstance(block, list) and stmt in block:
+            index = block.index(stmt)
+            return index + 1 < len(block) and \
+                _finally_releases(block[index + 1], releases)
+    return False
+
+
+def hands_back_pin(info: FunctionInfo, call: ast.Call) -> bool:
+    """``info`` never unpins and returns ``call``'s pinned result, directly
+    or through a name the call's statement binds: the caller owns the
+    unpin (the pool's own ``new_page``), and ``info`` is ``returns_pin``."""
+    if unpins(info.node):
+        return False
+    stmt = info.module.statement_of(call)
+    if isinstance(stmt, ast.Return):
+        return True
+    names = _assigned_names(stmt) if stmt is not None else set()
+    if not names:
+        return False
+    for node in ast.walk(info.node):
+        if isinstance(node, ast.Return) and node.value is not None:
+            for ref in ast.walk(node.value):
+                if isinstance(ref, ast.Name) and ref.id in names:
+                    return True
+    return False
+
+
+def _assigned_names(stmt: ast.stmt) -> set[str]:
+    """Names bound by an assignment statement (tuple targets included)."""
+    targets: list[ast.expr] = []
+    if isinstance(stmt, ast.Assign):
+        targets = list(stmt.targets)
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def _matches(token: str, effect: str) -> bool:
+    """``effect`` names ``token`` (``ACQUIRES_PREFIX`` names every class)."""
+    if effect == ACQUIRES_PREFIX:
+        return token.startswith(ACQUIRES_PREFIX)
+    return token == effect
+
+
 class Witness:
     """How one effect entered one function's summary."""
 
@@ -164,6 +266,31 @@ class Witness:
         self.line = line
         self.text = text  # primitive description, or the forwarding call
         self.via = via    # None => primitive site in this very function
+
+
+class EffectSite:
+    """One call in a function that performs an effect (see
+    :meth:`EffectAnalysis.sites`)."""
+
+    def __init__(self, info: FunctionInfo, call: ast.Call, effect: str,
+                 callee: FunctionInfo | None = None,
+                 chain: tuple[str, ...] = ()) -> None:
+        self.info = info
+        self.call = call
+        self.effect = effect  # the token this site performs
+        self.callee = callee  # None => primitive site
+        self.chain = chain    # callee's witness path, empty when primitive
+        self.text = call_text(call)
+        self.pos = (call.lineno, call.col_offset)
+
+    @property
+    def call_path(self) -> tuple[str, ...]:
+        """``--explain`` lines: this call, then the callee's witness path
+        (empty for a primitive site)."""
+        if self.callee is None:
+            return ()
+        return (f"{self.info.path}:{self.call.lineno}: "
+                f"{self.info.qualname} calls {self.text}()",) + self.chain
 
 
 class EffectAnalysis:
@@ -199,6 +326,42 @@ class EffectAnalysis:
         for fid in self._summaries:
             classes |= self.lock_classes(fid)
         return classes
+
+    def sites(self, info: FunctionInfo, effect: str) -> list[EffectSite]:
+        """Every call in ``info`` that performs ``effect``, in source order.
+
+        ``effect`` is a token, or ``ACQUIRES_PREFIX`` for a lock of any
+        class.  A *primitive* site performs it itself (:func:`
+        direct_effect`; its chain is empty).  A *via-callee* site calls a
+        function whose summary carries the effect — for ``PINS``, carries
+        ``returns_pin``, since only a pin handed back is the caller's to
+        release — and its chain is :meth:`render_path` from that callee.
+        A call yields one site per token, from its first resolved callee
+        carrying it, and is never both a primitive and a via-callee site.
+        """
+        found: list[EffectSite] = []
+        primitive: set[int] = set()
+        for call in info.module.own_calls(info.node):
+            token = direct_effect(call)
+            if token is not None and _matches(token, effect):
+                primitive.add(id(call))
+                found.append(EffectSite(info, call, token))
+        inherited = RETURNS_PIN if effect == PINS else effect
+        seen: set[tuple[int, str]] = set()
+        for site in self.graph.callees_of.get(info.fid, ()):
+            if id(site.call) in primitive:
+                continue
+            callee = site.callee.fid
+            for token in sorted(self._summaries.get(callee, ())):
+                if not _matches(token, inherited) or \
+                        (id(site.call), token) in seen:
+                    continue
+                seen.add((id(site.call), token))
+                found.append(EffectSite(
+                    info, site.call, token, site.callee,
+                    tuple(self.render_path(callee, token))))
+        found.sort(key=lambda s: s.pos)
+        return found
 
     def witness_path(self, fid: str, effect: str) -> list[tuple[str, int, str]]:
         """The call chain proving ``fid`` has ``effect``.
@@ -267,43 +430,16 @@ class EffectAnalysis:
                         site.caller.path, site.line, site.text, via=site)
                     changed = True
             if RETURNS_PIN in callee_summary and RETURNS_PIN not in summary \
-                    and self._forwards_pin(site):
+                    and hands_back_pin(site.caller, site.call):
                 summary[RETURNS_PIN] = Witness(
                     site.caller.path, site.line, site.text, via=site)
                 changed = True
         return changed
 
-    def _forwards_pin(self, site: CallSite) -> bool:
-        """Does the caller hand ``site``'s pinned result to *its* caller?
-
-        True when the call's result is returned (directly or through a
-        name binding) and the caller never unpins — the ``new_page``
-        handoff idiom, one level up.
-        """
-        function = site.caller.node
-        if self._contains_unpin(function):
-            return False
-        stmt = self._statement_of(site.caller, site.call)
-        if stmt is None:  # pragma: no cover - calls always sit in statements
-            return False
-        if isinstance(stmt, ast.Return):
-            return True
-        names = _assigned_names(stmt)
-        if not names:
-            return False
-        for node in ast.walk(function):
-            if isinstance(node, ast.Return) and node.value is not None:
-                for ref in ast.walk(node.value):
-                    if isinstance(ref, ast.Name) and ref.id in names:
-                        return True
-        return False
-
     def _direct_effects(self, info: FunctionInfo) -> dict[str, Witness]:
         effects: dict[str, Witness] = {}
         path = info.path
-        pin_sites: list[ast.Call] = []
-        has_unpin = False
-        for node in self._own_nodes(info):
+        for node in info.module.own_nodes(info.node):
             if isinstance(node, ast.Raise):
                 effects.setdefault(MAY_RAISE, Witness(
                     path, node.lineno, "raise"))
@@ -311,23 +447,10 @@ class EffectAnalysis:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name in _PIN_METHODS and is_pool_receiver(node):
-                effects.setdefault(PINS, Witness(
-                    path, node.lineno,
-                    f"{receiver_text(node)}.{name}() pins"))
-                pin_sites.append(node)
-            elif name == "unpin":
-                has_unpin = True
-                effects.setdefault(UNPINS, Witness(
-                    path, node.lineno, f"{receiver_text(node)}.unpin()"))
-            elif name in _ACQUIRE_METHODS:
-                lock_class = classify_resource(lock_resource_arg(node)) or "?"
-                effects.setdefault(acquires(lock_class), Witness(
-                    path, node.lineno,
-                    f"{name}() acquires {lock_class!r} lock"))
-            elif name in _FLUSH_METHODS:
-                effects.setdefault(FLUSHES, Witness(
-                    path, node.lineno, f"{name}() flushes"))
+            effect = direct_effect(node)
+            if effect is not None:
+                effects.setdefault(effect, Witness(
+                    path, node.lineno, _describe(node, effect)))
             blocking = blocking_reason(node)
             if blocking is not None:
                 effects.setdefault(BLOCKS, Witness(
@@ -336,65 +459,23 @@ class EffectAnalysis:
                 effects.setdefault(WRITES_WAL, Witness(
                     path, node.lineno,
                     f"{receiver_text(node)}.{name}() writes WAL"))
-        if pin_sites and not has_unpin:
-            for call in pin_sites:
-                if self._pin_handed_off(info, call):
+        if PINS in effects:
+            for call in info.module.own_calls(info.node):
+                if direct_effect(call) == PINS and \
+                        hands_back_pin(info, call):
                     effects.setdefault(RETURNS_PIN, Witness(
                         path, call.lineno,
-                        f"{receiver_text(call)}.{call_name(call)}() pin "
-                        f"handed to caller"))
+                        f"{call_text(call)}() pin handed to caller"))
                     break
         return effects
 
-    @staticmethod
-    def _own_nodes(info: FunctionInfo) -> Iterator[ast.AST]:
-        """Nodes of ``info``'s body, excluding nested function bodies."""
-        for node in ast.walk(info.node):
-            if info.module.enclosing_function(node) is info.node:
-                yield node
 
-    @staticmethod
-    def _contains_unpin(function: ast.AST) -> bool:
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call) and call_name(node) == "unpin":
-                return True
-        return False
-
-    @staticmethod
-    def _statement_of(info: FunctionInfo, node: ast.AST) -> ast.stmt | None:
-        current: ast.AST | None = node
-        while current is not None and not isinstance(current, ast.stmt):
-            current = info.module.parent(current)
-        return current
-
-    def _pin_handed_off(self, info: FunctionInfo, call: ast.Call) -> bool:
-        """The pinned result escapes through a return (caller owns it)."""
-        stmt = self._statement_of(info, call)
-        if stmt is None:  # pragma: no cover - calls always sit in statements
-            return False
-        if isinstance(stmt, ast.Return):
-            return True
-        names = _assigned_names(stmt)
-        if not names:
-            return False
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                for ref in ast.walk(node.value):
-                    if isinstance(ref, ast.Name) and ref.id in names:
-                        return True
-        return False
-
-
-def _assigned_names(stmt: ast.stmt) -> set[str]:
-    """Names bound by an assignment statement (tuple targets included)."""
-    names: set[str] = set()
-    targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    for target in targets:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    return names
+def _describe(call: ast.Call, effect: str) -> str:
+    """Witness text of a primitive site performing ``effect``."""
+    if effect == PINS:
+        return f"{call_text(call)}() pins"
+    if effect == UNPINS:
+        return f"{receiver_text(call)}.unpin()"
+    if effect == FLUSHES:
+        return f"{call_name(call)}() flushes"
+    return f"{call_name(call)}() acquires {lock_class_of(effect)!r} lock"

@@ -22,41 +22,29 @@ can produce that witness.
 
 Functions that acquire and never locally release are out of scope here —
 PIN001 owns structural pin leaks, and lock lifetimes without a local
-release belong to the transaction.
+release belong to the transaction.  Acquisitions and raisers both come from
+:meth:`~repro.analyze.effects.EffectAnalysis.sites`; only direct lock
+acquisitions count for EXC002, because the early-release idiom it guards
+pairs a ``lock()`` with its ``release()`` in one body.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analyze import effects as fx
-from repro.analyze.callgraph import CallGraph, FunctionInfo
+from repro.analyze.callgraph import FunctionInfo
 from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import Checker, Program, call_name, receiver_text
-
-_PIN_METHODS = {"fetch", "new_page"}
-_ACQUIRE_METHODS = {"try_acquire", "lock", "try_lock"}
-_PIN_RELEASES = {"unpin"}
-_LOCK_RELEASES = {"release", "release_all", "unlock"}
+from repro.analyze.framework import Checker, Program, call_name
 
 _Pos = tuple[int, int]
 
-
-class _Acquire:
-    """One resource acquisition with its release vocabulary."""
-
-    def __init__(self, code: str, call: ast.Call, text: str,
-                 releases: frozenset[str], severity: Severity,
-                 noun: str, chain: tuple[str, ...] = ()) -> None:
-        self.code = code
-        self.call = call
-        self.pos: _Pos = (call.lineno, call.col_offset)
-        self.text = text
-        self.releases = releases
-        self.severity = severity
-        self.noun = noun       # "pin" / "lock", for messages
-        self.chain = chain     # witness of the acquisition itself, if any
+#: acquisition effect -> (code, severity, noun, release names)
+_KINDS: dict[str, tuple[str, Severity, str, frozenset[str]]] = {
+    fx.PINS: ("EXC001", Severity.ERROR, "pin", fx.PIN_RELEASES),
+    fx.ACQUIRES_PREFIX: ("EXC002", Severity.WARNING, "lock",
+                         fx.LOCK_RELEASES),
+}
 
 
 class ExceptionSafetyChecker(Checker):
@@ -82,143 +70,52 @@ class ExceptionSafetyChecker(Checker):
     def finish(self) -> Iterator[Finding]:
         if self._program is None:  # pragma: no cover - driver always begins
             return
-        graph = self._program.callgraph()
         summaries = self._program.effects()
-        for info in graph.iter_functions():
-            yield from self._check_function(info, graph, summaries)
+        for info in self._program.callgraph().iter_functions():
+            yield from self._check_function(info, summaries)
 
-    # -- per-function ------------------------------------------------------
-
-    def _check_function(self, info: FunctionInfo, graph: CallGraph,
+    def _check_function(self, info: FunctionInfo,
                         summaries: fx.EffectAnalysis) -> Iterator[Finding]:
-        acquires = self._acquires_of(info, graph, summaries)
-        if not acquires:
+        acquisitions = sorted(
+            ((site, kind) for kind in _KINDS
+             for site in summaries.sites(info, kind)
+             if kind == fx.PINS or site.callee is None),
+            key=lambda pair: pair[0].pos)
+        if not acquisitions:
             return
-        raisers = self._raiser_sites(info, graph, summaries)
-        if not raisers:
-            return
-        for acq in acquires:
-            if self._protected_by_finally(info, acq.call, acq.releases):
+        raisers = summaries.sites(info, fx.MAY_RAISE)
+        for acq, kind in acquisitions:
+            code, severity, noun, releases = _KINDS[kind]
+            if fx.protected_by_finally(info.module, acq.call, releases):
                 continue
-            release = self._first_release_after(info, acq)
+            release = self._first_release_after(info, acq.pos, releases)
             if release is None:
                 continue  # structural leak: PIN001 / txn-end release owns it
-            for pos, site_text, callee_fid, line in raisers:
-                if not acq.pos < pos < release:
+            for raiser in raisers:
+                if not acq.pos < raiser.pos < release:
                     continue
-                chain = tuple(
-                    [f"{info.path}:{acq.pos[0]}: {info.qualname} "
-                     f"{acq.noun}s via {acq.text}()"]
-                    + list(acq.chain)
-                    + [f"{info.path}:{line}: {info.qualname} calls "
-                       f"{site_text}() before releasing"]
-                    + summaries.render_path(callee_fid, fx.MAY_RAISE))
+                chain = (
+                    (f"{info.path}:{acq.pos[0]}: {info.qualname} "
+                     f"{noun}s via {acq.text}()",)
+                    + acq.chain
+                    + (f"{info.path}:{raiser.pos[0]}: {info.qualname} calls "
+                       f"{raiser.text}() before releasing",)
+                    + raiser.chain)
                 yield info.module.finding(
-                    acq.code, self.name, acq.call,
-                    f"{acq.text}() {acq.noun} is not exception-safe: "
-                    f"{site_text}() is a proven raiser called before the "
-                    f"{acq.noun} is released, and the release is not in a "
-                    f"finally — an exception there leaks the {acq.noun}",
-                    severity=acq.severity,
-                    detail=f"{acq.text}@{site_text}",
+                    code, self.name, acq.call,
+                    f"{acq.text}() {noun} is not exception-safe: "
+                    f"{raiser.text}() is a proven raiser called before the "
+                    f"{noun} is released, and the release is not in a "
+                    f"finally — an exception there leaks the {noun}",
+                    severity=severity,
+                    detail=f"{acq.text}@{raiser.text}",
                     call_path=chain)
                 break  # one finding per acquisition
 
-    def _acquires_of(self, info: FunctionInfo, graph: CallGraph,
-                     summaries: fx.EffectAnalysis) -> list[_Acquire]:
-        acquires: list[_Acquire] = []
-        for call in self._own_calls(info):
-            name = call_name(call)
-            text = f"{receiver_text(call)}.{name}" if receiver_text(call) \
-                else name
-            if name in _PIN_METHODS and fx.is_pool_receiver(call):
-                acquires.append(_Acquire(
-                    "EXC001", call, text, frozenset(_PIN_RELEASES),
-                    Severity.ERROR, "pin"))
-            elif name in _ACQUIRE_METHODS:
-                acquires.append(_Acquire(
-                    "EXC002", call, text, frozenset(_LOCK_RELEASES),
-                    Severity.WARNING, "lock"))
-        seen = {id(a.call) for a in acquires}
-        for site in graph.callees_of.get(info.fid, []):
-            if id(site.call) in seen:
-                continue
-            if summaries.has(site.callee.fid, fx.RETURNS_PIN):
-                seen.add(id(site.call))
-                acquires.append(_Acquire(
-                    "EXC001", site.call, site.text,
-                    frozenset(_PIN_RELEASES), Severity.ERROR, "pin",
-                    chain=tuple(summaries.render_path(
-                        site.callee.fid, fx.RETURNS_PIN))))
-        acquires.sort(key=lambda a: a.pos)
-        return acquires
-
-    def _raiser_sites(self, info: FunctionInfo, graph: CallGraph,
-                      summaries: fx.EffectAnalysis
-                      ) -> list[tuple[_Pos, str, str, int]]:
-        """Resolved calls of ``info`` whose callee may provably raise."""
-        sites: list[tuple[_Pos, str, str, int]] = []
-        seen: set[int] = set()
-        for site in graph.callees_of.get(info.fid, []):
-            if id(site.call) in seen:
-                continue
-            if not summaries.has(site.callee.fid, fx.MAY_RAISE):
-                continue
-            seen.add(id(site.call))
-            sites.append(((site.line, site.call.col_offset), site.text,
-                          site.callee.fid, site.line))
-        return sites
-
-    def _first_release_after(self, info: FunctionInfo,
-                             acq: _Acquire) -> _Pos | None:
-        best: _Pos | None = None
-        for call in self._own_calls(info):
-            if call_name(call) not in acq.releases:
-                continue
-            pos = (call.lineno, call.col_offset)
-            if pos > acq.pos and (best is None or pos < best):
-                best = pos
-        return best
-
     @staticmethod
-    def _own_calls(info: FunctionInfo) -> Iterator[ast.Call]:
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) and \
-                    info.module.enclosing_function(node) is info.node:
-                yield node
-
-    @staticmethod
-    def _protected_by_finally(info: FunctionInfo, call: ast.Call,
-                              releases: frozenset[str]) -> bool:
-        """Acquire inside (or immediately before) a try whose finally
-        releases — the structurally safe idioms the pin checker accepts."""
-        module = info.module
-        stmt: ast.AST | None = call
-        while stmt is not None and not isinstance(stmt, ast.stmt):
-            stmt = module.parent(stmt)
-        if stmt is None:  # pragma: no cover - calls always sit in statements
-            return False
-        def finally_releases(try_node: ast.Try) -> bool:
-            for node in try_node.finalbody:
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call) and \
-                            call_name(sub) in releases:
-                        return True
-            return False
-        for ancestor in module.ancestors(stmt):
-            if isinstance(ancestor, ast.Try) and ancestor.finalbody and \
-                    finally_releases(ancestor):
-                return True
-        parent = module.parent(stmt)
-        if parent is None:
-            return False
-        for field_name in ("body", "orelse", "finalbody"):
-            block = getattr(parent, field_name, None)
-            if isinstance(block, list) and stmt in block:
-                index = block.index(stmt)
-                if index + 1 < len(block):
-                    nxt = block[index + 1]
-                    if isinstance(nxt, ast.Try) and nxt.finalbody and \
-                            finally_releases(nxt):
-                        return True
-        return False
+    def _first_release_after(info: FunctionInfo, pos: _Pos,
+                             releases: frozenset[str]) -> _Pos | None:
+        after = [(call.lineno, call.col_offset)
+                 for call in info.module.own_calls(info.node)
+                 if call_name(call) in releases]
+        return min((p for p in after if p > pos), default=None)

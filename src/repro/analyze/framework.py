@@ -37,6 +37,7 @@ class SourceModule:
         self.tree = ast.parse(self.text, filename=str(path))
         self._parents: dict[ast.AST, ast.AST] = {}
         self._scopes: dict[ast.AST, str] = {}
+        self._owned: dict[ast.AST, list[ast.AST]] = {}
         self._index(self.tree, parent=None, scope="")
 
     @staticmethod
@@ -90,6 +91,31 @@ class SourceModule:
             if isinstance(node, ast.Call):
                 yield node
 
+    def own_nodes(self, function: ast.AST) -> list[ast.AST]:
+        """Nodes of ``function``'s body in ``ast.walk`` order, excluding
+        nested function bodies (each nested function is analyzed on its
+        own).  Memoized: every interprocedural checker walks them."""
+        owned = self._owned.get(function)
+        if owned is None:
+            owned = self._owned[function] = [
+                node for node in ast.walk(function)
+                if self.enclosing_function(node) is function]
+        return owned
+
+    def own_calls(self, function: ast.AST) -> Iterator[ast.Call]:
+        for node in self.own_nodes(function):
+            if isinstance(node, ast.Call):
+                yield node
+
+    def statement_of(self, node: ast.AST) -> ast.stmt | None:
+        """The statement containing ``node`` (``node`` itself if one)."""
+        current: ast.AST | None = node
+        while current is not None:
+            if isinstance(current, ast.stmt):
+                return current
+            current = self._parents.get(current)
+        return None
+
     def finding(self, code: str, checker: str, node: ast.AST, message: str,
                 **kwargs: Any) -> Finding:
         """Build a :class:`Finding` anchored at ``node``."""
@@ -126,6 +152,13 @@ def receiver_text(call: ast.Call) -> str:
     else:
         parts.append("<expr>")
     return ".".join(reversed(parts))
+
+
+def call_text(call: ast.Call) -> str:
+    """Display text of a call: ``self.pool.fetch``, or ``helper``."""
+    receiver = receiver_text(call)
+    name = call_name(call)
+    return f"{receiver}.{name}" if receiver else name
 
 
 class Program:

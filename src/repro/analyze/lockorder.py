@@ -7,7 +7,8 @@ lock resources are class-tagged tuples — ``("row", table, rid)``,
 ``*_resource`` helpers in ``repro.cc.document``, so the class of most
 acquisition sites is statically visible.
 
-The checker collects every function's *acquisition events* in source order:
+The checker walks every function's *acquisition sites* in source order
+(:meth:`~repro.analyze.effects.EffectAnalysis.sites`):
 
 * primitive sites (``try_acquire`` / ``try_lock`` / ``Transaction.lock``)
   whose resource expression classifies statically;
@@ -40,55 +41,9 @@ from collections import defaultdict
 from typing import Iterator
 
 from repro.analyze import effects as fx
-from repro.analyze.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analyze.callgraph import FunctionInfo
 from repro.analyze.findings import Finding
-from repro.analyze.framework import Checker, Program, SourceModule, call_name
-
-_ACQUIRE_METHODS = {"try_acquire": 1, "lock": 0, "try_lock": 0}
-
-
-def classify_resource(node: ast.expr | None) -> str | None:
-    """Static lock class of a resource expression, if derivable.
-
-    ``("row", table, rid)`` → ``row``; ``row_resource(...)`` → ``row``;
-    anything else (bare names, parameters) is unclassifiable.
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Tuple) and node.elts:
-        first = node.elts[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            return first.value
-    if isinstance(node, ast.Call):
-        name = call_name(node)
-        if name.endswith("_resource") and len(name) > len("_resource"):
-            return name[:-len("_resource")]
-    return None
-
-
-def _resource_arg(call: ast.Call) -> ast.expr | None:
-    method = call_name(call)
-    index = _ACQUIRE_METHODS.get(method)
-    if index is None:
-        return None
-    if len(call.args) > index:
-        return call.args[index]
-    for keyword in call.keywords:
-        if keyword.arg == "resource":
-            return keyword.value
-    return None
-
-
-class _Event:
-    """One lock-class acquisition a function performs, in source order."""
-
-    def __init__(self, lock_class: str, call: ast.Call,
-                 call_path: tuple[str, ...] = ()) -> None:
-        self.lock_class = lock_class
-        self.call = call
-        self.line = call.lineno
-        self.col = call.col_offset
-        self.call_path = call_path  # empty for primitive sites
+from repro.analyze.framework import Checker, Program, call_name
 
 
 class LockOrderChecker(Checker):
@@ -116,115 +71,53 @@ class LockOrderChecker(Checker):
     def begin(self, program: Program) -> None:
         self._program = program
 
-    def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        """Primitive LOCK002 only — edges are built in :meth:`finish`."""
-        for call in module.calls():
-            if call_name(call) not in _ACQUIRE_METHODS:
-                continue
-            yield from self._check_handler_lock(module, call)
-
-    def _check_handler_lock(self, module: SourceModule,
-                            call: ast.Call) -> Iterator[Finding]:
-        for ancestor in module.ancestors(call):
-            if isinstance(ancestor, ast.ExceptHandler):
-                yield module.finding(
-                    "LOCK002", self.name, call,
-                    f"lock acquisition ({call_name(call)}) inside an except "
-                    f"handler: acquiring while unwinding subverts the lock "
-                    f"order and may run mid-abort",
-                    detail=call_name(call))
-                return
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return
-
-    # -- interprocedural pass ----------------------------------------------
-
     def finish(self) -> Iterator[Finding]:
         if self._program is None:  # pragma: no cover - driver always begins
             return
-        graph = self._program.callgraph()
         summaries = self._program.effects()
-        for info in graph.iter_functions():
-            events = self._events_of(info, graph, summaries)
-            yield from self._handler_locks_via_callees(info, graph, summaries)
-            for i, first in enumerate(events):
-                for second in events[i + 1:]:
-                    if first.lock_class == second.lock_class:
-                        continue
-                    self.edges[first.lock_class][second.lock_class].append(
-                        (info.path, second.line,
-                         info.module.scope_of(second.call),
-                         second.call_path))
+        for info in self._program.callgraph().iter_functions():
+            sites = summaries.sites(info, fx.ACQUIRES_PREFIX)
+            yield from self._handler_locks(info, sites, summaries)
+            # Unclassifiable acquisitions order nothing.
+            events = [(fx.lock_class_of(site.effect) or "?", site)
+                      for site in sites if site.effect != fx.acquires("?")]
+            for i, (first, _) in enumerate(events):
+                for second, site in events[i + 1:]:
+                    if first != second:
+                        self.edges[first][second].append(
+                            (info.path, site.call.lineno,
+                             info.module.scope_of(site.call),
+                             site.call_path))
         yield from self._report_cycles()
 
-    def _events_of(self, info: FunctionInfo, cg: CallGraph,
-                   summaries: fx.EffectAnalysis) -> list[_Event]:
-        """Acquisition events of ``info`` in source order, deduplicated."""
-        events: list[_Event] = []
-        seen: set[tuple[int, str]] = set()
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            if info.module.enclosing_function(node) is not info.node:
-                continue  # nested function: analyzed on its own
-            if call_name(node) not in _ACQUIRE_METHODS:
-                continue
-            lock_class = classify_resource(_resource_arg(node))
-            if lock_class is not None and (id(node), lock_class) not in seen:
-                seen.add((id(node), lock_class))
-                events.append(_Event(lock_class, node))
-        for site in cg.callees_of.get(info.fid, []):
-            if call_name(site.call) in _ACQUIRE_METHODS:
-                continue  # primitive site: classified (or not) above
-            for lock_class in sorted(summaries.lock_classes(site.callee.fid)):
-                key = (id(site.call), lock_class)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = tuple(
-                    [f"{info.path}:{site.line}: {info.qualname} calls "
-                     f"{site.text}()"]
-                    + summaries.render_path(site.callee.fid,
-                                            fx.acquires(lock_class)))
-                events.append(_Event(lock_class, site.call, chain))
-        events.sort(key=lambda e: (e.line, e.col))
-        return events
-
-    def _handler_locks_via_callees(self, info: FunctionInfo, cg: CallGraph,
-                                   summaries: fx.EffectAnalysis
-                                   ) -> Iterator[Finding]:
-        """Interprocedural LOCK002: a handler calls something that locks."""
+    def _handler_locks(self, info: FunctionInfo, sites: list[fx.EffectSite],
+                       summaries: fx.EffectAnalysis) -> Iterator[Finding]:
+        """LOCK002: one finding per acquiring call inside a handler."""
         reported: set[int] = set()
-        for site in cg.callees_of.get(info.fid, []):
-            if call_name(site.call) in _ACQUIRE_METHODS:
-                continue  # primitive: check_module owns it
-            if id(site.call) in reported:
-                continue
-            acquired = self._acquired_effects(summaries, site)
-            if not acquired:
-                continue
-            if not self._inside_handler(info, site.call):
+        for site in sites:
+            if id(site.call) in reported or \
+                    not self._inside_handler(info, site.call):
                 continue
             reported.add(id(site.call))
-            chain = tuple(
-                [f"{info.path}:{site.line}: {info.qualname} calls "
-                 f"{site.text}()"]
-                + summaries.render_path(site.callee.fid, acquired[0]))
-            classes = ", ".join(
-                sorted(fx.lock_class_of(e) or "?" for e in acquired))
+            if site.callee is None:
+                method = call_name(site.call)
+                yield info.module.finding(
+                    "LOCK002", self.name, site.call,
+                    f"lock acquisition ({method}) inside an except "
+                    f"handler: acquiring while unwinding subverts the lock "
+                    f"order and may run mid-abort", detail=method)
+                continue
+            classes = ", ".join(sorted(
+                fx.lock_class_of(effect) or "?"
+                for effect in summaries.summary(site.callee.fid)
+                if effect.startswith(fx.ACQUIRES_PREFIX)))
             yield info.module.finding(
                 "LOCK002", self.name, site.call,
                 f"{site.text}() acquires locks (class {classes}) and is "
                 f"called inside an except handler: acquiring while "
                 f"unwinding subverts the lock order and may run mid-abort",
                 detail=f"{site.text}->{site.callee.qualname}",
-                call_path=chain)
-
-    @staticmethod
-    def _acquired_effects(summaries: fx.EffectAnalysis,
-                          site: CallSite) -> list[str]:
-        return sorted(e for e in summaries.summary(site.callee.fid)
-                      if e.startswith(fx.ACQUIRES_PREFIX))
+                call_path=site.call_path)
 
     @staticmethod
     def _inside_handler(info: FunctionInfo, call: ast.Call) -> bool:
@@ -256,13 +149,6 @@ class LockOrderChecker(Checker):
                 detail="/".join(sorted(set(cycle))),
                 related=tuple(witnesses),
                 call_path=call_path)
-
-    def witnessed_classes(self) -> set[str]:
-        """Every lock class that appears in the static order graph."""
-        classes: set[str] = set(self.edges)
-        for targets in self.edges.values():
-            classes.update(targets)
-        return classes
 
 
 def _find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:

@@ -23,74 +23,17 @@ Both codes are *interprocedural*: a call to a function whose effect summary
 (:mod:`repro.analyze.effects`) says ``returns_pin`` — it hands a pinned
 frame to its caller — is a pin at the call site, subject to the same rules.
 ``--explain`` prints the call chain down to the primitive ``fetch``/
-``new_page`` that proves it.
+``new_page`` that proves it.  Both kinds of pin come from one list,
+:meth:`~repro.analyze.effects.EffectAnalysis.sites`.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterator
 
 from repro.analyze import effects as fx
 from repro.analyze.findings import Finding
-from repro.analyze.framework import (Checker, Program, SourceModule,
-                                     call_name, receiver_text)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analyze.callgraph import CallSite, FunctionInfo
-
-_PIN_METHODS = {"fetch", "new_page"}
-_POOLISH = ("pool",)
-
-
-def _is_pool_receiver(call: ast.Call) -> bool:
-    receiver = receiver_text(call).lower()
-    if not receiver:
-        return False
-    last = receiver.rsplit(".", 1)[-1]
-    return any(last == p or last.endswith("_" + p) or last.endswith(p)
-               for p in _POOLISH)
-
-
-def _assigned_names(stmt: ast.stmt) -> set[str]:
-    """Names bound by an assignment statement (tuple targets included)."""
-    names: set[str] = set()
-    targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    for target in targets:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    return names
-
-
-def _contains_unpin(nodes: Iterable[ast.stmt]) -> bool:
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and call_name(node) == "unpin":
-                return True
-    return False
-
-
-def _statement_of(module: SourceModule, node: ast.AST) -> ast.stmt | None:
-    current: ast.AST | None = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = module.parent(current)
-    return current  # type: ignore[return-value]
-
-
-def _block_of(module: SourceModule, stmt: ast.stmt) -> list[ast.stmt]:
-    parent = module.parent(stmt)
-    if parent is None:
-        return []
-    for field_name in ("body", "orelse", "finalbody", "handlers"):
-        block = getattr(parent, field_name, None)
-        if isinstance(block, list) and stmt in block:
-            return block
-    return []
+from repro.analyze.framework import Checker, Program
 
 
 class PinLeakChecker(Checker):
@@ -114,131 +57,45 @@ class PinLeakChecker(Checker):
     def begin(self, program: Program) -> None:
         self._program = program
 
-    def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        for call in module.calls():
-            if call_name(call) not in _PIN_METHODS:
-                continue
-            if not _is_pool_receiver(call):
-                continue
-            function = module.enclosing_function(call)
-            if function is None:
-                continue  # module-level experiment scripts own their pins
-            yield from self._check_pin(module, call, function)
-
     def finish(self) -> Iterator[Finding]:
-        """Interprocedural pass: calls to ``returns_pin`` callees are pins.
-
-        A helper that pins and returns the frame transfers the unpin
-        obligation to its caller; the caller is held to the same rules as a
-        direct pin site.  Primitive pool calls are excluded here — the
-        per-module pass already owns them.
-        """
         if self._program is None:  # pragma: no cover - driver always begins
             return
-        graph = self._program.callgraph()
         summaries = self._program.effects()
-        for info in graph.iter_functions():
-            reported: set[int] = set()
-            for site in graph.callees_of.get(info.fid, ()):
-                if id(site.call) in reported:
-                    continue  # one finding per call even with 2+ candidates
-                if not summaries.has(site.callee.fid, fx.RETURNS_PIN):
-                    continue
-                if call_name(site.call) in _PIN_METHODS and \
-                        _is_pool_receiver(site.call):
-                    continue  # primitive pin: check_module owns it
-                reported.add(id(site.call))
-                yield from self._check_inherited_pin(info, site, summaries)
+        for info in self._program.callgraph().iter_functions():
+            for site in summaries.sites(info, fx.PINS):
+                finding = self._check_pin(site)
+                if finding is not None:
+                    yield finding
 
-    def _check_inherited_pin(self, info: FunctionInfo, site: CallSite,
-                             summaries: fx.EffectAnalysis
-                             ) -> Iterator[Finding]:
-        module = info.module
-        call = site.call
+    def _check_pin(self, site: fx.EffectSite) -> Finding | None:
+        info = site.info
         function = info.node
-        stmt = _statement_of(module, call)
-        if stmt is None:  # pragma: no cover - calls always sit in statements
-            return
-        if self._protected_by_finally(module, stmt):
-            return
-        detail = f"{site.text}->{site.callee.qualname}"
-        call_path = tuple(
-            [f"{info.path}:{call.lineno}: {info.qualname} calls "
-             f"{site.text}()"]
-            + summaries.render_path(site.callee.fid, fx.RETURNS_PIN))
-        if not _contains_unpin(function.body):
-            if self._handed_off(function, stmt):
-                return
-            yield module.finding(
-                "PIN001", self.name, call,
-                f"{site.text}() hands back a frame pinned by "
-                f"{site.callee.qualname}() but {function.name}() never "
-                f"unpins and never hands the pin off",
-                detail=detail, call_path=call_path)
+        if fx.protected_by_finally(info.module, site.call, fx.PIN_RELEASES) \
+                or fx.hands_back_pin(info, site.call):
+            return None
+        leaks = not fx.unpins(function)  # PIN001; else PIN002
+        if site.callee is None:
+            detail = site.text
+            if leaks:
+                message = (f"{detail}() pins a frame but {function.name}() "
+                           f"never unpins and never hands the pin off")
+            else:
+                message = (f"{detail}() pin is not exception-safe: unpin is "
+                           f"not in a finally, so an error between pin and "
+                           f"unpin leaks the frame (use pool.page() or "
+                           f"try/finally)")
         else:
-            yield module.finding(
-                "PIN002", self.name, call,
-                f"{site.text}() hands back a pinned frame (via "
-                f"{site.callee.qualname}()) and the unpin is not in a "
-                f"finally: an error between the call and the unpin leaks "
-                f"the frame", detail=detail, call_path=call_path)
-
-    def _check_pin(self, module: SourceModule, call: ast.Call,
-                   function: ast.FunctionDef | ast.AsyncFunctionDef
-                   ) -> Iterator[Finding]:
-        stmt = _statement_of(module, call)
-        if stmt is None:  # pragma: no cover - calls always sit in statements
-            return
-        detail = f"{receiver_text(call)}.{call_name(call)}"
-        if self._protected_by_finally(module, stmt):
-            return
-        if not _contains_unpin(function.body):
-            # A function that never unpins may still be correct: it hands
-            # the pinned result to its caller (the pool's own new_page).
-            if self._handed_off(function, stmt):
-                return
-            yield module.finding(
-                "PIN001", self.name, call,
-                f"{detail}() pins a frame but {function.name}() never "
-                f"unpins and never hands the pin off", detail=detail)
-        else:
-            yield module.finding(
-                "PIN002", self.name, call,
-                f"{detail}() pin is not exception-safe: unpin is not in a "
-                f"finally, so an error between pin and unpin leaks the "
-                f"frame (use pool.page() or try/finally)", detail=detail)
-
-    @staticmethod
-    def _protected_by_finally(module: SourceModule, stmt: ast.stmt) -> bool:
-        """Pin inside a try whose finally unpins, or immediately followed
-        by such a try (the ``data = pool.fetch(p)`` / ``try: ... finally:
-        unpin`` idiom of ``BufferPool.page``)."""
-        for ancestor in module.ancestors(stmt):
-            if isinstance(ancestor, ast.Try) and ancestor.finalbody and \
-                    _contains_unpin(ancestor.finalbody):
-                return True
-        block = _block_of(module, stmt)
-        if stmt in block:
-            index = block.index(stmt)
-            if index + 1 < len(block):
-                nxt = block[index + 1]
-                if isinstance(nxt, ast.Try) and nxt.finalbody and \
-                        _contains_unpin(nxt.finalbody):
-                    return True
-        return False
-
-    @staticmethod
-    def _handed_off(function: ast.FunctionDef | ast.AsyncFunctionDef,
-                    stmt: ast.stmt) -> bool:
-        """The pinned result escapes through a return: the caller owns it."""
-        if isinstance(stmt, ast.Return):
-            return True
-        names = _assigned_names(stmt)
-        if not names:
-            return False
-        for node in ast.walk(function):
-            if isinstance(node, ast.Return) and node.value is not None:
-                for ref in ast.walk(node.value):
-                    if isinstance(ref, ast.Name) and ref.id in names:
-                        return True
-        return False
+            callee = site.callee.qualname
+            detail = f"{site.text}->{callee}"
+            if leaks:
+                message = (f"{site.text}() hands back a frame pinned by "
+                           f"{callee}() but {function.name}() never unpins "
+                           f"and never hands the pin off")
+            else:
+                message = (f"{site.text}() hands back a pinned frame (via "
+                           f"{callee}()) and the unpin is not in a finally: "
+                           f"an error between the call and the unpin leaks "
+                           f"the frame")
+        return info.module.finding(
+            "PIN001" if leaks else "PIN002", self.name, site.call, message,
+            detail=detail, call_path=site.call_path)

@@ -38,11 +38,11 @@ from typing import Iterable
 from repro.analyze import effects as fx
 from repro.analyze.callgraph import FunctionInfo
 from repro.analyze.findings import Finding
-from repro.analyze.framework import (Checker, Program, SourceModule,
-                                     call_name, receiver_text)
+from repro.analyze.framework import Checker, Program, call_name, call_text
+from repro.analyze.sanitize import token_tail
 from repro.analyze.threads import (MAIN_CONTEXT, _READ_EXEMPT_METHODS,
                                    FieldAccess, SharedField, ThreadAnalysis,
-                                   guard_token, token_tail)
+                                   guard_token)
 
 
 class SharedStateRaceChecker(Checker):
@@ -296,17 +296,15 @@ class LatchBlockingChecker(Checker):
                         summaries: fx.EffectAnalysis) -> Iterable[Finding]:
         module = info.module
         reported: set[int] = set()
-        for node in ast.walk(info.node):
+        for node in module.own_nodes(info.node):
             if not isinstance(node, ast.With):
-                continue
-            if module.enclosing_function(node) is not info.node:
                 continue
             tokens = [guard_token(item.context_expr)
                       for item in node.items]
             held = [token for token in tokens if token is not None]
             if not held:
                 continue
-            for call in self._region_calls(module, node, info):
+            for call in self._region_calls(node, info):
                 if id(call) in reported:
                     continue
                 finding = self._blocking_finding(
@@ -316,33 +314,30 @@ class LatchBlockingChecker(Checker):
                     yield finding
 
     @staticmethod
-    def _region_calls(module: SourceModule, with_node: ast.With,
+    def _region_calls(with_node: ast.With,
                       info: FunctionInfo) -> Iterable[ast.Call]:
         for stmt in with_node.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call) and \
-                        module.enclosing_function(node) is info.node:
+                        info.module.enclosing_function(node) is info.node:
                     yield node
 
     def _blocking_finding(self, info: FunctionInfo,
                           summaries: fx.EffectAnalysis, held: list[str],
                           with_node: ast.With,
                           call: ast.Call) -> Finding | None:
-        module = info.module
         token = held[0]
         #: the engine latch may flush pages by design; other locks may not
         non_latch = [t for t in held
                      if "latch" not in token_tail(t).lower()]
-        receiver = receiver_text(call)
-        text = f"{receiver}.{call_name(call)}" if receiver \
-            else call_name(call)
+        text = call_text(call)
         direct = fx.blocking_reason(call)
         if direct is not None:
             return self._finding(
                 info, with_node, call, token, text,
                 f"{direct} while {token!r} is held",
                 chain=())
-        if call_name(call) in fx._FLUSH_METHODS and non_latch:
+        if call_name(call) in fx.FLUSH_METHODS and non_latch:
             return self._finding(
                 info, with_node, call, non_latch[0], text,
                 f"{text}() forces pages to disk while {non_latch[0]!r} "

@@ -420,7 +420,7 @@ def witnessed_field_states() -> dict[tuple[str, str], str]:
                 for key, record in _field_states.items()}
 
 
-def _token_tail(token: str) -> str:
+def token_tail(token: str) -> str:
     """Last dotted segment of a latch token, call suffix stripped.
 
     Static guard tokens look like ``db.latch`` or ``lock_of()``; runtime
@@ -450,8 +450,8 @@ def cross_check_field_guards(
         lockset = locksets.get((cls, field))
         if lockset is None:
             continue  # not exercised at runtime: nothing to compare
-        wanted = _token_tail(guard)
-        if not any(_token_tail(token) == wanted for token in lockset):
+        wanted = token_tail(guard)
+        if not any(token_tail(token) == wanted for token in lockset):
             discrepancies.append(
                 f"static analysis infers {cls}.{field} is guarded by "
                 f"{guard!r} but the runtime candidate lockset is "

@@ -148,11 +148,6 @@ def guard_token(expr: ast.expr) -> str | None:
     return None
 
 
-def token_tail(token: str) -> str:
-    """Last dotted segment of a latch token (for static/runtime matching)."""
-    return token.rstrip("()").rsplit(".", 1)[-1]
-
-
 class ThreadRoot:
     """One concurrent entry point: a function some thread starts in."""
 
@@ -399,9 +394,7 @@ class ThreadAnalysis:
     def _accesses_in(self, info: FunctionInfo) -> Iterator[FieldAccess]:
         methods = self._method_names.get(info.cls or "", set())
         module = info.module
-        for node in ast.walk(info.node):
-            if module.enclosing_function(node) is not info.node:
-                continue
+        for node in module.own_nodes(info.node):
             if not isinstance(node, ast.Attribute):
                 continue
             if not (isinstance(node.value, ast.Name)

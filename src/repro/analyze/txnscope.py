@@ -93,7 +93,7 @@ class TxnScopeChecker(Checker):
                  args.kwonlyargs}
         if names & _TXN_PARAMS:
             return True
-        for call in self._own_calls(info):
+        for call in info.module.own_calls(info.node):
             if call_name(call) in _SCOPE_CALLS:
                 return True
         return False
@@ -130,7 +130,7 @@ class TxnScopeChecker(Checker):
 
     def _direct_append(self, info: FunctionInfo) -> ast.Call | None:
         """First primitive WAL append of ``info``, minus ``-1`` DDL records."""
-        for call in self._own_calls(info):
+        for call in info.module.own_calls(info.node):
             name = call_name(call)
             if name not in ("append", "checkpoint", "log"):
                 continue
@@ -153,10 +153,3 @@ class TxnScopeChecker(Checker):
                 first.operand.value == 1:
             return True
         return isinstance(first, ast.Constant) and first.value == -1
-
-    @staticmethod
-    def _own_calls(info: FunctionInfo) -> Iterator[ast.Call]:
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) and \
-                    info.module.enclosing_function(node) is info.node:
-                yield node

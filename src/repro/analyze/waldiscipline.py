@@ -32,7 +32,6 @@ from repro.analyze.callgraph import CallGraph, FunctionInfo
 from repro.analyze.findings import Finding
 from repro.analyze.framework import Checker, Program, SourceModule, call_name
 
-_FLUSH_METHODS = {"flush_page", "flush_all"}
 #: calls that harden the log (or are the log-hardening path itself).
 #: ``flush`` counts only on a log receiver (``*.log.flush()``) — see
 #: :meth:`WalDisciplineChecker._dominator_positions` — because ``flush``
@@ -87,52 +86,36 @@ class WalDisciplineChecker(Checker):
                                 ) -> Iterator[Finding]:
         module = info.module
         dominators = self._dominator_positions(info, graph, summaries)
-        reported: set[int] = set()
-        for call in self._own_calls(info):
-            if call_name(call) not in _FLUSH_METHODS:
+        for site in summaries.sites(info, fx.FLUSHES):
+            if any(pos < site.pos for pos in dominators):
                 continue
-            if self._dominated(dominators, call):
-                continue
-            reported.add(id(call))
-            method = call_name(call)
-            yield module.finding(
-                "WAL001", self.name, call,
-                f"{method}() is not dominated by a WAL append/checkpoint in "
-                f"{info.name}(): a crash after this flush can leave "
-                f"page images the log never recorded (route through "
-                f"TransactionManager.checkpoint)", detail=method)
-        for site in graph.callees_of.get(info.fid, []):
-            if id(site.call) in reported:
-                continue
-            if call_name(site.call) in _FLUSH_METHODS:
-                continue  # primitive site: handled above
-            callee_effects = summaries.summary(site.callee.fid)
-            if fx.FLUSHES not in callee_effects:
-                continue
-            if fx.WRITES_WAL in callee_effects:
-                continue  # self-disciplined path (checkpoint); checked there
-            if self._dominated(dominators, site.call):
-                continue
-            reported.add(id(site.call))
-            chain = tuple(
-                [f"{info.path}:{site.line}: {info.qualname} calls "
-                 f"{site.text}()"]
-                + summaries.render_path(site.callee.fid, fx.FLUSHES))
-            yield module.finding(
-                "WAL001", self.name, site.call,
-                f"{site.text}() transitively flushes pages (via "
-                f"{site.callee.qualname}()) with no WAL append/checkpoint "
-                f"earlier in {info.name}(): a crash after the flush can "
-                f"leave page images the log never recorded",
-                detail=f"{site.text}->{site.callee.qualname}",
-                call_path=chain)
+            if site.callee is None:
+                method = call_name(site.call)
+                yield module.finding(
+                    "WAL001", self.name, site.call,
+                    f"{method}() is not dominated by a WAL append/checkpoint "
+                    f"in {info.name}(): a crash after this flush can leave "
+                    f"page images the log never recorded (route through "
+                    f"TransactionManager.checkpoint)", detail=method)
+            elif not summaries.has(site.callee.fid, fx.WRITES_WAL):
+                # A callee that also writes the WAL is self-disciplined
+                # (checkpoint) and checked where it flushes.
+                yield module.finding(
+                    "WAL001", self.name, site.call,
+                    f"{site.text}() transitively flushes pages (via "
+                    f"{site.callee.qualname}()) with no WAL append/"
+                    f"checkpoint earlier in {info.name}(): a crash after "
+                    f"the flush can leave page images the log never "
+                    f"recorded",
+                    detail=f"{site.text}->{site.callee.qualname}",
+                    call_path=site.call_path)
 
     def _dominator_positions(self, info: FunctionInfo, graph: CallGraph,
                              summaries: fx.EffectAnalysis
                              ) -> list[tuple[int, int]]:
         """Positions of every call that hardens the log in ``info``."""
         positions: list[tuple[int, int]] = []
-        for call in self._own_calls(info):
+        for call in info.module.own_calls(info.node):
             name = call_name(call)
             if name in _LOG_METHODS or \
                     (name == "flush" and fx.is_log_receiver(call)):
@@ -141,19 +124,6 @@ class WalDisciplineChecker(Checker):
             if summaries.has(site.callee.fid, fx.WRITES_WAL):
                 positions.append((site.line, site.call.col_offset))
         return positions
-
-    @staticmethod
-    def _dominated(dominators: list[tuple[int, int]],
-                   flush: ast.Call) -> bool:
-        flush_pos = (flush.lineno, flush.col_offset)
-        return any(pos < flush_pos for pos in dominators)
-
-    @staticmethod
-    def _own_calls(info: FunctionInfo) -> Iterator[ast.Call]:
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) and \
-                    info.module.enclosing_function(node) is info.node:
-                yield node
 
     # -- WAL002 ------------------------------------------------------------
 

@@ -10,8 +10,9 @@ import textwrap
 
 import pytest
 
-from repro.analyze import Baseline, BaselineError, main, run_checkers
-from repro.analyze.baseline import write_baseline
+from repro.analyze.baseline import Baseline, BaselineError, write_baseline
+from repro.analyze.cli import main
+from repro.analyze.framework import run_checkers
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
 from repro.analyze.rawdisk import RawDiskChecker

@@ -9,8 +9,9 @@ reconstructs the witnessing call chain down to the primitive site.
 import json
 import textwrap
 
-from repro.analyze import main, run_checkers
+from repro.analyze.cli import main
 from repro.analyze.excsafety import ExceptionSafetyChecker
+from repro.analyze.framework import run_checkers
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
 from repro.analyze.txnscope import TxnScopeChecker
@@ -227,6 +228,32 @@ class TestExceptionSafety:
         # The chain names the pin, the risky call, and ends at the raise.
         assert "pin" in finding.call_path[0]
         assert "self.decode" in finding.call_path[1]
+        assert "raise" in finding.call_path[-1]
+
+    def test_raiser_after_a_returns_pin_helper_is_exc001(self, tmp_path):
+        # The same window, but the pin comes from a helper that hands the
+        # frame back: the chain runs through the helper's hand-off.
+        findings = run_on(tmp_path, ExceptionSafetyChecker(), "store.py", """\
+            class Store:
+                def _grab(self, pid):
+                    return self.pool.fetch(pid)
+                def decode(self, raw):
+                    if not raw:
+                        raise ValueError("empty page")
+                    return raw
+                def read(self, pid):
+                    data = self._grab(pid)
+                    value = self.decode(data)
+                    self.pool.unpin(pid)
+                    return value
+            """)
+        assert [f.code for f in findings] == ["EXC001"]
+        finding = findings[0]
+        assert finding.scope == "Store.read"
+        assert finding.detail == "self._grab@self.decode"
+        assert "pins via self._grab()" in finding.call_path[0]
+        assert "pin handed to caller" in finding.call_path[1]
+        assert "self.decode" in finding.call_path[2]
         assert "raise" in finding.call_path[-1]
 
     def test_finally_protected_window_is_clean(self, tmp_path):

@@ -8,8 +8,9 @@ witness says, and which disciplined idioms must stay quiet.
 
 import textwrap
 
-from repro.analyze import main, run_checkers
 from repro.analyze.baseline import Baseline, BaselineError
+from repro.analyze.cli import main
+from repro.analyze.framework import run_checkers
 from repro.analyze.races import LatchBlockingChecker, SharedStateRaceChecker
 
 
