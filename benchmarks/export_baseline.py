@@ -20,8 +20,8 @@ Besides the deterministic artifact, the export runs timed *scenarios* on
 separate engine instances — ``commits_per_sec`` (one insert per
 committed transaction), ``wal_bytes_per_commit``, and
 ``tracing_overhead`` (the same commit loop with an event ring that
-records nothing, with the engine's default accounting ring, and with
-every class enabled; best-of-5 interleaved runs) — recorded under the
+records nothing and with the engine's default ring; best-of-5
+interleaved runs) — recorded under the
 artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
 CI drift gate compares only ``counters``/``gauges``/``histograms`` and
 ignores ``scenarios``; the same exemption covers ``waits_profile``, where
@@ -37,7 +37,7 @@ import time
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.core.events import ALL_CLASSES, EventTrace
+from repro.core.events import EventTrace
 from repro.obs.exporters import metrics_to_dict, write_metrics_json
 from repro.obs.waits import wait_profile
 
@@ -130,27 +130,31 @@ def _commit_scenario() -> dict:
 
 
 #: Event-ring modes the overhead scenario times, in run order.
-_TRACE_MODES = ("reference", "default", "all_classes")
+_TRACE_MODES = ("reference", "default")
 
 #: Commits per overhead-scenario run: longer than the commit-path
 #: scenarios so scheduler jitter amortizes below the 5% CI gate.
 OVERHEAD_COMMITS = 192
 
 
+class _RecordNothing(EventTrace):
+    """An event ring that records nothing: the overhead reference."""
+
+    def emit(self, name, *, request=None, txn_id=None, **payload):
+        return None
+
+
 def _traced_commit_run(mode: str) -> float:
     """One timed commit loop under the given ring mode; returns seconds.
 
-    ``reference`` records nothing (every class disabled: one frozenset
-    membership test per emit), ``default`` keeps the engine's own ring
-    (one ACCOUNTING record per transaction), ``all_classes`` records every
-    suspension too.
+    ``reference`` records nothing (every emit returns at once),
+    ``default`` keeps the engine's own ring (one accounting record per
+    transaction).
     """
     db = Database(BASELINE_CONFIG)
     db.create_table("bench", [("id", "bigint"), ("doc", "xml")])
     if mode == "reference":
-        EventTrace(classes=()).install(db.stats)
-    elif mode == "all_classes":
-        EventTrace(classes=ALL_CLASSES).install(db.stats)
+        _RecordNothing().install(db.stats)
     started = time.perf_counter()
     for i in range(OVERHEAD_COMMITS):
         db.run_in_txn(lambda eng, txn, i=i: eng.insert(
@@ -166,9 +170,9 @@ def run_tracing_overhead(repeats: int = 5) -> dict:
     Interleaving the modes round-robin decorrelates machine noise (a
     background hiccup hits one *repeat*, not one *mode*), and one
     discarded warmup round per mode pays the import/allocator cold-start
-    before anything is timed.  The ``overhead_ratio`` of each traced mode
+    before anything is timed.  The ``default`` mode's ``overhead_ratio``
     is its best time over the reference's best time — the number the CI
-    observability job gates (``default`` <= 1.05).
+    observability job gates (<= 1.05).
     """
     for mode in _TRACE_MODES:  # warmup, discarded
         _traced_commit_run(mode)

@@ -94,7 +94,6 @@ def trip(stats: "StatsRegistry", name: str, message: str) -> None:
     trip in its stats snapshot.
     """
     stats.add(f"sanitize.{name}")
-    stats.trace_event(f"sanitize.{name}")
     raise SanitizerError(f"sanitizer [{name}]: {message}")
 
 

@@ -61,8 +61,7 @@ _REGISTERED_METHODS = {"add", "set_high_water"}
 _HISTOGRAM_METHODS = {"observe"}
 #: Entry points taking a wait-class name (checked against WAITS).
 _WAIT_METHODS = {"wait_timer", "charge_wait"}
-_CONVENTION_ONLY_METHODS = {"trace", "trace_event", "get", "gauge",
-                            "histogram"}
+_CONVENTION_ONLY_METHODS = {"trace", "get", "gauge", "histogram"}
 
 #: Scopes whose bare sleeps are the engine's latch-yield primitive: the
 #: *callers* charge the wait (lock.wait, txn.retry_backoff), so a timer

@@ -52,7 +52,7 @@ class EngineConfig:
         slow_query_entries_scanned / slow_query_events: Per-query
             thresholds on the ``btree.entries_scanned`` and ``xscan.events``
             counter deltas.  A query exceeding either is captured — plan,
-            span tree and counter deltas — as an ACCOUNTING record in the
+            span tree and counter deltas — as a record in the
             engine's event ring (``Database.slow_queries``).  0 disables a
             threshold; both zero disables slow-query capture entirely (and
             its per-query tracer).

@@ -403,7 +403,7 @@ class Database:
         }
         if exceeded:
             self.stats.add("obs.slow_queries")
-            self.stats.events.accounting(
+            self.stats.events.emit(
                 "db.slow_query", table=table, column=column, path=path_text,
                 method=plan.method.value, rows=len(out), counters=deltas,
                 exceeded=exceeded, plan_text=plan.explain(),

@@ -1,30 +1,26 @@
 """The engine's event ring: one bounded record of finished work.
 
-DB2 for z/OS instrumentation runs on *trace classes*; this module is that
-facility, and the only place the engine keeps records.  Every
-:class:`~repro.core.stats.StatsRegistry` carries one :class:`EventTrace`
-(``stats.events``) from construction, so emit sites never ask whether
-tracing is on.  Records go into one ``deque(maxlen=...)``: ``append`` is
-atomic under the GIL, so emitting takes no lock, and the oldest records
-fall off once the ring is full.  The classes:
+This is the reproduction's DB2 accounting trace, and the only place the
+engine keeps records.  Every :class:`~repro.core.stats.StatsRegistry`
+carries one :class:`EventTrace` (``stats.events``) from construction, so
+emit sites never ask whether tracing is on.  Records go into one
+``deque(maxlen=...)``: ``append`` is atomic under the GIL, so emitting
+takes no lock, and the oldest records fall off once the ring is full.
+Four producers write into it:
 
-* ``ACCOUNTING`` (IFCID 3, on by default): one record per unit of work —
-  ``txn.accounting``, ``serve.request``, ``db.slow_query``;
-* ``STATISTICS`` (IFCID 2): ``stats.interval`` counter deltas from a
-  :class:`~repro.obs.events.StatsCollector`;
-* ``PERFORMANCE``: suspensions (``wait.<class>``), injected faults
-  (``fault.<kind>``) and load shedding (``serve.shed``).
+* ``txn.accounting`` — one record per finished transaction (IFCID 3);
+* ``serve.request`` — one per served request, carrying its wait clock;
+* ``db.slow_query`` — one per query over a slow-query threshold;
+* ``fault.<kind>`` — one per injected fault (the crash flight recorder).
 
-An emit for a disabled class costs one frozenset membership test.  For a
-bigger ring or more classes, install ``EventTrace(ring_size=...,
-classes=...)``.  :meth:`EventTrace.context` stamps records with the request
-label / txn id the emitting thread is working for, so an exported ring can
-be regrouped per request (``python -m repro.obs.perf``).
+For a bigger ring, install ``EventTrace(ring_size=...)``.
+:meth:`EventTrace.context` stamps records with the request label / txn id
+the emitting thread is working for, which ties a transaction's record to
+the request that ran it.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 import threading
@@ -32,19 +28,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
-
-
-class EventClass(enum.Enum):
-    """DB2-style trace classes; members compare by identity, export by value."""
-
-    ACCOUNTING = "accounting"
-    STATISTICS = "statistics"
-    PERFORMANCE = "performance"
-
-
-#: Every trace class (a fully-on trace).
-ALL_CLASSES: frozenset[EventClass] = frozenset(EventClass)
+from typing import Any, Iterator
 
 
 @dataclass(slots=True)
@@ -59,7 +43,6 @@ class EventRecord:
 
     event_id: int
     name: str
-    event_class: str
     ts_ns: int
     thread: str
     request: str | None = None
@@ -71,7 +54,6 @@ class EventRecord:
         out: dict[str, Any] = {
             "id": self.event_id,
             "name": self.name,
-            "class": self.event_class,
             "ts_ns": self.ts_ns,
             "thread": self.thread,
         }
@@ -103,56 +85,35 @@ def jsonable(value: object) -> Any:
 
 
 class EventTrace:
-    """One bounded event ring with class-gated emission.
+    """One bounded event ring.
 
     Once ``ring_size`` records are held, each new one pushes out the
-    oldest.  ``classes`` is the enabled set — by default only ACCOUNTING,
-    the records the engine's own views read.
+    oldest.
     """
 
-    def __init__(self, ring_size: int = 256,
-                 classes: Iterable[EventClass] = (EventClass.ACCOUNTING,)
-                 ) -> None:
+    def __init__(self, ring_size: int = 256) -> None:
         if ring_size <= 0:
             raise ValueError("ring_size must be positive")
         self.ring_size = int(ring_size)
-        self.enabled: frozenset[EventClass] = frozenset(classes)
         self._ids = itertools.count(1)
         self._ring: deque[EventRecord] = deque(maxlen=self.ring_size)
         self._local = threading.local()
 
     # -- emission ---------------------------------------------------------
 
-    def emit(self, event_class: EventClass, name: str, *,
-             request: str | None = None, txn_id: int | None = None,
-             **payload: Any) -> EventRecord | None:
-        """Append one record to the ring (if its class is enabled)."""
-        if event_class not in self.enabled:
-            return None
+    def emit(self, name: str, *, request: str | None = None,
+             txn_id: int | None = None, **payload: Any) -> None:
+        """Append one record to the ring."""
         ctx: dict[str, Any] | None = getattr(self._local, "ctx", None)
         if ctx is not None:
             if request is None:
                 request = ctx.get("request")
             if txn_id is None:
                 txn_id = ctx.get("txn_id")
-        record = EventRecord(next(self._ids), name, event_class.value,
-                             time.monotonic_ns(),
-                             threading.current_thread().name,
-                             request, txn_id, payload)
-        self._ring.append(record)
-        return record
-
-    def accounting(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit an ACCOUNTING record (unit-of-work completion)."""
-        return self.emit(EventClass.ACCOUNTING, name, **kwargs)
-
-    def statistics(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit a STATISTICS record (interval deltas)."""
-        return self.emit(EventClass.STATISTICS, name, **kwargs)
-
-    def performance(self, name: str, **kwargs: Any) -> EventRecord | None:
-        """Emit a PERFORMANCE record (suspension / fault)."""
-        return self.emit(EventClass.PERFORMANCE, name, **kwargs)
+        self._ring.append(EventRecord(next(self._ids), name,
+                                      time.monotonic_ns(),
+                                      threading.current_thread().name,
+                                      request, txn_id, payload))
 
     @contextmanager
     def context(self, *, request: str | None = None,
@@ -228,5 +189,4 @@ class EventTrace:
         return len(records)
 
 
-__all__ = ["ALL_CLASSES", "EventClass", "EventRecord", "EventTrace",
-           "jsonable"]
+__all__ = ["EventRecord", "EventTrace", "jsonable"]

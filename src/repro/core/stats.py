@@ -255,8 +255,8 @@ SANITIZE_CHECKS = "sanitize.checks"
 def counter_deltas(before: Mapping[str, int],
                    after: Mapping[str, int]) -> dict[str, int]:
     """Non-zero ``after - before`` per counter, :data:`SANITIZE_CHECKS`
-    left out — the one diff behind ``StatsRegistry.delta``, tracer spans
-    and statistics intervals."""
+    left out — the one diff behind ``StatsRegistry.delta`` and tracer
+    spans."""
     return {name: value - before.get(name, 0)
             for name, value in after.items()
             if value != before.get(name, 0) and name != SANITIZE_CHECKS}
@@ -271,9 +271,9 @@ class StatsRegistry:
     component there.
 
     A registry can additionally carry a :class:`~repro.obs.tracer.Tracer`
-    (``stats.tracer``); components open spans through :meth:`trace` /
-    :meth:`trace_event`, which are reusable no-ops while no tracer is
-    installed, so permanent instrumentation stays ~free.  Every registry
+    (``stats.tracer``); components open spans through :meth:`trace`, a
+    reusable no-op while no tracer is installed, so permanent
+    instrumentation stays ~free.  Every registry
     also carries its event ring (``stats.events``, a
     :class:`~repro.core.events.EventTrace`), where finished units of work
     are recorded.
@@ -299,8 +299,7 @@ class StatsRegistry:
         #: Duck-typed (``Any``) so the substrate never imports ``repro.obs``.
         self.tracer: Any = None
         #: The event ring every finished unit of work is recorded in;
-        #: replace it (:meth:`EventTrace.install`) for a bigger ring or more
-        #: event classes.
+        #: replace it (:meth:`EventTrace.install`) for a bigger ring.
         self.events = EventTrace()
         #: The lock guarding the shared maps above.
         self._lock = threading.Lock()
@@ -427,24 +426,17 @@ class StatsRegistry:
             return _NULL_TRACE
         return tracer.span(name, **attrs)
 
-    def trace_event(self, name: str, **attrs: object) -> None:
-        """Record a point event on the installed tracer, if any."""
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(name, **attrs)
-
     # -- wait-state accounting (DB2 class-3 suspension analogue) ----------
 
     def charge_wait(self, wait_class: str, micros: int) -> None:
         """Charge ``micros`` of suspension time to ``wait_class``.
 
-        The charge lands in three places at once: the global
-        ``waits.<class>_us`` counter (and, through the thread's accounting
-        sink, the running transaction's per-txn breakdown — which is what
-        makes wait fields fold across victim retries for free), every wait
-        clock open on this thread (see :meth:`request_clock`), and — when
-        the event ring has the PERFORMANCE class enabled — a
-        ``wait.<class>`` event.  Zero-microsecond waits
+        The charge lands in the global ``waits.<class>_us`` counter (and,
+        through the thread's accounting sink, the running transaction's
+        per-txn breakdown — which is what makes wait fields fold across
+        victim retries for free) and in every wait clock open on this
+        thread (see :meth:`request_clock`); a served request's clock is
+        what its ``serve.request`` record carries.  Zero-microsecond waits
         are dropped: a suspension that never suspended is not a wait, and
         recording it would materialize noise counters in deterministic
         baselines.
@@ -456,7 +448,6 @@ class StatsRegistry:
         if frames:
             for frame in frames:
                 frame[wait_class] = frame.get(wait_class, 0) + int(micros)
-        self.events.performance("wait." + wait_class, us=int(micros))
 
     @contextmanager
     def wait_timer(self, wait_class: str) -> Iterator[None]:

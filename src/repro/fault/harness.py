@@ -130,8 +130,8 @@ class CrashHarness:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
         #: Optional flight recorder: an event ring installed on the harness
-        #: registry (with PERFORMANCE enabled, suspensions and injected
-        #: faults are retained too) and dumped after the crash.
+        #: registry (it retains the injected faults and the accounting
+        #: records around them) and dumped after the crash.
         self.trace = trace
         if trace is not None:
             trace.install(self.stats)
@@ -182,7 +182,7 @@ class CrashHarness:
         With a trace installed, the last events before the crash are
         dumped to ``crash_events.jsonl`` first — the flight-recorder
         read-out a post-recovery investigation starts from (which fault
-        fired, what the engine was suspended on around it).
+        fired, which transactions finished around it).
         """
         from repro.core.engine import Database
 

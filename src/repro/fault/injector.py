@@ -166,10 +166,9 @@ class FaultInjector:
     def _record(self, kind: str, detail: str) -> None:
         self.injected.append((kind, detail))
         self.stats.add("fault.injected")
-        # Injected faults are PERFORMANCE trace events (the IFCID-style
-        # "something abnormal happened here" record) so a crash post-mortem
-        # can line the fault up against the suspensions around it.
-        self.stats.events.performance("fault." + kind, detail=detail)
+        # Faults are rare, and a crash post-mortem needs them: every one is
+        # recorded in the event ring, next to the work that ran around it.
+        self.stats.events.emit("fault." + kind, detail=detail)
 
     def _active(self, kind: str, count: int) -> FaultSpec | None:
         if not self.armed:

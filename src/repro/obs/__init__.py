@@ -5,8 +5,8 @@ The paper's infrastructure box (Fig. 1) lists *instrumentation* among the
 relational assets the XML engine inherits.  :mod:`repro.core.stats` provides
 the flat counter bag and :mod:`repro.core.events` the one bounded ring that
 records every finished unit of work (transactions, served requests, slow
-queries; suspensions and faults when enabled).  This package adds the
-views on top of them:
+queries) and every injected fault.  This package adds the views on top of
+them:
 
 * :class:`~repro.obs.tracer.Span` / :class:`~repro.obs.tracer.Tracer` — a
   span tree whose every node captures the :class:`StatsRegistry` counter
@@ -28,12 +28,10 @@ views on top of them:
 * :mod:`repro.obs.waits` — the reading side of the wait clock: per-class
   suspension breakdowns (DB2 accounting class-3 analogue) folded from the
   ``waits.*_us`` counters charged by ``StatsRegistry.wait_timer``;
-* :mod:`repro.obs.events` — JSONL import of an exported ring and the
-  statistics-interval :class:`~repro.obs.events.StatsCollector`;
 * :mod:`repro.obs.perf` — ``python -m repro.obs.perf``, the wait-state
-  profiler over a JSONL ring export (imported lazily — it pulls in the
-  serving layer for its live mode, so it is deliberately *not* re-exported
-  here);
+  profiler over a JSONL ring export, read from the ``serve.request``
+  records' wait clocks (imported lazily — it pulls in the serving layer
+  for its live mode, so it is deliberately *not* re-exported here);
 * :mod:`repro.obs.report` — ``python -m repro.obs.report``, the
   human-readable accounting/statistics report.
 
@@ -42,8 +40,7 @@ reusable no-op unless a :class:`Tracer` is installed on the registry, so the
 uninstrumented cost is ~zero.
 """
 
-from repro.core.events import EventClass, EventRecord, EventTrace
-from repro.obs.events import StatsCollector
+from repro.core.events import EventRecord, EventTrace
 from repro.obs.explain import ExplainResult
 from repro.obs.exporters import (engine_metrics, metrics_to_dict,
                                  render_prometheus, write_metrics_json,
@@ -54,8 +51,8 @@ from repro.obs.tracer import Span, Tracer, trace_to_json
 from repro.obs.waits import format_breakdown, wait_breakdown, wait_profile
 
 __all__ = [
-    "EventClass", "EventRecord", "EventTrace", "ExplainResult", "Monitor",
-    "MonitorSnapshot", "SlowQueryRecord", "Span", "StatsCollector", "Tracer",
+    "EventRecord", "EventTrace", "ExplainResult", "Monitor",
+    "MonitorSnapshot", "SlowQueryRecord", "Span", "Tracer",
     "engine_metrics", "format_breakdown", "metrics_to_dict",
     "render_prometheus", "trace_to_json", "wait_breakdown",
     "wait_profile", "write_metrics_json", "write_prometheus", "write_trace",

@@ -5,46 +5,53 @@ export (``repro.serve.loadgen --trace-out``, or any
 :meth:`~repro.core.events.EventTrace.write_jsonl`) into the question DB2
 accounting class-3 reports answer: which suspension classes ate the
 elapsed time, how waits break down per request, and what the slowest
-request was actually doing.  With no arguments it runs a small live load
-through the serving layer with tracing enabled and profiles that.
+request was actually doing.  Every wait figure comes from the
+``serve.request`` records: each carries its request clock's per-class
+breakdown, built from the same charges as the ``waits.<class>_us``
+counters.  With no arguments it runs a small live load through the serving
+layer and profiles that.
 
 Sections:
 
-* **wait-class profile** — per-class totals across the trace, sorted by
-  time, with suspension counts and share of total wait;
-* **request profile** — per-request elapsed vs wait totals (from the
-  ACCOUNTING ``serve.request`` records, waits attributed by request label
-  and emitting thread);
-* **slowest-request drill-down** — the span tree of the slowest request:
-  each suspension in order, offset from request start;
-* **trace summary** — record counts per class, statistics intervals,
-  injected faults.
+* **wait-class profile** — per-class totals over the served requests,
+  sorted by time, with how many requests waited in each class and the
+  class's share of total wait;
+* **request profile** — per-request elapsed vs wait totals;
+* **slowest request** — its breakdown as ``elapsed = cpuish + Σ waits``;
+* **trace summary** — record counts per record name (faults included).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.core.stats import WAITS
-from repro.obs.events import read_jsonl
+from repro.obs.waits import format_breakdown
 
-_WAIT_PREFIX = "wait."
+
+def read_jsonl(path: str) -> list[dict[str, Any]]:
+    """Load a JSONL trace export (blank lines tolerated)."""
+    out: list[dict[str, Any]] = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                out.append(json.loads(line))
+    return out
 
 
 @dataclass
 class RequestProfile:
-    """One served request reassembled from its trace records."""
+    """One served request, as its ``serve.request`` record reports it."""
 
     label: str
-    thread: str
     elapsed_us: int
     outcome: str
-    end_ts_ns: int
     waits: dict[str, int] = field(default_factory=dict)
-    suspensions: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def wait_us(self) -> int:
@@ -58,9 +65,7 @@ class TraceProfile:
     class_totals: Counter
     class_counts: Counter
     requests: list[RequestProfile]
-    records_by_class: Counter
-    statistics_intervals: int
-    faults: Counter
+    records_by_name: Counter
 
     @property
     def total_wait_us(self) -> int:
@@ -70,56 +75,31 @@ class TraceProfile:
 def profile_records(records: Iterable[dict[str, Any]]) -> TraceProfile:
     """Reduce raw trace dicts into a :class:`TraceProfile`.
 
-    Suspensions are attributed to requests by (emitting thread, request
-    label): a worker thread's wait events accumulate until the matching
-    ACCOUNTING ``serve.request`` record closes the unit of work — the same
-    thread cannot interleave two requests, so the pairing is exact.
+    ``class_counts`` counts the requests that waited in each class.
     """
     class_totals: Counter = Counter()
     class_counts: Counter = Counter()
-    records_by_class: Counter = Counter()
-    faults: Counter = Counter()
-    statistics_intervals = 0
-    pending: dict[tuple[str, str | None], list[dict[str, Any]]] = {}
+    records_by_name: Counter = Counter()
     requests: list[RequestProfile] = []
-
-    ordered = sorted(records,
-                     key=lambda r: (r.get("ts_ns", 0), r.get("id", 0)))
-    for record in ordered:
-        event_class = record.get("class", "")
+    for record in records:
         name = record.get("name", "")
-        records_by_class[event_class] += 1
-        if event_class == "performance" and name.startswith(_WAIT_PREFIX):
-            wait_class = name[len(_WAIT_PREFIX):]
-            micros = int(record.get("payload", {}).get("us", 0))
+        records_by_name[name] += 1
+        if name != "serve.request":
+            continue
+        payload = record.get("payload", {})
+        waits = {wait_class: int(micros) for wait_class, micros
+                 in payload.get("waits", {}).items()}
+        for wait_class, micros in waits.items():
             class_totals[wait_class] += micros
             class_counts[wait_class] += 1
-            key = (record.get("thread", ""), record.get("request"))
-            pending.setdefault(key, []).append(record)
-        elif event_class == "performance" and name.startswith("fault."):
-            faults[name] += 1
-        elif event_class == "statistics":
-            statistics_intervals += 1
-        elif event_class == "accounting" and name == "serve.request":
-            key = (record.get("thread", ""), record.get("request"))
-            suspensions = pending.pop(key, [])
-            waits: dict[str, int] = {}
-            for suspension in suspensions:
-                wait_class = suspension["name"][len(_WAIT_PREFIX):]
-                waits[wait_class] = waits.get(wait_class, 0) + \
-                    int(suspension.get("payload", {}).get("us", 0))
-            payload = record.get("payload", {})
-            requests.append(RequestProfile(
-                label=record.get("request") or "?",
-                thread=record.get("thread", ""),
-                elapsed_us=int(payload.get("elapsed_us", 0)),
-                outcome=str(payload.get("outcome", "")),
-                end_ts_ns=int(record.get("ts_ns", 0)),
-                waits=waits,
-                suspensions=suspensions,
-            ))
+        requests.append(RequestProfile(
+            label=record.get("request") or "?",
+            elapsed_us=int(payload.get("elapsed_us", 0)),
+            outcome=str(payload.get("outcome", "")),
+            waits=waits,
+        ))
     return TraceProfile(class_totals, class_counts, requests,
-                        records_by_class, statistics_intervals, faults)
+                        records_by_name)
 
 
 def _class_order(totals: Counter) -> list[str]:
@@ -136,7 +116,7 @@ def render_profile(profile: TraceProfile, top_requests: int = 10) -> str:
 
     lines.append("== WAIT-CLASS PROFILE ==")
     if total_wait:
-        lines.append(f"{'class':<22} {'total_us':>12} {'count':>8} "
+        lines.append(f"{'class':<22} {'total_us':>12} {'requests':>8} "
                      f"{'avg_us':>9} {'share':>7}")
         for wait_class in _class_order(profile.class_totals):
             micros = profile.class_totals[wait_class]
@@ -168,57 +148,29 @@ def render_profile(profile: TraceProfile, top_requests: int = 10) -> str:
             lines.append(f"{request.label:<24} {request.elapsed_us:>11,} "
                          f"{request.wait_us:>10,} {top[0]:<20} "
                          f"{request.outcome}")
-    else:
-        lines.append("(no serve.request accounting records in trace)")
 
-    if requests:
         worst = max(requests, key=lambda r: r.elapsed_us)
         lines.append("")
         lines.append("== SLOWEST REQUEST ==")
-        lines.extend(_render_span_tree(worst))
+        lines.append(f"{worst.label}  elapsed {worst.elapsed_us:,} us  "
+                     f"waits {worst.wait_us:,} us  [{worst.outcome}]")
+        lines.extend(format_breakdown(worst.waits, worst.elapsed_us))
+    else:
+        lines.append("(no serve.request accounting records in trace)")
 
     lines.append("")
     lines.append("== TRACE SUMMARY ==")
-    for event_class in ("accounting", "statistics", "performance"):
-        lines.append(f"  {event_class:<12} "
-                     f"{profile.records_by_class.get(event_class, 0):>8} "
-                     f"records")
-    if profile.statistics_intervals:
-        lines.append(f"  statistics intervals: "
-                     f"{profile.statistics_intervals}")
-    for fault, count in sorted(profile.faults.items()):
-        lines.append(f"  {fault:<22} {count:>8} injected")
+    for name, count in sorted(profile.records_by_name.items()):
+        lines.append(f"  {name:<22} {count:>8} records")
     return "\n".join(lines) + "\n"
 
 
-def _render_span_tree(request: RequestProfile) -> list[str]:
-    """The slowest request as a span tree: suspensions offset from start."""
-    start_ns = request.end_ts_ns - request.elapsed_us * 1000
-    lines = [f"{request.label}  elapsed {request.elapsed_us:,} us  "
-             f"waits {request.wait_us:,} us  "
-             f"[{request.outcome}]  thread {request.thread}"]
-    suspensions = request.suspensions
-    for index, suspension in enumerate(suspensions):
-        branch = "└─" if index == len(suspensions) - 1 else "├─"
-        wait_class = suspension["name"][len(_WAIT_PREFIX):]
-        micros = int(suspension.get("payload", {}).get("us", 0))
-        # The record is emitted when the wait *ends*; back the offset up
-        # by the duration so the tree shows where each suspension began.
-        offset_us = max(0, (int(suspension.get("ts_ns", 0)) - start_ns)
-                        // 1000 - micros)
-        lines.append(f"  {branch} +{offset_us:>8,} us  {wait_class:<20} "
-                     f"{micros:>10,} us")
-    if not suspensions:
-        lines.append("  └─ (no suspensions: request never blocked)")
-    return lines
-
-
 def _live_records(clients: int, ops: int, seed: int) -> list[dict[str, Any]]:
-    """Run a small traced load in-process and return its records."""
-    from repro.core.events import ALL_CLASSES, EventTrace
+    """Run a small load in-process and return its records."""
+    from repro.core.events import EventTrace
     from repro.serve.loadgen import load_ring_size, run_load
 
-    trace = EventTrace(load_ring_size(clients, ops), ALL_CLASSES)
+    trace = EventTrace(load_ring_size(clients, ops))
     run_load(clients=clients, ops_per_client=ops, seed=seed, trace=trace)
     return [record.to_dict() for record in trace.records()]
 

@@ -5,7 +5,7 @@ problem; here the engine watches every ``Database.xpath`` call's counter
 deltas against the ``EngineConfig.slow_query_*`` thresholds and, for
 offenders, records the whole story — chosen access plan, span tree, counter
 deltas, and which thresholds were exceeded — as a ``db.slow_query``
-ACCOUNTING record in the engine's event ring.  ``Database.slow_queries``
+record in the engine's event ring.  ``Database.slow_queries``
 reads them back as :class:`SlowQueryRecord` objects.  Queries under
 threshold leave no trace behind.
 """

@@ -128,12 +128,6 @@ class Tracer:
             span.counters = counter_deltas(before, self.stats.counters())
             self._stack.pop()
 
-    def event(self, name: str, **attrs: object) -> Span:
-        """Record a point event (a childless span with no deltas)."""
-        span = Span(name, attrs, kind="event")
-        self._stack[-1].children.append(span)
-        return span
-
     @contextmanager
     def install(self) -> Iterator["Tracer"]:
         """Attach to the registry for the duration of the block.

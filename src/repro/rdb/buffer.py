@@ -215,15 +215,12 @@ class BufferPool:
                 # into ``buffer.flushes`` and shares the clean-only-after-
                 # write guarantee (an injected write failure leaves the
                 # frame dirty *and resident* for a later retry).
-                was_dirty = frame.dirty
                 self.flush_page(page_id)
                 self.stats.add("buffer.evictions")
                 # Residency: pool accesses that elapsed while the victim
                 # was resident — small values mean the pool is thrashing.
                 self.stats.observe("buffer.eviction_residency",
                                    self._clock - frame.loaded_tick)
-                self.stats.trace_event("buffer.evict", page=page_id,
-                                       dirty=was_dirty)
                 del self._frames[page_id]
                 return
         raise BufferPoolError("all buffer frames are pinned")

@@ -127,10 +127,6 @@ class LockManager:
                 self._waits_for.pop(txn_id, None)
         if blockers:
             self.stats.add("lock.waits")
-            self.stats.trace_event("lock.wait", txn=txn_id,
-                                   resource=str(resource),
-                                   mode=effective.name,
-                                   blockers=len(blockers))
             return False
         self.stats.add("lock.acquired")
         if _sanitize.enabled():
@@ -248,7 +244,5 @@ class LockManager:
             cycle = dfs(start)
             if cycle is not None:
                 self.stats.add("lock.deadlocks")
-                self.stats.trace_event("lock.deadlock",
-                                       cycle=[int(t) for t in cycle])
                 return cycle
         return None

@@ -8,7 +8,7 @@ the standard relational design the paper builds on.
 The layer also hosts the engine's DB2-style *accounting trace*: every
 transaction owns a private counter sink, work performed on its behalf is
 charged there through :meth:`repro.core.stats.StatsRegistry.charge`, and
-commit/abort records one ``txn.accounting`` ACCOUNTING event — txn id,
+commit/abort records one ``txn.accounting`` event — txn id,
 isolation, outcome, retries, charged counters — in the registry's event
 ring.  :func:`accounting_records` reads them back as
 :class:`AccountingRecord` objects.
@@ -138,7 +138,7 @@ def emit_accounting(stats: StatsRegistry, txn_id: int, isolation: str,
     rebuilds the record from the event without a second copy being kept.
     """
     stats.add("obs.accounting_records")
-    stats.events.accounting(
+    stats.events.emit(
         "txn.accounting", txn_id=txn_id, isolation=isolation,
         outcome=outcome, retries=retries, victim_attempts=victim_attempts,
         counters=counters)
@@ -374,7 +374,7 @@ class TransactionManager:
             self.locks.release_all(txn.txn_id)
         self.active.pop(txn.txn_id, None)
         if account:
-            # The IFCID 3 analogue: one ACCOUNTING record per finished
+            # The IFCID 3 analogue: one accounting record per finished
             # unit of work.
             emit_accounting(
                 self.stats, txn.txn_id, txn.isolation.value,

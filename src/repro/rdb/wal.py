@@ -230,8 +230,6 @@ class LogManager:
         self.stats.add("wal.records")
         self.stats.add("wal.bytes", encoded_len)
         self.stats.observe("wal.record_bytes", encoded_len)
-        self.stats.trace_event("wal.append", op=op.name, lsn=record.lsn,
-                               bytes=encoded_len)
         if self.auto_flush:
             self._durable_count = len(self._records)
         self._hit("wal.append.post")
@@ -259,7 +257,6 @@ class LogManager:
         with self.stats.wait_timer("wal.force"):
             self._durable_count = len(self._records)
         self.stats.add("wal.flushes")
-        self.stats.trace_event("wal.flush", records=hardened)
         return hardened
 
     def checkpoint(self, active_txns: set[int] | list[int] = ()) -> LogRecord:

@@ -106,8 +106,6 @@ class AdmissionController:
         reason = self.guard.check()
         if reason is not None:
             self._stats.add("serve.shed_overload")
-            self._stats.events.performance("serve.shed", kind="overload",
-                                           reason=reason)
             raise ServerOverloadedError(
                 f"request shed before any work started: {reason} — "
                 f"safe to retry after backoff")
@@ -115,9 +113,6 @@ class AdmissionController:
             self.queue.put_nowait(request)
         except queue.Full:
             self._stats.add("serve.shed_queue_full")
-            self._stats.events.performance(
-                "serve.shed", kind="queue_full",
-                reason=f"wait queue full ({self.queue.maxsize})")
             raise ServerOverloadedError(
                 f"request shed before any work started: wait queue full "
                 f"({self.queue.maxsize} waiting) — safe to retry after "

@@ -40,11 +40,10 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import Database
-from repro.core.events import ALL_CLASSES, EventTrace
-from repro.core.stats import wait_breakdown
+from repro.core.events import EventTrace
+from repro.core.stats import wait_breakdown, wait_counter
 from repro.errors import (DeadlineExceededError, ReproError,
                           ServerClosedError, ServerOverloadedError)
-from repro.obs.events import StatsCollector
 from repro.rdb.locks import LockMode
 from repro.rdb.txn import accounting_records
 from repro.serve.server import DatabaseServer
@@ -86,9 +85,8 @@ def load_ring_size(clients: int, ops_per_client: int) -> int:
     The verification pass reads every transaction's accounting record back
     from the ring.  An op is at most three requests (a hot update's
     begin/lock/commit), each retried a few times; each request leaves its
-    own record and its transaction's, and — with every class enabled —
-    one suspension record per lock-wait backoff step.  The size is a cap:
-    the ring only holds what was emitted.
+    own record and its transaction's, and a slow query one more.  The size
+    is a generous cap: the ring only holds what was emitted.
     """
     return max(MIN_LOAD_RING, clients * ops_per_client * 256)
 
@@ -332,19 +330,27 @@ class LoadHarness:
                 verify_errors.append(
                     f"runtime sanitizer tripped: {name} = {value}")
         # Attribution soundness for the wait clocks, same shape as the
-        # accounting-caps check: summed per-transaction wait charges can
-        # never exceed the global per-class counter they flowed through.
+        # accounting-caps check: summed per-transaction wait charges, and
+        # summed per-request clocks, can never exceed the global per-class
+        # counter they flowed through.
         acct_waits: dict = {}
         for record in accounting_records(stats):
             for name, value in record.counters.items():
                 if name.startswith("waits."):
                     acct_waits[name] = acct_waits.get(name, 0) + value
-        for name, total in sorted(acct_waits.items()):
-            if total > snapshot.get(name, 0):
-                verify_errors.append(
-                    f"accounting over-charged wait counter {name}: "
-                    f"records sum to {total}, global is "
-                    f"{snapshot.get(name, 0)}")
+        request_waits: dict = {}
+        for record in stats.events.records("serve.request"):
+            for wait_class, micros in record.payload["waits"].items():
+                name = wait_counter(wait_class)
+                request_waits[name] = request_waits.get(name, 0) + micros
+        for source, charged in (("accounting", acct_waits),
+                                ("request clocks", request_waits)):
+            for name, total in sorted(charged.items()):
+                if total > snapshot.get(name, 0):
+                    verify_errors.append(
+                        f"{source} over-charged wait counter {name}: "
+                        f"records sum to {total}, global is "
+                        f"{snapshot.get(name, 0)}")
         request_hist = stats.histogram("serve.request_us")
         queue_hist = stats.histogram("serve.queue_wait_us")
         wait_hist = stats.histogram("waits.request_wait_us")
@@ -442,16 +448,12 @@ class LoadHarness:
 def run_load(clients: int = 100, ops_per_client: int = 5, seed: int = 0,
              workers: int = 8, queue_limit: int = 64,
              deadline: float = 5.0, trace: EventTrace | None = None,
-             stats_interval: float = 0.0,
              **config_overrides) -> LoadReport:
     """Build engine + server, run the workload, tear down, report.
 
-    The run records into ``trace`` — by default an accounting-only ring of
-    :func:`load_ring_size` records; pass one with more classes enabled
-    (``ALL_CLASSES``: suspensions too) to keep a full trace, and export it
-    with :meth:`~repro.core.events.EventTrace.write_jsonl` afterwards.  A
-    positive ``stats_interval`` additionally runs the statistics-interval
-    collector thread against it.
+    The run records into ``trace`` — by default a fresh ring of
+    :func:`load_ring_size` records; pass your own to keep it, and export it
+    with :meth:`~repro.core.events.EventTrace.write_jsonl` afterwards.
     """
     config = serving_config(serve_workers=workers,
                             serve_queue_limit=queue_limit,
@@ -459,18 +461,10 @@ def run_load(clients: int = 100, ops_per_client: int = 5, seed: int = 0,
     if trace is None:
         trace = EventTrace(load_ring_size(clients, ops_per_client))
     db, hot_ids = build_database(config, trace=trace)
-    collector = None
-    if stats_interval > 0:
-        collector = StatsCollector(db.stats, trace,
-                                   interval=stats_interval).start()
-    try:
-        server = DatabaseServer(db).start()
-        harness = LoadHarness(db, server, hot_ids)
-        report = harness.run(clients, ops_per_client, seed=seed,
-                             deadline=deadline)
-    finally:
-        if collector is not None:
-            collector.stop()
+    server = DatabaseServer(db).start()
+    harness = LoadHarness(db, server, hot_ids)
+    report = harness.run(clients, ops_per_client, seed=seed,
+                         deadline=deadline)
     db.close()
     return report
 
@@ -490,22 +484,16 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--out", type=str, default="",
                         help="write the JSON report here")
     parser.add_argument("--trace-out", type=str, default="",
-                        help="record a structured event trace during the "
-                             "run and write it here as JSONL (feed it to "
-                             "python -m repro.obs.perf)")
-    parser.add_argument("--stats-interval", type=float, default=0.0,
-                        help="with --trace-out: emit STATISTICS interval "
-                             "records every this many seconds")
+                        help="write the run's event ring here as JSONL "
+                             "(feed it to python -m repro.obs.perf)")
     options = parser.parse_args(argv)
-    trace = EventTrace(load_ring_size(options.clients, options.ops),
-                       ALL_CLASSES) if options.trace_out else None
+    trace = EventTrace(load_ring_size(options.clients, options.ops))
     report = run_load(clients=options.clients, ops_per_client=options.ops,
                       seed=options.seed, workers=options.workers,
                       queue_limit=options.queue_limit,
                       deadline=options.deadline,
-                      trace=trace,
-                      stats_interval=options.stats_interval)
-    if trace is not None:
+                      trace=trace)
+    if options.trace_out:
         count = trace.write_jsonl(options.trace_out)
         print(f"# wrote {count} trace records to {options.trace_out}",
               file=sys.stderr)

@@ -334,9 +334,10 @@ class DatabaseServer:
         up front, the engine-latch acquisition as ``latch.wait``, and
         every suspension the work itself hits (lock waits, log forces,
         buffer I/O, retry backoff) through the engine's own wait timers.
-        The worker also stamps the request's event records with its label,
-        which is how ``repro.obs.perf`` reassembles per-request span trees
-        from an exported ring.
+        The clock's breakdown goes into the request's ``serve.request``
+        record.  The worker also stamps the request's event records with
+        its label, which ties the ``txn.accounting`` records of the work
+        to the request that ran it.
         """
         queue_wait_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.queue_wait_us", queue_wait_us)
@@ -401,7 +402,7 @@ class DatabaseServer:
         elapsed_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.request_us", elapsed_us)
         error = request.error
-        self.stats.events.accounting(
+        self.stats.events.emit(
             "serve.request", request=request.label, elapsed_us=elapsed_us,
             outcome="ok" if error is None else type(error).__name__,
             waits=dict(waits) if waits else {})

@@ -77,8 +77,8 @@ class TestEventRingThreadSafety:
 
         def emitter(thread_id):
             for index in range(500):
-                trace.accounting("txn.accounting",
-                                 txn_id=thread_id * 1_000 + index)
+                trace.emit("txn.accounting",
+                           txn_id=thread_id * 1_000 + index)
                 if index % 50 == 0:
                     seen.append(len(trace.records()))  # reads race emits
 

@@ -1,18 +1,19 @@
-"""The event ring, the interval collector, and the profiler."""
+"""The event ring and the profiler."""
 
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
+from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.fault.harness import CrashHarness
-from repro.core.events import ALL_CLASSES, EventClass, EventTrace
 from repro.fault.injector import FaultInjector, FaultPlan
-from repro.obs.events import StatsCollector, read_jsonl
-from repro.obs.perf import profile_records, render_profile
+from repro.obs.perf import profile_records, read_jsonl, render_profile
+from repro.serve.loadgen import load_ring_size, run_load
 
 
 @pytest.fixture
@@ -22,71 +23,46 @@ def stats():
 
 class TestEventTrace:
     def test_emit_and_drain_in_timestamp_order(self):
-        trace = EventTrace(classes=ALL_CLASSES)
-        trace.accounting("txn.accounting", txn_id=1, outcome="committed")
-        trace.performance("wait.lock_wait", us=20)
+        trace = EventTrace()
+        trace.emit("txn.accounting", txn_id=1, outcome="committed")
+        trace.emit("serve.request", elapsed_us=20)
         records = trace.records()
         assert [r.name for r in records] == ["txn.accounting",
-                                             "wait.lock_wait"]
-        assert records[0].event_class == "accounting"
-        assert records[1].event_class == "performance"
+                                             "serve.request"]
+        assert records[0].ts_ns <= records[1].ts_ns
         assert records[0].txn_id == 1
-
-    def test_disabled_class_is_not_recorded(self):
-        trace = EventTrace(classes={EventClass.ACCOUNTING})
-        assert trace.performance("wait.lock_wait", us=5) is None
-        assert trace.accounting("serve.request") is not None
-        assert [r.name for r in trace.records()] == ["serve.request"]
-
-    def test_fully_disabled_trace_records_nothing(self):
-        trace = EventTrace(classes=())
-        assert trace.accounting("serve.request") is None
-        assert trace.records() == []
+        assert "class" not in records[0].to_dict()
 
     def test_ring_wraps_and_counts_drops(self):
-        trace = EventTrace(ring_size=4, classes=ALL_CLASSES)
+        trace = EventTrace(ring_size=4)
         for i in range(10):
-            trace.performance("wait.latch_wait", us=i)
+            trace.emit("serve.request", elapsed_us=i)
         records = trace.records()
         assert len(records) == 4
         assert trace.dropped == 6
         # Newest survive the wrap.
-        assert [r.payload["us"] for r in records] == [6, 7, 8, 9]
+        assert [r.payload["elapsed_us"] for r in records] == [6, 7, 8, 9]
 
     def test_context_stamps_and_nests(self):
-        trace = EventTrace(classes=ALL_CLASSES)
+        trace = EventTrace()
         with trace.context(request="c1-op2"):
-            trace.performance("wait.lock_wait", us=1)
+            trace.emit("serve.request", elapsed_us=1)
             with trace.context(txn_id=9):
-                trace.performance("wait.wal_force", us=2)
-        trace.performance("wait.latch_wait", us=3)
+                trace.emit("txn.accounting", outcome="committed")
+        trace.emit("db.slow_query", rows=3)
         by_name = {r.name: r for r in trace.records()}
-        assert by_name["wait.lock_wait"].request == "c1-op2"
-        assert by_name["wait.lock_wait"].txn_id is None
+        assert by_name["serve.request"].request == "c1-op2"
+        assert by_name["serve.request"].txn_id is None
         # The inner txn context inherits the outer request label.
-        assert by_name["wait.wal_force"].request == "c1-op2"
-        assert by_name["wait.wal_force"].txn_id == 9
+        assert by_name["txn.accounting"].request == "c1-op2"
+        assert by_name["txn.accounting"].txn_id == 9
         # Outside any context, no stamp.
-        assert by_name["wait.latch_wait"].request is None
+        assert by_name["db.slow_query"].request is None
 
     def test_every_registry_carries_an_accounting_ring(self, stats):
         ring = stats.events
         assert isinstance(ring, EventTrace)
-        assert ring.enabled == {EventClass.ACCOUNTING}
         assert ring.ring_size == 256
-
-    def test_install_gates_stats_emission(self, stats):
-        default = stats.events
-        stats.charge_wait("lock.wait", 10)  # PERFORMANCE off by default
-        trace = EventTrace(classes=ALL_CLASSES)
-        with trace.installed(stats):
-            stats.charge_wait("lock.wait", 25)
-        stats.charge_wait("lock.wait", 40)  # the default ring again
-        records = trace.records()
-        assert [r.payload["us"] for r in records] == [25]
-        assert records[0].name == "wait.lock.wait"
-        assert stats.events is default
-        assert default.records() == []
 
     def test_installed_restores_the_previous_ring(self, stats):
         mine, other = EventTrace(), EventTrace()
@@ -98,8 +74,8 @@ class TestEventTrace:
     def test_jsonl_round_trip(self, tmp_path):
         trace = EventTrace()
         with trace.context(request="c0-op0"):
-            trace.accounting("serve.request", elapsed_us=120,
-                             waits={"lock.wait": 30})
+            trace.emit("serve.request", elapsed_us=120,
+                       waits={"lock.wait": 30})
         path = str(tmp_path / "trace.jsonl")
         assert trace.write_jsonl(path) == 1
         loaded = read_jsonl(path)
@@ -125,34 +101,16 @@ class TestEventTrace:
         assert slow["payload"]["exceeded"]["xscan.events"][1] == 1
 
 
-class TestStatsCollector:
-    def test_interval_deltas(self, stats):
-        trace = EventTrace(classes=ALL_CLASSES)
-        collector = StatsCollector(stats, trace, interval=0.01)
-        with collector.running():
-            stats.add("buffer.hits", 3)
-        records = [r for r in trace.records() if r.name == "stats.interval"]
-        assert records, "stop() must emit a final interval record"
-        merged: dict[str, int] = {}
-        for record in records:
-            for name, delta in record.payload["counters"].items():
-                merged[name] = merged.get(name, 0) + delta
-        assert merged.get("buffer.hits") == 3
-
-    def test_rejects_nonpositive_interval(self, stats):
-        with pytest.raises(ValueError):
-            StatsCollector(stats, EventTrace(), interval=0)
-
-
 class TestFaultEvents:
     def test_injected_fault_emits_performance_event(self, stats):
-        trace = EventTrace(classes=ALL_CLASSES).install(stats)
         injector = FaultInjector([FaultPlan.fail_nth_write(1)], stats=stats)
         outcome = injector.on_write(0, b"\x00" * 8)
         assert outcome.fail
-        faults = [r for r in trace.records()
+        # Faults are recorded in the registry's default ring.
+        faults = [r for r in stats.events.records()
                   if r.name.startswith("fault.")]
-        assert len(faults) == 1 and faults[0].event_class == "performance"
+        assert len(faults) == 1
+        assert faults[0].payload["detail"]
 
     def test_crash_harness_flight_recorder(self, tmp_path):
         def load(db):
@@ -162,7 +120,7 @@ class TestFaultEvents:
                     "t", (i, f"<a><b>{i}</b></a>"), txn_id=txn.txn_id))
 
         harness = CrashHarness(str(tmp_path), config=EngineConfig(),
-                               trace=EventTrace(classes=ALL_CLASSES))
+                               trace=EventTrace())
         outcome = harness.run(
             load, plan=[FaultPlan.crash_at("wal.commit.pre", 3)])
         assert outcome.crashed
@@ -175,34 +133,33 @@ class TestFaultEvents:
 
 
 class TestPerfProfiler:
-    def _traced_engine_records(self):
-        stats = StatsRegistry()
-        trace = EventTrace(classes=ALL_CLASSES).install(stats)
-        db = Database(EngineConfig(), stats=stats)
-        db.create_table("t", [("id", "bigint"), ("doc", "xml")])
-        with trace.context(request="c0-op0"):
-            db.run_in_txn(lambda eng, txn: eng.insert(
-                "t", (1, "<a><b>x</b></a>"), txn_id=txn.txn_id))
-            trace.accounting("serve.request", request="c0-op0",
-                             elapsed_us=500, outcome="ok",
-                             waits={"lock.wait": 10})
-        db.close()
+    def _load_records(self):
+        trace = EventTrace(load_ring_size(6, 3))
+        report = run_load(clients=6, ops_per_client=3, seed=1, trace=trace)
+        assert report.verified, report.verify_errors
         return [r.to_dict() for r in trace.records()]
 
     def test_profile_pairs_waits_to_requests(self):
-        profile = profile_records(self._traced_engine_records())
-        assert profile.requests and \
-            profile.requests[0].label == "c0-op0"
-        assert profile.records_by_class.get("accounting", 0) >= 2
+        records = self._load_records()
+        served = [r for r in records if r["name"] == "serve.request"]
+        request_clocks: Counter = Counter()
+        for record in served:
+            request_clocks.update(record["payload"]["waits"])
+        profile = profile_records(records)
+        # perf's totals are exactly the request clocks, class by class.
+        assert request_clocks
+        assert dict(profile.class_totals) == dict(request_clocks)
+        assert len(profile.requests) == len(served)
         text = render_profile(profile)
         assert "WAIT-CLASS PROFILE" in text
-        assert "SLOWEST REQUEST" in text
+        slowest = text.split("== SLOWEST REQUEST ==")[1]
+        assert "cpuish+other" in slowest.split("== TRACE SUMMARY ==")[0]
 
     def test_cli_renders_a_jsonl_trace(self, tmp_path):
         import json
         path = tmp_path / "trace.jsonl"
         path.write_text("\n".join(
-            json.dumps(record) for record in self._traced_engine_records()))
+            json.dumps(record) for record in self._load_records()))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.obs.perf", str(path)],
             capture_output=True, text=True)

@@ -130,5 +130,4 @@ class TestExplainAnalyze:
         insert_span = tracer.root.find("db.insert")
         assert insert_span is not None
         assert insert_span.counter("wal.records") >= 1
-        assert tracer.root.find("wal.append") is not None
         assert insert_span.counter("btree.inserts") >= 1

@@ -12,10 +12,6 @@ class TestNullPath:
         with stats.trace("anything", attr=1) as span:
             assert span is None
 
-    def test_trace_event_without_tracer_is_noop(self):
-        stats = StatsRegistry()
-        stats.trace_event("anything", attr=1)  # must not raise
-
     def test_null_trace_is_reusable_and_reentrant(self):
         stats = StatsRegistry()
         with stats.trace("a"):
@@ -69,16 +65,6 @@ class TestSpans:
             with stats.trace("op", key="v") as span:
                 span.set("rows", 7)
         assert tracer.root.find("op").attrs == {"key": "v", "rows": 7}
-
-    def test_events_are_childless_markers(self):
-        stats = StatsRegistry()
-        tracer = Tracer(stats)
-        with tracer.install():
-            with stats.trace("op"):
-                stats.trace_event("tick", n=1)
-        event = tracer.root.find("tick")
-        assert event.kind == "event"
-        assert event.attrs == {"n": 1}
 
     def test_install_restores_previous_tracer(self):
         stats = StatsRegistry()

@@ -77,6 +77,23 @@ class TestLoadHarness:
         assert db.log.durable_count == len(list(db.log.records()))
         db.close()
 
+    def test_report_flags_an_overcharged_request_clock(self):
+        """The request clocks' waits flow through the global per-class
+        counters: a ``serve.request`` record claiming more than the
+        counter holds fails verification."""
+        db, hot_ids = build_database(serving_config())
+        harness = LoadHarness(db, None, hot_ids)
+        db.stats.charge_wait("lock.wait", 10)
+        db.stats.events.emit("serve.request", request="c0-op0",
+                             elapsed_us=50, outcome="ok",
+                             waits={"lock.wait": 25})
+        report = harness._report([], 0, 0.0, seeded_insert_txns=1)
+        assert not report.verified
+        assert report.verify_errors == [
+            "request clocks over-charged wait counter waits.lock_wait_us: "
+            "records sum to 25, global is 10"]
+        db.close()
+
     def test_report_round_trips_to_json(self):
         import json
         report = run_load(clients=8, ops_per_client=2, seed=1, workers=2)
@@ -92,10 +109,10 @@ class TestLoadHarness:
         per-request wait breakdown is populated, and the trace retains
         accounting records for served requests."""
         from repro.analyze import sanitize
-        from repro.core.events import ALL_CLASSES, EventTrace
+        from repro.core.events import EventTrace
         from repro.serve.loadgen import load_ring_size
 
-        trace = EventTrace(load_ring_size(12, 3), ALL_CLASSES)
+        trace = EventTrace(load_ring_size(12, 3))
         was_armed = sanitize.enabled()
         sanitize.enable()
         try:
@@ -110,4 +127,4 @@ class TestLoadHarness:
         assert set(report.waits_by_class) <= set(WAITS)
         served = [r for r in trace.records() if r.name == "serve.request"]
         assert served and all(r.request for r in served)
-        assert any(r.name.startswith("wait.") for r in trace.records())
+        assert any(r.payload["waits"] for r in served)
