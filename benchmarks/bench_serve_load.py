@@ -70,8 +70,6 @@ def test_serve_shed_point():
     assert report.verified, report.verify_errors
     assert report.shed > 0, "undersized queue never shed"
     rows = [[report.shed, report.counters.get("serve.shed_queue_full", 0),
-             report.counters.get("serve.shed_overload", 0),
              report.p99_queue_wait_us]]
     print_table("Shed point (1 worker, queue limit 2, 96 clients)",
-                ["shed total", "queue full", "overload guard", "wait p99"],
-                rows)
+                ["shed total", "queue full", "wait p99"], rows)

@@ -4,10 +4,9 @@ Runs a deterministic miniature of the E-series workloads — bulk insert
 with tree packing (E1/E4), navigational and scan queries (E2/E5), value
 index probes (E6), node-level updates (E3), and a transactional mix with
 an aborted delete — on a fixed configuration, then writes the engine's
-counters, gauges and histograms through :mod:`repro.obs.exporters`
-(``metrics_to_dict``, not ``engine_metrics``: no gate reads the accounting,
-slow-query and monitor-snapshot dumps, and ``repro.obs.report`` renders
-their absence as empty sections).
+counters, gauges and histograms through
+:func:`repro.obs.exporters.metrics_to_dict` — the artifact
+``python -m repro.obs.report`` renders.
 
 The engine is deterministic, so the counter values are stable across runs
 and machines; the committed ``BENCH_baseline.json`` is the reference a

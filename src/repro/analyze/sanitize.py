@@ -6,7 +6,9 @@ environment, or :func:`enable`), the storage substrate turns its protocol
 assumptions into hard assertions:
 
 * **buffer pool** — double-unpin detection, and zero pinned frames at every
-  transaction boundary and at ``Database.close``;
+  transaction boundary and at ``Database.close`` (a global probe: every
+  reader of the pool runs under the engine latch, so no other thread can
+  hold a pin at those points);
 * **lock manager** — all locks of a transaction released at commit/abort,
   and the *witnessed* lock-acquisition order recorded per transaction so a
   runtime inversion (class B taken while A is held on one path, A-after-B
@@ -19,7 +21,8 @@ assumptions into hard assertions:
   field modified by two threads with no latch in common trips
   ``sanitize.race.lockset`` — the dynamic counterpart of the static
   ``RACE001`` guard inference (and :func:`cross_check_field_guards` makes
-  the two views confront each other).
+  the two views confront each other).  The lock table has no lock of its
+  own, so under the serving layer its witnessed guard is ``db.latch``.
 
 Every trip increments a ``sanitize.*`` counter on the component's stats
 registry (so ``explain_analyze`` traces and experiment reports show them)
@@ -114,22 +117,16 @@ def clear_tracked_pools() -> None:
 
 
 def check_pool_quiesced(pool: Any, stats: "StatsRegistry",
-                        where: str = "txn end",
-                        scope: str = "global") -> None:
+                        where: str = "txn end") -> None:
     """Assert no frame of ``pool`` is pinned (transaction boundary check).
 
-    ``scope="thread"`` restricts the probe to pins taken by the calling
-    thread (:meth:`BufferPool.pinned_by_caller`) — the right scope at the
-    end of a *transaction*, which runs on one thread: a concurrent pin
-    from a latch-free monitor snapshot on another thread is transient,
-    not this transaction's leak.  Shutdown checks keep the global scope
-    (every thread must have quiesced by then).
+    The probe is global (:meth:`BufferPool.pinned_pages`): every reader of
+    the pool runs under the engine latch, so at the end of a transaction —
+    or at shutdown — no other thread can be holding a pin mid-operation,
+    and any pinned frame is some component's lost unpin.
     """
     stats.add("sanitize.checks")
-    if scope == "thread" and hasattr(pool, "pinned_by_caller"):
-        pinned = pool.pinned_by_caller()
-    else:
-        pinned = pool.pinned_pages()
+    pinned = pool.pinned_pages()
     if pinned:
         trip(stats, "pinned_at_txn_end",
              f"{len(pinned)} frame(s) still pinned at {where}: "

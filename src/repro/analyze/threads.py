@@ -2,8 +2,8 @@
 
 The serving layer made the engine multi-threaded the way DB2 for z/OS
 is: a worker pool over one engine latch, with client threads admitting
-requests and a monitor reading state off the latch.  This module gives
-the static analyzer that thread model:
+requests and recording ``serve.*`` counters, the only work done off the
+latch.  This module gives the static analyzer that thread model:
 
 1. **Thread roots** — functions that start executing on their own thread.
    Spawn sites (``threading.Thread(target=self._worker_loop)``) are

@@ -57,7 +57,7 @@ class EngineConfig:
             threshold; both zero disables slow-query capture entirely (and
             its per-query tracer).
         serve_workers: Worker threads in the serving layer's pool — the
-            admission controller's concurrency-token count (DB2 z/OS:
+            server's concurrency-token count (DB2 z/OS:
             CTHREAD, the active-thread ceiling).
         serve_queue_limit: Bounded admission wait queue: requests beyond
             the active set queue here; once the queue is full further
@@ -65,20 +65,6 @@ class EngineConfig:
             queued-at-create-thread).
         serve_default_deadline: Default per-request deadline in seconds
             applied by the server when a request carries none (0 disables).
-        serve_shed_lock_waiters: Overload signal: shed new work while more
-            than this many transactions sit in the lock table's waits-for
-            graph (0 disables the signal).
-        serve_shed_min_hit_ratio: Overload signal: shed new work while the
-            buffer-pool hit ratio sits below this fraction (after at least
-            ``serve_shed_min_touches`` pool touches; 0.0 disables).
-        serve_shed_min_touches: Minimum buffer-pool touches before the
-            hit-ratio signal is trusted (a cold pool always misses).
-        serve_shed_check_interval: Admissions between re-evaluations of
-            the overload signals (the verdict is cached in between, so
-            admission stays O(1) per request).
-        serve_lock_yield: Seconds a server-mode lock wait sleeps per
-            backoff step *with the engine latch released*, letting the
-            lock holder's session run on another worker.
     """
 
     page_size: int = 4096
@@ -99,11 +85,6 @@ class EngineConfig:
     serve_workers: int = 4
     serve_queue_limit: int = 32
     serve_default_deadline: float = 0.0
-    serve_shed_lock_waiters: int = 0
-    serve_shed_min_hit_ratio: float = 0.0
-    serve_shed_min_touches: int = 256
-    serve_shed_check_interval: int = 16
-    serve_lock_yield: float = 0.0005
 
     def __post_init__(self) -> None:
         for name in ("txn_group_commit", "ckpt_background"):

@@ -97,10 +97,11 @@ class Database:
         #: (``TransactionManager.lock_wait_yield``) and during victim-retry
         #: backoff (:attr:`backoff_sleep`) — which is exactly when another
         #: session's progress is what unblocks this one.  It is the
-        #: engine's one concurrency mechanism: only the lock table and the
-        #: stats registry keep a lock of their own (one each), for the
-        #: monitor and admission readers that run off the latch.  Wrapped
-        #: in a :class:`~repro.analyze.sanitize.TrackedLock` so the lockset
+        #: engine's one concurrency mechanism: engine state is read and
+        #: written only under it, and the stats registry is the only
+        #: structure with a lock of its own, because client threads record
+        #: the ``serve.*`` counters without the latch.  Wrapped in a
+        #: :class:`~repro.analyze.sanitize.TrackedLock` so the lockset
         #: sanitizer can witness "held the engine latch".
         self.latch = _sanitize.TrackedLock("db.latch", threading.RLock())
         #: Jitter source for victim-retry backoff (seeded for determinism).
@@ -501,8 +502,7 @@ class Database:
         if _sanitize.enabled():
             _sanitize.check_pool_quiesced(
                 self.pool, self.stats,
-                where=f"end of txn {txn.txn_id} ({txn.state.value})",
-                scope="thread")
+                where=f"end of txn {txn.txn_id} ({txn.state.value})")
 
     def close(self) -> None:
         """Quiesce the engine: checkpoint, flush, and (when armed) assert

@@ -76,8 +76,7 @@ METRICS: frozenset[str] = frozenset({
     "obs.slow_queries", "obs.accounting_records",
     # serving layer (repro.serve): admission, sessions, outcomes
     "serve.requests", "serve.admitted", "serve.completed", "serve.failed",
-    "serve.shed_queue_full", "serve.shed_overload", "serve.shed_closed",
-    "serve.deadline_expired", "serve.overload_checks",
+    "serve.shed_queue_full", "serve.shed_closed", "serve.deadline_expired",
     "serve.sessions_opened", "serve.sessions_closed",
     "serve.chaos_faults",
 })
@@ -213,7 +212,7 @@ class Histogram:
                 for index in sorted(self._buckets)]
 
     def cumulative_buckets(self) -> list[tuple[int, int]]:
-        """Prometheus-style ``(le, cumulative_count)`` pairs."""
+        """``(upper_bound, cumulative_count)`` pairs for occupied buckets."""
         out: list[tuple[int, int]] = []
         running = 0
         for bound, count in self.buckets():
@@ -282,7 +281,7 @@ class StatsRegistry:
     guarded by one internal lock (a read-modify-write on a shared Counter
     is not atomic).  Almost every :meth:`add` already runs under the
     engine latch; the lock is for the ``serve.*`` counters charged on
-    client threads and for the monitor's reads off the latch.  Whole-map
+    client threads, which do not hold it.  Whole-map
     reads (:meth:`snapshot`, :meth:`counters`, :meth:`delta`,
     :meth:`reset`) copy under it.  The accounting sink of :meth:`charge`
     is *per-thread* — each serving-layer worker charges the transaction

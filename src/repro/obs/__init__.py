@@ -17,13 +17,10 @@ them:
   surface returned by :meth:`repro.core.engine.Database.explain_analyze`:
   the chosen :class:`~repro.query.plan.AccessPlan` annotated with actual
   row/entry/page counts per operator;
-* :class:`~repro.obs.monitor.Monitor` — DISPLAY-style snapshots of live
-  engine state (buffer pool, lock table + waits-for DOT, WAL, transaction
-  table, per-table-space/per-index footprints, accounting summary);
 * :class:`~repro.obs.slowlog.SlowQueryRecord` — an auto-captured offender
   query (plan + span tree + counter deltas), read back from the ring by
   ``Database.slow_queries``;
-* :mod:`repro.obs.exporters` — Prometheus-text and JSON exposition of
+* :mod:`repro.obs.exporters` — JSON exposition of
   counters/gauges/histograms;
 * :mod:`repro.obs.waits` — the reading side of the wait clock: per-class
   suspension breakdowns (DB2 accounting class-3 analogue) folded from the
@@ -33,7 +30,11 @@ them:
   records' wait clocks (imported lazily — it pulls in the serving layer
   for its live mode, so it is deliberately *not* re-exported here);
 * :mod:`repro.obs.report` — ``python -m repro.obs.report``, the
-  human-readable accounting/statistics report.
+  human-readable statistics report (counters, histograms, waits).
+
+None of these views reads engine structures off the engine latch: they
+run on the thread that drives the engine, or over the stats registry and
+its event ring, which carry a lock of their own.
 
 Tracing is opt-in: components call ``self.stats.trace("name")`` which is a
 reusable no-op unless a :class:`Tracer` is installed on the registry, so the
@@ -42,18 +43,13 @@ uninstrumented cost is ~zero.
 
 from repro.core.events import EventRecord, EventTrace
 from repro.obs.explain import ExplainResult
-from repro.obs.exporters import (engine_metrics, metrics_to_dict,
-                                 render_prometheus, write_metrics_json,
-                                 write_prometheus, write_trace)
-from repro.obs.monitor import Monitor, MonitorSnapshot
+from repro.obs.exporters import metrics_to_dict, write_metrics_json, write_trace
 from repro.obs.slowlog import SlowQueryRecord
 from repro.obs.tracer import Span, Tracer, trace_to_json
 from repro.obs.waits import format_breakdown, wait_breakdown, wait_profile
 
 __all__ = [
-    "EventRecord", "EventTrace", "ExplainResult", "Monitor",
-    "MonitorSnapshot", "SlowQueryRecord", "Span", "Tracer",
-    "engine_metrics", "format_breakdown", "metrics_to_dict",
-    "render_prometheus", "trace_to_json", "wait_breakdown",
-    "wait_profile", "write_metrics_json", "write_prometheus", "write_trace",
+    "EventRecord", "EventTrace", "ExplainResult", "SlowQueryRecord", "Span",
+    "Tracer", "format_breakdown", "metrics_to_dict", "trace_to_json",
+    "wait_breakdown", "wait_profile", "write_metrics_json", "write_trace",
 ]

@@ -9,11 +9,13 @@ workload run on an in-memory engine, so the command always has something
 to show::
 
     python -m repro.obs.report benchmarks/artifacts/*.metrics.json
-    python -m repro.obs.report            # demo workload, live snapshot
+    python -m repro.obs.report            # demo workload, live engine
 
 The report renders counters grouped by component, histogram tables
-(count / mean / p50 / p90 / max), the accounting summary, and any captured
-slow queries.
+(count / mean / p50 / p90 / p99 / max) and the per-class wait totals.
+Per-transaction accounting and captured slow queries stay in the engine's
+event ring (``repro.rdb.txn.accounting_records``,
+``Database.slow_queries``).
 """
 
 from __future__ import annotations
@@ -85,52 +87,6 @@ def render_waits(waits: dict) -> list[str]:
     return lines
 
 
-def render_accounting(records: list[dict]) -> list[str]:
-    """Accounting summary: totals plus the costliest transactions."""
-    lines = ["== ACCOUNTING =="]
-    if not records:
-        lines.append("  (no accounting records)")
-        return lines
-    committed = sum(1 for r in records if r.get("outcome") == "committed")
-    aborted = len(records) - committed
-    retries = sum(r.get("retries", 0) for r in records)
-    lines.append(f"  {len(records)} transactions "
-                 f"({committed} committed, {aborted} aborted, "
-                 f"{retries} retries folded)")
-    def cost(record: dict) -> int:
-        return (record.get("pages_read", 0) + record.get("pages_written", 0)
-                + record.get("wal_bytes", 0))
-    lines.append(f"  {'txn':>6} {'iso':>4} {'outcome':>10} {'rd':>6} "
-                 f"{'wr':>6} {'lockw':>6} {'walB':>8} {'retries':>8}")
-    for record in sorted(records, key=cost, reverse=True)[:10]:
-        lines.append(f"  {record.get('txn_id', '?'):>6} "
-                     f"{record.get('isolation', '-'):>4} "
-                     f"{record.get('outcome', '?'):>10} "
-                     f"{record.get('pages_read', 0):>6} "
-                     f"{record.get('pages_written', 0):>6} "
-                     f"{record.get('lock_waits', 0):>6} "
-                     f"{record.get('wal_bytes', 0):>8} "
-                     f"{record.get('retries', 0):>8}")
-    return lines
-
-
-def render_slow_queries(records: list[dict]) -> list[str]:
-    """Top (slow) queries with what they exceeded."""
-    lines = ["== SLOW QUERIES =="]
-    if not records:
-        lines.append("  (none captured)")
-        return lines
-    for record in records:
-        lines.append(f"  {record.get('path', '?')!r} on "
-                     f"{record.get('table', '?')}."
-                     f"{record.get('column', '?')} "
-                     f"[{record.get('method', '?')}] "
-                     f"rows={record.get('rows', 0)}")
-        for name, pair in sorted(record.get("exceeded", {}).items()):
-            lines.append(f"    exceeded {name}: {pair[0]} > {pair[1]}")
-    return lines
-
-
 def render_artifact(artifact: dict, title: str = "") -> str:
     """The full report for one metrics artifact dict."""
     lines: list[str] = []
@@ -139,8 +95,6 @@ def render_artifact(artifact: dict, title: str = "") -> str:
     lines += render_counters(artifact.get("counters", {}))
     lines += render_histograms(artifact.get("histograms", {}))
     lines += render_waits(artifact.get("waits", {}))
-    lines += render_accounting(artifact.get("accounting", []))
-    lines += render_slow_queries(artifact.get("slow_queries", []))
     return "\n".join(lines)
 
 
@@ -154,11 +108,11 @@ def _demo_artifact() -> dict:
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import Database
-    from repro.obs.exporters import engine_metrics
+    from repro.obs.exporters import metrics_to_dict
+    from repro.obs.waits import wait_profile
     from repro.serve.server import DatabaseServer
 
-    config = EngineConfig(slow_query_events=1, serve_workers=2)
-    db = Database(config)
+    db = Database(EngineConfig(serve_workers=2))
     db.create_table("demo", [("id", "bigint"), ("doc", "xml")])
     server = DatabaseServer(db).start()
     try:
@@ -169,7 +123,7 @@ def _demo_artifact() -> dict:
             session.query("demo", "doc", "/order/item")
     finally:
         server.shutdown(drain=True)
-    return engine_metrics(db)
+    return {**metrics_to_dict(db.stats), "waits": wait_profile(db.stats)}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,8 +7,8 @@ each request/transaction as ``elapsed = cpuish + Σ waits`` (reconciled by
 the ``sanitize.waits.reconcile`` runtime check), and :func:`wait_breakdown`
 folding the ``waits.<class>_us`` counters back into per-class totals.
 This module is the *reading* side built on them: totals, profiles and
-report lines for the monitor, the load harness and the
-``python -m repro.obs.perf`` profiler.
+report lines for ``python -m repro.obs.report``, the load harness and
+the ``python -m repro.obs.perf`` profiler.
 
 The class inventory and its DB2 class-3 / IFCID mapping are documented in
 README.md and DESIGN.md ("Instrumentation facility").

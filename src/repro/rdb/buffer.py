@@ -7,7 +7,6 @@ pages through the pool so experiments can separate logical page touches
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator
@@ -41,12 +40,6 @@ class BufferPool:
         self.stats: StatsRegistry = disk.stats
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         self._clock = 0  # pool accesses; drives eviction-residency ages
-        #: Per-thread pin ledger (page_id -> count).  Pins are always
-        #: released on the thread that took them (``page()`` is a context
-        #: manager), so the ledger lets quiesce checks scope to the calling
-        #: thread — a latch-free monitor snapshot pinning a page from
-        #: another thread is not *this* transaction's leak.
-        self._local = threading.local()
         if _sanitize.enabled():
             _sanitize.register_pool(self)
 
@@ -68,7 +61,6 @@ class BufferPool:
         frame.pin_count = 1
         frame.dirty = True
         self._frames[page_id] = frame
-        self._note_pin(page_id)
         return page_id, frame.data
 
     def fetch(self, page_id: int) -> bytearray:
@@ -88,7 +80,6 @@ class BufferPool:
             frame = _Frame(data, loaded_tick=self._clock)
             self._frames[page_id] = frame
         frame.pin_count += 1
-        self._note_pin(page_id)
         return frame.data
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
@@ -100,7 +91,6 @@ class BufferPool:
             raise BufferPoolError(f"page {page_id} is not pinned")
         frame.pin_count -= 1
         frame.dirty = frame.dirty or dirty
-        self._note_unpin(page_id)
 
     @contextmanager
     def page(self, page_id: int, write: bool = False) -> Iterator[bytearray]:
@@ -148,37 +138,6 @@ class BufferPool:
         return [page_id for page_id, frame in self._frames.items()
                 if frame.pin_count]
 
-    def pinned_by_caller(self) -> list[int]:
-        """Page ids the *calling thread* currently holds pins on.
-
-        The transaction-end quiesce check uses this instead of
-        :meth:`pinned_pages`: a transaction runs on one thread, so only
-        that thread's leftover pins indict it.  Concurrent pins from other
-        threads (a DISPLAY-style monitor snapshot walking an index
-        latch-free) are transient and legitimately visible at a foreign
-        transaction's end.
-        """
-        return sorted(self._caller_pins())
-
-    def _caller_pins(self) -> dict[int, int]:
-        pins = getattr(self._local, "pins", None)
-        if pins is None:
-            pins = {}
-            self._local.pins = pins
-        return pins
-
-    def _note_pin(self, page_id: int) -> None:
-        pins = self._caller_pins()
-        pins[page_id] = pins.get(page_id, 0) + 1
-
-    def _note_unpin(self, page_id: int) -> None:
-        pins = self._caller_pins()
-        count = pins.get(page_id, 0)
-        if count <= 1:
-            pins.pop(page_id, None)
-        else:
-            pins[page_id] = count - 1
-
     def assert_unpinned(self) -> None:
         """Raise :class:`BufferPoolError` if any frame is still pinned.
 
@@ -201,10 +160,6 @@ class BufferPool:
     def resident(self, page_id: int) -> bool:
         """Whether ``page_id`` currently occupies a frame."""
         return page_id in self._frames
-
-    def resident_count(self) -> int:
-        """Number of frames currently holding a page (the LRU depth)."""
-        return len(self._frames)
 
     def _make_room(self) -> None:
         if len(self._frames) < self.capacity:

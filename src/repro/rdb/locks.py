@@ -15,7 +15,6 @@ where one lock manager covers relational and XML resources.
 from __future__ import annotations
 
 import enum
-import threading
 
 from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry, default_stats
@@ -76,19 +75,16 @@ def mode_lub(a: LockMode, b: LockMode) -> LockMode:
 class LockManager:
     """The lock table: granted modes, per-transaction holdings, waits-for.
 
-    Three plain maps behind **one** lock.  Every engine entry already runs
-    under the engine latch, so the lock never splits real contention; it
-    exists for the readers that run off the latch — the monitor's
-    lock-table snapshot and the overload guard's :meth:`waiter_count` on
-    the admission path.  It is a tracked latch (token ``locks._lock``) when
-    the sanitizers are armed at construction, a plain ``threading.Lock``
-    otherwise.
+    Three plain maps with no lock of their own: like every other engine
+    structure they are read and written only under the engine latch
+    (``Database.latch``), which the serving layer's workers hold for the
+    whole of each request.  With the sanitizers armed every mutation is
+    reported to the lockset sanitizer, which therefore witnesses the
+    table's guard as ``db.latch``.
     """
 
     def __init__(self, stats: StatsRegistry | None = None) -> None:
         self.stats = default_stats(stats)
-        self._lock = _sanitize.TrackedLock("locks._lock") \
-            if _sanitize.enabled() else threading.Lock()
         #: {resource: {txn_id: mode}}
         self._granted: dict[object, dict[int, LockMode]] = {}
         #: {txn_id: set of resources held}
@@ -109,25 +105,21 @@ class LockManager:
         Re-requests upgrade to the least upper bound of held and requested
         modes.  On conflict, records waits-for edges and returns ``False``.
         """
-        with self._lock:
-            self._witness("_granted", "_held", "_waits_for")
-            holders = self._granted.setdefault(resource, {})
-            held = holders.get(txn_id)
-            effective = mode if held is None else mode_lub(held, mode)
-            blockers = [
-                other for other, other_mode in holders.items()
-                if other != txn_id
-                and not mode_compatible(effective, other_mode)
-            ]
-            if blockers:
-                self._waits_for.setdefault(txn_id, set()).update(blockers)
-            else:
-                holders[txn_id] = effective
-                self._held.setdefault(txn_id, set()).add(resource)
-                self._waits_for.pop(txn_id, None)
+        self._witness("_granted", "_held", "_waits_for")
+        holders = self._granted.setdefault(resource, {})
+        held = holders.get(txn_id)
+        effective = mode if held is None else mode_lub(held, mode)
+        blockers = [
+            other for other, other_mode in holders.items()
+            if other != txn_id and not mode_compatible(effective, other_mode)
+        ]
         if blockers:
+            self._waits_for.setdefault(txn_id, set()).update(blockers)
             self.stats.add("lock.waits")
             return False
+        holders[txn_id] = effective
+        self._held.setdefault(txn_id, set()).add(resource)
+        self._waits_for.pop(txn_id, None)
         self.stats.add("lock.acquired")
         if _sanitize.enabled():
             _sanitize.on_lock_acquired(self.stats, txn_id, resource)
@@ -136,41 +128,37 @@ class LockManager:
     def holds(self, txn_id: int, resource: object,
               mode: LockMode | None = None) -> bool:
         """Whether ``txn_id`` holds ``resource`` (at least in ``mode``)."""
-        with self._lock:
-            held = self._granted.get(resource, {}).get(txn_id)
+        held = self._granted.get(resource, {}).get(txn_id)
         if held is None:
             return False
         return mode is None or mode_lub(held, mode) == held
 
     def holders(self, resource: object) -> dict[int, LockMode]:
         """Snapshot of granted modes on ``resource``."""
-        with self._lock:
-            return dict(self._granted.get(resource, {}))
+        return dict(self._granted.get(resource, {}))
 
     def release_all(self, txn_id: int) -> None:
         """Drop every lock held by ``txn_id`` (commit/abort time).
 
-        Also erases ``txn_id`` from every other waiter's edge set, and —
-        crucially — drops waiters whose edge set *empties*: a leftover
-        ``{waiter: set()}`` entry would keep counting in
-        :meth:`waiter_count` as a phantom waiter (the serving layer's
-        overload guard sheds on that number) even though nothing blocks
-        the transaction any more.
+        Also erases ``txn_id`` from every other waiter's edge set, and
+        drops waiters whose edge set *empties*: a leftover
+        ``{waiter: set()}`` entry would be a phantom waiter in
+        :meth:`waits_for_edges` although nothing blocks the transaction
+        any more.
         """
-        with self._lock:
-            self._witness("_granted", "_held", "_waits_for")
-            for resource in self._held.pop(txn_id, ()):
-                holders = self._granted.get(resource)
-                if holders is not None:
-                    holders.pop(txn_id, None)
-                    if not holders:
-                        del self._granted[resource]
-            self._waits_for.pop(txn_id, None)
-            for waiter in list(self._waits_for):
-                edges = self._waits_for[waiter]
-                edges.discard(txn_id)
-                if not edges:
-                    del self._waits_for[waiter]
+        self._witness("_granted", "_held", "_waits_for")
+        for resource in self._held.pop(txn_id, ()):
+            holders = self._granted.get(resource)
+            if holders is not None:
+                holders.pop(txn_id, None)
+                if not holders:
+                    del self._granted[resource]
+        self._waits_for.pop(txn_id, None)
+        for waiter in list(self._waits_for):
+            edges = self._waits_for[waiter]
+            edges.discard(txn_id)
+            if not edges:
+                del self._waits_for[waiter]
         if _sanitize.enabled():
             _sanitize.on_locks_released(txn_id)
 
@@ -181,39 +169,24 @@ class LockManager:
         transaction keeps what it holds but no longer waits, so its stale
         edges cannot produce false deadlock cycles.
         """
-        with self._lock:
-            self._witness("_waits_for")
-            self._waits_for.pop(txn_id, None)
+        self._witness("_waits_for")
+        self._waits_for.pop(txn_id, None)
 
     def locks_held(self, txn_id: int) -> int:
         """Number of resources currently locked by ``txn_id``."""
-        with self._lock:
-            return len(self._held.get(txn_id, ()))
+        return len(self._held.get(txn_id, ()))
 
-    # -- introspection (DISPLAY-style snapshots, repro.obs.monitor) --------
+    # -- introspection -----------------------------------------------------
 
     def lock_table(self) -> dict[object, dict[int, LockMode]]:
         """Copy of the granted-lock table: ``{resource: {txn: mode}}``."""
-        with self._lock:
-            return {resource: dict(holders)
-                    for resource, holders in self._granted.items()}
-
-    def waiter_count(self) -> int:
-        """Number of transactions currently recorded as waiting.
-
-        Unlike :meth:`waits_for_edges` this does not copy the graph, so the
-        serving layer's overload guard can afford it on the admission path.
-        :meth:`release_all` keeps the map free of empty edge sets, so every
-        counted entry is a real waiter.
-        """
-        with self._lock:
-            return len(self._waits_for)
+        return {resource: dict(holders)
+                for resource, holders in self._granted.items()}
 
     def waits_for_edges(self) -> dict[int, frozenset[int]]:
         """Copy of the waits-for graph: ``{waiter: blockers}``."""
-        with self._lock:
-            return {waiter: frozenset(blockers)
-                    for waiter, blockers in self._waits_for.items()}
+        return {waiter: frozenset(blockers)
+                for waiter, blockers in self._waits_for.items()}
 
     def find_deadlock(self) -> list[int] | None:
         """Return a cycle of transaction ids in the waits-for graph, if any."""

@@ -117,19 +117,6 @@ class TableSpace:
         """Data pages plus overflow pages owned by this space."""
         return len(self.page_ids) + self._overflow_pages
 
-    def allocated_bytes(self) -> int:
-        """Total bytes of pages owned by this space."""
-        return self.page_count * self.pool.page_size
-
-    def footprint(self) -> dict[str, int]:
-        """Page/record/byte counts for DISPLAY-style monitor snapshots."""
-        return {
-            "records": self.record_count,
-            "pages": self.page_count,
-            "allocated_bytes": self.allocated_bytes(),
-            "live_bytes": self.live_bytes(),
-        }
-
     def insert(self, record: bytes) -> Rid:
         """Store ``record`` and return its RID."""
         stats = self.pool.stats

@@ -363,8 +363,8 @@ class LogManager:
             log._bytes += length
             # Restart state: the newest hardened LSN feeds the monotonicity
             # sanitizer, and the checkpoint byte mark keeps
-            # ``bytes_since_checkpoint`` (the monitor's checkpoint-lag
-            # panel) correct across a restart instead of counting the whole
+            # ``bytes_since_checkpoint`` (the checkpoint lag) correct
+            # across a restart instead of counting the whole
             # pre-checkpoint volume as outstanding.
             log._last_lsn = record.lsn
             if record.op is LogOp.ABORT:

@@ -2,8 +2,8 @@
 
 ``repro.serve`` fronts a single-threaded
 :class:`~repro.core.engine.Database` with a worker thread pool, per-client
-sessions, admission control with bounded queueing, request deadlines, and
-graceful overload shedding — see :mod:`repro.serve.server` for the
+sessions, admission control with a bounded queue that sheds overflow,
+and request deadlines — see :mod:`repro.serve.server` for the
 architecture and DESIGN.md's "Serving layer" section for the DB2 mapping.
 
 Run a load experiment from the command line::
@@ -11,7 +11,6 @@ Run a load experiment from the command line::
     PYTHONPATH=src python -m repro.serve.loadgen --clients 100 --ops 5
 """
 
-from repro.serve.admission import AdmissionController, OverloadGuard
 from repro.serve.server import DatabaseServer
 from repro.serve.session import Session
 
@@ -25,10 +24,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AdmissionController",
     "DatabaseServer",
     "LoadHarness",
     "LoadReport",
-    "OverloadGuard",
     "Session",
 ]

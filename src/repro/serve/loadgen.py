@@ -68,7 +68,7 @@ def serving_config(base: EngineConfig = DEFAULT_CONFIG,
         # Hot locks are held across queued requests, so waiters need more
         # simulated budget than the single-threaded default before they
         # declare a timeout (each backoff step yields the latch for
-        # ``serve_lock_yield`` real seconds).
+        # ``LOCK_YIELD_S`` real seconds, see repro.serve.server).
         "lock_wait_budget": 512,
     }
     sized.update(overrides)

@@ -44,12 +44,14 @@ from repro.errors import (DeadlineExceededError, DeadlockError,
                           ServerClosedError, ServerOverloadedError)
 from repro.fault.injector import SimulatedCrash
 from repro.rdb.txn import TxnState, accounting_records
-from repro.obs.monitor import Monitor
-from repro.serve.admission import AdmissionController, OverloadGuard
 from repro.serve.session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import Database
+
+#: Seconds a server-mode lock wait sleeps per backoff step *with the engine
+#: latch released*, letting the lock holder's session run on another worker.
+LOCK_YIELD_S = 0.0005
 
 
 class _Request:
@@ -97,30 +99,26 @@ class DatabaseServer:
     #: transaction was aborted cleanly (victim) or never started (shed).
     RETRYABLE = (DeadlockError, LockTimeoutError, ServerOverloadedError)
 
-    def __init__(self, db: "Database",
-                 monitor: Monitor | None = None) -> None:
+    def __init__(self, db: "Database") -> None:
         self.db = db
         self.stats = db.stats
         config = db.config
-        self.monitor = monitor if monitor is not None else Monitor(db)
-        self.monitor.server = self
         self.workers = max(1, config.serve_workers)
-        self.admission = AdmissionController(
-            OverloadGuard(self.monitor, config, self.stats),
-            config.serve_queue_limit, self.stats)
+        #: The bounded wait queue in front of the worker pool (see
+        #: :meth:`submit`); workers take requests from it in FIFO order.
+        self.queue: _queue.Queue = _queue.Queue(
+            maxsize=max(1, config.serve_queue_limit))
         self._threads: list[threading.Thread] = []
         self._state = "new"  # new -> serving -> draining -> closed
         #: Guards the server's own shared mutable state: ``_state``,
-        #: ``_busy``, ``_sessions`` and ``_crashed``.  Tracked so the
+        #: ``_sessions`` and ``_crashed``.  Tracked so the
         #: lockset sanitizer witnesses it on every guarded access.  Never
         #: acquired while holding ``db.latch``-ordered engine locks except
         #: as latch -> _state_lock (shutdown's crash note); the reverse
         #: nesting is forbidden.
         self._state_lock = _sanitize.TrackedLock("server._state_lock")
-        self._busy = 0
         self._session_ids = itertools.count(1)
         self._sessions: dict[int, Session] = {}
-        self._lock_yield = config.serve_lock_yield
         #: First :class:`SimulatedCrash` a worker hit, if any (a crash
         #: plan fired mid-request): the server stops admitting and the
         #: harness re-raises it from :meth:`shutdown`.  Workers and the
@@ -167,7 +165,7 @@ class DatabaseServer:
         if not drain:
             self._purge_queue()
         for _ in self._threads:
-            self.admission.queue.put(None)
+            self.queue.put(None)
         for thread in self._threads:
             thread.join()
         self._threads.clear()
@@ -176,6 +174,8 @@ class DatabaseServer:
             self._witness("_sessions", write=True)
             abandoned = list(self._sessions.values())
             self._sessions.clear()
+        if abandoned:
+            self.stats.add("serve.sessions_closed", len(abandoned))
         with self.db.latch:
             for session in abandoned:
                 session.closed = True
@@ -256,10 +256,15 @@ class DatabaseServer:
         """
         with self._state_lock:
             self._witness("_sessions", write=True)
-            self._sessions.pop(session.session_id, None)
+            registered = self._sessions.pop(session.session_id,
+                                            None) is not None
         with self.db.latch:
             self._rollback_abandoned(session)
-        self.stats.add("serve.sessions_closed")
+        # Whoever removes the session from the map counts its close —
+        # here, or shutdown for the sessions it abandons — so after a
+        # shutdown ``serve.sessions_closed`` equals ``sessions_opened``.
+        if registered:
+            self.stats.add("serve.sessions_closed")
 
     @staticmethod
     def _rollback_abandoned(session: Session) -> None:
@@ -284,16 +289,34 @@ class DatabaseServer:
     def submit(self, session: Session | None,
                work: Callable[["Database"], Any], label: str,
                deadline: Deadline | None) -> _Request:
-        """Admit one request (or shed it); returns without waiting."""
+        """Admit one request (or shed it); returns without waiting.
+
+        Admission is DB2 connection governance in miniature: the workers
+        are the concurrency tokens, :attr:`queue` is the bounded wait
+        queue, and a request that finds the queue full is shed at once
+        with :class:`~repro.errors.ServerOverloadedError` — the client
+        still holds its timeout budget, so rejecting now is cheaper than
+        timing out after queueing.  Every attempt bumps ``serve.requests``
+        and ends in exactly one of ``serve.admitted``,
+        ``serve.shed_queue_full`` or ``serve.shed_closed``.
+        """
+        self.stats.add("serve.requests")
         state = self.state
         if state != "serving":
-            self.stats.add("serve.requests")
             self.stats.add("serve.shed_closed")
             raise ServerClosedError(
                 f"server is {state}; request {label!r} rejected")
         request = _Request(session, work, label, deadline,
                            time.monotonic_ns())
-        self.admission.admit(request)
+        try:
+            self.queue.put_nowait(request)
+        except _queue.Full:
+            self.stats.add("serve.shed_queue_full")
+            raise ServerOverloadedError(
+                f"request shed before any work started: wait queue full "
+                f"({self.queue.maxsize} waiting) — safe to retry after "
+                f"backoff") from None
+        self.stats.add("serve.admitted")
         return request
 
     def call(self, session: Session | None,
@@ -311,19 +334,9 @@ class DatabaseServer:
 
     def _worker_loop(self) -> None:
         while True:
-            request = self.admission.queue.get()
-            if request is None:
+            request = self.queue.get()
+            if request is None or not self._process(request):
                 return
-            with self._state_lock:
-                self._witness("_busy", write=True)
-                self._busy += 1
-            try:
-                if not self._process(request):
-                    return
-            finally:
-                with self._state_lock:
-                    self._witness("_busy", write=True)
-                    self._busy -= 1
 
     def _process(self, request: _Request) -> bool:
         """Run one request; False tells the worker to stop (crash).
@@ -410,7 +423,7 @@ class DatabaseServer:
     def _purge_queue(self) -> None:
         while True:
             try:
-                request = self.admission.queue.get_nowait()
+                request = self.queue.get_nowait()
             except _queue.Empty:
                 return
             if request is None:
@@ -423,7 +436,7 @@ class DatabaseServer:
 
     def _yield_latch(self) -> None:
         """Between lock-wait backoff steps: let the lock holder run."""
-        self._latch_sleep(self._lock_yield)
+        self._latch_sleep(LOCK_YIELD_S)
 
     def _latch_sleep(self, delay: float) -> None:
         """Sleep ``delay`` seconds with the engine latch released.
@@ -446,32 +459,3 @@ class DatabaseServer:
                 time.sleep(0)
         finally:
             self.db.latch.acquire()
-
-    # -- monitoring --------------------------------------------------------
-
-    def view(self) -> dict:
-        """Live server state for ``Monitor`` (DISPLAY THREAD analogue)."""
-        stats = self.stats
-        with self._state_lock:
-            self._witness("_state", write=False)
-            self._witness("_busy", write=False)
-            self._witness("_sessions", write=False)
-            state = self._state
-            busy = self._busy
-            sessions_open = len(self._sessions)
-        return {
-            "state": state,
-            "workers": self.workers,
-            "busy": busy,
-            "queue_depth": self.admission.depth(),
-            "queue_limit": self.admission.queue.maxsize,
-            "sessions_open": sessions_open,
-            "requests": stats.get("serve.requests"),
-            "admitted": stats.get("serve.admitted"),
-            "completed": stats.get("serve.completed"),
-            "failed": stats.get("serve.failed"),
-            "deadline_expired": stats.get("serve.deadline_expired"),
-            "shed": (stats.get("serve.shed_queue_full")
-                     + stats.get("serve.shed_overload")
-                     + stats.get("serve.shed_closed")),
-        }

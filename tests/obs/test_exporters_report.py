@@ -1,18 +1,15 @@
-"""Exporters (Prometheus text + JSON), slow-query records, and the report CLI."""
+"""JSON metric artifacts, slow-query records, and the report CLI."""
 
 import json
 import subprocess
 import sys
 
-import pytest
-
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
-from repro.obs import (Tracer, engine_metrics, metrics_to_dict,
-                       render_prometheus, write_metrics_json,
-                       write_prometheus)
+from repro.obs import (Tracer, metrics_to_dict, wait_profile,
+                       write_metrics_json)
 from repro.obs.report import main as report_main, render_artifact
 
 
@@ -25,74 +22,6 @@ def sample_stats() -> StatsRegistry:
     return stats
 
 
-class TestPrometheus:
-    def test_counters_gauges_histograms(self):
-        text = render_prometheus(sample_stats())
-        assert "# TYPE repro_disk_page_reads_total counter" in text
-        assert "repro_disk_page_reads_total 7" in text
-        assert "# TYPE repro_xscan_peak_units gauge" in text
-        assert "repro_xscan_peak_units 5" in text
-        assert "# TYPE repro_btree_search_entries histogram" in text
-        # Cumulative le-buckets: 1 obs <= 1, 2 obs <= 4, all 3 <= 128.
-        assert 'repro_btree_search_entries_bucket{le="1"} 1' in text
-        assert 'repro_btree_search_entries_bucket{le="4"} 2' in text
-        assert 'repro_btree_search_entries_bucket{le="128"} 3' in text
-        assert 'repro_btree_search_entries_bucket{le="+Inf"} 3' in text
-        assert "repro_btree_search_entries_sum 94" in text
-        assert "repro_btree_search_entries_count 3" in text
-
-    def test_write_prometheus(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus(sample_stats(), str(path))
-        assert "repro_disk_page_reads_total 7" in path.read_text()
-
-    def test_golden_exposition(self):
-        # The full exposition, literally: HELP precedes TYPE for every
-        # family, bucket counts are cumulative, +Inf closes each histogram.
-        assert render_prometheus(sample_stats()) == (
-            "# HELP repro_disk_page_reads_total Engine counter "
-            "disk.page_reads (see repro.core.stats registries)\n"
-            "# TYPE repro_disk_page_reads_total counter\n"
-            "repro_disk_page_reads_total 7\n"
-            "# HELP repro_xscan_peak_units Engine gauge xscan.peak_units "
-            "(see repro.core.stats registries)\n"
-            "# TYPE repro_xscan_peak_units gauge\n"
-            "repro_xscan_peak_units 5\n"
-            "# HELP repro_btree_search_entries Engine histogram "
-            "btree.search_entries (see repro.core.stats registries)\n"
-            "# TYPE repro_btree_search_entries histogram\n"
-            'repro_btree_search_entries_bucket{le="1"} 1\n'
-            'repro_btree_search_entries_bucket{le="4"} 2\n'
-            'repro_btree_search_entries_bucket{le="128"} 3\n'
-            'repro_btree_search_entries_bucket{le="+Inf"} 3\n'
-            "repro_btree_search_entries_sum 94\n"
-            "repro_btree_search_entries_count 3\n")
-
-    def test_curated_help_overrides(self):
-        stats = StatsRegistry()
-        stats.observe("serve.request_us", 42)
-        text = render_prometheus(stats)
-        assert ("# HELP repro_serve_request_us End-to-end request latency "
-                "in microseconds (submit to finish, queue wait included)"
-                in text)
-
-    def test_help_and_label_escaping(self):
-        from repro.obs.exporters import _escape_help, _escape_label
-        assert _escape_help("a\\b\nc") == "a\\\\b\\nc"
-        assert _escape_label('say "hi"\\\n') == 'say \\"hi\\"\\\\\\n'
-
-    def test_bucket_counts_are_cumulative_and_end_at_count(self):
-        stats = StatsRegistry()
-        for value in (1, 1, 2, 500, 10_000_000):
-            stats.observe("serve.request_us", value)
-        text = render_prometheus(stats)
-        counts = [int(line.rsplit(" ", 1)[1])
-                  for line in text.splitlines()
-                  if line.startswith("repro_serve_request_us_bucket")]
-        assert counts == sorted(counts), "bucket counts must be cumulative"
-        assert counts[-1] == 5, "+Inf bucket must equal the sample count"
-
-
 class TestJsonArtifacts:
     def test_metrics_to_dict_shape(self):
         data = metrics_to_dict(sample_stats())
@@ -102,21 +31,11 @@ class TestJsonArtifacts:
         assert hist["count"] == 3 and hist["max"] == 90
         assert hist["buckets"] == [[1, 1], [4, 1], [128, 1]]
 
-    def test_engine_metrics_includes_accounting_and_snapshot(self, tmp_path):
-        db = Database(EngineConfig(slow_query_events=1))
-        db.create_table("t", [("doc", "xml")])
-        db.run_in_txn(lambda eng, txn: eng.insert(
-            "t", ("<a><b>x</b></a>",), txn_id=txn.txn_id))
-        db.xpath("t", "doc", "/a/b")  # trips the events threshold
-        artifact = engine_metrics(db)
-        assert artifact["accounting"][0]["outcome"] == "committed"
-        assert artifact["slow_queries"][0]["path"] == "/a/b"
-        assert artifact["snapshot"]["buffer_pool"]["capacity"] == \
-            db.config.buffer_pool_pages
+    def test_write_metrics_json_round_trips(self, tmp_path):
+        artifact = metrics_to_dict(sample_stats())
         path = tmp_path / "run.metrics.json"
         write_metrics_json(artifact, str(path))
-        assert json.loads(path.read_text()) == json.loads(
-            json.dumps(artifact))
+        assert json.loads(path.read_text()) == artifact
 
 
 class TestSlowQueryLog:
@@ -179,20 +98,20 @@ class TestSlowQueryLog:
 
 class TestReportCli:
     def test_render_artifact_sections(self):
-        db = Database(EngineConfig(slow_query_events=1))
+        db = Database(EngineConfig())
         db.create_table("t", [("doc", "xml")])
         db.run_in_txn(lambda eng, txn: eng.insert(
             "t", ("<a><b>x</b></a>",), txn_id=txn.txn_id))
         db.xpath("t", "doc", "/a/b")
-        text = render_artifact(engine_metrics(db), title="unit")
+        artifact = {**metrics_to_dict(db.stats),
+                    "waits": wait_profile(db.stats)}
+        text = render_artifact(artifact, title="unit")
         assert "ENGINE REPORT: unit" in text
         for section in ("== COUNTERS ==", "== HISTOGRAMS ==",
-                        "== ACCOUNTING ==", "== SLOW QUERIES =="):
+                        "== WAITS (class-3 suspensions) =="):
             assert section in text
         assert "wal.records" in text
         assert "wal.record_bytes" in text
-        assert "1 transactions (1 committed, 0 aborted" in text
-        assert "'/a/b' on t.doc" in text
 
     def test_main_reads_artifact_files(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -214,3 +133,4 @@ class TestReportCli:
         assert proc.returncode == 0, proc.stderr
         assert "ENGINE REPORT" in proc.stdout
         assert "== HISTOGRAMS ==" in proc.stdout
+        assert "== WAITS (class-3 suspensions) ==" in proc.stdout

@@ -1,8 +1,8 @@
-"""Golden rendered output: report text, Prometheus text and EXPLAIN ANALYZE.
+"""Golden rendered output: report text and EXPLAIN ANALYZE.
 
 One fixed single-threaded workload (transactional inserts, an aborted
 transaction, slow queries, an index-driven EXPLAIN ANALYZE) is rendered
-three ways and compared byte for byte with the files under ``golden/``.
+two ways and compared byte for byte with the files under ``golden/``.
 The instrumentation can be restructured freely underneath; what operators
 read must not move.
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.obs.exporters import engine_metrics, render_prometheus
+from repro.obs.exporters import metrics_to_dict
 from repro.obs.report import render_artifact
 from repro.query.plan import AccessMethod
 
@@ -68,22 +68,17 @@ def _strip_span_waits(text: str) -> str:
 
 
 def render_all() -> dict[str, str]:
-    """The three renderings, normalized, keyed by golden file name."""
+    """The two renderings, normalized, keyed by golden file name."""
     db, explain = golden_workload()
-    artifact = engine_metrics(db)
+    artifact = metrics_to_dict(db.stats)
     artifact["counters"] = {
         name: value for name, value in artifact["counters"].items()
         if not name.startswith(_VOLATILE)}
     artifact["histograms"] = {
         name: value for name, value in artifact["histograms"].items()
         if not name.startswith(_VOLATILE)}
-    artifact.pop("waits")
-    prometheus = "".join(
-        line + "\n" for line in render_prometheus(db.stats).splitlines()
-        if "repro_waits_" not in line and "repro_sanitize_" not in line)
     return {
         "report.txt": render_artifact(artifact, title="golden") + "\n",
-        "prometheus.txt": prometheus,
         "explain.txt": explain + "\n",
     }
 

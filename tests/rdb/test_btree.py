@@ -222,7 +222,6 @@ class TestUnfittableEntry:
                 tree.insert(b"k", b"V" * tree.max_entry_bytes)
         assert (disk.page_count, len(tree), list(tree.scan())) == before
         assert tree.pool.dirty_count() == 0
-        assert tree.pool.pinned_by_caller() == []
         assert tree.pool.pinned_pages() == []
         tree.verify()
 
@@ -296,7 +295,6 @@ class TestPins:
         scan = tree.scan()
         for _ in range(3):  # suspended inside the first leaf
             next(scan)
-            assert pool.pinned_by_caller() == []
             assert pool.pinned_pages() == []
         # The suspended scan holds no frame, so the leaf can split under it.
         tree.insert(b"0001x", b"v")

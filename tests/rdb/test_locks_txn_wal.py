@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -12,11 +13,10 @@ from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
 from repro.errors import FaultInjectionError, TransactionError
 from repro.fault.injector import FaultInjector, FaultPlan, SimulatedCrash
-from repro.obs.monitor import Monitor
 from repro.rdb.locks import LockManager, LockMode, mode_compatible, mode_lub
-from repro.serve.admission import OverloadGuard
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
 from repro.rdb.wal import LogManager, LogOp, LogRecord, replay
+from repro.serve import DatabaseServer
 
 
 class TestModeAlgebra:
@@ -149,22 +149,20 @@ class TestLockManager:
 
 class TestPhantomWaiterRegression:
     """``release_all`` used to leave ``{waiter: set()}`` husks in the
-    waits-for map, so :meth:`LockManager.waiter_count` kept counting
-    transactions that no longer waited on anything — and the serving
-    layer's overload guard sheds new work on that number."""
+    waits-for map, so transactions that no longer waited on anything kept
+    showing up as waiters."""
 
     def test_release_all_drops_emptied_waiters(self):
         lm = LockManager(StatsRegistry())
         lm.try_acquire(1, "a", LockMode.X)
         assert not lm.try_acquire(2, "a", LockMode.X)  # 2 waits on 1
-        assert lm.waiter_count() == 1
+        assert lm.waits_for_edges() == {2: frozenset({1})}
         lm.release_all(1)
         # Regression: the emptied edge set used to linger, so txn 2 kept
         # counting as a waiter forever.
-        assert lm.waiter_count() == 0
         assert lm.waits_for_edges() == {}
 
-    def test_waiter_count_agrees_with_edges_through_churn(self):
+    def test_no_empty_edge_set_survives_churn(self):
         lm = LockManager(StatsRegistry())
         lm.try_acquire(1, "a", LockMode.X)
         lm.try_acquire(2, "b", LockMode.X)
@@ -172,9 +170,8 @@ class TestPhantomWaiterRegression:
         assert not lm.try_acquire(3, "b", LockMode.S)
         assert not lm.try_acquire(4, "a", LockMode.S)
         for txn_id in (1, 2, 3, 4):
-            assert lm.waiter_count() == len(lm.waits_for_edges())
+            assert all(lm.waits_for_edges().values())
             lm.release_all(txn_id)
-        assert lm.waiter_count() == 0
         assert lm.waits_for_edges() == {}
 
     def test_find_deadlock_sees_no_cycle_after_release(self):
@@ -186,65 +183,93 @@ class TestPhantomWaiterRegression:
         assert lm.find_deadlock() is not None
         lm.release_all(1)
         assert lm.find_deadlock() is None
-        assert lm.waiter_count() == len(lm.waits_for_edges())
+        assert all(lm.waits_for_edges().values())
 
-    def test_overload_guard_stops_shedding_after_release(self):
-        config = replace(DEFAULT_CONFIG, serve_shed_lock_waiters=1,
-                         serve_shed_check_interval=1)
-        db = Database(config)
-        guard = OverloadGuard(Monitor(db), config, db.stats)
+    def test_idle_table_has_no_waiters_after_release(self):
+        db = Database()
         locks = db.txns.locks
         locks.try_acquire(1, "hot", LockMode.X)
         locks.try_acquire(2, "hot", LockMode.X)
         locks.try_acquire(3, "hot", LockMode.S)
-        assert guard.check() is not None  # two real waiters > limit of 1
+        assert set(locks.waits_for_edges()) == {2, 3}
         locks.release_all(1)
         locks.release_all(2)
         locks.release_all(3)
-        # Regression: phantom waiters kept the guard shedding every new
-        # request even though the lock table was completely idle.
-        assert guard.check() is None
+        # Regression: phantom waiters outlived every holder, so an idle
+        # lock table still reported transactions waiting on it.
+        assert locks.waits_for_edges() == {}
+        assert locks.lock_table() == {}
 
 
 class TestLockTableLock:
+    """The lock table has no lock of its own: ``db.latch`` guards it."""
+
     def test_concurrent_acquires_witness_one_token(self):
-        # Built while the sanitizers are armed, the table's one lock is
-        # tracked, so every mutation of the three maps is witnessed
-        # holding it.
+        # Two sessions on a 2-worker server take turns holding an X lock
+        # the other one waits for.  The waiter's lock request parks one
+        # worker in the lock-wait loop, so the holder's later requests —
+        # polling the waits-for graph, then committing — run on the other
+        # worker: both workers mutate all three maps, and the lockset
+        # sanitizer must find the engine latch guarding every access.
         sanitize.enable()
         sanitize.reset_witness()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            lm = LockManager(StatsRegistry())
-            barrier = threading.Barrier(4)
-
-            def txn_body(txn_id):
-                barrier.wait()
-                for i in range(8):
-                    # Half the resources are shared, so threads conflict.
-                    lm.try_acquire(txn_id, f"r{i % 4}" if i % 2 else
-                                   f"r{txn_id}-{i}", LockMode.X)
-                lm.release_all(txn_id)
-
-            threads = [threading.Thread(target=txn_body, args=(t,))
-                       for t in range(1, 5)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            # A lost update would leave a grant or a waiter behind.
-            assert lm.lock_table() == {}
-            assert lm.waiter_count() == 0
+            config = replace(DEFAULT_CONFIG, serve_workers=2,
+                             lock_wait_budget=4096)
+            db = Database(config)
+            with DatabaseServer(db) as server:
+                sessions = [server.session(), server.session()]
+                for round_ in range(4):
+                    holder, waiter = sessions[round_ % 2], \
+                        sessions[1 - round_ % 2]
+                    self._contend(holder, waiter, f"hot{round_ % 2}")
+                for session in sessions:
+                    session.close()
             locksets = sanitize.witnessed_locksets()
+            states = sanitize.witnessed_field_states()
             for field in ("_granted", "_held", "_waits_for"):
+                assert states[("LockManager", field)] == "shared-modified"
                 assert locksets[("LockManager", field)] == \
-                    frozenset(("locks._lock",))
-            assert lm.stats.get("sanitize.race.lockset") == 0
+                    frozenset(("db.latch",))
+            assert db.stats.get("sanitize.race.lockset") == 0
+            assert db.stats.get("lock.waits") > 0
+            assert db.txns.locks.lock_table() == {}
+            assert db.txns.locks.waits_for_edges() == {}
         finally:
             sys.setswitchinterval(interval)
             sanitize.reset_witness()
+
+    @staticmethod
+    def _contend(holder, waiter, resource):
+        holder.begin()
+        holder.lock(resource, LockMode.X)
+        errors: list = []
+
+        def wait_then_commit():
+            try:
+                waiter.begin()
+                waiter.lock(resource, LockMode.X)  # parks a worker
+                waiter.commit()
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        thread = threading.Thread(target=wait_then_commit)
+        thread.start()
+        # Read the waits-for graph the way every reader now does: as a
+        # request, under the engine latch.
+        for _ in range(2000):
+            edges = holder.execute(
+                lambda db, txn: db.txns.locks.waits_for_edges())
+            if edges:
+                break
+            time.sleep(0.001)
+        holder.commit()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert errors == []
+        assert edges, "the waiter never blocked on the holder"
 
     def test_disarmed_table_witnesses_nothing(self):
         sanitize.disable()

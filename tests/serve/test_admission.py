@@ -1,85 +1,65 @@
-"""Admission controller and overload-guard unit tests."""
+"""Admission control: the bounded wait queue in ``DatabaseServer.submit``."""
+
+import threading
 
 import pytest
 
-from repro.core.config import DEFAULT_CONFIG
+from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.core.stats import StatsRegistry
 from repro.errors import ServerOverloadedError
-from repro.obs.monitor import Monitor
-from repro.rdb.locks import LockMode
-from repro.serve.admission import AdmissionController, OverloadGuard
+from repro.serve import DatabaseServer
 
 
-def make_guard(db, **overrides):
-    from dataclasses import replace
-    config = replace(DEFAULT_CONFIG, **overrides)
-    return OverloadGuard(Monitor(db), config, db.stats)
+def _blocked_server(queue_limit):
+    """A 1-worker server whose worker is parked inside a request.
 
+    Returns the server, the parked request and the event that releases
+    it; every later submit lands in (or overflows) the wait queue.
+    """
+    db = Database(EngineConfig(serve_workers=1,
+                               serve_queue_limit=queue_limit))
+    server = DatabaseServer(db).start()
+    started, release = threading.Event(), threading.Event()
 
-class TestOverloadGuard:
-    def test_disabled_thresholds_never_shed(self):
-        db = Database()
-        guard = make_guard(db)
-        assert all(guard.check() is None for _ in range(50))
-        # With no thresholds configured the guard does not even read the
-        # health signals.
-        assert db.stats.get("serve.overload_checks") == 0
+    def park(_db):
+        started.set()
+        release.wait(timeout=30)
 
-    def test_lock_waiter_threshold(self):
-        db = Database()
-        guard = make_guard(db, serve_shed_lock_waiters=1,
-                           serve_shed_check_interval=1)
-        assert guard.check() is None
-        holder = db.txns.begin()
-        assert holder.try_lock("r", LockMode.X)
-        for _ in range(2):
-            waiter = db.txns.begin()
-            assert not waiter.try_lock("r", LockMode.X)
-        verdict = guard.check()
-        assert verdict is not None and "lock table congested" in verdict
-        assert db.stats.get("serve.overload_checks") >= 2
-
-    def test_hit_ratio_threshold_needs_min_touches(self):
-        db = Database()
-        guard = make_guard(db, serve_shed_min_hit_ratio=0.99,
-                           serve_shed_min_touches=10_000,
-                           serve_shed_check_interval=1)
-        # A cold engine has not reached min_touches: healthy by fiat.
-        assert guard.check() is None
-
-    def test_verdict_cached_between_intervals(self):
-        db = Database()
-        guard = make_guard(db, serve_shed_lock_waiters=1,
-                           serve_shed_check_interval=10)
-        for _ in range(10):
-            guard.check()
-        # 10 calls, interval 10: health evaluated once (on the first).
-        assert db.stats.get("serve.overload_checks") == 1
+    parked = server.submit(None, park, "park", None)
+    assert started.wait(timeout=30)
+    return server, parked, release
 
 
 class TestAdmissionController:
     def test_queue_full_sheds_with_typed_error(self):
-        stats = StatsRegistry()
-        db = Database()
-        controller = AdmissionController(make_guard(db), queue_limit=2,
-                                         stats=stats)
-        controller.admit("a")
-        controller.admit("b")
-        with pytest.raises(ServerOverloadedError, match="queue full"):
-            controller.admit("c")
-        assert stats.get("serve.requests") == 3
-        assert stats.get("serve.admitted") == 2
+        server, parked, release = _blocked_server(queue_limit=2)
+        try:
+            queued = [server.submit(None, lambda db, i=i: i, f"q{i}", None)
+                      for i in range(2)]
+            with pytest.raises(ServerOverloadedError, match="queue full"):
+                server.submit(None, lambda db: None, "shed", None)
+        finally:
+            release.set()
+        parked.wait()
+        assert [request.wait() for request in queued] == [0, 1]
+        server.shutdown()
+        stats = server.stats
+        assert stats.get("serve.requests") == 4
+        assert stats.get("serve.admitted") == 3
         assert stats.get("serve.shed_queue_full") == 1
 
     def test_admission_counters_are_disjoint(self):
-        stats = StatsRegistry()
-        db = Database()
-        controller = AdmissionController(make_guard(db), queue_limit=1,
-                                         stats=stats)
-        controller.admit("a")
-        for _ in range(3):
-            with pytest.raises(ServerOverloadedError):
-                controller.admit("x")
+        server, parked, release = _blocked_server(queue_limit=1)
+        try:
+            server.submit(None, lambda db: None, "queued", None)
+            for _ in range(3):
+                with pytest.raises(ServerOverloadedError):
+                    server.submit(None, lambda db: None, "x", None)
+        finally:
+            release.set()
+        parked.wait()
+        server.shutdown()
+        stats = server.stats
+        assert stats.get("serve.requests") == 5
         assert stats.get("serve.requests") == \
             stats.get("serve.admitted") + stats.get("serve.shed_queue_full")
