@@ -26,8 +26,7 @@ from repro.rdb.tablespace import Rid, TableSpace
 from repro.xdm.events import SaxEvent, assign_node_ids
 from repro.xdm.names import NameTable
 from repro.xdm.parser import parse as parse_xml
-from repro.xmlstore import format as fmt
-from repro.xmlstore.packing import pack_document
+from repro.xmlstore.packing import TreePacker
 from repro.xmlstore.traversal import StoredDocument
 
 _MAX_VER = (1 << 32) - 1
@@ -87,8 +86,10 @@ class VersionedXmlStore:
         #: committed version history per document (ascending).
         self._versions: dict[int, list[int]] = {}
         self._next_version = 1
-        #: rids per (docid, version) for garbage collection.
-        self._version_rids: dict[tuple[int, int], list[Rid]] = {}
+        #: each record's RID and the upper ends of its node-ID intervals
+        #: (its index keys) per (docid, version), for garbage collection.
+        self._version_records: dict[tuple[int, int],
+                                    list[tuple[Rid, list[bytes]]]] = {}
 
     # -- writes -------------------------------------------------------------
 
@@ -101,17 +102,17 @@ class VersionedXmlStore:
         """Store a new committed version of ``docid``; returns its ver#."""
         version = self._next_version
         self._next_version += 1
-        records, _nodes = pack_document(docid, assign_node_ids(events),
-                                        self.names, self.record_limit)
-        rids = []
-        for record in records:
-            rid = self.space.insert(record)
-            rids.append(rid)
-            for _low, high in fmt.record_intervals(record):
+        packer = TreePacker(docid, self.names, self.record_limit)
+        stored = []
+        for record in packer.feed(assign_node_ids(events)).finish():
+            rid = self.space.insert(record.data)
+            highs = [high for _low, high in record.intervals]
+            for high in highs:
                 self.index.insert(version_key(docid, version, high),
                                   rid.to_bytes())
+            stored.append((rid, highs))
         self._versions.setdefault(docid, []).append(version)
-        self._version_rids[(docid, version)] = rids
+        self._version_records[(docid, version)] = stored
         self._garbage_collect(docid)
         return version
 
@@ -119,9 +120,8 @@ class VersionedXmlStore:
         versions = self._versions[docid]
         while len(versions) > self.retained_versions:
             old = versions.pop(0)
-            for rid in self._version_rids.pop((docid, old), []):
-                record = self.space.read(rid)
-                for _low, high in fmt.record_intervals(record):
+            for rid, highs in self._version_records.pop((docid, old), []):
+                for high in highs:
                     self.index.delete(version_key(docid, old, high),
                                       rid.to_bytes())
                 self.space.delete(rid)

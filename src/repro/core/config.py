@@ -25,9 +25,6 @@ class EngineConfig:
         lock_wait_budget: Simulated wait steps an *interactive*
             ``Transaction.lock`` call spends retrying a blocked request
             before raising ``LockTimeoutError``.
-        lock_backoff_initial / lock_backoff_cap: Bounded exponential
-            backoff between lock retries, in simulated steps: the wait
-            starts at the initial value and doubles per retry up to the cap.
         txn_retry_limit: How many times the engine's ``run_in_txn`` retries
             a transaction aborted as a deadlock or timeout victim before
             giving up.
@@ -63,16 +60,12 @@ class EngineConfig:
             the active set queue here; once the queue is full further
             requests are shed with ``ServerOverloadedError`` (DB2:
             queued-at-create-thread).
-        serve_default_deadline: Default per-request deadline in seconds
-            applied by the server when a request carries none (0 disables).
     """
 
     page_size: int = 4096
     buffer_pool_pages: int = 256
     record_size_limit: int = 1024
     lock_wait_budget: int = 64
-    lock_backoff_initial: int = 1
-    lock_backoff_cap: int = 16
     txn_retry_limit: int = 5
     txn_retry_backoff_base: float = 0.001
     txn_retry_backoff_cap: float = 0.05
@@ -84,7 +77,6 @@ class EngineConfig:
     slow_query_events: int = 0
     serve_workers: int = 4
     serve_queue_limit: int = 32
-    serve_default_deadline: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("txn_group_commit", "ckpt_background"):

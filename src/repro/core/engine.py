@@ -121,8 +121,6 @@ class Database:
         self.txns = TransactionManager(
             log=self.log, stats=self.stats,
             lock_wait_budget=config.lock_wait_budget,
-            lock_backoff_initial=config.lock_backoff_initial,
-            lock_backoff_cap=config.lock_backoff_cap,
             checkpoint_every=config.checkpoint_interval,
             on_checkpoint=self.pool.flush_all)
         self.txns.on_txn_end = self._sanitize_txn_end

@@ -31,6 +31,12 @@ from repro.errors import (DeadlineExceededError, DeadlockError,
 from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.wal import LogManager, LogOp
 
+#: Bounded exponential backoff between interactive lock retries, in
+#: simulated steps: the wait starts at the initial value and doubles per
+#: retry up to the cap.
+LOCK_BACKOFF_INITIAL = 1
+LOCK_BACKOFF_CAP = 16
+
 
 class TxnState(enum.Enum):
     ACTIVE = "active"
@@ -213,7 +219,7 @@ class Transaction:
             return
         manager = self._manager
         budget = manager.lock_wait_budget
-        backoff = max(1, manager.lock_backoff_initial)
+        backoff = LOCK_BACKOFF_INITIAL
         waited = 0
         while True:
             cycle = self._locks.find_deadlock()
@@ -236,7 +242,7 @@ class Transaction:
                     f"{waited} simulated wait steps (budget {budget})")
             waited += backoff
             self._stats.add("lock.wait_steps", backoff)
-            backoff = min(backoff * 2, max(1, manager.lock_backoff_cap))
+            backoff = min(backoff * 2, LOCK_BACKOFF_CAP)
             yield_hook = manager.lock_wait_yield
             if yield_hook is not None:
                 # The latch-yielding sleep is the real suspension of the
@@ -299,11 +305,10 @@ class Transaction:
 class TransactionManager:
     """Creates transactions and owns the shared lock and log managers.
 
-    ``lock_wait_budget``/``lock_backoff_initial``/``lock_backoff_cap``
-    govern the interactive :meth:`Transaction.lock` retry loop.  With
-    ``checkpoint_every`` > 0 a WAL checkpoint is written automatically
-    every that many commits; ``on_checkpoint`` (typically the buffer
-    pool's ``flush_all``) runs first so the checkpoint describes state
+    ``lock_wait_budget`` bounds the interactive :meth:`Transaction.lock`
+    retry loop.  With ``checkpoint_every`` > 0 a WAL checkpoint is written
+    automatically every that many commits; ``on_checkpoint`` (typically the
+    buffer pool's ``flush_all``) runs first so the checkpoint describes state
     that actually reached the device.
     """
 
@@ -311,16 +316,12 @@ class TransactionManager:
                  log: LogManager | None = None,
                  stats: StatsRegistry | None = None,
                  lock_wait_budget: int = 64,
-                 lock_backoff_initial: int = 1,
-                 lock_backoff_cap: int = 16,
                  checkpoint_every: int = 0,
                  on_checkpoint: Callable[[], None] | None = None) -> None:
         self.stats = default_stats(stats)
         self.locks = locks if locks is not None else LockManager(self.stats)
         self.log = log if log is not None else LogManager(self.stats)
         self.lock_wait_budget = lock_wait_budget
-        self.lock_backoff_initial = lock_backoff_initial
-        self.lock_backoff_cap = lock_backoff_cap
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
         #: optional hook run after every commit/abort once locks are

@@ -277,12 +277,9 @@ class DatabaseServer:
 
     def resolve_deadline(self, deadline: "Deadline | float | None"
                          ) -> Deadline | None:
-        """Normalize a client deadline: seconds → :class:`Deadline`,
-        ``None`` → the configured default (``serve_default_deadline``)."""
-        if deadline is None:
-            default = self.db.config.serve_default_deadline
-            return Deadline.after(default) if default > 0 else None
-        if isinstance(deadline, Deadline):
+        """Normalize a client deadline: seconds → :class:`Deadline`;
+        ``None`` stays ``None`` (no deadline)."""
+        if deadline is None or isinstance(deadline, Deadline):
             return deadline
         return Deadline.after(float(deadline))
 

@@ -41,10 +41,12 @@ _DOCUMENT_SCOPE = {"": "", "xml": _XML_NS}
 _NOT_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 _CHAR_REF = re.compile("#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
 
-#: Deepest element nesting a document may have.  The parser keeps its own
-#: stack, but the stored-record walker (``xmlstore.format.record_node_stream``)
-#: recurses once per level: without a bound a hostile document would exhaust
-#: the interpreter stack there instead of getting an XmlParseError here.
+#: Deepest element nesting a document may have.  The parser, the packer and
+#: the stored-record readers keep their own stacks, but in-memory XDM trees
+#: are still walked by recursion once per level (``Node.descendants_or_self``
+#: and the DOM evaluator's ``_descendants_or_self``): without a bound a
+#: hostile document would exhaust the interpreter stack there instead of
+#: getting an XmlParseError here.
 MAX_DEPTH = 256
 
 # A name starts with an ASCII letter, "_", ":" or any non-ASCII character

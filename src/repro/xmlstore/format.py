@@ -19,7 +19,6 @@ All names are integers from the database-wide name table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import PackingError
 from repro.rdb import codec
@@ -83,14 +82,23 @@ def decode_header(buf: bytes | memoryview, pos: int = 0
 # Entry encoders (bottom-up: children are already-encoded chunks)
 # ---------------------------------------------------------------------------
 
-def encode_element(rel_id: bytes, name_id: int, entry_count: int,
-                   content: bytes) -> bytes:
-    """Encode an element entry wrapping already-encoded nested entries."""
+def encode_element_header(rel_id: bytes, name_id: int, entry_count: int,
+                          length: int) -> bytearray:
+    """Encode an element entry up to its nested entries, which take
+    ``length`` bytes (the subtree length)."""
     out = bytearray([EntryKind.ELEMENT])
     codec.write_bytes(out, rel_id)
     codec.write_uvarint(out, name_id)
     codec.write_uvarint(out, entry_count)
-    codec.write_bytes(out, content)  # length prefix == subtree length
+    codec.write_uvarint(out, length)
+    return out
+
+
+def encode_element(rel_id: bytes, name_id: int, entry_count: int,
+                   content: bytes) -> bytes:
+    """Encode an element entry wrapping already-encoded nested entries."""
+    out = encode_element_header(rel_id, name_id, entry_count, len(content))
+    out += content
     return bytes(out)
 
 
@@ -220,44 +228,6 @@ def parse_entry(buf: bytes | memoryview, pos: int) -> Entry:
     raise PackingError(f"corrupt packed record (entry kind {kind})")
 
 
-def iter_entries(buf: bytes | memoryview, start: int, end: int
-                 ) -> Iterator[Entry]:
-    """Yield sibling entries in ``buf[start:end]`` without descending."""
-    pos = start
-    while pos < end:
-        entry = parse_entry(buf, pos)
-        yield entry
-        pos = entry.next_pos
-    if pos != end:
-        raise PackingError("packed record entries overrun their span")
-
-
-def record_node_stream(record: bytes
-                       ) -> Iterator[tuple[Entry, bytes, int]]:
-    """Pre-order walk of a whole record.
-
-    Yields ``(entry, absolute_node_id, depth)`` for every entry, including
-    proxies (whose ``rel_id`` already is absolute).  Depth 0 is a top-level
-    subtree root (a child of the context node).
-    """
-    header, body_start = decode_header(record)
-    view = memoryview(record)
-
-    def walk(start: int, end: int, parent_abs: bytes, depth: int
-             ) -> Iterator[tuple[Entry, bytes, int]]:
-        for entry in iter_entries(view, start, end):
-            if entry.kind == EntryKind.PROXY:
-                yield entry, entry.rel_id, depth
-                continue
-            abs_id = parent_abs + entry.rel_id
-            yield entry, abs_id, depth
-            if entry.kind == EntryKind.ELEMENT:
-                yield from walk(entry.content_start, entry.content_end,
-                                abs_id, depth + 1)
-
-    yield from walk(body_start, len(record), header.context_id, 0)
-
-
 def record_intervals(record: bytes) -> list[tuple[bytes, bytes]]:
     """Contiguous document-order node-ID intervals stored in this record.
 
@@ -265,27 +235,36 @@ def record_intervals(record: bytes) -> list[tuple[bytes, bytes]]:
     document order, only one entry is in the node ID index, which is the
     upper end point" (§3.1).  A proxy interrupts a run (the packed-out nodes
     sort strictly between their neighbours); returns ``(low, high)`` pairs.
+    One pre-order pass; an element's enclosing span waits on a stack.
     """
+    header, pos = decode_header(record)
+    end, parent = len(record), header.context_id
+    stack: list[tuple[int, bytes]] = []
     intervals: list[tuple[bytes, bytes]] = []
-    run_low: bytes | None = None
-    run_high: bytes | None = None
-    for entry, abs_id, _depth in record_node_stream(record):
-        if entry.kind == EntryKind.PROXY:
-            if run_low is not None:
-                intervals.append((run_low, run_high))  # type: ignore[arg-type]
-                run_low = run_high = None
+    low = high = b""
+    while True:
+        if pos >= end:
+            if pos != end:
+                raise PackingError("packed record entries overrun their span")
+            if not stack:
+                break
+            end, parent = stack.pop()
             continue
-        if run_low is None:
-            run_low = abs_id
-        run_high = abs_id
-    if run_low is not None:
-        intervals.append((run_low, run_high))  # type: ignore[arg-type]
+        entry = parse_entry(record, pos)
+        if entry.kind == EntryKind.PROXY:
+            if low:
+                intervals.append((low, high))
+                low = b""
+            pos = entry.next_pos
+            continue
+        high = parent + entry.rel_id
+        if not low:
+            low = high
+        if entry.kind == EntryKind.ELEMENT:
+            stack.append((end, parent))
+            pos, end, parent = entry.content_start, entry.content_end, high
+        else:
+            pos = entry.next_pos
+    if low:
+        intervals.append((low, high))
     return intervals
-
-
-def record_min_node_id(record: bytes) -> bytes:
-    """The ``minNodeID`` clustering column value for this record."""
-    for entry, abs_id, _depth in record_node_stream(record):
-        if entry.kind != EntryKind.PROXY:
-            return abs_id
-    raise PackingError("packed record contains no nodes")

@@ -48,8 +48,9 @@ class NodeIdIndex:
         returns entries added.
 
         A freshly packed record brings the intervals the packer noted
-        (:attr:`~repro.xmlstore.packing.PackedRecord.intervals`); a
-        rewritten one brings :func:`fmt.record_intervals` of its bytes.
+        (:attr:`~repro.xmlstore.packing.PackedRecord.intervals`); a record
+        a subdocument update spliced brings :func:`fmt.record_intervals` of
+        its new bytes (:meth:`~repro.xmlstore.store.XmlStore.replace_record`).
         """
         rid_bytes = rid.to_bytes()
         for _low, high in intervals:

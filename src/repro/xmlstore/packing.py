@@ -36,8 +36,11 @@ class PackedRecord(NamedTuple):
     """One emitted record and the NodeID-index keys it needs.
 
     ``intervals`` are the ``(low, high)`` node-ID runs of the record in
-    document order, exactly :func:`fmt.record_intervals` of ``data``, and
-    ``min_node_id`` is the first of them (:func:`fmt.record_min_node_id`).
+    document order, exactly :func:`fmt.record_intervals` of ``data``, noted
+    while packing so no caller decodes a record it has just built (the
+    insert path and :mod:`repro.cc.mvcc` index them as they come).
+    ``min_node_id`` is the low end of the first run, the record's
+    clustering key.
     """
 
     min_node_id: bytes
@@ -266,14 +269,3 @@ def _extend_runs(runs: list[list[bytes]], open_end: bool,
         runs.extend(more[1:])
     else:
         runs.extend(more)
-
-
-def pack_document(docid: int, events: Iterable[SaxEvent], names: NameTable,
-                  record_limit: int) -> tuple[list[bytes], int]:
-    """Pack a decorated event stream; returns ``(records, node_count)``.
-
-    Records come back sorted by minNodeID, ready for clustered insertion.
-    """
-    packer = TreePacker(docid, names, record_limit)
-    packer.feed(events)
-    return [record.data for record in packer.finish()], packer.node_count

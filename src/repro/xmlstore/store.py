@@ -179,14 +179,18 @@ class XmlStore:
         if not rids:
             raise DocumentNotFoundError(f"no document with DocID {docid}")
         for rid in rids:
-            record = self.space.read(rid)
-            for observer in self.observers:
-                observer.record_removed(docid, record, rid)
-            self.node_index.remove_record(docid, record, rid)
-            self.space.delete(rid)
+            self.drop_record(docid, rid)
         self._doc_count -= 1
         self._docids.pop(docid, None)
         return len(rids)
+
+    def drop_record(self, docid: int, rid: Rid) -> None:
+        """Remove one record: observers, NodeID-index entries, then bytes."""
+        record = self.space.read(rid)
+        for observer in self.observers:
+            observer.record_removed(docid, record, rid)
+        self.node_index.remove_record(docid, record, rid)
+        self.space.delete(rid)
 
     # -- record replacement (used by subdocument updates) ---------------------------
 

@@ -37,6 +37,7 @@ from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.rdb.tablespace import Rid
     from repro.xmlstore.store import XmlStore
 
 
@@ -189,7 +190,7 @@ class StoredDocument:
         replayed ancestors (:func:`in_context_events`), the self-contained
         context a NodeID-list plan re-evaluates its query over (§3.1).
         """
-        record, pos, entry, parent, ancestors = self._descend(node_id)
+        record, pos, entry, parent, ancestors, _ = self._descend(node_id)
         events = walk(record, pos, entry.next_pos, parent, self.store.names,
                       self._resolve_proxy)
         return in_context_events(ancestors, events) if in_context else events
@@ -197,7 +198,7 @@ class StoredDocument:
     def find_node(self, node_id: bytes
                   ) -> tuple[bytes, fmt.Entry, bytes]:
         """Locate ``node_id``: returns ``(record, entry, parent_abs_id)``."""
-        record, _, entry, parent, _ = self._descend(node_id)
+        record, _, entry, parent, _, _ = self._descend(node_id)
         return record, entry, parent
 
     def ancestry(self, node_id: bytes) -> list[tuple[str, str]]:
@@ -246,27 +247,34 @@ class StoredDocument:
                 f"dangling proxy {nodeid.format_id(abs_id)} in DocID {self.docid}")
         return self.store.read_record(rid)
 
-    def _descend(self, node_id: bytes
-                 ) -> tuple[bytes, int, fmt.Entry, bytes, list[tuple[str, str]]]:
+    def _descend(self, node_id: bytes, rid: Rid | None = None
+                 ) -> tuple[bytes, int, fmt.Entry, bytes,
+                            list[tuple[str, str]], list[int]]:
         """Find ``node_id`` in its record by a subtree-skipping descent.
 
-        Returns ``(record, entry_pos, entry, parent_abs_id, ancestors)``,
-        the ancestors' ``(local, uri)`` names root first.
+        Returns ``(record, entry_pos, entry, parent_abs_id, ancestors,
+        enclosing)``: the ancestors' ``(local, uri)`` names root first, and
+        the positions of the in-record ancestor element entries, outermost
+        first (the headers a splice at ``entry_pos`` rewrites).  ``rid`` is
+        the record's RID when the caller has already probed for it.
         """
         names = self.store.names
-        record = self._read(node_id)
+        record = self._read(node_id) if rid is None \
+            else self.store.read_record(rid)
         header, pos = fmt.decode_header(record)
         end, parent = len(record), header.context_id
         ancestors = [names.name(name_id) for name_id in header.context_path]
+        enclosing: list[int] = []
         while pos < end:
             entry = fmt.parse_entry(record, pos)
             if entry.kind != fmt.EntryKind.PROXY:
                 abs_id = parent + entry.rel_id
                 if abs_id == node_id:
-                    return record, pos, entry, parent, ancestors
+                    return record, pos, entry, parent, ancestors, enclosing
                 if entry.kind == fmt.EntryKind.ELEMENT and \
                         nodeid.is_ancestor(abs_id, node_id):
                     ancestors.append(names.name(entry.name_id))
+                    enclosing.append(pos)
                     pos, end, parent = (entry.content_start,
                                         entry.content_end, abs_id)
                     continue

@@ -1,11 +1,14 @@
 """Subdocument updates (§3.1's update analysis, §5.2's workload).
 
 LOB storage would force whole-document rewrites; the native format supports
-node-level updates by *record surgery*: decode the one record containing the
-target node, splice the change, re-encode, and swap the record in place
-(repointing NodeID-index entries if the record moves).  Only ``p·n`` bytes —
-one record — are touched, which is exactly the update-cost term of the §3.1
-analysis that experiment E3 measures.
+node-level updates by *splicing* the one record that holds the target node.
+The read path's descent (:meth:`StoredDocument._descend`) locates the target
+entry and the in-record element entries above it; the entry's byte span is
+replaced, and only those enclosing element headers are rewritten, innermost
+first: the content length of each, and the entry count of the nearest.  The
+record is then swapped in place, repointing NodeID-index entries if it moves.
+Only ``p·n`` bytes — one record — are touched, which is exactly the
+update-cost term of the §3.1 analysis that experiment E3 measures.
 
 New sibling IDs come from :func:`repro.xdm.nodeid.between`, so existing node
 IDs never change ("stable upon update of the tree").
@@ -13,74 +16,16 @@ IDs never change ("stable upon update of the tree").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import PackingError, XmlError
+from repro.rdb.tablespace import Rid
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind, SaxEvent
+from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
-
-
-@dataclass
-class MutEntry:
-    """Mutable form of one packed-record entry."""
-
-    kind: int
-    rel_id: bytes            # absolute for PROXY
-    name_id: int = 0
-    text: str = ""
-    target: str = ""
-    uri_id: int = 0
-    children: list["MutEntry"] = field(default_factory=list)
-
-
-def decode_record(record: bytes) -> tuple[fmt.RecordHeader, list[MutEntry]]:
-    """Decode a packed record into a mutable entry forest."""
-    header, body_start = fmt.decode_header(record)
-
-    def decode_span(start: int, end: int) -> list[MutEntry]:
-        out = []
-        for entry in fmt.iter_entries(record, start, end):
-            mut = MutEntry(entry.kind, entry.rel_id, entry.name_id,
-                           entry.text, entry.target, entry.uri_id)
-            if entry.kind == fmt.EntryKind.ELEMENT:
-                mut.children = decode_span(entry.content_start,
-                                           entry.content_end)
-            out.append(mut)
-        return out
-
-    return header, decode_span(body_start, len(record))
-
-
-def encode_record(header: fmt.RecordHeader, entries: list[MutEntry]) -> bytes:
-    """Re-encode a mutable entry forest into record bytes."""
-    out = bytearray()
-    fmt.encode_header(out, header)
-    for entry in entries:
-        out.extend(_encode_entry(entry))
-    return bytes(out)
-
-
-def _encode_entry(entry: MutEntry) -> bytes:
-    if entry.kind == fmt.EntryKind.ELEMENT:
-        content = b"".join(_encode_entry(c) for c in entry.children)
-        return fmt.encode_element(entry.rel_id, entry.name_id,
-                                  len(entry.children), content)
-    if entry.kind == fmt.EntryKind.TEXT:
-        return fmt.encode_text(entry.rel_id, entry.text)
-    if entry.kind == fmt.EntryKind.ATTRIBUTE:
-        return fmt.encode_attribute(entry.rel_id, entry.name_id, entry.text)
-    if entry.kind == fmt.EntryKind.NAMESPACE:
-        return fmt.encode_namespace(entry.rel_id, entry.target, entry.uri_id)
-    if entry.kind == fmt.EntryKind.COMMENT:
-        return fmt.encode_comment(entry.rel_id, entry.text)
-    if entry.kind == fmt.EntryKind.PI:
-        return fmt.encode_pi(entry.rel_id, entry.target, entry.text)
-    if entry.kind == fmt.EntryKind.PROXY:
-        return fmt.encode_proxy(entry.rel_id)
-    raise PackingError(f"unknown entry kind {entry.kind}")
+from repro.xmlstore.traversal import walk
 
 
 class XmlUpdater:
@@ -89,118 +34,111 @@ class XmlUpdater:
     def __init__(self, store: XmlStore) -> None:
         self.store = store
 
-    # -- record-surgery plumbing ------------------------------------------------
+    # -- splicing ----------------------------------------------------------------
 
     def _locate(self, docid: int, node_id: bytes
-                ) -> tuple[object, bytes, fmt.RecordHeader, list[MutEntry],
-                           list[MutEntry], int, bytes]:
-        """Find the record and the entry list position of ``node_id``.
+                ) -> tuple[Rid, bytes, int, fmt.Entry, bytes, list[int]]:
+        """One NodeID-index probe and one descent into the record found.
 
-        Returns ``(rid, record, header, forest, containing_list, index,
-        parent_abs)``.
+        Returns ``(rid, record, entry_pos, entry, parent_abs, enclosing)``,
+        ``enclosing`` being the positions of the in-record ancestor element
+        entries, outermost first.
         """
         rid = self.store.node_index.probe(docid, node_id)
         if rid is None:
             raise XmlError(f"node {nodeid.format_id(node_id)} not found "
                            f"in DocID {docid}")
-        record = self.store.read_record(rid)
-        header, forest = decode_record(record)
+        record, pos, entry, parent, _names, enclosing = \
+            self.store.document(docid)._descend(node_id, rid)
+        return rid, record, pos, entry, parent, enclosing
 
-        def search(entries: list[MutEntry], parent_abs: bytes):
-            for index, entry in enumerate(entries):
-                if entry.kind == fmt.EntryKind.PROXY:
-                    continue
-                abs_id = parent_abs + entry.rel_id
-                if abs_id == node_id:
-                    return entries, index, parent_abs
-                if entry.kind == fmt.EntryKind.ELEMENT and \
-                        nodeid.is_ancestor(abs_id, node_id):
-                    return search(entry.children, abs_id)
-            return None
+    def _splice(self, docid: int, rid: Rid, record: bytes,
+                enclosing: list[int], start: int, end: int, new: bytes,
+                added: int) -> None:
+        """Store ``record`` with ``record[start:end]`` replaced by ``new``.
 
-        found = search(forest, header.context_id)
-        if found is None:
-            raise XmlError(f"node {nodeid.format_id(node_id)} not present "
-                           f"in its record")
-        containing, index, parent_abs = found
-        return rid, record, header, forest, containing, index, parent_abs
+        The element entries at ``enclosing`` hold the span.  Their headers
+        are rewritten innermost first: each content length grows by the
+        splice and by the headers already rewritten inside it, and the
+        innermost entry count by ``added``.
+        """
+        out = bytearray(record)
+        out[start:end] = new
+        grown = len(new) - (end - start)
+        for pos in reversed(enclosing):
+            entry = fmt.parse_entry(record, pos)
+            head = fmt.encode_element_header(
+                entry.rel_id, entry.name_id, entry.entry_count + added,
+                entry.content_end - entry.content_start + grown)
+            grown += len(head) - (entry.content_start - pos)
+            out[pos:entry.content_start] = head
+            added = 0
+        self.store.replace_record(docid, rid, bytes(out))
 
-    def _commit(self, docid: int, rid, header: fmt.RecordHeader,
-                forest: list[MutEntry]) -> None:
-        if not forest:
-            raise PackingError("record surgery left an empty record")
-        self.store.replace_record(docid, rid, encode_record(header, forest))
-
-    # -- operations ------------------------------------------------------------------
+    # -- operations --------------------------------------------------------------
 
     def replace_text(self, docid: int, node_id: bytes, new_text: str) -> None:
         """Replace the content of a text node or the value of an attribute."""
-        rid, _record, header, forest, containing, index, _ = \
-            self._locate(docid, node_id)
-        entry = containing[index]
-        if entry.kind not in (fmt.EntryKind.TEXT, fmt.EntryKind.ATTRIBUTE,
-                              fmt.EntryKind.COMMENT, fmt.EntryKind.PI):
+        rid, record, pos, entry, _, enclosing = self._locate(docid, node_id)
+        if entry.kind == fmt.EntryKind.TEXT:
+            new = fmt.encode_text(entry.rel_id, new_text)
+        elif entry.kind == fmt.EntryKind.ATTRIBUTE:
+            new = fmt.encode_attribute(entry.rel_id, entry.name_id, new_text)
+        elif entry.kind == fmt.EntryKind.COMMENT:
+            new = fmt.encode_comment(entry.rel_id, new_text)
+        elif entry.kind == fmt.EntryKind.PI:
+            new = fmt.encode_pi(entry.rel_id, entry.target, new_text)
+        else:
             raise XmlError("replace_text targets text/attribute/comment/PI nodes")
-        entry.text = new_text
-        self._commit(docid, rid, header, forest)
+        self._splice(docid, rid, record, enclosing, pos, entry.next_pos, new, 0)
 
     def delete_node(self, docid: int, node_id: bytes) -> int:
         """Delete the subtree rooted at ``node_id``; returns nodes removed
         from the containing record's entry forest (proxied records cascade).
         """
-        rid, _record, header, forest, containing, index, _ = \
+        rid, record, pos, entry, parent, enclosing = \
             self._locate(docid, node_id)
-        removed = containing.pop(index)
+        header, body_start = fmt.decode_header(record)
+        emptied = pos == body_start and entry.next_pos == len(record)
+        if emptied:  # the record goes, and its proxy in the context element
+            proxy = self._find_proxy(docid, header.context_id, node_id)
         # Cascade: packed-out parts of the removed subtree are whole records.
-        for proxy_id in _collect_proxies(removed):
-            self._delete_packed_subtree(docid, proxy_id)
-        if forest:
-            self._commit(docid, rid, header, forest)
+        packed_out: list[Rid] = []
+
+        def resolve(proxy_id: bytes) -> bytes:
+            packed_rid = self.store.node_index.probe(docid, proxy_id)
+            if packed_rid is None:
+                raise PackingError(
+                    f"dangling proxy {nodeid.format_id(proxy_id)}")
+            packed_out.append(packed_rid)
+            return self.store.read_record(packed_rid)
+
+        for _event in walk(record, pos, entry.next_pos, parent,
+                           self.store.names, resolve):
+            pass
+        for packed_rid in packed_out:
+            self.store.drop_record(docid, packed_rid)
+        if emptied:
+            self.store.drop_record(docid, rid)
+            self._splice(docid, *proxy, b"", -1)
         else:
-            # The record became empty: drop it and its proxy in the parent.
-            old_record = self.store.read_record(rid)  # type: ignore[arg-type]
-            for observer in self.store.observers:
-                observer.record_removed(docid, old_record, rid)  # type: ignore[arg-type]
-            self.store.node_index.remove_record(docid, old_record, rid)  # type: ignore[arg-type]
-            self.store.space.delete(rid)  # type: ignore[arg-type]
-            self._remove_proxy(docid, header.context_id, node_id)
+            self._splice(docid, rid, record, enclosing, pos, entry.next_pos,
+                         b"", -1)
         return 1
 
-    def _delete_packed_subtree(self, docid: int, first_id: bytes) -> None:
-        rid = self.store.node_index.probe(docid, first_id)
-        if rid is None:
-            raise PackingError(f"dangling proxy {nodeid.format_id(first_id)}")
-        record = self.store.read_record(rid)
-        _header, forest = decode_record(record)
-        for proxy_id in _collect_proxies_list(forest):
-            self._delete_packed_subtree(docid, proxy_id)
-        self.store.node_index.remove_record(docid, record, rid)
-        for observer in self.store.observers:
-            observer.record_removed(docid, record, rid)
-        self.store.space.delete(rid)
-
-    def _remove_proxy(self, docid: int, parent_abs: bytes,
-                      packed_first_id: bytes) -> None:
-        rid = self.store.node_index.probe(docid, parent_abs) \
-            if parent_abs else self.store.node_index.probe(docid, b"")
-        if rid is None:
-            raise PackingError("cannot locate parent record for proxy removal")
-        record = self.store.read_record(rid)
-        header, forest = decode_record(record)
-
-        def prune(entries: list[MutEntry]) -> bool:
-            for index, entry in enumerate(entries):
-                if entry.kind == fmt.EntryKind.PROXY and \
-                        entry.rel_id == packed_first_id:
-                    entries.pop(index)
-                    return True
-                if entry.kind == fmt.EntryKind.ELEMENT and prune(entry.children):
-                    return True
-            return False
-
-        if not prune(forest):
-            raise PackingError("proxy entry not found in parent record")
-        self._commit(docid, rid, header, forest)
+    def _find_proxy(self, docid: int, context_id: bytes, first_id: bytes
+                    ) -> tuple[Rid, bytes, list[int], int, int]:
+        """The proxy for the record whose first node is ``first_id``, among
+        the children of its context element: ``(rid, record, enclosing,
+        start, end)``, ready for :meth:`_splice`."""
+        rid, record, pos, entry, _, enclosing = self._locate(docid, context_id)
+        start = entry.content_start
+        while start < entry.content_end:
+            child = fmt.parse_entry(record, start)
+            if child.kind == fmt.EntryKind.PROXY and child.rel_id == first_id:
+                return rid, record, enclosing + [pos], start, child.next_pos
+            start = child.next_pos
+        raise PackingError("proxy entry not found in parent record")
 
     def insert_subtree(self, docid: int, parent_id: bytes,
                        events: Iterable[SaxEvent],
@@ -228,134 +166,95 @@ class XmlUpdater:
             right = None
         new_id = nodeid.between(left, right, parent_id)
 
-        # Choose the anchor record: the one holding the neighbour entry, or
-        # the parent's record when the parent has no children yet.
-        anchor_node = right if right is not None else left
-        if anchor_node is not None:
-            rid, _rec, header, forest, containing, index, parent_abs = \
-                self._locate(docid, anchor_node)
-            if parent_abs != parent_id:  # pragma: no cover - defensive
+        # The new entry goes next to the neighbour entry, in whichever record
+        # holds it, or at the end of the parent's content when the parent has
+        # no children yet.
+        anchor = right if right is not None else left
+        if anchor is not None:
+            rid, record, pos, entry, parent, enclosing = \
+                self._locate(docid, anchor)
+            if parent != parent_id:  # pragma: no cover - defensive
                 raise PackingError("anchor sibling has unexpected parent")
-            insert_at = index if right is not None else index + 1
+            at = pos if right is not None else entry.next_pos
         else:
-            rid, _rec, header, forest, containing_parent, index, _ = \
+            rid, record, pos, entry, _, enclosing = \
                 self._locate(docid, parent_id)
-            parent_entry = containing_parent[index]
-            containing = parent_entry.children
-            # Skip inline namespace/attribute entries.
-            insert_at = len(containing)
-        chunk_forest = _build_subtree(events, new_id, parent_id, self.store)
-        containing[insert_at:insert_at] = chunk_forest
-        self._commit(docid, rid, header, forest)
+            enclosing = enclosing + [pos]
+            at = entry.content_end
+        chunk = _encode_fragment(events, new_id, parent_id, self.store.names)
+        self._splice(docid, rid, record, enclosing, at, at, chunk, 1)
         return new_id
 
     def child_ids(self, docid: int, parent_id: bytes) -> list[bytes]:
         """Absolute IDs of every child-level node of ``parent_id``.
 
         Includes attribute and namespace nodes — they share the per-level
-        ordinal space, so sibling-ID arithmetic must see them.  Proxies are
-        expanded through the NodeID index.
+        ordinal space, so sibling-ID arithmetic must see them.  One walk over
+        the parent's content skips each child element's subtree and follows
+        proxies through the NodeID index.
         """
+        reader = self.store.document(docid)
         if parent_id == nodeid.ROOT_ID:
-            rid = self.store.node_index.probe(docid, b"")
-            if rid is None:
-                raise XmlError(f"no document with DocID {docid}")
-            record = self.store.read_record(rid)
-            header, forest = decode_record(record)
-            entries, parent_abs = forest, header.context_id
+            record = reader._read(parent_id)
+            header, start = fmt.decode_header(record)
+            end, parent = len(record), header.context_id
         else:
-            _rid, record, _header, _forest, containing, index, _pa = \
-                self._locate(docid, parent_id)
-            entries, parent_abs = containing[index].children, parent_id
-
+            _rid, record, _pos, entry, _, _ = self._locate(docid, parent_id)
+            start, end, parent = \
+                entry.content_start, entry.content_end, parent_id
+        events = walk(record, start, end, parent, self.store.names,
+                      reader._resolve_proxy)
         out: list[bytes] = []
-
-        def expand(entries: list[MutEntry], parent_abs: bytes) -> None:
-            for entry in entries:
-                if entry.kind == fmt.EntryKind.PROXY:
-                    child_rid = self.store.node_index.probe(docid, entry.rel_id)
-                    if child_rid is None:
-                        raise PackingError("dangling proxy")
-                    child_record = self.store.read_record(child_rid)
-                    child_header, child_forest = decode_record(child_record)
-                    expand(child_forest, child_header.context_id)
-                else:
-                    out.append(parent_abs + entry.rel_id)
-
-        expand(entries, parent_abs)
+        for event in events:
+            out.append(event.node_id)  # type: ignore[arg-type]
+            if event.kind is EventKind.ELEM_START:
+                events.send(True)  # skips the subtree; returns its end
         return out
 
 
-def _collect_proxies(entry: MutEntry) -> list[bytes]:
-    if entry.kind == fmt.EntryKind.PROXY:
-        return [entry.rel_id]
-    return _collect_proxies_list(entry.children)
-
-
-def _collect_proxies_list(entries: list[MutEntry]) -> list[bytes]:
-    out: list[bytes] = []
-    for entry in entries:
-        out.extend(_collect_proxies(entry))
-    return out
-
-
-def _build_subtree(events: Iterable[SaxEvent], root_id: bytes,
-                   parent_id: bytes, store: XmlStore) -> list[MutEntry]:
-    """Encode a fragment event stream as entries rooted at ``root_id``."""
-    root_rel = root_id[len(parent_id):]
-    forest: list[MutEntry] = []
-    stack: list[tuple[MutEntry | None, list[MutEntry], bytes, int]] = \
-        [(None, forest, parent_id, 1)]
-    # Each frame: (element, its child list, its absolute id, next ordinal).
-    first = True
+def _encode_fragment(events: Iterable[SaxEvent], root_id: bytes,
+                     parent_id: bytes, names: NameTable) -> bytes:
+    """Encode a fragment event stream as the one entry rooted at ``root_id``."""
+    # Open elements, innermost last, each [rel_id, name_id, encoded
+    # children, next child ordinal]; the first frame is the fragment's
+    # parent, whose children are the fragment's top-level nodes.
+    stack: list[list] = [[b"", 0, [], 1]]
+    rel: bytes | None = root_id[len(parent_id):]
     for event in events:
-        if event.kind in (EventKind.DOC_START, EventKind.DOC_END):
-            continue
-        _elem, siblings, parent_abs, ordinal = stack[-1]
-        if first:
-            rel = root_rel
-        else:
-            rel = nodeid.relative_from_ordinal(ordinal)
-        if event.kind is EventKind.ELEM_START:
-            name_id = store.names.intern_name(event.local, event.uri)
-            mut = MutEntry(fmt.EntryKind.ELEMENT, rel, name_id=name_id)
-            siblings.append(mut)
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            stack.append((mut, mut.children, parent_abs + rel, 1))
-            first = False
-        elif event.kind is EventKind.ELEM_END:
+        kind = event.kind
+        if kind is EventKind.ELEM_END:
             if len(stack) == 1:
                 raise XmlError("unbalanced fragment stream")
-            stack.pop()
-        elif event.kind is EventKind.ATTR:
-            name_id = store.names.intern_name(event.local, event.uri)
-            siblings.append(MutEntry(fmt.EntryKind.ATTRIBUTE, rel,
-                                     name_id=name_id, text=event.value))
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            first = False
-        elif event.kind is EventKind.NS:
-            uri_id = store.names.intern_uri(event.value)
-            siblings.append(MutEntry(fmt.EntryKind.NAMESPACE, rel,
-                                     target=event.local, uri_id=uri_id))
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            first = False
-        elif event.kind is EventKind.TEXT:
-            siblings.append(MutEntry(fmt.EntryKind.TEXT, rel, text=event.value))
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            first = False
-        elif event.kind is EventKind.COMMENT:
-            siblings.append(MutEntry(fmt.EntryKind.COMMENT, rel,
-                                     text=event.value))
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            first = False
-        elif event.kind is EventKind.PI:
-            siblings.append(MutEntry(fmt.EntryKind.PI, rel,
-                                     target=event.local, text=event.value))
-            stack[-1] = (_elem, siblings, parent_abs, ordinal + 1)
-            first = False
+            rel_id, name_id, chunks, _ = stack.pop()
+            stack[-1][2].append(fmt.encode_element(
+                rel_id, name_id, len(chunks), b"".join(chunks)))
+            continue
+        if kind is EventKind.DOC_START or kind is EventKind.DOC_END:
+            continue
+        frame = stack[-1]
+        if rel is None:
+            rel = nodeid.relative_from_ordinal(frame[3])
+        frame[3] += 1
+        if kind is EventKind.ELEM_START:
+            name_id = names.intern_name(event.local, event.uri)
+            stack.append([rel, name_id, [], 1])
+        elif kind is EventKind.ATTR:
+            name_id = names.intern_name(event.local, event.uri)
+            frame[2].append(fmt.encode_attribute(rel, name_id, event.value))
+        elif kind is EventKind.NS:
+            uri_id = names.intern_uri(event.value)
+            frame[2].append(fmt.encode_namespace(rel, event.local, uri_id))
+        elif kind is EventKind.TEXT:
+            frame[2].append(fmt.encode_text(rel, event.value))
+        elif kind is EventKind.COMMENT:
+            frame[2].append(fmt.encode_comment(rel, event.value))
+        else:
+            frame[2].append(fmt.encode_pi(rel, event.local, event.value))
+        rel = None
     if len(stack) != 1:
         raise XmlError("unterminated fragment stream")
-    if len(forest) != 1:
+    top_level = stack[0][2]
+    if len(top_level) != 1:
         raise XmlError(f"fragment must have exactly one top-level node, "
-                       f"got {len(forest)}")
-    return forest
+                       f"got {len(top_level)}")
+    return top_level[0]

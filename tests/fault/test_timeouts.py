@@ -8,7 +8,7 @@ from repro.core.stats import StatsRegistry
 from repro.cc.scheduler import Do, Lock, Scheduler
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.rdb.locks import LockManager, LockMode
-from repro.rdb.txn import TransactionManager
+from repro.rdb.txn import LOCK_BACKOFF_CAP, TransactionManager
 
 
 @pytest.fixture
@@ -16,9 +16,8 @@ def stats():
     return StatsRegistry()
 
 
-def manager(stats, budget=8, cap=4):
-    return TransactionManager(stats=stats, lock_wait_budget=budget,
-                              lock_backoff_initial=1, lock_backoff_cap=cap)
+def manager(stats, budget=8):
+    return TransactionManager(stats=stats, lock_wait_budget=budget)
 
 
 class TestInteractiveLockTimeout:
@@ -33,7 +32,8 @@ class TestInteractiveLockTimeout:
         # Backoff steps 1+2+4+... are charged against the budget; the loop
         # must give up the first time the accrued wait reaches it.
         assert stats.get("lock.wait_steps") >= 8
-        assert stats.get("lock.wait_steps") <= 8 + 4  # budget + one backoff
+        # budget + one backoff step
+        assert stats.get("lock.wait_steps") <= 8 + LOCK_BACKOFF_CAP
 
     def test_timeout_clears_wait_edges(self, stats):
         mgr = manager(stats)

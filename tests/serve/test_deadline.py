@@ -98,12 +98,10 @@ class TestServerDeadlines:
     def test_deadline_not_retryable(self):
         assert not DatabaseServer.is_retryable(DeadlineExceededError("x"))
 
-    def test_default_deadline_from_config(self):
-        db = make_db(serve_default_deadline=123.0)
+    def test_resolve_deadline(self):
+        db = make_db()
         with DatabaseServer(db) as server:
-            resolved = server.resolve_deadline(None)
-            assert resolved is not None
-            assert 0 < resolved.remaining() <= 123.0
+            assert server.resolve_deadline(None) is None
             assert server.resolve_deadline(5).remaining() <= 5.0
             explicit = Deadline.after(1.0)
             assert server.resolve_deadline(explicit) is explicit

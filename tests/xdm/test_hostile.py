@@ -20,6 +20,7 @@ from repro.errors import ReproError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.rdb.locks import LockMode
 from repro.serve import DatabaseServer
+from repro.xdm.events import EventKind
 from repro.xdm.parser import MAX_DEPTH, parse
 
 SMALL = ('<?xml version="1.0"?><!--c--><p:a xmlns:p="urn:p" i="&amp;">'
@@ -142,13 +143,14 @@ class TestServer:
 
 
 class TestDepthBoundary:
-    """The parser keeps its own stack, but the stored-record walker still
-    recurses once per level: a document exactly ``MAX_DEPTH`` deep must
-    pass every layer, and one level more is a positioned parse error."""
+    """The parser, packer and stored-record readers keep their own stacks,
+    but in-memory XDM trees are still walked by recursion once per level:
+    a document exactly ``MAX_DEPTH`` deep must pass every layer, subdocument
+    updates included, and one level more is a positioned parse error."""
 
     @staticmethod
-    def nested(depth):
-        return "<a>" * depth + "leaf" + "</a>" * depth
+    def nested(depth, leaf="leaf"):
+        return "<a>" * depth + leaf + "</a>" * depth
 
     @pytest.mark.parametrize("record_limit", [64, 4000])
     def test_deepest_document_round_trips(self, record_limit):
@@ -166,6 +168,31 @@ class TestDepthBoundary:
         assert len(db.xpath("docs", "doc", "//*")) == 1
         replayed = Database.replay(db.log, db.config)
         assert len(replayed.xpath("docs", "doc", "//*")) == 1
+
+    @pytest.mark.parametrize("record_limit", [64, 4000])
+    def test_updates_at_the_deepest_level(self, record_limit):
+        db = Database(replace(DEFAULT_CONFIG, checkpoint_interval=0,
+                              record_size_limit=record_limit))
+        db.create_table("docs", [("key", "varchar"), ("doc", "xml")])
+        db.insert("docs", ("deep", self.nested(MAX_DEPTH)))
+        updater = db.updater("docs", "doc")
+        events = list(updater.store.document(1).events())
+        elements = [e.node_id for e in events if e.kind is EventKind.ELEM_START]
+        leaf = next(e.node_id for e in events if e.kind is EventKind.TEXT)
+
+        updater.replace_text(1, leaf, "new leaf")
+        assert db.get_document("docs", "doc", 1) == \
+            self.nested(MAX_DEPTH, "new leaf")
+        fragment = [e for e in parse("<b>under</b>").events()
+                    if e.kind not in (EventKind.DOC_START, EventKind.DOC_END)]
+        updater.insert_subtree(1, elements[-1], fragment)
+        assert db.get_document("docs", "doc", 1) == \
+            self.nested(MAX_DEPTH, "new leaf<b>under</b>")
+        half = MAX_DEPTH // 2
+        updater.delete_node(1, elements[half])
+        assert db.get_document("docs", "doc", 1) == \
+            "<a>" * (half - 1) + "<a/>" + "</a>" * (half - 1)
+        assert len(db.xpath("docs", "doc", "//a")) == half
 
     def test_one_level_deeper_is_refused_at_the_pinned_column(self):
         db = make_db()

@@ -6,18 +6,29 @@ from hypothesis import strategies as st
 
 from repro.errors import PackingError
 from repro.workload.generator import catalog_document, recursive_document
-from repro.xdm.events import assign_node_ids
+from repro.xdm.events import EventKind, assign_node_ids
 from repro.xdm.names import NameTable
 from repro.xdm.parser import parse
 from repro.xmlstore import format as fmt
-from repro.xmlstore.packing import TreePacker, pack_document
+from repro.xmlstore.packing import TreePacker
 from repro.xmlstore.store import XmlStore
+from repro.xmlstore.traversal import walk
 
 
 def pack(xml, limit=128, names=None):
-    names = names if names is not None else NameTable()
-    stream = parse(xml)
-    return pack_document(1, assign_node_ids(stream.events()), names, limit)
+    """``(records, node_count)`` of ``xml`` packed as DocID 1."""
+    packer = TreePacker(1, names if names is not None else NameTable(), limit)
+    records = packer.feed(assign_node_ids(parse(xml).events())).finish()
+    return [record.data for record in records], packer.node_count
+
+
+def record_nodes(record, names, resolve=None):
+    """The node events of a record's entries, in document order; a proxy
+    is followed through ``resolve`` or skipped without it."""
+    header, start = fmt.decode_header(record)
+    return [event for event in walk(record, start, len(record),
+                                    header.context_id, names, resolve)
+            if event.kind is not EventKind.ELEM_END]
 
 
 class TestHeader:
@@ -80,47 +91,53 @@ class TestPacker:
     def test_records_sorted_by_min_node_id(self):
         xml = "<root>" + "<x>data</x>" * 50 + "</root>"
         records, _ = pack(xml, limit=96)
-        mins = [fmt.record_min_node_id(r) for r in records]
+        mins = [fmt.record_intervals(r)[0][0] for r in records]
         assert mins == sorted(mins)
 
     def test_root_record_contains_root_element(self):
+        names = NameTable()
         xml = "<root>" + "<x>data</x>" * 50 + "</root>"
-        records, _ = pack(xml, limit=96)
-        root_record = records[0]
-        entries = list(fmt.record_node_stream(root_record))
+        records, _ = pack(xml, limit=96, names=names)
         # First entry is the root element itself (context = document).
-        first_entry, first_abs, _ = entries[0]
-        assert first_entry.kind == fmt.EntryKind.ELEMENT
-        assert first_abs == b"\x02"
+        first = record_nodes(records[0], names)[0]
+        assert first.kind is EventKind.ELEM_START
+        assert first.node_id == b"\x02"
 
     def test_proxies_present_when_split(self):
+        names = NameTable()
         xml = "<root>" + "<x>data</x>" * 50 + "</root>"
-        records, _ = pack(xml, limit=96)
-        kinds = [e.kind for r in records for e, _, _ in fmt.record_node_stream(r)]
-        assert fmt.EntryKind.PROXY in kinds
+        records, node_count = pack(xml, limit=96, names=names)
+        by_first_id = {fmt.record_intervals(r)[0][0]: r for r in records}
+        proxies = []
+
+        def resolve(proxy_id):
+            proxies.append(proxy_id)
+            return by_first_id[proxy_id]
+
+        # Every other record hangs off a proxy; the walk reaches every node.
+        assert len(record_nodes(records[0], names, resolve)) == node_count
+        assert sorted(proxies) == sorted(by_first_id)[1:]
 
     def test_every_node_stored_exactly_once(self):
+        names = NameTable()
         xml = "<root>" + "".join(
             f"<item id='{i}'><a>x{i}</a><b>y{i}</b></item>" for i in range(30)
         ) + "</root>"
-        records, node_count = pack(xml, limit=100)
-        seen = []
-        for record in records:
-            for entry, abs_id, _ in fmt.record_node_stream(record):
-                if entry.kind != fmt.EntryKind.PROXY:
-                    seen.append(abs_id)
+        records, node_count = pack(xml, limit=100, names=names)
+        seen = [event.node_id for record in records
+                for event in record_nodes(record, names)]
         assert len(seen) == node_count
         assert len(set(seen)) == node_count
 
     def test_intervals_cover_and_do_not_overlap(self):
+        names = NameTable()
         xml = "<root>" + "<x><y>deep</y></x>" * 40 + "</root>"
-        records, node_count = pack(xml, limit=90)
+        records, node_count = pack(xml, limit=90, names=names)
         all_intervals = []
         covered = 0
         for record in records:
             intervals = fmt.record_intervals(record)
-            ids = [abs_id for e, abs_id, _ in fmt.record_node_stream(record)
-                   if e.kind != fmt.EntryKind.PROXY]
+            ids = [event.node_id for event in record_nodes(record, names)]
             # every node of the record falls in one of its intervals
             for abs_id in ids:
                 assert any(low <= abs_id <= high for low, high in intervals)
@@ -147,19 +164,18 @@ class TestPacker:
         assert len(small) > len(large)
 
     def test_oversized_text_node(self):
+        names = NameTable()
         xml = f"<a><big>{'Z' * 5000}</big><small>s</small></a>"
-        records, _ = pack(xml, limit=128)
-        texts = [e.text for r in records for e, _, _ in fmt.record_node_stream(r)
-                 if e.kind == fmt.EntryKind.TEXT]
+        records, _ = pack(xml, limit=128, names=names)
+        texts = [e.value for r in records for e in record_nodes(r, names)
+                 if e.kind is EventKind.TEXT]
         assert "Z" * 5000 in texts
 
     def test_namespaces_in_header(self):
         names = NameTable()
         xml = ('<root xmlns="urn:d" xmlns:p="urn:p">'
                + "<p:x>value text here</p:x>" * 30 + "</root>")
-        stream = parse(xml)
-        records, _ = pack_document(1, assign_node_ids(stream.events()),
-                                   names, 100)
+        records, _ = pack(xml, limit=100, names=names)
         # Some record has the root as context and carries its namespaces.
         contexts = [fmt.decode_header(r)[0] for r in records]
         with_ns = [h for h in contexts if h.namespaces]
@@ -171,9 +187,7 @@ class TestPacker:
     def test_context_path_names(self):
         names = NameTable()
         xml = "<a><b>" + "<c>text content goes here</c>" * 30 + "</b></a>"
-        stream = parse(xml)
-        records, _ = pack_document(1, assign_node_ids(stream.events()),
-                                   names, 100)
+        records, _ = pack(xml, limit=100, names=names)
         paths = [fmt.decode_header(r)[0].context_path for r in records]
         deep = [p for p in paths if len(p) == 2]
         assert deep, "expected records with context path a/b"
@@ -230,7 +244,7 @@ def packed(xml, limit):
 def assert_intervals_match_the_decoder(records):
     for min_node_id, data, intervals in records:
         assert intervals == fmt.record_intervals(data)
-        assert min_node_id == fmt.record_min_node_id(data)
+        assert min_node_id == intervals[0][0]
     mins = [record.min_node_id for record in records]
     assert mins == sorted(mins)
 
@@ -274,9 +288,8 @@ class TestNodeIdIndexFromThePacker:
     def assert_every_node_probes_to_its_record(self, store, docid):
         records = 0
         for rid in store.node_index.record_rids(docid):
-            for entry, abs_id, _ in fmt.record_node_stream(store.read_record(rid)):
-                if entry.kind != fmt.EntryKind.PROXY:
-                    assert store.node_index.probe(docid, abs_id) == rid
+            for event in record_nodes(store.read_record(rid), store.names):
+                assert store.node_index.probe(docid, event.node_id) == rid
             records += 1
         assert records > 1
 

@@ -10,11 +10,13 @@ from repro.errors import PackingError
 from repro.rdb.buffer import BufferPool
 from repro.rdb.storage import Disk
 from repro.xdm import nodeid
+from repro.xdm.events import EventKind
 from repro.xdm.names import NameTable
 from repro.xdm.parser import parse
 from repro.xdm.serializer import serialize
 from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
+from repro.xmlstore.traversal import walk
 
 _TAGS = ["r", "item", "x", "deep"]
 
@@ -59,7 +61,6 @@ class TestStorageProperties:
         store.insert_document_text(1, doc)
         reader = store.document(1)
         events = list(reader.events())
-        from repro.xdm.events import EventKind
         text_by_id = {}
         for i, event in enumerate(events):
             if event.kind is EventKind.ATTR:
@@ -82,10 +83,11 @@ class TestStorageProperties:
         assert len(set(uppers)) == len(uppers)
         for rid in store.node_index.record_rids(1):
             record = store.read_record(rid)
-            for _entry, abs_id, _depth in fmt.record_node_stream(record):
-                if _entry.kind == fmt.EntryKind.PROXY:
-                    continue
-                assert store.node_index.probe(1, abs_id) == rid
+            header, start = fmt.decode_header(record)
+            for event in walk(record, start, len(record), header.context_id,
+                              store.names):
+                if event.kind is not EventKind.ELEM_END:
+                    assert store.node_index.probe(1, event.node_id) == rid
 
     @settings(max_examples=30, deadline=None)
     @given(xml_documents())
@@ -109,7 +111,10 @@ class TestCorruptionHandling:
         _header, body_start = fmt.decode_header(bytes(record))
         record[body_start] = 0x63
         with pytest.raises(PackingError):
-            list(fmt.record_node_stream(bytes(record)))
+            fmt.record_intervals(bytes(record))
+        with pytest.raises(PackingError):
+            list(walk(bytes(record), body_start, len(record), b"",
+                      store.names))
 
     def test_truncated_record_detected(self):
         store = make_store(400)
@@ -117,7 +122,7 @@ class TestCorruptionHandling:
         rid = store.node_index.record_rids(1)[0]
         record = store.read_record(rid)
         with pytest.raises((PackingError, IndexError)):
-            list(fmt.record_node_stream(record[:len(record) - 3]))
+            fmt.record_intervals(record[:len(record) - 3])
 
     def test_corrupt_token_stream_detected(self):
         from repro.errors import XmlError

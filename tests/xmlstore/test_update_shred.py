@@ -1,4 +1,4 @@
-"""Tests for subdocument updates (record surgery) and the shredded baseline."""
+"""Tests for subdocument updates (record splicing) and the shredded baseline."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.xdm.events import EventKind, build_tree
 from repro.xdm.parser import parse
 from repro.xdm.serializer import serialize
 from repro.xmlstore.shred import ShreddedStore
-from repro.xmlstore.update import XmlUpdater, decode_record, encode_record
+from repro.xmlstore.update import XmlUpdater
 
 
 def node_id_of(store, docid, local, occurrence=0):
@@ -23,15 +23,6 @@ def text_id_under(store, docid, local):
         if event.kind is EventKind.ELEM_START and event.local == local:
             return events[i + 1].node_id
     raise AssertionError(f"no text under {local}")
-
-
-class TestRecordSurgery:
-    def test_decode_encode_identity(self, store, catalog_xml):
-        store.insert_document_text(1, catalog_xml)
-        for rid in store.node_index.record_rids(1):
-            record = store.read_record(rid)
-            header, forest = decode_record(record)
-            assert encode_record(header, forest) == record
 
 
 class TestReplaceText:
