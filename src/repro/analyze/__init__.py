@@ -19,18 +19,16 @@ namespace.  This package machine-checks those contracts twice over:
 * dynamically: :mod:`~repro.analyze.sanitize` arms assertions inside the
   buffer pool, lock manager, WAL and transaction manager (zero pins and
   zero locks at every transaction boundary, LSN monotonicity, witnessed
-  lock order), tripped as ``sanitize.*`` counters plus
-  :class:`~repro.errors.SanitizerError`.
+  lock order, accounting caps, wait reconcile), tripped as ``sanitize.*``
+  counters plus :class:`~repro.errors.SanitizerError`.
 
-The concurrency layer extends both halves: :mod:`~repro.analyze.threads`
+The concurrency layer is static only: :mod:`~repro.analyze.threads`
 derives thread roots, thread-shared fields and each field's inferred
-guarding latch from the call graph; :mod:`~repro.analyze.races` checks the
-latch discipline (``RACE001`` unguarded shared access, ``RACE002``
+guarding latch from the call graph, and :mod:`~repro.analyze.races` checks
+the latch discipline (``RACE001`` unguarded shared access, ``RACE002``
 check-then-act across a latch release, ``LATCH001`` latch held across a
-blocking call); and the sanitizer's Eraser-style lockset machinery
-(:class:`~repro.analyze.sanitize.TrackedLock`, ``shared_access``) witnesses
-the same guards at runtime, cross-checked against the static inference via
-``cross_check_field_guards``.
+blocking call or another lock).  Each code is pinned to a seeded mutant of
+the serving layer it kills (``tests/analyze/test_race_mutants.py``).
 
 Importing this package loads nothing else: the engine imports only
 :mod:`~repro.analyze.sanitize`, and never pays for the static side.

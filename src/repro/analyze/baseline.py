@@ -17,7 +17,8 @@ mute button).  Race findings (``RACE*``/``LATCH*``) are held to a stricter
 form — their comment must start with ``reason:`` — because a baselined race
 is a claim about *runtime behaviour* ("only one thread ever writes this",
 "every caller holds the engine latch") that review has to be able to find
-and challenge; a bare remark does not qualify.
+and challenge; a bare remark does not qualify.  Nothing checks the claim
+at runtime: the stated invariant is what review holds the code to.
 """
 
 from __future__ import annotations

@@ -320,13 +320,6 @@ class EffectAnalysis:
                 classes.add(lock_class)
         return classes
 
-    def all_lock_classes(self) -> set[str]:
-        """Every classified lock class any analyzed function may acquire."""
-        classes: set[str] = set()
-        for fid in self._summaries:
-            classes |= self.lock_classes(fid)
-        return classes
-
     def sites(self, info: FunctionInfo, effect: str) -> list[EffectSite]:
         """Every call in ``info`` that performs ``effect``, in source order.
 

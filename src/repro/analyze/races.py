@@ -8,8 +8,7 @@ Three codes, all driven by :class:`repro.analyze.threads.ThreadAnalysis`:
   of every read).  An access under a *different* latch than the inferred
   guard is deliberately not reported — distinguishing a wrong latch from
   an outer ambient one (the engine latch every caller holds) is beyond
-  syntactic inference, and exactly what the runtime lockset sanitizer's
-  cross-check exists for.
+  syntactic inference.
 
 * **RACE002** — check-then-act: inside one method, a shared field is
   *tested* under its guard, the guard is released, and a dependent *write*
@@ -18,12 +17,14 @@ Three codes, all driven by :class:`repro.analyze.threads.ThreadAnalysis`:
 
 * **LATCH001** — a blocking call while a latch is held, proven either
   directly or through the ``may_block`` effect summaries: a lock ``with``
-  region that sleeps, waits, joins, takes another lock, or (for non-engine
-  latches) forces pages to disk serializes every other thread behind the
-  sleeper.  The *engine* latch is exempt from the disk-I/O rule: DB2-style
-  engines flush under it by design (checkpoints force pages under the
-  engine latch), and it is an RLock whose yield discipline the serving
-  layer owns.
+  region that sleeps, waits, joins, acquires another lock, or (for
+  non-engine latches) forces pages to disk serializes every other thread
+  behind the sleeper.  Under a non-engine latch a nested lock-ish
+  ``with`` counts as taking another lock.  The *engine* latch is exempt
+  from the disk-I/O and nested-lock rules: DB2-style engines flush under
+  it by design (checkpoints force pages under the engine latch), the
+  documented lock order is engine latch first, and it is an RLock whose
+  yield discipline the serving layer owns.
 
 ``--explain`` renders the witness: for RACE001 the path from a thread root
 (spawn site or declared entry) down the call graph to the racy access; for
@@ -39,7 +40,6 @@ from repro.analyze import effects as fx
 from repro.analyze.callgraph import FunctionInfo
 from repro.analyze.findings import Finding
 from repro.analyze.framework import Checker, Program, call_name, call_text
-from repro.analyze.sanitize import token_tail
 from repro.analyze.threads import (MAIN_CONTEXT, _READ_EXEMPT_METHODS,
                                    FieldAccess, SharedField, ThreadAnalysis,
                                    guard_token)
@@ -268,17 +268,23 @@ class SharedStateRaceChecker(Checker):
             ))
 
 
+def _is_engine_latch(token: str) -> bool:
+    """Whether a guard token names the engine latch (``db.latch``)."""
+    return "latch" in token.removesuffix("()").rsplit(".", 1)[-1].lower()
+
+
 class LatchBlockingChecker(Checker):
     """LATCH001: blocking calls while a latch is held."""
 
     name = "latch-blocking"
     codes = ("LATCH001",)
     description = ("no thread blocks (sleep/wait/join/lock-acquire, or "
-                   "disk I/O under a non-engine latch) while holding a "
-                   "latch")
+                   "disk I/O or a nested lock under a non-engine latch) "
+                   "while holding a latch")
     code_descriptions = {
         "LATCH001": "blocking call inside a `with <latch>:` region, "
-                    "proven via the may_block effect summaries",
+                    "proven via the may_block effect summaries, or a lock "
+                    "`with` nested in a non-engine latch region",
     }
 
     def begin(self, program: Program) -> None:
@@ -304,32 +310,54 @@ class LatchBlockingChecker(Checker):
             held = [token for token in tokens if token is not None]
             if not held:
                 continue
-            for call in self._region_calls(node, info):
-                if id(call) in reported:
+            non_latch = [t for t in held if not _is_engine_latch(t)]
+            for inner in self._region_nodes(node, info):
+                if id(inner) in reported:
                     continue
-                finding = self._blocking_finding(
-                    info, summaries, held, node, call)
+                if isinstance(inner, ast.Call):
+                    finding = self._blocking_finding(
+                        info, summaries, held, non_latch, node, inner)
+                else:
+                    finding = self._nested_lock_finding(
+                        info, non_latch, node, inner)
                 if finding is not None:
-                    reported.add(id(call))
+                    reported.add(id(inner))
                     yield finding
 
     @staticmethod
-    def _region_calls(with_node: ast.With,
-                      info: FunctionInfo) -> Iterable[ast.Call]:
+    def _region_nodes(with_node: ast.With, info: FunctionInfo
+                      ) -> Iterable[ast.Call | ast.With]:
+        """Calls and nested ``with`` blocks of the region, own body only."""
         for stmt in with_node.body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and \
+                if isinstance(node, (ast.Call, ast.With)) and \
                         info.module.enclosing_function(node) is info.node:
                     yield node
 
+    def _nested_lock_finding(self, info: FunctionInfo, non_latch: list[str],
+                             with_node: ast.With,
+                             inner: ast.With) -> Finding | None:
+        """A lock ``with`` inside a region holding a non-engine latch."""
+        if not non_latch:
+            return None
+        token = non_latch[0]
+        for item in inner.items:
+            inner_token = guard_token(item.context_expr)
+            if inner_token is not None:
+                return self._finding(
+                    info, with_node, item.context_expr, token,
+                    f"with {inner_token}",
+                    f"{inner_token!r} is acquired while {token!r} is held",
+                    chain=(), step=f"nested `with {inner_token}`")
+        return None
+
     def _blocking_finding(self, info: FunctionInfo,
                           summaries: fx.EffectAnalysis, held: list[str],
-                          with_node: ast.With,
+                          non_latch: list[str], with_node: ast.With,
                           call: ast.Call) -> Finding | None:
+        """``non_latch``: the held tokens that are not the engine latch,
+        which may flush pages by design; other locks may not."""
         token = held[0]
-        #: the engine latch may flush pages by design; other locks may not
-        non_latch = [t for t in held
-                     if "latch" not in token_tail(t).lower()]
         text = call_text(call)
         direct = fx.blocking_reason(call)
         if direct is not None:
@@ -365,17 +393,18 @@ class LatchBlockingChecker(Checker):
         return None
 
     def _finding(self, info: FunctionInfo, with_node: ast.With,
-                 call: ast.Call, token: str, text: str, message: str,
-                 chain: tuple[str, ...]) -> Finding:
+                 node: ast.expr, token: str, text: str, message: str,
+                 chain: tuple[str, ...], step: str | None = None
+                 ) -> Finding:
         module = info.module
         call_path = (
             f"{info.path}:{with_node.lineno}: {info.qualname} acquires "
             f"{token!r}",
-            f"{info.path}:{call.lineno}: {text}() runs with the latch "
-            f"held",
+            f"{info.path}:{node.lineno}: {step or text + '()'} runs with "
+            f"the latch held",
         ) + chain
         return module.finding(
-            "LATCH001", self.name, call,
+            "LATCH001", self.name, node,
             f"latch held across a blocking call: {message}",
             scope=info.qualname,
             detail=f"{token}/{text}",

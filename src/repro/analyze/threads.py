@@ -17,8 +17,10 @@ latch.  This module gives the static analyzer that thread model:
    (test/harness) thread.  Because arbitrary-receiver calls are unresolved
    (the documented call-graph blind spot), contexts are *under*-approximate
    — which is the useful direction for a race checker: a field is reported
-   shared only on proven evidence, and the runtime lockset sanitizer
-   (:mod:`repro.analyze.sanitize`) covers the dynamic remainder.
+   shared only on proven evidence.  What that misses is measured, not
+   assumed: ``tests/analyze/test_race_mutants.py`` pins each race code to
+   a seeded serving-layer mutant it kills, and DESIGN.md's latch
+   inventory lists the mutants no static gate kills.
 
 3. **Shared fields** — ``self.<field>`` accesses collected per class; a
    field is *thread-shared* when it is written outside ``__init__`` and
@@ -37,7 +39,8 @@ latch.  This module gives the static analyzer that thread model:
 
 The checkers in :mod:`repro.analyze.races` turn these views into RACE001
 (access outside the inferred guard), RACE002 (check-then-act across guard
-regions) and LATCH001 (blocking call while a latch is held).
+regions) and LATCH001 (blocking call, or a nested lock under a non-engine
+latch, while a latch is held).
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ KNOWN_ROOTS: dict[str, tuple[str, bool]] = {
         ("every thread reports counters", True),
     "StatsRegistry.observe":
         ("every thread reports distributions", True),
+    "StatsRegistry.set_high_water":
+        ("QuickXScan, domeval and the automaton record peaks on worker "
+         "threads", True),
 }
 
 #: Method names that mutate their receiver in place: a call
@@ -518,10 +524,7 @@ class ThreadAnalysis:
         """Per shared field: latch tokens held at *every* guarded access.
 
         Empty set = no single latch dominates the field's accesses (either
-        nothing guards it, or different sites use different latches).  The
-        runtime sanitizer's :func:`repro.analyze.sanitize.
-        cross_check_field_guards` compares witnessed locksets against this
-        map.
+        nothing guards it, or different sites use different latches).
         """
         guards: dict[tuple[str, str], frozenset[str]] = {}
         for record in self.shared_fields():

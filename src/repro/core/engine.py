@@ -100,10 +100,8 @@ class Database:
         #: engine's one concurrency mechanism: engine state is read and
         #: written only under it, and the stats registry is the only
         #: structure with a lock of its own, because client threads record
-        #: the ``serve.*`` counters without the latch.  Wrapped in a
-        #: :class:`~repro.analyze.sanitize.TrackedLock` so the lockset
-        #: sanitizer can witness "held the engine latch".
-        self.latch = _sanitize.TrackedLock("db.latch", threading.RLock())
+        #: the ``serve.*`` counters without the latch.
+        self.latch = threading.RLock()
         #: Jitter source for victim-retry backoff (seeded for determinism).
         self._retry_rng = random.Random(config.txn_retry_jitter_seed)
         #: How ``run_in_txn`` sleeps between victim retries.  Defaults to

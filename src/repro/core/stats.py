@@ -63,7 +63,7 @@ METRICS: frozenset[str] = frozenset({
     "sanitize.pinned_at_txn_end", "sanitize.locks_at_txn_end",
     "sanitize.lock_order", "sanitize.lsn_regression",
     "sanitize.active_txns_at_close", "sanitize.accounting_overcharge",
-    "sanitize.race.lockset", "sanitize.waits.reconcile",
+    "sanitize.waits.reconcile",
     # wait-state accounting (DB2 class-3 suspension analogue): microseconds
     # suspended per wait class.  Derived from :data:`WAITS` via
     # :func:`wait_counter`; both sides are listed so the registries stay
@@ -337,7 +337,8 @@ class StatsRegistry:
 
     def gauge(self, name: str) -> int:
         """Current high-water mark of gauge ``name`` (0 if never set)."""
-        return self._gauges.get(name, 0)
+        with self._lock:
+            return self._gauges.get(name, 0)
 
     def gauges(self) -> dict[str, int]:
         """All gauges (high-water marks) as a plain dict."""
@@ -372,14 +373,11 @@ class StatsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-        self._witness_whole_map(write=True)
 
     def counters(self) -> dict[str, int]:
         """All counters (no gauges) as a plain dict."""
         with self._lock:
-            copied = dict(self._counters)
-        self._witness_whole_map(write=False)
-        return copied
+            return dict(self._counters)
 
     def snapshot(self) -> dict[str, int]:
         """All counters and gauges as a plain dict.
@@ -392,20 +390,7 @@ class StatsRegistry:
             merged: dict[str, int] = dict(self._counters)
             for name, value in self._gauges.items():
                 merged[f"gauge:{name}"] = value
-        self._witness_whole_map(write=False)
         return merged
-
-    def _witness_whole_map(self, write: bool) -> None:
-        """Report a whole-map operation to the lockset sanitizer.
-
-        Reported *after* the locked region (reporting inside it would
-        recurse into :meth:`add` against the non-reentrant lock), with the
-        lock attested via ``extra_held`` — every whole-map operation really
-        does hold it for its duration.
-        """
-        if _sanitize.enabled():
-            _sanitize.shared_access(self, "StatsRegistry", "_counters",
-                                    write, extra_held=("stats._lock",))
 
     # -- tracing hooks ----------------------------------------------------
 

@@ -78,9 +78,7 @@ class LockManager:
     Three plain maps with no lock of their own: like every other engine
     structure they are read and written only under the engine latch
     (``Database.latch``), which the serving layer's workers hold for the
-    whole of each request.  With the sanitizers armed every mutation is
-    reported to the lockset sanitizer, which therefore witnesses the
-    table's guard as ``db.latch``.
+    whole of each request.
     """
 
     def __init__(self, stats: StatsRegistry | None = None) -> None:
@@ -92,20 +90,12 @@ class LockManager:
         #: {waiter txn_id: set of blocker txn_ids}
         self._waits_for: dict[int, set[int]] = {}
 
-    def _witness(self, *fields: str) -> None:
-        """Report writes to the lock-table maps to the lockset sanitizer."""
-        if _sanitize.enabled():
-            for field in fields:
-                _sanitize.shared_access(self.stats, "LockManager", field,
-                                        write=True)
-
     def try_acquire(self, txn_id: int, resource: object, mode: LockMode) -> bool:
         """Grant ``mode`` on ``resource`` to ``txn_id`` if compatible.
 
         Re-requests upgrade to the least upper bound of held and requested
         modes.  On conflict, records waits-for edges and returns ``False``.
         """
-        self._witness("_granted", "_held", "_waits_for")
         holders = self._granted.setdefault(resource, {})
         held = holders.get(txn_id)
         effective = mode if held is None else mode_lub(held, mode)
@@ -146,7 +136,6 @@ class LockManager:
         :meth:`waits_for_edges` although nothing blocks the transaction
         any more.
         """
-        self._witness("_granted", "_held", "_waits_for")
         for resource in self._held.pop(txn_id, ()):
             holders = self._granted.get(resource)
             if holders is not None:
@@ -169,7 +158,6 @@ class LockManager:
         transaction keeps what it holds but no longer waits, so its stale
         edges cannot produce false deadlock cycles.
         """
-        self._witness("_waits_for")
         self._waits_for.pop(txn_id, None)
 
     def locks_held(self, txn_id: int) -> int:

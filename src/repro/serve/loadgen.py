@@ -320,13 +320,11 @@ class LoadHarness:
         verify_errors = self.verify_commits(tallies, seeded_insert_txns)
         stats = self.db.stats
         snapshot = stats.counters()
-        # A sanitized run is only verified if no runtime witness tripped:
-        # a non-zero sanitize.race.* counter is a found data race, a
-        # non-zero sanitize.waits.* one a wait clock that charged more
+        # A sanitized run is only verified if no wait clock tripped: a
+        # non-zero sanitize.waits.* counter is a clock that charged more
         # suspension time than the interval it measured contained.
         for name, value in sorted(snapshot.items()):
-            if name.startswith(("sanitize.race", "sanitize.waits")) \
-                    and value:
+            if name.startswith("sanitize.waits") and value:
                 verify_errors.append(
                     f"runtime sanitizer tripped: {name} = {value}")
         # Attribution soundness for the wait clocks, same shape as the

@@ -111,12 +111,11 @@ class DatabaseServer:
         self._threads: list[threading.Thread] = []
         self._state = "new"  # new -> serving -> draining -> closed
         #: Guards the server's own shared mutable state: ``_state``,
-        #: ``_sessions`` and ``_crashed``.  Tracked so the
-        #: lockset sanitizer witnesses it on every guarded access.  Never
-        #: acquired while holding ``db.latch``-ordered engine locks except
-        #: as latch -> _state_lock (shutdown's crash note); the reverse
-        #: nesting is forbidden.
-        self._state_lock = _sanitize.TrackedLock("server._state_lock")
+        #: ``_sessions`` and ``_crashed``.  Never acquired while holding
+        #: ``db.latch``-ordered engine locks except as latch -> _state_lock
+        #: (shutdown's crash note); the reverse nesting is forbidden, and
+        #: LATCH001 flags a lock taken inside a ``_state_lock`` region.
+        self._state_lock = threading.Lock()
         self._session_ids = itertools.count(1)
         self._sessions: dict[int, Session] = {}
         #: First :class:`SimulatedCrash` a worker hit, if any (a crash
@@ -131,7 +130,6 @@ class DatabaseServer:
     def start(self) -> "DatabaseServer":
         """Install the engine yield hooks and start the worker pool."""
         with self._state_lock:
-            self._witness("_state", write=True)
             if self._state != "new":
                 raise ServerClosedError(
                     f"server cannot start from state {self._state!r}")
@@ -157,7 +155,6 @@ class DatabaseServer:
         accounting over-charge cross-check runs.  Idempotent.
         """
         with self._state_lock:
-            self._witness("_state", write=True)
             if self._state in ("closed", "new"):
                 self._state = "closed"
                 return
@@ -171,7 +168,6 @@ class DatabaseServer:
         self._threads.clear()
         self._purge_queue()  # requests admitted after the sentinels
         with self._state_lock:
-            self._witness("_sessions", write=True)
             abandoned = list(self._sessions.values())
             self._sessions.clear()
         if abandoned:
@@ -189,7 +185,6 @@ class DatabaseServer:
         self.db.txns.lock_wait_yield = None
         self.db.backoff_sleep = None
         with self._state_lock:
-            self._witness("_state", write=True)
             if self._state != "closed":
                 self._state = "closed"
         if _sanitize.enabled():
@@ -208,27 +203,18 @@ class DatabaseServer:
     @property
     def state(self) -> str:
         with self._state_lock:
-            self._witness("_state", write=False)
             return self._state
 
     @property
     def crashed(self) -> SimulatedCrash | None:
         with self._state_lock:
-            self._witness("_crashed", write=False)
             return self._crashed
 
     def _note_crash(self, crash: SimulatedCrash) -> None:
         """Record the first simulated crash; later ones lose the race."""
         with self._state_lock:
-            self._witness("_crashed", write=True)
             if self._crashed is None:
                 self._crashed = crash
-
-    def _witness(self, field: str, write: bool) -> None:
-        """Report one shared-field access to the lockset sanitizer."""
-        if _sanitize.enabled():
-            _sanitize.shared_access(self.stats, "DatabaseServer", field,
-                                    write)
 
     # -- sessions ----------------------------------------------------------
 
@@ -236,7 +222,6 @@ class DatabaseServer:
         """Open a new client session."""
         session = Session(self, next(self._session_ids))
         with self._state_lock:
-            self._witness("_sessions", write=True)
             if self._state != "serving":
                 raise ServerClosedError(
                     f"server is {self._state}, not accepting sessions")
@@ -255,7 +240,6 @@ class DatabaseServer:
         sessions can still be closed while the server drains.
         """
         with self._state_lock:
-            self._witness("_sessions", write=True)
             registered = self._sessions.pop(session.session_id,
                                             None) is not None
         with self.db.latch:
@@ -378,7 +362,6 @@ class DatabaseServer:
                 # re-raise.
                 self._note_crash(crash)
                 with self._state_lock:
-                    self._witness("_state", write=True)
                     if self._state == "serving":
                         self._state = "draining"
                 request.finish(error=crash)

@@ -159,13 +159,3 @@ class TestWitnessPaths:
                 return 1
             """)
         assert eff.witness_path("m.py::calm", fx.MAY_RAISE) == []
-
-    def test_all_lock_classes_aggregates(self, tmp_path):
-        eff = analyze(tmp_path, """\
-            class P:
-                def a(self, mgr, txn):
-                    mgr.try_acquire(txn, ("row", 1), "X")
-                def b(self, mgr, txn):
-                    mgr.try_acquire(txn, ("doc", 1), "X")
-            """)
-        assert eff.all_lock_classes() == {"row", "doc"}

@@ -1,12 +1,10 @@
 """Runtime sanitizers: trips, counters, and engine wiring."""
 
-import textwrap
 import threading
 
 import pytest
 
 from repro.analyze import sanitize
-from repro.analyze.framework import Program, SourceModule
 from repro.cc.scheduler import Do, Lock, Scheduler
 from repro.cc.subdocument import PrefixLockTable
 from repro.core.engine import Database
@@ -130,15 +128,6 @@ class TestLockSanitizers:
         locks.release_all(7)
         sanitize.on_locks_released(7)
 
-    def test_cross_check_against_static_graph(self, armed, stats):
-        sanitize.on_lock_acquired(stats, 1, ("row", 1))
-        sanitize.on_lock_acquired(stats, 1, ("doc", 2))
-        assert sanitize.cross_check_static_order([("row", "doc")]) == []
-        contradictions = sanitize.cross_check_static_order([("doc", "row")])
-        assert len(contradictions) == 1
-        assert "'row' before 'doc'" in contradictions[0]
-
-
 class TestSchedulerWitnessCleanup:
     """Scheduler lock backends (PrefixLockTable, protocol adapters) never
     notify the sanitizer, and Do effects may lock through a *different*
@@ -193,237 +182,6 @@ class TestSchedulerWitnessCleanup:
         result = Scheduler(table, seed=5).run(
             self._deadlocking_programs(mgr), round_robin=True)
         assert result.committed == 2
-
-
-class TestLockSummaryCrossCheck:
-    def test_witnessed_class_missing_statically_is_reported(self, armed,
-                                                            stats):
-        sanitize.on_lock_acquired(stats, 1, ("row", 1))
-        sanitize.on_lock_acquired(stats, 1, ("weird", 2))
-        sanitize.on_locks_released(1)
-        issues = sanitize.cross_check_lock_summaries({"row", "doc"})
-        assert len(issues) == 1
-        assert "'weird'" in issues[0]
-        assert sanitize.cross_check_lock_summaries({"row", "weird"}) == []
-
-    def test_witnessed_classes_survive_txn_end(self, armed, stats):
-        # Unlike the per-txn order lists, the class set must outlive the
-        # transaction: the cross-check runs after the workload quiesced.
-        sanitize.on_lock_acquired(stats, 3, ("row", 1))
-        sanitize.on_locks_released(3)
-        assert sanitize.cross_check_lock_summaries(set()) != []
-
-    def test_reset_witness_clears_the_class_set(self, armed, stats):
-        sanitize.on_lock_acquired(stats, 1, ("row", 1))
-        sanitize.reset_witness()
-        assert sanitize.cross_check_lock_summaries(set()) == []
-
-    def test_against_real_effect_summaries(self, armed, stats, tmp_path):
-        # Static side: effect summaries of a fixture tree.  Runtime side:
-        # a wired LockManager witnessing live acquisitions.
-        path = tmp_path / "proto.py"
-        path.write_text(textwrap.dedent("""\
-            class Protocol:
-                def write(self, mgr, txn):
-                    mgr.try_acquire(txn, ("row", 1), "X")
-                    mgr.try_acquire(txn, ("doc", 1), "X")
-            """))
-        program = Program()
-        program.add(SourceModule(path, tmp_path))
-        static = program.effects().all_lock_classes()
-        locks = LockManager(stats)
-        locks.try_acquire(9, ("row", 4), LockMode.X)
-        locks.release_all(9)
-        assert sanitize.cross_check_lock_summaries(static) == []
-        # A class the static analysis never saw is a blind-spot witness.
-        locks.try_acquire(10, ("node", 7), LockMode.X)
-        locks.release_all(10)
-        issues = sanitize.cross_check_lock_summaries(static)
-        assert len(issues) == 1
-        assert "'node'" in issues[0]
-
-
-def in_thread(fn):
-    """Run ``fn`` to completion on a fresh thread; re-raise its error."""
-    box: list = []
-    failure: list = []
-
-    def runner():
-        try:
-            box.append(fn())
-        except BaseException as exc:  # noqa: BLE001 - test harness relay
-            failure.append(exc)
-
-    thread = threading.Thread(target=runner)
-    thread.start()
-    thread.join()
-    if failure:
-        raise failure[0]
-    return box[0] if box else None
-
-
-class TestTrackedLock:
-    def test_with_region_pushes_and_pops_the_token(self, armed):
-        latch = sanitize.TrackedLock("db.latch")
-        assert sanitize.held_lock_tokens() == ()
-        with latch:
-            assert sanitize.held_lock_tokens() == ("db.latch",)
-        assert sanitize.held_lock_tokens() == ()
-
-    def test_rlock_reentry_pushes_once_per_level(self, armed):
-        latch = sanitize.TrackedLock("db.latch", threading.RLock())
-        with latch:
-            with latch:
-                assert sanitize.held_lock_tokens() == ("db.latch",
-                                                       "db.latch")
-            assert sanitize.held_lock_tokens() == ("db.latch",)
-        assert sanitize.held_lock_tokens() == ()
-
-    def test_failed_release_keeps_the_held_stack_truthful(self, armed):
-        # _latch_sleep releases and re-acquires around a sleep; if the
-        # release itself raises, the latch is still held and the token
-        # must stay.
-        latch = sanitize.TrackedLock("server._state_lock")
-        with latch:
-            with pytest.raises(RuntimeError):
-                sanitize.TrackedLock("server._state_lock").release()
-            assert sanitize.held_lock_tokens() == ("server._state_lock",)
-
-    def test_failed_nonblocking_acquire_pushes_nothing(self, armed):
-        inner = threading.Lock()
-        latch = sanitize.TrackedLock("guard._lock", inner)
-        in_thread(inner.acquire)  # held by (defunct) other thread
-        assert latch.acquire(blocking=False) is False
-        assert sanitize.held_lock_tokens() == ()
-
-    def test_disarmed_latch_is_a_plain_lock(self):
-        sanitize.disable()
-        latch = sanitize.TrackedLock("db.latch")
-        with latch:
-            assert sanitize.held_lock_tokens() == ()
-
-
-class TestLocksetDiscipline:
-    KEY = ("Server", "jobs")
-
-    def test_single_thread_init_phase_is_benign(self, armed, stats):
-        # build_database-style pre-population: latch-free writes from one
-        # thread never trip — Eraser defers judgement while exclusive.
-        for _ in range(3):
-            sanitize.shared_access(stats, *self.KEY, write=True)
-        assert sanitize.witnessed_field_states()[self.KEY] == "exclusive"
-        assert stats.get("sanitize.race.lockset") == 0
-        assert stats.get("sanitize.checks") == 3
-
-    def test_second_thread_replaces_the_universal_lockset(self, armed,
-                                                          stats):
-        latch = sanitize.TrackedLock("db.latch")
-        sanitize.shared_access(stats, *self.KEY, write=True)  # latch-free
-
-        def worker():
-            with latch:
-                sanitize.shared_access(stats, *self.KEY, write=True)
-
-        in_thread(worker)
-        # C(v) was universal through the exclusive phase: the first
-        # second-thread access replaces, not intersects, so the latch-free
-        # init does not poison the candidate set.
-        assert sanitize.witnessed_locksets()[self.KEY] == \
-            frozenset(("db.latch",))
-        assert sanitize.witnessed_field_states()[self.KEY] == \
-            "shared-modified"
-        assert stats.get("sanitize.race.lockset") == 0
-
-    def test_disjoint_locksets_trip_once(self, armed, stats):
-        latch_a = sanitize.TrackedLock("server._state_lock")
-        latch_b = sanitize.TrackedLock("guard._lock")
-        with latch_a:
-            sanitize.shared_access(stats, *self.KEY, write=True)
-
-        def worker():
-            with latch_b:
-                sanitize.shared_access(stats, *self.KEY, write=True)
-
-        in_thread(worker)
-        with latch_a, pytest.raises(SanitizerError,
-                                    match="no latch consistently guards"):
-            sanitize.shared_access(stats, *self.KEY, write=True)
-        assert stats.get("sanitize.race.lockset") == 1
-        assert sanitize.witnessed_locksets()[self.KEY] == frozenset()
-        # Tripped fields report once, not per access.
-        with latch_a:
-            sanitize.shared_access(stats, *self.KEY, write=True)
-        assert stats.get("sanitize.race.lockset") == 1
-
-    def test_consistently_guarded_reads_stay_shared(self, armed, stats):
-        latch = sanitize.TrackedLock("stats._lock")
-        with latch:
-            sanitize.shared_access(stats, *self.KEY, write=True)
-
-        def reader():
-            with latch:
-                sanitize.shared_access(stats, *self.KEY, write=False)
-
-        in_thread(reader)
-        assert sanitize.witnessed_field_states()[self.KEY] == "shared"
-        assert sanitize.witnessed_locksets()[self.KEY] == \
-            frozenset(("stats._lock",))
-
-    def test_extra_held_stands_in_for_released_stripes(self, armed, stats):
-        # The stats registry reports its whole-map ops *after* leaving its
-        # locked region (reporting inside would recurse into stats.add);
-        # extra_held carries the latch it verifiably held.
-        sanitize.shared_access(stats, "StatsRegistry", "_counters",
-                               write=True, extra_held=("stats._lock",))
-        in_thread(lambda: sanitize.shared_access(
-            stats, "StatsRegistry", "_counters", write=True,
-            extra_held=("stats._lock",)))
-        key = ("StatsRegistry", "_counters")
-        assert sanitize.witnessed_locksets()[key] == \
-            frozenset(("stats._lock",))
-        assert stats.get("sanitize.race.lockset") == 0
-
-    def test_disarmed_access_is_a_no_op(self, stats):
-        sanitize.disable()
-        sanitize.shared_access(stats, *self.KEY, write=True)
-        assert stats.get("sanitize.checks") == 0
-        assert sanitize.witnessed_locksets() == {}
-
-
-class TestFieldGuardCrossCheck:
-    def _witness(self, stats, token, cls="DatabaseServer", field="_state"):
-        latch = sanitize.TrackedLock(token)
-
-        def access():
-            with latch:
-                sanitize.shared_access(stats, cls, field, write=True)
-
-        access()
-        in_thread(access)
-
-    def test_agreement_is_silent(self, armed, stats):
-        self._witness(stats, "server._state_lock")
-        triples = [("DatabaseServer", "_state", "_state_lock")]
-        assert sanitize.cross_check_field_guards(triples) == []
-
-    def test_wrong_static_guard_is_a_discrepancy(self, armed, stats):
-        self._witness(stats, "server._state_lock")
-        issues = sanitize.cross_check_field_guards(
-            [("DatabaseServer", "_state", "db.latch")])
-        assert len(issues) == 1
-        assert "never hold it" in issues[0]
-
-    def test_unexercised_fields_are_skipped(self, armed, stats):
-        assert sanitize.cross_check_field_guards(
-            [("Ghost", "field", "db.latch")]) == []
-
-    def test_tokens_compare_by_tail(self, armed, stats):
-        # Static factory-call tokens ('lock_of()') and runtime tokens
-        # ('registry.lock_of') meet at the tail.
-        self._witness(stats, "registry.lock_of", cls="Registry",
-                      field="entries")
-        assert sanitize.cross_check_field_guards(
-            [("Registry", "entries", "lock_of()")]) == []
 
 
 class TestWalSanitizers:
@@ -485,5 +243,6 @@ class TestEngineWiring:
                      "sanitize.locks_at_txn_end", "sanitize.lock_order",
                      "sanitize.lsn_regression",
                      "sanitize.active_txns_at_close",
-                     "sanitize.race.lockset"):
+                     "sanitize.accounting_overcharge",
+                     "sanitize.waits.reconcile"):
             assert name in METRICS

@@ -131,9 +131,8 @@ class TestAccountingCapsSanitizer:
         stats = StatsRegistry()
         EventTrace(ring_size=4096).install(stats)
         manager = TransactionManager(stats=stats)
-        # Stands in for the engine latch, which is the lock table's only
-        # guard; tracked so an armed lockset sanitizer sees it held.
-        lock = sanitize.TrackedLock("db.latch")
+        # Stands in for the engine latch, the lock table's only guard.
+        lock = threading.Lock()
 
         def worker():
             for _ in range(50):
