@@ -5,9 +5,10 @@ notes that "in our case LALR(1) is used with a much simpler lexical scanner
 than what is described in the W3C specification, achieved by rewriting the
 BNF production rules" (§4).  This module provides that machinery from
 scratch: grammars are lists of productions with semantic actions; tables are
-built by constructing canonical LR(1) item sets and merging states with equal
-LR(0) cores (the classic way to obtain LALR(1) tables); conflicts are
-reported at build time.
+built from the LR(0) automaton, with one lookahead set per item propagated
+to a fixpoint through closures and gotos (the kernel construction of the
+Dragon book, §4.7.5), and conflicts are reported at build time.  Grammars
+with a nonterminal that derives no terminal string are rejected.
 
 The generator is deliberately general — nothing in it knows about XPath —
 and is exercised independently by the test suite.
@@ -89,7 +90,7 @@ class Grammar:
 # Table construction
 # ---------------------------------------------------------------------------
 
-_Item = tuple[int, int, str]  # (production index, dot position, lookahead)
+_Item = tuple[int, int]  # (production index, dot position)
 
 
 class ParserTables:
@@ -107,154 +108,145 @@ class ParserTables:
         if grammar.start not in self._by_lhs:
             raise GrammarError(f"start symbol {grammar.start!r} has no rules")
         self._nonterminals = grammar.nonterminals
-        self._first = self._compute_first()
+        self._first: dict[str, set[str | None]] = {
+            nt: set() for nt in self._nonterminals}
+        self._compute_first()
         self.action: list[dict[str, tuple[str, int]]] = []
         self.goto: list[dict[str, int]] = []
         self._build()
 
     # -- FIRST sets -----------------------------------------------------------
 
-    def _compute_first(self) -> dict[str, set[str | None]]:
-        first: dict[str, set[str | None]] = {
-            nt: set() for nt in self._nonterminals}
+    def _compute_first(self) -> None:
+        """FIRST sets, and the check that every nonterminal derives some
+        terminal string: a dead one's items would get empty lookahead sets,
+        which the kernel construction cannot tell from live ones."""
+        productive: set[str] = set()
         changed = True
         while changed:
             changed = False
             for production in self.grammar.productions:
-                target = first[production.lhs]
+                target = self._first[production.lhs]
                 before = len(target)
-                nullable_so_far = True
-                for symbol in production.rhs:
-                    if symbol in self._nonterminals:
-                        target |= (first[symbol] - {None})
-                        if None not in first[symbol]:
-                            nullable_so_far = False
-                            break
-                    else:
-                        target.add(symbol)
-                        nullable_so_far = False
-                        break
-                if nullable_so_far:
-                    target.add(None)
-                if len(target) != before:
+                target |= self._first_of(production.rhs)
+                changed |= len(target) != before
+                if production.lhs not in productive and all(
+                        symbol in productive
+                        or symbol not in self._nonterminals
+                        for symbol in production.rhs):
+                    productive.add(production.lhs)
                     changed = True
-        return first
+        dead = self._nonterminals - productive
+        if dead:
+            raise GrammarError("nonterminals derive no terminal string: "
+                               + ", ".join(sorted(dead)))
 
-    def _first_of_sequence(self, symbols: Iterable[str],
-                           lookahead: str) -> set[str]:
-        out: set[str] = set()
+    def _first_of(self, symbols: Sequence[str]) -> set[str | None]:
+        """FIRST of a symbol string; ``None`` in it marks it nullable."""
+        out: set[str | None] = set()
         for symbol in symbols:
-            if symbol in self._nonterminals:
-                out |= {t for t in self._first[symbol] if t is not None}
-                if None not in self._first[symbol]:
-                    return out
-            else:
-                out.add(symbol)
-                return out
-        out.add(lookahead)
-        return out
-
-    # -- item sets ----------------------------------------------------------------
-
-    def _closure(self, items: frozenset[_Item]) -> frozenset[_Item]:
-        closure = set(items)
-        work = list(items)
-        while work:
-            prod_index, dot, lookahead = work.pop()
-            production = self._productions[prod_index]
-            if dot >= len(production.rhs):
-                continue
-            symbol = production.rhs[dot]
             if symbol not in self._nonterminals:
-                continue
-            rest = production.rhs[dot + 1:]
-            lookaheads = self._first_of_sequence(rest, lookahead)
-            for candidate in self._by_lhs.get(symbol, ()):
-                for la in lookaheads:
-                    item = (candidate.index, 0, la)
-                    if item not in closure:
-                        closure.add(item)
-                        work.append(item)
-        return frozenset(closure)
+                return out | {symbol}
+            out |= self._first[symbol] - {None}
+            if None not in self._first[symbol]:
+                return out
+        return out | {None}
 
-    def _goto_set(self, items: frozenset[_Item],
-                  symbol: str) -> frozenset[_Item]:
-        moved = {
-            (prod_index, dot + 1, la)
-            for prod_index, dot, la in items
-            if dot < len(self._productions[prod_index].rhs)
-            and self._productions[prod_index].rhs[dot] == symbol
-        }
-        return self._closure(frozenset(moved)) if moved else frozenset()
-
-    @staticmethod
-    def _core(items: frozenset[_Item]) -> frozenset[tuple[int, int]]:
-        return frozenset((p, d) for p, d, _ in items)
+    # -- LR(0) automaton with propagated lookaheads ---------------------------
 
     def _build(self) -> None:
-        start_set = self._closure(frozenset({(-1, 0, EOF)}))
-        # Canonical LR(1) states first.
-        states: list[frozenset[_Item]] = [start_set]
-        index_of: dict[frozenset[_Item], int] = {start_set: 0}
-        transitions: dict[tuple[int, str], int] = {}
-        work = [0]
-        while work:
-            state_no = work.pop()
-            items = states[state_no]
-            symbols = {
-                self._productions[p].rhs[d]
-                for p, d, _ in items
-                if d < len(self._productions[p].rhs)
-            }
-            for symbol in sorted(symbols):
-                target = self._goto_set(items, symbol)
-                if not target:
-                    continue
-                if target not in index_of:
-                    index_of[target] = len(states)
-                    states.append(target)
-                    work.append(index_of[target])
-                transitions[(state_no, symbol)] = index_of[target]
+        productions = self._productions
+        by_lhs = self._by_lhs
 
-        # Merge states with identical LR(0) cores (LALR).
-        core_index: dict[frozenset[tuple[int, int]], int] = {}
-        merged_items: list[set[_Item]] = []
-        old_to_new: dict[int, int] = {}
+        def closure(kernel: list[_Item]) -> list[_Item]:
+            items = list(kernel)
+            seen = set(kernel)
+            for prod_index, dot in items:  # grows while iterated
+                rhs = productions[prod_index].rhs
+                if dot < len(rhs) and rhs[dot] in by_lhs:
+                    for candidate in by_lhs[rhs[dot]]:
+                        item = (candidate.index, 0)
+                        if item not in seen:
+                            seen.add(item)
+                            items.append(item)
+            return items
+
+        # LR(0) states, kernel items first, numbered in discovery order.
+        states: list[list[_Item]] = [closure([(-1, 0)])]
+        state_of: dict[frozenset[_Item], int] = {frozenset({(-1, 0)}): 0}
+        transitions: list[dict[str, int]] = []
+        for items in states:  # grows while iterated
+            moves: dict[str, list[_Item]] = {}
+            for prod_index, dot in items:
+                rhs = productions[prod_index].rhs
+                if dot < len(rhs):
+                    moves.setdefault(rhs[dot], []).append(
+                        (prod_index, dot + 1))
+            edges: dict[str, int] = {}
+            for symbol in sorted(moves):
+                kernel = frozenset(moves[symbol])
+                if kernel not in state_of:
+                    state_of[kernel] = len(states)
+                    states.append(closure(sorted(kernel)))
+                edges[symbol] = state_of[kernel]
+            transitions.append(edges)
+
+        # One lookahead set per item.  A closure item (B, 0) gets FIRST of
+        # what follows B spontaneously, and its parent's set when that is
+        # nullable; an item passes its set on along its goto.
+        position = [{item: i for i, item in enumerate(items)}
+                    for items in states]
+        lookaheads: list[list[set[str]]] = [
+            [set() for _ in items] for items in states]
+        lookaheads[0][0].add(EOF)
+        propagate: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for state_no, items in enumerate(states):
-            core = self._core(items)
-            if core not in core_index:
-                core_index[core] = len(merged_items)
-                merged_items.append(set())
-            new_no = core_index[core]
-            merged_items[new_no] |= items
-            old_to_new[state_no] = new_no
-
-        merged_transitions: dict[tuple[int, str], int] = {}
-        for (state_no, symbol), target in transitions.items():
-            key = (old_to_new[state_no], symbol)
-            value = old_to_new[target]
-            existing = merged_transitions.get(key)
-            if existing is not None and existing != value:  # pragma: no cover
-                raise GrammarError("inconsistent LALR merge (grammar bug)")
-            merged_transitions[key] = value
+            for i, (prod_index, dot) in enumerate(items):
+                rhs = productions[prod_index].rhs
+                if dot == len(rhs):
+                    continue
+                symbol = rhs[dot]
+                target = transitions[state_no][symbol]
+                targets = [(target, position[target][(prod_index, dot + 1)])]
+                if symbol in by_lhs:
+                    first = self._first_of(rhs[dot + 1:])
+                    spontaneous = {t for t in first if t is not None}
+                    for candidate in by_lhs[symbol]:
+                        j = position[state_no][(candidate.index, 0)]
+                        lookaheads[state_no][j] |= spontaneous
+                        if None in first:
+                            targets.append((state_no, j))
+                propagate[(state_no, i)] = targets
+        work = [(s, i) for s, sets in enumerate(lookaheads)
+                for i, la in enumerate(sets) if la]
+        while work:
+            state_no, i = work.pop()
+            source = lookaheads[state_no][i]
+            for target, j in propagate.get((state_no, i), ()):
+                dest = lookaheads[target][j]
+                if not source <= dest:
+                    dest |= source
+                    work.append((target, j))
 
         # Fill ACTION/GOTO.
-        self.action = [dict() for _ in merged_items]
-        self.goto = [dict() for _ in merged_items]
-        for (state_no, symbol), target in merged_transitions.items():
-            if symbol in self._nonterminals:
-                self.goto[state_no][symbol] = target
-            else:
-                self.action[state_no][symbol] = ("shift", target)
-        for state_no, items in enumerate(merged_items):
-            for prod_index, dot, lookahead in items:
-                production = self._productions[prod_index]
-                if dot != len(production.rhs):
+        self.action = [dict() for _ in states]
+        self.goto = [dict() for _ in states]
+        for state_no, edges in enumerate(transitions):
+            for symbol, target in edges.items():
+                if symbol in self._nonterminals:
+                    self.goto[state_no][symbol] = target
+                else:
+                    self.action[state_no][symbol] = ("shift", target)
+        for state_no, items in enumerate(states):
+            for (prod_index, dot), las in zip(items, lookaheads[state_no]):
+                if dot != len(productions[prod_index].rhs):
                     continue
                 if prod_index == -1:
                     self._set_action(state_no, EOF, ("accept", 0))
                     continue
-                self._set_action(state_no, lookahead, ("reduce", prod_index))
+                for lookahead in sorted(las):
+                    self._set_action(state_no, lookahead,
+                                     ("reduce", prod_index))
 
     def _set_action(self, state_no: int, terminal: str,
                     action: tuple[str, int]) -> None:

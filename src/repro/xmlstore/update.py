@@ -23,6 +23,7 @@ from repro.rdb.tablespace import Rid
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
+from repro.xdm.parser import MAX_DEPTH
 from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
 from repro.xmlstore.traversal import walk
@@ -148,7 +149,10 @@ class XmlUpdater:
 
         ``events`` is an undecorated fragment stream (one top-level node).
         Position: before/after a given sibling ID, or appended at the end.
-        Returns the new node's absolute ID.
+        Returns the new node's absolute ID.  Raises :class:`XmlError`
+        before anything is spliced if an element would land deeper than
+        the parser's ``MAX_DEPTH``: the stored document must stay
+        parseable.
         """
         if before is not None and after is not None:
             raise XmlError("give at most one of before/after")
@@ -215,6 +219,7 @@ class XmlUpdater:
 def _encode_fragment(events: Iterable[SaxEvent], root_id: bytes,
                      parent_id: bytes, names: NameTable) -> bytes:
     """Encode a fragment event stream as the one entry rooted at ``root_id``."""
+    max_stack = MAX_DEPTH - nodeid.depth(parent_id) + 1
     # Open elements, innermost last, each [rel_id, name_id, encoded
     # children, next child ordinal]; the first frame is the fragment's
     # parent, whose children are the fragment's top-level nodes.
@@ -236,6 +241,9 @@ def _encode_fragment(events: Iterable[SaxEvent], root_id: bytes,
             rel = nodeid.relative_from_ordinal(frame[3])
         frame[3] += 1
         if kind is EventKind.ELEM_START:
+            if len(stack) >= max_stack:
+                raise XmlError(f"insert would nest elements deeper than "
+                               f"{MAX_DEPTH} levels")
             name_id = names.intern_name(event.local, event.uri)
             stack.append([rel, name_id, [], 1])
         elif kind is EventKind.ATTR:

@@ -115,3 +115,17 @@ class TestGrammarFeatures:
         assert EOF == "$end"
         with pytest.raises(ParseError):
             parser.parse([Token("num", 1), Token("num", 2)])
+
+    @pytest.mark.parametrize("rules,dead", [
+        # every S-rule needs an S, so neither S nor A derives a string
+        ([("S", "S S a"), ("S", "A S S"), ("A", "S"), ("A", "S S")], "A, S"),
+        # only D is dead; S still derives "a"
+        ([("S", "a"), ("S", "b D"), ("D", "D c")], "D"),
+    ])
+    def test_unproductive_grammar_rejected(self, rules, dead):
+        g = Grammar("S")
+        for lhs, rhs in rules:
+            g.rule(lhs, rhs.split())
+        with pytest.raises(GrammarError,
+                           match=f"derive no terminal string: {dead}$"):
+            build_parser(g)

@@ -15,6 +15,7 @@ from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
 from repro.query.plan import AccessMethod
 from repro.rdb.locks import LockMode
+from repro.rdb.txn import TxnState
 from repro.serve import DatabaseServer
 
 DOC = "<Product><Name>widget {i}</Name><Price>{i}</Price></Product>"
@@ -335,6 +336,41 @@ class TestThreadSafetyRegressions:
         assert db.stats.get("serve.sessions_opened") == \
             db.stats.get("serve.sessions_closed")
         assert server.state == "closed"
+
+    def test_close_waits_for_the_latch_before_rolling_back(self):
+        # Session close rolls back under db.latch: while a worker runs
+        # another session's engine work, the closing client must block,
+        # and the transaction it abandons must stay ACTIVE until the
+        # latch is free.
+        db = make_db()
+        with DatabaseServer(db) as server:
+            a = server.session()
+            a.begin()
+            a.execute(lambda db, txn: db.insert(
+                "docs", ("a", DOC.format(i=1)), txn_id=txn.txn_id))
+            txn = a.txn
+            started, release = threading.Event(), threading.Event()
+
+            def hold_latch(db):
+                started.set()
+                release.wait(10)
+
+            request = server.submit(server.session(), hold_latch, "hold",
+                                    None)
+            assert started.wait(10)
+            closer = threading.Thread(target=a.close)
+            closer.start()
+            closer.join(0.3)
+            try:
+                assert closer.is_alive(), "close() returned under the latch"
+                assert txn.state is TxnState.ACTIVE
+            finally:
+                release.set()
+                request.wait()
+                closer.join(10)
+            assert not closer.is_alive()
+            assert txn.state is TxnState.ABORTED
+        assert db.tables["docs"].row_count == 0
 
     def test_static_inference_names_the_state_lock(self):
         # The guard ThreadAnalysis infers for each of the server's shared

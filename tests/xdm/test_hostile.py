@@ -16,12 +16,13 @@ import pytest
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
-from repro.errors import ReproError, XmlParseError
+from repro.errors import ReproError, XmlError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.rdb.locks import LockMode
 from repro.serve import DatabaseServer
-from repro.xdm.events import EventKind
+from repro.xdm.events import EventKind, build_tree
 from repro.xdm.parser import MAX_DEPTH, parse
+from repro.xdm.serializer import serialize
 
 SMALL = ('<?xml version="1.0"?><!--c--><p:a xmlns:p="urn:p" i="&amp;">'
          '<?t d?><p:b>x&lt;y</p:b><![CDATA[<&]]></p:a>')
@@ -152,6 +153,23 @@ class TestDepthBoundary:
     def nested(depth, leaf="leaf"):
         return "<a>" * depth + leaf + "</a>" * depth
 
+    def stored(self, depth, record_limit):
+        """A database holding ``nested(depth)``, its updater and the
+        document's element IDs, outermost first."""
+        db = Database(replace(DEFAULT_CONFIG, checkpoint_interval=0,
+                              record_size_limit=record_limit))
+        db.create_table("docs", [("key", "varchar"), ("doc", "xml")])
+        db.insert("docs", ("deep", self.nested(depth)))
+        updater = db.updater("docs", "doc")
+        elements = [e.node_id for e in updater.store.document(1).events()
+                    if e.kind is EventKind.ELEM_START]
+        return db, updater, elements
+
+    @staticmethod
+    def fragment(text):
+        return [e for e in parse(text).events()
+                if e.kind not in (EventKind.DOC_START, EventKind.DOC_END)]
+
     @pytest.mark.parametrize("record_limit", [64, 4000])
     def test_deepest_document_round_trips(self, record_limit):
         db = Database(replace(DEFAULT_CONFIG, checkpoint_interval=0,
@@ -183,16 +201,43 @@ class TestDepthBoundary:
         updater.replace_text(1, leaf, "new leaf")
         assert db.get_document("docs", "doc", 1) == \
             self.nested(MAX_DEPTH, "new leaf")
-        fragment = [e for e in parse("<b>under</b>").events()
-                    if e.kind not in (EventKind.DOC_START, EventKind.DOC_END)]
-        updater.insert_subtree(1, elements[-1], fragment)
-        assert db.get_document("docs", "doc", 1) == \
-            self.nested(MAX_DEPTH, "new leaf<b>under</b>")
+        # <b> lands at exactly MAX_DEPTH: beside the deepest <a>.
+        updater.insert_subtree(1, elements[-2], self.fragment("<b>under</b>"))
+        deepest = "<a>" * (MAX_DEPTH - 1) + "<a>new leaf</a><b>under</b>" \
+            + "</a>" * (MAX_DEPTH - 1)
+        assert db.get_document("docs", "doc", 1) == deepest
         half = MAX_DEPTH // 2
         updater.delete_node(1, elements[half])
         assert db.get_document("docs", "doc", 1) == \
             "<a>" * (half - 1) + "<a/>" + "</a>" * (half - 1)
         assert len(db.xpath("docs", "doc", "//a")) == half
+
+    @pytest.mark.parametrize("record_limit", [64, 4000])
+    def test_insert_at_the_limit_round_trips(self, record_limit):
+        db, updater, elements = self.stored(MAX_DEPTH - 2, record_limit)
+        # <c> lands at exactly MAX_DEPTH, two levels into the fragment.
+        updater.insert_subtree(1, elements[-1],
+                               self.fragment('<b x="1"><c>t</c></b>'))
+        text = db.get_document("docs", "doc", 1)
+        assert text == "<a>" * (MAX_DEPTH - 2) + 'leaf<b x="1"><c>t</c></b>' \
+            + "</a>" * (MAX_DEPTH - 2)
+        assert serialize(build_tree(parse(text))) == text
+
+    @pytest.mark.parametrize("record_limit", [64, 4000])
+    @pytest.mark.parametrize("fragment,level", [
+        ("<b>under</b>", 1),           # under the deepest element
+        ("<b><c/></b>", 2),            # the fragment's own child is too deep
+    ])
+    def test_insert_one_level_deeper_is_refused(self, record_limit,
+                                                fragment, level):
+        db, updater, elements = self.stored(MAX_DEPTH, record_limit)
+        before = db.get_document("docs", "doc", 1)
+        entries = updater.store.node_index.entry_count
+        with pytest.raises(XmlError, match=f"deeper than {MAX_DEPTH}"):
+            updater.insert_subtree(1, elements[-level], self.fragment(fragment))
+        assert db.get_document("docs", "doc", 1) == before
+        assert updater.store.node_index.entry_count == entries
+        updater.store.node_index.tree.verify()
 
     def test_one_level_deeper_is_refused_at_the_pinned_column(self):
         db = make_db()
