@@ -4,12 +4,12 @@
 record, which fits existing infrastructure very well."  A record is
 self-contained: its header carries the context path (ancestor element names)
 and in-scope namespaces, so the index path can be evaluated against a single
-record.  The events come from the stored-document reader
-(:mod:`repro.xmlstore.traversal`): its walker run without a proxy resolver,
-so packed-out subtrees produce their keys when their own records are
-processed, inside its ancestor replay.  "A simplified version of our
-streaming XPath algorithm (QuickXScan) is used to evaluate the XPath on each
-record."
+record.  The stored-document reader's record driver
+(:meth:`repro.xmlstore.traversal.RecordScan.of_record`) feeds it to one
+scanner per index definition, without a proxy resolver, so packed-out
+subtrees produce their keys when their own records are processed.  "A
+simplified version of our streaming XPath algorithm (QuickXScan) is used to
+evaluate the XPath on each record."
 
 Known simplification (documented in DESIGN.md): a matched element whose text
 was split into a packed-out record contributes only the text present in its
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.stats import StatsRegistry
-from repro.xdm.events import SaxEvent
+from repro.core.stats import StatsRegistry, default_stats
+from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
 from repro.xmlstore import format as fmt
-from repro.xmlstore.traversal import in_context_events, walk
-from repro.xpath.qtree import QueryTree, compile_query
+from repro.xmlstore.traversal import RecordScan, walk
+from repro.xpath.qtree import compile_query
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
 
@@ -35,15 +35,22 @@ from repro.indexes.definition import XPathIndexDefinition
 
 def record_local_events(record: bytes, names: NameTable
                         ) -> Iterator[SaxEvent]:
-    """Virtual SAX events for one record only (ancestors and the context
-    node's in-scope namespaces replayed from the header, proxies skipped)."""
+    """Virtual SAX events for one record only, as :func:`generate_keys`
+    scans it: the header's ancestors (synthetic, without node IDs) and
+    in-scope namespaces around the body, proxies skipped."""
     header, body_start = fmt.decode_header(record)
     ancestors = [names.name(name_id) for name_id in header.context_path]
-    namespaces = [(prefix, uri) for prefix, uri_id in header.namespaces
-                  if (uri := names.uri(uri_id))]
-    yield from in_context_events(ancestors, walk(
-        record, body_start, len(record), header.context_id, names),
-        namespaces)
+    yield SaxEvent(EventKind.DOC_START)
+    for local, uri in ancestors:
+        yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
+    for prefix, uri_id in header.namespaces:
+        if uri := names.uri(uri_id):
+            yield SaxEvent(EventKind.NS, local=prefix, value=uri)
+    yield from walk(record, body_start, len(record), header.context_id,
+                    names)
+    for local, uri in reversed(ancestors):
+        yield SaxEvent(EventKind.ELEM_END, local=local, uri=uri)
+    yield SaxEvent(EventKind.DOC_END)
 
 
 def generate_keys(definition: XPathIndexDefinition, record: bytes,
@@ -55,9 +62,8 @@ def generate_keys(definition: XPathIndexDefinition, record: bytes,
     (the extended-index property the index manager must support, §3.3).
     Nodes whose value does not convert to the key type are skipped.
     """
-    query = _query_for(definition)
-    items = QuickXScan(query, stats=stats).run(
-        record_local_events(record, names))
+    items = _scanner_for(definition, stats).run(
+        RecordScan.of_record(record, names))
     out = []
     for item in items:
         if item.node_id is None:
@@ -68,10 +74,14 @@ def generate_keys(definition: XPathIndexDefinition, record: bytes,
     return out
 
 
-def _query_for(definition: XPathIndexDefinition) -> QueryTree:
-    # Compile once per definition and cache on the definition itself.
-    query = getattr(definition, "_compiled_query", None)
-    if query is None:
-        query = compile_query(definition.path, collect_result_values=True)
-        definition._compiled_query = query  # type: ignore[attr-defined]
-    return query
+def _scanner_for(definition: XPathIndexDefinition,
+                 stats: StatsRegistry | None) -> QuickXScan:
+    # One scanner per definition; another registry gets one on the same tree.
+    stats = default_stats(stats)
+    scanner = getattr(definition, "_scanner", None)
+    if scanner is None or scanner.stats is not stats:
+        query = compile_query(definition.path, collect_result_values=True) \
+            if scanner is None else scanner.query
+        scanner = QuickXScan(query, stats=stats)
+        definition._scanner = scanner  # type: ignore[attr-defined]
+    return scanner

@@ -60,8 +60,8 @@ class Executor:
             for docid in self.store.docids():
                 docs += 1
                 self.stats.add("exec.docs_evaluated")
-                events = self.store.document(docid).events()
-                for item in scan.run(events):
+                source = self.store.document(docid).source()
+                for item in scan.run(source):
                     out.append(QueryMatch(docid, item))
             if span is not None:
                 span.set("docs", docs)
@@ -100,8 +100,7 @@ class Executor:
             candidates = self._docid_candidates(plan)
             for docid in candidates:
                 self.stats.add("exec.docs_evaluated")
-                events = self.store.document(docid).events()
-                items = scan.run(events)
+                items = scan.run(self.store.document(docid).source())
                 if not items and plan.exact:
                     self.stats.add("exec.exactness_misses")
                 for item in items:
@@ -172,11 +171,10 @@ class Executor:
         try:
             # One descent: the ancestors replayed from record-header context
             # around the anchor's subtree, which opens with its own element.
-            events = self.store.document(docid).node_events(
-                anchor, in_context=True)
+            source = self.store.document(docid).source(anchor)
         except (XmlError, StorageError):
             return []  # anchor does not exist (stale/foreign hit)
-        items = scan.run(events)
+        items = scan.run(source)
         # Keep only the anchor's own match: nested matches inside the
         # subtree are separate candidates (verified via their own index
         # hits), so counting them here would duplicate results.

@@ -735,25 +735,25 @@ class SqlSession:
             return value.serialize()
         return value
 
-    def _xml_column_events(self, table: str, column: str, row: dict):
+    def _xml_column_source(self, table: str, column: str, row: dict):
         docid = _column(row, column)
         store = self.db.xml_stores.get((table, column))
         if store is None or docid is None:
             return None
-        return store.document(docid).events()
+        return store.document(docid).source()
 
-    def _xscan(self, xpath: str, events) -> list:
+    def _xscan(self, xpath: str, source) -> list:
         """The items ``xpath`` matches in one row's document.
 
         The path comes from the engine's query cache, so a statement
         compiles it once, not once per row.
         """
         return QuickXScan(self.db.compile_xpath(xpath)[1],
-                          stats=self.stats).run(events)
+                          stats=self.stats).run(source)
 
     def _xmlquery(self, expression: XmlQuery, table: str,
                   row: dict) -> str | None:
-        document = self._xml_column_events(table, expression.column, row)
+        document = self._xml_column_source(table, expression.column, row)
         if document is None:
             return None
         items = self._xscan(expression.xpath, document)
@@ -778,7 +778,7 @@ class SqlSession:
         if isinstance(condition, NotOp):
             return not self._truth(condition.operand, table, row)
         if isinstance(condition, XmlExists):
-            document = self._xml_column_events(table, condition.column,
+            document = self._xml_column_source(table, condition.column,
                                                row)
             if document is None:
                 return False

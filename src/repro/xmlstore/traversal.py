@@ -6,28 +6,27 @@ key.  The root record can be identified.  The XMLData is then traversed.  If
 a proxy node is encountered, its node ID is used to search the NodeID index
 ... Stacking has to be used during traversal."
 
-:func:`walk` is that algorithm: an explicit stack (no recursion) over record
-spans yielding virtual SAX events (Fig. 8's "persistent data" iterator).
-Proxies are resolved through a callback (the NodeID index, for
+That algorithm runs here as an explicit stack (no recursion) over record
+spans, with proxies resolved through a callback (the NodeID index, for
 :class:`StoredDocument`) or skipped when there is none — the per-record
-evaluation index key generation runs (§3.2-§3.3), whose ancestors
-:func:`in_context_events` replays from the record header.  Within a record,
-element entries carry their subtree length, so locating a node by ID
-(:meth:`StoredDocument.find_node`) skips every subtree that cannot contain
-it in O(1).
+evaluation index key generation runs (§3.2-§3.3), whose ancestors are
+replayed from the record header.  It has two drivers over one entry layout:
 
-The walk uses the same subtree lengths for a *skip hint*: a consumer that
-sends ``True`` right after an element start gets that element's end next,
-and nothing inside it — packed-out records included — is decoded or read.
-QuickXScan sends it when no live query node can match inside the element.
-The hint passes through ``yield from`` (:meth:`StoredDocument.events`,
-:meth:`StoredDocument.node_events`, :func:`in_context_events`); a consumer
-that never sends sees every event, as before.
+* :func:`walk` yields virtual SAX events (Fig. 8's "persistent data"
+  iterator); its skip hint (``send(True)`` right after an element start)
+  steps over that element's subtree, for the update path's child listing.
+* :class:`RecordScan` feeds QuickXScan's match handlers directly, with no
+  generator or event object per node, and steps over every subtree the
+  matcher says cannot match — its packed-out records are never read.
+
+Element entries carry their subtree length, so locating a node by ID
+(:meth:`StoredDocument.find_node`) and both skips cost O(1) per subtree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
+from typing import (TYPE_CHECKING, Callable, Generator, Iterator, NamedTuple,
+                    Sequence)
 
 from repro.errors import DocumentNotFoundError, PackingError
 from repro.rdb import codec
@@ -143,25 +142,129 @@ def walk(record: bytes, start: int, end: int, parent_abs: bytes,
                            value=entry.text, node_id=abs_id)
 
 
-def in_context_events(ancestors: list[tuple[str, str]],
-                      body: Iterable[SaxEvent],
-                      namespaces: Iterable[tuple[str, str]] = ()
-                      ) -> Iterator[SaxEvent]:
-    """``body`` as a document: under synthetic starts and ends of the
-    ``(local, uri)`` ancestors, root first, with the ``(prefix, uri)``
-    in-scope namespaces declared on the innermost one.  The synthetic
-    events carry no node IDs (§3.1's self-containment property).  A skip
-    hint sent while ``body`` is yielding reaches it, so ``body`` is a
-    generator (a :func:`walk`); one sent at a synthetic start is ignored."""
-    yield SaxEvent(EventKind.DOC_START)
-    for local, uri in ancestors:
-        yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
-    for prefix, uri in namespaces:
-        yield SaxEvent(EventKind.NS, local=prefix, value=uri)
-    yield from body
-    for local, uri in reversed(ancestors):
-        yield SaxEvent(EventKind.ELEM_END, local=local, uri=uri)
-    yield SaxEvent(EventKind.DOC_END)
+class RecordScan(NamedTuple):
+    """A stored span as a QuickXScan source: the packed-record driver.
+
+    :meth:`drive` feeds a :class:`repro.xpath.quickxscan.ScanRun` a document
+    start (node ID ``doc_id``), synthetic starts for the ``ancestors`` (name
+    ids, root first; never skipped), a tick per in-scope namespace, the
+    entries of ``record[start:end]`` and the ancestors' ends.  It builds a
+    node ID only for a node it descends into or the scan may match, and
+    decodes text only when the scan can use it."""
+
+    names: NameTable
+    record: bytes
+    start: int
+    end: int
+    parent: bytes
+    resolve: Callable[[bytes], bytes] | None = None
+    doc_id: bytes | None = None
+    ancestors: Sequence[int] = ()
+    namespaces: int = 0
+
+    @classmethod
+    def of_record(cls, record: bytes, names: NameTable) -> "RecordScan":
+        """One record alone, as index key generation evaluates it: the
+        header's ancestors and namespaces, proxies skipped."""
+        header, body_start = fmt.decode_header(record)
+        namespaces = sum(1 for _, uri_id in header.namespaces
+                         if names.uri(uri_id))
+        return cls(names, record, body_start, len(record), header.context_id,
+                   ancestors=header.context_path, namespaces=namespaces)
+
+    def drive(self, run) -> None:
+        by_id = run.name_ids(self.names)
+        elem_start, elem_end, text, attr, tick = \
+            run.elem_start, run.elem_end, run.text, run.attr, run.tick
+        collectors, text_test = run.collectors, run.text_test
+        read_uvarint = codec.read_uvarint
+        resolve = self.resolve
+        run.doc_start(self.doc_id)
+        for name_id in self.ancestors:
+            local, candidates, _ = by_id[name_id]
+            elem_start(local, candidates, None)
+        for _ in range(self.namespaces):
+            tick()
+        # Suspended spans, innermost last: (buf, resume_pos, end,
+        # parent_abs, closes) where ``closes`` is False for a proxy's record.
+        stack: list[tuple] = []
+        buf, pos, end, parent = self.record, self.start, self.end, self.parent
+        while True:
+            if pos >= end:
+                if not stack:
+                    break
+                buf, pos, end, parent, closes = stack.pop()
+                if closes:
+                    elem_end()
+                continue
+            kind = buf[pos]
+            if kind == _ELEMENT or kind == _TEXT or kind == _ATTRIBUTE:
+                size = buf[pos + 1]
+                pos += 2
+                if size > 0x7F:
+                    size, pos = read_uvarint(buf, pos - 1)
+                rel = pos
+                pos += size
+                rel_end = pos
+                if kind != _TEXT:
+                    name_id = buf[pos]
+                    pos += 1
+                    if name_id > 0x7F:
+                        name_id, pos = read_uvarint(buf, pos - 1)
+                    local, candidates, attr_candidates = by_id[name_id]
+                if kind == _ELEMENT:
+                    if buf[pos] > 0x7F:  # nested entry count: not needed
+                        _count, pos = read_uvarint(buf, pos)
+                    else:
+                        pos += 1
+                    size = buf[pos]
+                    pos += 1
+                    if size > 0x7F:
+                        size, pos = read_uvarint(buf, pos - 1)
+                    node_id = parent + buf[rel:rel_end] if candidates \
+                        else None
+                    if elem_start(local, candidates, node_id):
+                        pos += size  # skipped: the subtree is never decoded
+                        elem_end()
+                        continue
+                    stack.append((buf, pos + size, end, parent, True))
+                    end = pos + size
+                    parent = node_id or parent + buf[rel:rel_end]
+                    continue
+                size = buf[pos]
+                pos += 1
+                if size > 0x7F:
+                    size, pos = read_uvarint(buf, pos - 1)
+                if kind == _ATTRIBUTE:
+                    if attr_candidates:
+                        attr(local, attr_candidates,
+                             str(buf[pos:pos + size], "utf-8"),
+                             parent + buf[rel:rel_end])
+                    else:
+                        tick()
+                elif text_test or collectors:
+                    text(str(buf[pos:pos + size], "utf-8"),
+                         parent + buf[rel:rel_end] if text_test else None)
+                else:
+                    tick()
+                pos += size
+                continue
+            entry = fmt.parse_entry(buf, pos)
+            pos = entry.next_pos
+            if kind == _PROXY:
+                if resolve is not None:
+                    stack.append((buf, pos, end, parent, False))
+                    buf = resolve(entry.rel_id)
+                    header, pos = fmt.decode_header(buf)
+                    end, parent = len(buf), header.context_id
+            elif kind == fmt.EntryKind.COMMENT:
+                run.comment(entry.text, parent + entry.rel_id)
+            elif kind == fmt.EntryKind.PI:
+                run.pi(entry.target, entry.text, parent + entry.rel_id)
+            else:  # a namespace declaration: parse_entry rejects the rest
+                tick()
+        for _ in self.ancestors:
+            elem_end()
 
 
 class StoredDocument:
@@ -170,6 +273,20 @@ class StoredDocument:
     def __init__(self, store: "XmlStore", docid: int) -> None:
         self.store = store
         self.docid = docid
+
+    def source(self, node_id: bytes | None = None) -> RecordScan:
+        """The whole document, or the subtree at ``node_id`` under its
+        replayed ancestors (what a NodeID-list plan re-evaluates, §3.1), as a
+        QuickXScan source; the probe or descent is made now."""
+        names, resolve = self.store.names, self._resolve_proxy
+        if node_id is None:
+            record = self._read(nodeid.ROOT_ID)
+            header, body_start = fmt.decode_header(record)
+            return RecordScan(names, record, body_start, len(record),
+                              header.context_id, resolve, nodeid.ROOT_ID)
+        record, pos, entry, parent, ancestors, _ = self._descend(node_id)
+        return RecordScan(names, record, pos, entry.next_pos, parent, resolve,
+                          ancestors=ancestors)
 
     def events(self) -> Iterator[SaxEvent]:
         """Document-order virtual SAX events for the whole document."""
@@ -180,20 +297,13 @@ class StoredDocument:
                         self.store.names, self._resolve_proxy)
         yield SaxEvent(EventKind.DOC_END)
 
-    def node_events(self, node_id: bytes, in_context: bool = False
-                    ) -> Iterator[SaxEvent]:
+    def node_events(self, node_id: bytes) -> Iterator[SaxEvent]:
         """Events for the subtree rooted at ``node_id``, from one descent
         (one NodeID-index probe) made now: a missing node raises here, not
-        at the first event.
-
-        With ``in_context`` the subtree comes as a document under its
-        replayed ancestors (:func:`in_context_events`), the self-contained
-        context a NodeID-list plan re-evaluates its query over (§3.1).
-        """
-        record, pos, entry, parent, ancestors, _ = self._descend(node_id)
-        events = walk(record, pos, entry.next_pos, parent, self.store.names,
-                      self._resolve_proxy)
-        return in_context_events(ancestors, events) if in_context else events
+        at the first event."""
+        record, pos, entry, parent, _, _ = self._descend(node_id)
+        return walk(record, pos, entry.next_pos, parent, self.store.names,
+                    self._resolve_proxy)
 
     def find_node(self, node_id: bytes
                   ) -> tuple[bytes, fmt.Entry, bytes]:
@@ -208,7 +318,8 @@ class StoredDocument:
         out-of-record ancestors (the self-containment property, §3.1), and the
         descent collects the in-record ones.
         """
-        return self._descend(node_id)[4]
+        return [self.store.names.name(name_id)
+                for name_id in self._descend(node_id)[4]]
 
     def node_string_value(self, node_id: bytes) -> str:
         """XDM string value of the node with ``node_id``."""
@@ -248,22 +359,21 @@ class StoredDocument:
         return self.store.read_record(rid)
 
     def _descend(self, node_id: bytes, rid: Rid | None = None
-                 ) -> tuple[bytes, int, fmt.Entry, bytes,
-                            list[tuple[str, str]], list[int]]:
+                 ) -> tuple[bytes, int, fmt.Entry, bytes, list[int],
+                            list[int]]:
         """Find ``node_id`` in its record by a subtree-skipping descent.
 
         Returns ``(record, entry_pos, entry, parent_abs_id, ancestors,
-        enclosing)``: the ancestors' ``(local, uri)`` names root first, and
+        enclosing)``: the ancestors' name ids root first, and
         the positions of the in-record ancestor element entries, outermost
         first (the headers a splice at ``entry_pos`` rewrites).  ``rid`` is
         the record's RID when the caller has already probed for it.
         """
-        names = self.store.names
         record = self._read(node_id) if rid is None \
             else self.store.read_record(rid)
         header, pos = fmt.decode_header(record)
         end, parent = len(record), header.context_id
-        ancestors = [names.name(name_id) for name_id in header.context_path]
+        ancestors = list(header.context_path)
         enclosing: list[int] = []
         while pos < end:
             entry = fmt.parse_entry(record, pos)
@@ -273,7 +383,7 @@ class StoredDocument:
                     return record, pos, entry, parent, ancestors, enclosing
                 if entry.kind == fmt.EntryKind.ELEMENT and \
                         nodeid.is_ancestor(abs_id, node_id):
-                    ancestors.append(names.name(entry.name_id))
+                    ancestors.append(entry.name_id)
                     enclosing.append(pos)
                     pos, end, parent = (entry.content_start,
                                         entry.content_end, abs_id)

@@ -9,17 +9,21 @@ their anchor query node.
 Compilation also decides, per query node, whether matching instances must
 collect their XDM string value (``need_value``) — only comparison/atomizing
 contexts require it; pure existence tests (``[b]``, ``count(b)``) do not, a
-big memory saver for the streaming evaluator.
+big memory saver for the streaming evaluator.  Predicates compile to
+closures over a matching instance, once per query tree.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.errors import XPathUnsupportedError
 from repro.lang import ast
 from repro.xpath import functions
+from repro.xpath.values import (XValue, arithmetic, dedup, effective_boolean,
+                                general_compare, to_number)
 
 
 class EdgeType(enum.Enum):
@@ -41,47 +45,12 @@ class Target(enum.Enum):
     ANY = "any"
 
 
-# -- compiled predicate expressions -----------------------------------------
+#: A compiled predicate expression: its value for an anchor matching
+#: instance, which offers ``seq`` (collected sequences by branch qid) and
+#: ``item()`` (itself, with its string value when collected).
+Predicate = Callable[[Any], XValue]
 
-class PExpr:
-    """Base class of compiled predicate expressions."""
-
-
-@dataclass
-class PBinary(PExpr):
-    op: str
-    left: PExpr
-    right: PExpr
-
-
-@dataclass
-class PUnary(PExpr):
-    op: str
-    operand: PExpr
-
-
-@dataclass
-class PLiteral(PExpr):
-    value: object
-
-
-@dataclass
-class PFunction(PExpr):
-    name: str
-    args: list[PExpr]
-
-
-@dataclass
-class PPathRef(PExpr):
-    """A relative path inside a predicate: resolves to the anchor instance's
-    collected sequence for the branch query node."""
-
-    branch: "QNode"
-
-
-@dataclass
-class PSelfRef(PExpr):
-    """``.`` inside a predicate: the anchor node itself."""
+_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 # -- query nodes ----------------------------------------------------------------
@@ -99,7 +68,7 @@ class QNode:
     #: The continuation of this node's own path (result direction for the
     #: main path; deeper steps for predicate branches).  None for leaves.
     path_child: "QNode | None" = None
-    predicates: list[PExpr] = field(default_factory=list)
+    predicates: list[Predicate] = field(default_factory=list)
     need_value: bool = False
 
     def label(self) -> str:
@@ -203,48 +172,54 @@ class _Compiler:
             current.need_value = True
         return current
 
-    def compile_predicate(self, expr: ast.Expr, anchor: QNode) -> PExpr:
+    def compile_predicate(self, expr: ast.Expr, anchor: QNode) -> Predicate:
         return self._compile_expr(expr, anchor, value_needed=False)
 
     def _compile_expr(self, expr: ast.Expr, anchor: QNode,
-                      value_needed: bool) -> PExpr:
+                      value_needed: bool) -> Predicate:
         if isinstance(expr, ast.Literal):
-            if isinstance(expr.value, float):
-                return PLiteral(expr.value)
-            return PLiteral(expr.value)
+            value = expr.value
+            return lambda instance: value
         if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("and", "or"):
-                return PBinary(expr.op,
-                               self._compile_expr(expr.left, anchor, False),
-                               self._compile_expr(expr.right, anchor, False))
+            op = expr.op
             # Comparisons and arithmetic need operand values.
-            return PBinary(expr.op,
-                           self._compile_expr(expr.left, anchor, True),
-                           self._compile_expr(expr.right, anchor, True))
+            operands = op not in ("and", "or")
+            left = self._compile_expr(expr.left, anchor, operands)
+            right = self._compile_expr(expr.right, anchor, operands)
+            if op == "and":
+                return lambda instance: (effective_boolean(left(instance))
+                                         and effective_boolean(right(instance)))
+            if op == "or":
+                return lambda instance: (effective_boolean(left(instance))
+                                         or effective_boolean(right(instance)))
+            if op in _COMPARISONS:
+                return lambda instance: general_compare(op, left(instance),
+                                                        right(instance))
+            return lambda instance: arithmetic(op, left(instance),
+                                               right(instance))
         if isinstance(expr, ast.UnaryOp):
-            return PUnary(expr.op,
-                          self._compile_expr(expr.operand, anchor, True))
+            operand = self._compile_expr(expr.operand, anchor, True)
+            return lambda instance: -to_number(operand(instance))
         if isinstance(expr, ast.FunctionCall):
-            if not functions.is_supported(expr.name):
+            name = expr.name
+            if not functions.is_supported(name):
                 raise XPathUnsupportedError(
-                    f"function {expr.name}() is not supported")
-            args = [
-                self._compile_expr(
-                    arg, anchor,
-                    functions.value_needed(expr.name, index))
-                for index, arg in enumerate(expr.args)
-            ]
-            return PFunction(expr.name, args)
+                    f"function {name}() is not supported")
+            args = [self._compile_expr(arg, anchor,
+                                       functions.value_needed(name, index))
+                    for index, arg in enumerate(expr.args)]
+            return lambda instance: functions.call(
+                name, [arg(instance) for arg in args])
         if isinstance(expr, ast.LocationPath):
             if expr.absolute:
                 raise XPathUnsupportedError(
                     "absolute paths inside predicates are not supported")
             leaf = self.compile_path_steps(expr.steps, anchor,
                                            collect_values=False)
-            if leaf is None:
+            if leaf is None:  # ``.``: the anchor node itself
                 if value_needed:
                     anchor.need_value = True
-                return PSelfRef()
+                return lambda instance: [instance.item()]
             if value_needed:
                 leaf.need_value = True
             # The branch root is the first step's node under the anchor.
@@ -252,7 +227,9 @@ class _Compiler:
             while branch.parent is not anchor:
                 assert branch.parent is not None
                 branch = branch.parent
-            return PPathRef(branch)
+            # The anchor instance's collected sequence for the branch.
+            qid = branch.qid
+            return lambda instance: dedup(instance.seq.get(qid, []))
         raise XPathUnsupportedError(
             f"expression {expr!r} cannot be compiled")
 

@@ -27,29 +27,31 @@ duplicate-free propagation rules for predicates ([31]) are replaced by
 consumption-time de-duplication on document-order keys — same results, same
 streaming/state bounds, slightly more work at predicate evaluation.
 
-The evaluator consumes virtual SAX events, so it runs unchanged over parsed
-token streams, persistent records, and constructed data (Fig. 8).
+One matcher, two drivers (Fig. 8).  The match rules exist once, as the
+per-event handlers of one run (:class:`ScanRun`), fed by :meth:`QuickXScan.run`
+either from token streams, lists and constructed data (the SaxEvent driver)
+or from stored entries directly, names dispatched on their ids (the
+packed-record driver, :class:`repro.xmlstore.traversal.RecordScan`).
 
-Per event the work is kept small: an element or attribute start looks its
-candidate query nodes up by local name (wildcard and ``node()`` tests sit in
-every list), an element end finalizes only the instances its start pushed,
+Per event the work is kept small: a named event gets its candidate query
+nodes from a per-name list, an element end finalizes only the instances
+its start pushed, predicates are closures compiled with the query tree,
 and the ``xscan.*`` counters are charged once per run.
 
-Skipping subtrees.  When an element start leaves nothing for its subtree to
-match, the scan sends the source a skip hint (``send(True)``; see
-:func:`repro.xmlstore.traversal.walk`), and the stored-record walker steps
-over the subtree without decoding it (§3.4's subtree lengths).  All three
-must hold:
+Skipping subtrees.  The element-start handler reports when nothing in the
+element's subtree can match, and the record driver then steps over it
+without decoding it (§3.4's subtree lengths), packed-out records included.
+All three must hold:
 
 * the element pushed no matching instance, so no child step can extend it;
 * no value collector is live, so no ancestor needs the subtree's text;
 * no query node with a descendant edge has a live parent instance (a
   counter kept on push and pop), so no deeper step can match.
 
-Under those conditions the subtree's events would match nothing, so a
-source without ``send`` (a list, a token stream) or one that ignores the
-hint gives the identical result.  ``xscan.events`` counts the events the
-evaluator consumed: a skipped subtree's never reach it.
+Under those conditions the subtree's events would match nothing, so the
+SaxEvent driver, which feeds every event, gives the identical result.
+``xscan.events`` counts the events the matcher consumed: a skipped
+subtree's never reach it.
 """
 
 from __future__ import annotations
@@ -62,12 +64,9 @@ from repro.lang import ast
 from repro.lang.ast import LocationPath
 from repro.lang.parser import parse_xpath
 from repro.xdm.events import EventKind, SaxEvent
-from repro.xpath import functions
-from repro.xpath.qtree import (EdgeType, PBinary, PFunction, PLiteral,
-                               PPathRef, PSelfRef, PUnary, QNode, QueryTree,
-                               Target, compile_query)
-from repro.xpath.values import (Item, arithmetic, effective_boolean,
-                                general_compare, to_number)
+from repro.xpath.qtree import (EdgeType, QNode, QueryTree, Target,
+                               compile_query)
+from repro.xpath.values import Item, dedup, effective_boolean
 
 _DOC_START = EventKind.DOC_START
 _DOC_END = EventKind.DOC_END
@@ -102,63 +101,72 @@ class MatchInstance:
         #: Position in the run's live-collector list (swap-pop removal).
         self.cidx = -1
 
-    def item(self, value: str | None) -> Item:
+    def item(self) -> Item:
+        value = "".join(self.value_parts) \
+            if self.value_parts is not None else None
         return Item(self.order, self.node_id, self.kind, self.local, value)
 
 
-def _dedup(seq: list[Item]) -> list[Item]:
-    """Document-ordered, duplicate-free view of a sequence."""
-    seen: set[int] = set()
-    out: list[Item] = []
-    for item in sorted(seq, key=lambda item: item.order):
-        if item.order not in seen:
-            seen.add(item.order)
-            out.append(item)
-    return out
+def _name_matches(qnode: QNode, local: str, uri: str) -> bool:
+    test = qnode.test
+    return not isinstance(test, ast.NameTest) or test.matches(local, uri)
 
 
-#: Candidates for one event: ``(qnode, uri)`` pairs in qid order, ``uri``
-#: the namespace the node's test requires (None: any).
-_Candidates = list[tuple[QNode, "str | None"]]
-
-
-def _name_dispatch(qnodes: list[QNode]
-                   ) -> tuple[dict[str, _Candidates], _Candidates]:
-    """``local name -> candidates`` for named tests, plus the shared list of
-    wildcard and ``node()`` tests (also merged into every name's list).
-
-    Each list keeps qid order: a descendant-or-self child links to its
-    parent's instance pushed for the same node in the same event, so the
-    parent must be pushed first.
-    """
-    named: dict[str, _Candidates] = {}
-    wild: _Candidates = []
+def _by_local(qnodes: list[QNode]
+              ) -> tuple[dict[str, list[QNode]], list[QNode]]:
+    """Per local name a test names, the tests that name it or are wildcard
+    or ``node()`` tests (qid order); and those alone, for any other name."""
+    named: dict[str, list[QNode]] = {}
+    wild: list[QNode] = []
     for qnode in qnodes:
         test = qnode.test
-        if not isinstance(test, ast.NameTest):  # node(): any element
-            wild.append((qnode, None))
-            continue
-        # The uri half of ast.NameTest.matches, decided once.
-        if test.uri is None:
-            if test.prefix is not None:
-                continue  # unresolved prefix: matches nothing
-            uri = None if test.local == "*" else ""
+        if isinstance(test, ast.NameTest) and test.local != "*":
+            named.setdefault(test.local, []).append(qnode)
         else:
-            uri = None if test.uri == "*" else test.uri
-        if test.local == "*":
-            wild.append((qnode, uri))
-        else:
-            named.setdefault(test.local, []).append((qnode, uri))
-    return ({local: sorted(candidates + wild, key=lambda c: c[0].qid)
-             for local, candidates in named.items()}, wild)
+            wild.append(qnode)
+    return ({local: sorted(tests + wild, key=lambda q: q.qid)
+             for local, tests in named.items()}, wild)
+
+
+#: ``(element candidates, attribute candidates)`` for a name, in qid order:
+#: a descendant-or-self child links to its parent's instance pushed for the
+#: same node in the same event, so the parent must be pushed first.
+_Candidates = tuple[list[QNode], list[QNode]]
+
+
+class _NameIds(dict):
+    """``name id -> (local, element candidates, attribute candidates)`` for
+    one name table, filled on a miss (ids are append-only: never stale)."""
+
+    def __init__(self, scan: "QuickXScan", names) -> None:
+        self.scan, self.names = scan, names
+
+    def __missing__(self, name_id: int) -> tuple:
+        local, uri = self.names.name(name_id)
+        entry = self[name_id] = (local, *self.scan._candidates(local, uri))
+        return entry
+
+
+class ScanRun:
+    """One run's state, as the handlers a driver calls in document order.
+
+    ``elem_start`` returns True when nothing in the element's subtree can
+    match (the driver may then call ``elem_end()`` at once); its ``node_id``
+    may be None without candidates.  ``tick()`` may stand in for ``text``
+    without ``collectors`` or ``text_test``, and for candidate-less ``attr``.
+    """
+
+    __slots__ = ("name_ids", "collectors", "text_test", "doc_start",
+                 "elem_start", "elem_end", "text", "attr", "comment", "pi",
+                 "tick", "finish")
 
 
 class QuickXScan:
     """One-pass streaming evaluator for a compiled query tree.
 
-    Construction does the per-query set-up (name dispatch), so one scanner
-    serves every document of an execution; :meth:`run` keeps no state
-    between documents.
+    Construction does the per-query set-up (candidate lists), so one
+    scanner serves every document of an execution; :meth:`run` keeps no
+    state between documents.
     """
 
     def __init__(self, query: QueryTree,
@@ -166,12 +174,11 @@ class QuickXScan:
         self.query = query
         self.stats = default_stats(stats)
         # Pre-split query nodes by what they can match.
-        self._elements, self._any_element = _name_dispatch(
-            [q for q in query.nodes
-             if q.target in (Target.ELEMENT, Target.ANY)
-             and q.test is not None])
-        self._attributes, self._any_attribute = _name_dispatch(
-            [q for q in query.nodes if q.target is Target.ATTRIBUTE])
+        self._elements = _by_local([q for q in query.nodes
+                                    if q.target in (Target.ELEMENT, Target.ANY)
+                                    and q.test is not None])
+        self._attributes = _by_local([q for q in query.nodes
+                                      if q.target is Target.ATTRIBUTE])
         self._texts = [q for q in query.nodes
                        if q.target in (Target.TEXT, Target.ANY)
                        and q.test is not None]
@@ -185,24 +192,88 @@ class QuickXScan:
         #: By qid: does an instance of this node arm a descendant edge?
         self._arms = [any(child.edge is not EdgeType.CHILD
                           for child in q.children) for q in query.nodes]
+        self._by_qname: dict[tuple[str, str], _Candidates] = {}
+        self._by_table: dict[object, _NameIds] = {}
+
+    # -- name dispatch ---------------------------------------------------------
+
+    def _candidates(self, local: str, uri: str) -> _Candidates:
+        """The element and attribute query nodes a name can match."""
+        found = self._by_qname.get((local, uri))
+        if found is None:
+            (elements, any_element), (attributes, any_attribute) = \
+                self._elements, self._attributes
+            found = self._by_qname[(local, uri)] = (
+                [q for q in elements.get(local, any_element)
+                 if _name_matches(q, local, uri)],
+                [q for q in attributes.get(local, any_attribute)
+                 if _name_matches(q, local, uri)])
+        return found
+
+    def name_ids(self, names) -> _NameIds:
+        """The name-id dispatch for the name table ``names``: kept per
+        table, so two stores that number names differently never mix."""
+        found = self._by_table.get(names)
+        if found is None:
+            found = self._by_table[names] = _NameIds(self, names)
+        return found
 
     # -- public API ------------------------------------------------------------
 
-    def run(self, events: Iterable[SaxEvent]) -> list[Item]:
-        """Evaluate over one document's event stream; returns the result
-        sequence in document order."""
+    def run(self, source) -> list[Item]:
+        """Evaluate over one document; returns the result sequence in
+        document order.  ``source`` is an iterable of :class:`SaxEvent` or
+        a packed-record source with a ``drive(run)`` method."""
         with self.stats.trace("xscan.run", qnodes=self.query.size) as span:
-            result = self._run(events)
+            run = self._start()
+            drive = getattr(source, "drive", None)
+            if drive is not None:
+                drive(run)
+            else:
+                self._feed(run, source)
+            result = run.finish()
             if span is not None:
                 span.set("rows", len(result))
             return result
 
-    def _run(self, events: Iterable[SaxEvent]) -> list[Item]:
-        stacks: list[list[MatchInstance]] = [[] for _ in self.query.nodes]
+    def _feed(self, run: ScanRun, events: Iterable[SaxEvent]) -> None:
+        """The SaxEvent driver: every event to its handler, up to the
+        document end."""
+        candidates = self._candidates
+        elem_start, elem_end, text = run.elem_start, run.elem_end, run.text
+        for event in events:
+            kind = event.kind
+            if kind is _ELEM_START:
+                elem_start(event.local,
+                           candidates(event.local, event.uri)[0],
+                           event.node_id)
+            elif kind is _ELEM_END:
+                elem_end()
+            elif kind is _TEXT:
+                text(event.value, event.node_id)
+            elif kind is _ATTR:
+                run.attr(event.local, candidates(event.local, event.uri)[1],
+                         event.value, event.node_id)
+            elif kind is _DOC_START:
+                run.doc_start(event.node_id)
+            elif kind is _COMMENT:
+                run.comment(event.value, event.node_id)
+            elif kind is _PI:
+                run.pi(event.local, event.value, event.node_id)
+            elif kind is _DOC_END:
+                return
+            else:  # NS events carry no query-visible content here
+                run.tick()
+
+    def _start(self) -> ScanRun:
+        """A fresh run: its state, and the handlers over it."""
+        query = self.query
+        stacks: list[list[MatchInstance]] = [[] for _ in query.nodes]
         collectors: list[MatchInstance] = []
         #: Per open element, the instances its start pushed (None: none).
         opened: list[list[MatchInstance] | None] = []
         arms = self._arms
+        texts, comments, pis = self._texts, self._comments, self._pis
         armed = 0  # live instances with a descendant-edge child query node
         live_units = 0
         peak_units = 0
@@ -225,7 +296,8 @@ class QuickXScan:
                 armed += 1
             live_units += 1
             matchings += 1
-            peak_units = max(peak_units, live_units)
+            if live_units > peak_units:
+                peak_units = live_units
             return instance
 
         def parent_link(qnode: QNode, node_depth: int
@@ -252,7 +324,8 @@ class QuickXScan:
         def finalize(instance: MatchInstance) -> None:
             nonlocal live_units, armed
             live_units -= 1
-            if arms[instance.qnode.qid]:
+            qnode = instance.qnode
+            if arms[qnode.qid]:
                 armed -= 1
             if instance.cidx >= 0:
                 # O(1) removal: swap the last live collector into this
@@ -263,30 +336,31 @@ class QuickXScan:
                     collectors[instance.cidx] = last
                     last.cidx = instance.cidx
                 instance.cidx = -1
-            qnode = instance.qnode
             # Sideways propagation (transitivity, Table 1): collected
             # sequences of descendant-edge children flow to the enclosing
             # instance of the same query node.
             stack = stacks[qnode.qid]
-            enclosing = stack[-1] if stack else None
-            if enclosing is not None:
+            if stack and instance.seq:
+                enclosing = stack[-1]
                 for child in qnode.children:
                     if child.edge is EdgeType.CHILD:
                         continue
                     got = instance.seq.get(child.qid)
                     if got:
                         enclosing.seq.setdefault(child.qid, []).extend(got)
-            # Predicate filtering.
             for predicate in qnode.predicates:
-                if not effective_boolean(
-                        self._eval_pexpr(predicate, instance)):
+                if not effective_boolean(predicate(instance)):
                     return
             # Upward propagation of this instance's contribution.
             if instance.link is None:
                 return
-            contribution = self._contribution(instance)
+            if qnode.path_child is None:
+                contribution = [instance.item()]
+            else:
+                contribution = instance.seq.get(qnode.path_child.qid)
             if contribution:
-                instance.link.seq.setdefault(qnode.qid, []).extend(contribution)
+                instance.link.seq.setdefault(qnode.qid, []).extend(
+                    contribution)
 
         def finalize_leaf(qnode: QNode, node_id: bytes | None, kind: str,
                           local: str, value: str,
@@ -305,164 +379,127 @@ class QuickXScan:
                                       local, link)
                 probe.value_parts = [value]
                 for predicate in qnode.predicates:
-                    if not effective_boolean(
-                            self._eval_pexpr(predicate, probe)):
+                    if not effective_boolean(predicate(probe)):
                         return
             link.seq.setdefault(qnode.qid, []).append(
                 Item(order, node_id, kind, local, value))
 
-        elements, any_element = self._elements, self._any_element
-        attributes, any_attribute = self._attributes, self._any_attribute
-        source = iter(events)
-        advance = source.__next__
-        # Only a generator can take the skip hint; one that ignores it
-        # yields the subtree anyway, which then matches nothing.
-        send = getattr(source, "send", None)
-        skip = False
-        while True:
-            try:
-                event = send(True) if skip else advance()
-            except StopIteration:
-                break
-            skip = False
+        # -- the handlers ------------------------------------------------------
+
+        def doc_start(node_id: bytes | None) -> None:
+            nonlocal order, root_instance
             order += 1
-            kind = event.kind
-            if kind is _ELEM_START:
-                depth += 1
-                local = event.local
-                pushed = None
-                for qnode, uri in elements.get(local, any_element):
-                    if uri is not None and uri != event.uri:
-                        continue
-                    link = parent_link(qnode, depth)
-                    if link is None:
-                        continue
-                    instance = push(qnode, event.node_id, "element", local,
-                                    link)
-                    if pushed is None:
-                        pushed = [instance]
-                    else:
-                        pushed.append(instance)
-                opened.append(pushed)
-                # Nothing in this subtree can match: no instance here for a
-                # child step to extend, no descendant step armed, and no
-                # string value being collected.
-                skip = pushed is None and not armed and not collectors \
-                    and send is not None
-            elif kind is _ELEM_END:
-                if not opened:
-                    raise ExecutionError("unbalanced event stream")
-                pushed = opened.pop()
-                if pushed is not None:
-                    # Children-first (reverse topological) pop order so
-                    # upward propagation reaches parent instances before
-                    # they finalize.
-                    for instance in reversed(pushed):
-                        stacks[instance.qnode.qid].pop()
-                        finalize(instance)
-                depth -= 1
-            elif kind is _TEXT:
-                for collector in collectors:
-                    collector.value_parts.append(event.value)  # type: ignore[union-attr]
-                for qnode in self._texts:
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id, "text", "",
-                                      event.value, link)
-            elif kind is _ATTR:
-                for qnode, uri in attributes.get(event.local, any_attribute):
-                    if uri is not None and uri != event.uri:
-                        continue
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id, "attribute",
-                                      event.local, event.value, link)
-            elif kind is _DOC_START:
-                root_instance = push(self.query.root, event.node_id,
-                                     "document", "", None)
-            elif kind is _COMMENT:
-                for qnode in self._comments:
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id, "comment", "",
-                                      event.value, link)
-            elif kind is _PI:
-                for qnode, target in self._pis:
-                    if target and target != event.local:
-                        continue
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id,
-                                      "processing-instruction", event.local,
-                                      event.value, link)
-            elif kind is _DOC_END:
-                if root_instance is None:
-                    raise ExecutionError("document end before start")
-                # NS events and unclosed elements would leave stacks dirty.
-                for stack in stacks[1:]:
-                    if stack:
-                        raise ExecutionError("unbalanced event stream")
-                stacks[0].pop()
-                live_units -= 1
-            # NS events carry no query-visible content here.
+            root_instance = push(query.root, node_id, "document", "", None)
 
-        # One charge per run: events consumed (a skipped subtree's never
-        # reached the evaluator), matchings, and the per-document shapes.
-        stats.add("xscan.events", order)
-        stats.add("xscan.matchings", matchings)
-        stats.set_high_water("xscan.peak_units", peak_units)
-        # Distribution variants of the global totals: one observation per
-        # scanned document, so the tail (the one huge document) is visible.
-        stats.observe("xscan.doc_events", order)
-        stats.observe("xscan.doc_peak_units", peak_units)
-        if root_instance is None:
-            raise ExecutionError("event stream had no document")
-        main = self.query.main_first
-        if main is None:
-            return [root_instance.item(None)]
-        return _dedup(root_instance.seq.get(main.qid, []))
+        def elem_start(local: str, candidates: list[QNode],
+                       node_id: bytes | None) -> bool:
+            nonlocal order, depth
+            order += 1
+            depth += 1
+            pushed = None
+            for qnode in candidates:
+                link = parent_link(qnode, depth)
+                if link is None:
+                    continue
+                instance = push(qnode, node_id, "element", local, link)
+                if pushed is None:
+                    pushed = [instance]
+                else:
+                    pushed.append(instance)
+            opened.append(pushed)
+            # Nothing in this subtree can match: no instance here for a
+            # child step to extend, no descendant step armed, and no string
+            # value being collected.
+            return pushed is None and not armed and not collectors
 
-    # -- contributions and predicate evaluation ---------------------------------
+        def elem_end() -> None:
+            nonlocal order, depth
+            order += 1
+            if not opened:
+                raise ExecutionError("unbalanced event stream")
+            pushed = opened.pop()
+            if pushed is not None:
+                # Children-first (reverse topological) pop order so upward
+                # propagation reaches parent instances before they finalize.
+                for instance in reversed(pushed):
+                    stacks[instance.qnode.qid].pop()
+                    finalize(instance)
+            depth -= 1
 
-    def _contribution(self, instance: MatchInstance) -> list[Item]:
-        qnode = instance.qnode
-        if qnode.path_child is None:
-            value = "".join(instance.value_parts) \
-                if instance.value_parts is not None else None
-            return [instance.item(value)]
-        return instance.seq.get(qnode.path_child.qid, [])
+        def text(value: str, node_id: bytes | None) -> None:
+            nonlocal order
+            order += 1
+            for collector in collectors:
+                collector.value_parts.append(value)  # type: ignore[union-attr]
+            for qnode in texts:
+                link = parent_link(qnode, depth + 1)
+                if link is not None:
+                    finalize_leaf(qnode, node_id, "text", "", value, link)
 
-    def _eval_pexpr(self, expr, instance: MatchInstance):
-        if isinstance(expr, PLiteral):
-            return expr.value
-        if isinstance(expr, PBinary):
-            if expr.op == "and":
-                return (effective_boolean(self._eval_pexpr(expr.left, instance))
-                        and effective_boolean(
-                            self._eval_pexpr(expr.right, instance)))
-            if expr.op == "or":
-                return (effective_boolean(self._eval_pexpr(expr.left, instance))
-                        or effective_boolean(
-                            self._eval_pexpr(expr.right, instance)))
-            if expr.op in ("=", "!=", "<", "<=", ">", ">="):
-                return general_compare(expr.op,
-                                       self._eval_pexpr(expr.left, instance),
-                                       self._eval_pexpr(expr.right, instance))
-            return arithmetic(expr.op,
-                              self._eval_pexpr(expr.left, instance),
-                              self._eval_pexpr(expr.right, instance))
-        if isinstance(expr, PUnary):
-            return -to_number(self._eval_pexpr(expr.operand, instance))
-        if isinstance(expr, PFunction):
-            args = [self._eval_pexpr(arg, instance) for arg in expr.args]
-            return functions.call(expr.name, args)
-        if isinstance(expr, PPathRef):
-            return _dedup(instance.seq.get(expr.branch.qid, []))
-        if isinstance(expr, PSelfRef):
-            value = "".join(instance.value_parts) \
-                if instance.value_parts is not None else None
-            return [instance.item(value)]
-        raise ExecutionError(f"unknown predicate expression {expr!r}")
+        def attr(local: str, candidates: list[QNode], value: str,
+                 node_id: bytes | None) -> None:
+            nonlocal order
+            order += 1
+            for qnode in candidates:
+                link = parent_link(qnode, depth + 1)
+                if link is not None:
+                    finalize_leaf(qnode, node_id, "attribute", local, value,
+                                  link)
+
+        def comment(value: str, node_id: bytes | None) -> None:
+            nonlocal order
+            order += 1
+            for qnode in comments:
+                link = parent_link(qnode, depth + 1)
+                if link is not None:
+                    finalize_leaf(qnode, node_id, "comment", "", value, link)
+
+        def pi(target: str, value: str, node_id: bytes | None) -> None:
+            nonlocal order
+            order += 1
+            for qnode, wanted in pis:
+                if wanted and wanted != target:
+                    continue
+                link = parent_link(qnode, depth + 1)
+                if link is not None:
+                    finalize_leaf(qnode, node_id, "processing-instruction",
+                                  target, value, link)
+
+        def tick() -> None:
+            nonlocal order
+            order += 1
+
+        def finish() -> list[Item]:
+            nonlocal order
+            if root_instance is None:
+                raise ExecutionError("event stream had no document")
+            order += 1  # the document end
+            # Unclosed elements would leave stacks dirty.
+            if any(stacks[1:]):
+                raise ExecutionError("unbalanced event stream")
+            stacks[0].pop()
+            # One charge per run: events consumed (a skipped subtree's never
+            # reached the matcher), matchings, and the per-document shapes.
+            stats.add("xscan.events", order)
+            stats.add("xscan.matchings", matchings)
+            stats.set_high_water("xscan.peak_units", peak_units)
+            # Distribution variants of the global totals: one observation
+            # per scanned document, so the tail (the one huge document) is
+            # visible.
+            stats.observe("xscan.doc_events", order)
+            stats.observe("xscan.doc_peak_units", peak_units)
+            main = query.main_first
+            if main is None:
+                return [root_instance.item()]
+            return dedup(root_instance.seq.get(main.qid, []))
+
+        run = ScanRun()
+        run.name_ids, run.collectors, run.text_test = \
+            self.name_ids, collectors, bool(texts)
+        run.doc_start, run.elem_start, run.elem_end, run.text, run.attr = \
+            doc_start, elem_start, elem_end, text, attr
+        run.comment, run.pi, run.tick, run.finish = comment, pi, tick, finish
+        return run
 
 
 def evaluate(path: LocationPath | str, events: Iterable[SaxEvent],

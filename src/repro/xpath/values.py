@@ -44,6 +44,24 @@ class Item:
 XValue = float | str | bool | list
 
 
+def dedup(seq: list[Item]) -> list[Item]:
+    """Document-ordered, duplicate-free copy of a sequence."""
+    previous = -1
+    for item in seq:
+        if item.order <= previous:
+            break
+        previous = item.order
+    else:
+        return list(seq)  # already strictly increasing: the common case
+    seen: set[int] = set()
+    out: list[Item] = []
+    for item in sorted(seq, key=lambda item: item.order):
+        if item.order not in seen:
+            seen.add(item.order)
+            out.append(item)
+    return out
+
+
 def is_sequence(value: XValue) -> bool:
     return isinstance(value, list)
 

@@ -1,30 +1,36 @@
-"""Differential gate for QuickXScan's subtree skip over stored documents.
+"""Differential gate for QuickXScan's two drivers over stored documents.
 
-The stored-document walker accepts a skip hint after an element start, and
-QuickXScan sends it when nothing inside the element can match.  A source
-that ignores the hint (a plain list of the same events) must give the same
-answer, and both must agree with the DOM evaluator.  Documents are stored at
-record limits from 64 B up, so proxies appear at every level and a skipped
-subtree may span records it then never reads.
+One matcher, two drivers: the packed-record driver
+(:class:`repro.xmlstore.traversal.RecordScan`) decodes stored entries
+itself, dispatches on name ids, and steps over a subtree the matcher says
+cannot match; the SaxEvent driver, fed a plain list of the same document's
+events, sees every event.  Both must give the same answer, and both must
+agree with the DOM evaluator.  Documents are stored at record limits from
+64 B up, so proxies appear at every level and a skipped subtree may span
+records it then never reads.
 
-Checked three ways: whole documents (``StoredDocument.events``), NodeID
-anchors (the subtree under its replayed ancestors) and per-record index key
-generation.
+Checked four ways: whole documents (``StoredDocument.source()``), NodeID
+anchors (the subtree under its replayed ancestors), per-record index key
+generation, and XMLQUERY/XMLEXISTS over a stored column.  A namespace case
+pins name dispatch to the qualified name, not the local one.
 """
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EngineConfig
+from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
 from repro.indexes.definition import XPathIndexDefinition
 from repro.indexes.keygen import generate_keys, record_local_events
 from repro.lang.parser import parse_path
+from repro.query.sqlxml import SqlSession
 from repro.rdb.buffer import BufferPool
 from repro.rdb.storage import Disk
-from repro.xdm.events import EventKind
+from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
+from repro.xdm.serializer import serialize
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import in_context_events
 from repro.xpath.domeval import evaluate_dom
 from repro.xpath.qtree import compile_query
 from repro.xpath.quickxscan import QuickXScan
@@ -96,11 +102,24 @@ def answer(items):
             for item in items]
 
 
-def scan(path, events):
-    """``(answer, events consumed)`` of QuickXScan over ``events``."""
+def in_context(reader, anchor):
+    """The anchor's subtree as a list of events under synthetic starts and
+    ends of its ancestors: what a NodeID-list plan re-evaluates (§3.1)."""
+    ancestors = reader.ancestry(anchor)
+    return ([SaxEvent(EventKind.DOC_START)]
+            + [SaxEvent(EventKind.ELEM_START, local, uri)
+               for local, uri in ancestors]
+            + list(reader.node_events(anchor))
+            + [SaxEvent(EventKind.ELEM_END, local, uri)
+               for local, uri in reversed(ancestors)]
+            + [SaxEvent(EventKind.DOC_END)])
+
+
+def scan(path, source, namespaces=None):
+    """``(answer, events consumed)`` of QuickXScan over ``source``."""
     stats = StatsRegistry()
-    query = compile_query(parse_path(path))
-    items = QuickXScan(query, stats=stats).run(events)
+    query = compile_query(parse_path(path, namespaces))
+    items = QuickXScan(query, stats=stats).run(source)
     return answer(items), stats.get("xscan.events")
 
 
@@ -111,7 +130,7 @@ class TestScanEquivalence:
     def test_whole_document(self, doc, path, limit):
         reader = stored(doc, limit).document(1)
         events = list(reader.events())
-        skipped, consumed = scan(path, reader.events())
+        skipped, consumed = scan(path, reader.source())
         plain, total = scan(path, events)
         assert skipped == plain, (doc, path)
         assert plain == answer(evaluate_dom(path, events)), (doc, path)
@@ -127,10 +146,8 @@ class TestScanEquivalence:
         anchors = [event.node_id for event in reader.events()
                    if event.kind is EventKind.ELEM_START][:6]
         for anchor in anchors:
-            events = list(in_context_events(reader.ancestry(anchor),
-                                            reader.node_events(anchor)))
-            skipped, _ = scan(path, reader.node_events(anchor,
-                                                       in_context=True))
+            events = in_context(reader, anchor)
+            skipped, _ = scan(path, reader.source(anchor))
             plain, _ = scan(path, events)
             assert skipped == plain, (doc, path, anchor)
             assert plain == answer(evaluate_dom(path, events)), \
@@ -154,14 +171,69 @@ class TestScanEquivalence:
                     if item.node_id is not None], (doc, path)
 
 
+    @seed(20261019)
+    @settings(max_examples=30, deadline=None)
+    @given(documents(), queries())
+    def test_sql_xml_over_stored_column(self, doc, path):
+        """XMLQUERY and XMLEXISTS scan the stored column with the record
+        driver; the answer is the list-fed scan's, serialized."""
+        path = path.replace("'", '"')
+        db = Database(EngineConfig(record_size_limit=64))
+        session = SqlSession(db)
+        session.execute("CREATE TABLE t (id BIGINT, doc XML)")
+        session.execute(f"INSERT INTO t VALUES (1, '{doc}')")
+        rows = session.execute(
+            f"SELECT XMLQUERY('{path}' PASSING doc) AS q FROM t")
+        exists = session.execute(
+            f"SELECT id FROM t WHERE XMLEXISTS('{path}' PASSING doc)")
+        reader = db.xml_stores[("t", "doc")].document(1)
+        items = QuickXScan(compile_query(parse_path(path))).run(
+            list(reader.events()))
+        assert rows[0]["q"] == "".join(
+            serialize(reader.node_events(item.node_id))
+            if item.kind == "element" else item.value or ""
+            for item in items), (doc, path)
+        assert len(exists) == (1 if items else 0), (doc, path)
+
+
+_NS = {"p": "urn:p", "q": "urn:q"}
+_NS_DOC = ('<r xmlns:p="urn:p" xmlns:q="urn:q">'
+           '<p:x p:x="1" q:x="2" x="3">a</p:x><q:x p:x="4">b</q:x>'
+           '<x q:x="5" x="6">c</x><p:y p:x="7"/></r>')
+
+
+def test_names_dispatch_on_the_qualified_name():
+    """The same local name in two namespaces, on elements and attributes:
+    the record driver (name ids), the list-fed driver ((local, uri) pairs)
+    and the DOM evaluator agree on every kind of name test."""
+    expected = {"x": 1, "p:x": 1, "q:x": 1, "p:*": 2, "*": 5}
+    for limit in (64, 4000):
+        reader = stored(_NS_DOC, limit).document(1)
+        events = list(reader.events())
+        for test, count in expected.items():
+            for path, hits in ((f"//{test}", count),
+                               (f"/r/{test}/@{test}", None)):
+                packed, _ = scan(path, reader.source(), _NS)
+                plain, _ = scan(path, events, _NS)
+                assert packed == plain, (limit, path)
+                assert plain == answer(evaluate_dom(path, events, _NS)), \
+                    (limit, path)
+                if hits is not None:
+                    assert len(packed) == hits, (limit, path)
+        values = [value for *_, value in
+                  scan("/r/*/@p:x", reader.source(), _NS)[0]]
+        assert values == ["1", "4", "7"]
+
+
 def test_skipped_subtree_records_are_never_read():
-    """A child-only path steps over a packed-out sibling subtree without
-    probing the NodeID index for its records."""
+    """The record driver steps over a packed-out sibling subtree without
+    probing the NodeID index for its records; a scan of the same document's
+    listed events reads every record and gives the same answer."""
     doc = "<a><b>" + "<c>many words of text</c>" * 40 + "</b><d>x</d></a>"
     store = stored(doc, 64)
     stats = store.pool.stats
     before = stats.get("btree.searches")
-    skipped, _ = scan("/a/d", store.document(1).events())
+    skipped, _ = scan("/a/d", store.document(1).source())
     skipping = stats.get("btree.searches") - before
     before = stats.get("btree.searches")
     plain, _ = scan("/a/d", list(store.document(1).events()))

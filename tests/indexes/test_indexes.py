@@ -127,6 +127,28 @@ class TestKeygen:
                 values.append(item.value)
         assert sorted(values) == ["p1", "p2"]
 
+    def test_one_definition_over_two_name_tables(self, pool):
+        """The scanner cached on a definition keeps a name-id cache per
+        name table: two stores that number the same names differently
+        each get their own keys."""
+        definition = XPathIndexDefinition("ix", "//Product/@id", "string")
+        first = XmlStore(pool, NameTable(), record_limit=256)
+        second = XmlStore(pool, NameTable(), record_limit=256)
+        second.names.intern_name("id")  # shifts every later id by one
+        second.names.intern_name("Other")
+        first.insert_document_text(1, CATALOG)
+        second.insert_document_text(1, CATALOG.replace("p1", "s1"))
+        assert first.names.lookup_name("Product") != \
+            second.names.lookup_name("Product")
+        for store, expected in ((first, ["p1", "p2"]),
+                                (second, ["p2", "s1"]),
+                                (first, ["p1", "p2"])):
+            values = [item.value
+                      for rid in store.node_index.record_rids(1)
+                      for _key, item in generate_keys(
+                          definition, store.read_record(rid), store.names)]
+            assert sorted(values) == expected
+
     def test_unconvertible_values_skipped(self, store):
         store.insert_document_text(1, CATALOG)
         definition = XPathIndexDefinition("ix", "//ProductName", "double")
