@@ -1,35 +1,28 @@
-"""Engine-aware static analysis and runtime invariant sanitizers.
+"""Engine-aware static analysis.
 
 The engine's whole design bet — native XML storage reusing relational
 infrastructure — holds only while every component obeys the substrate's
-protocols: pin/unpin pairing on the buffer pool, no raw-disk access around
-it, one global lock-acquisition order, log-before-flush, and a sound metric
-namespace.  This package machine-checks those contracts twice over:
+protocols: pin/unpin pairing on the buffer pool, one global
+lock-acquisition order, log-before-flush, and a sound metric namespace.
+This package machine-checks those contracts statically:
+``python -m repro.analyze src/`` runs AST-based checkers
+(:mod:`~repro.analyze.pins`, :mod:`~repro.analyze.lockorder`,
+:mod:`~repro.analyze.waldiscipline`, :mod:`~repro.analyze.statshygiene`,
+:mod:`~repro.analyze.excsafety`, and the two checkers of
+:mod:`~repro.analyze.races`) against the tree, with a documented
+suppression baseline (:mod:`~repro.analyze.baseline`).  The shared facts
+they reason with — call graph, effect summaries, acquisition sites — live
+in :mod:`~repro.analyze.callgraph` and :mod:`~repro.analyze.effects`; the
+driver is :mod:`~repro.analyze.cli`.
 
-* statically: ``python -m repro.analyze src/`` runs AST-based checkers
-  (:mod:`~repro.analyze.pins`, :mod:`~repro.analyze.rawdisk`,
-  :mod:`~repro.analyze.lockorder`, :mod:`~repro.analyze.waldiscipline`,
-  :mod:`~repro.analyze.statshygiene`, :mod:`~repro.analyze.excsafety`,
-  :mod:`~repro.analyze.txnscope`, and the two checkers of
-  :mod:`~repro.analyze.races`) against the tree, with a documented
-  suppression baseline (:mod:`~repro.analyze.baseline`).  The shared facts
-  they reason with — call graph, effect summaries, acquisition sites — live
-  in :mod:`~repro.analyze.callgraph` and :mod:`~repro.analyze.effects`;
-  the driver is :mod:`~repro.analyze.cli`;
-* dynamically: :mod:`~repro.analyze.sanitize` arms assertions inside the
-  buffer pool, lock manager, WAL and transaction manager (zero pins and
-  zero locks at every transaction boundary, LSN monotonicity, witnessed
-  lock order, accounting caps, wait reconcile), tripped as ``sanitize.*``
-  counters plus :class:`~repro.errors.SanitizerError`.
+For concurrency, :mod:`~repro.analyze.threads` derives thread roots,
+thread-shared fields and each field's inferred guarding latch from the
+call graph, and :mod:`~repro.analyze.races` checks the latch discipline
+(``RACE001`` unguarded shared access, ``RACE002`` check-then-act across a
+latch release, ``LATCH001`` latch held across a blocking call or another
+lock).
 
-The concurrency layer is static only: :mod:`~repro.analyze.threads`
-derives thread roots, thread-shared fields and each field's inferred
-guarding latch from the call graph, and :mod:`~repro.analyze.races` checks
-the latch discipline (``RACE001`` unguarded shared access, ``RACE002``
-check-then-act across a latch release, ``LATCH001`` latch held across a
-blocking call or another lock).  Each code is pinned to a seeded mutant of
-the serving layer it kills (``tests/analyze/test_race_mutants.py``).
-
-Importing this package loads nothing else: the engine imports only
-:mod:`~repro.analyze.sanitize`, and never pays for the static side.
+Each code is pinned to a seeded engine mutant it kills
+(``tests/analyze/test_mutants.py``).  The engine never imports this
+package: analysis reads the source, it does not run alongside it.
 """

@@ -8,7 +8,7 @@ documentation trail for every intentional exception.
 
 File format — one entry per line::
 
-    PIN001  repro/rdb/buffer.py:BufferPool.new_page:self.pool.new_page  # handed off: caller unpins
+    PIN002  repro/rdb/buffer.py:BufferPool.new_page:self.pool.new_page  # no raiser in between
 
 i.e. ``CODE<whitespace>fingerprint-without-code  # reason``.  Blank lines
 and ``#`` comment lines are ignored.  Entries *must* carry a reason: an

@@ -21,8 +21,8 @@ documented approximation (see DESIGN.md "Interprocedural analysis"):
 * ``ClassName.m(...)`` — method ``m`` of the named class (unbound call).
 * ``obj.m(...)`` on any other receiver — **unresolved**.  Resolving by bare
   method name would conflate ``lines.append`` with ``LogManager.append`` and
-  poison every summary; the runtime sanitizers (the witnessed lock-order
-  trip, locks released at transaction end) cover this blind spot.
+  poison every summary.  Lock-order and pin checks are blind to calls
+  through such receivers; only tests see those.
 
 Calls passed as values (callbacks), decorators and ``getattr`` dispatch are
 not resolved — the same conservative direction: the graph may miss edges on

@@ -21,9 +21,7 @@ from repro.analyze.framework import Checker, run_checkers
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
 from repro.analyze.races import LatchBlockingChecker, SharedStateRaceChecker
-from repro.analyze.rawdisk import RawDiskChecker
 from repro.analyze.statshygiene import StatsHygieneChecker
-from repro.analyze.txnscope import TxnScopeChecker
 from repro.analyze.waldiscipline import WalDisciplineChecker
 
 #: default baseline filename looked up next to the current directory.
@@ -34,12 +32,10 @@ def all_checkers() -> list[Checker]:
     """Fresh instances of every shipped checker (they carry per-run state)."""
     return [
         PinLeakChecker(),
-        RawDiskChecker(),
         LockOrderChecker(),
         WalDisciplineChecker(),
         StatsHygieneChecker(),
         ExceptionSafetyChecker(),
-        TxnScopeChecker(),
         SharedStateRaceChecker(),
         LatchBlockingChecker(),
     ]

@@ -32,7 +32,7 @@ class Finding:
     ``path`` and ``scope`` it forms the baseline fingerprint.
     """
 
-    code: str            # e.g. "PIN001"
+    code: str            # e.g. "PIN002"
     checker: str         # e.g. "pin-leak"
     path: str            # path relative to the analysis root
     line: int

@@ -2,10 +2,12 @@
 
 Deadlock freedom by ordering: if every code path acquires lock *classes* in
 one global order, no waits-for cycle can form between classes.  The engine's
-lock resources are class-tagged tuples — ``("row", table, rid)``,
-``("doc", column, docid)``, ``("node", docid, node_id)`` — built by the
-``*_resource`` helpers in ``repro.cc.document``, so the class of most
-acquisition sites is statically visible.
+lock resources are class-tagged tuples — ``("table", name)``,
+``("row", table, rid)``, ``("doc", column, docid)``; ``row_resource`` and
+``doc_resource`` in ``repro.cc.document`` build the last two — so the
+class of most acquisition sites is statically visible.  Node locks (§5.2)
+live in ``repro.cc.subdocument.PrefixLockTable``, whose resources are
+``(docid, node_id)`` pairs with no class tag.
 
 The checker walks every function's *acquisition sites* in source order
 (:meth:`~repro.analyze.effects.EffectAnalysis.sites`):

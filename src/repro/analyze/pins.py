@@ -1,9 +1,8 @@
-"""Pin-leak checker: every buffer-pool pin must reach ``unpin`` on all paths.
+"""Pin-leak checker: an unpin must run on the error path too.
 
 The buffer pool's contract (``repro.rdb.buffer``) is strict pin/unpin
 pairing: a frame pinned by ``fetch``/``new_page`` that is never unpinned can
-never be evicted, and a quiesce point (checkpoint, crash-harness restart)
-fails on it.  The safe idioms are:
+never be evicted.  The safe idioms are:
 
 * the ``pool.page(...)`` context manager (pairing is structural);
 * ``fetch``/``new_page`` immediately guarded by ``try``/``finally`` whose
@@ -11,15 +10,17 @@ fails on it.  The safe idioms are:
 * an explicit *handoff*: the function returns the pinned result to a caller
   that owns the unpin (the pool's own ``new_page`` does this).
 
-Everything else is reported:
+Reported:
 
-* **PIN001** — a pin with no ``unpin`` anywhere in the enclosing function
-  (and no handoff): a structural leak.
 * **PIN002** — a pin whose ``unpin`` is not in a ``finally``: leaks the
-  frame whenever an intervening statement raises (the error-path leak class
-  the runtime sanitizer catches one test too late).
+  frame whenever an intervening statement raises, an error-path leak that
+  no test sees unless it makes that statement raise.
 
-Both codes are *interprocedural*: a call to a function whose effect summary
+A pin with no ``unpin`` at all leaks on every path, which the tests see:
+the pool's pin probes (``pinned_pages``/``assert_unpinned``) and pool
+exhaustion catch it, so it is not reported here.
+
+The check is *interprocedural*: a call to a function whose effect summary
 (:mod:`repro.analyze.effects`) says ``returns_pin`` — it hands a pinned
 frame to its caller — is a pin at the call site, subject to the same rules.
 ``--explain`` prints the call chain down to the primitive ``fetch``/
@@ -37,16 +38,14 @@ from repro.analyze.framework import Checker, Program
 
 
 class PinLeakChecker(Checker):
-    """PIN001/PIN002: buffer-pool pins must reach ``unpin`` on all paths."""
+    """PIN002: a buffer-pool pin's ``unpin`` must be in a ``finally``."""
 
     name = "pin-leak"
-    codes = ("PIN001", "PIN002")
-    description = ("BufferPool.fetch/new_page results must be unpinned on "
-                   "all paths (finally) or explicitly handed off — "
-                   "including pins inherited from returns_pin callees")
+    codes = ("PIN002",)
+    description = ("BufferPool.fetch/new_page results must be unpinned in "
+                   "a finally or explicitly handed off — including pins "
+                   "inherited from returns_pin callees")
     code_descriptions = {
-        "PIN001": "pin (direct or via a returns_pin helper) never unpinned "
-                  "and never handed off",
         "PIN002": "unpin exists but is not in a finally: the error path "
                   "leaks the frame",
     }
@@ -71,31 +70,22 @@ class PinLeakChecker(Checker):
         info = site.info
         function = info.node
         if fx.protected_by_finally(info.module, site.call, fx.PIN_RELEASES) \
-                or fx.hands_back_pin(info, site.call):
+                or fx.hands_back_pin(info, site.call) \
+                or not fx.unpins(function):
             return None
-        leaks = not fx.unpins(function)  # PIN001; else PIN002
         if site.callee is None:
             detail = site.text
-            if leaks:
-                message = (f"{detail}() pins a frame but {function.name}() "
-                           f"never unpins and never hands the pin off")
-            else:
-                message = (f"{detail}() pin is not exception-safe: unpin is "
-                           f"not in a finally, so an error between pin and "
-                           f"unpin leaks the frame (use pool.page() or "
-                           f"try/finally)")
+            message = (f"{detail}() pin is not exception-safe: unpin is "
+                       f"not in a finally, so an error between pin and "
+                       f"unpin leaks the frame (use pool.page() or "
+                       f"try/finally)")
         else:
             callee = site.callee.qualname
             detail = f"{site.text}->{callee}"
-            if leaks:
-                message = (f"{site.text}() hands back a frame pinned by "
-                           f"{callee}() but {function.name}() never unpins "
-                           f"and never hands the pin off")
-            else:
-                message = (f"{site.text}() hands back a pinned frame (via "
-                           f"{callee}()) and the unpin is not in a finally: "
-                           f"an error between the call and the unpin leaks "
-                           f"the frame")
+            message = (f"{site.text}() hands back a pinned frame (via "
+                       f"{callee}()) and the unpin is not in a finally: "
+                       f"an error between the call and the unpin leaks "
+                       f"the frame")
         return info.module.finding(
-            "PIN001" if leaks else "PIN002", self.name, site.call, message,
+            "PIN002", self.name, site.call, message,
             detail=detail, call_path=site.call_path)

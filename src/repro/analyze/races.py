@@ -235,12 +235,25 @@ class SharedStateRaceChecker(Checker):
 
     @staticmethod
     def _in_condition(access: FieldAccess) -> bool:
-        """The access feeds an ``if``/``while`` test."""
+        """The access feeds an ``if``/``while`` test, directly or through
+        a local it is assigned to (``first = self.x is None`` and a later
+        ``if first:`` in the same function)."""
+        module = access.info.module
         previous: ast.AST = access.node
-        for ancestor in access.info.module.ancestors(access.node):
+        for ancestor in module.ancestors(access.node):
             if isinstance(ancestor, (ast.If, ast.While)) and \
                     previous is ancestor.test:
                 return True
+            if isinstance(ancestor, ast.Assign) and \
+                    previous is ancestor.value:
+                names = {target.id for target in ancestor.targets
+                         if isinstance(target, ast.Name)}
+                return any(
+                    isinstance(node, (ast.If, ast.While)) and
+                    node.lineno > ancestor.lineno and
+                    any(isinstance(name, ast.Name) and name.id in names
+                        for name in ast.walk(node.test))
+                    for node in ast.walk(access.info.node))
             if isinstance(ancestor, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 return False

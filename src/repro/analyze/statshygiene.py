@@ -6,7 +6,7 @@ metric in two, and experiments comparing ``buffer.hits`` across runs read
 garbage.  Three invariants keep the namespace sound:
 
 * **STAT001** — the ``component.metric`` convention: lowercase dotted names,
-  at least two segments (``buffer.hits``, ``sanitize.double_unpin``).
+  at least two segments (``buffer.hits``, ``txn.retry_backoff_us``).
   Applies to counters, gauges, histograms, spans and trace events alike.
 * **STAT002** — single registration point: every counter/gauge name used by
   engine code must appear in ``METRICS`` in ``repro/core/stats.py``.  The
@@ -36,12 +36,10 @@ garbage.  Three invariants keep the namespace sound:
   entry was left behind, or a planned metric that never landed.  Either
   way dashboards comparing it read zeros forever.  Aliveness is counted
   over literal charge sites on *any* receiver (``self.observe`` inside
-  the registry class counts), plus two documented derivations: every
-  ``trip(stats, "<name>", ...)`` call keeps ``sanitize.<name>`` alive,
-  and every used wait class keeps its ``wait_counter()``-derived
-  ``waits.<class>_us`` counter alive.  Reads (``get``/``gauge``/
-  ``histogram``) deliberately do not count — observing a dead metric is
-  how it stays unnoticed.
+  the registry class counts), plus one documented derivation: every used
+  wait class keeps its ``wait_counter()``-derived ``waits.<class>_us``
+  counter alive.  Reads (``get``/``gauge``/``histogram``) deliberately do
+  not count — observing a dead metric is how it stays unnoticed.
 """
 
 from __future__ import annotations
@@ -195,13 +193,6 @@ class StatsHygieneChecker(Checker):
         """
         for call in module.calls():
             method = call_name(call)
-            if method == "trip" and len(call.args) >= 2:
-                arg = call.args[1]
-                if isinstance(arg, ast.Constant) and \
-                        isinstance(arg.value, str):
-                    # trip(stats, name, ...) charges "sanitize.<name>".
-                    self._alive_metrics.add(f"sanitize.{arg.value}")
-                continue
             if not call.args:
                 continue
             arg = call.args[0]

@@ -18,7 +18,7 @@ latch.  This module gives the static analyzer that thread model:
    (the documented call-graph blind spot), contexts are *under*-approximate
    — which is the useful direction for a race checker: a field is reported
    shared only on proven evidence.  What that misses is measured, not
-   assumed: ``tests/analyze/test_race_mutants.py`` pins each race code to
+   assumed: ``tests/analyze/test_mutants.py`` pins each race code to
    a seeded serving-layer mutant it kills, and DESIGN.md's latch
    inventory lists the mutants no static gate kills.
 

@@ -17,7 +17,7 @@ that path.
   the function dominates just as a direct append would.
 * **WAL002** — a bare ``except:`` or blanket ``except Exception:`` whose
   handler neither re-raises nor names what it expects: it swallows
-  ``repro.errors`` types (DeadlockError, ChecksumError, SanitizerError...)
+  ``repro.errors`` types (DeadlockError, ChecksumError, LogError...)
   that upper layers rely on seeing.  Narrow the clause to the errors the
   call site actually anticipates.
 """

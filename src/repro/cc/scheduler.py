@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import TransactionError
 from repro.rdb.txn import emit_accounting
@@ -202,12 +201,6 @@ class Scheduler:
                 action = next(runner.iterator)
             except StopIteration:
                 self.locks.release_all(runner.txn_id)
-                if _sanitize.enabled():
-                    # The backend may not be a sanitize-wired LockManager
-                    # (PrefixLockTable, protocol adapters), and Do effects
-                    # may have locked through a different manager: drop the
-                    # witness state for this txn id explicitly or it leaks.
-                    _sanitize.on_locks_released(runner.txn_id)
                 runner.done = True
                 runner.committed = True
                 result.committed += 1
@@ -253,13 +246,6 @@ class Scheduler:
         """
         with self.stats.charge(runner.sink):
             self.locks.release_all(runner.txn_id)
-            if _sanitize.enabled():
-                # Victims abandon their txn id (a restart gets a fresh one),
-                # so the sanitizer's per-txn lock-class witness must be
-                # dropped here — backends that bypass the wired LockManager
-                # never notify it, and the stale entry would accumulate
-                # forever and poison inversion checks for reused ids.
-                _sanitize.on_locks_released(runner.txn_id)
             runner.iterator.close()
             result.aborted += 1
             if reason == "deadlock":

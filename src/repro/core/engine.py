@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, TypeVar
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.deadline import Deadline
 from repro.core.stats import StatsRegistry
@@ -121,7 +120,6 @@ class Database:
             lock_wait_budget=config.lock_wait_budget,
             checkpoint_every=config.checkpoint_interval,
             on_checkpoint=self.pool.flush_all)
-        self.txns.on_txn_end = self._sanitize_txn_end
         self._slow_thresholds = config.slow_query_thresholds()
         #: The engine's one query cache (see :meth:`compile_xpath`).
         self._queries: OrderedDict[
@@ -493,32 +491,13 @@ class Database:
 
     # -- transactions and fault tolerance ------------------------------------------------
 
-    def _sanitize_txn_end(self, txn) -> None:
-        """Armed-sanitizer hook: no frame may stay pinned past a txn."""
-        if _sanitize.enabled():
-            _sanitize.check_pool_quiesced(
-                self.pool, self.stats,
-                where=f"end of txn {txn.txn_id} ({txn.state.value})")
-
     def close(self) -> None:
-        """Quiesce the engine: checkpoint, flush, and (when armed) assert
-        the shutdown invariants.
+        """Quiesce the engine: flush dirty pages and write a checkpoint.
 
-        Closing is idempotent.  With sanitizers armed
-        (``REPRO_SANITIZE=1``), close verifies that no transaction is still
-        active, no buffer frame is pinned and no lock is held — the state a
-        clean shutdown must reach before the device image could be detached.
+        Closing is idempotent.
         """
         if getattr(self, "_closed", False):
             return
-        if _sanitize.enabled():
-            active = sorted(self.txns.active)
-            if active:
-                _sanitize.trip(self.stats, "active_txns_at_close",
-                               f"close() with transactions still active: "
-                               f"{active}")
-            _sanitize.check_pool_quiesced(self.pool, self.stats,
-                                          where="Database.close")
         self.checkpoint()
         # Only now is the engine really closed: if the checkpoint raised
         # (e.g. under fault injection) a later close() must retry it, not
@@ -529,8 +508,8 @@ class Database:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Close (and run shutdown sanitizers) only on clean exit: an
-        # in-flight exception already owns the failure report.
+        # Close only on clean exit: an in-flight exception already owns
+        # the failure report.
         if exc_type is None:
             self.close()
 
@@ -587,8 +566,7 @@ class Database:
         (:meth:`~repro.core.stats.StatsRegistry.request_clock`): every
         suspension any attempt hits — lock waits, log forces, buffer
         I/O, the retry backoff itself — decomposes the
-        call's elapsed time into per-class waits, reconciled by the
-        ``sanitize.waits.reconcile`` check when sanitizers are armed.
+        call's elapsed time into per-class waits.
         """
         with self.stats.request_clock():
             return self._run_txn_attempts(body, isolation, retries, deadline)

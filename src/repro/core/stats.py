@@ -15,7 +15,6 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.events import EventTrace
 
 
@@ -58,12 +57,6 @@ METRICS: frozenset[str] = frozenset({
     "domeval.node_visits", "domeval.tree_nodes",
     # the engine's query cache (Database.compile_xpath)
     "xpath.parse_hits", "xpath.parse_misses",
-    # runtime invariant sanitizers (repro.analyze.sanitize)
-    "sanitize.checks", "sanitize.double_unpin",
-    "sanitize.pinned_at_txn_end", "sanitize.locks_at_txn_end",
-    "sanitize.lock_order", "sanitize.lsn_regression",
-    "sanitize.active_txns_at_close", "sanitize.accounting_overcharge",
-    "sanitize.waits.reconcile",
     # wait-state accounting (DB2 class-3 suspension analogue): microseconds
     # suspended per wait class.  Derived from :data:`WAITS` via
     # :func:`wait_counter`; both sides are listed so the registries stay
@@ -244,21 +237,13 @@ class Histogram:
                 f"max={self.max})")
 
 
-#: The sanitizers' count of their own checks.  It measures observation, not
-#: engine work (every whole-map read of a registry bumps it while armed), so
-#: counter deltas leave it out, as accounting records do: a sanitized run
-#: reports the same deltas as an unsanitized one.
-SANITIZE_CHECKS = "sanitize.checks"
-
-
 def counter_deltas(before: Mapping[str, int],
                    after: Mapping[str, int]) -> dict[str, int]:
-    """Non-zero ``after - before`` per counter, :data:`SANITIZE_CHECKS`
-    left out — the one diff behind ``StatsRegistry.delta`` and tracer
-    spans."""
+    """Non-zero ``after - before`` per counter — the one diff behind
+    ``StatsRegistry.delta`` and tracer spans."""
     return {name: value - before.get(name, 0)
             for name, value in after.items()
-            if value != before.get(name, 0) and name != SANITIZE_CHECKS}
+            if value != before.get(name, 0)}
 
 
 class StatsRegistry:
@@ -313,13 +298,6 @@ class StatsRegistry:
         work to whichever transaction that thread is running.
         """
         sink = getattr(self._local, "sink", None)
-        if sink is not None and name.startswith("sanitize."):
-            # Sanitizer bookkeeping is observation, not transaction work:
-            # charging it to the running txn's accounting record would make
-            # sanitized and unsanitized runs report different per-txn
-            # costs (and how many checks fire depends on thread timing,
-            # breaking the deltas-sum-to-global reconciliation).
-            sink = None
         with self._lock:
             self._counters[name] += amount
             if sink is not None:
@@ -452,8 +430,7 @@ class StatsRegistry:
                 wait_class, (time.monotonic_ns() - started) // 1000)
 
     @contextmanager
-    def request_clock(self, started_ns: int | None = None
-                      ) -> Iterator[dict[str, int]]:
+    def request_clock(self) -> Iterator[dict[str, int]]:
         """Open a per-request/per-txn wait clock on the calling thread.
 
         Yields the breakdown dict (wait class -> microseconds) that every
@@ -461,15 +438,8 @@ class StatsRegistry:
         Clocks stack: a transaction clock inside a serving-layer request
         clock sees only its own waits, while the outer request clock sees
         both.  On exit the total is observed into the
-        ``waits.request_wait_us`` histogram and — when sanitizers are
-        armed — reconciled against the clock's own elapsed time
-        (``sanitize.waits.reconcile`` trips if Σ waits > elapsed, which
-        can only mean a wait was double-charged or charged from the wrong
-        thread).  ``started_ns`` backdates the clock (the serving layer
-        passes the request's submit timestamp so the admission-queue wait
-        is inside the clocked interval).
+        ``waits.request_wait_us`` histogram.
         """
-        start = time.monotonic_ns() if started_ns is None else started_ns
         frame: dict[str, int] = {}
         frames = getattr(self._local, "wait_frames", None)
         if frames is None:
@@ -480,12 +450,9 @@ class StatsRegistry:
             yield frame
         finally:
             frames.pop()
-            elapsed_us = (time.monotonic_ns() - start) // 1000
             total = sum(frame.values())
             if total > 0:
                 self.observe("waits.request_wait_us", total)
-            if _sanitize.enabled():
-                _sanitize.check_wait_reconcile(self, total, elapsed_us)
 
     @contextmanager
     def charge(self, sink: "Counter[str] | None") -> Iterator[None]:

@@ -131,15 +131,6 @@ class DocumentNotFoundError(XmlError):
     """A DocID does not designate a stored document."""
 
 
-class SanitizerError(ReproError):
-    """A runtime invariant sanitizer tripped (see :mod:`repro.analyze.sanitize`).
-
-    Raised only when sanitizers are armed (``REPRO_SANITIZE=1``): a pinned
-    frame at a transaction boundary, a lock surviving commit/abort, a
-    double-unpin, a WAL LSN regression or a witnessed lock-order inversion.
-    """
-
-
 class AnalysisError(ReproError):
     """Static-analysis toolkit failure (see :mod:`repro.analyze`)."""
 

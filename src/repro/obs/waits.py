@@ -3,8 +3,9 @@
 The mechanism lives in :mod:`repro.core.stats` — the ordered :data:`WAITS`
 registry of named suspension classes, ``StatsRegistry.wait_timer(cls)``
 wrapping every blocking site, ``StatsRegistry.request_clock()`` decomposing
-each request/transaction as ``elapsed = cpuish + Σ waits`` (reconciled by
-the ``sanitize.waits.reconcile`` runtime check), and :func:`wait_breakdown`
+each request/transaction as ``elapsed = cpuish + Σ waits`` (the load
+harness checks Σ waits ≤ elapsed on every ``serve.request`` record), and
+:func:`wait_breakdown`
 folding the ``waits.<class>_us`` counters back into per-class totals.
 This module is the *reading* side built on them: totals, profiles and
 report lines for ``python -m repro.obs.report``, the load harness and

@@ -11,7 +11,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry
 from repro.errors import BufferPoolError
 from repro.rdb.storage import Disk
@@ -40,8 +39,6 @@ class BufferPool:
         self.stats: StatsRegistry = disk.stats
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         self._clock = 0  # pool accesses; drives eviction-residency ages
-        if _sanitize.enabled():
-            _sanitize.register_pool(self)
 
     @property
     def page_size(self) -> int:
@@ -86,8 +83,6 @@ class BufferPool:
         """Release one pin on ``page_id``; ``dirty`` marks it modified."""
         frame = self._frames.get(page_id)
         if frame is None or frame.pin_count == 0:
-            if _sanitize.enabled():
-                self.stats.add("sanitize.double_unpin")
             raise BufferPoolError(f"page {page_id} is not pinned")
         frame.pin_count -= 1
         frame.dirty = frame.dirty or dirty
@@ -134,16 +129,17 @@ class BufferPool:
         return sum(1 for frame in self._frames.values() if frame.dirty)
 
     def pinned_pages(self) -> list[int]:
-        """Page ids of frames currently pinned (sanitizer/quiesce probe)."""
+        """Page ids of frames currently pinned (quiesce probe)."""
         return [page_id for page_id, frame in self._frames.items()
                 if frame.pin_count]
 
     def assert_unpinned(self) -> None:
         """Raise :class:`BufferPoolError` if any frame is still pinned.
 
-        Checkpoints and crash-harness restarts call this first: a pinned
-        frame means some component is mid-operation and the pool contents
-        are not a consistent image to flush.
+        No engine path calls it; tests do, at points where every
+        operation has finished (after a store update, at the end of a
+        storage test), so a pinned frame there is some component's lost
+        unpin.
         """
         pinned = self.pinned_pages()
         if pinned:

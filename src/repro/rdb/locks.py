@@ -6,17 +6,19 @@ either grants or reports a conflict, and the deterministic scheduler in
 ``repro.cc.scheduler`` retries blocked transactions, which keeps concurrency
 experiments reproducible.  A waits-for graph detects deadlocks.
 
-Resources are arbitrary hashable keys.  The XML services lock tuples such as
-``("doc", table, docid)`` (DocID locks, §5.1) or ``("node", docid, nodeid)``
-(node locks, §5.2); the manager itself is agnostic, exactly as in the paper
-where one lock manager covers relational and XML resources.
+Resources are arbitrary hashable keys: class-tagged tuples such as
+``("table", name)``, ``("row", table, rid)`` and ``("doc", column, docid)``
+(DocID locks, §5.1); the manager itself is agnostic, as in the paper where
+one lock manager covers relational and XML resources.  Node locks (§5.2)
+are not taken here: they live in
+:class:`repro.cc.subdocument.PrefixLockTable`, which tests NodeID-prefix
+overlap instead of resource equality.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry, default_stats
 
 
@@ -111,8 +113,6 @@ class LockManager:
         self._held.setdefault(txn_id, set()).add(resource)
         self._waits_for.pop(txn_id, None)
         self.stats.add("lock.acquired")
-        if _sanitize.enabled():
-            _sanitize.on_lock_acquired(self.stats, txn_id, resource)
         return True
 
     def holds(self, txn_id: int, resource: object,
@@ -148,8 +148,6 @@ class LockManager:
             edges.discard(txn_id)
             if not edges:
                 del self._waits_for[waiter]
-        if _sanitize.enabled():
-            _sanitize.on_locks_released(txn_id)
 
     def clear_waits(self, txn_id: int) -> None:
         """Forget ``txn_id``'s waits-for edges without releasing its locks.

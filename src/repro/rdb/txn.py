@@ -23,7 +23,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.deadline import Deadline
 from repro.core.stats import StatsRegistry, default_stats, wait_breakdown
 from repro.errors import (DeadlineExceededError, DeadlockError,
@@ -324,10 +323,6 @@ class TransactionManager:
         self.lock_wait_budget = lock_wait_budget
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
-        #: optional hook run after every commit/abort once locks are
-        #: released — the engine wires the buffer-pool quiesce sanitizer
-        #: here (see :mod:`repro.analyze.sanitize`).
-        self.on_txn_end: Callable[[Transaction], None] | None = None
         #: optional hook run between lock-wait backoff steps — the serving
         #: layer installs a latch-release-and-sleep here so that while one
         #: session waits for a lock, the holder's session can run on
@@ -350,9 +345,10 @@ class TransactionManager:
     def charging(self, txn_id: int):
         """Charge context for ``txn_id`` if it is active, else a no-op.
 
-        Engine entry points that carry an explicit txn id (DML, the XML
-        updater) route their work through this so per-transaction
-        accounting needs no cooperation from callers.
+        ``Database.insert`` and ``Database.delete_row`` route their work
+        through this, so per-transaction accounting needs no cooperation
+        from their callers.  Subdocument updates (``XmlUpdater``) take no
+        txn id and do not pass through it.
         """
         txn = self.active.get(txn_id)
         if txn is None:
@@ -382,11 +378,6 @@ class TransactionManager:
                 "committed" if txn.state is TxnState.COMMITTED
                 else "aborted",
                 txn.retries, txn.victim_attempts, dict(txn.acct))
-        if _sanitize.enabled():
-            _sanitize.check_txn_locks_released(self.locks, txn.txn_id,
-                                               self.stats)
-        if self.on_txn_end is not None:
-            self.on_txn_end(txn)
         if txn.state is TxnState.COMMITTED and self.checkpoint_every > 0:
             self._commits_since_checkpoint += 1
             if self._commits_since_checkpoint >= self.checkpoint_every:

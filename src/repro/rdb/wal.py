@@ -38,7 +38,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import LogError, RecoveryError
 from repro.rdb import codec
@@ -142,7 +141,6 @@ class LogManager:
         self._bytes = 0
         self._bytes_at_checkpoint = 0
         self._aborted: set[int] = set()
-        self._last_lsn = -1  # sanitizer: newest hardened LSN
         self._durable_count = 0  # records at or below the flush boundary
         #: Set when a simulated crash killed the logging path: the process
         #: is dead, so every later append/flush re-raises instead of
@@ -218,10 +216,6 @@ class LogManager:
             self._hit("wal.commit.pre")
         self._hit("wal.append.pre")
         record = LogRecord(self.next_lsn, txn_id, op, target, payload, extra)
-        if _sanitize.enabled():
-            _sanitize.check_lsn_monotonic(self.stats, self._last_lsn,
-                                          record.lsn)
-        self._last_lsn = record.lsn
         encoded_len = len(record.encode())
         self._records.append(record)
         self._bytes += encoded_len
@@ -301,7 +295,6 @@ class LogManager:
         # bytes_written stays cumulative, but nothing is outstanding after
         # the checkpoint/backup that justified the truncation.
         self._bytes_at_checkpoint = self._bytes
-        self._last_lsn = -1  # LSNs legitimately restart after truncation
         self._durable_count = 0
 
     def save(self, path: str) -> None:
@@ -361,12 +354,10 @@ class LogManager:
                     f"{exc}") from exc
             log._records.append(record)
             log._bytes += length
-            # Restart state: the newest hardened LSN feeds the monotonicity
-            # sanitizer, and the checkpoint byte mark keeps
+            # Restart state: the checkpoint byte mark keeps
             # ``bytes_since_checkpoint`` (the checkpoint lag) correct
             # across a restart instead of counting the whole
             # pre-checkpoint volume as outstanding.
-            log._last_lsn = record.lsn
             if record.op is LogOp.ABORT:
                 log._aborted.add(record.txn_id)
             elif record.op is LogOp.CHECKPOINT:

@@ -320,17 +320,9 @@ class LoadHarness:
         verify_errors = self.verify_commits(tallies, seeded_insert_txns)
         stats = self.db.stats
         snapshot = stats.counters()
-        # A sanitized run is only verified if no wait clock tripped: a
-        # non-zero sanitize.waits.* counter is a clock that charged more
-        # suspension time than the interval it measured contained.
-        for name, value in sorted(snapshot.items()):
-            if name.startswith("sanitize.waits") and value:
-                verify_errors.append(
-                    f"runtime sanitizer tripped: {name} = {value}")
-        # Attribution soundness for the wait clocks, same shape as the
-        # accounting-caps check: summed per-transaction wait charges, and
-        # summed per-request clocks, can never exceed the global per-class
-        # counter they flowed through.
+        # Attribution soundness for the wait clocks: summed
+        # per-transaction wait charges, and summed per-request clocks, can
+        # never exceed the global per-class counter they flowed through.
         acct_waits: dict = {}
         for record in accounting_records(stats):
             for name, value in record.counters.items():
@@ -338,7 +330,17 @@ class LoadHarness:
                     acct_waits[name] = acct_waits.get(name, 0) + value
         request_waits: dict = {}
         for record in stats.events.records("serve.request"):
-            for wait_class, micros in record.payload["waits"].items():
+            waits = record.payload["waits"]
+            # Wait regions are disjoint sub-intervals of the request, each
+            # rounded down to whole microseconds, so their sum fits inside
+            # the elapsed time unless a suspension was charged twice.
+            waited, elapsed_us = sum(waits.values()), \
+                record.payload["elapsed_us"]
+            if waited > elapsed_us:
+                verify_errors.append(
+                    f"request {record.request} charged {waited}us of waits "
+                    f"into {elapsed_us}us elapsed: {sorted(waits.items())}")
+            for wait_class, micros in waits.items():
                 name = wait_counter(wait_class)
                 request_waits[name] = request_waits.get(name, 0) + micros
         for source, charged in (("accounting", acct_waits),
@@ -356,7 +358,7 @@ class LoadHarness:
         failures = [f for tally in tallies for f in tally.failures]
         counters = {name: value for name, value in snapshot.items()
                     if name.startswith(("serve.", "txn.", "lock.", "wal.",
-                                        "waits.", "sanitize."))}
+                                        "waits."))}
         return LoadReport(
             clients=len(tallies),
             ops_per_client=ops_per_client,

@@ -24,9 +24,7 @@ The request lifecycle is fully accounted: ``serve.requests`` →
 ``serve.completed`` / ``serve.failed`` / ``serve.deadline_expired``, with
 ``serve.queue_wait_us`` and ``serve.request_us`` histograms for the
 latency report.  On drain the server rolls back abandoned session
-transactions and (with sanitizers armed) cross-checks that per-transaction
-accounting never over-charged the global counters — the invariant the
-thread-local accounting sinks exist to protect.
+transactions.
 """
 
 from __future__ import annotations
@@ -37,13 +35,12 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.analyze import sanitize as _sanitize
 from repro.core.deadline import Deadline
 from repro.errors import (DeadlineExceededError, DeadlockError,
                           FaultInjectionError, LockTimeoutError,
                           ServerClosedError, ServerOverloadedError)
 from repro.fault.injector import SimulatedCrash
-from repro.rdb.txn import TxnState, accounting_records
+from repro.rdb.txn import TxnState
 from repro.serve.session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -151,8 +148,7 @@ class DatabaseServer:
         :class:`~repro.errors.ServerClosedError`.  Either way all workers
         are joined, abandoned session transactions are rolled back, the
         engine yield hooks are uninstalled (the database is usable
-        single-threaded again) and — with sanitizers armed — the
-        accounting over-charge cross-check runs.  Idempotent.
+        single-threaded again).  Idempotent.
         """
         with self._state_lock:
             if self._state in ("closed", "new"):
@@ -187,9 +183,6 @@ class DatabaseServer:
         with self._state_lock:
             if self._state != "closed":
                 self._state = "closed"
-        if _sanitize.enabled():
-            _sanitize.check_accounting_caps(
-                self.stats, accounting_records(self.stats))
         crashed = self.crashed
         if crashed is not None:
             raise crashed
@@ -336,8 +329,7 @@ class DatabaseServer:
         queue_wait_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.queue_wait_us", queue_wait_us)
         with self.stats.events.context(request=request.label), \
-                self.stats.request_clock(
-                    started_ns=request.submitted_ns) as waits:
+                self.stats.request_clock() as waits:
             self.stats.charge_wait("admission.queue", queue_wait_us)
             if request.deadline is not None and request.deadline.expired():
                 self.stats.add("serve.deadline_expired")

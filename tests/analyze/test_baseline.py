@@ -7,7 +7,7 @@ from repro.analyze.baseline import (Baseline, BaselineError, BaselineEntry,
 from repro.analyze.findings import Finding
 
 
-def make_finding(code="PIN001", path="m.py", scope="A.f", detail="x",
+def make_finding(code="PIN002", path="m.py", scope="A.f", detail="x",
                  line=3):
     return Finding(code=code, checker="t", path=path, line=line, column=0,
                    message="msg", scope=scope, detail=detail)
@@ -19,28 +19,28 @@ class TestLoad:
         path.write_text(
             "# header comment\n"
             "\n"
-            "PIN001  m.py:A.f:x  # caller owns the unpin\n")
+            "PIN002  m.py:A.f:x  # caller owns the unpin\n")
         baseline = Baseline.load(path)
-        assert list(baseline.entries) == ["PIN001:m.py:A.f:x"]
-        entry = baseline.entries["PIN001:m.py:A.f:x"]
+        assert list(baseline.entries) == ["PIN002:m.py:A.f:x"]
+        entry = baseline.entries["PIN002:m.py:A.f:x"]
         assert entry.reason == "caller owns the unpin"
         assert entry.lineno == 3
 
     def test_entry_without_reason_is_an_error(self, tmp_path):
         path = tmp_path / "baseline.txt"
-        path.write_text("PIN001  m.py:A.f:x\n")
+        path.write_text("PIN002  m.py:A.f:x\n")
         with pytest.raises(BaselineError, match="no reason"):
             Baseline.load(path)
 
     def test_entry_with_empty_reason_is_an_error(self, tmp_path):
         path = tmp_path / "baseline.txt"
-        path.write_text("PIN001  m.py:A.f:x  #   \n")
+        path.write_text("PIN002  m.py:A.f:x  #   \n")
         with pytest.raises(BaselineError, match="no reason"):
             Baseline.load(path)
 
     def test_missing_fingerprint_is_an_error(self, tmp_path):
         path = tmp_path / "baseline.txt"
-        path.write_text("PIN001  # reason\n")
+        path.write_text("PIN002  # reason\n")
         with pytest.raises(BaselineError, match="expected"):
             Baseline.load(path)
 
@@ -75,7 +75,7 @@ class TestSplitAndStaleness:
         assert baseline.suppresses(moved)
 
     def test_unmatched_entries_are_stale(self):
-        used = BaselineEntry("PIN001:m.py:A.f:x", "reviewed")
+        used = BaselineEntry("PIN002:m.py:A.f:x", "reviewed")
         unused = BaselineEntry("WAL001:n.py:B.g:y", "obsolete")
         baseline = Baseline([used, unused])
         baseline.split([make_finding()])

@@ -14,7 +14,6 @@ from repro.analyze.excsafety import ExceptionSafetyChecker
 from repro.analyze.framework import run_checkers
 from repro.analyze.lockorder import LockOrderChecker
 from repro.analyze.pins import PinLeakChecker
-from repro.analyze.txnscope import TxnScopeChecker
 from repro.analyze.waldiscipline import WalDisciplineChecker
 
 
@@ -31,27 +30,6 @@ def run_on(tmp_path, checker, relpath, source):
 
 
 class TestInterproceduralPins:
-    def test_pin_through_helper_is_flagged(self, tmp_path):
-        findings = run_on(tmp_path, PinLeakChecker(), "store.py", """\
-            class Store:
-                def _grab(self, pid):
-                    frame = self.pool.fetch(pid)
-                    return frame
-                def read(self, pid):
-                    frame = self._grab(pid)
-                    value = frame.decode()
-                    return value
-            """)
-        # _grab itself hands off (clean); read inherits the pin and leaks
-        # it — only the decoded value escapes, never the frame.
-        codes = [f.code for f in findings]
-        assert codes == ["PIN001"]
-        assert findings[0].scope == "Store.read"
-        # --explain path: the call site, then the primitive pin.
-        assert len(findings[0].call_path) == 2
-        assert "self._grab" in findings[0].call_path[0]
-        assert "pool.fetch" in findings[0].call_path[1]
-
     def test_unpinned_helper_result_outside_finally_is_flagged(self, tmp_path):
         findings = run_on(tmp_path, PinLeakChecker(), "store.py", """\
             class Store:
@@ -65,6 +43,10 @@ class TestInterproceduralPins:
             """)
         assert [f.code for f in findings] == ["PIN002"]
         assert findings[0].scope == "Store.read"
+        # --explain path: the call site, then the primitive pin.
+        assert len(findings[0].call_path) == 2
+        assert "self._grab" in findings[0].call_path[0]
+        assert "pool.fetch" in findings[0].call_path[1]
 
     def test_finally_protected_helper_pin_is_clean(self, tmp_path):
         findings = run_on(tmp_path, PinLeakChecker(), "store.py", """\
@@ -198,81 +180,37 @@ class TestInterproceduralWal:
 
 
 class TestExceptionSafety:
-    SOURCE = """\
-        class Codec:
-            def decode(self, raw):
-                if not raw:
-                    raise ValueError("empty page")
-                return raw
-
-        class Store:
-            def read(self, pid):
-                data = self.pool.fetch(pid)
-                value = self.decode(data)
-                self.pool.unpin(pid)
-                return value
-
-            def decode(self, raw):
-                if not raw:
-                    raise ValueError("empty page")
-                return raw
-        """
-
-    def test_raiser_between_pin_and_unpin_is_exc001(self, tmp_path):
-        findings = run_on(tmp_path, ExceptionSafetyChecker(),
-                          "store.py", self.SOURCE)
-        assert [f.code for f in findings] == ["EXC001"]
-        finding = findings[0]
-        assert finding.scope == "Store.read"
-        assert finding.severity.value == "error"
-        # The chain names the pin, the risky call, and ends at the raise.
-        assert "pin" in finding.call_path[0]
-        assert "self.decode" in finding.call_path[1]
-        assert "raise" in finding.call_path[-1]
-
-    def test_raiser_after_a_returns_pin_helper_is_exc001(self, tmp_path):
-        # The same window, but the pin comes from a helper that hands the
-        # frame back: the chain runs through the helper's hand-off.
-        findings = run_on(tmp_path, ExceptionSafetyChecker(), "store.py", """\
-            class Store:
-                def _grab(self, pid):
-                    return self.pool.fetch(pid)
-                def decode(self, raw):
-                    if not raw:
-                        raise ValueError("empty page")
-                    return raw
-                def read(self, pid):
-                    data = self._grab(pid)
-                    value = self.decode(data)
-                    self.pool.unpin(pid)
-                    return value
-            """)
-        assert [f.code for f in findings] == ["EXC001"]
-        finding = findings[0]
-        assert finding.scope == "Store.read"
-        assert finding.detail == "self._grab@self.decode"
-        assert "pins via self._grab()" in finding.call_path[0]
-        assert "pin handed to caller" in finding.call_path[1]
-        assert "self.decode" in finding.call_path[2]
-        assert "raise" in finding.call_path[-1]
-
     def test_finally_protected_window_is_clean(self, tmp_path):
-        findings = run_on(tmp_path, ExceptionSafetyChecker(), "store.py", """\
-            class Store:
-                def decode(self, raw):
-                    if not raw:
+        findings = run_on(tmp_path, ExceptionSafetyChecker(), "txn.py", """\
+            class Writer:
+                def _validate(self, row):
+                    if row is None:
                         raise ValueError
-                    return raw
-                def read(self, pid):
-                    data = self.pool.fetch(pid)
+                def update(self, mgr, txn, row):
+                    mgr.try_acquire(txn, ("row", 1), "X")
                     try:
-                        return self.decode(data)
+                        self._validate(row)
                     finally:
-                        self.pool.unpin(pid)
+                        mgr.release_all(txn)
             """)
         assert findings == []
 
     def test_raiser_after_release_is_clean(self, tmp_path):
+        findings = run_on(tmp_path, ExceptionSafetyChecker(), "txn.py", """\
+            class Writer:
+                def _validate(self, row):
+                    if row is None:
+                        raise ValueError
+                def update(self, mgr, txn, row):
+                    mgr.try_acquire(txn, ("row", 1), "X")
+                    mgr.release_all(txn)
+                    self._validate(row)
+            """)
+        assert findings == []
+
+    def test_pin_window_is_pin002_alone(self, tmp_path):
+        # A raiser inside an unprotected pin window is a PIN002 finding;
+        # the exception-safety checker has nothing to add to it.
         findings = run_on(tmp_path, ExceptionSafetyChecker(), "store.py", """\
             class Store:
                 def decode(self, raw):
@@ -281,8 +219,9 @@ class TestExceptionSafety:
                     return raw
                 def read(self, pid):
                     data = self.pool.fetch(pid)
+                    value = self.decode(data)
                     self.pool.unpin(pid)
-                    return self.decode(data)
+                    return value
             """)
         assert findings == []
 
@@ -315,127 +254,58 @@ class TestExceptionSafety:
         assert findings == []
 
 
-class TestTxnScope:
-    def test_unscoped_public_mutator_is_flagged(self, tmp_path):
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def rename_table(self, old, new):
-                    self._rewrite_catalog(old, new)
-                def _rewrite_catalog(self, old, new):
-                    self.log.append(self.next_txn, ("RENAME", old, new))
-            """)
-        assert [f.code for f in findings] == ["TXN001"]
-        finding = findings[0]
-        assert finding.detail == "Database.rename_table"
-        assert "self._rewrite_catalog" in finding.call_path[0]
-        assert "writes WAL" in finding.call_path[-1]
-
-    def test_txn_id_parameter_is_a_scope(self, tmp_path):
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def insert(self, table, row, txn_id):
-                    self.log.append(txn_id, ("INSERT", table, row))
-            """)
-        assert findings == []
-
-    def test_begin_call_establishes_scope(self, tmp_path):
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def rename_table(self, old, new):
-                    txn = self.txns.begin()
-                    self.log.append(txn.txn_id, ("RENAME", old, new))
-            """)
-        assert findings == []
-
-    def test_autonomous_ddl_append_is_exempt(self, tmp_path):
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def create_table(self, name, columns):
-                    self.log.append(-1, ("DDL", name, columns))
-            """)
-        assert findings == []
-
-    def test_delegating_to_a_scoped_helper_is_clean(self, tmp_path):
-        # The reachability walk stops at barriers: the helper receives a
-        # txn_id, so the mutation below it is the helper's business.
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def compact(self):
-                    self._rewrite(self.current_txn)
-                def _rewrite(self, txn_id):
-                    self.log.append(txn_id, ("COMPACT",))
-            """)
-        assert findings == []
-
-    def test_private_methods_are_not_entry_points(self, tmp_path):
-        findings = run_on(tmp_path, TxnScopeChecker(), "engine.py", """\
-            class Database:
-                def _internal(self):
-                    self.log.append(self.cur, ("X",))
-            """)
-        assert findings == []
-
-
 class TestCli:
     FIXTURE = """\
-        class Codec:
-            def decode(self, raw):
-                if not raw:
-                    raise ValueError("empty")
-                return raw
-
-        class Store:
-            def decode(self, raw):
-                if not raw:
-                    raise ValueError("empty")
-                return raw
-            def read(self, pid):
-                data = self.pool.fetch(pid)
-                value = self.decode(data)
-                self.pool.unpin(pid)
-                return value
+        class Writer:
+            def _validate(self, row):
+                if row is None:
+                    raise ValueError("no row")
+            def update(self, mgr, txn, row):
+                mgr.try_acquire(txn, ("row", 1), "X")
+                self._validate(row)
+                mgr.release_all(txn)
         """
 
     def test_explain_prints_call_paths(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "store.py", self.FIXTURE)
-        exit_code = main(["store.py", "--select", "EXC001", "--explain"])
+        write(tmp_path, "txn.py", self.FIXTURE)
+        exit_code = main(["txn.py", "--select", "EXC002", "--explain"])
         out = capsys.readouterr().out
         assert exit_code == 2
-        assert "EXC001" in out
+        assert "EXC002" in out
         # Indented witness lines under the finding.
-        assert "    store.py:" in out
+        assert "    txn.py:" in out
         assert "raise" in out
 
     def test_without_explain_no_call_paths(self, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "store.py", self.FIXTURE)
-        exit_code = main(["store.py", "--select", "EXC001"])
+        write(tmp_path, "txn.py", self.FIXTURE)
+        exit_code = main(["txn.py", "--select", "EXC002"])
         out = capsys.readouterr().out
         assert exit_code == 2
-        assert "EXC001" in out
-        assert "    store.py:" not in out
+        assert "EXC002" in out
+        assert "    txn.py:" not in out
 
     def test_json_includes_fingerprint_and_call_path(self, tmp_path, capsys,
                                                      monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "store.py", self.FIXTURE)
-        exit_code = main(["store.py", "--select", "EXC001",
+        write(tmp_path, "txn.py", self.FIXTURE)
+        exit_code = main(["txn.py", "--select", "EXC002",
                           "--format", "json"])
         assert exit_code == 2
         payload = json.loads(capsys.readouterr().out)
         [finding] = payload["findings"]
-        assert finding["fingerprint"].startswith("EXC001:store.py:")
+        assert finding["fingerprint"].startswith("EXC002:txn.py:")
         assert len(finding["call_path"]) >= 2
         assert "raise" in finding["call_path"][-1]
 
     def test_list_checkers_prints_per_code_descriptions(self, capsys):
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
-        for code in ("PIN001", "PIN002", "LOCK001", "LOCK002", "WAL001",
-                     "WAL002", "EXC001", "EXC002", "TXN001"):
+        for code in ("PIN002", "LOCK001", "LOCK002", "WAL001",
+                     "WAL002", "EXC002"):
             assert code in out
         # Per-code one-liners are indented under their checker.
-        assert "  EXC001" in out
-        assert "  TXN001" in out
+        assert "  EXC002" in out
+        assert "  LOCK002" in out

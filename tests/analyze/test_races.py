@@ -220,6 +220,35 @@ class TestRace002:
             """)
         assert findings == []
 
+    def test_check_through_a_local_fires(self, tmp_path):
+        path = write(tmp_path, "mod.py", RACE002_SEED.replace(
+            """            with self._state_lock:
+                if self.state != "running":
+                    return None
+            with self._state_lock:""",
+            """            with self._state_lock:
+                running = self.state == "running"
+            if not running:
+                return None
+            with self._state_lock:"""))
+        findings = run_checkers([SharedStateRaceChecker()], [path],
+                                root=tmp_path)
+        assert [f.code for f in findings] == ["RACE002"]
+        assert findings[0].line == line_of(path, 'self.state = "busy"')
+
+    def test_local_never_tested_is_quiet(self, tmp_path):
+        path = write(tmp_path, "mod.py", RACE002_SEED.replace(
+            """            with self._state_lock:
+                if self.state != "running":
+                    return None
+            with self._state_lock:""",
+            """            with self._state_lock:
+                previous = self.state
+            with self._state_lock:"""))
+        findings = run_checkers([SharedStateRaceChecker()], [path],
+                                root=tmp_path)
+        assert findings == []
+
 
 class TestLatch001:
     def test_direct_sleep_under_a_lock_fires(self, tmp_path):

@@ -29,12 +29,11 @@ def summed(records) -> Counter:
 def txn_visible(deltas: dict) -> dict:
     """Drop meta-counters bumped outside any charge context.
 
-    ``obs.*`` and ``sanitize.*`` are observation machinery, not
-    transaction work; the registry never charges them to accounting
-    records (sanitized runs must reconcile identically to plain runs).
+    ``obs.*`` is observation machinery, not transaction work; the
+    registry never charges it to accounting records.
     """
     return {name: value for name, value in deltas.items()
-            if value and not name.startswith(("obs.", "sanitize."))}
+            if value and not name.startswith("obs.")}
 
 
 class TestHistogram:

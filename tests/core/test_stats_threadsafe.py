@@ -5,8 +5,7 @@ once.  The registry's charge sink is thread-local (each thread charges
 only its own transaction) and all map mutation is lock-guarded, so the
 PR 4 invariant survives concurrency: per-transaction deltas sum to (at
 most) the global deltas — never more, which would mean double
-attribution.  ``check_accounting_caps`` is the sanitizer form of that
-cross-check.  The event ring the records land in takes no lock at all:
+attribution.  The event ring the records land in takes no lock at all:
 one ``deque.append`` per record, atomic under the GIL.
 """
 
@@ -14,14 +13,9 @@ import sys
 import threading
 from collections import Counter
 
-import pytest
-
-from repro.analyze import sanitize
 from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
-from repro.errors import SanitizerError
-from repro.rdb.txn import (AccountingRecord, TransactionManager,
-                           accounting_records)
+from repro.rdb.txn import TransactionManager, accounting_records
 
 
 class TestConcurrentCharging:
@@ -104,29 +98,7 @@ class TestEventRingThreadSafety:
         assert all(0 < count <= 3_000 for count in seen)
 
 
-class TestAccountingCapsSanitizer:
-    def test_clean_attribution_passes(self):
-        stats = StatsRegistry()
-        stats.add("ts.records_read", 10)
-        records = [
-            AccountingRecord(txn_id=1, isolation="cs", outcome="committed",
-                             counters={"ts.records_read": 6}),
-            AccountingRecord(txn_id=2, isolation="cs", outcome="committed",
-                             counters={"ts.records_read": 4}),
-        ]
-        sanitize.check_accounting_caps(stats, records)  # no trip
-
-    def test_overcharge_trips(self):
-        stats = StatsRegistry()
-        stats.add("ts.records_read", 5)
-        records = [
-            AccountingRecord(txn_id=1, isolation="cs", outcome="committed",
-                             counters={"ts.records_read": 6}),
-        ]
-        with pytest.raises(SanitizerError, match="accounting_overcharge"):
-            sanitize.check_accounting_caps(stats, records)
-        assert stats.get("sanitize.accounting_overcharge") == 1
-
+class TestManagerAccounting:
     def test_manager_records_reconcile_after_concurrent_txns(self):
         stats = StatsRegistry()
         EventTrace(ring_size=4096).install(stats)
@@ -149,7 +121,6 @@ class TestAccountingCapsSanitizer:
         for thread in threads:
             thread.join()
         records = accounting_records(stats)
-        sanitize.check_accounting_caps(stats, records)
         charged = sum(r.counters.get("ts.records_inserted", 0)
                       for r in records)
         assert charged == stats.get("ts.records_inserted") == 300

@@ -75,7 +75,6 @@ class TestEvictionWriteback:
 
 
 class TestNewPageLeak:
-    @pytest.mark.pinned_ok  # the pinned-full pool is the scenario under test
     def test_new_page_with_all_frames_pinned_leaks_no_disk_page(self):
         pool, _ = make_pool(capacity=1)
         pool.new_page()                     # stays pinned

@@ -6,10 +6,8 @@ two ways and compared byte for byte with the files under ``golden/``.
 The instrumentation can be restructured freely underneath; what operators
 read must not move.
 
-Two kinds of numbers are not deterministic and are normalized away before
-the comparison: wall-clock ``waits.*`` charges (buffer I/O timers measure
-real microseconds) and the sanitizers' own ``sanitize.*`` counters, which
-only exist in a ``REPRO_SANITIZE=1`` run.
+Wall-clock ``waits.*`` charges are not deterministic (buffer I/O timers
+measure real microseconds) and are normalized away before the comparison.
 
 Regenerate the files after a deliberate output change with::
 
@@ -29,7 +27,7 @@ from repro.query.plan import AccessMethod
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-_VOLATILE = ("waits.", "sanitize.")
+_VOLATILE = ("waits.",)
 
 
 def _document(i: int) -> str:

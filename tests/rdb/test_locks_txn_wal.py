@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analyze import sanitize
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
@@ -261,17 +260,6 @@ class TestLockTableLock:
         assert errors == []
         assert edges, "the waiter never blocked on the holder"
 
-    def test_disarmed_table_witnesses_nothing(self):
-        sanitize.disable()
-        lm = LockManager(StatsRegistry())
-        assert lm.try_acquire(1, ("row", 1), LockMode.X)
-        assert lm.try_acquire(1, ("doc", 2), LockMode.X)
-        # Armed, txn 1 would now carry lock-order state and a row -> doc
-        # edge; disarmed, the table records nothing.
-        assert sanitize.lock_witness_txns() == []
-        assert sanitize.witnessed_edges() == {}
-        lm.release_all(1)
-
 
 class TestTransactions:
     def test_commit_releases_locks(self):
@@ -457,9 +445,6 @@ class TestLoadRestartState:
         path = str(tmp_path / "state.wal")
         log.save(path)
         reloaded = LogManager.load(path)
-        # Regression: load used to leave _last_lsn at -1, so the LSN
-        # monotonicity sanitizer saw the next append as a fresh log.
-        assert reloaded._last_lsn == 2
         assert reloaded.append(2, LogOp.BEGIN).lsn == 3
 
     def test_reload_restores_checkpoint_byte_mark(self, tmp_path):

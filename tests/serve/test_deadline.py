@@ -10,6 +10,7 @@ from repro.core.deadline import Deadline
 from repro.core.engine import Database
 from repro.errors import DeadlineExceededError
 from repro.rdb.locks import LockMode
+from repro.rdb.wal import LogOp
 from repro.serve import DatabaseServer
 
 DOC = "<Product><Name>n</Name></Product>"
@@ -92,6 +93,28 @@ class TestServerDeadlines:
             # The contender's txn was aborted by the failed request; the
             # holder still owns its lock and can commit.
             assert contender.txn is None
+            holder.commit()
+        assert db.stats.get("txn.deadline_exceeded") >= 1
+
+    def test_insert_deadline_expires_waiting_for_the_table_lock(self):
+        """An auto-commit insert that runs out of time waiting for the
+        table IX lock another session holds logs no INSERT and consumes
+        no DocID."""
+        db = make_db(serve_workers=2, lock_wait_budget=10_000_000)
+
+        def inserts():
+            return sum(record.op is LogOp.INSERT
+                       for record in db.log.records())
+
+        with DatabaseServer(db) as server:
+            holder = server.session()
+            holder.begin()
+            holder.lock(("table", "docs"), LockMode.X)
+            logged, docid = inserts(), db.catalog.peek_docid("docs")
+            with pytest.raises(DeadlineExceededError):
+                server.session().insert("docs", ("k", DOC), deadline=0.05)
+            assert inserts() == logged
+            assert db.catalog.peek_docid("docs") == docid
             holder.commit()
         assert db.stats.get("txn.deadline_exceeded") >= 1
 

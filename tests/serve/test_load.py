@@ -74,6 +74,21 @@ class TestLoadHarness:
             "records sum to 25, global is 10"]
         db.close()
 
+    def test_report_flags_waits_beyond_elapsed(self):
+        """A request whose waits sum to more than its elapsed time had a
+        suspension charged twice: verification names the request."""
+        db, hot_ids = build_database(serving_config())
+        harness = LoadHarness(db, None, hot_ids)
+        db.stats.charge_wait("lock.wait", 80)
+        db.stats.events.emit("serve.request", request="c0-op0",
+                             elapsed_us=50, outcome="ok",
+                             waits={"lock.wait": 80})
+        report = harness._report([], 0, 0.0, seeded_insert_txns=1)
+        assert report.verify_errors == [
+            "request c0-op0 charged 80us of waits into 50us elapsed: "
+            "[('lock.wait', 80)]"]
+        db.close()
+
     def test_report_round_trips_to_json(self):
         import json
         report = run_load(clients=8, ops_per_client=2, seed=1, workers=2)
@@ -83,28 +98,22 @@ class TestLoadHarness:
         waits = rendered["waits"]
         assert waits["total_us"] == sum(waits["by_class"].values())
 
-    def test_sanitized_traced_load_reconciles(self):
-        """A sanitized traced run: Σ waits ≤ elapsed on every clock (no
-        ``sanitize.waits.*`` trip survives ``_report``'s zero check), the
+    def test_traced_load_reconciles(self):
+        """A traced run: Σ waits ≤ elapsed on every served request (a
+        double-charged wait fails ``_report``'s verification), the
         per-request wait breakdown is populated, and the trace retains
-        accounting records for served requests."""
-        from repro.analyze import sanitize
+        records for served requests."""
         from repro.core.events import EventTrace
+        from repro.core.stats import WAITS
         from repro.serve.loadgen import load_ring_size
 
         trace = EventTrace(load_ring_size(12, 3))
-        was_armed = sanitize.enabled()
-        sanitize.enable()
-        try:
-            report = run_load(clients=12, ops_per_client=3, seed=3,
-                              workers=4, deadline=30.0, trace=trace)
-        finally:
-            if not was_armed:
-                sanitize.disable()
+        report = run_load(clients=12, ops_per_client=3, seed=3,
+                          workers=4, deadline=30.0, trace=trace)
         assert report.verified, report.verify_errors
-        assert report.counters.get("sanitize.waits.reconcile", 0) == 0
-        from repro.core.stats import WAITS
         assert set(report.waits_by_class) <= set(WAITS)
         served = [r for r in trace.records() if r.name == "serve.request"]
         assert served and all(r.request for r in served)
+        assert all(sum(r.payload["waits"].values()) <= r.payload["elapsed_us"]
+                   for r in served)
         assert any(r.payload["waits"] for r in served)

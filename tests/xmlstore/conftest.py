@@ -19,7 +19,7 @@ def pool(stats):
     pool = BufferPool(Disk(page_size=4096, stats=stats), capacity=128)
     yield pool
     # Every xmlstore test must drain its pins; a leak fails the leaking
-    # test directly even when the sanitizers are not armed.
+    # test directly.
     pool.assert_unpinned()
 
 
