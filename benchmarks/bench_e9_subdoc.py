@@ -4,15 +4,17 @@ Paper claims: multiple-granularity locking on prefix-encoded node IDs lets
 transactions update disjoint subtrees of one document concurrently (ancestry
 = prefix test), where document-level locking serializes them.  The bench
 runs disjoint-subtree writer fleets under both granularities and one
-conflicting (ancestor-writer) mix, comparing wait steps and makespan.
+conflicting (ancestor-writer) mix, comparing wait steps and makespan.  Both
+granularities are node locks in the engine's one lock manager: document
+level locks the empty node ID ``b""``, an ancestor of every node.
 """
 
 from conftest import fresh_names, fresh_pool, print_table
 
+from repro.cc.document import node_resource
 from repro.cc.scheduler import Do, Lock, Scheduler
-from repro.cc.subdocument import DocumentGranularityAdapter, PrefixLockTable
 from repro.core.stats import StatsRegistry
-from repro.rdb.locks import LockMode
+from repro.rdb.locks import LockManager, LockMode
 from repro.workload.generator import wide_document
 from repro.xdm.events import EventKind
 from repro.xmlstore.store import XmlStore
@@ -47,13 +49,13 @@ def run(granularity: str, conflicting: bool = False):
     store = build_store()
     updater = XmlUpdater(store)
     targets = subtree_targets(store)
-    table = PrefixLockTable(StatsRegistry())
-    backend = table if granularity == "subdocument" \
-        else DocumentGranularityAdapter(table)
+    locks = LockManager(StatsRegistry())
 
     def writer(subtree, text_id):
+        lock_id = subtree if granularity == "subdocument" else b""
+
         def body(txn_id):
-            yield Lock((1, subtree), LockMode.X)
+            yield Lock(node_resource("doc", 1, lock_id), LockMode.X)
             for k in range(WORK_STEPS):
                 yield Do(lambda k=k: updater.replace_text(
                     1, text_id, f"updated by step {k}"))
@@ -65,11 +67,11 @@ def run(granularity: str, conflicting: bool = False):
         root = b"\x02"  # whole-document writer forces serialization anyway
 
         def root_writer(txn_id):
-            yield Lock((1, root), LockMode.X)
+            yield Lock(node_resource("doc", 1, root), LockMode.X)
             yield Do(lambda: None)
         programs.append(("root", root_writer))
-    result = Scheduler(backend, seed=17).run(programs)
-    return result, table.prefix_tests
+    result = Scheduler(locks, seed=17).run(programs)
+    return result, locks.stats.get("lock.prefix_tests")
 
 
 def test_e9b_granularity(benchmark):

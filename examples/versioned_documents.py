@@ -8,13 +8,14 @@ ancestry conflicts detected by prefix test).
 Run:  python examples/versioned_documents.py
 """
 
+from repro.cc.document import node_resource
 from repro.cc.mvcc import VersionedXmlStore
-from repro.cc.subdocument import PrefixLockTable, subtree_overlaps
 from repro.core.stats import StatsRegistry
 from repro.rdb.buffer import BufferPool
-from repro.rdb.locks import LockMode
+from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.storage import Disk
 from repro.xdm.names import NameTable
+from repro.xdm.nodeid import is_ancestor_or_self
 from repro.xdm.serializer import serialize
 
 store = VersionedXmlStore(
@@ -37,22 +38,28 @@ print("NodeID index keys carry (DocID, ver#, NodeID) with ver# descending,")
 print("so the reader's deferred access stayed consistent (§5.1).\n")
 
 # Subdocument locking: two sessions edit disjoint subtrees of one document.
-locks = PrefixLockTable(StatsRegistry())
-section_a = b"\x02\x02"   # /wiki/page[1]
-section_b = b"\x02\x04"   # /wiki/page[2]
-whole_doc = b"\x02"
+# Node locks live in the engine's one lock manager beside table, row and
+# DocID locks; two conflict when one node ID is a prefix of the other.
+locks = LockManager(StatsRegistry())
+section_a = node_resource("doc", 1, b"\x02\x02")   # /wiki/page[1]
+section_b = node_resource("doc", 1, b"\x02\x04")   # /wiki/page[2]
+whole_doc = node_resource("doc", 1, b"\x02")
+
+
+def overlap(a, b):
+    return is_ancestor_or_self(a[3], b[3]) or is_ancestor_or_self(b[3], a[3])
+
 
 print("txn 100 locks section A   ->",
-      locks.try_acquire(100, (1, section_a), LockMode.X))
+      locks.try_acquire(100, section_a, LockMode.X))
 print("txn 200 locks section B   ->",
-      locks.try_acquire(200, (1, section_b), LockMode.X))
+      locks.try_acquire(200, section_b, LockMode.X))
 print("txn 300 locks whole doc   ->",
-      locks.try_acquire(300, (1, whole_doc), LockMode.X),
+      locks.try_acquire(300, whole_doc, LockMode.X),
       "(blocked: ancestor of both, by prefix test)")
-print("prefix checks: A vs B overlap?",
-      subtree_overlaps(section_a, section_b),
-      "| doc vs A overlap?", subtree_overlaps(whole_doc, section_a))
+print("prefix checks: A vs B overlap?", overlap(section_a, section_b),
+      "| doc vs A overlap?", overlap(whole_doc, section_a))
 locks.release_all(100)
 locks.release_all(200)
 print("after A and B commit, txn 300 retries ->",
-      locks.try_acquire(300, (1, whole_doc), LockMode.X))
+      locks.try_acquire(300, whole_doc, LockMode.X))

@@ -3,11 +3,10 @@
 Deadlock freedom by ordering: if every code path acquires lock *classes* in
 one global order, no waits-for cycle can form between classes.  The engine's
 lock resources are class-tagged tuples — ``("table", name)``,
-``("row", table, rid)``, ``("doc", column, docid)``; ``row_resource`` and
-``doc_resource`` in ``repro.cc.document`` build the last two — so the
-class of most acquisition sites is statically visible.  Node locks (§5.2)
-live in ``repro.cc.subdocument.PrefixLockTable``, whose resources are
-``(docid, node_id)`` pairs with no class tag.
+``("row", table, rid)``, ``("doc", column, docid)`` and the node locks of
+§5.2, ``("node", column, docid, node_id)``; ``row_resource``,
+``doc_resource`` and ``node_resource`` in ``repro.cc.document`` build the
+last three — so the class of most acquisition sites is statically visible.
 
 The checker walks every function's *acquisition sites* in source order
 (:meth:`~repro.analyze.effects.EffectAnalysis.sites`):

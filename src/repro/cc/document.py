@@ -9,7 +9,8 @@ prevent reading a partially inserted document by using a lock."
 
 This module provides the resource naming and the protocol helpers the
 scheduler programs use: row locks cover documents on the base-row access
-path; DocID locks protect direct (index-driven or deferred) access.
+path; DocID locks protect direct (index-driven or deferred) access; node
+locks (§5.2) cover one subtree of a document.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def row_resource(table: str, rid: Rid) -> tuple:
 def doc_resource(column: str, docid: int) -> tuple:
     """Lock resource for a document (DocID lock)."""
     return ("doc", column, docid)
+
+
+def node_resource(column: str, docid: int, node_id: bytes) -> tuple:
+    """Lock resource for the subtree rooted at ``node_id`` (node-ID lock,
+    §5.2); it conflicts with the document's node locks by the prefix test,
+    and ``b""`` covers the whole document."""
+    return ("node", column, docid, node_id)
 
 
 class DocumentLockProtocol:

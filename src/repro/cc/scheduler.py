@@ -20,21 +20,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
 
-from repro.core.stats import StatsRegistry, default_stats
+from repro.core.stats import StatsRegistry
 from repro.errors import TransactionError
+from repro.rdb.locks import LockManager
 from repro.rdb.txn import emit_accounting
-
-
-class LockBackend(Protocol):
-    """What the scheduler needs from a lock protocol."""
-
-    def try_acquire(self, txn_id: int, resource: object, mode) -> bool: ...
-
-    def release_all(self, txn_id: int) -> None: ...
-
-    def find_deadlock(self) -> list[int] | None: ...
 
 
 #: Program actions.
@@ -97,7 +88,7 @@ class _Runner:
 
 
 class Scheduler:
-    """Runs programs to completion under a lock backend.
+    """Runs programs to completion under a lock manager.
 
     ``wait_budget`` (simulated steps; ``None`` disables timeouts) bounds
     blocked waiting per lock request; waiting accrues through a bounded
@@ -108,7 +99,7 @@ class Scheduler:
     in ``stats.events``, the stream interactive transactions record in.
     """
 
-    def __init__(self, locks: LockBackend, seed: int = 0,
+    def __init__(self, locks: LockManager, seed: int = 0,
                  max_steps: int = 100_000,
                  wait_budget: int | None = None,
                  backoff_initial: int = 1,
@@ -122,8 +113,7 @@ class Scheduler:
         self.backoff_initial = max(1, backoff_initial)
         self.backoff_cap = max(1, backoff_cap)
         self.max_restarts = max_restarts
-        self.stats = stats if stats is not None else \
-            default_stats(getattr(locks, "stats", None))
+        self.stats = stats if stats is not None else locks.stats
         self._next_txn = 1000  # distinct from interactive txns
 
     def run(self, programs: list[tuple[str, ProgramBody]],

@@ -42,6 +42,7 @@ METRICS: frozenset[str] = frozenset({
     "recovery.from_checkpoint",
     # lock manager
     "lock.acquired", "lock.waits", "lock.wait_steps", "lock.deadlocks",
+    "lock.prefix_tests",
     # transactions
     "txn.begun", "txn.aborts", "txn.retries", "txn.deadlocks",
     "txn.deadlock_aborts", "txn.timeout_aborts", "txn.lock_timeouts",

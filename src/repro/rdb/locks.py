@@ -8,11 +8,14 @@ experiments reproducible.  A waits-for graph detects deadlocks.
 
 Resources are arbitrary hashable keys: class-tagged tuples such as
 ``("table", name)``, ``("row", table, rid)`` and ``("doc", column, docid)``
-(DocID locks, §5.1); the manager itself is agnostic, as in the paper where
-one lock manager covers relational and XML resources.  Node locks (§5.2)
-are not taken here: they live in
-:class:`repro.cc.subdocument.PrefixLockTable`, which tests NodeID-prefix
-overlap instead of resource equality.
+(DocID locks, §5.1), which conflict only with themselves; as in the paper,
+one lock manager covers relational and XML resources.  The one exception is
+the node lock ``("node", column, docid, node_id)`` (§5.2): it locks the
+whole subtree rooted at ``node_id``, so it conflicts with every node lock
+on the same document whose ID it is a prefix of or that is a prefix of it
+— "ancestor-descendant relationship can be checked by testing if one is a
+prefix of the other".  The empty ID ``b""`` locks the whole document.  A
+node lock and a ``("doc", ...)`` lock are unrelated resources.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import enum
 
 from repro.core.stats import StatsRegistry, default_stats
+from repro.xdm.nodeid import is_ancestor_or_self
 
 
 class LockMode(enum.IntEnum):
@@ -77,7 +81,7 @@ def mode_lub(a: LockMode, b: LockMode) -> LockMode:
 class LockManager:
     """The lock table: granted modes, per-transaction holdings, waits-for.
 
-    Three plain maps with no lock of their own: like every other engine
+    Four plain maps with no lock of their own: like every other engine
     structure they are read and written only under the engine latch
     (``Database.latch``), which the serving layer's workers hold for the
     whole of each request.
@@ -91,6 +95,8 @@ class LockManager:
         self._held: dict[int, set[object]] = {}
         #: {waiter txn_id: set of blocker txn_ids}
         self._waits_for: dict[int, set[int]] = {}
+        #: {("node", column, docid): set of granted node resources}
+        self._nodes: dict[tuple, set[tuple]] = {}
 
     def try_acquire(self, txn_id: int, resource: object, mode: LockMode) -> bool:
         """Grant ``mode`` on ``resource`` to ``txn_id`` if compatible.
@@ -98,22 +104,51 @@ class LockManager:
         Re-requests upgrade to the least upper bound of held and requested
         modes.  On conflict, records waits-for edges and returns ``False``.
         """
-        holders = self._granted.setdefault(resource, {})
-        held = holders.get(txn_id)
+        holders = self._granted.get(resource)
+        held = holders.get(txn_id) if holders else None
         effective = mode if held is None else mode_lub(held, mode)
-        blockers = [
-            other for other, other_mode in holders.items()
-            if other != txn_id and not mode_compatible(effective, other_mode)
-        ]
+        node = resource.__class__ is tuple and resource[0] == "node"
+        if node:
+            blockers = self._node_blockers(txn_id, resource, effective)
+        elif holders:
+            blockers = [
+                other for other, other_mode in holders.items()
+                if other != txn_id and not mode_compatible(effective, other_mode)
+            ]
+        else:
+            blockers = []
         if blockers:
             self._waits_for.setdefault(txn_id, set()).update(blockers)
             self.stats.add("lock.waits")
             return False
+        if holders is None:
+            holders = self._granted[resource] = {}
+            if node:
+                self._nodes.setdefault(resource[:3], set()).add(resource)
         holders[txn_id] = effective
         self._held.setdefault(txn_id, set()).add(resource)
         self._waits_for.pop(txn_id, None)
         self.stats.add("lock.acquired")
         return True
+
+    def _node_blockers(self, txn_id: int, resource: tuple,
+                       mode: LockMode) -> list[int]:
+        """Other transactions whose node locks on ``resource``'s document
+        overlap its subtree (the prefix test) in a mode incompatible with
+        ``mode``: one prefix test per node locked on the document."""
+        locked = self._nodes.get(resource[:3], ())
+        if not locked:
+            return []
+        self.stats.add("lock.prefix_tests", len(locked))
+        node_id = resource[3]
+        return [
+            other
+            for other_resource in locked
+            if is_ancestor_or_self(node_id, other_resource[3])
+            or is_ancestor_or_self(other_resource[3], node_id)
+            for other, other_mode in self._granted[other_resource].items()
+            if other != txn_id and not mode_compatible(mode, other_mode)
+        ]
 
     def holds(self, txn_id: int, resource: object,
               mode: LockMode | None = None) -> bool:
@@ -142,6 +177,11 @@ class LockManager:
                 holders.pop(txn_id, None)
                 if not holders:
                     del self._granted[resource]
+                    if resource.__class__ is tuple and resource[0] == "node":
+                        locked = self._nodes[resource[:3]]
+                        locked.discard(resource)
+                        if not locked:
+                            del self._nodes[resource[:3]]
         self._waits_for.pop(txn_id, None)
         for waiter in list(self._waits_for):
             edges = self._waits_for[waiter]

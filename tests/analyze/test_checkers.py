@@ -114,19 +114,24 @@ class TestLockOrderChecker:
         assert run_checkers([LockOrderChecker()], [one, two],
                             root=tmp_path) == []
 
-    def test_resource_helper_calls_are_classified(self, tmp_path):
-        path = write(tmp_path, "helpers.py", """\
+    @pytest.mark.parametrize("helper, detail", [
+        ("row_resource", "doc/row"),
+        ("node_resource", "doc/node"),
+    ], ids=["row", "node"])
+    def test_resource_helper_calls_are_classified(self, tmp_path, helper,
+                                                  detail):
+        path = write(tmp_path, "helpers.py", f"""\
             def forward(txn):
-                txn.lock(row_resource(1), "X")
+                txn.lock({helper}(1), "X")
                 txn.lock(doc_resource(2), "X")
 
             def backward(txn):
                 txn.lock(doc_resource(2), "X")
-                txn.lock(row_resource(1), "X")
+                txn.lock({helper}(1), "X")
             """)
         findings = run_checkers([LockOrderChecker()], [path], root=tmp_path)
         assert [f.code for f in findings] == ["LOCK001"]
-        assert findings[0].detail == "doc/row"
+        assert findings[0].detail == detail
 
     def test_lock_in_except_handler_is_flagged(self, tmp_path):
         findings = run_on(tmp_path, LockOrderChecker(), "handler.py", """\

@@ -1,14 +1,13 @@
 """Tests for the scheduler, document-level locking, MVCC, and subdocument
-multiple-granularity locking."""
+multiple-granularity locking (node locks in the lock manager)."""
 
 import pytest
 
 from repro.core.stats import StatsRegistry
-from repro.cc.document import DocumentLockProtocol, doc_resource, row_resource
+from repro.cc.document import (DocumentLockProtocol, doc_resource,
+                                node_resource, row_resource)
 from repro.cc.mvcc import VersionedXmlStore, split_version_key, version_key
 from repro.cc.scheduler import Do, Lock, Scheduler
-from repro.cc.subdocument import (DocumentGranularityAdapter, PrefixLockTable,
-                                  subtree_overlaps)
 from repro.errors import DocumentNotFoundError
 from repro.rdb.buffer import BufferPool
 from repro.rdb.locks import LockManager, LockMode
@@ -233,57 +232,69 @@ class TestMvcc:
         assert "<i>zero</i>" in serialize(store.document_latest(1).events())
 
 
+def node(docid, node_id):
+    return node_resource("doc", docid, node_id)
+
+
 class TestSubdocumentLocking:
-    def test_prefix_overlap(self):
-        assert subtree_overlaps(b"\x02", b"\x02\x04")
-        assert subtree_overlaps(b"\x02\x04", b"\x02")
-        assert subtree_overlaps(b"\x02", b"\x02")
-        assert not subtree_overlaps(b"\x02\x02", b"\x02\x04")
+    """Node-ID locks (§5.2) in the one lock manager: a lock on a node
+    covers its subtree, so two conflict when one ID is a prefix of the
+    other."""
+
+    def test_prefix_overlap(self, stats):
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b"\x02\x04"), LockMode.X)
+        for overlapping in (b"\x02", b"\x02\x04", b"\x02\x04\x06"):
+            assert not lm.try_acquire(2, node(7, overlapping), LockMode.X)
+        assert lm.try_acquire(2, node(7, b"\x02\x02"), LockMode.X)
+        assert stats.get("lock.prefix_tests") == 4
 
     def test_disjoint_subtrees_write_concurrently(self, stats):
-        table = PrefixLockTable(stats)
-        assert table.try_acquire(1, (7, b"\x02\x02"), LockMode.X)
-        assert table.try_acquire(2, (7, b"\x02\x04"), LockMode.X)
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b"\x02\x02"), LockMode.X)
+        assert lm.try_acquire(2, node(7, b"\x02\x04"), LockMode.X)
 
     def test_ancestor_lock_blocks_descendant(self, stats):
-        table = PrefixLockTable(stats)
-        assert table.try_acquire(1, (7, b"\x02"), LockMode.X)
-        assert not table.try_acquire(2, (7, b"\x02\x04\x02"), LockMode.X)
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b"\x02"), LockMode.X)
+        assert not lm.try_acquire(2, node(7, b"\x02\x04\x02"), LockMode.X)
+        assert lm.waits_for_edges() == {2: frozenset({1})}
 
     def test_descendant_lock_blocks_ancestor(self, stats):
-        table = PrefixLockTable(stats)
-        assert table.try_acquire(1, (7, b"\x02\x04"), LockMode.X)
-        assert not table.try_acquire(2, (7, b"\x02"), LockMode.X)
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b"\x02\x04"), LockMode.X)
+        assert not lm.try_acquire(2, node(7, b"\x02"), LockMode.X)
+        # The refused request leaves no empty entry behind.
+        assert list(lm.lock_table()) == [node(7, b"\x02\x04")]
 
     def test_shared_locks_overlap(self, stats):
-        table = PrefixLockTable(stats)
-        assert table.try_acquire(1, (7, b"\x02"), LockMode.S)
-        assert table.try_acquire(2, (7, b"\x02\x04"), LockMode.S)
-        assert not table.try_acquire(3, (7, b"\x02\x04"), LockMode.X)
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b"\x02"), LockMode.S)
+        assert lm.try_acquire(2, node(7, b"\x02\x04"), LockMode.S)
+        assert not lm.try_acquire(3, node(7, b"\x02\x04"), LockMode.X)
 
     def test_different_documents_never_conflict(self, stats):
-        table = PrefixLockTable(stats)
-        assert table.try_acquire(1, (1, b"\x02"), LockMode.X)
-        assert table.try_acquire(2, (2, b"\x02"), LockMode.X)
-
-    def test_covers(self, stats):
-        table = PrefixLockTable(stats)
-        table.try_acquire(1, (7, b"\x02"), LockMode.X)
-        assert table.covers(1, 7, b"\x02\x04\x06", LockMode.S)
-        assert not table.covers(1, 7, b"\x04", LockMode.S)
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(1, b"\x02"), LockMode.X)
+        assert lm.try_acquire(2, node(2, b"\x02"), LockMode.X)
+        # Nor does a node lock conflict with the document's DocID lock.
+        assert lm.try_acquire(3, doc_resource("doc", 1), LockMode.X)
 
     def test_release_unblocks(self, stats):
-        table = PrefixLockTable(stats)
-        table.try_acquire(1, (7, b"\x02"), LockMode.X)
-        table.release_all(1)
-        assert table.try_acquire(2, (7, b"\x02\x02"), LockMode.X)
+        lm = LockManager(stats)
+        lm.try_acquire(1, node(7, b"\x02"), LockMode.X)
+        lm.try_acquire(1, node(7, b"\x02\x04"), LockMode.X)
+        lm.release_all(1)
+        assert lm.lock_table() == {}
+        assert lm.try_acquire(2, node(7, b"\x02\x02"), LockMode.X)
 
     def test_document_adapter_escalates(self, stats):
-        table = PrefixLockTable(stats)
-        adapter = DocumentGranularityAdapter(table)
-        assert adapter.try_acquire(1, (7, b"\x02\x02"), LockMode.X)
-        # Disjoint subtree, but the adapter locked the whole document.
-        assert not adapter.try_acquire(2, (7, b"\x02\x04"), LockMode.X)
+        """Document granularity is a node lock on the empty ID ``b""``, an
+        ancestor of every node of the document."""
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(7, b""), LockMode.X)
+        assert not lm.try_acquire(2, node(7, b"\x02\x04"), LockMode.X)
+        assert not lm.try_acquire(3, node(7, b""), LockMode.S)
 
     def test_concurrency_gain_under_scheduler(self, stats):
         """E9b shape: disjoint-subtree writers under the two granularities."""
@@ -291,26 +302,38 @@ class TestSubdocumentLocking:
 
         def writer(node_id):
             def body(txn_id):
-                yield Lock((1, node_id), LockMode.X)
+                yield Lock(node(1, node_id), LockMode.X)
                 yield Do(lambda: None)
                 yield Do(lambda: None)
             return body
 
-        programs = [(f"w{i}", writer(node)) for i, node in
-                    enumerate(subtrees)]
-        fine = Scheduler(PrefixLockTable(StatsRegistry()), seed=2).run(
-            list(programs))
-        coarse_table = PrefixLockTable(StatsRegistry())
-        coarse = Scheduler(DocumentGranularityAdapter(coarse_table),
-                           seed=2).run(list(programs))
+        def run(lock_ids):
+            programs = [(f"w{i}", writer(node_id))
+                        for i, node_id in enumerate(lock_ids)]
+            return Scheduler(LockManager(StatsRegistry()), seed=2).run(
+                programs)
+
+        fine = run(subtrees)
+        coarse = run([b""] * len(subtrees))
         assert fine.committed == coarse.committed == 5
         assert fine.wait_steps < coarse.wait_steps
 
     def test_deadlock_detection(self, stats):
-        table = PrefixLockTable(stats)
-        table.try_acquire(1, (1, b"\x02"), LockMode.X)
-        table.try_acquire(2, (1, b"\x04"), LockMode.X)
-        assert not table.try_acquire(1, (1, b"\x04"), LockMode.X)
-        assert not table.try_acquire(2, (1, b"\x02"), LockMode.X)
-        cycle = table.find_deadlock()
+        lm = LockManager(stats)
+        lm.try_acquire(1, node(1, b"\x02"), LockMode.X)
+        lm.try_acquire(2, node(1, b"\x04"), LockMode.X)
+        assert not lm.try_acquire(1, node(1, b"\x04\x02"), LockMode.X)
+        assert not lm.try_acquire(2, node(1, b"\x02"), LockMode.X)
+        cycle = lm.find_deadlock()
+        assert cycle and set(cycle) == {1, 2}
+
+    def test_deadlock_through_node_and_doc_locks(self, stats):
+        """One waits-for graph: a cycle through a node lock and a DocID
+        lock is found like any other."""
+        lm = LockManager(stats)
+        assert lm.try_acquire(1, node(1, b"\x02"), LockMode.X)
+        assert lm.try_acquire(2, doc_resource("doc", 1), LockMode.X)
+        assert not lm.try_acquire(1, doc_resource("doc", 1), LockMode.X)
+        assert not lm.try_acquire(2, node(1, b"\x02\x02"), LockMode.X)
+        cycle = lm.find_deadlock()
         assert cycle and set(cycle) == {1, 2}

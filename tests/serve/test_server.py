@@ -8,6 +8,7 @@ import pytest
 
 from repro.analyze.framework import Program, SourceModule
 from repro.analyze.threads import ThreadAnalysis
+from repro.cc.document import doc_resource, node_resource
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import QUERY_CACHE_SIZE, Database
 from repro.errors import ServerClosedError, TransactionError, XmlParseError
@@ -175,34 +176,47 @@ class TestServing:
         assert record.rows == 1
         assert "xscan.events" in record.exceeded
 
-    def test_explicit_txn_holds_locks_across_requests(self):
+    @pytest.mark.parametrize("held, other_resource", [
+        (doc_resource("docs", 1), doc_resource("docs", 2)),
+        # Disjoint subtrees of one document: neither ID prefixes the other.
+        (node_resource("docs", 1, b"\x02\x02"),
+         node_resource("docs", 1, b"\x02\x04")),
+    ], ids=["doc", "node"])
+    def test_explicit_txn_holds_locks_across_requests(self, held,
+                                                      other_resource):
         db = make_db(serve_workers=2)
         with DatabaseServer(db) as server:
             holder = server.session()
             holder.begin()
-            holder.lock(("doc", "docs", 1), LockMode.X)
+            holder.lock(held, LockMode.X)
             other = server.session()
             other.begin()
             assert db.txns.locks.locks_held(holder.txn.txn_id) == 1
             # The other session can take a different resource at once.
-            other.lock(("doc", "docs", 2), LockMode.X)
+            other.lock(other_resource, LockMode.X)
             other.commit()
             holder.commit()
         assert db.stats.get("serve.failed") == 0
 
-    def test_explicit_txn_contention_resolves(self):
+    @pytest.mark.parametrize("held, wanted", [
+        (doc_resource("docs", 7), doc_resource("docs", 7)),
+        # The holder locks an ancestor, the waiter a descendant of it.
+        (node_resource("docs", 7, b"\x02"),
+         node_resource("docs", 7, b"\x02\x04\x02")),
+    ], ids=["doc", "node"])
+    def test_explicit_txn_contention_resolves(self, held, wanted):
         """Two sessions fight over one lock; the waiter wins after commit."""
         db = make_db(serve_workers=2, lock_wait_budget=4096)
         with DatabaseServer(db) as server:
             holder = server.session()
             holder.begin()
-            holder.lock(("doc", "docs", 7), LockMode.X)
+            holder.lock(held, LockMode.X)
             got_lock = threading.Event()
 
             def waiter():
                 with server.session() as session:
                     session.begin()
-                    session.lock(("doc", "docs", 7), LockMode.X)
+                    session.lock(wanted, LockMode.X)
                     got_lock.set()
                     session.commit()
 

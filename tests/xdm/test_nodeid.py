@@ -26,9 +26,11 @@ class TestRelativeEncoding:
         assert is_valid_relative(relative_from_ordinal(1000))
 
     def test_ordinal_allocation_is_monotone(self):
-        ids = [relative_from_ordinal(n) for n in range(1, 400)]
+        # Past the 1 143rd sibling IDs carry multi-digit numbers.
+        ids = [relative_from_ordinal(n) for n in range(1, 20_000)]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
+        assert all(is_valid_relative(rel) for rel in ids)
 
     def test_validity_rules(self):
         assert is_valid_relative(b"\x02")
