@@ -131,10 +131,6 @@ class DocumentNotFoundError(XmlError):
     """A DocID does not designate a stored document."""
 
 
-class AnalysisError(ReproError):
-    """Static-analysis toolkit failure (see :mod:`repro.analyze`)."""
-
-
 class QueryError(ReproError):
     """Base class for query compilation/execution errors."""
 

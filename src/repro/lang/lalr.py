@@ -10,8 +10,10 @@ to a fixpoint through closures and gotos (the kernel construction of the
 Dragon book, §4.7.5), and conflicts are reported at build time.  Grammars
 with a nonterminal that derives no terminal string are rejected.
 
-The generator is deliberately general — nothing in it knows about XPath —
-and is exercised independently by the test suite.
+The generator is deliberately general — nothing in it knows about XPath or
+SQL — and builds both the XPath parser (:mod:`repro.lang.xpath_grammar`)
+and the SQL/XML statement parser (:mod:`repro.query.sqlxml`); the test
+suite also exercises it independently.
 """
 
 from __future__ import annotations
@@ -257,10 +259,6 @@ class ParserTables:
                 f"{kind_a}/{kind_b} conflict in state {state_no} "
                 f"on {terminal!r}: {existing} vs {action}")
         self.action[state_no][terminal] = action
-
-    @property
-    def state_count(self) -> int:
-        return len(self.action)
 
     def production(self, index: int) -> Production:
         return self._productions[index]

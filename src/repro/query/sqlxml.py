@@ -20,6 +20,8 @@ SQL/XML with embedded XPath."  The supported subset:
   - ``XMLAGG(constructor [ORDER BY expr [DESC]])`` with the in-memory
     quicksort path.
 
+Statements parse through the same LALR(1) generator as XPath
+(:mod:`repro.lang.lalr`), so every statement must end where its text does.
 Nested constructor calls are flattened at *compile* time: scalar argument
 expressions become numbered template slots, so each row is evaluated into a
 plain args record bound to the shared template (Fig. 5).
@@ -27,16 +29,22 @@ plain args record bound to the shared template (Fig. 5).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from repro.core.engine import Database
 from repro.errors import SqlSyntaxError
+from repro.lang.lalr import Grammar, ParseError, Parser, Token, build_parser
 from repro.query.constructors import (Arg, Const, Spec, XAttr, XConcat,
                                       XElem, XForest, XmlAggregator,
                                       compile_template)
 from repro.xdm.serializer import serialize
 from repro.xpath.quickxscan import QuickXScan
+
+
+# -- lexer ----------------------------------------------------------------------
 
 _KEYWORDS = {
     "create", "table", "index", "on", "insert", "into", "values", "select",
@@ -46,80 +54,55 @@ _KEYWORDS = {
     "xmlattributes", "xmlforest", "xmlconcat", "xmlagg",
 }
 
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)
+  | (?P<WORD>[^\W\d]\w*)
+  | "(?P<QWORD>[^"]*)"
+  | '(?P<STRING>[^']*(?:''[^']*)*)'
+  | (?P<OP><=|>=|<>|!=|\|\||[(),*=<>])
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class _Tok:
-    type: str  # "word" | "string" | "number" | punctuation
-    value: object
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    out: list[_Tok] = []
+def _tokenize(text: str) -> list[Token]:
+    """Scan a statement: keywords become upper-case terminals of their own,
+    other names ``WORD``, punctuation the terminal spelt like it."""
+    out: list[Token] = []
     pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "'":
-            # SQL string literal with '' escaping.
-            parts = []
-            pos += 1
-            while True:
-                end = text.find("'", pos)
-                if end < 0:
-                    raise SqlSyntaxError(f"unterminated string at {pos}")
-                parts.append(text[pos:end])
-                if text[end:end + 2] == "''":
-                    parts.append("'")
-                    pos = end + 2
-                    continue
-                pos = end + 1
-                break
-            out.append(_Tok("string", "".join(parts), pos))
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < length
-                            and text[pos + 1].isdigit()):
-            start = pos
-            while pos < length and (text[pos].isdigit() or text[pos] == "."):
-                pos += 1
-            literal = text[start:pos]
-            out.append(_Tok("number",
-                            float(literal) if "." in literal
-                            else int(literal), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            out.append(_Tok("word", text[start:pos], start))
-            continue
-        if ch == '"':
-            end = text.find('"', pos + 1)
-            if end < 0:
-                raise SqlSyntaxError(f"unterminated identifier at {pos}")
-            out.append(_Tok("qword", text[pos + 1:end], pos))
-            pos = end + 1
-            continue
-        two = text[pos:pos + 2]
-        if two in ("<=", ">=", "<>", "!=", "||"):
-            out.append(_Tok(two, two, pos))
-            pos += 2
-            continue
-        if ch in "(),*=<>.":
-            out.append(_Tok(ch, ch, pos))
-            pos += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r} at offset {pos}")
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            quoted = {"'": "string", '"': "identifier"}.get(text[pos])
+            raise SqlSyntaxError(
+                f"unterminated {quoted} at offset {pos}" if quoted
+                else f"unexpected character {text[pos]!r} at offset {pos}")
+        kind = match.lastgroup
+        if kind is not None:  # not whitespace
+            value = match.group(kind)
+            if kind == "NUMBER":
+                value = float(value) if "." in value else int(value)
+            elif kind == "STRING":
+                value = value.replace("''", "'")
+            elif kind == "WORD" and value.lower() in _KEYWORDS:
+                kind = value.upper()
+            elif kind == "OP":
+                kind = value
+            out.append(Token(kind, value, pos))
+        pos = match.end()
     return out
 
 
 # -- expression forms ---------------------------------------------------------
 
 class SExpr:
-    pass
+    #: How deep the node tree under this node nests, counted by the parser
+    #: to bound evaluation's recursion; not part of the node's value.
+    depth = 0
+
+
+@dataclass
+class Star(SExpr):
+    """``SELECT *``: every column of the row."""
 
 
 @dataclass
@@ -226,355 +209,233 @@ class Select:
 Statement = CreateTable | CreateIndex | Insert | Delete | Select
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Tok]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+# -- grammar (§4: the XPath parser's LALR(1) generator) -----------------------
 
-    # -- cursor helpers -----------------------------------------------------
+#: Deepest nesting of conditions and constructors a statement may have.
+#: Evaluating them and flattening constructors recurse, so a deeper
+#: statement is refused when it is parsed.
+MAX_NESTING = 200
 
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Tok:
-        token = self.peek()
-        if token is None:
-            raise SqlSyntaxError("unexpected end of statement")
-        self.pos += 1
-        return token
-
-    def accept_word(self, *words: str) -> str | None:
-        token = self.peek()
-        if token is not None and token.type == "word" and \
-                str(token.value).lower() in words:
-            self.pos += 1
-            return str(token.value).lower()
-        return None
-
-    def expect_word(self, word: str) -> None:
-        if self.accept_word(word) is None:
-            found = self.peek()
-            raise SqlSyntaxError(
-                f"expected {word.upper()}, found "
-                f"{found.value if found else 'end'}")
-
-    def expect(self, token_type: str) -> _Tok:
-        token = self.next()
-        if token.type != token_type:
-            raise SqlSyntaxError(
-                f"expected {token_type!r}, found {token.value!r}")
-        return token
-
-    def identifier(self) -> str:
-        token = self.next()
-        if token.type == "word":
-            word = str(token.value)
-            if word.lower() in _KEYWORDS:
-                raise SqlSyntaxError(f"keyword {word!r} used as identifier")
-            return word
-        if token.type == "qword":
-            return str(token.value)
-        raise SqlSyntaxError(f"expected an identifier, found {token.value!r}")
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    # -- statements ----------------------------------------------------------------
-
-    def statement(self) -> Statement:
-        if self.accept_word("create"):
-            if self.accept_word("table"):
-                return self._create_table()
-            if self.accept_word("index"):
-                return self._create_index()
-            raise SqlSyntaxError("expected TABLE or INDEX after CREATE")
-        if self.accept_word("insert"):
-            return self._insert()
-        if self.accept_word("delete"):
-            return self._delete()
-        if self.accept_word("select"):
-            return self._select()
-        found = self.peek()
+def _nest(node: SExpr, *children: SExpr | None) -> SExpr:
+    """Record that ``node`` holds ``children``, refusing deep nesting."""
+    node.depth = max([node.depth] + [1 + child.depth for child in children
+                                     if child is not None])
+    if node.depth > MAX_NESTING:
         raise SqlSyntaxError(
-            f"unknown statement start {found.value if found else 'end'!r}")
+            f"statement nests deeper than {MAX_NESTING} levels")
+    return node
 
-    def _create_table(self) -> CreateTable:
-        name = self.identifier()
-        self.expect("(")
-        columns = []
-        while True:
-            col_name = self.identifier()
-            col_type = str(self.expect("word" if self.peek() and
-                                       self.peek().type == "word"
-                                       else "word").value).lower()
-            if self.peek() is not None and self.peek().type == "(":
-                self.next()
-                self.expect("number")  # VARCHAR(n) length ignored
-                self.expect(")")
-            columns.append((col_name, col_type))
-            token = self.next()
-            if token.type == ")":
-                break
-            if token.type != ",":
-                raise SqlSyntaxError(f"expected , or ) in column list")
-        if not self.at_end():
-            raise SqlSyntaxError("trailing tokens after CREATE TABLE")
-        return CreateTable(name, columns)
 
-    def _create_index(self) -> CreateIndex:
-        name = self.identifier()
-        self.expect_word("on")
-        table = self.identifier()
-        self.expect("(")
-        column = self.identifier()
-        self.expect(")")
-        self.expect_word("generate")
-        self.expect_word("key")
-        self.expect_word("using")
-        self.expect_word("xmlpattern")
-        pattern = str(self.expect("string").value)
-        self.expect_word("as")
-        self.expect_word("sql")
-        key_type = str(self.expect("word").value).lower()
-        if self.peek() is not None and self.peek().type == "(":
-            self.next()
-            self.expect("number")
-            self.expect(")")
-        return CreateIndex(name, table, column, pattern, key_type)
+def _concat(left: SExpr, _op: str, right: SExpr) -> SExpr:
+    if isinstance(left, Concat):
+        left.parts.append(right)
+        return _nest(left, right)
+    return _nest(Concat([left, right]), left, right)
 
-    def _insert(self) -> Insert:
-        self.expect_word("into")
-        table = self.identifier()
-        self.expect_word("values")
-        self.expect("(")
-        values = [self.expr()]
-        while self.peek() is not None and self.peek().type == ",":
-            self.next()
-            values.append(self.expr())
-        self.expect(")")
-        return Insert(table, values)
 
-    def _delete(self) -> Delete:
-        self.expect_word("from")
-        table = self.identifier()
-        where = None
-        if self.accept_word("where"):
-            where = self.condition()
-        return Delete(table, where)
+@dataclass
+class _Ctor:
+    """A constructor call before its scalar arguments become slots: the
+    ``(name, SExpr)`` items of XMLFOREST, or arguments in text order,
+    XMLELEMENT's XMLATTRIBUTES among them as lists of such items."""
 
-    def _select(self) -> Select:
-        items: list[tuple[SExpr, str]] = []
-        auto = 0
-        while True:
-            if self.peek() is not None and self.peek().type == "*":
-                self.next()
-                items.append((SLiteral("*"), "*"))
-            else:
-                expression = self.expr()
-                if self.accept_word("as"):
-                    alias = self.identifier()
-                elif isinstance(expression, ColRef):
-                    alias = expression.name
-                else:
-                    auto += 1
-                    alias = f"col{auto}"
-                items.append((expression, alias))
-            if self.peek() is not None and self.peek().type == ",":
-                self.next()
-                continue
-            break
-        self.expect_word("from")
-        table = self.identifier()
-        where = None
-        group_by = None
-        if self.accept_word("where"):
-            where = self.condition()
-        if self.accept_word("group"):
-            self.expect_word("by")
-            group_by = self.identifier()
-        if not self.at_end():
-            raise SqlSyntaxError("trailing tokens after SELECT")
-        return Select(items, table, where, group_by)
+    kind: str  # "element" | "forest" | "concat"
+    args: list
+    name: str = ""
 
-    # -- conditions -------------------------------------------------------------------
 
-    def condition(self) -> SExpr:
-        left = self.and_condition()
-        while self.accept_word("or"):
-            left = BoolOp("or", left, self.and_condition())
-        return left
+def _flatten(node: _Ctor | SExpr, slots: list[SExpr], depth: int = 0) -> Spec:
+    """Flatten nested constructors into one spec (§4.1), numbering their
+    scalar arguments into ``slots`` left to right."""
+    if not isinstance(node, _Ctor):
+        if isinstance(node, SLiteral) and node.value is not None:
+            return Const(str(node.value))
+        slots.append(node)
+        return Arg(len(slots) - 1)
+    if depth == MAX_NESTING:
+        raise SqlSyntaxError(
+            f"statement nests deeper than {MAX_NESTING} levels")
+    if node.kind == "forest":
+        return XForest(tuple((name, _flatten(value, slots))
+                             for name, value in node.args))
+    if node.kind == "concat":
+        return XConcat(tuple(_flatten(arg, slots, depth + 1)
+                             for arg in node.args))
+    attrs: list[XAttr] = []
+    children: list[Spec] = []
+    for arg in node.args:
+        if isinstance(arg, list):
+            attrs.extend(XAttr(name, _flatten(value, slots))
+                         for name, value in arg)
+        else:
+            children.append(_flatten(arg, slots, depth + 1))
+    return XElem(node.name, tuple(attrs), tuple(children))
 
-    def and_condition(self) -> SExpr:
-        left = self.simple_condition()
-        while self.accept_word("and"):
-            left = BoolOp("and", left, self.simple_condition())
-        return left
 
-    def simple_condition(self) -> SExpr:
-        if self.accept_word("not"):
-            return NotOp(self.simple_condition())
-        if self.accept_word("xmlexists"):
-            self.expect("(")
-            xpath = str(self.expect("string").value)
-            self.expect_word("passing")
-            column = self.identifier()
-            self.expect(")")
-            return XmlExists(xpath, column)
-        if self.peek() is not None and self.peek().type == "(":
-            self.next()
-            inner = self.condition()
-            self.expect(")")
-            return inner
-        left = self.expr()
-        token = self.next()
-        op = {"=": "=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-              "<>": "!=", "!=": "!="}.get(token.type)
-        if op is None:
-            raise SqlSyntaxError(f"expected a comparison, found "
-                                 f"{token.value!r}")
-        return Comparison(op, left, self.expr())
+def _constructor(node: _Ctor | SExpr) -> ConstructorExpr:
+    """A parsed constructor used as a value: one compiled template."""
+    slots: list[SExpr] = []
+    spec = _flatten(node, slots)
+    return _nest(ConstructorExpr(spec, slots), *slots)
 
-    # -- scalar / XML expressions --------------------------------------------------------
 
-    def expr(self) -> SExpr:
-        left = self.primary()
-        while self.peek() is not None and self.peek().type == "||":
-            self.next()
-            right = self.primary()
-            if isinstance(left, Concat):
-                left.parts.append(right)
-            else:
-                left = Concat([left, right])
-        return left
+def _element(_kw: str, _lp: str, name_kw: str, name: str, args: list,
+             _rp: str) -> _Ctor:
+    if name_kw.lower() != "name":
+        raise SqlSyntaxError(f"expected NAME, found {name_kw!r}")
+    return _Ctor("element", args, name)
 
-    def primary(self) -> SExpr:
-        token = self.peek()
-        if token is None:
-            raise SqlSyntaxError("unexpected end of expression")
-        if token.type in ("string", "number"):
-            self.next()
-            return SLiteral(token.value)
-        if token.type == "word":
-            word = str(token.value).lower()
-            if word == "null":
-                self.next()
-                return SLiteral(None)
-            if word == "xmlquery":
-                self.next()
-                self.expect("(")
-                xpath = str(self.expect("string").value)
-                self.expect_word("passing")
-                column = self.identifier()
-                self.expect(")")
-                return XmlQuery(xpath, column)
-            if word in ("xmlelement", "xmlforest", "xmlconcat"):
-                slots: list[SExpr] = []
-                spec = self._constructor(slots)
-                return ConstructorExpr(spec, slots)
-            if word == "xmlagg":
-                self.next()
-                self.expect("(")
-                slots = []
-                inner_spec = self._constructor(slots)
-                inner = ConstructorExpr(inner_spec, slots)
-                order_by = None
-                descending = False
-                if self.accept_word("order"):
-                    self.expect_word("by")
-                    order_by = self.expr()
-                    if self.accept_word("desc"):
-                        descending = True
-                    else:
-                        self.accept_word("asc")
-                self.expect(")")
-                return XmlAggExpr(inner, order_by, descending)
-            self.next()
-            return ColRef(str(token.value))
-        if token.type == "qword":
-            self.next()
-            return ColRef(str(token.value))
-        raise SqlSyntaxError(f"unexpected token {token.value!r}")
 
-    def _constructor(self, slots: list[SExpr]) -> Spec:
-        """Parse a constructor call, collecting slot expressions (§4.1)."""
-        word = self.accept_word("xmlelement", "xmlforest", "xmlconcat")
-        if word is None:
-            # A nested scalar argument: becomes a numbered slot.
-            expression = self.expr()
-            if isinstance(expression, SLiteral) and \
-                    expression.value is not None:
-                return Const(str(expression.value))
-            slots.append(expression)
-            return Arg(len(slots) - 1)
-        self.expect("(")
-        if word == "xmlelement":
-            self.expect_word("name")
-            name_token = self.next()
-            if name_token.type not in ("qword", "word"):
-                raise SqlSyntaxError("XMLELEMENT needs an element name")
-            attrs: list[XAttr] = []
-            children: list[Spec] = []
-            while self.peek() is not None and self.peek().type == ",":
-                self.next()
-                if self.accept_word("xmlattributes"):
-                    self.expect("(")
-                    while True:
-                        value = self.expr()
-                        self.expect_word("as")
-                        attr_token = self.next()
-                        if attr_token.type not in ("qword", "word"):
-                            raise SqlSyntaxError("attribute name expected")
-                        if isinstance(value, SLiteral) and \
-                                value.value is not None:
-                            attrs.append(XAttr(str(attr_token.value),
-                                               Const(str(value.value))))
-                        else:
-                            slots.append(value)
-                            attrs.append(XAttr(str(attr_token.value),
-                                               Arg(len(slots) - 1)))
-                        if self.peek() is not None and \
-                                self.peek().type == ",":
-                            self.next()
-                            continue
-                        break
-                    self.expect(")")
-                else:
-                    children.append(self._constructor(slots))
-            self.expect(")")
-            return XElem(str(name_token.value), tuple(attrs),
-                         tuple(children))
-        if word == "xmlforest":
-            items = []
-            while True:
-                value = self.expr()
-                self.expect_word("as")
-                item_token = self.next()
-                if item_token.type not in ("qword", "word"):
-                    raise SqlSyntaxError("XMLFOREST item name expected")
-                if isinstance(value, SLiteral) and value.value is not None:
-                    items.append((str(item_token.value),
-                                  Const(str(value.value))))
-                else:
-                    slots.append(value)
-                    items.append((str(item_token.value),
-                                  Arg(len(slots) - 1)))
-                if self.peek() is not None and self.peek().type == ",":
-                    self.next()
-                    continue
-                break
-            self.expect(")")
-            return XForest(tuple(items))
-        # xmlconcat
-        children = [self._constructor(slots)]
-        while self.peek() is not None and self.peek().type == ",":
-            self.next()
-            children.append(self._constructor(slots))
-        self.expect(")")
-        return XConcat(tuple(children))
+def _select(_kw: str, items: list, _from: str, table: str,
+            where: SExpr | None, group_by: str | None) -> Select:
+    """Items with no name yet are named col1, col2, ... in order."""
+    auto = iter(range(1, len(items) + 1))
+    named = [(expression, f"col{next(auto)}" if alias is None else alias)
+             for expression, alias in items]
+    return Select(named, table, where, group_by)
+
+
+def _xmlagg(_kw: str, _lp: str, arg: _Ctor | SExpr,
+            order: tuple[SExpr | None, bool], _rp: str) -> XmlAggExpr:
+    inner = _constructor(arg)
+    return _nest(XmlAggExpr(inner, *order), inner, order[0])
+
+
+def _more(items: list, _sep: str, item: object) -> list:
+    items.append(item)
+    return items
+
+
+def _list(g: Grammar, name: str, item: str) -> None:
+    """``name -> item ("," item)*``, as a list."""
+    g.rule(name, [item], lambda first: [first])
+    g.rule(name, [name, ",", item], _more)
+
+
+def sql_grammar() -> Grammar:
+    """The SQL/XML statement grammar, with AST-building actions."""
+    g = Grammar("Statement")
+    g.rule("Statement", ["CREATE", "TABLE", "Ident", "(", "Columns", ")"],
+           lambda _c, _t, name, _l, columns, _r: CreateTable(name, columns))
+    g.rule("Statement", ("CREATE INDEX Ident ON Ident ( Ident ) GENERATE KEY "
+                         "USING XMLPATTERN STRING AS SQL Type").split(),
+           lambda *p: CreateIndex(p[2], p[4], p[6], p[12], p[15]))
+    g.rule("Statement", ["INSERT", "INTO", "Ident", "VALUES", "(", "Exprs",
+                         ")"],
+           lambda _i, _n, table, _v, _l, values, _r: Insert(table, values))
+    g.rule("Statement", ["DELETE", "FROM", "Ident", "Where"],
+           lambda _d, _f, table, where: Delete(table, where))
+    g.rule("Statement", ["SELECT", "Items", "FROM", "Ident", "Where",
+                         "GroupBy"], _select)
+
+    _list(g, "Columns", "Column")
+    g.rule("Column", ["Ident", "Type"])
+    g.rule("Type", ["Word"], str.lower)  # VARCHAR(n): the length is ignored
+    g.rule("Type", ["Word", "(", "NUMBER", ")"],
+           lambda word, _l, _n, _r: word.lower())
+    g.rule("Where", [], lambda: None)
+    g.rule("Where", ["WHERE", "Cond"], lambda _w, cond: cond)
+    g.rule("GroupBy", [], lambda: None)
+    g.rule("GroupBy", ["GROUP", "BY", "Ident"], lambda _g, _b, name: name)
+    _list(g, "Items", "Item")
+    g.rule("Item", ["*"], lambda _s: (Star(), "*"))
+    g.rule("Item", ["Expr"], lambda expression: (
+        expression, expression.name if isinstance(expression, ColRef)
+        else None))
+    g.rule("Item", ["Expr", "AS", "Ident"],
+           lambda expression, _a, alias: (expression, alias))
+
+    # Conditions.
+    g.rule("Cond", ["Cond", "OR", "AndCond"],
+           lambda left, _o, right: _nest(BoolOp("or", left, right),
+                                         left, right))
+    g.rule("Cond", ["AndCond"])
+    g.rule("AndCond", ["AndCond", "AND", "NotCond"],
+           lambda left, _a, right: _nest(BoolOp("and", left, right),
+                                         left, right))
+    g.rule("AndCond", ["NotCond"])
+    g.rule("NotCond", ["NOT", "NotCond"],
+           lambda _n, operand: _nest(NotOp(operand), operand))
+    g.rule("NotCond", ["(", "Cond", ")"], lambda _l, cond, _r: cond)
+    g.rule("NotCond", ["XMLEXISTS", "(", "STRING", "PASSING", "Ident", ")"],
+           lambda _x, _l, xpath, _p, column, _r: XmlExists(xpath, column))
+    g.rule("NotCond", ["Expr", "CmpOp", "Expr"],
+           lambda left, op, right: _nest(Comparison(op, left, right),
+                                         left, right))
+    for token, op in (("=", "="), ("<", "<"), ("<=", "<="), (">", ">"),
+                      (">=", ">="), ("<>", "!="), ("!=", "!=")):
+        g.rule("CmpOp", [token], lambda _t, op=op: op)
+
+    # Scalar expressions.  A constructor used as a value compiles to one
+    # template; one nested in another's arguments stays a _Ctor, so the
+    # outermost call flattens the whole nest.
+    _list(g, "Exprs", "Expr")
+    g.rule("Expr", ["Primary"])
+    g.rule("Expr", ["Concat"])
+    g.rule("Concat", ["Expr", "||", "Primary"], _concat)
+    g.rule("Primary", ["Atom"])
+    g.rule("Primary", ["Ctor"], _constructor)
+    g.rule("Atom", ["STRING"], SLiteral)
+    g.rule("Atom", ["NUMBER"], SLiteral)
+    g.rule("Atom", ["NULL"], lambda _n: SLiteral(None))
+    g.rule("Atom", ["Ident"], ColRef)
+    g.rule("Atom", ["XMLQUERY", "(", "STRING", "PASSING", "Ident", ")"],
+           lambda _x, _l, xpath, _p, column, _r: XmlQuery(xpath, column))
+    g.rule("Atom", ["XMLAGG", "(", "CtorArg", "OrderBy", ")"], _xmlagg)
+    g.rule("OrderBy", [], lambda: (None, False))
+    g.rule("OrderBy", ["ORDER", "BY", "Expr", "Descending"],
+           lambda _o, _b, key, descending: (key, descending))
+    g.rule("Descending", [], lambda: False)
+    g.rule("Descending", ["ASC"], lambda _a: False)
+    g.rule("Descending", ["DESC"], lambda _d: True)
+
+    # Constructors (§4.1).  An argument that starts with a constructor is
+    # that constructor alone: it nests into the outer template.
+    g.rule("CtorArg", ["Ctor"])
+    g.rule("CtorArg", ["Atom"])
+    g.rule("CtorArg", ["ArgConcat"])
+    g.rule("ArgConcat", ["Atom", "||", "Primary"], _concat)
+    g.rule("ArgConcat", ["ArgConcat", "||", "Primary"], _concat)
+    _list(g, "CtorArgs", "CtorArg")
+    g.rule("Ctor", ["XMLELEMENT", "(", "WORD", "Name", "ElemArgs", ")"],
+           _element)
+    g.rule("Ctor", ["XMLFOREST", "(", "Pairs", ")"],
+           lambda _x, _l, pairs, _r: _Ctor("forest", pairs))
+    g.rule("Ctor", ["XMLCONCAT", "(", "CtorArgs", ")"],
+           lambda _x, _l, args, _r: _Ctor("concat", args))
+    g.rule("ElemArgs", [], lambda: [])
+    g.rule("ElemArgs", ["ElemArgs", ",", "CtorArg"], _more)
+    g.rule("ElemArgs", ["ElemArgs", ",", "XMLATTRIBUTES", "(", "Pairs", ")"],
+           lambda args, _c, _x, _l, pairs, _r: _more(args, _c, pairs))
+    _list(g, "Pairs", "Pair")
+    g.rule("Pair", ["Expr", "AS", "Name"],
+           lambda value, _a, name: (name, value))
+
+    # Names.  Tables, columns and aliases are identifiers; element,
+    # attribute, item and type names may also be keywords.
+    g.rule("Ident", ["WORD"])
+    g.rule("Ident", ["QWORD"])
+    g.rule("Name", ["Word"])
+    g.rule("Name", ["QWORD"])
+    g.rule("Word", ["WORD"])
+    for keyword in sorted(_KEYWORDS):
+        g.rule("Word", [keyword.upper()])
+    return g
+
+
+@lru_cache(maxsize=1)
+def _sql_parser() -> Parser:
+    """The table-driven statement parser, built on first use."""
+    return build_parser(sql_grammar())
 
 
 def parse_statement(text: str) -> Statement:
-    return _Parser(_tokenize(text)).statement()
+    """Parse one statement; it must end where the text does."""
+    try:
+        return _sql_parser().parse(_tokenize(text))
+    except ParseError as exc:
+        raise SqlSyntaxError(str(exc)) from None
 
 
 # -- execution ------------------------------------------------------------------------
@@ -673,8 +534,7 @@ class SqlSession:
     def _project(self, statement: Select, row: dict) -> dict:
         result = {}
         for expression, alias in statement.items:
-            if isinstance(expression, SLiteral) and expression.value == "*" \
-                    and alias == "*":
+            if isinstance(expression, Star):
                 result.update(row)
             else:
                 result[alias] = self._render(

@@ -175,9 +175,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"schema {name!r} is not registered") from None
 
-    def schema_names(self) -> list[str]:
-        return list(self._schemas)
-
     # -- persistence --------------------------------------------------------------
 
     def encode(self) -> bytes:

@@ -90,10 +90,6 @@ class NameTable:
         """Just the local part of ``name_id``."""
         return self.name(name_id)[0]
 
-    @property
-    def name_count(self) -> int:
-        return len(self._names)
-
     # -- persistence ----------------------------------------------------------
 
     def encode(self) -> bytes:

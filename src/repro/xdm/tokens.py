@@ -123,12 +123,5 @@ class TokenStream:
     def to_bytes(self) -> bytes:
         return bytes(self._buf)
 
-    @classmethod
-    def from_events(cls, events) -> "TokenStream":
-        stream = cls()
-        for event in events:
-            stream.append_event(event)
-        return stream
-
     def __len__(self) -> int:
         return self.token_count

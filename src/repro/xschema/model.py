@@ -80,12 +80,6 @@ class Schema:
     elements: dict[str, ElementDecl] = field(default_factory=dict)
     types: dict[str, ComplexType] = field(default_factory=dict)
 
-    def element_type(self, name: str) -> str:
-        decl = self.elements.get(name)
-        if decl is None:
-            raise SchemaError(f"no global element declaration for {name!r}")
-        return decl.type_name
-
 
 def _strip_xs(type_text: str) -> str:
     name = type_text.split(":")[-1]

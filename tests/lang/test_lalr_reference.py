@@ -12,6 +12,7 @@ import pytest
 
 from repro.lang.lalr import EOF, Grammar, GrammarError, ParserTables
 from repro.lang.xpath_grammar import xpath_grammar
+from repro.query.sqlxml import sql_grammar
 
 from tests.lang.test_lalr import arithmetic_parser
 
@@ -152,6 +153,12 @@ def test_xpath_grammar():
     result = assert_same(xpath_grammar())
     assert result != "rejected"
     assert len(result) == 83
+
+
+def test_sql_grammar():
+    result = assert_same(sql_grammar())
+    assert result != "rejected"
+    assert len(result) == 193
 
 
 def test_arithmetic_grammar():

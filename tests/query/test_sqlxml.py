@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.engine import Database
 from repro.errors import SqlSyntaxError
-from repro.query.sqlxml import SqlSession, parse_statement
+from repro.query.sqlxml import MAX_NESTING, SqlSession, parse_statement
 
 
 @pytest.fixture
@@ -53,6 +53,9 @@ class TestDdlDml:
     def test_select_star(self, emp):
         rows = emp.execute("SELECT * FROM emp WHERE id = 1234")
         assert rows[0]["lname"] == "Doe"
+        # A literal '*' named "*" is a value, not the star.
+        rows = emp.execute("SELECT '*' AS \"*\" FROM emp WHERE id = 1234")
+        assert rows == [{"*": "*"}]
 
     def test_where_and_or_not(self, emp):
         rows = emp.execute(
@@ -82,9 +85,30 @@ class TestDdlDml:
 
     def test_syntax_errors(self, session):
         for bad in ["SELEC x FROM t", "CREATE TABLE", "INSERT t VALUES (1)",
-                    "SELECT a FROM t WHERE", "SELECT 'unterminated FROM t"]:
+                    "SELECT a FROM t WHERE", "SELECT 'unterminated FROM t",
+                    "SELECT key FROM t"]:  # a keyword is no column name
             with pytest.raises(SqlSyntaxError):
                 session.execute(bad)
+
+    def test_nesting_up_to_the_bound_runs(self, emp):
+        """Parentheses add no nesting; NOTs and constructors do, and a
+        statement at MAX_NESTING still evaluates."""
+        where = "(" * 3000 + "id = 1234" + ")" * 3000
+        assert emp.execute(f"SELECT id FROM emp WHERE {where}") == \
+            [{"id": 1234}]
+        nots = MAX_NESTING - 1  # and the comparison: MAX_NESTING levels
+        rows = emp.execute(f"SELECT id FROM emp WHERE {'NOT ' * nots}"
+                           "id = 1234")
+        assert [row["id"] for row in rows] == \
+            ([1234] if nots % 2 == 0 else [1235, 1236])
+        with pytest.raises(SqlSyntaxError):
+            emp.execute(f"SELECT id FROM emp WHERE {'NOT ' * (nots + 1)}"
+                        "id = 1234")
+        elements = 'XMLELEMENT(NAME "e", ' * MAX_NESTING
+        rows = emp.execute(f"SELECT {elements}id{')' * MAX_NESTING} AS x "
+                           "FROM emp WHERE id = 1234")
+        assert rows == [{"x": "<e>" * MAX_NESTING + "1234"
+                         + "</e>" * MAX_NESTING}]
 
 
 class TestXmlPredicates:
@@ -156,6 +180,13 @@ class TestConstructors:
         by_dept = {r["dept"]: r["x"] for r in rows}
         assert by_dept["Eng"] == "<e>1235</e><e>1236</e>"
         assert by_dept["Accting"] == "<e>1234</e>"
+
+    def test_keywords_as_names(self, emp):
+        rows = emp.execute("SELECT XMLELEMENT(NAME from, XMLATTRIBUTES("
+                           "id AS select), XMLFOREST(dept AS where)) AS x "
+                           "FROM emp WHERE id = 1234")
+        assert rows == [{"x": '<from select="1234"><where>Accting</where>'
+                              "</from>"}]
 
     def test_template_compiled_once(self, emp):
         statement = parse_statement(

@@ -52,6 +52,25 @@ BAD_STATEMENTS = {
         ("SELECT id FROM t WHERE", SqlSyntaxError),
     "malformed XPath":
         ("SELECT XMLQUERY('/a[' PASSING doc) FROM t", QueryError),
+    # Every statement ends where its text does: a trailing word is not
+    # dropped (a misspelt WHERE used to delete every row).
+    "DELETE with a misspelt WHERE":
+        ("DELETE FROM t WEHRE id = 1", SqlSyntaxError),
+    "INSERT with a trailing word":
+        ("INSERT INTO t VALUES (2, '<a/>') junk", SqlSyntaxError),
+    "CREATE INDEX with a trailing word":
+        ("CREATE INDEX ix ON t(doc) GENERATE KEY USING XMLPATTERN '/a/b' "
+         "AS SQL DOUBLE junk", SqlSyntaxError),
+    # Nesting past MAX_NESTING is refused when parsed, not by the stack.
+    "3 000 NOTs":
+        ("SELECT id FROM t WHERE " + "NOT " * 3000 + "id = 1",
+         SqlSyntaxError),
+    "3 000-term OR chain":
+        ("SELECT id FROM t WHERE " + " OR ".join(["id = 1"] * 3000),
+         SqlSyntaxError),
+    "3 000 nested XMLELEMENTs":
+        ("SELECT " + 'XMLELEMENT(NAME "a", ' * 3000 + "id" + ")" * 3000
+         + " FROM t", SqlSyntaxError),
 }
 
 
