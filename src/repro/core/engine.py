@@ -30,13 +30,13 @@ from repro.errors import (CatalogError, DeadlineExceededError, DeadlockError,
 from repro.indexes.definition import XPathIndexDefinition
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
-from repro.lang.parser import parse_xpath
+from repro.lang.parser import lift_literals, parse_xpath
 from repro.obs.explain import ExplainResult
 from repro.obs.slowlog import SlowQueryRecord
 from repro.obs.tracer import Tracer
 from repro.query.executor import Executor, QueryMatch
 from repro.query.plan import AccessMethod, AccessPlan
-from repro.query.planner import Planner
+from repro.query.planner import Planner, SourceMemo
 from repro.rdb import codec
 from repro.rdb.btree import BTree
 from repro.rdb.buffer import BufferPool
@@ -52,8 +52,12 @@ from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.qtree import QueryTree, compile_query
 
-#: Entries in a :class:`Database`'s query cache (parsed path + query tree).
+#: Entries in a :class:`Database`'s query cache (statement shapes).
 QUERY_CACHE_SIZE = 256
+
+#: A query cache entry: the parsed path and its query tree, and the
+#: planner's source groups per index set (see :meth:`Database.compile_xpath`).
+_Statement = tuple[tuple[ast.LocationPath, QueryTree], SourceMemo]
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,7 @@ class Database:
             on_checkpoint=self.pool.flush_all)
         self._slow_thresholds = config.slow_query_thresholds()
         #: The engine's one query cache (see :meth:`compile_xpath`).
-        self._queries: OrderedDict[
-            tuple, tuple[ast.LocationPath, QueryTree]] = OrderedDict()
+        self._queries: OrderedDict[tuple, _Statement] = OrderedDict()
         self.tables: dict[str, Table] = {}
         self.xml_stores: dict[tuple[str, str], XmlStore] = {}
         self.docid_indexes: dict[str, BTree] = {}
@@ -339,36 +342,64 @@ class Database:
         """Parse and compile a location path through the query cache.
 
         The cache is the engine's dynamic statement cache: an LRU of
-        :data:`QUERY_CACHE_SIZE` entries keyed on the path text and its
-        sorted namespace bindings, counted by ``xpath.parse_hits`` /
-        ``xpath.parse_misses``.  Parsing and compiling are pure in that
-        key, so an entry never goes stale; plans are not cached, so an
-        index created later is used at once.  The returned objects are
-        shared: callers must treat them as immutable.
+        :data:`QUERY_CACHE_SIZE` statement *shapes*, counted by
+        ``xpath.parse_hits`` / ``xpath.parse_misses``.  A shape is the
+        text with its string and number literals lifted out (the text
+        segments between them and the literals' kinds) plus the sorted
+        namespace bindings; a text whose lift does not parse back to the
+        same literals is its own shape.  An entry holds the parsed
+        template, its query tree and the planner's source groups per
+        index set, none of which reads a literal's value, so the texts of
+        one shape share them and only bind their own literals: the
+        returned path and tree carry the caller's literals.  Parsing and
+        compiling are pure in the key, so an entry never goes stale, and
+        a new index is a new index set, matched at once.  A text without
+        literals gets the same shared pair on every hit.  The returned
+        objects are shared: callers must treat them as immutable.
         """
-        key = (path_text, tuple(sorted((namespaces or {}).items())))
+        return self._statement(path_text, namespaces)[0]
+
+    def _statement(self, path_text: str,
+                   namespaces: dict[str, str] | None) -> "_Statement":
+        """The cache entry for ``path_text``'s shape, bound to its literals."""
+        lift = lift_literals(path_text)
+        bindings = tuple(sorted((namespaces or {}).items()))
+        shape = (lift.segments, lift.kinds, bindings)
+        # The key of a text whose lift does not hold; shape keys are
+        # triples, so none equals it.
+        whole = (path_text, bindings)
         cache = self._queries
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            self.stats.add("xpath.parse_hits")
-            return hit
-        self.stats.add("xpath.parse_misses")
-        path = parse_xpath(path_text, namespaces)
-        if not isinstance(path, ast.LocationPath):
-            raise QueryError(f"{path_text!r} is not a location path")
-        entry = (path, compile_query(path))
-        cache[key] = entry
-        if len(cache) > QUERY_CACHE_SIZE:
-            cache.popitem(last=False)
-        return entry
+        key = shape
+        entry = cache.get(shape)
+        if entry is None and lift.kinds:
+            key = whole
+            entry = cache.get(whole)
+        if entry is None:
+            self.stats.add("xpath.parse_misses")
+            path = parse_xpath(path_text, namespaces, lift)
+            if not isinstance(path, ast.LocationPath):
+                raise QueryError(f"{path_text!r} is not a location path")
+            key = shape if not lift.kinds or ast.literal_slots(path) \
+                else whole
+            entry = cache[key] = ((path, compile_query(path)), {})
+            if len(cache) > QUERY_CACHE_SIZE:
+                cache.popitem(last=False)
+            return entry
+        cache.move_to_end(key)
+        self.stats.add("xpath.parse_hits")
+        if key is whole or not lift.values:
+            return entry  # nothing to bind: the entry holds its literals
+        (path, query), sources = entry
+        return ((ast.bind(path, lift.values), query.bind(lift.values)),
+                sources)
 
     def plan_xpath(self, table: str, column: str, path_text: str,
                    namespaces: dict[str, str] | None = None,
                    method: AccessMethod | None = None) -> AccessPlan:
-        path, query = self.compile_xpath(path_text, namespaces)
+        (path, query), sources = self._statement(path_text, namespaces)
         return self.planner(table, column).plan(path, query,
-                                                force_method=method)
+                                                force_method=method,
+                                                memo=sources)
 
     def xpath(self, table: str, column: str, path_text: str,
               namespaces: dict[str, str] | None = None,

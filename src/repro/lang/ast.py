@@ -99,6 +99,9 @@ class Literal(Expr):
     """String or numeric literal."""
 
     value: object
+    #: The statement's literal slot this literal fills, when the parser
+    #: numbered it (see :func:`bind`); not part of the literal's value.
+    slot: int | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -153,3 +156,76 @@ def parent_step() -> Step:
 def descendant_or_self_step() -> Step:
     """The implicit step ``//`` abbreviates (descendant-or-self::node())."""
     return Step(Axis.DESCENDANT_OR_SELF, KindTest("node"))
+
+
+def bind(expr: Expr, values) -> Expr:
+    """``expr`` with each numbered literal's value taken from ``values``.
+
+    The result is a new tree along the paths to the numbered literals;
+    every subtree without one is shared with ``expr``, not copied.
+    """
+    if isinstance(expr, Literal):
+        if expr.slot is None:
+            return expr
+        return Literal(values[expr.slot], expr.slot)
+    if isinstance(expr, LocationPath):
+        steps = _bind_all(expr.steps, values, _bind_step)
+        return expr if steps is None else LocationPath(expr.absolute, steps)
+    if isinstance(expr, BinaryOp):
+        left, right = bind(expr.left, values), bind(expr.right, values)
+        if left is expr.left and right is expr.right:
+            return expr
+        return BinaryOp(expr.op, left, right)
+    if isinstance(expr, UnaryOp):
+        operand = bind(expr.operand, values)
+        return expr if operand is expr.operand else UnaryOp(expr.op, operand)
+    if isinstance(expr, FunctionCall):
+        args = _bind_all(expr.args, values, bind)
+        return expr if args is None else FunctionCall(expr.name, args)
+    return expr
+
+
+def _bind_step(step: Step, values) -> Step:
+    predicates = _bind_all(step.predicates, values, bind)
+    if predicates is None:
+        return step
+    return Step(step.axis, step.test, predicates)
+
+
+def _bind_all(items: list, values, bind_one) -> list | None:
+    """``items`` bound one by one, or None when none of them changed."""
+    out = None
+    for i, item in enumerate(items):
+        new = bind_one(item, values)
+        if new is not item:
+            if out is None:
+                out = list(items)
+            out[i] = new
+    return out
+
+
+def children(expr: Expr) -> list[Expr]:
+    """The expressions directly under ``expr`` (steps count as one level)."""
+    if isinstance(expr, LocationPath):
+        return list(expr.steps)
+    if isinstance(expr, Step):
+        return list(expr.predicates)
+    if isinstance(expr, BinaryOp):
+        return [expr.left, expr.right]
+    if isinstance(expr, UnaryOp):
+        return [expr.operand]
+    if isinstance(expr, FunctionCall):
+        return list(expr.args)
+    return []
+
+
+def literal_slots(expr: Expr) -> list[int]:
+    """The slots of the numbered literals in ``expr``, one per literal."""
+    slots = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Literal) and node.slot is not None:
+            slots.append(node.slot)
+        stack.extend(children(node))
+    return slots

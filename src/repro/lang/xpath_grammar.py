@@ -27,6 +27,11 @@ def _name_test(value) -> ast.NameTest:
     return ast.NameTest(local, prefix)
 
 
+def _literal(value) -> ast.Literal:
+    """A literal token's node; the parse facade may hand it in numbered."""
+    return value if isinstance(value, ast.Literal) else ast.Literal(value)
+
+
 def xpath_grammar() -> Grammar:
     """Construct the XPath grammar with AST-building actions."""
     g = Grammar("Expr")
@@ -94,10 +99,11 @@ def xpath_grammar() -> Grammar:
     g.rule("NodeTest", ["NODETYPE", "LPAREN", "RPAREN"],
            lambda kind, _l, _r: ast.KindTest(kind))
     g.rule("NodeTest", ["NODETYPE", "LPAREN", "STRING", "RPAREN"],
-           lambda kind, _l, target, _r: ast.KindTest(kind, target))
+           lambda kind, _l, target, _r: ast.KindTest(
+               kind, _literal(target).value))
 
-    g.rule("PrimaryExpr", ["NUMBER"], lambda v: ast.Literal(v))
-    g.rule("PrimaryExpr", ["STRING"], lambda v: ast.Literal(v))
+    g.rule("PrimaryExpr", ["NUMBER"], _literal)
+    g.rule("PrimaryExpr", ["STRING"], _literal)
     g.rule("PrimaryExpr", ["LPAREN", "Expr", "RPAREN"],
            lambda _l, expr, _r: expr)
     g.rule("PrimaryExpr", ["FUNCNAME", "LPAREN", "RPAREN"],

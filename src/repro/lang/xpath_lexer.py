@@ -80,7 +80,12 @@ def tokenize(text: str) -> list[Token]:
                 pos += 1
                 while pos < length and text[pos].isdigit():
                     pos += 1
-            tokens.append(Token("NUMBER", float(text[start:pos]), start))
+            try:
+                value = float(text[start:pos])
+            except ValueError:  # a digit float() refuses, such as '²'
+                raise XPathSyntaxError(
+                    f"malformed number at offset {start}") from None
+            tokens.append(Token("NUMBER", value, start))
             continue
         if ch == "*":
             if operand_ended():

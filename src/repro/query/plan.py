@@ -43,10 +43,19 @@ class IndexSource:
     #: Levels between the anchor node and the value node (child-only suffix),
     #: None when not derivable — then NodeID-level access is unavailable.
     suffix_depth: int | None
+    #: The literal's slot in its statement (``ast.Literal.slot``), if any.
+    slot: int | None = None
 
     @property
     def exact(self) -> bool:
         return self.relation is PathRelation.EXACT
+
+    def bind(self, binds: tuple) -> "IndexSource":
+        """This probe with its slot's value from ``binds``."""
+        if self.slot is None:
+            return self
+        return IndexSource(self.index, self.op, binds[self.slot],
+                           self.relation, self.suffix_depth, self.slot)
 
     def describe(self) -> str:
         kind = "exact" if self.exact else "filtering"

@@ -15,6 +15,13 @@ picks among full scan, DocID-list and NodeID-list access:
 * "If all the indexes match exactly with the predicates, the result
   DocID/NodeID list is exact ... Otherwise, the result list will not be
   exact but filtering."
+
+A filter may over-fetch but must never change the answer, so a comparison
+is a probe only where the index's key order agrees with XPath 1.0's
+comparison for every literal of its kind (:func:`sargable`).  That rule
+reads the operator, the literal's kind and the key type, never the
+literal's value, so a statement shape's source groups are kept per index
+set and only their literals are bound per call.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from repro.indexes.containment import (PathRelation, child_only_suffix_depth,
                                        relate)
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
+from repro.rdb.values import SqlType
 from repro.xmlstore.store import XmlStore
 from repro.xpath.qtree import QueryTree
 
@@ -30,6 +38,27 @@ from repro.query.plan import AccessMethod, AccessPlan, IndexSource
 
 _SARGABLE_OPS = {"=", "<", "<=", ">", ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+#: Per index set, a statement shape's ``(source groups, fully covered)``.
+SourceMemo = dict[tuple[XPathValueIndex, ...],
+                  tuple[list[list[IndexSource]], bool]]
+
+
+def sargable(op: str, literal: object, key_type: SqlType) -> bool:
+    """May an index keyed by ``key_type`` bound ``node op literal``?
+
+    Only where the keys compare as XPath does for every literal of that
+    kind.  A string under ``=`` compares string values, as VARCHAR keys do.
+    A number under any operator compares ``number(node)``, which is
+    ``float`` of the stripped string value, as DOUBLE keys are made.  Every
+    other pairing can miss matches: the string under ``<`` and the like
+    compares numbers, a VARCHAR probe for ``7`` misses ``7.0``, BIGINT and
+    DATE keys skip values XPath reads as numbers, and DECFLOAT keys keep
+    digits a double rounds away (``0.10000000000000001 = 0.1`` in XPath).
+    """
+    if isinstance(literal, str):
+        return op == "=" and key_type is SqlType.VARCHAR
+    return key_type is SqlType.DOUBLE
 
 
 class Planner:
@@ -43,11 +72,27 @@ class Planner:
         self.nodeid_threshold = nodeid_threshold
 
     def plan(self, path: ast.LocationPath, query: QueryTree,
-             force_method: AccessMethod | None = None) -> AccessPlan:
-        """Produce an access plan for ``path`` (compiled as ``query``)."""
-        groups, fully_covered = self._extract_sources(path)
-        if not groups:
+             force_method: AccessMethod | None = None,
+             memo: SourceMemo | None = None) -> AccessPlan:
+        """Produce an access plan for ``path`` (compiled as ``query``).
+
+        ``memo`` keeps a statement shape's source groups per index set,
+        keyed on the index objects: a later call with the same indexes
+        runs no containment test and only binds its literals (from
+        ``query.binds``) into the probes, and a new index is a new key.
+        """
+        indexes = tuple(self.indexes)
+        found = memo.get(indexes) if memo is not None else None
+        if found is None:
+            found = self._extract_sources(path)
+            if memo is not None:
+                memo[indexes] = found
+        shapes, fully_covered = found
+        if not shapes:
             return AccessPlan(AccessMethod.FULL_SCAN, path, query)
+        binds = query.binds
+        groups = [[source.bind(binds) for source in group]
+                  for group in shapes]
         exact = fully_covered and all(
             source.exact for group in groups for source in group)
         method = force_method or self._choose_method(groups)
@@ -73,10 +118,6 @@ class Planner:
         step = path.steps[anchor_index]
         if not step.predicates:
             return [], False
-        if any(s.predicates for s in path.steps[:-1]):
-            # Predicates on earlier steps are residual-only; indexes can
-            # still bound candidates from the final step.
-            pass
         prefix = [ast.Step(s.axis, s.test) for s in path.steps]
         groups: list[list[IndexSource]] = []
         fully_covered = True
@@ -130,11 +171,14 @@ class Planner:
             ast.Step(s.axis, s.test) for s in steps])
         best: IndexSource | None = None
         for index in self.indexes:
+            if not sargable(op, literal.value, index.definition.key_type):
+                continue
             relation = relate(index.definition.path, full_value_path)
             if relation is PathRelation.NONE:
                 continue
             suffix = child_only_suffix_depth(full_value_path, len(prefix))
-            source = IndexSource(index, op, literal.value, relation, suffix)
+            source = IndexSource(index, op, literal.value, relation, suffix,
+                                 literal.slot)
             if best is None or (source.exact and not best.exact):
                 best = source
         return best

@@ -11,6 +11,11 @@ collect their XDM string value (``need_value``) — only comparison/atomizing
 contexts require it; pure existence tests (``[b]``, ``count(b)``) do not, a
 big memory saver for the streaming evaluator.  Predicates compile to
 closures over a matching instance, once per query tree.
+
+A numbered literal (``ast.Literal.slot``) compiles to a read of the run's
+bind vector, so one query tree serves every text of a statement shape:
+:meth:`QueryTree.bind` gives a view of the tree with another text's
+literals, sharing the query nodes and their closures.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ class Target(enum.Enum):
 
 #: A compiled predicate expression: its value for an anchor matching
 #: instance, which offers ``seq`` (collected sequences by branch qid) and
-#: ``item()`` (itself, with its string value when collected).
-Predicate = Callable[[Any], XValue]
+#: ``item()`` (itself, with its string value when collected), under the
+#: run's bind vector (the literal values, by slot).
+Predicate = Callable[[Any, tuple], XValue]
 
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
@@ -79,10 +85,16 @@ class QueryTree:
     """The compiled query: a root query node plus bookkeeping."""
 
     def __init__(self, root: QNode, nodes: list[QNode],
-                 result_node: QNode | None) -> None:
+                 result_node: QNode | None, binds: tuple = ()) -> None:
         self.root = root
         self.nodes = nodes        # topological (parents before children)
         self.result_node = result_node
+        #: The numbered literals' values, by slot.
+        self.binds = binds
+
+    def bind(self, binds: tuple) -> "QueryTree":
+        """This tree with other literal values; the query nodes are shared."""
+        return QueryTree(self.root, self.nodes, self.result_node, binds)
 
     @property
     def size(self) -> int:
@@ -127,6 +139,8 @@ def _target_for_step(step: ast.Step) -> Target:
 class _Compiler:
     def __init__(self) -> None:
         self.nodes: list[QNode] = []
+        #: The numbered literals' values met so far, by slot.
+        self.binds: dict[int, object] = {}
 
     def new_node(self, edge: EdgeType, target: Target, test,
                  parent: QNode | None) -> QNode:
@@ -178,8 +192,11 @@ class _Compiler:
     def _compile_expr(self, expr: ast.Expr, anchor: QNode,
                       value_needed: bool) -> Predicate:
         if isinstance(expr, ast.Literal):
-            value = expr.value
-            return lambda instance: value
+            value, slot = expr.value, expr.slot
+            if slot is None:
+                return lambda instance, binds: value
+            self.binds[slot] = value
+            return lambda instance, binds: binds[slot]
         if isinstance(expr, ast.BinaryOp):
             op = expr.op
             # Comparisons and arithmetic need operand values.
@@ -187,19 +204,22 @@ class _Compiler:
             left = self._compile_expr(expr.left, anchor, operands)
             right = self._compile_expr(expr.right, anchor, operands)
             if op == "and":
-                return lambda instance: (effective_boolean(left(instance))
-                                         and effective_boolean(right(instance)))
+                return lambda instance, binds: (
+                    effective_boolean(left(instance, binds))
+                    and effective_boolean(right(instance, binds)))
             if op == "or":
-                return lambda instance: (effective_boolean(left(instance))
-                                         or effective_boolean(right(instance)))
+                return lambda instance, binds: (
+                    effective_boolean(left(instance, binds))
+                    or effective_boolean(right(instance, binds)))
             if op in _COMPARISONS:
-                return lambda instance: general_compare(op, left(instance),
-                                                        right(instance))
-            return lambda instance: arithmetic(op, left(instance),
-                                               right(instance))
+                return lambda instance, binds: general_compare(
+                    op, left(instance, binds), right(instance, binds))
+            return lambda instance, binds: arithmetic(
+                op, left(instance, binds), right(instance, binds))
         if isinstance(expr, ast.UnaryOp):
             operand = self._compile_expr(expr.operand, anchor, True)
-            return lambda instance: -to_number(operand(instance))
+            return lambda instance, binds: -to_number(
+                operand(instance, binds))
         if isinstance(expr, ast.FunctionCall):
             name = expr.name
             if not functions.is_supported(name):
@@ -208,8 +228,8 @@ class _Compiler:
             args = [self._compile_expr(arg, anchor,
                                        functions.value_needed(name, index))
                     for index, arg in enumerate(expr.args)]
-            return lambda instance: functions.call(
-                name, [arg(instance) for arg in args])
+            return lambda instance, binds: functions.call(
+                name, [arg(instance, binds) for arg in args])
         if isinstance(expr, ast.LocationPath):
             if expr.absolute:
                 raise XPathUnsupportedError(
@@ -219,7 +239,7 @@ class _Compiler:
             if leaf is None:  # ``.``: the anchor node itself
                 if value_needed:
                     anchor.need_value = True
-                return lambda instance: [instance.item()]
+                return lambda instance, binds: [instance.item()]
             if value_needed:
                 leaf.need_value = True
             # The branch root is the first step's node under the anchor.
@@ -229,7 +249,7 @@ class _Compiler:
                 branch = branch.parent
             # The anchor instance's collected sequence for the branch.
             qid = branch.qid
-            return lambda instance: dedup(instance.seq.get(qid, []))
+            return lambda instance, binds: dedup(instance.seq.get(qid, []))
         raise XPathUnsupportedError(
             f"expression {expr!r} cannot be compiled")
 
@@ -247,4 +267,7 @@ def compile_query(path: ast.LocationPath,
                     "positional predicates are not supported")
     leaf = compiler.compile_path_steps(path.steps, root,
                                        collect_values=collect_result_values)
-    return QueryTree(root, compiler.nodes, leaf)
+    binds = compiler.binds
+    return QueryTree(root, compiler.nodes, leaf,
+                     tuple(binds.get(slot)
+                           for slot in range(max(binds, default=-1) + 1)))

@@ -274,6 +274,7 @@ class QuickXScan:
         opened: list[list[MatchInstance] | None] = []
         arms = self._arms
         texts, comments, pis = self._texts, self._comments, self._pis
+        binds = query.binds
         armed = 0  # live instances with a descendant-edge child query node
         live_units = 0
         peak_units = 0
@@ -349,7 +350,7 @@ class QuickXScan:
                     if got:
                         enclosing.seq.setdefault(child.qid, []).extend(got)
             for predicate in qnode.predicates:
-                if not effective_boolean(predicate(instance)):
+                if not effective_boolean(predicate(instance, binds)):
                     return
             # Upward propagation of this instance's contribution.
             if instance.link is None:
@@ -379,7 +380,7 @@ class QuickXScan:
                                       local, link)
                 probe.value_parts = [value]
                 for predicate in qnode.predicates:
-                    if not effective_boolean(predicate(probe)):
+                    if not effective_boolean(predicate(probe, binds)):
                         return
             link.seq.setdefault(qnode.qid, []).append(
                 Item(order, node_id, kind, local, value))

@@ -55,7 +55,7 @@ class TestNamespaceRoundtrips:
         db = Database()
         db.create_table("t", [("doc", "xml")])
         db.create_xpath_index("ix", "t", "doc", "//c:product/@code",
-                              "bigint", namespaces={"c": "urn:catalog"})
+                              "double", namespaces={"c": "urn:catalog"})
         db.insert("t", (DOC,))
         assert db.value_indexes["ix"].entry_count == 2
         plan = db.plan_xpath("t", "doc",

@@ -134,9 +134,10 @@ class TestServing:
                 assert hit.match.item.value == "widget 1"
             assert db.stats.get("xpath.parse_misses") == 1
             assert db.stats.get("xpath.parse_hits") == 2
-            # Filling the cache evicts /Product/Name, so it parses again.
+            # Filling the cache with as many other shapes evicts
+            # /Product/Name, so it parses again.
             for i in range(QUERY_CACHE_SIZE):
-                first.query("docs", "doc", f"/Product[Price = {i}]")
+                first.query("docs", "doc", f"/Product[Price{i} = {i}]")
             second.query("docs", "doc", "/Product/Name")
             assert db.stats.get("xpath.parse_misses") == QUERY_CACHE_SIZE + 2
             assert db.stats.get("xpath.parse_hits") == 2
