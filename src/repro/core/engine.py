@@ -51,13 +51,17 @@ from repro.xdm.serializer import serialize
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.qtree import QueryTree, compile_query
+from repro.xpath.quickxscan import QuickXScan
+from repro.xpath.values import Item
 
 #: Entries in a :class:`Database`'s query cache (statement shapes).
 QUERY_CACHE_SIZE = 256
 
-#: A query cache entry: the parsed path and its query tree, and the
-#: planner's source groups per index set (see :meth:`Database.compile_xpath`).
-_Statement = tuple[tuple[ast.LocationPath, QueryTree], SourceMemo]
+#: A query cache entry: the parsed path and its query tree, the planner's
+#: source groups per index set, and the QuickXScan over the tree's nodes
+#: (see :meth:`Database.compile_xpath`).
+_Statement = tuple[tuple[ast.LocationPath, QueryTree], SourceMemo,
+                   QuickXScan]
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,10 @@ class Database:
                     coerce(column.sql_type, value)
             documents = self._prepare_insert(definition, row,
                                              validate_against)
-            self.log.append(txn_id, LogOp.INSERT, table,
-                            _encode_engine_row(row),
-                            validate_against.encode()
-                            if validate_against else b"")
+            self._append(txn_id, LogOp.INSERT, table,
+                         _encode_engine_row(row),
+                         validate_against.encode()
+                         if validate_against else b"")
             rid = self._apply_insert(definition, row, documents)
             txn = self.txns.active.get(txn_id)
             if txn is not None:
@@ -228,6 +232,17 @@ class Database:
             if span is not None:
                 span.set("rid", str(rid))
             return rid
+
+    def _append(self, txn_id: int, op: LogOp, table: str, payload: bytes,
+                extra: bytes = b"") -> None:
+        """Log one row change: through ``txn_id``'s transaction while it is
+        active (so its BEGIN record goes first), else under ``txn_id``
+        as it stands (``-1``: auto-commit)."""
+        txn = self.txns.active.get(txn_id)
+        if txn is None:
+            self.log.append(txn_id, op, table, payload, extra)
+        else:
+            txn.log(op, table, payload, extra)
 
     def _prepare_insert(self, definition: TableDef, row: tuple,
                         validate_against: str | None
@@ -290,7 +305,7 @@ class Database:
             definition = self.catalog.table(table)
             restore_row = self._snapshot_row(definition, rid) \
                 if txn is not None else None
-            self.log.append(txn_id, LogOp.DELETE, table, rid.to_bytes())
+            self._append(txn_id, LogOp.DELETE, table, rid.to_bytes())
             self._apply_delete(table, rid)
             if txn is not None:
                 txn.on_abort(lambda: self._apply_insert(
@@ -349,13 +364,16 @@ class Database:
         namespace bindings; a text whose lift does not parse back to the
         same literals is its own shape.  An entry holds the parsed
         template, its query tree and the planner's source groups per
-        index set, none of which reads a literal's value, so the texts of
-        one shape share them and only bind their own literals: the
-        returned path and tree carry the caller's literals.  Parsing and
-        compiling are pure in the key, so an entry never goes stale, and
-        a new index is a new index set, matched at once.  A text without
-        literals gets the same shared pair on every hit.  The returned
-        objects are shared: callers must treat them as immutable.
+        index set, and one :class:`QuickXScan` (its candidate lists and
+        name dispatch), none of which reads a literal's value, so the
+        texts of one shape share them and only bind their own literals:
+        the returned path and tree carry the caller's literals, and a scan
+        runs on the tree's bind vector.  Evicting an entry drops its
+        scanner.  Parsing and compiling are pure in the key, so an entry
+        never goes stale, and a new index is a new index set, matched at
+        once.  A text without literals gets the same shared pair on every
+        hit.  The returned objects are shared: callers must treat them as
+        immutable.
         """
         return self._statement(path_text, namespaces)[0]
 
@@ -381,7 +399,9 @@ class Database:
                 raise QueryError(f"{path_text!r} is not a location path")
             key = shape if not lift.kinds or ast.literal_slots(path) \
                 else whole
-            entry = cache[key] = ((path, compile_query(path)), {})
+            query = compile_query(path)
+            entry = cache[key] = ((path, query), {},
+                                  QuickXScan(query, stats=self.stats))
             if len(cache) > QUERY_CACHE_SIZE:
                 cache.popitem(last=False)
             return entry
@@ -389,17 +409,30 @@ class Database:
         self.stats.add("xpath.parse_hits")
         if key is whole or not lift.values:
             return entry  # nothing to bind: the entry holds its literals
-        (path, query), sources = entry
+        (path, query), sources, scan = entry
         return ((ast.bind(path, lift.values), query.bind(lift.values)),
-                sources)
+                sources, scan)
 
     def plan_xpath(self, table: str, column: str, path_text: str,
                    namespaces: dict[str, str] | None = None,
                    method: AccessMethod | None = None) -> AccessPlan:
-        (path, query), sources = self._statement(path_text, namespaces)
-        return self.planner(table, column).plan(path, query,
+        (path, query), sources, scan = self._statement(path_text, namespaces)
+        plan = self.planner(table, column).plan(path, query,
                                                 force_method=method,
                                                 memo=sources)
+        plan.scan = scan
+        return plan
+
+    def scan_document(self, path_text: str, source,
+                      namespaces: dict[str, str] | None = None
+                      ) -> list[Item]:
+        """The items ``path_text`` matches in one document ``source`` (a
+        stored document's ``source()`` or an event stream), evaluated by
+        its shape's cached scanner: SQL/XML's per-row XMLEXISTS and
+        XMLQUERY build no scanner per row."""
+        (_path, query), _sources, scan = self._statement(path_text,
+                                                         namespaces)
+        return scan.run(source, query.binds)
 
     def xpath(self, table: str, column: str, path_text: str,
               namespaces: dict[str, str] | None = None,

@@ -40,8 +40,12 @@ class Executor:
         self.stats = default_stats(stats)
 
     def execute(self, plan: AccessPlan) -> list[QueryMatch]:
-        # One scanner per execution: its set-up serves every document.
-        scan = QuickXScan(plan.query, stats=self.stats)
+        # The statement shape's scanner: set up once for every execution
+        # of the shape, each run binding this plan's literals.
+        scan = plan.scan
+        if scan is None:
+            raise PlanningError(
+                "plan carries no scanner (plan it with Database.plan_xpath)")
         if plan.method is AccessMethod.FULL_SCAN:
             return self._full_scan(plan, scan)
         if plan.method is AccessMethod.DOCID_LIST:
@@ -61,7 +65,7 @@ class Executor:
                 docs += 1
                 self.stats.add("exec.docs_evaluated")
                 source = self.store.document(docid).source()
-                for item in scan.run(source):
+                for item in scan.run(source, plan.query.binds):
                     out.append(QueryMatch(docid, item))
             if span is not None:
                 span.set("docs", docs)
@@ -100,7 +104,8 @@ class Executor:
             candidates = self._docid_candidates(plan)
             for docid in candidates:
                 self.stats.add("exec.docs_evaluated")
-                items = scan.run(self.store.document(docid).source())
+                items = scan.run(self.store.document(docid).source(),
+                                 plan.query.binds)
                 if not items and plan.exact:
                     self.stats.add("exec.exactness_misses")
                 for item in items:
@@ -153,7 +158,8 @@ class Executor:
             with self.stats.trace("exec.anchor") as verify_span:
                 for docid, anchor in anchors:
                     self.stats.add("exec.anchors_verified")
-                    items = self._verify_anchor(docid, anchor, scan)
+                    items = self._verify_anchor(docid, anchor, scan,
+                                                plan.query.binds)
                     if not items and plan.exact:
                         self.stats.add("exec.exactness_misses")
                     for item in items:
@@ -165,8 +171,8 @@ class Executor:
                 span.set("rows", len(out))
             return out
 
-    def _verify_anchor(self, docid: int, anchor: bytes,
-                       scan: QuickXScan) -> list[Item]:
+    def _verify_anchor(self, docid: int, anchor: bytes, scan: QuickXScan,
+                       binds: tuple) -> list[Item]:
         """Re-evaluate the query over the anchor's self-contained context."""
         try:
             # One descent: the ancestors replayed from record-header context
@@ -174,7 +180,7 @@ class Executor:
             source = self.store.document(docid).source(anchor)
         except (XmlError, StorageError):
             return []  # anchor does not exist (stale/foreign hit)
-        items = scan.run(source)
+        items = scan.run(source, binds)
         # Keep only the anchor's own match: nested matches inside the
         # subtree are separate candidates (verified via their own index
         # hits), so counting them here would duplicate results.

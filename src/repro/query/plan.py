@@ -24,6 +24,7 @@ from repro.indexes.containment import PathRelation
 from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
 from repro.xpath.qtree import QueryTree
+from repro.xpath.quickxscan import QuickXScan
 
 
 class AccessMethod(enum.Enum):
@@ -77,6 +78,10 @@ class AccessPlan:
     #: exact and the whole predicate covered); re-evaluation still extracts
     #: the result nodes but can skip no-match documents early.
     exact: bool = False
+    #: The statement shape's scanner over ``query``'s nodes, which each
+    #: run binds to ``query.binds``: set by ``Database.plan_xpath`` from
+    #: its query cache entry, so an execution builds none.
+    scan: QuickXScan | None = None
 
     def explain(self) -> str:
         """Human-readable plan, printed by benchmarks and examples."""

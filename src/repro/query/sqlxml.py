@@ -41,7 +41,6 @@ from repro.query.constructors import (Arg, Const, Spec, XAttr, XConcat,
                                       XElem, XForest, XmlAggregator,
                                       compile_template)
 from repro.xdm.serializer import serialize
-from repro.xpath.quickxscan import QuickXScan
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -602,21 +601,12 @@ class SqlSession:
             return None
         return store.document(docid).source()
 
-    def _xscan(self, xpath: str, source) -> list:
-        """The items ``xpath`` matches in one row's document.
-
-        The path comes from the engine's query cache, so a statement
-        compiles it once, not once per row.
-        """
-        return QuickXScan(self.db.compile_xpath(xpath)[1],
-                          stats=self.stats).run(source)
-
     def _xmlquery(self, expression: XmlQuery, table: str,
                   row: dict) -> str | None:
         document = self._xml_column_source(table, expression.column, row)
         if document is None:
             return None
-        items = self._xscan(expression.xpath, document)
+        items = self.db.scan_document(expression.xpath, document)
         store = self.db.xml_stores[(table, expression.column)]
         docid = row[expression.column]
         parts = []
@@ -642,7 +632,7 @@ class SqlSession:
                                                row)
             if document is None:
                 return False
-            return bool(self._xscan(condition.xpath, document))
+            return bool(self.db.scan_document(condition.xpath, document))
         if isinstance(condition, Comparison):
             left = self._scalar(condition.left, table, row)
             right = self._scalar(condition.right, table, row)

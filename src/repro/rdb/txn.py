@@ -3,7 +3,9 @@
 A thin transaction layer over :mod:`repro.rdb.locks` and
 :mod:`repro.rdb.wal`.  Updates register *undo actions* (closures that
 logically reverse the change); abort runs them in reverse order, mirroring
-the standard relational design the paper builds on.
+the standard relational design the paper builds on.  A transaction's BEGIN
+record precedes its first redo record, and only a transaction that logged
+writes a COMMIT or ABORT: a read-only one leaves the log untouched.
 
 The layer also hosts the engine's DB2-style *accounting trace*: every
 transaction owns a private counter sink, work performed on its behalf is
@@ -168,6 +170,10 @@ class Transaction:
         self._log = manager.log
         self._stats = manager.stats
         self.state = TxnState.ACTIVE
+        #: Whether this transaction has written its BEGIN record, which
+        #: precedes its first redo record: a read-only transaction logs
+        #: nothing, not even its COMMIT or ABORT.
+        self.logged = False
         self._undo: list[Callable[[], None]] = []
         #: Accounting sink: counter deltas charged to this transaction.
         self.acct: Counter[str] = Counter()
@@ -258,8 +264,12 @@ class Transaction:
 
     def log(self, op: LogOp, target: str = "", payload: bytes = b"",
             extra: bytes = b"") -> None:
-        """Write a redo record under this transaction."""
+        """Write a redo record under this transaction, its BEGIN record
+        first if this is the first."""
         self._check_active()
+        if not self.logged:
+            self._log.append(self.txn_id, LogOp.BEGIN)
+            self.logged = True
         self._log.append(self.txn_id, op, target, payload, extra)
 
     def on_abort(self, action: Callable[[], None]) -> None:
@@ -271,10 +281,12 @@ class Transaction:
 
     def commit(self) -> None:
         self._check_active()
-        with self.charging():
-            # If the COMMIT append raises (a simulated crash) the
-            # transaction stays ACTIVE: its commit was never acknowledged.
-            self._manager.commit_record(self.txn_id)
+        if self.logged:
+            with self.charging():
+                # If the COMMIT append raises (a simulated crash) the
+                # transaction stays ACTIVE: its commit was never
+                # acknowledged.
+                self._manager.commit_record(self.txn_id)
         self.state = TxnState.COMMITTED
         self._undo.clear()
         self._manager._finish(self)
@@ -287,7 +299,8 @@ class Transaction:
             for action in reversed(self._undo):
                 action()
             self._undo.clear()
-            self._log.append(self.txn_id, LogOp.ABORT)
+            if self.logged:
+                self._log.append(self.txn_id, LogOp.ABORT)
             self._stats.add("txn.aborts")
         self.state = TxnState.ABORTED
         self._manager._finish(self, account)
@@ -306,9 +319,10 @@ class TransactionManager:
 
     ``lock_wait_budget`` bounds the interactive :meth:`Transaction.lock`
     retry loop.  With ``checkpoint_every`` > 0 a WAL checkpoint is written
-    automatically every that many commits; ``on_checkpoint`` (typically the
-    buffer pool's ``flush_all``) runs first so the checkpoint describes state
-    that actually reached the device.
+    automatically every that many commits of transactions that logged
+    something; ``on_checkpoint`` (typically the buffer pool's
+    ``flush_all``) runs first so the checkpoint describes state that
+    actually reached the device.
     """
 
     def __init__(self, locks: LockManager | None = None,
@@ -335,10 +349,13 @@ class TransactionManager:
 
     def begin(self, isolation: IsolationLevel = IsolationLevel.READ_COMMITTED
               ) -> Transaction:
+        """Start a transaction.  Nothing is logged yet: its BEGIN record
+        goes in front of its first redo record (:meth:`Transaction.log`),
+        so a relational log holds nothing for a unit of work that changed
+        nothing."""
         txn = Transaction(next(self._ids), self, isolation)
         self.active[txn.txn_id] = txn
         with txn.charging():
-            self.log.append(txn.txn_id, LogOp.BEGIN)
             self.stats.add("txn.begun")
         return txn
 
@@ -360,10 +377,12 @@ class TransactionManager:
         self.log.append(txn_id, LogOp.COMMIT)
 
     def checkpoint(self) -> None:
-        """Write a WAL checkpoint describing the in-flight transactions."""
+        """Write a WAL checkpoint describing the in-flight transactions
+        that have logged: one that has not has no record to lose."""
         if self.on_checkpoint is not None:
             self.on_checkpoint()
-        self.log.checkpoint(set(self.active))
+        self.log.checkpoint({txn_id for txn_id, txn in self.active.items()
+                             if txn.logged})
         self._commits_since_checkpoint = 0
 
     def _finish(self, txn: Transaction, account: bool = True) -> None:
@@ -378,7 +397,8 @@ class TransactionManager:
                 "committed" if txn.state is TxnState.COMMITTED
                 else "aborted",
                 txn.retries, txn.victim_attempts, dict(txn.acct))
-        if txn.state is TxnState.COMMITTED and self.checkpoint_every > 0:
+        if txn.state is TxnState.COMMITTED and txn.logged and \
+                self.checkpoint_every > 0:
             self._commits_since_checkpoint += 1
             if self._commits_since_checkpoint >= self.checkpoint_every:
                 self.checkpoint()

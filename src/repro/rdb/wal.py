@@ -256,8 +256,9 @@ class LogManager:
     def checkpoint(self, active_txns: set[int] | list[int] = ()) -> LogRecord:
         """Write a CHECKPOINT record.
 
-        ``active_txns`` are the transactions in flight at checkpoint time;
-        together with the aborted set they form the *losers* — transactions
+        ``active_txns`` are the transactions in flight at checkpoint time
+        that have logged (one that has not has no record to lose); together
+        with the aborted set they form the *losers* — transactions
         whose pre-checkpoint records must not replay unless a later COMMIT
         proves otherwise.  Recovery's analysis pass starts at the newest
         checkpoint (see :func:`replay`).

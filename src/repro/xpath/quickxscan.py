@@ -164,9 +164,12 @@ class ScanRun:
 class QuickXScan:
     """One-pass streaming evaluator for a compiled query tree.
 
-    Construction does the per-query set-up (candidate lists), so one
-    scanner serves every document of an execution; :meth:`run` keeps no
-    state between documents.
+    Construction does the per-query set-up: the candidate lists per name,
+    and the name-id dispatch per name table, filled as names are met.  It
+    reads only the query nodes, never a literal's value, so one scanner
+    serves every run of a statement shape: the engine keeps one in each
+    query cache entry, and each :meth:`run` takes its call's literals as a
+    bind vector.  A run keeps no state between documents.
     """
 
     def __init__(self, query: QueryTree,
@@ -220,12 +223,13 @@ class QuickXScan:
 
     # -- public API ------------------------------------------------------------
 
-    def run(self, source) -> list[Item]:
+    def run(self, source, binds: tuple | None = None) -> list[Item]:
         """Evaluate over one document; returns the result sequence in
         document order.  ``source`` is an iterable of :class:`SaxEvent` or
-        a packed-record source with a ``drive(run)`` method."""
+        a packed-record source with a ``drive(run)`` method; ``binds`` is
+        the literal value per slot (None: the tree's own, ``query.binds``)."""
         with self.stats.trace("xscan.run", qnodes=self.query.size) as span:
-            run = self._start()
+            run = self._start(self.query.binds if binds is None else binds)
             drive = getattr(source, "drive", None)
             if drive is not None:
                 drive(run)
@@ -265,8 +269,8 @@ class QuickXScan:
             else:  # NS events carry no query-visible content here
                 run.tick()
 
-    def _start(self) -> ScanRun:
-        """A fresh run: its state, and the handlers over it."""
+    def _start(self, binds: tuple) -> ScanRun:
+        """A fresh run over ``binds``: its state, and the handlers over it."""
         query = self.query
         stacks: list[list[MatchInstance]] = [[] for _ in query.nodes]
         collectors: list[MatchInstance] = []
@@ -274,7 +278,6 @@ class QuickXScan:
         opened: list[list[MatchInstance] | None] = []
         arms = self._arms
         texts, comments, pis = self._texts, self._comments, self._pis
-        binds = query.binds
         armed = 0  # live instances with a descendant-edge child query node
         live_units = 0
         peak_units = 0
@@ -510,8 +513,8 @@ def evaluate(path: LocationPath | str, events: Iterable[SaxEvent],
     """Parse (if needed), compile and run QuickXScan over an event stream.
 
     Nothing is cached: a caller that runs one path many times compiles it
-    once and reuses one :class:`QuickXScan` (the engine's query cache,
-    ``Database.compile_xpath``, does this for stored documents).
+    once and reuses one :class:`QuickXScan` (the engine's query cache keeps
+    one per statement shape for stored documents).
     """
     if isinstance(path, str):
         parsed = parse_xpath(path, namespaces)

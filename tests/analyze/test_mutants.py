@@ -210,9 +210,9 @@ ENGINE_MUTANTS = (
              "        self.pool.unpin(page_id, dirty=True)\n"),),
            (PinLeakChecker,), ("PIN002",)),
     Mutant("W1", "flush_all() before the INSERT append", ENGINE,
-           (("            self.log.append(txn_id, LogOp.INSERT, table,",
+           (("            self._append(txn_id, LogOp.INSERT, table,",
              "            self.pool.flush_all()\n"
-             "            self.log.append(txn_id, LogOp.INSERT, table,"),),
+             "            self._append(txn_id, LogOp.INSERT, table,"),),
            (WalDisciplineChecker,), ("WAL001",)),
     Mutant("W2", "close flushes pages before the CHECKPOINT record", ENGINE,
            (("        self.checkpoint()\n        # Only now",
@@ -221,19 +221,19 @@ ENGINE_MUTANTS = (
            (WalDisciplineChecker,), ("WAL001",)),
     Mutant("E1", "an INSERT is applied and its pages flushed before its "
                  "record is logged", ENGINE,
-           (("            self.log.append(txn_id, LogOp.INSERT, table,\n"
-             "                            _encode_engine_row(row),\n"
-             "                            validate_against.encode()\n"
-             "                            if validate_against else b\"\")\n"
+           (("            self._append(txn_id, LogOp.INSERT, table,\n"
+             "                         _encode_engine_row(row),\n"
+             "                         validate_against.encode()\n"
+             "                         if validate_against else b\"\")\n"
              "            rid = self._apply_insert(definition, row, "
              "documents)\n",
              "            rid = self._apply_insert(definition, row, "
              "documents)\n"
              "            self.pool.flush_all()\n"
-             "            self.log.append(txn_id, LogOp.INSERT, table,\n"
-             "                            _encode_engine_row(row),\n"
-             "                            validate_against.encode()\n"
-             "                            if validate_against else b\"\")\n"),),
+             "            self._append(txn_id, LogOp.INSERT, table,\n"
+             "                         _encode_engine_row(row),\n"
+             "                         validate_against.encode()\n"
+             "                         if validate_against else b\"\")\n"),),
            (WalDisciplineChecker,), ("WAL001",)),
     Mutant("WAL002", "close() swallows a checkpoint error", ENGINE,
            (("        self.checkpoint()\n        # Only now",

@@ -1,8 +1,9 @@
 """Engine-level transaction and crash/restart tests."""
 
 from repro.core.engine import Database
+from repro.fault import database_digest
 from repro.rdb.locks import LockMode
-from repro.rdb.wal import LogManager
+from repro.rdb.wal import LogManager, LogOp
 
 
 class TestTransactionalInserts:
@@ -34,6 +35,22 @@ class TestTransactionalInserts:
         db.insert("t", ("<a/>",), txn_id=txn.txn_id)
         txn.commit()
         assert db.tables["t"].row_count == 1
+
+    def test_read_then_insert_logs_begin_insert_commit(self):
+        db = Database()
+        db.create_table("t", [("n", "bigint"), ("doc", "xml")])
+        db.create_xpath_index("ix", "t", "doc", "/a/v", "double")
+        db.insert("t", (1, "<a><v>1</v></a>"))
+        txn = db.txns.begin()
+        assert [r.row[0] for r in db.xpath("t", "doc", "/a[v = 1]")] == [1]
+        assert [r for r in db.log.records() if r.txn_id == txn.txn_id] == []
+        db.insert("t", (2, "<a><v>2</v></a>"), txn_id=txn.txn_id)
+        txn.commit()
+        assert [r.op for r in db.log.records()
+                if r.txn_id == txn.txn_id] == \
+            [LogOp.BEGIN, LogOp.INSERT, LogOp.COMMIT]
+        assert database_digest(Database.replay(db.log)) == \
+            database_digest(db)
 
     def test_txn_locking_between_sessions(self):
         db = Database()

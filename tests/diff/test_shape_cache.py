@@ -8,7 +8,9 @@ planner/executor and property-equivalence tests and the benchmark's scan
 texts (copied here) runs with several literal variants, interleaved in one
 engine; each variant's plan text, ``explain()`` and ordered answer must be
 those of a fresh engine that compiles the text cold.  A served version
-alternates two sessions over variants of one shape.
+alternates two sessions over variants of one shape, and one shape's
+scanner serves two tables, SQL/XML's per-row scans and two engines' name
+tables.
 """
 
 import sys
@@ -20,6 +22,7 @@ import pytest
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import Database
 from repro.lang.parser import lift_literals
+from repro.query.sqlxml import SqlSession
 from repro.serve import DatabaseServer
 
 PRODUCT = "/Catalog/Categories/Product"
@@ -201,3 +204,72 @@ def test_served_sessions_alternating_one_shape_get_their_own_answers():
 def test_variants_share_a_shape(path):
     shapes = {lift_literals(text)[:2] for text in variants(path)}
     assert len(shapes) == 1
+
+
+def two_table_db() -> Database:
+    """Catalog documents in two tables, only ``t`` indexed on ``@id``."""
+    db = Database(DEFAULT_CONFIG.with_(record_size_limit=200))
+    for table in ("t", "u"):
+        db.create_table(table, [("id", "bigint"), ("doc", "xml")])
+    for i in range(9):
+        db.insert("t", (i, catalog_doc(i)))
+        db.insert("u", (10 + i, catalog_doc(8 - i)))
+    db.create_xpath_index("ix_id", "t", "doc", f"{PRODUCT}/@id", "varchar")
+    return db
+
+
+def observe_tables(db: Database, key: int) -> tuple:
+    """One shape's answers over both tables, by XPath and by SQL/XML."""
+    text = f'{PRODUCT}[@id = "p{key}"]'
+    sql = SqlSession(db)
+    return (
+        [(table, db.plan_xpath(table, "doc", text).method,
+          [(r.docid, r.match.item.node_id) for r in
+           db.xpath(table, "doc", text)]) for table in ("t", "u")],
+        sql.execute(f"SELECT id FROM u WHERE XMLEXISTS('{text}' "
+                    f"PASSING doc)"),
+        sql.execute(f"SELECT id, XMLQUERY('{text}/@id' PASSING doc) AS p "
+                    f"FROM t WHERE id > 1 AND XMLEXISTS('{text}' "
+                    f"PASSING doc)"))
+
+
+def test_one_shape_over_two_tables_answers_as_cold():
+    """The shape's one scanner serves both tables, their plans (an index
+    probe on ``t``, a full scan on ``u``) and SQL/XML's per-row scans."""
+    shared = two_table_db()
+    seen = {key: observe_tables(shared, key) for key in (3, 0, 8, 3, 5, 99)}
+    assert len(shared._queries) == 2  # the path and its ``/@id`` form
+    for key, got in seen.items():
+        assert observe_tables(two_table_db(), key) == got, key
+    assert all(rows for _table, _method, rows in seen[3][0])
+    assert seen[3][1] and seen[3][2] and not seen[99][1]
+
+
+def test_one_scanner_over_two_name_tables():
+    """Name-id dispatch is kept per name table: one scanner run over two
+    engines' stores, which number the same names differently, answers as
+    each engine's own."""
+    first, second = Database(), Database()
+    second.create_table("w", [("doc", "xml")])
+    second.insert("w", ("<Product id='x'><Catalog/><Categories/></Product>",))
+    for db in (first, second):
+        db.create_table("t", [("id", "bigint"), ("doc", "xml")])
+        for i in range(4):
+            db.insert("t", (i, catalog_doc(i)))
+    assert first.catalog.names.lookup_name("Product") != \
+        second.catalog.names.lookup_name("Product")
+    text = f'{PRODUCT}[@id = "p2"]'
+    plan = first.plan_xpath("t", "doc", text)
+    for _round in range(2):
+        for db in (first, second, first):
+            store = db.xml_stores[("t", "doc")]
+            got = [(docid, [(item.node_id, item.local) for item in
+                            plan.scan.run(store.document(docid).source(),
+                                          plan.query.binds)])
+                   for docid in store.docids()]
+            own = [(docid, [(item.node_id, item.local) for item in
+                            db.scan_document(text,
+                                             store.document(docid).source())])
+                   for docid in store.docids()]
+            assert got == own
+            assert [hits for _docid, hits in got if hits]

@@ -158,6 +158,43 @@ class TestCheckpointRecovery:
         verify_value_indexes(recovered)
 
 
+class TestReadOnlyWork:
+    """A transaction that changes nothing writes nothing to the log."""
+
+    @staticmethod
+    def read(db, i):
+        rows = db.run_in_txn(lambda eng, txn: eng.xpath(
+            "t", "doc", f"/a[b = {i % len(DOCS)}]/c"))
+        assert [row.match.item.value for row in rows] == \
+            [f"text {i % len(DOCS)}"]
+
+    def test_query_only_run_never_reaches_the_commit_point(self, tmp_path):
+        def load(db):
+            setup_schema(db)
+            for i, doc in enumerate(DOCS):
+                db.insert("t", (i, doc))   # auto-commit: no COMMIT record
+            for i in range(20):
+                self.read(db, i)
+
+        harness = CrashHarness(str(tmp_path), config=CONFIG)
+        outcome = harness.run(load,
+                              plan=[FaultPlan.crash_at("wal.commit.pre")])
+        assert not outcome.crashed
+        assert outcome.db.stats.get("txn.begun") == 20
+        assert LogOp.COMMIT not in {r.op for r in outcome.db.log.records()}
+
+    def test_queries_count_towards_no_checkpoint(self):
+        db = Database(CONFIG.with_(checkpoint_interval=256))
+        setup_schema(db)
+        for i, doc in enumerate(DOCS):
+            db.insert("t", (i, doc))
+        before = db.log.next_lsn
+        for i in range(300):
+            self.read(db, i)
+        assert db.log.next_lsn == before    # no CHECKPOINT record either
+        assert db.stats.get("wal.checkpoints") == 0
+
+
 class TestTornTailWal:
     def run_and_save(self, tmp_path):
         harness = CrashHarness(str(tmp_path), config=CONFIG)

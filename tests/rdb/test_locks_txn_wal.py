@@ -14,7 +14,8 @@ from repro.errors import FaultInjectionError, TransactionError
 from repro.fault.injector import FaultInjector, FaultPlan, SimulatedCrash
 from repro.rdb.locks import LockManager, LockMode, mode_compatible, mode_lub
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.wal import LogManager, LogOp, LogRecord, replay
+from repro.rdb.wal import (LogManager, LogOp, LogRecord, decode_checkpoint,
+                           replay)
 from repro.serve import DatabaseServer
 
 
@@ -301,6 +302,38 @@ class TestTransactions:
         txn = tm.begin(IsolationLevel.REPEATABLE_READ)
         assert txn.isolation is IsolationLevel.REPEATABLE_READ
         txn.commit()
+
+    def test_read_only_txns_log_nothing(self):
+        tm = TransactionManager(stats=StatsRegistry())
+        reader = tm.begin()
+        reader.lock("r", LockMode.S)
+        reader.commit()
+        aborted = tm.begin()
+        aborted.lock("r", LockMode.S)
+        aborted.abort()
+        assert list(tm.log.records()) == []
+        assert aborted.txn_id not in tm.log.aborted_txns
+
+    def test_first_record_is_preceded_by_begin(self):
+        tm = TransactionManager(stats=StatsRegistry())
+        txn = tm.begin()
+        txn.log(LogOp.INSERT, "t", b"a")
+        txn.log(LogOp.INSERT, "t", b"b")
+        txn.abort()
+        assert [(r.txn_id, r.op) for r in tm.log.records()] == [
+            (txn.txn_id, LogOp.BEGIN), (txn.txn_id, LogOp.INSERT),
+            (txn.txn_id, LogOp.INSERT), (txn.txn_id, LogOp.ABORT)]
+        assert txn.txn_id in tm.log.aborted_txns
+
+    def test_checkpoint_losers_are_the_active_txns_that_logged(self):
+        tm = TransactionManager(stats=StatsRegistry())
+        writer, reader = tm.begin(), tm.begin()
+        writer.log(LogOp.INSERT, "t", b"row")
+        reader.lock("r", LockMode.S)
+        tm.checkpoint()
+        (checkpoint,) = [r for r in tm.log.records()
+                         if r.op is LogOp.CHECKPOINT]
+        assert decode_checkpoint(checkpoint.payload) == {writer.txn_id}
 
 
 class TestWal:

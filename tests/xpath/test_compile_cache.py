@@ -3,8 +3,9 @@
 One LRU per :class:`Database`, keyed on the statement's shape: the text
 with its string and number literals lifted out (the segments between them
 and the literals' kinds) plus the sorted namespace bindings.  An entry
-holds the parsed template, its query tree and the planner's source groups
-per index set; each call binds its own literals.  A text whose lift does
+holds the parsed template, its query tree, the planner's source groups
+per index set and the QuickXScan over the tree; each call binds its own
+literals.  A text whose lift does
 not parse back to the same literals is keyed on its whole text.
 """
 
@@ -16,6 +17,7 @@ from repro.errors import XPathSyntaxError
 from repro.lang.parser import lift_literals, parse_xpath
 from repro.query.plan import AccessMethod
 from repro.query.sqlxml import SqlSession
+from repro.xpath.quickxscan import QuickXScan
 
 PRODUCT = "/Catalog/Categories/Product"
 
@@ -145,6 +147,25 @@ class TestEngineIntegration:
         assert db.stats.get("xpath.parse_misses") == 1
         assert db.stats.get("xpath.parse_hits") == 4
 
+    def test_sql_statement_builds_one_scanner_per_path(self, monkeypatch):
+        db = Database()
+        db.create_table("t", [("id", "BIGINT"), ("doc", "XML")])
+        for i in range(8):
+            db.insert("t", (i, f"<r><v>{i}</v></r>"))
+        built = []
+        original = QuickXScan.__init__
+
+        def counted(scan, *args, **kwargs):
+            built.append(scan)
+            original(scan, *args, **kwargs)
+        monkeypatch.setattr(QuickXScan, "__init__", counted)
+        rows = SqlSession(db).execute(
+            "SELECT id, XMLQUERY('/r/v' PASSING doc) AS v FROM t "
+            "WHERE id > 1 AND XMLEXISTS('/r[v < 5]' PASSING doc)")
+        assert [row["v"] for row in rows] == \
+            [f"<v>{i}</v>" for i in range(2, 5)]
+        assert len(built) == 2  # one per path, not one per row
+
 
 class TestShapes:
     def test_point_queries_cost_one_miss_per_shape(self):
@@ -162,6 +183,31 @@ class TestShapes:
         assert db.stats.get("xpath.parse_misses") == 2
         assert db.stats.get("xpath.parse_hits") == 998
         assert len(db._queries) == 2
+
+    def test_point_queries_build_one_scanner_per_shape(self, monkeypatch):
+        """Each entry holds its shape's QuickXScan: 1 000 point-query
+        texts of two shapes build two, and a hit builds none."""
+        built = []
+        original = QuickXScan.__init__
+
+        def counted(scan, *args, **kwargs):
+            built.append(scan)
+            original(scan, *args, **kwargs)
+        monkeypatch.setattr(QuickXScan, "__init__", counted)
+        db = catalog_db()
+        built.clear()  # index key generation runs scanners of its own
+        for i in range(1000):
+            key = i % 20
+            if i % 4 == 3:
+                text = f"{PRODUCT}[RegPrice = {100 + key % 7}]"
+            else:
+                text = f'{PRODUCT}[@id = "p{key}"]'
+            assert docids(db, text)
+        assert len(built) == 2
+        assert {id(scan) for *_, scan in db._queries.values()} == \
+            {id(scan) for scan in built}
+        assert docids(db, f'{PRODUCT}[@id = "p7"]') == [8]
+        assert len(built) == 2
 
     def test_a_string_and_a_number_at_one_place_are_two_entries(self):
         db = catalog_db()
