@@ -73,10 +73,8 @@ class TableSpace:
 
     @staticmethod
     def _bucket_of(free: int) -> int:
-        bucket = 0
-        while (1 << (bucket + 1)) <= free and bucket < 16:
-            bucket += 1
-        return bucket
+        """``floor(log2(free))`` clamped to ``0..16``."""
+        return min(max(free.bit_length() - 1, 0), 16)
 
     def _note_free(self, page_id: int, free: int) -> None:
         old = self._free.get(page_id)
@@ -119,10 +117,18 @@ class TableSpace:
 
     def insert(self, record: bytes) -> Rid:
         """Store ``record`` and return its RID."""
+        self._count_insert(record)
+        rid = self._place(self._maybe_spill(record))
+        self._record_count += 1
+        return rid
+
+    def _count_insert(self, record: bytes) -> None:
         stats = self.pool.stats
         stats.add("ts.records_inserted")
         stats.add("ts.bytes_touched", len(record))
-        payload = self._maybe_spill(record)
+
+    def _place(self, payload: bytes) -> Rid:
+        """Store an inline payload (already spilled if long) on a data page."""
         needed = len(payload) + SLOT_SIZE
         page_id = self._find_page_with(needed)
         if page_id is None:
@@ -134,7 +140,6 @@ class TableSpace:
             slot_no = page.insert(payload)
             self._note_free(page_id, page.free_for_insert())
         self._last_page = page_id
-        self._record_count += 1
         return Rid(page_id, slot_no)
 
     def read(self, rid: Rid) -> bytes:
@@ -152,7 +157,8 @@ class TableSpace:
         Updates stay in place when they fit; otherwise the record moves and
         the *new* RID is returned (callers such as the NodeID index manager
         must re-point their entries, §3.1's "maximum flexibility of record
-        placement").
+        placement").  A long record is spilled once: the move stores the
+        overflow head the in-place attempt already wrote.
         """
         stats = self.pool.stats
         stats.add("ts.records_updated")
@@ -173,8 +179,8 @@ class TableSpace:
             page.delete(rid.slot_no)
             self._note_free(rid.page_id, page.free_for_insert())
         self._free_overflow_of(old_overflow)
-        self._record_count -= 1
-        return self.insert(record)
+        self._count_insert(record)
+        return self._place(payload)
 
     def delete(self, rid: Rid) -> None:
         """Remove the record at ``rid``."""

@@ -208,3 +208,28 @@ class TestSlottedPageValidate:
         page._set_slot(slot, PAGE - 2, 10)  # runs off the page
         with pytest.raises(StorageError):
             page.validate()
+
+    def test_damaged_tally_in_resident_frame_detected(self, stats):
+        """The tally bytes of a frame that passed its checksum on the way in
+        are damaged in memory: only ``validate`` can see it."""
+        pool = BufferPool(Disk(page_size=PAGE, stats=stats), capacity=2)
+        pid, data = pool.new_page()
+        page = SlottedPage.format(data)
+        gone = page.insert(b"gone")
+        page.insert(b"kept" * 5)
+        page.delete(gone)  # tally: 20 live bytes, one tombstone
+        pool.unpin(pid, dirty=True)
+        pool.flush_all()
+        pool.evict_all()
+        for damage in (b"\x00\x00", b"\xff\x00"):
+            for at in (4, 6):  # live bytes, tombstones
+                with pool.page(pid, write=True) as frame:  # checksum verified
+                    page = SlottedPage(frame)
+                    page.validate()
+                    good = bytes(frame[at:at + 2])
+                    frame[at:at + 2] = damage
+                    with pytest.raises(StorageError, match="tally"):
+                        page.validate()
+                    frame[at:at + 2] = good
+        with pool.page(pid) as frame:
+            SlottedPage(frame).validate()

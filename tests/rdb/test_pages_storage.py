@@ -1,6 +1,10 @@
 """Unit tests for the simulated disk, slotted pages, and the buffer pool."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.core.stats import StatsRegistry
 from repro.errors import (BufferPoolError, PageFullError, RecordNotFoundError,
@@ -134,6 +138,163 @@ class TestSlottedPage:
     def test_empty_record_rejected(self):
         with pytest.raises(StorageError):
             self.make().insert(b"")
+
+    def test_delete_then_insert_reuses_slots_lowest_first(self):
+        page = self.make()
+        slots = [page.insert(bytes([i]) * 10) for i in range(6)]
+        for slot in (4, 1, 3):
+            page.delete(slots[slot])
+        assert page.free_for_insert() == page.total_free()  # no new slot
+        assert [page.insert(b"n" * 7) for _ in range(4)] == [1, 3, 4, 6]
+        assert page.slot_count == 7
+        assert tally(page) == scanned_tally(page) == (3 * 10 + 4 * 7, 0)
+        page.validate()
+
+    def test_compaction_with_tombstones(self):
+        page = self.make(128)
+        slots = [page.insert(bytes([65 + i]) * 20) for i in range(4)]
+        page.delete(slots[0])
+        page.delete(slots[2])
+        before = tally(page)
+        assert page.contiguous_free() < page.total_free()
+        page.compact()
+        assert tally(page) == scanned_tally(page) == before == (40, 2)
+        assert page.contiguous_free() == page.total_free()
+        assert [(slot, bytes(data)) for slot, data in page.records()] == \
+            [(1, b"B" * 20), (3, b"D" * 20)]
+        for slot in (0, 2):
+            with pytest.raises(RecordNotFoundError):
+                page.read(slot)
+        page.validate()
+        # Both tombstones are reused once the live data has been squeezed.
+        assert [page.insert(b"x" * 20), page.insert(b"y" * 20)] == [0, 2]
+
+    def test_header_reads_only_per_insert(self, monkeypatch):
+        """Filling a page reads no slot-directory entry: free space and
+        tombstone reuse come from the header's tally, so an insert costs
+        the same on the last slot as on the first."""
+        reads = []
+        slot = SlottedPage._slot
+
+        def counted(page, slot_no):
+            reads[-1] += 1
+            return slot(page, slot_no)
+
+        monkeypatch.setattr(SlottedPage, "_slot", counted)
+        page = self.make(4096)
+        while page.free_for_insert() >= 8:
+            reads.append(0)
+            page.insert(b"r" * 8)
+            page.free_for_insert()  # what TableSpace.insert asks next
+        assert len(reads) > 300
+        assert set(reads) == {0}
+
+    def test_table_space_insert_reads_no_directory(self, monkeypatch, stats):
+        from repro.rdb.tablespace import TableSpace
+        calls = []
+        slot = SlottedPage._slot
+        monkeypatch.setattr(SlottedPage, "_slot",
+                            lambda page, n: calls.append(n) or slot(page, n))
+        space = TableSpace(BufferPool(Disk(page_size=1024, stats=stats), 8))
+        for i in range(1000):
+            space.insert(b"%d" % i)
+        assert space.page_count > 5
+        assert calls == []
+
+
+def tally(page):
+    """``(live_bytes, tombstones)`` as the page header keeps them."""
+    _, _, live, tombstones = page._header()
+    return live, tombstones
+
+
+def scanned_tally(page):
+    """The same pair, counted by walking the whole slot directory."""
+    slots = [page._slot(n) for n in range(page.slot_count)]
+    return (sum(length for offset, length in slots if offset),
+            sum(1 for offset, _ in slots if not offset))
+
+
+class SlottedPageMachine(RuleBasedStateMachine):
+    """Random insert/delete/update/compact runs against a dict model.
+
+    After every step the page validates, its tally equals a full directory
+    scan, and its records are exactly the model's."""
+
+    def __init__(self):
+        super().__init__()
+        self.page = SlottedPage.format(bytearray(256))
+        self.model = {}
+
+    def tombstones(self):
+        return [n for n in range(self.page.slot_count) if n not in self.model]
+
+    @rule(record=st.binary(min_size=1, max_size=90))
+    def insert(self, record):
+        before = bytes(self.page.data)
+        if len(record) > self.page.free_for_insert():
+            with pytest.raises(PageFullError):
+                self.page.insert(record)
+            assert bytes(self.page.data) == before
+            return
+        free = self.tombstones()
+        slot = self.page.insert(record)
+        # A tombstone is reused (the lowest) before the directory grows.
+        assert slot == (free[0] if free else len(self.model))
+        self.model[slot] = record
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        slot = data.draw(st.sampled_from(sorted(self.model)))
+        self.page.delete(slot)
+        del self.model[slot]
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def shrink(self, data):
+        slot = data.draw(st.sampled_from(sorted(self.model)))
+        size = data.draw(st.integers(1, len(self.model[slot])))
+        record = data.draw(st.binary(min_size=size, max_size=size))
+        self.page.update(slot, record)
+        self.model[slot] = record
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def grow(self, data):
+        slot = data.draw(st.sampled_from(sorted(self.model)))
+        old = len(self.model[slot])
+        record = data.draw(st.binary(min_size=old + 1, max_size=old + 90))
+        before = bytes(self.page.data)
+        if len(record) - old > self.page.total_free():
+            with pytest.raises(PageFullError):
+                self.page.update(slot, record)
+            assert bytes(self.page.data) == before
+            return
+        self.page.update(slot, record)
+        self.model[slot] = record
+
+    @rule()
+    def compact(self):
+        before = tally(self.page)
+        self.page.compact()
+        assert tally(self.page) == before
+        assert self.page.contiguous_free() == self.page.total_free()
+
+    @invariant()
+    def page_matches_model(self):
+        self.page.validate()
+        assert tally(self.page) == scanned_tally(self.page)
+        assert tally(self.page) == (sum(map(len, self.model.values())),
+                                    len(self.tombstones()))
+        assert {n: bytes(data) for n, data in self.page.records()} == self.model
+        assert self.page.live_bytes() == tally(self.page)[0]
+
+
+TestSlottedPageMachine = SlottedPageMachine.TestCase
+TestSlottedPageMachine.settings = settings(max_examples=150,
+                                           stateful_step_count=60,
+                                           deadline=None)
 
 
 class TestBufferPool:

@@ -101,6 +101,25 @@ class TestTableSpace:
         new_rid = space.update(rid, b"now small")
         assert space.read(new_rid) == b"now small"
 
+    def test_update_moving_a_long_record_spills_it_once(self):
+        """The in-place attempt spills the grown record; when the page has
+        no room for even its overflow head, the move must store that head,
+        not spill the record a second time (orphaning the first chain)."""
+        disk = Disk(page_size=256, stats=StatsRegistry())
+        space = TableSpace(BufferPool(disk, capacity=16))
+        rid = space.insert(b"small")
+        space.insert(b"f" * 220)  # the page is now nearly full
+        assert (space.page_count, disk.page_count) == (1, 1)
+        big = bytes(range(250)) * 4
+        new_rid = space.update(rid, big)
+        assert new_rid != rid
+        assert space.read(new_rid) == big
+        # One new data page plus the four overflow pages of 1 000 bytes.
+        assert (space.page_count, disk.page_count) == (6, 6)
+        space.delete(new_rid)
+        assert space.page_count == 2
+        assert space.record_count == 1
+
     def test_read_deleted_raises(self, space):
         from repro.errors import RecordNotFoundError
         rid = space.insert(b"gone")
