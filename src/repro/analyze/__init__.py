@@ -15,12 +15,12 @@ they reason with — call graph, effect summaries, acquisition sites — live
 in :mod:`~repro.analyze.callgraph` and :mod:`~repro.analyze.effects`; the
 driver is :mod:`~repro.analyze.cli`.
 
-For concurrency, :mod:`~repro.analyze.threads` derives thread roots,
-thread-shared fields and each field's inferred guarding latch from the
-call graph, and :mod:`~repro.analyze.races` checks the latch discipline
-(``RACE001`` unguarded shared access, ``RACE002`` check-then-act across a
-latch release, ``LATCH001`` latch held across a blocking call or another
-lock).
+For concurrency, each class that creates a lock declares the fields it
+guards (``GUARDED_BY``), and :mod:`~repro.analyze.races` checks the
+declarations and the latch discipline (``RACE001`` declared field accessed
+without its lock, ``RACE002`` check-then-act across a release, ``RACE003``
+a declaration out of step with its class, ``LATCH001`` latch held across
+a blocking call or another lock).
 
 Each code is pinned to a seeded engine mutant it kills
 (``tests/analyze/test_mutants.py``).  The engine never imports this

@@ -94,11 +94,15 @@ class Baseline:
             (suppressed if self.suppresses(finding) else new).append(finding)
         return new, suppressed
 
-    def stale_entries(self) -> list[BaselineEntry]:
+    def stale_entries(self, codes: set[str] | None = None
+                      ) -> list[BaselineEntry]:
         """Entries that matched nothing: the violation was fixed, so the
-        suppression should be deleted (reported, not fatal)."""
+        suppression must be deleted.  ``codes`` limits the answer to the
+        codes a run checked (None: every code) — an entry for a code the
+        run did not select could not have matched."""
         return [entry for fingerprint, entry in sorted(self.entries.items())
-                if fingerprint not in self._matched]
+                if fingerprint not in self._matched
+                and (codes is None or fingerprint.split(":")[0] in codes)]
 
 
 def prune_stale(path: Path, stale_fingerprints: set[str]) -> int:

@@ -1,9 +1,10 @@
 """Command line driver: ``python -m repro.analyze [paths...]``.
 
-Exit status: 0 — clean (every finding baselined or none); 2 — new findings;
-1 — usage/baseline error.  Designed for CI: the ``analyze`` job runs
-``python -m repro.analyze src`` and fails the build on any non-baselined
-invariant violation.
+Exit status: 0 — clean (every finding baselined or none); 2 — new findings,
+or stale baseline entries for a code the run checked (``--prune-stale``
+deletes them instead); 1 — usage/baseline error.  Designed for CI: the
+``analyze`` job runs ``python -m repro.analyze src`` and fails the build
+on any non-baselined invariant violation.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     new, suppressed = baseline.split(findings)
-    stale = baseline.stale_entries()
+    stale = baseline.stale_entries(code_filter)
 
     if args.format == "json":
         print(json.dumps({
@@ -166,18 +167,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"stale baseline entry (violation fixed — delete it, or "
                   f"run --prune-stale): {entry.fingerprint}  "
                   f"# {entry.reason}")
-        if not new:
+        if not new and not stale:
             print(f"repro.analyze: clean "
                   f"({len(checkers)} checkers, "
                   f"{len(suppressed)} baselined finding(s))")
         else:
-            print(f"repro.analyze: {len(new)} new finding(s)")
+            print(f"repro.analyze: {len(new)} new finding(s), "
+                  f"{len(stale)} stale baseline entr"
+                  f"{'y' if len(stale) == 1 else 'ies'}")
     if args.prune_stale and stale and baseline_path is not None:
         dropped = prune_stale(baseline_path,
                               {entry.fingerprint for entry in stale})
         print(f"pruned {dropped} stale entr{'y' if dropped == 1 else 'ies'} "
               f"from {baseline_path}")
-    return 2 if new else 0
+    return 2 if new or (stale and not args.prune_stale) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

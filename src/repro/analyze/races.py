@@ -1,240 +1,353 @@
-"""Race and latch-discipline checkers over the thread model.
+"""Race and latch-discipline checkers over declared guards.
 
-Three codes, all driven by :class:`repro.analyze.threads.ThreadAnalysis`:
+Every class that creates a lock states which of its fields the lock
+guards, as a class-level literal next to it — the ``GUARDED_BY`` idiom of
+Clang's thread-safety analysis, read here from the AST::
 
-* **RACE001** — a thread-shared field is accessed with *no* latch provably
-  held: every write fires; a read fires only when the field is latched
-  somewhere else (a wholly-unguarded field reports its writes once instead
-  of every read).  An access under a *different* latch than the inferred
-  guard is deliberately not reported — distinguishing a wrong latch from
-  an outer ambient one (the engine latch every caller holds) is beyond
-  syntactic inference.
+    GUARDED_BY = {"_lock": ("_counters", "_gauges", "_histograms")}
 
-* **RACE002** — check-then-act: inside one method, a shared field is
-  *tested* under its guard, the guard is released, and a dependent *write*
-  happens under a second acquisition of the same guard.  The state the
-  decision was based on may be stale by the time the write runs.
+A lock declared with no fields (``{"latch": ()}``) guards a whole
+subsystem, not named fields; only LATCH001 covers its regions.
 
-* **LATCH001** — a blocking call while a latch is held, proven either
-  directly or through the ``may_block`` effect summaries: a lock ``with``
-  region that sleeps, waits, joins, acquires another lock, or (for
-  non-engine latches) forces pages to disk serializes every other thread
-  behind the sleeper.  Under a non-engine latch a nested lock-ish
-  ``with`` counts as taking another lock.  The *engine* latch is exempt
-  from the disk-I/O and nested-lock rules: DB2-style engines flush under
-  it by design (checkpoints force pages under the engine latch), the
-  documented lock order is engine latch first, and it is an RLock whose
-  yield discipline the serving layer owns.
+* **RACE001** — a declared field is accessed through ``self`` with its
+  lock not held: not inside a ``with`` on it, and not in a helper whose
+  **entry lockset** (the locks held at every resolved call site, a
+  descending fixpoint over the call graph) contains it.  ``__init__`` is
+  exempt, and so are reads in ``__repr__``/``__str__``.
+* **RACE002** — check-then-act: a declared field is *tested* under its
+  lock, the lock is released, and a dependent *write* re-acquires it.
+* **RACE003** — a declaration out of step with its class: a
+  ``Lock()``/``RLock()`` assigned to a ``self`` attribute it does not
+  name, a declared lock or field ``__init__`` never assigns, or a
+  ``GUARDED_BY`` that is not a literal of names.
+* **LATCH001** — a latch held across a blocking call (sleep, wait, join,
+  another lock), proven directly or through the ``may_block`` effect
+  summaries, or, under a non-engine latch, across a page flush or a
+  nested lock-ish ``with``.  The engine latch may flush and may enclose
+  other locks: checkpoints force pages under it by design, and the
+  documented lock order is engine latch first.
 
-``--explain`` renders the witness: for RACE001 the path from a thread root
-(spawn site or declared entry) down the call graph to the racy access; for
-LATCH001 the chain from the ``with`` into the callee that blocks.
+``--explain`` renders the witness: for RACE001 the declaration, then the
+access; for LATCH001 the chain from the ``with`` into the callee that
+blocks.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+import re
+from collections import defaultdict
+from typing import Iterable, Iterator, NamedTuple, TypeGuard
 
 from repro.analyze import effects as fx
-from repro.analyze.callgraph import FunctionInfo
+from repro.analyze.callgraph import CallGraph, FunctionInfo
 from repro.analyze.findings import Finding
-from repro.analyze.framework import Checker, Program, call_name, call_text
-from repro.analyze.threads import (MAIN_CONTEXT, _READ_EXEMPT_METHODS,
-                                   FieldAccess, SharedField, ThreadAnalysis,
-                                   guard_token)
+from repro.analyze.framework import (Checker, Program, SourceModule,
+                                     call_name, call_text)
+
+#: Method names that mutate their receiver in place: for RACE002 a call
+#: ``self.field.pop(...)`` is a dependent *write* to ``field``.
+_MUTATOR_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear",
+})
+
+#: Methods whose unguarded *reads* are never reported: debug formatting
+#: helpers, exempt by convention (a torn read in a repr is harmless).
+_READ_EXEMPT_METHODS = frozenset({"__repr__", "__str__"})
+
+#: Constructors whose result assigned to ``self.<f>`` makes ``f`` a lock.
+_LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock"})
+
+def guard_token(expr: ast.expr) -> str | None:
+    """Normalized latch token of a ``with`` context expression, if lock-ish.
+
+    ``with self._state_lock:`` -> ``_state_lock``; ``with self.db.latch:``
+    -> ``db.latch``; ``with self.lock_of(name):`` -> ``lock_of()``.
+    Context managers whose last segment does not smell like a lock
+    (``stats.trace(...)``, ``open(...)``) yield ``None`` — they scope
+    resources, not mutual exclusion.
+    """
+    suffix = ""
+    target = expr
+    if isinstance(expr, ast.Call):
+        target = expr.func
+        suffix = "()"
+    token = ast.unparse(target)
+    if not re.fullmatch(r"[\w.]+", token):
+        return None  # not a Name/Attribute chain
+    if token.startswith("self."):
+        token = token[len("self."):]
+    tail = token.rsplit(".", 1)[-1].lower()
+    # "clock" contains "lock" but scopes time, not mutual exclusion —
+    # ``with stats.request_clock():`` must not read as a latch region.
+    if "clock" in tail:
+        return None
+    if "lock" in tail or "latch" in tail or "mutex" in tail:
+        return token + suffix
+    return None
+
+
+def syntactic_guards(module: SourceModule, node: ast.AST
+                     ) -> list[tuple[str, int]]:
+    """(token, region id) per enclosing lock-ish ``with``, inner-first.
+
+    The region id (the ``With`` node's line) distinguishes two
+    acquisitions of the *same* latch — what RACE002 needs to see a
+    guard released between a check and its dependent act.
+    """
+    guards: list[tuple[str, int]] = []
+    previous: ast.AST = node
+    for ancestor in module.ancestors(node):
+        if isinstance(ancestor, ast.With) and \
+                not isinstance(previous, ast.withitem):
+            for item in ancestor.items:
+                token = guard_token(item.context_expr)
+                if token is not None:
+                    guards.append((token, ancestor.lineno))
+        previous = ancestor
+    return guards
+
+
+def entry_locks(graph: CallGraph) -> dict[str, frozenset[str]]:
+    """Locks provably held on *every* resolved path into each function.
+
+    Descending intersection fixpoint: functions without resolved callers
+    (thread targets, calls through dynamic receivers) enter with nothing
+    held; everything else meets ``caller's entry locks | with-guards at
+    the site`` over its call sites.
+    """
+    locks: dict[str, frozenset[str] | None] = {
+        info.fid: None if graph.callers_of.get(info.fid) else frozenset()
+        for info in graph.iter_functions()}
+    at_site = {id(site): frozenset(token for token, _ in syntactic_guards(
+                   site.caller.module, site.call))
+               for sites in graph.callees_of.values() for site in sites}
+    changed = True
+    while changed:
+        changed = False
+        for caller_fid, sites in graph.callees_of.items():
+            base = locks.get(caller_fid)
+            if base is None:
+                continue
+            for site in sites:
+                held = base | at_site[id(site)]
+                current = locks.get(site.callee.fid)
+                merged = held if current is None else current & held
+                if merged != current:
+                    locks[site.callee.fid] = merged
+                    changed = True
+    return {fid: held or frozenset() for fid, held in locks.items()}
+
+
+def guarded_by(cls: ast.ClassDef
+               ) -> tuple[ast.stmt | None, dict[str, tuple[str, ...]] | None]:
+    """A class's ``GUARDED_BY`` statement and its lock -> fields mapping.
+
+    ``(None, None)`` when the class declares nothing; ``(stmt, None)``
+    when the declaration is not a literal mapping of names to tuples of
+    names.
+    """
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "GUARDED_BY"
+                for target in stmt.targets)):
+            continue
+        try:
+            guards = ast.literal_eval(stmt.value)
+        except (ValueError, TypeError):
+            return stmt, None
+        well_formed = isinstance(guards, dict) and all(
+            isinstance(lock, str) and isinstance(fields, tuple)
+            and all(isinstance(field, str) for field in fields)
+            for lock, fields in guards.items())
+        return stmt, guards if well_formed else None
+    return None, None
+
+
+def _on_self(node: ast.AST) -> TypeGuard[ast.Attribute]:
+    """Whether ``node`` is a ``self.<attr>`` expression."""
+    return isinstance(node, ast.Attribute) and \
+        isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _kind(module: SourceModule, node: ast.Attribute) -> str:
+    """``"write"`` for a store, a subscript store or a mutator call."""
+    parent = module.parent(node)
+    if isinstance(node.ctx, (ast.Store, ast.Del)) or (
+            isinstance(parent, ast.Subscript) and parent.value is node
+            and isinstance(parent.ctx, (ast.Store, ast.Del))) or (
+            isinstance(parent, ast.Attribute)
+            and parent.attr in _MUTATOR_METHODS
+            and getattr(module.parent(parent), "func", None) is parent):
+        return "write"
+    return "read"
+
+
+class _Access(NamedTuple):
+    """One ``self.<field>`` access to a declared field inside a method."""
+
+    info: FunctionInfo
+    node: ast.Attribute
+    kind: str  # "read" | "write"
+    region: int | None  # line of the innermost own-body ``with`` on the lock
+    held: bool
 
 
 class SharedStateRaceChecker(Checker):
-    """RACE001/RACE002: shared fields accessed outside their latch."""
+    """RACE001/RACE002/RACE003: declared fields and their locks."""
 
     name = "thread-races"
-    codes = ("RACE001", "RACE002")
-    description = ("thread-shared fields are accessed under their inferred "
-                   "guarding latch, and never check-then-act across it")
+    codes = ("RACE001", "RACE002", "RACE003")
+    description = ("fields a class declares in GUARDED_BY are accessed "
+                   "under their lock, and never check-then-act across it")
     code_descriptions = {
-        "RACE001": "shared-field access with no latch held "
-                   "(write, or read of an otherwise-guarded field)",
-        "RACE002": "guard released between a shared-state test and the "
-                   "dependent write (check-then-act)",
+        "RACE001": "declared field accessed with its lock not held",
+        "RACE002": "lock released between a test of a declared field and "
+                   "the dependent write (check-then-act)",
+        "RACE003": "GUARDED_BY out of step with its class: an undeclared "
+                   "lock, or a declared name __init__ never assigns",
     }
 
     def begin(self, program: Program) -> None:
         self._program = program
 
     def finish(self) -> Iterable[Finding]:
-        analysis = ThreadAnalysis(self._program)
+        graph = self._program.callgraph()
+        held_on_entry = entry_locks(graph)
+        methods: dict[tuple[str, str], list[FunctionInfo]] = \
+            defaultdict(list)
+        for info in graph.iter_functions():
+            if info.cls is not None:
+                methods[(info.path, info.cls)].append(info)
         findings: list[Finding] = []
-        for record in analysis.shared_fields():
-            findings.extend(self._check_field(analysis, record))
+        for module in self._program.modules:
+            for cls in ast.walk(module.tree):
+                if isinstance(cls, ast.ClassDef):
+                    findings.extend(self._check_class(
+                        module, cls, methods[(module.relpath, cls.name)],
+                        held_on_entry))
         return findings
+
+    def _check_class(self, module: SourceModule, cls: ast.ClassDef,
+                     methods: list[FunctionInfo],
+                     held_on_entry: dict[str, frozenset[str]]
+                     ) -> Iterator[Finding]:
+        stmt, guards = guarded_by(cls)
+        if stmt is not None and guards is None:
+            yield self._race003(module, stmt, cls.name, "GUARDED_BY",
+                                "malformed", "is not a literal mapping of "
+                                "lock names to tuples of field names")
+            return
+        guards = guards or {}
+        init_assigned: set[str] = set()
+        accesses: dict[str, list[_Access]] = defaultdict(list)
+        lock_of = {field: lock for lock, fields in guards.items()
+                   for field in fields}
+        for info in methods:
+            for node in module.own_nodes(info.node):
+                if isinstance(node, ast.Assign) and \
+                        isinstance(node.value, ast.Call) and \
+                        call_name(node.value) in _LOCK_CONSTRUCTORS:
+                    for target in node.targets:
+                        if _on_self(target) and target.attr not in guards:
+                            yield self._race003(
+                                module, node, cls.name, target.attr,
+                                "undeclared-lock",
+                                "is a lock GUARDED_BY does not declare: "
+                                "name it there with the fields it guards")
+                if not _on_self(node):
+                    continue
+                field = node.attr
+                if info.name == "__init__":
+                    if isinstance(node.ctx, ast.Store):
+                        init_assigned.add(field)
+                    continue
+                if field not in lock_of:
+                    continue
+                lock = lock_of[field]
+                region = next((line for token, line in syntactic_guards(
+                    module, node) if token == lock), None)
+                accesses[field].append(_Access(
+                    info, node, _kind(module, node), region,
+                    region is not None or
+                    lock in held_on_entry.get(info.fid, ())))
+        if stmt is None:
+            return
+        for name in [*guards, *lock_of]:
+            if name not in init_assigned:
+                what = "lock" if name in guards else "field"
+                yield self._race003(module, stmt, cls.name, name,
+                                    "not-in-init", f"is a declared {what} "
+                                    f"{cls.name}.__init__ never assigns")
+        declared_at = f"{module.relpath}:{stmt.lineno}"
+        for field, found in accesses.items():
+            lock = lock_of[field]
+            yield from self._unguarded(cls.name, lock, found, declared_at)
+            yield from self._check_then_act(cls.name, lock, found)
+
+    def _race003(self, module: SourceModule, node: ast.AST, cls: str,
+                 name: str, detail: str, what: str) -> Finding:
+        return module.finding("RACE003", self.name, node,
+                              f"{cls}.{name} {what}", scope=cls,
+                              detail=f"{cls}.{name}/{detail}")
 
     # -- RACE001 -----------------------------------------------------------
 
-    def _check_field(self, analysis: ThreadAnalysis,
-                     record: SharedField) -> Iterable[Finding]:
-        locksets = {id(access): analysis.access_lockset(access)
-                    for access in record.accesses}
-        guarded_anywhere = any(locksets[id(a)] for a in record.accesses
-                               if a.kind != "sync")
-        guard = self._inferred_guard(record, locksets)
-        #: (method fid, kind) -> representative access + extra lines
-        offenders: dict[tuple[str, str], list[FieldAccess]] = {}
-        for access in record.accesses:
-            if access.kind == "sync" or locksets[id(access)]:
-                continue
-            if access.kind == "read":
-                if not guarded_anywhere:
-                    continue  # wholly unguarded: the writes carry the report
-                if access.info.name in _READ_EXEMPT_METHODS:
-                    continue
-            offenders.setdefault((access.info.fid, access.kind),
-                                 []).append(access)
-        for (_, kind), accesses in sorted(
-                offenders.items(),
-                key=lambda item: (item[1][0].line, item[0][1])):
-            yield self._race001(analysis, record, kind, accesses, guard)
-        yield from self._check_then_act(analysis, record, guard, locksets)
-
-    @staticmethod
-    def _inferred_guard(record: SharedField,
-                        locksets: dict[int, frozenset[str]]
-                        ) -> frozenset[str]:
-        inferred: frozenset[str] | None = None
-        for access in record.accesses:
-            lockset = locksets[id(access)]
-            if access.kind == "sync" or not lockset:
-                continue
-            inferred = lockset if inferred is None else inferred & lockset
-        return inferred or frozenset()
-
-    def _race001(self, analysis: ThreadAnalysis, record: SharedField,
-                 kind: str, accesses: list[FieldAccess],
-                 guard: frozenset[str]) -> Finding:
-        access = accesses[0]
-        module = access.info.module
-        verb = "written" if kind == "write" else "read"
-        if guard:
-            guard_text = (f"outside its inferred guard "
-                          f"{'/'.join(sorted(guard))!r}")
-        else:
-            guard_text = "with no latch held (and no single latch guards it)"
-        contexts = sorted(record.contexts)
-        message = (f"thread-shared field {record.cls}.{access.field} is "
-                   f"{verb} {guard_text}; the field is reached from: "
-                   f"{', '.join(contexts)}")
-        related = tuple((other.info.path, other.line)
-                        for other in accesses[1:])
-        return module.finding(
-            "RACE001", self.name, access.node, message,
-            scope=access.info.qualname,
-            detail=f"{record.cls}.{record.field}/{kind}",
-            related=related,
-            call_path=tuple(self._witness(analysis, record, access, verb)))
-
-    def _witness(self, analysis: ThreadAnalysis, record: SharedField,
-                 access: FieldAccess, verb: str) -> list[str]:
-        """Thread-root witness: how a second thread reaches this field."""
-        own_contexts = analysis.contexts_of(access.info.fid)
-        root_name = self._pick_root(analysis, record, own_contexts)
-        lines: list[str] = []
-        if root_name is not None:
-            if root_name in own_contexts:
-                lines.extend(analysis.reach_path(root_name, access.info.fid))
-            else:
-                conflict = self._conflicting_access(
-                    analysis, record, root_name, access)
-                if conflict is not None:
-                    lines.extend(analysis.reach_path(
-                        root_name, conflict.info.fid))
-                    lines.append(
-                        f"{conflict.info.path}:{conflict.line}: "
-                        f"{conflict.info.qualname} accesses "
-                        f"{record.cls}.{record.field} on that thread")
-        lines.append(f"{access.info.path}:{access.line}: "
-                     f"{access.info.qualname} — {record.cls}."
-                     f"{record.field} {verb} with no latch held")
-        return lines
-
-    @staticmethod
-    def _pick_root(analysis: ThreadAnalysis, record: SharedField,
-                   own_contexts: frozenset[str]) -> str | None:
-        for pool in (own_contexts, record.write_contexts, record.contexts):
-            candidates = sorted(name for name in pool
-                                if name != MAIN_CONTEXT
-                                and name in analysis.roots)
-            if candidates:
-                return candidates[0]
-        return None
-
-    @staticmethod
-    def _conflicting_access(analysis: ThreadAnalysis, record: SharedField,
-                            root_name: str,
-                            access: FieldAccess) -> FieldAccess | None:
-        for other in record.accesses:
-            if other.info.fid == access.info.fid:
-                continue
-            if root_name in analysis.contexts_of(other.info.fid):
-                return other
-        return None
+    def _unguarded(self, cls: str, lock: str, accesses: list[_Access],
+                   declared_at: str) -> Iterator[Finding]:
+        #: (method fid, kind) -> the offending accesses, first one reported
+        offenders: dict[tuple[str, str], list[_Access]] = defaultdict(list)
+        for access in accesses:
+            if not access.held and not (
+                    access.kind == "read"
+                    and access.info.name in _READ_EXEMPT_METHODS):
+                offenders[(access.info.fid, access.kind)].append(access)
+        for first, *others in sorted(
+                offenders.values(),
+                key=lambda found: (found[0].node.lineno, found[0].kind)):
+            info, node = first.info, first.node
+            verb = "written" if first.kind == "write" else "read"
+            yield info.module.finding(
+                "RACE001", self.name, node,
+                f"{cls}.{node.attr} is {verb} without its declared guard "
+                f"{lock!r} held",
+                scope=info.qualname, detail=f"{cls}.{node.attr}/{first.kind}",
+                related=tuple((other.info.path, other.node.lineno)
+                              for other in others),
+                call_path=(
+                    f"{declared_at}: {cls}.GUARDED_BY declares "
+                    f"{node.attr!r} guarded by {lock!r}",
+                    f"{info.path}:{node.lineno}: {info.qualname} — "
+                    f"{cls}.{node.attr} {verb} without {lock!r} held"))
 
     # -- RACE002 -----------------------------------------------------------
 
-    def _check_then_act(self, analysis: ThreadAnalysis, record: SharedField,
-                        guard: frozenset[str],
-                        locksets: dict[int, frozenset[str]]
-                        ) -> Iterable[Finding]:
-        if not guard:
-            return
-        by_method: dict[str, list[FieldAccess]] = {}
-        for access in record.accesses:
-            if access.kind != "sync":
-                by_method.setdefault(access.info.fid, []).append(access)
-        for accesses in by_method.values():
-            tests: list[tuple[FieldAccess, int]] = []
-            writes: list[tuple[FieldAccess, int]] = []
-            for access in accesses:
-                region = self._guard_region(analysis, access, guard)
-                if region is None:
-                    continue
-                if access.kind == "read" and \
-                        self._in_condition(access):
-                    tests.append((access, region))
-                elif access.is_write:
-                    writes.append((access, region))
+    def _check_then_act(self, cls: str, lock: str,
+                        accesses: list[_Access]) -> Iterator[Finding]:
+        """Only syntactic regions count: a lock held across the whole call
+        (the entry lockset) cannot be released between a check and its
+        act."""
+        by_method: dict[str, list[_Access]] = defaultdict(list)
+        for access in accesses:
+            if access.region is not None:
+                by_method[access.info.fid].append(access)
+        for found in by_method.values():
+            writes = [a for a in found if a.kind == "write"]
+            tests = [a for a in found
+                     if a.kind == "read" and self._in_condition(a)]
             #: regions that re-test the field: a write there is the
             #: *double-checked* idiom — the decision is re-validated under
-            #: the guard, which is precisely the cure for check-then-act.
-            rechecked = {region for _, region in tests}
-            for test, test_region in tests:
-                for write, write_region in writes:
-                    if write_region != test_region and \
-                            write_region not in rechecked and \
-                            write.line > test.line:
-                        yield self._race002(record, guard, test, write)
-                        break
-                else:
-                    continue
-                break  # one finding per method per field
+            #: the lock, which is precisely the cure for check-then-act.
+            rechecked = {test.region for test in tests}
+            stale = next(((test, write) for test in tests for write in writes
+                          if write.region not in rechecked
+                          and write.node.lineno > test.node.lineno), None)
+            if stale is not None:  # one finding per method per field
+                yield self._race002(cls, lock, *stale)
 
     @staticmethod
-    def _guard_region(analysis: ThreadAnalysis, access: FieldAccess,
-                      guard: frozenset[str]) -> int | None:
-        """Innermost syntactic ``with`` region acquiring the guard, if any.
-
-        ``None`` when the access is not under a syntactic acquisition of
-        the inferred guard in its own body — entry locksets do not count
-        here: a guard held across the whole call cannot be released
-        between a check and its act.
-        """
-        for token, region in analysis.syntactic_guards(
-                access.info.module, access.node):
-            if token in guard:
-                return region
-        return None
-
-    @staticmethod
-    def _in_condition(access: FieldAccess) -> bool:
+    def _in_condition(access: _Access) -> bool:
         """The access feeds an ``if``/``while`` test, directly or through
         a local it is assigned to (``first = self.x is None`` and a later
         ``if first:`` in the same function)."""
@@ -260,25 +373,22 @@ class SharedStateRaceChecker(Checker):
             previous = ancestor
         return False
 
-    def _race002(self, record: SharedField, guard: frozenset[str],
-                 test: FieldAccess, write: FieldAccess) -> Finding:
-        module = write.info.module
-        guard_name = "/".join(sorted(guard))
-        message = (f"check-then-act on {record.cls}.{record.field}: tested "
-                   f"under {guard_name!r} at line {test.line}, but the "
-                   f"dependent write re-acquires the guard — the tested "
-                   f"state may be stale by the time the write runs")
-        return module.finding(
-            "RACE002", self.name, write.node, message,
+    def _race002(self, cls: str, lock: str, test: _Access,
+                 write: _Access) -> Finding:
+        test_at = f"{test.info.path}:{test.node.lineno}"
+        return write.info.module.finding(
+            "RACE002", self.name, write.node,
+            f"check-then-act on {cls}.{write.node.attr}: tested under "
+            f"{lock!r} at line {test.node.lineno}, but the dependent write "
+            f"re-acquires the guard — the tested state may be stale by the "
+            f"time the write runs",
             scope=write.info.qualname,
-            detail=f"{record.cls}.{record.field}/check-then-act",
-            related=((test.info.path, test.line),),
+            detail=f"{cls}.{write.node.attr}/check-then-act",
+            related=((test.info.path, test.node.lineno),),
             call_path=(
-                f"{test.info.path}:{test.line}: {record.cls}."
-                f"{record.field} tested under {guard_name!r}",
-                f"{write.info.path}:{write.line}: guard released and "
-                f"re-acquired before the dependent write",
-            ))
+                f"{test_at}: {cls}.{test.node.attr} tested under {lock!r}",
+                f"{write.info.path}:{write.node.lineno}: guard released and "
+                f"re-acquired before the dependent write"))
 
 
 def _is_engine_latch(token: str) -> bool:

@@ -91,6 +91,10 @@ class Database:
     failures without further plumbing.
     """
 
+    #: ``latch`` guards the engine as a whole, not named fields (read by
+    #: ``python -m repro.analyze``).
+    GUARDED_BY = {"latch": ()}
+
     def __init__(self, config: EngineConfig = DEFAULT_CONFIG,
                  stats: StatsRegistry | None = None,
                  injector: "object | None" = None) -> None:

@@ -276,6 +276,9 @@ class StatsRegistry:
     invariant true under concurrent sessions.
     """
 
+    #: What ``_lock`` guards (read by ``python -m repro.analyze``).
+    GUARDED_BY = {"_lock": ("_counters", "_gauges", "_histograms")}
+
     def __init__(self) -> None:
         self._counters: Counter[str] = Counter()
         self._gauges: dict[str, int] = {}

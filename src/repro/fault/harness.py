@@ -33,6 +33,7 @@ from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.fault.injector import FaultInjector, FaultSpec, SimulatedCrash
 from repro.indexes.manager import XPathValueIndex
+from repro.rdb.pages import SlottedPage
 from repro.rdb.storage import Disk
 from repro.rdb.wal import LogManager, LogOp
 from repro.xdm.serializer import serialize
@@ -92,10 +93,19 @@ def verify_value_indexes(db) -> None:
     Rebuilds each index from its store's records and compares the complete
     sorted entry lists; raises ``AssertionError`` on any divergence.  Also
     checks every DocID index covers exactly the stored documents, and runs
-    :meth:`BTree.verify` over every value, DocID and NodeID index, so a
-    restart that leaves a structurally damaged node page fails here with a
-    typed :class:`~repro.errors.IndexError_` before its entries are trusted.
+    the structural checks first: :meth:`SlottedPage.validate` over every
+    data page of every XML store and relational table, and
+    :meth:`BTree.verify` over every value, DocID and NodeID index.  A
+    restart that leaves a damaged record page fails here with a typed
+    :class:`~repro.errors.StorageError`, a damaged node page with a typed
+    :class:`~repro.errors.IndexError_`, before their contents are trusted.
     """
+    spaces = [store.space for store in db.xml_stores.values()] + \
+        [table.space for table in db.tables.values()]
+    for space in spaces:
+        for page_id in space.page_ids:
+            with space.pool.page(page_id) as data:
+                SlottedPage(data).validate()
     for store in db.xml_stores.values():
         store.node_index.tree.verify()
     for name, index in db.value_indexes.items():

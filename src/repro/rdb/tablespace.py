@@ -63,6 +63,9 @@ class TableSpace:
         self._last_page: int | None = None
         self._record_count = 0
         self._overflow_pages = 0
+        #: Overflow pages a delete or update released, reused before the
+        #: device is asked for new ones.
+        self._free_overflow: list[int] = []
         # A record must leave room for the header and one slot.
         self.max_inline = pool.page_size - HEADER_SIZE - SLOT_SIZE - 1
         #: Longest storable record: its overflow head (13 bytes plus 4 per
@@ -225,7 +228,7 @@ class TableSpace:
         chunk = self.pool.page_size
         page_ids = []
         for start in range(0, len(record), chunk):
-            page_id, data = self.pool.new_page()
+            page_id, data = self._overflow_page()
             try:
                 piece = record[start:start + chunk]
                 data[:len(piece)] = piece
@@ -239,6 +242,13 @@ class TableSpace:
         for page_id in page_ids:
             head += page_id.to_bytes(4, "big")
         return bytes(head)
+
+    def _overflow_page(self) -> tuple[int, bytearray]:
+        """A pinned overflow page: a freed one if any, else a new one."""
+        if self._free_overflow:
+            page_id = self._free_overflow.pop()
+            return page_id, self.pool.fetch(page_id)
+        return self.pool.new_page()
 
     def _maybe_reassemble(self, payload: bytes) -> bytes:
         if payload[0] == _INLINE_TAG:
@@ -257,7 +267,9 @@ class TableSpace:
             return bytes(SlottedPage(data).read(rid.slot_no))
 
     def _free_overflow_of(self, payload: bytes) -> None:
-        # The simulated device has no deallocation; just account for reuse.
         if payload and payload[0] == _OVERFLOW_TAG:
             n_pages = int.from_bytes(payload[9:13], "big")
             self._overflow_pages -= n_pages
+            self._free_overflow.extend(
+                int.from_bytes(payload[13 + 4 * i:17 + 4 * i], "big")
+                for i in range(n_pages))

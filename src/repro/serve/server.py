@@ -96,6 +96,9 @@ class DatabaseServer:
     #: transaction was aborted cleanly (victim) or never started (shed).
     RETRYABLE = (DeadlockError, LockTimeoutError, ServerOverloadedError)
 
+    #: What ``_state_lock`` guards (read by ``python -m repro.analyze``).
+    GUARDED_BY = {"_state_lock": ("_state", "_sessions", "_crashed")}
+
     def __init__(self, db: "Database") -> None:
         self.db = db
         self.stats = db.stats

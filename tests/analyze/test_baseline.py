@@ -4,6 +4,7 @@ import pytest
 
 from repro.analyze.baseline import (Baseline, BaselineError, BaselineEntry,
                                     write_baseline)
+from repro.analyze.cli import main
 from repro.analyze.findings import Finding
 
 
@@ -86,6 +87,51 @@ class TestSplitAndStaleness:
             make_finding().fingerprint, "reviewed")])
         baseline.split([make_finding()])
         assert baseline.stale_entries() == []
+
+    def test_staleness_is_limited_to_the_checked_codes(self):
+        pin = BaselineEntry("PIN002:m.py:A.f:x", "reviewed")
+        wal = BaselineEntry("WAL001:n.py:B.g:y", "reviewed")
+        baseline = Baseline([pin, wal])
+        baseline.split([])
+        assert baseline.stale_entries({"WAL001", "WAL002"}) == [wal]
+        assert baseline.stale_entries(set()) == []
+
+
+class TestStaleEntriesFailTheGate:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        """A clean tree and a baseline whose one PIN002 entry is stale."""
+        (tmp_path / "tree").mkdir()
+        (tmp_path / "tree" / "m.py").write_text("def f():\n    return 1\n")
+        baseline = tmp_path / "baseline.txt"
+        baseline.write_text("# header\n"
+                            "PIN002  tree/m.py:f:x  # fixed long ago\n")
+        return tmp_path / "tree", baseline
+
+    def test_stale_entry_exits_2(self, tree, capsys):
+        path, baseline = tree
+        assert main([str(path), "--baseline", str(baseline)]) == 2
+        out = capsys.readouterr().out
+        assert "stale baseline entry" in out
+        assert "0 new finding(s), 1 stale baseline entry" in out
+
+    def test_selected_code_counts_its_stale_entries(self, tree, capsys):
+        path, baseline = tree
+        assert main([str(path), "--baseline", str(baseline),
+                     "--select", "pin-leak"]) == 2
+
+    def test_unselected_codes_are_not_stale(self, tree, capsys):
+        path, baseline = tree
+        assert main([str(path), "--baseline", str(baseline),
+                     "--select", "LOCK001"]) == 0
+        assert "stale" not in capsys.readouterr().out
+
+    def test_prune_stale_deletes_instead_of_failing(self, tree, capsys):
+        path, baseline = tree
+        assert main([str(path), "--baseline", str(baseline),
+                     "--prune-stale"]) == 0
+        assert baseline.read_text() == "# header\n"
+        assert main([str(path), "--baseline", str(baseline)]) == 0
 
 
 class TestWriteRoundTrip:

@@ -389,8 +389,9 @@ class TestBaselineAndCli:
         write_baseline(baseline, findings)
 
         leak.write_text(FIXED_LEAK)  # the violation is gone
+        # A stale entry fails the gate: the suppression must be deleted.
         assert main([str(tmp_path / "tree"),
-                     "--baseline", str(baseline)]) == 0
+                     "--baseline", str(baseline)]) == 2
         assert "stale baseline entry" in capsys.readouterr().out
 
     def test_undocumented_baseline_entry_is_an_error(self, tmp_path, capsys):

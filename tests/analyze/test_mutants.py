@@ -1,7 +1,7 @@
 """Each static checker pinned to a seeded engine mutant it kills.
 
 The mutants are the rows of DESIGN.md's two kill tables: the race table
-(rows ``m1``-``m13``, serving-layer mutants) and the non-race table (rows
+(rows ``m1``-``m15``, serving-layer mutants) and the non-race table (rows
 named after the gate each mutant was written for).  Each one is a list of
 text substitutions applied to an in-memory copy of one real module, and
 only the row's checkers run over ``src/`` with that copy in place.  A row
@@ -157,6 +157,16 @@ RACE_MUTANTS = (
          "        finally:\n"
          "            txn.deadline = None\n",
          None),
+    race(14, "DatabaseServer.__init__ creates a lock GUARDED_BY does not "
+             "name", SERVER,
+         "        self._session_ids = itertools.count(1)\n",
+         "        self._session_ids = itertools.count(1)\n"
+         "        self._ids_lock = threading.Lock()\n",
+         "RACE003"),
+    race(15, "StatsRegistry's GUARDED_BY misspells _gauges", STATS,
+         '"_counters", "_gauges", "_histograms"',
+         '"_counters", "_guages", "_histograms"',
+         "RACE003"),
 )
 
 ENGINE_MUTANTS = (

@@ -1,9 +1,10 @@
 """RACE001/RACE002/LATCH001 against seeded fixture trees.
 
 The fixtures are deliberately racy (or deliberately disciplined) snippets
-written to ``tmp_path`` — the analyzer never imports them.  Each test pins
-one rule: where the finding lands, what the ``--explain`` thread-root
-witness says, and which disciplined idioms must stay quiet.
+written to ``tmp_path`` — the analyzer never imports them.  Each fixture
+class declares its own guards (``GUARDED_BY``).  Each test pins one rule:
+where the finding lands, what the ``--explain`` witness says, and which
+disciplined idioms must stay quiet.
 """
 
 import textwrap
@@ -37,6 +38,12 @@ RACY_WRITE = """\
     import threading
 
     class Server:
+        GUARDED_BY = {"_state_lock": ("jobs",)}
+
+        def __init__(self):
+            self._state_lock = threading.Lock()
+            self.jobs = 0
+
         def start(self):
             for index in range(4):
                 threading.Thread(target=self._worker_loop).start()
@@ -64,24 +71,33 @@ class TestRace001:
         assert finding.scope == "Server._step"
         assert finding.detail == "Server.jobs/write"
         assert finding.line == line_of(path, "self.jobs += 1")
-        assert "written outside its inferred guard '_state_lock'" \
+        assert "written without its declared guard '_state_lock'" \
             in finding.message
-        assert "Server._worker_loop" in finding.message
 
-    def test_explain_witness_walks_from_the_spawn_site(self, tmp_path):
-        findings = run_on(tmp_path, SharedStateRaceChecker(), "mod.py",
-                          RACY_WRITE)
+    def test_explain_witness_cites_the_declaration(self, tmp_path):
+        path = write(tmp_path, "mod.py", RACY_WRITE)
+        findings = run_checkers([SharedStateRaceChecker()], [path],
+                                root=tmp_path)
         witness = findings[0].call_path
-        assert len(witness) == 3
-        assert "spawns threads running Server._worker_loop" in witness[0]
-        assert "Server._worker_loop calls self._step()" in witness[1]
-        assert "Server.jobs written with no latch held" in witness[2]
+        assert len(witness) == 2
+        assert witness[0] == (
+            f"mod.py:{line_of(path, 'GUARDED_BY')}: Server.GUARDED_BY "
+            f"declares 'jobs' guarded by '_state_lock'")
+        assert witness[1] == (
+            f"mod.py:{line_of(path, 'self.jobs += 1')}: Server._step — "
+            f"Server.jobs written without '_state_lock' held")
 
     def test_unguarded_read_of_a_guarded_field_fires(self, tmp_path):
         findings = run_on(tmp_path, SharedStateRaceChecker(), "mod.py", """\
             import threading
 
             class Server:
+                GUARDED_BY = {"_state_lock": ("jobs",)}
+
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.jobs = 0
+
                 def start(self):
                     for index in range(4):
                         threading.Thread(target=self._worker).start()
@@ -96,36 +112,43 @@ class TestRace001:
         assert [f.code for f in findings] == ["RACE001"]
         assert findings[0].detail == "Server.jobs/read"
         assert findings[0].scope == "Server.health"
-        # The reader runs on main; the witness shows the *writer* thread
-        # it races with.
-        witness = findings[0].call_path
-        assert any("accesses Server.jobs on that thread" in line
-                   for line in witness)
-        assert "Server.jobs read with no latch held" in witness[-1]
+        assert "Server.jobs read without '_state_lock' held" \
+            in findings[0].call_path[-1]
 
-    def test_wholly_unguarded_field_reports_writes_only(self, tmp_path):
+    def test_undeclared_field_is_not_checked(self, tmp_path):
         findings = run_on(tmp_path, SharedStateRaceChecker(), "mod.py", """\
             import threading
 
             class Server:
+                GUARDED_BY = {"_state_lock": ("jobs",)}
+
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.jobs = 0
+
                 def start(self):
                     for index in range(4):
                         threading.Thread(target=self._worker).start()
 
                 def _worker(self):
-                    self.jobs += 1
+                    self.hits += 1
 
                 def view(self):
-                    return self.jobs
+                    return self.hits
             """)
-        assert [f.detail for f in findings] == ["Server.jobs/write"]
-        assert "no single latch guards it" in findings[0].message
+        assert findings == []
 
     def test_fully_latched_class_is_clean(self, tmp_path):
         findings = run_on(tmp_path, SharedStateRaceChecker(), "mod.py", """\
             import threading
 
             class Server:
+                GUARDED_BY = {"_state_lock": ("jobs",)}
+
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.jobs = 0
+
                 def start(self):
                     for index in range(4):
                         threading.Thread(target=self._worker).start()
@@ -145,6 +168,12 @@ class TestRace001:
             import threading
 
             class Server:
+                GUARDED_BY = {"_state_lock": ("jobs",)}
+
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.jobs = 0
+
                 def start(self):
                     for index in range(4):
                         threading.Thread(target=self._worker).start()
@@ -163,6 +192,12 @@ RACE002_SEED = """\
     import threading
 
     class Server:
+        GUARDED_BY = {"_state_lock": ("state",)}
+
+        def __init__(self):
+            self._state_lock = threading.Lock()
+            self.state = "new"
+
         def start(self):
             for index in range(2):
                 threading.Thread(target=self._drain).start()
@@ -200,6 +235,12 @@ class TestRace002:
             import threading
 
             class Server:
+                GUARDED_BY = {"_state_lock": ("state",)}
+
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.state = "new"
+
                 def start(self):
                     for index in range(2):
                         threading.Thread(target=self._drain).start()
@@ -350,14 +391,14 @@ class TestLatch001:
 
 
 class TestCliAndBaseline:
-    def test_explain_renders_the_thread_root_witness(self, tmp_path, capsys):
+    def test_explain_renders_the_declaration_witness(self, tmp_path, capsys):
         write(tmp_path, "tree/mod.py", RACY_WRITE)
         assert main([str(tmp_path / "tree"), "--select", "RACE001",
                      "--explain"]) == 2
         out = capsys.readouterr().out
         assert "RACE001" in out
-        assert "spawns threads running Server._worker_loop" in out
-        assert "with no latch held" in out
+        assert "Server.GUARDED_BY declares 'jobs' guarded by" in out
+        assert "without '_state_lock' held" in out
 
     def test_race_baseline_entries_must_state_a_runtime_claim(
             self, tmp_path, capsys):

@@ -1,163 +1,134 @@
-"""The thread model: roots, contexts, shared fields and latch inference.
+"""Declared guards: reading ``GUARDED_BY``, keeping it honest, locksets.
 
-Fixtures are plain-text trees (never imported), driven straight through
-:class:`repro.analyze.threads.ThreadAnalysis` so each view — spawn-site
-detection, reachability, field classification, entry locksets — is pinned
-down independently of the checkers built on top.
+Fixtures are plain-text trees (never imported).  Each test pins one rule
+of how :mod:`repro.analyze.races` reads a class's ``GUARDED_BY`` literal:
+the RACE003 findings that keep the declaration in step with the class,
+the methods exempt from RACE001, and the entry locksets that let a helper
+inherit the lock its callers hold.
 """
 
+import ast
 import textwrap
 
-from repro.analyze.framework import Program, SourceModule
-from repro.analyze.threads import MAIN_CONTEXT, ThreadAnalysis, guard_token
+from repro.analyze.framework import Program, SourceModule, run_checkers
+from repro.analyze.races import (SharedStateRaceChecker, entry_locks,
+                                 guard_token)
 
 
-def analyze(tmp_path, source, relpath="mod.py"):
+def write(tmp_path, source, relpath="mod.py"):
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
+    return path
+
+
+def race_findings(tmp_path, source):
+    return run_checkers([SharedStateRaceChecker()],
+                        [write(tmp_path, source)], root=tmp_path)
+
+
+def graph_of(tmp_path, source):
     program = Program()
-    program.add(SourceModule(path, tmp_path))
-    return ThreadAnalysis(program)
+    program.add(SourceModule(write(tmp_path, source), tmp_path))
+    return program.callgraph()
 
 
-SERVER = """\
+def fid_of(graph, qualname):
+    return next(info.fid for info in graph.iter_functions()
+                if info.qualname == qualname)
+
+
+DECLARED = """\
     import threading
 
-    class Server:
+    class Registry:
+        GUARDED_BY = {"_lock": ("_counts",)}
+
         def __init__(self):
-            self.jobs = 0
-            self.stats = object()
-            self._threads = []
+            self._lock = threading.Lock()
+            self._counts = {}
 
-        def start(self):
-            for index in range(4):
-                thread = threading.Thread(target=self._worker_loop)
-                thread.start()
-                self._threads.append(thread)
-
-        def _worker_loop(self):
-            while True:
-                self._step()
-
-        def _step(self):
-            self.jobs += 1
-            self.stats.add("serve.requests")
-
-        def view(self):
-            return self.jobs
+        def add(self, name):
+            with self._lock:
+                self._counts[name] = self._counts.get(name, 0) + 1
     """
 
 
-class TestThreadRoots:
-    def test_spawn_in_loop_is_a_many_root(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        root = analysis.roots["Server._worker_loop"]
-        assert root.many
-        assert "mod.py" in root.provenance()
-        assert "Server._worker_loop" in root.provenance()
+class TestDeclarations:
+    def test_declared_and_guarded_class_is_clean(self, tmp_path):
+        assert race_findings(tmp_path, DECLARED) == []
 
-    def test_singleton_spawn_is_not_many(self, tmp_path):
-        analysis = analyze(tmp_path, """\
+    def test_undeclared_lock_fires(self, tmp_path):
+        findings = race_findings(tmp_path, DECLARED.replace(
+            "            self._counts = {}\n",
+            "            self._counts = {}\n"
+            "            self._io_lock = threading.RLock()\n"))
+        assert [f.code for f in findings] == ["RACE003"]
+        assert findings[0].scope == "Registry"
+        assert findings[0].detail == "Registry._io_lock/undeclared-lock"
+        assert "does not declare" in findings[0].message
+
+    def test_lock_in_a_class_without_a_declaration_fires(self, tmp_path):
+        findings = race_findings(tmp_path, """\
             import threading
 
-            class Daemon:
-                def start(self):
-                    self._thread = threading.Thread(target=self._loop)
-                    self._thread.start()
-
-                def _loop(self):
-                    pass
-            """)
-        assert analysis.roots["Daemon._loop"].many is False
-
-    def test_known_roots_are_declared_entry_points(self, tmp_path):
-        analysis = analyze(tmp_path, """\
-            class DatabaseServer:
-                def submit(self, request):
-                    self._pending += 1
-            """)
-        root = analysis.roots["DatabaseServer.submit"]
-        assert root.many
-        assert "declared concurrent entry point" in root.provenance()
-
-
-class TestContexts:
-    def test_helper_inherits_the_root_context(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        step = next(info for info in analysis.graph.iter_functions()
-                    if info.qualname == "Server._step")
-        assert "Server._worker_loop" in analysis.contexts_of(step.fid)
-
-    def test_unreached_function_runs_on_main(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        view = next(info for info in analysis.graph.iter_functions()
-                    if info.qualname == "Server.view")
-        assert analysis.contexts_of(view.fid) == frozenset((MAIN_CONTEXT,))
-
-    def test_reach_path_walks_from_the_spawn_site(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        step = next(info for info in analysis.graph.iter_functions()
-                    if info.qualname == "Server._step")
-        lines = analysis.reach_path("Server._worker_loop", step.fid)
-        assert len(lines) == 2
-        assert "spawns threads running Server._worker_loop" in lines[0]
-        assert "Server._worker_loop calls self._step()" in lines[1]
-
-
-class TestSharedFields:
-    def test_field_written_on_worker_and_read_on_main_is_shared(
-            self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        shared = {record.key for record in analysis.shared_fields()}
-        assert ("Server", "jobs") in shared
-
-    def test_sync_object_fields_are_exempt(self, tmp_path):
-        analysis = analyze(tmp_path, """\
-            import threading
-
-            class Daemon:
-                def start(self):
-                    threading.Thread(target=self._loop).start()
-
-                def request(self):
-                    self._wake.set()
-
-                def _loop(self):
-                    self._wake.wait(1.0)
-                    if self._wake.is_set():
-                        self._wake.clear()
-            """)
-        assert analysis.shared_fields() == []
-
-    def test_mutator_on_stats_delegate_is_not_a_write(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        shared = {record.key for record in analysis.shared_fields()}
-        assert ("Server", "stats") not in shared
-
-    def test_field_never_written_after_init_is_not_shared(self, tmp_path):
-        analysis = analyze(tmp_path, """\
-            import threading
-
-            class Daemon:
+            class Pool:
                 def __init__(self):
-                    self.limit = 8
-
-                def start(self):
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):
-                    return self.limit
+                    self._mutex = threading.Lock()
             """)
-        assert analysis.shared_fields() == []
+        assert [f.detail for f in findings] == ["Pool._mutex/undeclared-lock"]
+
+    def test_declared_field_missing_from_init_fires(self, tmp_path):
+        findings = race_findings(tmp_path, DECLARED.replace(
+            '("_counts",)', '("_counst",)'))
+        assert [f.detail for f in findings] == ["Registry._counst/not-in-init"]
+        assert "is a declared field" in findings[0].message
+        assert findings[0].line == 4  # the declaration
+
+    def test_declared_lock_missing_from_init_fires(self, tmp_path):
+        findings = race_findings(tmp_path, DECLARED.replace(
+            '{"_lock": ', '{"_lcok": '))
+        # The real lock is now undeclared as well, and no access holds
+        # the declared one.
+        assert sorted(f.detail for f in findings if f.code == "RACE003") \
+            == ["Registry._lcok/not-in-init",
+                "Registry._lock/undeclared-lock"]
+        assert {f.code for f in findings} == {"RACE001", "RACE003"}
+
+    def test_non_literal_declaration_fires(self, tmp_path):
+        findings = race_findings(tmp_path, DECLARED.replace(
+            '("_counts",)', '("_counts")'))
+        assert [f.detail for f in findings] == ["Registry.GUARDED_BY/malformed"]
+
+    def test_init_writes_and_repr_reads_are_exempt(self, tmp_path):
+        findings = race_findings(tmp_path, DECLARED + """\
+
+        def __repr__(self):
+            return "<Registry %r>" % self._counts
+    """)
+        assert findings == []
+
+    def test_lock_with_no_fields_checks_no_field(self, tmp_path):
+        findings = race_findings(tmp_path, """\
+            import threading
+
+            class Engine:
+                GUARDED_BY = {"latch": ()}
+
+                def __init__(self):
+                    self.latch = threading.RLock()
+                    self.tables = {}
+
+                def create(self, name):
+                    self.tables[name] = []
+            """)
+        assert findings == []
 
 
 class TestLocksets:
     def test_guard_token_normalizes_lockish_expressions(self):
-        import ast as _ast
-
         def expr(text):
-            return _ast.parse(text, mode="eval").body
+            return ast.parse(text, mode="eval").body
 
         assert guard_token(expr("self._state_lock")) == "_state_lock"
         assert guard_token(expr("self.db.latch")) == "db.latch"
@@ -165,28 +136,53 @@ class TestLocksets:
         assert guard_token(expr("self.stats.trace('x')")) is None
 
     def test_entry_locks_flow_from_guarded_call_sites(self, tmp_path):
-        analysis = analyze(tmp_path, """\
+        source = """\
             import threading
 
             class Engine:
-                def start(self):
-                    for _ in range(2):
-                        threading.Thread(target=self.run).start()
+                GUARDED_BY = {"_lock": ("applied",)}
+
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.applied = 0
 
                 def run(self):
-                    with self.db.latch:
+                    with self._lock:
                         self._apply()
 
                 def _apply(self):
                     self.applied += 1
+            """
+        graph = graph_of(tmp_path, source)
+        assert entry_locks(graph)[fid_of(graph, "Engine._apply")] == \
+            frozenset(("_lock",))
+        # So the helper's write counts as guarded ...
+        assert race_findings(tmp_path, source) == []
+        # ... until one call site drops the lock.
+        findings = race_findings(tmp_path, source + """\
+
+                def hasty(self):
+                    self._apply()
             """)
-        apply_fn = next(info for info in analysis.graph.iter_functions()
-                        if info.qualname == "Engine._apply")
-        assert analysis.entry_locks(apply_fn.fid) == frozenset(("db.latch",))
-        guards = analysis.inferred_guards()
-        assert guards[("Engine", "applied")] == frozenset(("db.latch",))
+        assert [f.detail for f in findings] == ["Engine.applied/write"]
+        assert findings[0].scope == "Engine._apply"
 
     def test_root_functions_enter_with_no_locks(self, tmp_path):
-        analysis = analyze(tmp_path, SERVER)
-        loop = analysis.roots["Server._worker_loop"].info
-        assert analysis.entry_locks(loop.fid) == frozenset()
+        # A thread target has no resolved caller: it starts lock-free.
+        graph = graph_of(tmp_path, """\
+            import threading
+
+            class Server:
+                def start(self):
+                    threading.Thread(target=self._worker_loop).start()
+
+                def _worker_loop(self):
+                    with self._lock:
+                        self._step()
+
+                def _step(self):
+                    pass
+            """)
+        locks = entry_locks(graph)
+        assert locks[fid_of(graph, "Server._worker_loop")] == frozenset()
+        assert locks[fid_of(graph, "Server._step")] == frozenset(("_lock",))

@@ -2,8 +2,9 @@
 
 Two directions: the engine must not pay for the static analyzer (it
 imports no ``repro.analyze`` module), and the analyzer's hand-written name
-tables — thread roots and exemptions — must still name real
-code, because a rename silently drops an entry instead of failing.
+tables — the latch-yield sleep allowlist and the flush owners — must still
+name real code, because a rename silently drops an entry instead of
+failing.
 """
 
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import statshygiene, threads, waldiscipline
+from repro.analyze import statshygiene, waldiscipline
 from repro.analyze.framework import Program, SourceModule, iter_python_files
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -39,8 +40,7 @@ def graph():
     return program.callgraph()
 
 
-@pytest.mark.parametrize("qualname", sorted(
-    set(threads.KNOWN_ROOTS) | statshygiene._SLEEP_ALLOWLIST))
+@pytest.mark.parametrize("qualname", sorted(statshygiene._SLEEP_ALLOWLIST))
 def test_named_function_exists(graph, qualname):
     assert graph.by_qualname(qualname), f"{qualname} is not defined in src/"
 

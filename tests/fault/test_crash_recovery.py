@@ -11,7 +11,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StorageError
 from repro.fault import (CrashHarness, FaultPlan, database_digest,
                          verify_value_indexes)
 from repro.rdb.wal import LogManager, LogOp
@@ -89,6 +89,17 @@ class TestCrashPointMatrix:
         verify_value_indexes(recovered)
         hits = recovered.xpath("t", "doc", "/a/b")
         assert len(hits) == expected_docs
+
+    def test_damaged_page_tally_fails_the_structural_check(self, tmp_path):
+        harness = CrashHarness(str(tmp_path), config=CONFIG)
+        harness.run(workload, plan=[FaultPlan.crash_at("wal.commit.post", 3)])
+        recovered = harness.restart()
+        verify_value_indexes(recovered)
+        space = recovered.xml_stores[("t", "doc")].space
+        with recovered.pool.page(space.page_ids[0], write=True) as data:
+            data[4] ^= 0x01  # live_bytes, the tally's first field
+        with pytest.raises(StorageError, match="tally"):
+            verify_value_indexes(recovered)
 
     def test_no_crash_when_plan_unused(self, tmp_path):
         harness = CrashHarness(str(tmp_path), config=CONFIG)

@@ -120,6 +120,31 @@ class TestTableSpace:
         assert space.page_count == 2
         assert space.record_count == 1
 
+    def test_freed_overflow_pages_are_reused(self):
+        """Insert/delete churn of a long record reuses its overflow chain
+        instead of growing the device by a chain per round."""
+        disk = Disk(page_size=256, stats=StatsRegistry())
+        space = TableSpace(BufferPool(disk, capacity=16))
+        record = bytes(range(250)) * 4
+        for _ in range(20):
+            rid = space.insert(record)
+            assert space.read(rid) == record
+            space.delete(rid)
+        # One data page plus one 4-page chain, however many rounds.
+        assert disk.page_count <= 5
+        assert space.page_count == 1
+
+    def test_reused_overflow_pages_hold_only_the_new_record(self, space):
+        kept = space.insert(b"K" * 1500)
+        gone = space.insert(b"G" * 2000)
+        space.delete(gone)
+        shorter = space.insert(b"S" * 700)  # reuses part of the freed chain
+        assert space.read(shorter) == b"S" * 700
+        assert space.read(kept) == b"K" * 1500
+        moved = space.update(kept, b"U" * 1800)
+        assert space.read(moved) == b"U" * 1800
+        assert space.read(shorter) == b"S" * 700
+
     def test_read_deleted_raises(self, space):
         from repro.errors import RecordNotFoundError
         rid = space.insert(b"gone")

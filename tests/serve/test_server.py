@@ -1,13 +1,14 @@
 """End-to-end serving-layer tests: sessions, statements, drain, latches."""
 
+import ast
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.analyze.framework import Program, SourceModule
-from repro.analyze.threads import ThreadAnalysis
+from repro.analyze.framework import SourceModule, run_checkers
+from repro.analyze.races import SharedStateRaceChecker, guarded_by
 from repro.cc.document import doc_resource, node_resource
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import QUERY_CACHE_SIZE, Database
@@ -21,6 +22,7 @@ from repro.serve import DatabaseServer
 
 DOC = "<Product><Name>widget {i}</Name><Price>{i}</Price></Product>"
 CATALOG = '<Catalog><Product id="p{i}"><Name>n{i}</Name></Product></Catalog>'
+SERVER_PY = Path(__file__).resolve().parents[2] / "src/repro/serve/server.py"
 
 
 def make_db(**overrides):
@@ -388,15 +390,16 @@ class TestThreadSafetyRegressions:
         assert db.tables["docs"].row_count == 0
 
     def test_static_inference_names_the_state_lock(self):
-        # The guard ThreadAnalysis infers for each of the server's shared
-        # fields is the latch server.py documents for them.
-        program = Program()
-        program.add(SourceModule(Path("src/repro/serve/server.py"),
-                                 Path("src")))
-        guards = ThreadAnalysis(program).inferred_guards()
-        for field in ("_state", "_sessions", "_crashed"):
-            assert guards[("DatabaseServer", field)] == \
-                frozenset(("_state_lock",))
+        # The guard the analyzer reads for each of the server's shared
+        # fields is ``_state_lock``, and server.py holds it at every access.
+        module = SourceModule(SERVER_PY, SERVER_PY.parents[2])
+        cls = next(node for node in ast.walk(module.tree)
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "DatabaseServer")
+        assert guarded_by(cls)[1] == {
+            "_state_lock": ("_state", "_sessions", "_crashed")}
+        assert run_checkers([SharedStateRaceChecker()], [SERVER_PY],
+                            root=SERVER_PY.parents[2]) == []
 
 
 class _ShutdownOnFirstRelease:
