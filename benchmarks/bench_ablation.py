@@ -18,7 +18,7 @@ from repro.xdm.events import EventKind
 from repro.xmlstore import format as fmt
 from repro.xmlstore.node_index import index_key
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import walk
+from repro.xmlstore.traversal import EventSink, RecordScan
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.qtree import compile_query
 from repro.xpath.quickxscan import QuickXScan, evaluate
@@ -40,8 +40,10 @@ def test_ablation_interval_vs_per_node_index(benchmark):
     for rid in store.node_index.record_rids(1):
         record = store.read_record(rid)
         header, start = fmt.decode_header(record)
-        for event in walk(record, start, len(record), header.context_id,
-                          store.names):
+        events = []
+        RecordScan(store.names, record, start, len(record),
+                   header.context_id).drive(EventSink(events.append))
+        for event in events:
             if event.kind is not EventKind.ELEM_END:
                 per_node.insert(index_key(1, event.node_id), rid.to_bytes())
                 node_ids.append(event.node_id)

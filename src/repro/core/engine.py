@@ -47,7 +47,6 @@ from repro.rdb.tablespace import Rid
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
 from repro.rdb.values import SqlType, coerce
 from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
-from repro.xdm.serializer import serialize
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.qtree import QueryTree, compile_query
@@ -546,16 +545,16 @@ class Database:
 
     def serialize_result(self, table: str, column: str,
                          result: XPathResult) -> str:
-        """XML text of a matched node's subtree."""
+        """XML text of a matched node, as XMLQUERY gives it: a document
+        node gives the whole document, an attribute its value."""
         store = self._store(table, column)
         if result.node_id is None:
             raise QueryError("result carries no node identity")
-        return serialize(store.document(result.docid)
-                         .node_events(result.node_id))
+        return store.document(result.docid).serialize(result.node_id)
 
     def get_document(self, table: str, column: str, docid: int) -> str:
         """Full serialized document for a DocID."""
-        return serialize(self._store(table, column).document(docid).events())
+        return self._store(table, column).document(docid).serialize()
 
     # -- transactions and fault tolerance ------------------------------------------------
 

@@ -36,7 +36,6 @@ from repro.indexes.manager import XPathValueIndex
 from repro.rdb.pages import SlottedPage
 from repro.rdb.storage import Disk
 from repro.rdb.wal import LogManager, LogOp
-from repro.xdm.serializer import serialize
 
 
 @dataclass
@@ -79,8 +78,8 @@ def database_digest(db) -> dict:
     digest: dict = {}
     for (table, column), store in sorted(db.xml_stores.items()):
         for docid in store.docids():
-            digest[("doc", table, column, docid)] = serialize(
-                store.document(docid).events())
+            digest[("doc", table, column, docid)] = \
+                store.document(docid).serialize()
     for name, table in sorted(db.tables.items()):
         digest[("rows", name)] = sorted(
             repr(row) for _, row in table.scan_rids())

@@ -4,10 +4,12 @@
 record, which fits existing infrastructure very well."  A record is
 self-contained: its header carries the context path (ancestor element names)
 and in-scope namespaces, so the index path can be evaluated against a single
-record.  The stored-document reader's record driver
+record.  The stored-document reader's one record driver
 (:meth:`repro.xmlstore.traversal.RecordScan.of_record`) feeds it to one
 scanner per index definition, without a proxy resolver, so packed-out
-subtrees produce their keys when their own records are processed.  "A
+subtrees produce their keys when their own records are processed; driven
+into an :class:`~repro.xmlstore.traversal.EventSink` instead, the same
+record gives :func:`record_local_events`, the events that scan sees.  "A
 simplified version of our streaming XPath algorithm (QuickXScan) is used to
 evaluate the XPath on each record."
 
@@ -24,8 +26,7 @@ from typing import Iterator
 from repro.core.stats import StatsRegistry, default_stats
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
-from repro.xmlstore import format as fmt
-from repro.xmlstore.traversal import RecordScan, walk
+from repro.xmlstore.traversal import EventSink, RecordScan
 from repro.xpath.qtree import compile_query
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
@@ -38,19 +39,10 @@ def record_local_events(record: bytes, names: NameTable
     """Virtual SAX events for one record only, as :func:`generate_keys`
     scans it: the header's ancestors (synthetic, without node IDs) and
     in-scope namespaces around the body, proxies skipped."""
-    header, body_start = fmt.decode_header(record)
-    ancestors = [names.name(name_id) for name_id in header.context_path]
-    yield SaxEvent(EventKind.DOC_START)
-    for local, uri in ancestors:
-        yield SaxEvent(EventKind.ELEM_START, local=local, uri=uri)
-    for prefix, uri_id in header.namespaces:
-        if uri := names.uri(uri_id):
-            yield SaxEvent(EventKind.NS, local=prefix, value=uri)
-    yield from walk(record, body_start, len(record), header.context_id,
-                    names)
-    for local, uri in reversed(ancestors):
-        yield SaxEvent(EventKind.ELEM_END, local=local, uri=uri)
-    yield SaxEvent(EventKind.DOC_END)
+    out = [SaxEvent(EventKind.DOC_START)]
+    RecordScan.of_record(record, names).drive(EventSink(out.append))
+    out.append(SaxEvent(EventKind.DOC_END))
+    yield from out
 
 
 def generate_keys(definition: XPathIndexDefinition, record: bytes,

@@ -40,7 +40,6 @@ from repro.lang.lalr import Grammar, ParseError, Parser, Token, build_parser
 from repro.query.constructors import (Arg, Const, Spec, XAttr, XConcat,
                                       XElem, XForest, XmlAggregator,
                                       compile_template)
-from repro.xdm.serializer import serialize
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -607,13 +606,12 @@ class SqlSession:
         if document is None:
             return None
         items = self.db.scan_document(expression.xpath, document)
-        store = self.db.xml_stores[(table, expression.column)]
-        docid = row[expression.column]
+        reader = self.db.xml_stores[(table, expression.column)].document(
+            row[expression.column])
         parts = []
         for item in items:
-            if item.kind == "element" and item.node_id is not None:
-                parts.append(serialize(
-                    store.document(docid).node_events(item.node_id)))
+            if item.node_id is not None:
+                parts.append(reader.serialize(item.node_id))
             else:
                 parts.append(item.value or "")
         return "".join(parts)

@@ -2,8 +2,8 @@
 
 The serializer is one of the three shared runtime tasks: it consumes virtual
 SAX events from *any* iterator (token stream, persistent records, constructed
-data) and produces the textual XML string, generating namespace declarations
-on demand.
+data), or pushed one at a time by a driver, and produces the textual XML
+string, generating namespace declarations on demand.
 """
 
 from __future__ import annotations
@@ -39,116 +39,119 @@ class _PendingElement:
 
 
 class Serializer:
-    """Event-stream to XML text."""
+    """One event stream to XML text: :meth:`feed` each event in turn, then
+    :meth:`finish` for the text.  A producer that drives its own loop (the
+    stored records' driver) pushes into it, building no event list."""
 
     def __init__(self, omit_declaration: bool = True) -> None:
-        self.omit_declaration = omit_declaration
-
-    def serialize(self, events: Iterable[SaxEvent]) -> str:
-        out: list[str] = []
-        if not self.omit_declaration:
-            out.append('<?xml version="1.0" encoding="UTF-8"?>')
+        self._out: list[str] = [] if omit_declaration else [
+            '<?xml version="1.0" encoding="UTF-8"?>']
         # Namespace scopes: prefix -> uri.
-        scopes: list[dict[str, str]] = [{"": "", "xml": _XML_NS}]
-        open_names: list[tuple[str, str]] = []  # (prefix, local) of open tags
-        pending: _PendingElement | None = None
-        generated = 0
+        self._scopes: list[dict[str, str]] = [{"": "", "xml": _XML_NS}]
+        # (prefix, local) of the open tags.
+        self._open_names: list[tuple[str, str]] = []
+        self._pending: _PendingElement | None = None
+        self._generated = 0
 
-        def flush_pending(self_closing: bool = False) -> None:
-            nonlocal pending, generated
-            if pending is None:
-                return
-            scope = dict(scopes[-1])
-            declarations = list(pending.declarations)
-            for prefix, uri in declarations:
-                scope[prefix] = uri
-
-            def prefix_for(uri: str, for_attribute: bool) -> str:
-                nonlocal generated
-                if uri == _XML_NS:
-                    return "xml"
-                if not for_attribute and scope.get("") == uri:
-                    return ""
-                if uri:
-                    for known_prefix, known_uri in scope.items():
-                        if known_uri == uri and known_prefix not in ("", "xml"):
-                            return known_prefix
-                if not for_attribute:
-                    # (Re)declare the default namespace for this element.
-                    declarations.append(("", uri))
-                    scope[""] = uri
-                    return ""
-                # An attribute in a namespace needs a real prefix.
-                generated += 1
-                prefix = f"ns{generated}"
-                declarations.append((prefix, uri))
-                scope[prefix] = uri
-                return prefix
-
-            elem_prefix = prefix_for(pending.uri, for_attribute=False)
-            tag = f"{elem_prefix}:{pending.local}" if elem_prefix else pending.local
-            parts = [f"<{tag}"]
-            attr_texts = []
-            for local, uri, value in pending.attrs:
-                if uri:
-                    a_prefix = prefix_for(uri, for_attribute=True)
-                    attr_texts.append(f'{a_prefix}:{local}="{_escape_attr(value)}"')
-                else:
-                    attr_texts.append(f'{local}="{_escape_attr(value)}"')
-            for prefix, uri in sorted(set(declarations)):
-                name = f"xmlns:{prefix}" if prefix else "xmlns"
-                parts.append(f' {name}="{_escape_attr(uri)}"')
-            for text in attr_texts:
-                parts.append(" " + text)
-            if self_closing:
-                parts.append("/>")
+    def feed(self, event: SaxEvent) -> None:
+        """Take the next event of the stream."""
+        kind = event.kind
+        if kind is EventKind.ELEM_START:
+            self._flush_pending()
+            self._pending = _PendingElement(event.local, event.uri)
+        elif kind is EventKind.TEXT:
+            self._flush_pending()
+            self._out.append(_escape_text(event.value))
+        elif kind is EventKind.ELEM_END:
+            if self._pending is not None:
+                self._flush_pending(self_closing=True)
             else:
-                parts.append(">")
-                scopes.append(scope)
-                open_names.append((elem_prefix, pending.local))
-            out.append("".join(parts))
-            pending = None
+                if not self._open_names:
+                    raise XmlError("unbalanced element end event")
+                prefix, local = self._open_names.pop()
+                self._scopes.pop()
+                tag = f"{prefix}:{local}" if prefix else local
+                self._out.append(f"</{tag}>")
+        elif kind is EventKind.ATTR:
+            if self._pending is None:
+                raise XmlError("attribute event outside an element start")
+            self._pending.attrs.append((event.local, event.uri, event.value))
+        elif kind is EventKind.NS:
+            if self._pending is None:
+                raise XmlError("namespace event outside an element start")
+            self._pending.declarations.append((event.local, event.value))
+        elif kind is EventKind.DOC_START or kind is EventKind.DOC_END:
+            self._flush_pending()
+        elif kind is EventKind.COMMENT:
+            self._flush_pending()
+            self._out.append(f"<!--{event.value}-->")
+        elif kind is EventKind.PI:
+            self._flush_pending()
+            body = f" {event.value}" if event.value else ""
+            self._out.append(f"<?{event.local}{body}?>")
+        else:  # pragma: no cover - exhaustive
+            raise XmlError(f"unknown event kind {kind}")
 
-        for event in events:
-            if event.kind is EventKind.DOC_START or event.kind is EventKind.DOC_END:
-                flush_pending()
-            elif event.kind is EventKind.ELEM_START:
-                flush_pending()
-                pending = _PendingElement(event.local, event.uri)
-            elif event.kind is EventKind.NS:
-                if pending is None:
-                    raise XmlError("namespace event outside an element start")
-                pending.declarations.append((event.local, event.value))
-            elif event.kind is EventKind.ATTR:
-                if pending is None:
-                    raise XmlError("attribute event outside an element start")
-                pending.attrs.append((event.local, event.uri, event.value))
-            elif event.kind is EventKind.ELEM_END:
-                if pending is not None:
-                    flush_pending(self_closing=True)
-                else:
-                    if not open_names:
-                        raise XmlError("unbalanced element end event")
-                    prefix, local = open_names.pop()
-                    scopes.pop()
-                    tag = f"{prefix}:{local}" if prefix else local
-                    out.append(f"</{tag}>")
-            elif event.kind is EventKind.TEXT:
-                flush_pending()
-                out.append(_escape_text(event.value))
-            elif event.kind is EventKind.COMMENT:
-                flush_pending()
-                out.append(f"<!--{event.value}-->")
-            elif event.kind is EventKind.PI:
-                flush_pending()
-                body = f" {event.value}" if event.value else ""
-                out.append(f"<?{event.local}{body}?>")
-            else:  # pragma: no cover - exhaustive
-                raise XmlError(f"unknown event kind {event.kind}")
-        flush_pending()
-        if open_names:
+    def finish(self) -> str:
+        """The text of the events fed so far, which must be balanced."""
+        self._flush_pending()
+        if self._open_names:
             raise XmlError("unterminated elements in event stream")
-        return "".join(out)
+        return "".join(self._out)
+
+    def _flush_pending(self, self_closing: bool = False) -> None:
+        pending = self._pending
+        if pending is None:
+            return
+        scope = dict(self._scopes[-1])
+        declarations = list(pending.declarations)
+        for prefix, uri in declarations:
+            scope[prefix] = uri
+
+        def prefix_for(uri: str, for_attribute: bool) -> str:
+            if uri == _XML_NS:
+                return "xml"
+            if not for_attribute and scope.get("") == uri:
+                return ""
+            if uri:
+                for known_prefix, known_uri in scope.items():
+                    if known_uri == uri and known_prefix not in ("", "xml"):
+                        return known_prefix
+            if not for_attribute:
+                # (Re)declare the default namespace for this element.
+                declarations.append(("", uri))
+                scope[""] = uri
+                return ""
+            # An attribute in a namespace needs a real prefix.
+            self._generated += 1
+            prefix = f"ns{self._generated}"
+            declarations.append((prefix, uri))
+            scope[prefix] = uri
+            return prefix
+
+        elem_prefix = prefix_for(pending.uri, for_attribute=False)
+        tag = f"{elem_prefix}:{pending.local}" if elem_prefix else pending.local
+        parts = [f"<{tag}"]
+        attr_texts = []
+        for local, uri, value in pending.attrs:
+            if uri:
+                a_prefix = prefix_for(uri, for_attribute=True)
+                attr_texts.append(f'{a_prefix}:{local}="{_escape_attr(value)}"')
+            else:
+                attr_texts.append(f'{local}="{_escape_attr(value)}"')
+        for prefix, uri in sorted(set(declarations)):
+            name = f"xmlns:{prefix}" if prefix else "xmlns"
+            parts.append(f' {name}="{_escape_attr(uri)}"')
+        for text in attr_texts:
+            parts.append(" " + text)
+        if self_closing:
+            parts.append("/>")
+        else:
+            parts.append(">")
+            self._scopes.append(scope)
+            self._open_names.append((elem_prefix, pending.local))
+        self._out.append("".join(parts))
+        self._pending = None
 
 
 def serialize(source: Node | Iterable[SaxEvent],
@@ -156,4 +159,8 @@ def serialize(source: Node | Iterable[SaxEvent],
     """Serialize an XDM tree or an event stream to XML text."""
     if isinstance(source, Node):
         source = events_from_tree(source)
-    return Serializer(omit_declaration=omit_declaration).serialize(source)
+    serializer = Serializer(omit_declaration)
+    feed = serializer.feed
+    for event in source:
+        feed(event)
+    return serializer.finish()

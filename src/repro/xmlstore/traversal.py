@@ -6,33 +6,35 @@ key.  The root record can be identified.  The XMLData is then traversed.  If
 a proxy node is encountered, its node ID is used to search the NodeID index
 ... Stacking has to be used during traversal."
 
-That algorithm runs here as an explicit stack (no recursion) over record
-spans, with proxies resolved through a callback (the NodeID index, for
-:class:`StoredDocument`) or skipped when there is none — the per-record
-evaluation index key generation runs (§3.2-§3.3), whose ancestors are
-replayed from the record header.  It has two drivers over one entry layout:
+That algorithm runs here once, in :meth:`RecordScan.drive`: an explicit
+stack (no recursion) over record spans, with proxies resolved through a
+callback (the NodeID index, for :class:`StoredDocument`) or skipped when there
+is none — the per-record evaluation index key generation runs (§3.2-§3.3),
+whose ancestors are replayed from the record header.  The driver calls a
+*run*'s handlers, one per node, and what a run does with them is its own:
 
-* :func:`walk` yields virtual SAX events (Fig. 8's "persistent data"
-  iterator); its skip hint (``send(True)`` right after an element start)
-  steps over that element's subtree, for the update path's child listing.
-* :class:`RecordScan` feeds QuickXScan's match handlers directly, with no
+* QuickXScan's :class:`repro.xpath.quickxscan.ScanRun` matches with no
   generator or event object per node, and steps over every subtree the
   matcher says cannot match — its packed-out records are never read.
+* :class:`EventSink` turns every node into a virtual SAX event (Fig. 8's
+  "persistent data" iterator) for a callback: an event list, the serializer
+  (:meth:`StoredDocument.serialize` streams, building no list), or an
+  update's child listing, which steps over every child's subtree.
 
 Element entries carry their subtree length, so locating a node by ID
-(:meth:`StoredDocument.find_node`) and both skips cost O(1) per subtree.
+(:meth:`StoredDocument.find_node`) and every skip cost O(1) per subtree.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Generator, Iterator, NamedTuple,
-                    Sequence)
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import DocumentNotFoundError, PackingError
 from repro.rdb import codec
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind, SaxEvent
 from repro.xdm.names import NameTable
+from repro.xdm.serializer import Serializer
 from repro.xmlstore import format as fmt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,111 +48,22 @@ _ATTRIBUTE = fmt.EntryKind.ATTRIBUTE
 _PROXY = fmt.EntryKind.PROXY
 _ELEM_START = EventKind.ELEM_START
 _ELEM_END = EventKind.ELEM_END
-
-
-def walk(record: bytes, start: int, end: int, parent_abs: bytes,
-         names: NameTable, resolve: Callable[[bytes], bytes] | None = None
-         ) -> Generator[SaxEvent, bool | None, None]:
-    """Document-order events for the entries in ``record[start:end]``.
-
-    ``parent_abs`` is the absolute ID the entries' relative IDs extend.  A
-    proxy is followed by reading the record ``resolve(proxy_id)`` returns,
-    or skipped when ``resolve`` is ``None``.
-
-    Skip hint: ``send(True)`` right after an ``ELEM_START`` makes the next
-    event that element's ``ELEM_END``; nothing inside it is decoded and no
-    proxy inside it is resolved.  Element, text and attribute entries are
-    decoded inline (one-byte varints on the fast path), with no
-    :class:`~repro.xmlstore.format.Entry` per node.
-    """
-    name_of = names.name
-    read_uvarint = codec.read_uvarint
-    # Suspended spans, innermost last: (buf, resume_pos, end, parent_abs,
-    # closing) where ``closing`` is the (local, uri) whose ELEM_END follows
-    # the span, or None when the span is a proxy's record.
-    stack: list[tuple] = []
-    buf, pos, parent = record, start, parent_abs
-    while True:
-        if pos >= end:
-            if not stack:
-                return
-            buf, pos, end, parent, closing = stack.pop()
-            if closing is not None:
-                yield SaxEvent(_ELEM_END, closing[0], closing[1])
-            continue
-        kind = buf[pos]
-        if kind == _ELEMENT or kind == _TEXT or kind == _ATTRIBUTE:
-            size = buf[pos + 1]
-            pos += 2
-            if size > 0x7F:
-                size, pos = read_uvarint(buf, pos - 1)
-            abs_id = parent + buf[pos:pos + size]
-            pos += size
-            if kind != _TEXT:
-                name_id = buf[pos]
-                pos += 1
-                if name_id > 0x7F:
-                    name_id, pos = read_uvarint(buf, pos - 1)
-                name = name_of(name_id)
-            if kind == _ELEMENT:
-                if buf[pos] > 0x7F:  # nested entry count: not needed here
-                    _count, pos = read_uvarint(buf, pos)
-                else:
-                    pos += 1
-                size = buf[pos]
-                pos += 1
-                if size > 0x7F:
-                    size, pos = read_uvarint(buf, pos - 1)
-                if (yield SaxEvent(_ELEM_START, name[0], name[1], "",
-                                   abs_id)):
-                    pos += size  # skipped: the subtree is never decoded
-                    yield SaxEvent(_ELEM_END, name[0], name[1])
-                    continue
-                stack.append((buf, pos + size, end, parent, name))
-                end, parent = pos + size, abs_id
-                continue
-            size = buf[pos]
-            pos += 1
-            if size > 0x7F:
-                size, pos = read_uvarint(buf, pos - 1)
-            value = str(buf[pos:pos + size], "utf-8")
-            pos += size
-            if kind == _TEXT:
-                yield SaxEvent(EventKind.TEXT, "", "", value, abs_id)
-            else:
-                yield SaxEvent(EventKind.ATTR, name[0], name[1], value,
-                               abs_id)
-            continue
-        entry = fmt.parse_entry(buf, pos)
-        pos = entry.next_pos
-        if kind == _PROXY:
-            if resolve is not None:
-                stack.append((buf, pos, end, parent, None))
-                buf = resolve(entry.rel_id)
-                header, pos = fmt.decode_header(buf)
-                end, parent = len(buf), header.context_id
-            continue
-        abs_id = parent + entry.rel_id
-        if entry.kind == fmt.EntryKind.NAMESPACE:
-            yield SaxEvent(EventKind.NS, local=entry.target,
-                           value=names.uri(entry.uri_id), node_id=abs_id)
-        elif entry.kind == fmt.EntryKind.COMMENT:
-            yield SaxEvent(EventKind.COMMENT, value=entry.text,
-                           node_id=abs_id)
-        else:  # PI: parse_entry rejects unknown kinds
-            yield SaxEvent(EventKind.PI, local=entry.target,
-                           value=entry.text, node_id=abs_id)
+_TEXT_EVENT = EventKind.TEXT
+_ATTR_EVENT = EventKind.ATTR
 
 
 class RecordScan(NamedTuple):
-    """A stored span as a QuickXScan source: the packed-record driver.
+    """A stored span as a run's source: the packed-record driver.
 
-    :meth:`drive` feeds a :class:`repro.xpath.quickxscan.ScanRun` a document
-    start (node ID ``doc_id``), synthetic starts for the ``ancestors`` (name
-    ids, root first; never skipped), a tick per in-scope namespace, the
-    entries of ``record[start:end]`` and the ancestors' ends.  It builds a
-    node ID only for a node it descends into or the scan may match, and
-    decodes text only when the scan can use it."""
+    :meth:`drive` calls a run's handlers for a document start (node ID
+    ``doc_id``), synthetic starts for the ``ancestors`` (name ids, root
+    first; never skipped), one ``ns`` per in-scope ``namespaces`` binding
+    (prefix, URI), the entries of ``record[start:end]`` and the ancestors'
+    ends.  The run's ``name_ids(names)`` table maps a name id to ``(name,
+    element wanted, attribute wanted)``: a node ID is built only for a node
+    the driver descends into or the run wants, and text is decoded only when
+    the run's ``text_test`` or ``collectors`` is set; an unwanted node is a
+    ``tick()``.  A true ``elem_start`` steps over the element's subtree."""
 
     names: NameTable
     record: bytes
@@ -160,22 +73,23 @@ class RecordScan(NamedTuple):
     resolve: Callable[[bytes], bytes] | None = None
     doc_id: bytes | None = None
     ancestors: Sequence[int] = ()
-    namespaces: int = 0
+    namespaces: Sequence[tuple[str, str]] = ()
 
     @classmethod
     def of_record(cls, record: bytes, names: NameTable) -> "RecordScan":
         """One record alone, as index key generation evaluates it: the
         header's ancestors and namespaces, proxies skipped."""
         header, body_start = fmt.decode_header(record)
-        namespaces = sum(1 for _, uri_id in header.namespaces
-                         if names.uri(uri_id))
+        namespaces = tuple((prefix, uri)
+                           for prefix, uri_id in header.namespaces
+                           if (uri := names.uri(uri_id)))
         return cls(names, record, body_start, len(record), header.context_id,
                    ancestors=header.context_path, namespaces=namespaces)
 
     def drive(self, run) -> None:
         by_id = run.name_ids(self.names)
-        elem_start, elem_end, text, attr, tick = \
-            run.elem_start, run.elem_end, run.text, run.attr, run.tick
+        elem_start, elem_end, text, attr, tick, ns = run.elem_start, \
+            run.elem_end, run.text, run.attr, run.tick, run.ns
         collectors, text_test = run.collectors, run.text_test
         read_uvarint = codec.read_uvarint
         resolve = self.resolve
@@ -183,8 +97,8 @@ class RecordScan(NamedTuple):
         for name_id in self.ancestors:
             local, candidates, _ = by_id[name_id]
             elem_start(local, candidates, None)
-        for _ in range(self.namespaces):
-            tick()
+        for prefix, uri in self.namespaces:
+            ns(prefix, uri, None)
         # Suspended spans, innermost last: (buf, resume_pos, end,
         # parent_abs, closes) where ``closes`` is False for a proxy's record.
         stack: list[tuple] = []
@@ -262,9 +176,77 @@ class RecordScan(NamedTuple):
             elif kind == fmt.EntryKind.PI:
                 run.pi(entry.target, entry.text, parent + entry.rel_id)
             else:  # a namespace declaration: parse_entry rejects the rest
-                tick()
+                ns(entry.target, self.names.uri(entry.uri_id),
+                   parent + entry.rel_id)
         for _ in self.ancestors:
             elem_end()
+
+
+class _EveryName(dict):
+    """A name-id table that wants every node: ``((local, uri), True,
+    True)`` per id, filled as ids are met."""
+
+    def __init__(self, names: NameTable) -> None:
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, name_id: int) -> tuple:
+        entry = self[name_id] = (self.names.name(name_id), True, True)
+        return entry
+
+
+class EventSink:
+    """A :meth:`RecordScan.drive` run that hands ``emit`` one
+    :class:`SaxEvent` per node, with its node ID, in document order.
+
+    With ``skip`` every element's subtree is stepped over (its start and end
+    are still emitted), so only the span's top level is decoded.  The
+    document start is not emitted: the caller frames the span, which may be
+    a whole document, a subtree or one record."""
+
+    collectors = text_test = True
+
+    def __init__(self, emit: Callable[[SaxEvent], object],
+                 skip: bool = False) -> None:
+        self.emit, self.skip = emit, skip
+        self._open: list[tuple[str, str]] = []
+
+    def name_ids(self, names: NameTable) -> _EveryName:
+        return _EveryName(names)
+
+    def doc_start(self, node_id: bytes | None) -> None:
+        pass
+
+    def elem_start(self, name: tuple[str, str], _wanted: bool,
+                   node_id: bytes | None) -> bool:
+        self._open.append(name)
+        self.emit(SaxEvent(_ELEM_START, name[0], name[1], "", node_id))
+        return self.skip
+
+    def elem_end(self) -> None:
+        local, uri = self._open.pop()
+        self.emit(SaxEvent(_ELEM_END, local, uri))
+
+    def text(self, value: str, node_id: bytes | None) -> None:
+        self.emit(SaxEvent(_TEXT_EVENT, "", "", value, node_id))
+
+    def attr(self, name: tuple[str, str], _wanted: bool, value: str,
+             node_id: bytes | None) -> None:
+        self.emit(SaxEvent(_ATTR_EVENT, name[0], name[1], value, node_id))
+
+    def comment(self, value: str, node_id: bytes | None) -> None:
+        self.emit(SaxEvent(EventKind.COMMENT, value=value, node_id=node_id))
+
+    def pi(self, target: str, value: str, node_id: bytes | None) -> None:
+        self.emit(SaxEvent(EventKind.PI, local=target, value=value,
+                           node_id=node_id))
+
+    def ns(self, prefix: str, uri: str, node_id: bytes | None) -> None:
+        self.emit(SaxEvent(EventKind.NS, local=prefix, value=uri,
+                           node_id=node_id))
+
+    def tick(self) -> None:  # every node is wanted: never called
+        pass
 
 
 class StoredDocument:
@@ -276,8 +258,8 @@ class StoredDocument:
 
     def source(self, node_id: bytes | None = None) -> RecordScan:
         """The whole document, or the subtree at ``node_id`` under its
-        replayed ancestors (what a NodeID-list plan re-evaluates, §3.1), as a
-        QuickXScan source; the probe or descent is made now."""
+        replayed ancestors (what a NodeID-list plan re-evaluates, §3.1), as
+        the record driver's source; the probe or descent is made now."""
         names, resolve = self.store.names, self._resolve_proxy
         if node_id is None:
             record = self._read(nodeid.ROOT_ID)
@@ -290,20 +272,32 @@ class StoredDocument:
 
     def events(self) -> Iterator[SaxEvent]:
         """Document-order virtual SAX events for the whole document."""
-        record = self._read(nodeid.ROOT_ID)
-        header, body_start = fmt.decode_header(record)
-        yield SaxEvent(EventKind.DOC_START, node_id=nodeid.ROOT_ID)
-        yield from walk(record, body_start, len(record), header.context_id,
-                        self.store.names, self._resolve_proxy)
-        yield SaxEvent(EventKind.DOC_END)
+        out = [SaxEvent(EventKind.DOC_START, node_id=nodeid.ROOT_ID)]
+        self.source().drive(EventSink(out.append))
+        out.append(SaxEvent(EventKind.DOC_END))
+        yield from out
 
     def node_events(self, node_id: bytes) -> Iterator[SaxEvent]:
         """Events for the subtree rooted at ``node_id``, from one descent
         (one NodeID-index probe) made now: a missing node raises here, not
         at the first event."""
-        record, pos, entry, parent, _, _ = self._descend(node_id)
-        return walk(record, pos, entry.next_pos, parent, self.store.names,
-                    self._resolve_proxy)
+        out: list[SaxEvent] = []
+        self.source(node_id)._replace(ancestors=()).drive(
+            EventSink(out.append))
+        return iter(out)
+
+    def serialize(self, node_id: bytes | None = None) -> str:
+        """XML text of the document (``node_id`` None or the root's) or of
+        the subtree at ``node_id``; an attribute gives its value.  The
+        records stream into the serializer: no event list is built."""
+        scan = self.source(None if node_id == nodeid.ROOT_ID else node_id)
+        if scan.doc_id is None:  # a node: drop its replayed ancestors
+            if scan.record[scan.start] == _ATTRIBUTE:
+                return fmt.parse_entry(scan.record, scan.start).text
+            scan = scan._replace(ancestors=())
+        serializer = Serializer()
+        scan.drive(EventSink(serializer.feed))
+        return serializer.finish()
 
     def find_node(self, node_id: bytes
                   ) -> tuple[bytes, fmt.Entry, bytes]:

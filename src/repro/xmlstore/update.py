@@ -26,7 +26,7 @@ from repro.xdm.names import NameTable
 from repro.xdm.parser import MAX_DEPTH
 from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import walk
+from repro.xmlstore.traversal import EventSink, RecordScan
 
 
 class XmlUpdater:
@@ -114,9 +114,8 @@ class XmlUpdater:
             packed_out.append(packed_rid)
             return self.store.read_record(packed_rid)
 
-        for _event in walk(record, pos, entry.next_pos, parent,
-                           self.store.names, resolve):
-            pass
+        RecordScan(self.store.names, record, pos, entry.next_pos, parent,
+                   resolve).drive(EventSink(lambda _event: None))
         for packed_rid in packed_out:
             self.store.drop_record(docid, packed_rid)
         if emptied:
@@ -193,27 +192,22 @@ class XmlUpdater:
         """Absolute IDs of every child-level node of ``parent_id``.
 
         Includes attribute and namespace nodes — they share the per-level
-        ordinal space, so sibling-ID arithmetic must see them.  One walk over
-        the parent's content skips each child element's subtree and follows
-        proxies through the NodeID index.
+        ordinal space, so sibling-ID arithmetic must see them.  One drive
+        over the parent's content, into a sink that skips each child
+        element's subtree, follows proxies through the NodeID index.
         """
         reader = self.store.document(docid)
         if parent_id == nodeid.ROOT_ID:
-            record = reader._read(parent_id)
-            header, start = fmt.decode_header(record)
-            end, parent = len(record), header.context_id
+            scan = reader.source()
         else:
             _rid, record, _pos, entry, _, _ = self._locate(docid, parent_id)
-            start, end, parent = \
-                entry.content_start, entry.content_end, parent_id
-        events = walk(record, start, end, parent, self.store.names,
-                      reader._resolve_proxy)
-        out: list[bytes] = []
-        for event in events:
-            out.append(event.node_id)  # type: ignore[arg-type]
-            if event.kind is EventKind.ELEM_START:
-                events.send(True)  # skips the subtree; returns its end
-        return out
+            scan = RecordScan(self.store.names, record, entry.content_start,
+                              entry.content_end, parent_id,
+                              reader._resolve_proxy)
+        events: list[SaxEvent] = []
+        scan.drive(EventSink(events.append, skip=True))
+        return [event.node_id for event in events  # type: ignore[misc]
+                if event.kind is not EventKind.ELEM_END]
 
 
 def _encode_fragment(events: Iterable[SaxEvent], root_id: bytes,

@@ -160,6 +160,10 @@ class ScanRun:
                  "elem_start", "elem_end", "text", "attr", "comment", "pi",
                  "tick", "finish")
 
+    def ns(self, prefix: str, uri: str, node_id: bytes | None) -> None:
+        """A namespace node: no query node matches it, so it only counts."""
+        self.tick()
+
 
 class QuickXScan:
     """One-pass streaming evaluator for a compiled query tree.

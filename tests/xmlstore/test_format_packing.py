@@ -12,7 +12,7 @@ from repro.xdm.parser import parse
 from repro.xmlstore import format as fmt
 from repro.xmlstore.packing import TreePacker
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import walk
+from repro.xmlstore.traversal import EventSink, RecordScan
 
 
 def pack(xml, limit=128, names=None):
@@ -26,9 +26,10 @@ def record_nodes(record, names, resolve=None):
     """The node events of a record's entries, in document order; a proxy
     is followed through ``resolve`` or skipped without it."""
     header, start = fmt.decode_header(record)
-    return [event for event in walk(record, start, len(record),
-                                    header.context_id, names, resolve)
-            if event.kind is not EventKind.ELEM_END]
+    events = []
+    RecordScan(names, record, start, len(record), header.context_id,
+               resolve).drive(EventSink(events.append))
+    return [event for event in events if event.kind is not EventKind.ELEM_END]
 
 
 class TestHeader:

@@ -16,7 +16,7 @@ from repro.xdm.parser import parse
 from repro.xdm.serializer import serialize
 from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
-from repro.xmlstore.traversal import walk
+from repro.xmlstore.traversal import EventSink, RecordScan
 
 _TAGS = ["r", "item", "x", "deep"]
 
@@ -84,8 +84,10 @@ class TestStorageProperties:
         for rid in store.node_index.record_rids(1):
             record = store.read_record(rid)
             header, start = fmt.decode_header(record)
-            for event in walk(record, start, len(record), header.context_id,
-                              store.names):
+            events = []
+            RecordScan(store.names, record, start, len(record),
+                       header.context_id).drive(EventSink(events.append))
+            for event in events:
                 if event.kind is not EventKind.ELEM_END:
                     assert store.node_index.probe(1, event.node_id) == rid
 
@@ -113,8 +115,8 @@ class TestCorruptionHandling:
         with pytest.raises(PackingError):
             fmt.record_intervals(bytes(record))
         with pytest.raises(PackingError):
-            list(walk(bytes(record), body_start, len(record), b"",
-                      store.names))
+            RecordScan(store.names, bytes(record), body_start, len(record),
+                       b"").drive(EventSink(lambda _event: None))
 
     def test_truncated_record_detected(self):
         store = make_store(400)

@@ -1,21 +1,30 @@
 """The stored-document reader's contract, checked node by node.
 
-Point access, ancestry and per-record key-generation events must agree with
-the full document-order walk, however the packer split the document into
-records (``record_limit`` from 64 B up, so proxies appear at every level).
+Point access, ancestry, per-record key-generation events and the update
+path's child listing must agree with the full document-order traversal,
+however the packer split the document into records (``record_limit`` from
+64 B up, so proxies appear at every level).  A corrupt entry is a typed
+error on every path through the one record driver.
 """
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import StatsRegistry
+from repro.errors import PackingError
 from repro.indexes.keygen import record_local_events
+from repro.lang.parser import parse_xpath
 from repro.rdb.buffer import BufferPool
 from repro.rdb.storage import Disk
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind
 from repro.xdm.names import NameTable
+from repro.xmlstore import format as fmt
 from repro.xmlstore.store import XmlStore
+from repro.xmlstore.update import XmlUpdater
+from repro.xpath.qtree import compile_query
+from repro.xpath.quickxscan import QuickXScan
 
 _TAGS = ["r", "item", "p:x", "deep"]
 
@@ -75,6 +84,22 @@ def subtree_slices(events):
     return slices, open_at
 
 
+def child_level_ids(events):
+    """``element node_id -> [child-level node IDs]`` (attribute and
+    namespace nodes included), the document node's under ``ROOT_ID``."""
+    children = {nodeid.ROOT_ID: []}
+    stack = [nodeid.ROOT_ID]
+    for event in events:
+        if event.kind is EventKind.ELEM_END:
+            stack.pop()
+        elif event.node_id is not None and event.node_id != nodeid.ROOT_ID:
+            children[stack[-1]].append(event.node_id)
+            if event.kind is EventKind.ELEM_START:
+                children[event.node_id] = []
+                stack.append(event.node_id)
+    return children
+
+
 class TestReaderContract:
     @seed(20260415)
     @settings(max_examples=40, deadline=None)
@@ -110,3 +135,41 @@ class TestReaderContract:
                 if event.node_id is not None)
         assert sorted(seen) == expected
         assert len(set(seen)) == len(seen)
+
+    @seed(20260418)
+    @settings(max_examples=40, deadline=None)
+    @given(documents(), st.sampled_from([64, 96, 200, 900]))
+    def test_child_ids_are_the_child_level_nodes(self, doc, limit):
+        """The skip path: each child element's subtree is stepped over, and
+        namespace declarations are listed, or sibling-ID arithmetic on
+        insert would reuse an ordinal."""
+        store = stored(doc, limit)
+        updater = XmlUpdater(store)
+        events = list(store.document(1).events())
+        assert any(e.kind is EventKind.NS for e in events)  # root's p:
+        children = child_level_ids(events)
+        for parent_id, expected in children.items():
+            assert updater.child_ids(1, parent_id) == expected
+
+
+class TestCorruptEntry:
+    @pytest.fixture
+    def corrupt_store(self, monkeypatch):
+        """A one-record document whose first element entry has an unknown
+        kind byte, served by ``read_record``."""
+        store = stored("<a><b>hello</b></a>", 400)
+        rid = store.node_index.record_rids(1)[0]
+        record = bytearray(store.read_record(rid))
+        _header, body_start = fmt.decode_header(bytes(record))
+        record[body_start] = 0x63
+        monkeypatch.setattr(store, "read_record", lambda _rid: bytes(record))
+        return store
+
+    def test_events_raise(self, corrupt_store):
+        with pytest.raises(PackingError):
+            list(corrupt_store.document(1).events())
+
+    def test_scan_raises(self, corrupt_store):
+        scanner = QuickXScan(compile_query(parse_xpath("//b")))
+        with pytest.raises(PackingError):
+            scanner.run(corrupt_store.document(1).source())
