@@ -8,8 +8,9 @@ the compiled (binary) schema.  The bench times five insertion front ends
 over the same document and reports relative cost: the four the paper
 compares, plus the engine's own non-validating path
 (``XmlStore.insert_document_text``: parser events collected in a list, fed
-straight to node-ID assignment and the packer), which skips the token
-stream because in CPython its encode/decode costs more than it saves.
+straight to the packer, which numbers each node as it packs it), which
+skips the token stream because in CPython its encode/decode costs more than
+it saves.
 """
 
 import time

@@ -23,10 +23,10 @@ from repro.errors import DocumentNotFoundError
 from repro.rdb.btree import BTree
 from repro.rdb.buffer import BufferPool
 from repro.rdb.tablespace import Rid, TableSpace
-from repro.xdm.events import SaxEvent, assign_node_ids
+from repro.xdm.events import SaxEvent
 from repro.xdm.names import NameTable
-from repro.xdm.parser import parse as parse_xml
-from repro.xmlstore.packing import TreePacker
+from repro.xdm.parser import parse_sax
+from repro.xmlstore.store import prepare_document
 from repro.xmlstore.traversal import StoredDocument
 
 _MAX_VER = (1 << 32) - 1
@@ -94,17 +94,23 @@ class VersionedXmlStore:
     # -- writes -------------------------------------------------------------
 
     def commit_version_text(self, docid: int, text: str) -> int:
-        stream = parse_xml(text)
-        return self.commit_version_events(docid, stream.events())
+        events: list[SaxEvent] = []
+        parse_sax(text, events.append)
+        return self.commit_version_events(docid, events)
 
     def commit_version_events(self, docid: int,
                               events: Iterable[SaxEvent]) -> int:
-        """Store a new committed version of ``docid``; returns its ver#."""
+        """Store a new committed version of ``docid``; returns its ver#.
+
+        The version is prepared in full first, so a refused document
+        writes no record and takes no version number.
+        """
+        document = prepare_document(docid, events, self.names,
+                                    self.record_limit, self.space.max_record)
         version = self._next_version
         self._next_version += 1
-        packer = TreePacker(docid, self.names, self.record_limit)
         stored = []
-        for record in packer.feed(assign_node_ids(events)).finish():
+        for record in document.records:
             rid = self.space.insert(record.data)
             highs = [high for _low, high in record.intervals]
             for high in highs:

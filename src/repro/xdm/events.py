@@ -208,11 +208,14 @@ _NODE_KINDS = frozenset((EventKind.ELEM_START, EventKind.ATTR, EventKind.NS,
 
 
 def assign_node_ids(events: Iterable[SaxEvent]) -> Iterator[SaxEvent]:
-    """Decorate a raw event stream with Dewey node IDs (insertion path).
+    """Decorate a raw event stream with Dewey node IDs.
 
-    Namespace nodes, attributes and children of an element share one ordinal
-    sequence, in the order the events arrive (NS, then attributes, then
-    children) — matching the traversal order of ``Node.descendants_or_self``.
+    It numbers raw streams for consumers that read IDs off the events: the
+    XPath evaluators' inputs and the shredded store.  The tree packer applies
+    the same rule itself as it packs.  Namespace nodes, attributes and
+    children of an element share one ordinal sequence, in the order the
+    events arrive (NS, then attributes, then children) — matching the
+    traversal order of ``Node.descendants_or_self``.
     """
     from repro.xdm.nodeid import ROOT_ID, child_id
 

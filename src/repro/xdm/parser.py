@@ -9,7 +9,7 @@ the position a character-by-character scan would.  Two interfaces:
 
 * :func:`parse_sax` — one callback per event.  The engine's insert path
   (:meth:`repro.xmlstore.store.XmlStore.prepare_text`) collects them in a
-  list and feeds node-ID assignment and the record packer directly;
+  list and feeds the record packer, which numbers the nodes, directly;
 * :func:`parse` — a buffered :class:`~repro.xdm.tokens.TokenStream`, with
   prefixes resolved and namespace/attribute order adjusted: the input of
   schema validation and one of experiment E4's front ends.

@@ -14,6 +14,7 @@ difference.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
 from repro.errors import XmlError
@@ -65,13 +66,16 @@ class TokenStream:
 
     def events(self) -> Iterator[SaxEvent]:
         """Decode the buffer into virtual SAX events (Fig. 8 iterator)."""
+        return map(itemgetter(0), self.annotated_events())
+
+    def annotated_events(self) -> Iterator[tuple[SaxEvent, str | None]]:
+        """Decode the buffer into ``(event, schema type annotation)`` pairs."""
         buf = self._buf
         pos = 0
         end = len(buf)
         while pos < end:
             flags = buf[pos]
             pos += 1
-            annotated = bool(flags & _HAS_ANNOTATION)
             try:
                 kind = TokenKind(flags & ~_HAS_ANNOTATION)
             except ValueError:
@@ -85,31 +89,8 @@ class TokenStream:
             if kind in (TokenKind.ATTR, TokenKind.TEXT, TokenKind.COMMENT,
                         TokenKind.PI, TokenKind.NS):
                 value, pos = codec.read_str(buf, pos)
-            if annotated:
-                _annotation, pos = codec.read_str(buf, pos)
-            yield SaxEvent(kind, local, uri, value)
-
-    def annotated_events(self) -> Iterator[tuple[SaxEvent, str | None]]:
-        """Like :meth:`events` but exposing schema type annotations."""
-        buf = self._buf
-        pos = 0
-        end = len(buf)
-        while pos < end:
-            flags = buf[pos]
-            pos += 1
-            annotated = bool(flags & _HAS_ANNOTATION)
-            kind = TokenKind(flags & ~_HAS_ANNOTATION)
-            local = uri = value = ""
-            if kind in (TokenKind.ELEM_START, TokenKind.ELEM_END,
-                        TokenKind.ATTR, TokenKind.PI, TokenKind.NS):
-                local, pos = codec.read_str(buf, pos)
-            if kind in (TokenKind.ELEM_START, TokenKind.ATTR):
-                uri, pos = codec.read_str(buf, pos)
-            if kind in (TokenKind.ATTR, TokenKind.TEXT, TokenKind.COMMENT,
-                        TokenKind.PI, TokenKind.NS):
-                value, pos = codec.read_str(buf, pos)
             annotation: str | None = None
-            if annotated:
+            if flags & _HAS_ANNOTATION:
                 annotation, pos = codec.read_str(buf, pos)
             yield SaxEvent(kind, local, uri, value), annotation
 

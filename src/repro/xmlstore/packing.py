@@ -12,13 +12,16 @@ accumulates completed child subtrees; once the pending run would exceed the
 record-size limit it is spilled into its own record and replaced by a proxy.
 Attributes and namespace declarations always stay inline with their element.
 
-The packer consumes virtual SAX events that already carry Dewey node IDs
-(see :func:`repro.xdm.events.assign_node_ids`) and produces encoded records.
-Records are emitted bottom-up; :meth:`TreePacker.finish` sorts them by
-``minNodeID`` so that physical placement follows the ``(DocID, minNodeID)``
-clustering order.  As it emits a record the packer also notes the record's
-node-ID intervals — the NodeID index keys of §3.1 — so the insert path never
-decodes a record it has just built.
+The packer consumes the parser's virtual SAX events as they are and numbers
+each node as it packs it: every open container counts its namespace nodes,
+attributes and children, and a node's Dewey ID is its container's ID plus
+the relative ID of its ordinal.  So each node is one event from parser to
+record, with no ID-assigning pass in between.  Records are emitted
+bottom-up; :meth:`TreePacker.finish` sorts them by ``minNodeID`` so that
+physical placement follows the ``(DocID, minNodeID)`` clustering order.  As
+it emits a record the packer also notes the record's node-ID intervals — the
+NodeID index keys of §3.1 — so the insert path never decodes a record it has
+just built.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class _OpenContainer:
     rather than with a proxy (which ends it).
     """
 
-    __slots__ = ("abs_id", "rel_id", "name_id", "scope", "inline", "last",
-                 "done", "pending", "pending_size", "pending_runs",
+    __slots__ = ("abs_id", "rel_id", "name_id", "scope", "ordinal", "inline",
+                 "last", "done", "pending", "pending_size", "pending_runs",
                  "pending_open", "no_flush")
 
     def __init__(self, abs_id: bytes, rel_id: bytes, name_id: int,
@@ -67,6 +70,7 @@ class _OpenContainer:
         self.rel_id = rel_id
         self.name_id = name_id
         self.scope = scope                      # prefix -> uri id, in scope
+        self.ordinal = 0                        # last child ordinal given
         self.inline: list[bytes] = []           # NS + attribute entries
         self.last = abs_id                      # last of self + inline nodes
         self.done: list[bytes] = []             # proxies from earlier flushes
@@ -104,65 +108,62 @@ class TreePacker:
     # -- event feed ----------------------------------------------------------
 
     def feed(self, events: Iterable[SaxEvent]) -> "TreePacker":
-        """Consume a full (node-ID-decorated) event stream."""
+        """Consume a full event stream."""
         for event in events:
             self.push(event)
         return self
 
     def push(self, event: SaxEvent) -> None:
-        """Consume one event."""
+        """Consume one event.
+
+        Every node event takes the next child ordinal of the open
+        container, so namespace nodes, attributes and children share one
+        sequence in arrival order (the rule of
+        :func:`repro.xdm.events.assign_node_ids`); a node ID already on the
+        event is ignored.
+        """
         kind = event.kind
+        if kind is EventKind.ELEM_END:
+            self._close_element()
+            return
         if kind is EventKind.DOC_START:
             if self._stack:
                 raise PackingError("document start inside a document")
             self._stack.append(_OpenContainer(nodeid.ROOT_ID, b"", 0,
                                               {"": 0}, no_flush=True))
-        elif kind is EventKind.DOC_END:
+            return
+        if kind is EventKind.DOC_END:
             self._close_document()
-        elif kind is EventKind.ELEM_START:
-            self._require_id(event)
-            parent = self._top()
+            return
+        top = self._top()
+        top.ordinal += 1
+        rel_id = nodeid.relative_from_ordinal(top.ordinal)
+        node_id = top.abs_id + rel_id
+        self.node_count += 1
+        if kind is EventKind.ELEM_START:
             name_id = self.names.intern_name(event.local, event.uri)
-            rel_id = event.node_id[len(parent.abs_id):]  # type: ignore[index]
-            container = _OpenContainer(event.node_id, rel_id, name_id,
-                                       dict(parent.scope))
-            self._stack.append(container)
+            self._stack.append(_OpenContainer(node_id, rel_id, name_id,
+                                              dict(top.scope)))
             self._path.append(name_id)
-            self.node_count += 1
-        elif kind is EventKind.ELEM_END:
-            self._close_element()
         elif kind is EventKind.NS:
-            self._require_id(event)
-            top = self._top()
             uri_id = self.names.intern_uri(event.value)
             top.scope[event.local] = uri_id
-            rel_id = event.node_id[len(top.abs_id):]  # type: ignore[index]
             top.inline.append(fmt.encode_namespace(rel_id, event.local, uri_id))
-            top.last = event.node_id  # type: ignore[assignment]
-            self.node_count += 1
+            top.last = node_id
         elif kind is EventKind.ATTR:
-            self._require_id(event)
-            top = self._top()
             name_id = self.names.intern_name(event.local, event.uri)
-            rel_id = event.node_id[len(top.abs_id):]  # type: ignore[index]
             top.inline.append(fmt.encode_attribute(rel_id, name_id, event.value))
-            top.last = event.node_id  # type: ignore[assignment]
-            self.node_count += 1
-        elif kind in (EventKind.TEXT, EventKind.COMMENT, EventKind.PI):
-            self._require_id(event)
-            top = self._top()
-            rel_id = event.node_id[len(top.abs_id):]  # type: ignore[index]
+            top.last = node_id
+        else:
             if kind is EventKind.TEXT:
                 chunk = fmt.encode_text(rel_id, event.value)
             elif kind is EventKind.COMMENT:
                 chunk = fmt.encode_comment(rel_id, event.value)
-            else:
+            elif kind is EventKind.PI:
                 chunk = fmt.encode_pi(rel_id, event.local, event.value)
-            node_id = event.node_id
-            self._add_child(top, chunk, [[node_id, node_id]], True)  # type: ignore[list-item]
-            self.node_count += 1
-        else:  # pragma: no cover - exhaustive
-            raise PackingError(f"unexpected event kind {kind}")
+            else:  # pragma: no cover - exhaustive
+                raise PackingError(f"unexpected event kind {kind}")
+            self._add_child(top, chunk, [[node_id, node_id]], True)
 
     def finish(self) -> list[PackedRecord]:
         """Return all records, sorted by minNodeID (clustering order)."""
@@ -176,13 +177,6 @@ class TreePacker:
         if not self._stack:
             raise PackingError("event outside a document")
         return self._stack[-1]
-
-    @staticmethod
-    def _require_id(event: SaxEvent) -> None:
-        if event.node_id is None:
-            raise PackingError(
-                f"packer requires node IDs on events (missing on {event!r}); "
-                "wrap the stream with repro.xdm.events.assign_node_ids")
 
     def _add_child(self, parent: _OpenContainer, chunk: bytes,
                    runs: list[list[bytes]], open_end: bool) -> None:

@@ -6,13 +6,15 @@ Insertion is the paper's streaming pipeline (§3.2), in two phases:
 
 * *prepare* (:meth:`XmlStore.prepare_text`) is one pass over the text: the
   parser's events, collected through
-  :meth:`~repro.xdm.parser.XmlParser.parse_sax`, go through node-ID
-  assignment into the bottom-up tree packer, which returns the records with
-  their NodeID-index intervals.  No token stream is built and no record is
-  decoded again.  A validated document comes in as the schema VM's events
-  (:meth:`XmlStore.prepare_events`); the buffered token stream stays on that
-  path and in experiment E4.  Everything that can refuse a document runs
-  here, before the engine logs it;
+  :meth:`~repro.xdm.parser.XmlParser.parse_sax`, go straight into the
+  bottom-up tree packer, which numbers each node as it packs it and returns
+  the records with their NodeID-index intervals.  One event per node, no
+  token stream, and no record is decoded again.  A validated document comes
+  in as the schema VM's events (:meth:`XmlStore.prepare_events`); the
+  buffered token stream stays on that path and in experiment E4.
+  Everything that can refuse a document runs here, in
+  :func:`prepare_document`, before the engine logs it.  The versioned store
+  of :mod:`repro.cc.mvcc` prepares its versions with the same function;
 * *apply* (:meth:`XmlStore.insert_packed`) writes the records and the
   "index keys for the node ID index and XPath value indexes ... generated
   per record".
@@ -32,7 +34,7 @@ from repro.errors import DocumentNotFoundError, PageFullError
 from repro.rdb.btree import BTree
 from repro.rdb.buffer import BufferPool
 from repro.rdb.tablespace import Rid, TableSpace
-from repro.xdm.events import SaxEvent, assign_node_ids
+from repro.xdm.events import SaxEvent
 from repro.xdm.names import NameTable
 from repro.xdm.parser import XmlParser
 from repro.xmlstore import format as fmt
@@ -72,6 +74,25 @@ class DocumentInfo:
     data_bytes: int
 
 
+def prepare_document(docid: int, events: Iterable[SaxEvent],
+                     names: NameTable, record_limit: int,
+                     max_record: int) -> PreparedDocument:
+    """The prepare step of both XML stores: pack ``events`` and refuse a
+    document with a record longer than ``max_record`` bytes.
+
+    All or nothing: a record that cannot be stored fails the document
+    before any of its records or index entries is written.
+    """
+    packer = TreePacker(docid, names, record_limit)
+    records = packer.feed(events).finish()
+    longest = max(len(record.data) for record in records)
+    if longest > max_record:
+        raise PageFullError(
+            f"DocID {docid} packs into a {longest}-byte record; at most "
+            f"{max_record} bytes can be stored")
+    return PreparedDocument(docid, records, packer.node_count)
+
+
 class XmlStore:
     """Native XML storage for one XML column."""
 
@@ -106,7 +127,8 @@ class XmlStore:
 
     def insert_document_events(self, docid: int,
                                events: Iterable[SaxEvent]) -> DocumentInfo:
-        """Store a raw (undecorated) event stream under ``docid``."""
+        """Store an event stream under ``docid`` (the packer numbers its
+        nodes; IDs already on the events are ignored)."""
         return self.insert_packed(self.prepare_events(docid, events))
 
     def prepare_text(self, docid: int, text: str,
@@ -118,17 +140,9 @@ class XmlStore:
 
     def prepare_events(self, docid: int,
                        events: Iterable[SaxEvent]) -> PreparedDocument:
-        """Pack a raw (undecorated) event stream without storing it."""
-        packer = TreePacker(docid, self.names, self.record_limit)
-        records = packer.feed(assign_node_ids(events)).finish()
-        # All or nothing: a record that cannot be stored fails the document
-        # before any of its records or index entries is written.
-        longest = max(len(record.data) for record in records)
-        if longest > self.space.max_record:
-            raise PageFullError(
-                f"DocID {docid} packs into a {longest}-byte record; at most "
-                f"{self.space.max_record} bytes can be stored")
-        return PreparedDocument(docid, records, packer.node_count)
+        """Pack an event stream for ``docid`` without storing it."""
+        return prepare_document(docid, events, self.names, self.record_limit,
+                                self.space.max_record)
 
     def insert_packed(self, document: PreparedDocument) -> DocumentInfo:
         """Store a prepared document: records, NodeID index, observers."""

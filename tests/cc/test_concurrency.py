@@ -8,7 +8,7 @@ from repro.cc.document import (DocumentLockProtocol, doc_resource,
                                 node_resource, row_resource)
 from repro.cc.mvcc import VersionedXmlStore, split_version_key, version_key
 from repro.cc.scheduler import Do, Lock, Scheduler
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, PageFullError
 from repro.rdb.buffer import BufferPool
 from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.storage import Disk
@@ -230,6 +230,21 @@ class TestMvcc:
         store.commit_version_text(1, big.replace("<i>0</i>", "<i>zero</i>"))
         assert "<i>0</i>" in serialize(store.document_at(1, snapshot).events())
         assert "<i>zero</i>" in serialize(store.document_latest(1).events())
+
+    def test_refused_version_leaves_no_records(self, stats):
+        store = VersionedXmlStore(
+            BufferPool(Disk(page_size=256, stats=stats), 16), NameTable(),
+            record_limit=64)
+        good = "<doc>" + "<n>x</n>" * 6 + "</doc>"
+        store.commit_version_text(1, good)
+        records, entries = store.space.record_count, store.index.entry_count
+        version = store.latest_version
+        with pytest.raises(PageFullError):
+            store.commit_version_text(1, f"<doc><n>{'Z' * 20_000}</n></doc>")
+        assert (store.space.record_count, store.index.entry_count) == \
+            (records, entries)
+        assert store.latest_version == version
+        assert serialize(store.document_latest(1).events()) == good
 
 
 def node(docid, node_id):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import XmlParseError
+from repro.errors import XmlError, XmlParseError
 from repro.xdm.events import EventKind, build_tree
 from repro.xdm.parser import MAX_DEPTH, parse, parse_sax
 from repro.xdm.serializer import serialize
@@ -186,6 +186,13 @@ class TestTokenStream:
         # Plain event iteration ignores annotations.
         assert [e.kind for e in stream] == [EventKind.ELEM_START,
                                             EventKind.TEXT, EventKind.ELEM_END]
+
+    @pytest.mark.parametrize("method", ["events", "annotated_events"])
+    def test_corrupt_kind_byte_is_an_xml_error(self, method):
+        stream = parse("<a/>")
+        stream._buf.append(0x3F)  # no token kind has this byte
+        with pytest.raises(XmlError, match="corrupt token stream"):
+            list(getattr(stream, method)())
 
     def test_byte_size_counts(self):
         stream = parse("<a>hello</a>")

@@ -18,7 +18,7 @@ from repro.xmlstore.traversal import EventSink, RecordScan
 def pack(xml, limit=128, names=None):
     """``(records, node_count)`` of ``xml`` packed as DocID 1."""
     packer = TreePacker(1, names if names is not None else NameTable(), limit)
-    records = packer.feed(assign_node_ids(parse(xml).events())).finish()
+    records = packer.feed(parse(xml).events()).finish()
     return [record.data for record in records], packer.node_count
 
 
@@ -194,12 +194,6 @@ class TestPacker:
         assert deep, "expected records with context path a/b"
         assert [names.local_name(n) for n in deep[0]] == ["a", "b"]
 
-    def test_requires_node_ids(self):
-        stream = parse("<a/>")
-        packer = TreePacker(1, NameTable(), 128)
-        with pytest.raises(PackingError):
-            packer.feed(stream.events())
-
     def test_unfinished_stream_rejected(self):
         packer = TreePacker(1, NameTable(), 128)
         with pytest.raises(PackingError):
@@ -238,8 +232,7 @@ def documents(draw, max_depth=5):
 
 
 def packed(xml, limit):
-    events = assign_node_ids(parse(xml).events())
-    return TreePacker(1, NameTable(), limit).feed(events).finish()
+    return TreePacker(1, NameTable(), limit).feed(parse(xml).events()).finish()
 
 
 def assert_intervals_match_the_decoder(records):
@@ -277,6 +270,46 @@ class TestPackerIntervals:
     def test_wide_fan_out(self, limit):
         xml = "<P>" + "<c/>" * 100_000 + "<Price>3</Price></P>"
         assert_intervals_match_the_decoder(packed(xml, limit))
+
+
+class TestPackerNumbersNodes:
+    """The packer numbers nodes by the rule of ``assign_node_ids``: a raw
+    stream and the same stream with IDs assigned pack identically, and the
+    stored nodes carry the IDs that pass gives them."""
+
+    @staticmethod
+    def assert_agrees(xml, limit):
+        raw = list(parse(xml).events())
+        names = NameTable()
+        by_packer = TreePacker(1, names, limit)
+        by_pass = TreePacker(1, NameTable(), limit)
+        records = by_packer.feed(raw).finish()
+        numbered = list(assign_node_ids(raw))
+        assert records == by_pass.feed(numbered).finish()
+        assert by_packer.node_count == by_pass.node_count
+        assert_intervals_match_the_decoder(records)
+        by_first_id = {record.min_node_id: record.data for record in records}
+        stored = record_nodes(records[0].data, names, by_first_id.__getitem__)
+        assert [event.node_id for event in stored] == [
+            event.node_id for event in numbered if event.kind not in
+            (EventKind.DOC_START, EventKind.DOC_END, EventKind.ELEM_END)]
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(xml=documents())
+    def test_generated_documents(self, xml, limit):
+        self.assert_agrees(xml, limit)
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    @pytest.mark.parametrize("xml", [
+        "<?xml version='1.0'?><!--prolog--><?style a?>"
+        "<r k='v'><!--in--><?pi d?>t</r><!--epilog--><?end x?>",
+        # Ordinals past 127 widen to 0xFF-prefixed IDs, past 1 143 to
+        # multi-digit ones.
+        "<P xmlns:p='urn:p' a='1'>" + "<c>x</c>" * 1200 + "<p:d/></P>",
+    ], ids=["prolog and epilog", "1200 children"])
+    def test_fixed_documents(self, xml, limit):
+        self.assert_agrees(xml, limit)
 
 
 class TestNodeIdIndexFromThePacker:
