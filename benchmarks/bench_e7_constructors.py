@@ -8,6 +8,7 @@ repeated rows or the aggregate function XMLAGG"; and XMLAGG ORDER BY via
 external SORT".
 """
 
+import statistics
 import time
 
 from conftest import fresh_pool, print_table
@@ -25,6 +26,9 @@ SPEC = XElem("Emp",
                                 ("department", Arg(3)))),))
 
 ROW_COUNTS = [200, 1000, 5000]
+
+#: Interleaved template/naive timing pairs behind the shape assertion.
+PAIRS = 7
 
 
 def timed(fn, repeats=3):
@@ -59,13 +63,20 @@ def test_e7_template_vs_naive(benchmark):
         "E7: Fig. 5 constructor — tagging template vs per-row construction",
         ["rows", "template ms", "naive ms", "naive/template"],
         rows)
-    # Shape: the template path wins, and the gap holds at scale.
+    # Shape: the template path wins, and the gap holds at scale.  The two
+    # are timed in interleaved pairs, so a slow spell on a shared runner
+    # lands on both halves of a pair; the median per-pair ratio decides.
     data = employee_rows(ROW_COUNTS[-1], seed=1)
-    template_time = timed(
-        lambda: [template.instantiate(a).serialize() for a in data])
-    naive_time = timed(
-        lambda: [serialize(naive_construct(SPEC, a)[0]) for a in data])
-    assert template_time < naive_time
+    ratios = []
+    for _ in range(PAIRS):
+        template_time = timed(
+            lambda: [template.instantiate(a).serialize() for a in data],
+            repeats=1)
+        naive_time = timed(
+            lambda: [serialize(naive_construct(SPEC, a)[0]) for a in data],
+            repeats=1)
+        ratios.append(naive_time / template_time)
+    assert statistics.median(ratios) > 1, ratios
 
     benchmark(lambda: [template.instantiate(a).serialize()
                        for a in employee_rows(500, seed=2)])

@@ -124,7 +124,6 @@ def _commit_scenario() -> dict:
         "commits_per_sec": round(SCENARIO_COMMITS / elapsed, 1)
         if elapsed > 0 else 0.0,
         "wal_bytes": counters.get("wal.bytes", 0),
-        "wal_forces": counters.get("wal.flushes", 0),
     }
 
 

@@ -144,19 +144,15 @@ class Database:
     def create_table(self, name: str,
                      columns: list[tuple[str, str]]) -> TableDef:
         """Create a base table; ``columns`` are (name, SQL type) pairs."""
-        definition = TableDef(name, [
-            ColumnDef(col_name, SqlType.parse(col_type))
-            for col_name, col_type in columns
-        ])
-        self._apply_create_table(definition)
         payload = bytearray()
         codec.write_str(payload, name)
         codec.write_uvarint(payload, len(columns))
         for col_name, col_type in columns:
             codec.write_str(payload, col_name)
             codec.write_str(payload, col_type)
+        self._apply_ddl("create_table", bytes(payload))
         self.log.append(-1, LogOp.DDL, "create_table", bytes(payload))
-        return definition
+        return self.catalog.table(name)
 
     def _apply_create_table(self, definition: TableDef) -> None:
         self.catalog.add_table(definition)
@@ -176,27 +172,24 @@ class Database:
                            namespaces: dict[str, str] | None = None
                            ) -> XPathValueIndex:
         """Create an XPath value index on an XML column (§3.3)."""
-        store = self._store(table, column)
-        definition = XPathIndexDefinition(name, path, key_type, namespaces)
-        index = XPathValueIndex(definition, self.pool, self.catalog.names)
-        index.attach(store)
-        self.value_indexes[name] = index
-        self.catalog.add_index(IndexDef(name, table, "xpath", {
-            "column": column, **definition.spec()}))
         payload = bytearray()
         for text in (name, table, column, path, key_type):
             codec.write_str(payload, text)
+        # The namespace bindings follow as (prefix, URI) pairs up to the
+        # end of the payload.
+        for prefix, uri in (namespaces or {}).items():
+            codec.write_str(payload, prefix)
+            codec.write_str(payload, uri)
+        self._apply_ddl("create_xpath_index", bytes(payload))
         self.log.append(-1, LogOp.DDL, "create_xpath_index", bytes(payload))
-        return index
+        return self.value_indexes[name]
 
     def register_schema(self, name: str, schema_text: str) -> None:
         """Compile and register an XML schema (Fig. 4)."""
-        from repro.xschema.compiler import compile_schema
-        compiled = compile_schema(schema_text)
-        self.catalog.register_schema(name, compiled)
         payload = bytearray()
         codec.write_str(payload, name)
         codec.write_str(payload, schema_text)
+        self._apply_ddl("register_schema", bytes(payload))
         self.log.append(-1, LogOp.DDL, "register_schema", bytes(payload))
 
     # -- DML -----------------------------------------------------------------------
@@ -581,11 +574,10 @@ class Database:
             self.close()
 
     def checkpoint(self) -> None:
-        """Flush dirty pages and write a WAL CHECKPOINT record.
+        """Flush dirty pages, then write a WAL CHECKPOINT marker.
 
-        Recovery's analysis pass starts at the newest checkpoint, so regular
-        checkpointing bounds how much log a restart has to analyse (§2's
-        reused relational recovery machinery).
+        Recovery replays the whole log (:meth:`replay`) and reads no page
+        back, so the marker bounds no restart work.
         """
         self.txns.checkpoint()
 
@@ -631,8 +623,8 @@ class Database:
 
         The whole call runs under a wait clock
         (:meth:`~repro.core.stats.StatsRegistry.request_clock`): every
-        suspension any attempt hits — lock waits, log forces, buffer
-        I/O, the retry backoff itself — decomposes the
+        suspension any attempt hits — lock waits, buffer I/O, the retry
+        backoff itself — decomposes the
         call's elapsed time into per-class waits.
         """
         with self.stats.request_clock():
@@ -715,7 +707,13 @@ class Database:
     @classmethod
     def replay(cls, log: LogManager,
                config: EngineConfig = DEFAULT_CONFIG) -> "Database":
-        """Archive recovery: re-execute the committed log (§2 utilities)."""
+        """Archive recovery (§2 utilities): re-execute the committed
+        records of ``log`` against a fresh engine, in one redo pass.
+
+        The recovered engine owns ``log`` from then on: it appends to it
+        (so a later crash is recovered from the whole history) and counts
+        those appends in its own registry.
+        """
         db = cls(config)
 
         def apply(record) -> None:
@@ -730,10 +728,16 @@ class Database:
             elif record.op is LogOp.DELETE:
                 db._apply_delete(record.target, Rid.from_bytes(record.payload))
 
-        wal_replay(log, apply, committed_only=True)
+        wal_replay(log, apply)
+        log.stats = db.stats
+        db.log = log
+        db.txns.adopt(log)
         return db
 
     def _apply_ddl(self, kind: str, payload: bytes) -> None:
+        """Apply one DDL statement: the code both the DDL entry points
+        (before they log, so a failing statement is never logged) and
+        replay run."""
         if kind == "create_table":
             name, pos = codec.read_str(payload, 0)
             n_cols, pos = codec.read_uvarint(payload, pos)
@@ -750,8 +754,13 @@ class Database:
                 text, pos = codec.read_str(payload, pos)
                 fields.append(text)
             name, table, column, path, key_type = fields
+            namespaces = {}
+            while pos < len(payload):
+                prefix, pos = codec.read_str(payload, pos)
+                namespaces[prefix], pos = codec.read_str(payload, pos)
             store = self._store(table, column)
-            definition = XPathIndexDefinition(name, path, key_type)
+            definition = XPathIndexDefinition(name, path, key_type,
+                                              namespaces)
             index = XPathValueIndex(definition, self.pool, self.catalog.names)
             index.attach(store)
             self.value_indexes[name] = index

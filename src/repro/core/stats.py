@@ -37,9 +37,8 @@ METRICS: frozenset[str] = frozenset({
     "ts.records_read", "ts.records_inserted", "ts.records_updated",
     "ts.records_deleted", "ts.bytes_touched",
     # write-ahead log and recovery
-    "wal.records", "wal.bytes", "wal.checkpoints", "wal.flushes",
+    "wal.records", "wal.bytes", "wal.checkpoints",
     "recovery.replayed", "recovery.torn_tail_dropped",
-    "recovery.from_checkpoint",
     # lock manager
     "lock.acquired", "lock.waits", "lock.wait_steps", "lock.deadlocks",
     "lock.prefix_tests",
@@ -63,7 +62,6 @@ METRICS: frozenset[str] = frozenset({
     # :func:`wait_counter`; both sides are listed so the registries stay
     # greppable and the exporters see them like any other counter.
     "waits.admission_queue_us", "waits.lock_wait_us", "waits.latch_wait_us",
-    "waits.wal_force_us",
     "waits.buffer_read_io_us", "waits.buffer_write_io_us",
     "waits.txn_retry_backoff_us", "waits.deadline_sleep_us",
     # records emitted to the event ring (accounting / slow-query views)
@@ -121,8 +119,6 @@ WAITS: tuple[str, ...] = (
     "latch.wait",
     # lock manager: suspended in a lock-wait retry loop
     "lock.wait",
-    # WAL: forcing the log (durable-prefix advance)
-    "wal.force",
     # buffer pool: reading a page from the device on miss
     "buffer.read_io",
     # buffer pool: writing a dirty page out (flush or eviction writeback)

@@ -12,9 +12,9 @@ document plus every base row) and cross-check every XPath value index
 against a freshly rebuilt one, so crash tests can assert the recovered
 database is exactly the committed prefix with consistent indexes.
 
-Because :meth:`~repro.rdb.wal.LogManager.save` persists only the durable
-prefix and the log *halts* when a crash fires at one of its points,
-``run`` hardens exactly what a real crash would have: nothing a surviving
+Because every log append is durable on return and the log *halts* when a
+crash fires at one of its points, ``run`` hardens exactly what a real
+crash would have: nothing a surviving
 worker did after the crash can leak into the WAL.
 :func:`recovered_commit_txns` extracts the committed txn ids from a
 reloaded log so tests can assert "acknowledged ⊆ recovered ⊆

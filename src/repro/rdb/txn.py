@@ -321,8 +321,7 @@ class TransactionManager:
     retry loop.  With ``checkpoint_every`` > 0 a WAL checkpoint is written
     automatically every that many commits of transactions that logged
     something; ``on_checkpoint`` (typically the buffer pool's
-    ``flush_all``) runs first so the checkpoint describes state that
-    actually reached the device.
+    ``flush_all``) runs first, so the marker follows the page writes.
     """
 
     def __init__(self, locks: LockManager | None = None,
@@ -377,13 +376,19 @@ class TransactionManager:
         self.log.append(txn_id, LogOp.COMMIT)
 
     def checkpoint(self) -> None:
-        """Write a WAL checkpoint describing the in-flight transactions
-        that have logged: one that has not has no record to lose."""
+        """Run ``on_checkpoint``, then write a WAL CHECKPOINT marker."""
         if self.on_checkpoint is not None:
             self.on_checkpoint()
-        self.log.checkpoint({txn_id for txn_id, txn in self.active.items()
-                             if txn.logged})
+        self.log.checkpoint()
         self._commits_since_checkpoint = 0
+
+    def adopt(self, log: LogManager) -> None:
+        """Continue ``log``, a recovered engine's history.  Later txn ids
+        are past every id in it, so a new COMMIT never claims the records
+        of a transaction the crash cut."""
+        self.log = log
+        self._ids = itertools.count(
+            1 + max((record.txn_id for record in log.records()), default=0))
 
     def _finish(self, txn: Transaction, account: bool = True) -> None:
         with txn.charging():

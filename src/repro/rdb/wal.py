@@ -15,16 +15,13 @@ gives — while corruption in the *middle* of the log raises
 :class:`~repro.errors.RecoveryError`, because records after the damage can
 no longer be trusted.
 
-The log distinguishes the *appended* tail from the *durable* prefix.  With
-``auto_flush`` (the default) every append hardens immediately.  With
-``auto_flush`` off, appends land in the volatile tail and only
-:meth:`LogManager.flush` advances the durable boundary; :meth:`save`
-persists the durable prefix only, exactly what stable storage would hold
-after a crash.
-
-``CHECKPOINT`` records carry the set of loser transactions (in-flight or
-aborted) at checkpoint time, so :func:`replay`'s analysis pass can start at
-the last checkpoint instead of scanning the whole log for COMMITs.
+Every append is durable on return (one force per record), so
+:meth:`LogManager.save` persists the whole log: exactly what stable storage
+holds after a crash.  Recovery is one redo pass over the whole log
+(:func:`replay`): a transaction's records apply iff its COMMIT is anywhere
+in the log.  A ``CHECKPOINT`` record is an empty marker written after the
+buffer pool flush; recovery reads no page back, so the marker is not a
+starting point for it.
 
 The log doubles as the experiments' measure of *log volume* (E3): counters
 ``wal.records`` and ``wal.bytes`` report exactly what a real engine would
@@ -98,26 +95,6 @@ class LogRecord:
         return cls(lsn, txn_id, op, target, payload, extra), pos
 
 
-def encode_checkpoint(losers: set[int] | list[int]) -> bytes:
-    """Payload of a CHECKPOINT record: the sorted loser-transaction set."""
-    out = bytearray()
-    ids = sorted(losers)
-    codec.write_uvarint(out, len(ids))
-    for txn_id in ids:
-        codec.write_svarint(out, txn_id)
-    return bytes(out)
-
-
-def decode_checkpoint(payload: bytes) -> set[int]:
-    """Loser-transaction set carried by a CHECKPOINT payload."""
-    count, pos = codec.read_uvarint(payload, 0)
-    losers: set[int] = set()
-    for _ in range(count):
-        txn_id, pos = codec.read_svarint(payload, pos)
-        losers.add(txn_id)
-    return losers
-
-
 class LogManager:
     """Append-only log with LSNs, iteration and byte accounting.
 
@@ -129,21 +106,13 @@ class LogManager:
     """
 
     def __init__(self, stats: StatsRegistry | None = None,
-                 injector: "object | None" = None,
-                 auto_flush: bool = True) -> None:
+                 injector: "object | None" = None) -> None:
         self.stats = default_stats(stats)
         self.injector = injector
-        #: With ``auto_flush`` every append is immediately durable (the
-        #: classic one-force-per-record discipline); off, appends wait in
-        #: the volatile tail for :meth:`flush`.
-        self.auto_flush = auto_flush
         self._records: list[LogRecord] = []
         self._bytes = 0
-        self._bytes_at_checkpoint = 0
-        self._aborted: set[int] = set()
-        self._durable_count = 0  # records at or below the flush boundary
         #: Set when a simulated crash killed the logging path: the process
-        #: is dead, so every later append/flush re-raises instead of
+        #: is dead, so every later append re-raises instead of
         #: hardening state a real crash would have lost.
         self._halted: BaseException | None = None
 
@@ -155,26 +124,6 @@ class LogManager:
     def bytes_written(self) -> int:
         """Total encoded log volume."""
         return self._bytes
-
-    @property
-    def bytes_since_checkpoint(self) -> int:
-        """Log volume hardened since the newest CHECKPOINT record."""
-        return self._bytes - self._bytes_at_checkpoint
-
-    @property
-    def aborted_txns(self) -> frozenset[int]:
-        """Transactions whose ABORT records this log has seen."""
-        return frozenset(self._aborted)
-
-    @property
-    def durable_count(self) -> int:
-        """Records at or below the flush boundary (what :meth:`save` keeps)."""
-        return self._durable_count
-
-    @property
-    def unflushed_count(self) -> int:
-        """Appended records still in the volatile tail."""
-        return len(self._records) - self._durable_count
 
     def _hit(self, point: str) -> None:
         if self.injector is None:
@@ -197,20 +146,17 @@ class LogManager:
     def halt(self, error: BaseException) -> None:
         """Mark the logging path dead (a simulated crash hit a log point).
 
-        Surviving worker threads that try to append or flush afterwards
-        re-raise ``error`` — a crashed process cannot keep hardening log
-        records, and letting it would corrupt the crash matrix's notion of
-        what stable storage held at the instant of death.
+        Surviving worker threads that try to append afterwards re-raise
+        ``error`` — a crashed process cannot keep hardening log records,
+        and letting it would corrupt the crash matrix's notion of what
+        stable storage held at the instant of death.
         """
         self._halted = error
 
     def append(self, txn_id: int, op: LogOp, target: str = "",
                payload: bytes = b"", extra: bytes = b"") -> LogRecord:
-        """Append one log record; returns it with its LSN assigned.
-
-        Under ``auto_flush`` the record is durable on return; otherwise it
-        sits in the volatile tail until :meth:`flush`.
-        """
+        """Append one log record; returns it, durable, with its LSN
+        assigned."""
         self._check_halted()
         if op is LogOp.COMMIT:
             self._hit("wal.commit.pre")
@@ -219,13 +165,9 @@ class LogManager:
         encoded_len = len(record.encode())
         self._records.append(record)
         self._bytes += encoded_len
-        if op is LogOp.ABORT:
-            self._aborted.add(txn_id)
         self.stats.add("wal.records")
         self.stats.add("wal.bytes", encoded_len)
         self.stats.observe("wal.record_bytes", encoded_len)
-        if self.auto_flush:
-            self._durable_count = len(self._records)
         self._hit("wal.append.post")
         if op is LogOp.COMMIT:
             self._hit("wal.commit.post")
@@ -234,82 +176,31 @@ class LogManager:
         return record
 
     def flush(self) -> int:
-        """Advance the durable boundary over the volatile tail (log force).
+        """Force the log: hardens nothing, as every append is durable
+        (``bench/trace.py`` still times this entry point)."""
+        return 0
 
-        Returns the number of records hardened.  A no-op (and no counter
-        traffic) when nothing is outstanding — under ``auto_flush`` every
-        append already forced itself.
-        """
-        self._check_halted()
-        hardened = len(self._records) - self._durable_count
-        if hardened <= 0:
-            return 0
-        # The force is the commit path's log-write suspension (DB2's "log
-        # write I/O" class-3 bucket).  On the simulated device it is near
-        # instant, so the charge usually rounds to zero — the class exists
-        # so the profile stays honest if the device ever gets real latency.
-        with self.stats.wait_timer("wal.force"):
-            self._durable_count = len(self._records)
-        self.stats.add("wal.flushes")
-        return hardened
-
-    def checkpoint(self, active_txns: set[int] | list[int] = ()) -> LogRecord:
-        """Write a CHECKPOINT record.
-
-        ``active_txns`` are the transactions in flight at checkpoint time
-        that have logged (one that has not has no record to lose); together
-        with the aborted set they form the *losers* — transactions
-        whose pre-checkpoint records must not replay unless a later COMMIT
-        proves otherwise.  Recovery's analysis pass starts at the newest
-        checkpoint (see :func:`replay`).
-        """
+    def checkpoint(self) -> LogRecord:
+        """Write a CHECKPOINT marker (its payload is empty)."""
         with self.stats.trace("wal.checkpoint") as span:
-            losers = set(active_txns) | self._aborted
-            record = self.append(-1, LogOp.CHECKPOINT, "checkpoint",
-                                 encode_checkpoint(losers))
-            # A checkpoint must reach stable storage: recovery's analysis
-            # pass starts here, so the record (and everything before it)
-            # is forced even with auto_flush off.
-            self.flush()
-            self._bytes_at_checkpoint = self._bytes
+            record = self.append(-1, LogOp.CHECKPOINT, "checkpoint")
             self.stats.add("wal.checkpoints")
             if span is not None:
-                span.set("losers", len(losers))
                 span.set("lsn", record.lsn)
             return record
-
-    def last_checkpoint_lsn(self) -> int | None:
-        """LSN of the newest CHECKPOINT record, if any."""
-        for record in reversed(self._records):
-            if record.op is LogOp.CHECKPOINT:
-                return record.lsn
-        return None
 
     def records(self) -> Iterator[LogRecord]:
         """All records in LSN order."""
         return iter(list(self._records))
 
-    def truncate(self) -> None:
-        """Discard the log (after a checkpoint/backup)."""
-        self._records.clear()
-        self._aborted.clear()
-        # bytes_written stays cumulative, but nothing is outstanding after
-        # the checkpoint/backup that justified the truncation.
-        self._bytes_at_checkpoint = self._bytes
-        self._durable_count = 0
-
     def save(self, path: str) -> None:
-        """Persist the durable prefix for crash/restart tests.
+        """Persist the log for crash/restart tests.
 
         Each record is framed as ``length(4) || crc32(4) || body`` so that
-        :meth:`load` can tell a torn tail from mid-log corruption.  Only
-        records at or below the flush boundary are written: a volatile tail
-        (appends never forced before the crash) is exactly what a real
-        crash loses.  Under ``auto_flush`` the boundary tracks
-        every append, so the whole log persists as before.
+        :meth:`load` can tell a torn tail from mid-log corruption.
         """
         with open(path, "wb") as fh:
-            for record in self._records[:self._durable_count]:
+            for record in self._records:
                 encoded = record.encode()
                 fh.write(len(encoded).to_bytes(4, "big"))
                 fh.write(zlib.crc32(encoded).to_bytes(4, "big"))
@@ -355,61 +246,30 @@ class LogManager:
                     f"{exc}") from exc
             log._records.append(record)
             log._bytes += length
-            # Restart state: the checkpoint byte mark keeps
-            # ``bytes_since_checkpoint`` (the checkpoint lag) correct
-            # across a restart instead of counting the whole
-            # pre-checkpoint volume as outstanding.
-            if record.op is LogOp.ABORT:
-                log._aborted.add(record.txn_id)
-            elif record.op is LogOp.CHECKPOINT:
-                log._bytes_at_checkpoint = log._bytes
             log.stats.add("wal.records")
             log.stats.add("wal.bytes", length)
             pos = end
-        # Everything that survived on stable storage is, by definition,
-        # durable.
-        log._durable_count = len(log._records)
         return log
 
 
-def replay(log: LogManager,
-           apply: Callable[[LogRecord], None],
-           committed_only: bool = True,
-           from_checkpoint: bool = True) -> int:
-    """Redo pass: feed records of committed transactions to ``apply``.
+def replay(log: LogManager, apply: Callable[[LogRecord], None]) -> int:
+    """Redo pass: feed the records of committed transactions to ``apply``.
 
-    With ``committed_only`` (the default), records of transactions that never
-    logged ``COMMIT`` are suppressed — the archive-recovery equivalent of
-    undoing losers.  With ``from_checkpoint`` the analysis pass scans for
-    COMMIT records only from the newest CHECKPOINT onward: a pre-checkpoint
-    record replays unless its transaction is in the checkpoint's loser set
-    (in flight or aborted at checkpoint time) and never commits afterwards.
-    Returns the number of records applied.
+    A transaction's records apply iff its COMMIT is anywhere in the log —
+    the archive-recovery equivalent of undoing losers, as an in-flight,
+    aborted or crash-cut transaction never logged one.  Auto-commit
+    records (``txn_id`` -1) always apply.  Returns the number applied.
     """
     records = list(log.records())
-    start = 0
-    losers: set[int] = set()
-    if committed_only and from_checkpoint:
-        for index in range(len(records) - 1, -1, -1):
-            if records[index].op is LogOp.CHECKPOINT:
-                losers = decode_checkpoint(records[index].payload)
-                start = index
-                log.stats.add("recovery.from_checkpoint")
-                break
-    committed: set[int] = set()
-    if committed_only:
-        for record in records[start:]:
-            if record.op is LogOp.COMMIT:
-                committed.add(record.txn_id)
+    committed = {record.txn_id for record in records
+                 if record.op is LogOp.COMMIT}
     applied = 0
-    for index, record in enumerate(records):
+    for record in records:
         if record.op in (LogOp.BEGIN, LogOp.COMMIT, LogOp.ABORT,
                          LogOp.CHECKPOINT):
             continue
-        if committed_only and record.txn_id >= 0:
-            if record.txn_id not in committed and \
-                    (index >= start or record.txn_id in losers):
-                continue
+        if record.txn_id >= 0 and record.txn_id not in committed:
+            continue
         apply(record)
         applied += 1
     log.stats.add("recovery.replayed", applied)

@@ -322,8 +322,8 @@ class DatabaseServer:
         submit timestamp, so the request's elapsed time decomposes as
         ``elapsed = cpuish + Σ waits``: the admission-queue wait charged
         up front, the engine-latch acquisition as ``latch.wait``, and
-        every suspension the work itself hits (lock waits, log forces,
-        buffer I/O, retry backoff) through the engine's own wait timers.
+        every suspension the work itself hits (lock waits, buffer I/O,
+        retry backoff) through the engine's own wait timers.
         The clock's breakdown goes into the request's ``serve.request``
         record.  The worker also stamps the request's event records with
         its label, which ties the ``txn.accounting`` records of the work

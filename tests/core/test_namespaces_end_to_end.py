@@ -67,6 +67,23 @@ class TestNamespaceRoundtrips:
                         namespaces={"c": "urn:catalog"})
         assert len(hits) == 1
 
+    def test_namespaced_value_index_survives_replay(self):
+        db = Database()
+        db.create_table("t", [("doc", "xml")])
+        db.create_xpath_index("ix", "t", "doc", "//c:product/@code",
+                              "double", namespaces={"c": "urn:catalog"})
+        db.insert("t", (DOC,))
+        replayed = Database.replay(db.log)
+        probe = "//c:product[@code = 2]"
+        ns = {"c": "urn:catalog"}
+        assert replayed.plan_xpath("t", "doc", probe, namespaces=ns).method \
+            == db.plan_xpath("t", "doc", probe, namespaces=ns).method
+        assert [(h.docid, h.node_id)
+                for h in replayed.xpath("t", "doc", probe, namespaces=ns)] \
+            == [(h.docid, h.node_id)
+                for h in db.xpath("t", "doc", probe, namespaces=ns)]
+        assert replayed.value_indexes["ix"].entry_count == 2
+
     def test_wildcard_ignores_namespace(self):
         db = Database()
         db.create_table("t", [("doc", "xml")])

@@ -32,6 +32,12 @@ def insert_one(db, i):
     txn.commit()
 
 
+def abort_one(db, i):
+    txn = db.txns.begin()
+    db.insert("t", (i, DOCS[i]), txn_id=txn.txn_id)
+    txn.abort()
+
+
 def workload(db):
     """DDL + five single-insert transactions (3 WAL appends each)."""
     setup_schema(db)
@@ -130,11 +136,8 @@ class TestCheckpointRecovery:
         outcome = harness.run(workload_with_manual_checkpoint,
                               plan=[FaultPlan.crash_at("wal.commit.pre", 5)])
         assert outcome.crashed
-        stats = StatsRegistry()
-        log = LogManager.load(harness.wal_path, stats=stats)
-        assert log.last_checkpoint_lsn() is not None
+        log = LogManager.load(harness.wal_path)
         recovered = Database.replay(log, CONFIG)
-        assert stats.get("recovery.from_checkpoint") == 1
         # Commits 1-3 predate the checkpoint, commit 4 follows it.
         assert database_digest(recovered) == \
             database_digest(reference_database(4))
@@ -151,13 +154,13 @@ class TestCheckpointRecovery:
 
     def test_in_flight_txn_at_checkpoint_is_loser(self, tmp_path):
         """A txn active at checkpoint time that never commits must not
-        resurface just because the analysis pass starts at the checkpoint."""
+        resurface."""
         def load(db):
             setup_schema(db)
             insert_one(db, 0)
             straggler = db.txns.begin()
             db.insert("t", (99, DOCS[1]), txn_id=straggler.txn_id)
-            db.checkpoint()          # straggler is in the loser set
+            db.checkpoint()
             insert_one(db, 2)
             # straggler never commits: crash before it can.
 
@@ -167,6 +170,62 @@ class TestCheckpointRecovery:
         rows = sorted(row[0] for _, row in recovered.tables["t"].scan_rids())
         assert rows == [0, 2]
         verify_value_indexes(recovered)
+
+    @pytest.mark.parametrize("fate,expected", [
+        ("commit", [0, 1, 2]), ("abort", [0, 2]), ("crash", [0, 2])])
+    def test_in_flight_txn_at_checkpoint_by_fate(self, tmp_path, fate,
+                                                  expected):
+        """A txn that logged before a checkpoint and commits, aborts or is
+        cut by a crash after it recovers by its COMMIT alone."""
+        def load(db):
+            setup_schema(db)
+            insert_one(db, 0)
+            straggler = db.txns.begin()
+            db.insert("t", (1, DOCS[1]), txn_id=straggler.txn_id)
+            db.checkpoint()
+            insert_one(db, 2)
+            if fate == "commit":
+                straggler.commit()
+            elif fate == "abort":
+                straggler.abort()
+            else:
+                db.insert("t", (3, DOCS[3]), txn_id=straggler.txn_id)
+
+        plan = [FaultPlan.crash_at("wal.append.post", 12)] \
+            if fate == "crash" else []
+        harness = CrashHarness(str(tmp_path), config=CONFIG)
+        outcome = harness.run(load, plan=plan)
+        assert outcome.crashed == (fate == "crash")
+        reference = Database(CONFIG)
+        setup_schema(reference)
+        for i in expected:
+            insert_one(reference, i)
+        recovered = harness.restart()
+        assert database_digest(recovered) == database_digest(reference)
+        verify_value_indexes(recovered)
+
+
+class TestRestartedEngineKeepsItsHistory:
+    def test_second_crash_recovers_both_generations(self, tmp_path):
+        """Crash, restart, more work, crash, restart: the second restart
+        sees the first generation's DDL and commits, and the first
+        generation's cut transaction stays cut."""
+        harness = CrashHarness(str(tmp_path), config=CONFIG)
+        harness.run(workload, plan=[FaultPlan.crash_at("wal.commit.pre", 4)])
+        first = harness.restart()   # txns 1-3 committed, txn 4 cut
+        abort_one(first, 4)
+        insert_one(first, 3)
+        insert_one(first, 4)
+        straggler = first.txns.begin()
+        first.insert("t", (0, DOCS[0]), txn_id=straggler.txn_id)
+        # 11 appends since the restart: 3 (abort), 2 x 3 (commits), 2.
+        assert first.stats.get("wal.records") == 11
+        path = str(tmp_path / "second.wal")
+        first.log.save(path)        # the second crash
+        second = Database.replay(LogManager.load(path), CONFIG)
+        assert database_digest(second) == \
+            database_digest(reference_database(len(DOCS)))
+        verify_value_indexes(second)
 
 
 class TestReadOnlyWork:
@@ -278,7 +337,6 @@ class TestTornTailWal:
         harness = CrashHarness(str(tmp_path), config=CONFIG)
         harness.run(load, plan=())
         reloaded = harness.load_log()
-        assert len(reloaded.aborted_txns) == 1
         recovered = Database.replay(reloaded, CONFIG)
         rows = sorted(row[0] for _, row in recovered.tables["t"].scan_rids())
         assert rows == [0, 2]

@@ -31,9 +31,9 @@ class TestChargeWait:
 
     def test_wait_timer_charges_wall_clock(self, stats):
         import time
-        with stats.wait_timer("wal.force"):
+        with stats.wait_timer("buffer.read_io"):
             time.sleep(0.002)
-        assert stats.get("waits.wal_force_us") >= 1000
+        assert stats.get("waits.buffer_read_io_us") >= 1000
 
     def test_every_wait_class_has_a_registered_counter(self, stats):
         from repro.core.stats import METRICS
@@ -46,8 +46,8 @@ class TestRequestClock:
         with stats.request_clock() as waits:
             stats.charge_wait("lock.wait", 100)
             stats.charge_wait("lock.wait", 50)
-            stats.charge_wait("wal.force", 10)
-        assert waits == {"lock.wait": 150, "wal.force": 10}
+            stats.charge_wait("buffer.read_io", 10)
+        assert waits == {"lock.wait": 150, "buffer.read_io": 10}
         hist = stats.histogram("waits.request_wait_us")
         assert hist is not None and hist.count == 1
 
@@ -108,9 +108,9 @@ class TestReadingSide:
 
     def test_breakdown_folds_counters(self, stats):
         stats.charge_wait("lock.wait", 120)
-        stats.charge_wait("wal.force", 30)
+        stats.charge_wait("buffer.read_io", 30)
         by_class = wait_breakdown(stats.counters())
-        assert by_class == {"lock.wait": 120, "wal.force": 30}
+        assert by_class == {"lock.wait": 120, "buffer.read_io": 30}
         assert sum(by_class.values()) == 150
 
     def test_format_breakdown_mentions_each_class(self, stats):

@@ -14,8 +14,7 @@ from repro.errors import FaultInjectionError, TransactionError
 from repro.fault.injector import FaultInjector, FaultPlan, SimulatedCrash
 from repro.rdb.locks import LockManager, LockMode, mode_compatible, mode_lub
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.wal import (LogManager, LogOp, LogRecord, decode_checkpoint,
-                           replay)
+from repro.rdb.wal import LogManager, LogOp, LogRecord, replay
 from repro.serve import DatabaseServer
 
 
@@ -312,7 +311,6 @@ class TestTransactions:
         aborted.lock("r", LockMode.S)
         aborted.abort()
         assert list(tm.log.records()) == []
-        assert aborted.txn_id not in tm.log.aborted_txns
 
     def test_first_record_is_preceded_by_begin(self):
         tm = TransactionManager(stats=StatsRegistry())
@@ -323,17 +321,6 @@ class TestTransactions:
         assert [(r.txn_id, r.op) for r in tm.log.records()] == [
             (txn.txn_id, LogOp.BEGIN), (txn.txn_id, LogOp.INSERT),
             (txn.txn_id, LogOp.INSERT), (txn.txn_id, LogOp.ABORT)]
-        assert txn.txn_id in tm.log.aborted_txns
-
-    def test_checkpoint_losers_are_the_active_txns_that_logged(self):
-        tm = TransactionManager(stats=StatsRegistry())
-        writer, reader = tm.begin(), tm.begin()
-        writer.log(LogOp.INSERT, "t", b"row")
-        reader.lock("r", LockMode.S)
-        tm.checkpoint()
-        (checkpoint,) = [r for r in tm.log.records()
-                         if r.op is LogOp.CHECKPOINT]
-        assert decode_checkpoint(checkpoint.payload) == {writer.txn_id}
 
 
 class TestWal:
@@ -380,19 +367,19 @@ class TestWal:
         assert count == 1
         assert applied == [b"keep"]
 
-    def test_replay_all(self):
+    def test_replay_reads_commits_on_both_sides_of_a_checkpoint(self):
         log = LogManager(StatsRegistry())
-        log.append(1, LogOp.INSERT, "t", b"a")
-        log.append(2, LogOp.INSERT, "t", b"b")
+        log.append(1, LogOp.BEGIN)
+        log.append(1, LogOp.INSERT, "t", b"before")
+        log.append(2, LogOp.BEGIN)
+        log.append(2, LogOp.INSERT, "t", b"straddles")
+        log.append(1, LogOp.COMMIT)
+        assert log.checkpoint().payload == b""
+        log.append(-1, LogOp.INSERT, "t", b"auto")
+        log.append(2, LogOp.COMMIT)
         applied = []
-        replay(log, lambda r: applied.append(r.payload), committed_only=False)
-        assert applied == [b"a", b"b"]
-
-    def test_truncate(self):
-        log = LogManager(StatsRegistry())
-        log.append(1, LogOp.INSERT, "t", b"a")
-        log.truncate()
-        assert list(log.records()) == []
+        replay(log, lambda r: applied.append(r.payload))
+        assert applied == [b"before", b"straddles", b"auto"]
 
     def test_crash_at_a_log_point_halts_the_log(self):
         stats = StatsRegistry()
@@ -405,9 +392,7 @@ class TestWal:
         # The process is dead: survivors cannot harden post-mortem state.
         with pytest.raises(SimulatedCrash):
             log.append(2, LogOp.BEGIN)
-        with pytest.raises(SimulatedCrash):
-            log.flush()
-        assert log.durable_count == 1
+        assert [r.op for r in log.records()] == [LogOp.BEGIN]
 
     def test_injected_failure_does_not_halt_the_log(self):
         stats = StatsRegistry()
@@ -419,57 +404,8 @@ class TestWal:
         assert log.append(2, LogOp.COMMIT).lsn == 0
 
 
-class TestVolatileTail:
-    """The durable boundary: with ``auto_flush`` off appends stay volatile
-    until :meth:`LogManager.flush`, and ``save`` persists only the durable
-    prefix."""
-
-    def test_auto_flush_default_keeps_every_append_durable(self):
-        stats = StatsRegistry()
-        log = LogManager(stats)
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.COMMIT)
-        assert log.durable_count == 2
-        assert log.unflushed_count == 0
-        assert log.flush() == 0  # nothing outstanding, no counter traffic
-        assert stats.get("wal.flushes") == 0
-
-    def test_appends_stay_volatile_until_flush(self):
-        stats = StatsRegistry()
-        log = LogManager(stats, auto_flush=False)
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.INSERT, "t", b"row")
-        assert log.durable_count == 0
-        assert log.unflushed_count == 2
-        assert log.flush() == 2
-        assert log.durable_count == 2
-        assert stats.get("wal.flushes") == 1
-
-    def test_save_persists_only_the_durable_prefix(self, tmp_path):
-        log = LogManager(StatsRegistry(), auto_flush=False)
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.COMMIT)
-        log.flush()
-        log.append(2, LogOp.BEGIN)
-        log.append(2, LogOp.COMMIT)  # volatile: a crash would lose these
-        path = str(tmp_path / "tail.wal")
-        log.save(path)
-        reloaded = LogManager.load(path)
-        assert [r.txn_id for r in reloaded.records()] == [1, 1]
-        assert reloaded.durable_count == 2
-
-    def test_checkpoint_forces_the_volatile_tail(self):
-        log = LogManager(StatsRegistry(), auto_flush=False)
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.COMMIT)
-        log.checkpoint()
-        assert log.unflushed_count == 0  # CHECKPOINT implies a force
-        assert log.durable_count == 3
-
-
 class TestLoadRestartState:
-    """A reloaded log must continue the LSN sequence and keep
-    ``bytes_since_checkpoint`` correct instead of resetting both."""
+    """A reloaded log must continue the LSN sequence."""
 
     def test_reload_continues_the_lsn_sequence(self, tmp_path):
         log = LogManager(StatsRegistry())
@@ -479,29 +415,3 @@ class TestLoadRestartState:
         log.save(path)
         reloaded = LogManager.load(path)
         assert reloaded.append(2, LogOp.BEGIN).lsn == 3
-
-    def test_reload_restores_checkpoint_byte_mark(self, tmp_path):
-        log = LogManager(StatsRegistry())
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.COMMIT)
-        log.checkpoint()
-        log.append(2, LogOp.BEGIN)
-        log.append(2, LogOp.COMMIT)
-        path = str(tmp_path / "ckpt.wal")
-        log.save(path)
-        reloaded = LogManager.load(path)
-        # Regression: load used to leave _bytes_at_checkpoint at 0, so a
-        # restarted engine counted the whole pre-checkpoint volume as
-        # outstanding checkpoint lag.
-        assert reloaded.bytes_since_checkpoint == log.bytes_since_checkpoint
-        assert reloaded.bytes_since_checkpoint < reloaded.bytes_written
-
-    def test_reload_marks_everything_durable(self, tmp_path):
-        log = LogManager(StatsRegistry(), auto_flush=False)
-        log.append(1, LogOp.COMMIT)
-        log.flush()
-        path = str(tmp_path / "durable.wal")
-        log.save(path)
-        reloaded = LogManager.load(path)
-        assert reloaded.durable_count == 1
-        assert reloaded.unflushed_count == 0
