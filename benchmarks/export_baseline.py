@@ -19,18 +19,19 @@ Besides the deterministic artifact, the export runs timed *scenarios* on
 separate engine instances — ``commits_per_sec`` (one insert per
 committed transaction), ``wal_bytes_per_commit``, and
 ``tracing_overhead`` (the same commit loop with an event ring that
-records nothing and with the engine's default ring; best-of-5
-interleaved runs) — recorded under the
-artifact's ``scenarios`` key.  Wall-clock numbers vary by machine, so the
-CI drift gate compares only ``counters``/``gauges``/``histograms`` and
-ignores ``scenarios``; the same exemption covers ``waits_profile``, where
-this exporter moves the wall-clock-derived ``waits.*`` counters and the
-``waits.request_wait_us`` histogram so the deterministic keys stay
-deterministic.  The CI observability job separately gates
-``tracing_overhead``: the default ring must stay within 5% of the
-record-nothing reference.
+records nothing and with the engine's default ring, timed in nine
+interleaved pairs; its ratio is the median per-pair ratio) — recorded
+under the artifact's ``scenarios`` key.  Wall-clock numbers vary by
+machine, so the CI drift gate compares only
+``counters``/``gauges``/``histograms`` and ignores ``scenarios``; the same
+exemption covers ``waits_profile``, where this exporter moves the
+wall-clock-derived ``waits.*`` counters and the ``waits.request_wait_us``
+histogram so the deterministic keys stay deterministic.  The CI
+observability job separately gates ``tracing_overhead``: the default
+ring must stay within 5% of the record-nothing reference.
 """
 
+import statistics
 import sys
 import time
 
@@ -134,6 +135,9 @@ _TRACE_MODES = ("reference", "default")
 #: scenarios so scheduler jitter amortizes below the 5% CI gate.
 OVERHEAD_COMMITS = 192
 
+#: Interleaved (reference, default) pairs the overhead scenario times.
+OVERHEAD_PAIRS = 9
+
 
 class _RecordNothing(EventTrace):
     """An event ring that records nothing: the overhead reference."""
@@ -162,35 +166,37 @@ def _traced_commit_run(mode: str) -> float:
     return elapsed
 
 
-def run_tracing_overhead(repeats: int = 5) -> dict:
-    """Best-of-N commit-loop timing per trace mode (modes interleaved).
+def run_tracing_overhead(pairs: int = OVERHEAD_PAIRS) -> dict:
+    """Commit-loop timing per trace mode, in interleaved pairs.
 
-    Interleaving the modes round-robin decorrelates machine noise (a
-    background hiccup hits one *repeat*, not one *mode*), and one
+    Each pair times both modes back to back, alternating which runs
+    first, so a background hiccup or a drifting machine hits both halves
+    of a pair alike and neither mode always runs on a warmer machine; one
     discarded warmup round per mode pays the import/allocator cold-start
     before anything is timed.  The ``default`` mode's ``overhead_ratio``
-    is its best time over the reference's best time — the number the CI
-    observability job gates (<= 1.05).
+    is the median of the per-pair default/reference ratios — the number
+    the CI observability job gates (<= 1.05).
     """
     for mode in _TRACE_MODES:  # warmup, discarded
         _traced_commit_run(mode)
     times: dict[str, list[float]] = {mode: [] for mode in _TRACE_MODES}
-    for _ in range(repeats):
-        for mode in _TRACE_MODES:
+    for pair in range(pairs):
+        order = _TRACE_MODES if pair % 2 == 0 else _TRACE_MODES[::-1]
+        for mode in order:
             times[mode].append(_traced_commit_run(mode))
-    reference = min(times["reference"])
-    out: dict = {}
-    for mode in _TRACE_MODES:
-        best = min(times[mode])
-        entry = {
+    ratios = [default / reference for default, reference
+              in zip(times["default"], times["reference"], strict=True)
+              if reference > 0]
+    out: dict = {
+        mode: {
             "commits": OVERHEAD_COMMITS,
-            "best_seconds": round(best, 6),
             "runs_seconds": [round(t, 6) for t in times[mode]],
         }
-        if mode != "reference":
-            entry["overhead_ratio"] = round(best / reference, 4) \
-                if reference > 0 else 0.0
-        out[mode] = entry
+        for mode in _TRACE_MODES
+    }
+    out["default"]["pair_ratios"] = [round(ratio, 4) for ratio in ratios]
+    out["default"]["overhead_ratio"] = \
+        round(statistics.median(ratios), 4) if ratios else 0.0
     return out
 
 

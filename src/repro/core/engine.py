@@ -13,13 +13,11 @@ deterministic, so all physical IDs reproduce.
 
 from __future__ import annotations
 
-import datetime as _dt
 import random
 import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Callable, TypeVar
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
@@ -45,7 +43,7 @@ from repro.rdb.storage import Disk
 from repro.rdb.table import Table
 from repro.rdb.tablespace import Rid
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.values import SqlType, coerce
+from repro.rdb.values import SqlType, decode_row, encode_row
 from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
@@ -203,22 +201,16 @@ class Database:
         with self.stats.trace("db.insert", table=table) as span, \
                 self.txns.charging(txn_id):
             definition = self.catalog.table(table)
-            if len(row) != len(definition.columns):
-                raise QueryError(
-                    f"row has {len(row)} values for "
-                    f"{len(definition.columns)} columns of {table!r}")
             # A value the table would refuse must not reach the log first:
             # replay re-applies every logged auto-commit insert.  So every
-            # check runs before the append — coercion, then the prepare
-            # phase (parse, validate, pack) — and a refused document
-            # consumes no DocID, so replay allocates the same ones.
-            for column, value in zip(definition.columns, row, strict=True):
-                if column.sql_type is not SqlType.XML:
-                    coerce(column.sql_type, value)
+            # check runs before the append — encoding the logged row
+            # (width, types, UTF-8), then the prepare phase (parse,
+            # validate, pack) — and a refused document consumes no DocID,
+            # so replay allocates the same ones.
+            payload = encode_row(_log_types(definition), row)
             documents = self._prepare_insert(definition, row,
                                              validate_against)
-            self._append(txn_id, LogOp.INSERT, table,
-                         _encode_engine_row(row),
+            self._append(txn_id, LogOp.INSERT, table, payload,
                          validate_against.encode()
                          if validate_against else b"")
             rid = self._apply_insert(definition, row, documents)
@@ -720,8 +712,8 @@ class Database:
             if record.op is LogOp.DDL:
                 db._apply_ddl(record.target, record.payload)
             elif record.op is LogOp.INSERT:
-                row = _decode_engine_row(record.payload)
                 definition = db.catalog.table(record.target)
+                row = decode_row(_log_types(definition), record.payload)
                 validate = record.extra.decode() if record.extra else None
                 db._apply_insert(definition, row,
                                  db._prepare_insert(definition, row, validate))
@@ -784,79 +776,8 @@ class Database:
         return store
 
 
-# -- engine-level row codec (python values incl. XML text) --------------------
-
-_CELL_NONE = 0
-_CELL_INT = 1
-_CELL_FLOAT = 2
-_CELL_STR = 3
-_CELL_BYTES = 4
-_CELL_DECIMAL = 5
-_CELL_DATE = 6
-
-
-def _encode_engine_row(row: tuple) -> bytes:
-    out = bytearray()
-    codec.write_uvarint(out, len(row))
-    for value in row:
-        if value is None:
-            out.append(_CELL_NONE)
-        elif isinstance(value, bool):
-            raise QueryError("boolean cells are not supported")
-        elif isinstance(value, int):
-            out.append(_CELL_INT)
-            codec.write_svarint(out, value)
-        elif isinstance(value, float):
-            out.append(_CELL_FLOAT)
-            codec.write_str(out, repr(value))
-        elif isinstance(value, str):
-            out.append(_CELL_STR)
-            try:
-                codec.write_str(out, value)
-            except UnicodeEncodeError as error:
-                raise QueryError(
-                    f"text cell is not encodable as UTF-8: {error.reason} "
-                    f"at offset {error.start}") from None
-        elif isinstance(value, (bytes, bytearray)):
-            out.append(_CELL_BYTES)
-            codec.write_bytes(out, bytes(value))
-        elif isinstance(value, Decimal):
-            out.append(_CELL_DECIMAL)
-            codec.write_str(out, str(value))
-        elif isinstance(value, _dt.date):
-            out.append(_CELL_DATE)
-            codec.write_str(out, value.isoformat())
-        else:
-            raise QueryError(f"cannot log cell of type {type(value)}")
-    return bytes(out)
-
-
-def _decode_engine_row(payload: bytes) -> tuple:
-    count, pos = codec.read_uvarint(payload, 0)
-    values = []
-    for _ in range(count):
-        tag = payload[pos]
-        pos += 1
-        if tag == _CELL_NONE:
-            values.append(None)
-        elif tag == _CELL_INT:
-            value, pos = codec.read_svarint(payload, pos)
-            values.append(value)
-        elif tag == _CELL_FLOAT:
-            text, pos = codec.read_str(payload, pos)
-            values.append(float(text))
-        elif tag == _CELL_STR:
-            text, pos = codec.read_str(payload, pos)
-            values.append(text)
-        elif tag == _CELL_BYTES:
-            data, pos = codec.read_bytes(payload, pos)
-            values.append(data)
-        elif tag == _CELL_DECIMAL:
-            text, pos = codec.read_str(payload, pos)
-            values.append(Decimal(text))
-        elif tag == _CELL_DATE:
-            text, pos = codec.read_str(payload, pos)
-            values.append(_dt.date.fromisoformat(text))
-        else:
-            raise QueryError(f"corrupt logged row (tag {tag})")
-    return tuple(values)
+def _log_types(definition: TableDef) -> list[SqlType]:
+    """Column types of ``definition``'s logged rows: XML cells are logged
+    as their text, so replay re-prepares the same documents."""
+    return [SqlType.VARCHAR if column.sql_type is SqlType.XML
+            else column.sql_type for column in definition.columns]

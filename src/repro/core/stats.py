@@ -135,17 +135,23 @@ def wait_counter(wait_class: str) -> str:
     return "waits." + wait_class.replace(".", "_") + "_us"
 
 
+#: ``(wait class, counter name)`` pairs in :data:`WAITS` order.
+_WAIT_COUNTERS = tuple((wait_class, wait_counter(wait_class))
+                       for wait_class in WAITS)
+
+
 def wait_breakdown(counters: Mapping[str, int]) -> dict[str, int]:
     """Per-class microseconds from a counters mapping (non-zero only).
 
-    Accepts either a global ``StatsRegistry.counters()`` dict or a
-    per-transaction accounting ``counters`` dict — both charge waits
-    through the same ``waits.<class>_us`` names.  Classes come out in
+    Accepts any charge sink or counters dict — the global
+    ``StatsRegistry.counters()``, a per-transaction accounting record's
+    ``counters`` or an open wait clock — since all charge waits through
+    the same ``waits.<class>_us`` names.  Classes come out in
     :data:`WAITS` order.
     """
     out: dict[str, int] = {}
-    for wait_class in WAITS:
-        micros = counters.get(wait_counter(wait_class), 0)
+    for wait_class, name in _WAIT_COUNTERS:
+        micros = counters.get(name, 0)
         if micros:
             out[wait_class] = micros
     return out
@@ -236,11 +242,18 @@ class Histogram:
 
 def counter_deltas(before: Mapping[str, int],
                    after: Mapping[str, int]) -> dict[str, int]:
-    """Non-zero ``after - before`` per counter — the one diff behind
-    ``StatsRegistry.delta`` and tracer spans."""
+    """Non-zero ``after - before`` per counter — the global diff behind
+    :meth:`StatsRegistry.delta`."""
     return {name: value - before.get(name, 0)
             for name, value in after.items()
             if value != before.get(name, 0)}
+
+
+class _Sinks(threading.local):
+    """The calling thread's stack of open charge sinks, outermost first."""
+
+    def __init__(self) -> None:
+        self.stack: list[Counter[str]] = []
 
 
 class StatsRegistry:
@@ -265,11 +278,15 @@ class StatsRegistry:
     engine latch; the lock is for the ``serve.*`` counters charged on
     client threads, which do not hold it.  Whole-map
     reads (:meth:`snapshot`, :meth:`counters`, :meth:`delta`,
-    :meth:`reset`) copy under it.  The accounting sink of :meth:`charge`
-    is *per-thread* — each serving-layer worker charges the transaction
-    it is running, concurrently, without cross-attributing work.  This is
-    what keeps the "per-txn deltas sum to global deltas" reconciliation
-    invariant true under concurrent sessions.
+    :meth:`reset`) copy under it.
+
+    Attribution has one rule: every :meth:`add` lands in the global bag
+    and in every sink open on the *calling thread* (see :meth:`charge`).
+    A transaction's accounting, a request's wait clock
+    (:meth:`request_clock`) and a tracer span are all such sinks, so a
+    serving-layer worker charges only the work it runs, concurrently with
+    the others.  This is what keeps the "per-txn deltas sum to global
+    deltas" reconciliation invariant true under concurrent sessions.
     """
 
     #: What ``_lock`` guards (read by ``python -m repro.analyze``).
@@ -287,21 +304,23 @@ class StatsRegistry:
         self.events = EventTrace()
         #: The lock guarding the shared maps above.
         self._lock = threading.Lock()
-        #: Per-thread innermost accounting sink — see :meth:`charge`.
-        self._local = threading.local()
+        #: Per-thread stack of open charge sinks — see :meth:`charge`.
+        self._sinks = _Sinks()
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increase counter ``name`` by ``amount``.
 
-        If the calling thread has an accounting sink installed (see
-        :meth:`charge`), the increment is mirrored there, attributing the
-        work to whichever transaction that thread is running.
+        The increment is mirrored into every sink open on the calling
+        thread (see :meth:`charge`): the transaction it is running, its
+        request's wait clock, and any open tracer span.
         """
-        sink = getattr(self._local, "sink", None)
+        sinks = self._sinks.stack
         with self._lock:
             self._counters[name] += amount
-            if sink is not None:
-                sink[name] += amount
+            for sink in sinks:
+                # Not ``+=``: most sinks are fresh per request or txn, and
+                # a missing key would call ``Counter.__missing__``.
+                sink[name] = sink.get(name, 0) + amount
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never touched)."""
@@ -393,23 +412,18 @@ class StatsRegistry:
     def charge_wait(self, wait_class: str, micros: int) -> None:
         """Charge ``micros`` of suspension time to ``wait_class``.
 
-        The charge lands in the global ``waits.<class>_us`` counter (and,
-        through the thread's accounting sink, the running transaction's
-        per-txn breakdown — which is what makes wait fields fold across
-        victim retries for free) and in every wait clock open on this
-        thread (see :meth:`request_clock`); a served request's clock is
-        what its ``serve.request`` record carries.  Zero-microsecond waits
-        are dropped: a suspension that never suspended is not a wait, and
-        recording it would materialize noise counters in deterministic
-        baselines.
+        The charge is one :meth:`add` of the ``waits.<class>_us`` counter,
+        so it lands in every sink open on this thread: the running
+        transaction's per-txn breakdown (which is what makes wait fields
+        fold across victim retries for free) and every wait clock open on
+        this thread (see :meth:`request_clock`); a served request's clock
+        is what its ``serve.request`` record carries.  Zero-microsecond
+        waits are dropped: a suspension that never suspended is not a
+        wait, and recording it would materialize noise counters in
+        deterministic baselines.
         """
-        if micros <= 0:
-            return
-        self.add(wait_counter(wait_class), int(micros))
-        frames = getattr(self._local, "wait_frames", None)
-        if frames:
-            for frame in frames:
-                frame[wait_class] = frame.get(wait_class, 0) + int(micros)
+        if micros > 0:
+            self.add(wait_counter(wait_class), int(micros))
 
     @contextmanager
     def wait_timer(self, wait_class: str) -> Iterator[None]:
@@ -430,53 +444,59 @@ class StatsRegistry:
                 wait_class, (time.monotonic_ns() - started) // 1000)
 
     @contextmanager
-    def request_clock(self) -> Iterator[dict[str, int]]:
+    def request_clock(self) -> Iterator[Counter[str]]:
         """Open a per-request/per-txn wait clock on the calling thread.
 
-        Yields the breakdown dict (wait class -> microseconds) that every
-        :meth:`charge_wait` on this thread fills while the block runs.
-        Clocks stack: a transaction clock inside a serving-layer request
+        The clock is a fresh charge sink (see :meth:`charge`): it yields
+        the ``Counter`` every :meth:`add` on this thread fills while the
+        block runs, and ``wait_breakdown(clock)`` reads its per-class
+        waits at any point, including inside the block.  Clocks stack like
+        every sink: a transaction clock inside a serving-layer request
         clock sees only its own waits, while the outer request clock sees
-        both.  On exit the total is observed into the
+        both.  On exit the total wait is observed into the
         ``waits.request_wait_us`` histogram.
         """
-        frame: dict[str, int] = {}
-        frames = getattr(self._local, "wait_frames", None)
-        if frames is None:
-            frames = []
-            self._local.wait_frames = frames
-        frames.append(frame)
+        clock: Counter[str] = Counter()
+        stack = self._sinks.stack
+        # charge(clock), minus its scan: a fresh sink is never open yet.
+        stack.append(clock)
         try:
-            yield frame
+            yield clock
         finally:
-            frames.pop()
-            total = sum(frame.values())
+            stack.pop()
+            total = sum(wait_breakdown(clock).values())
             if total > 0:
                 self.observe("waits.request_wait_us", total)
 
     @contextmanager
-    def charge(self, sink: "Counter[str] | None") -> Iterator[None]:
+    def charge(self, sink: Counter[str]) -> Iterator[None]:
         """Attribute counter increments inside the block to ``sink``.
 
-        The per-transaction accounting of :mod:`repro.rdb.txn` installs a
-        transaction's private Counter here while that transaction's work
-        runs; every :meth:`add` then mirrors into the sink as well as the
-        global bag.  Sinks *replace* rather than stack: nesting a charge
-        for the same transaction (e.g. ``commit()`` inside ``run_in_txn``'s
-        charged body) cannot double-count, and work an inner transaction
-        does under an outer one is attributed to the inner (innermost
-        wins).  Passing ``None`` suspends attribution inside the block.
+        ``sink`` joins the calling thread's stack of open sinks, and every
+        :meth:`add` on this thread mirrors into each of them as well as
+        the global bag — the one attribution rule behind per-transaction
+        accounting (:mod:`repro.rdb.txn`), wait clocks
+        (:meth:`request_clock`) and tracer spans.  Sinks stack: an outer
+        sink sees the work of every sink opened inside it.  Opening a sink
+        that is already open on this thread is a no-op, so re-entering a
+        transaction's charge (``commit()`` inside ``run_in_txn``'s charged
+        body) cannot double-count; sinks compare by identity, because two
+        empty ``Counter`` objects are equal.
 
-        The sink is **thread-local**: each serving-layer worker charges
-        only the transaction it is running, so concurrent sessions cannot
-        cross-attribute work (the PR 4 reconciliation invariant).
+        The stack is **thread-local**: each serving-layer worker charges
+        only the work it runs, so concurrent sessions cannot
+        cross-attribute work.
         """
-        previous = getattr(self._local, "sink", None)
-        self._local.sink = sink
+        stack = self._sinks.stack
+        for open_sink in stack:
+            if open_sink is sink:
+                yield
+                return
+        stack.append(sink)
         try:
             yield
         finally:
-            self._local.sink = previous
+            stack.pop()
 
     @contextmanager
     def delta(self) -> Iterator[dict[str, int]]:

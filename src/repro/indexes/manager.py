@@ -10,7 +10,6 @@ are generated per record at insert/update/delete time.
 
 from __future__ import annotations
 
-import datetime as _dt
 from decimal import Decimal
 from typing import Iterator
 
@@ -76,7 +75,7 @@ class XPathValueIndex:
         return key_encode(self.definition.key_type, self._coerce(value))
 
     def _coerce(self, value: object) -> object:
-        if isinstance(value, (str, bytes, int, float, Decimal, _dt.date)):
+        if isinstance(value, (str, bytes, int, float, Decimal)):
             return value
         return str(value)
 

@@ -9,10 +9,11 @@ queries) and every injected fault.  This package adds the views on top of
 them:
 
 * :class:`~repro.obs.tracer.Span` / :class:`~repro.obs.tracer.Tracer` — a
-  span tree whose every node captures the :class:`StatsRegistry` counter
-  deltas between enter and exit, so "how many page reads did this B+tree
-  probe cost" falls out of the existing accounting; span trees export as
-  JSON (:meth:`Span.to_dict`, :func:`~repro.obs.exporters.write_trace`);
+  span tree whose every open node is a charge sink of the installing
+  thread (``StatsRegistry.charge``, the rule transaction accounting and
+  wait clocks use too), so "how many page reads did this B+tree probe
+  cost" falls out of the existing accounting; span trees export as JSON
+  (:meth:`Span.to_dict`, :func:`~repro.obs.exporters.write_trace`);
 * :class:`~repro.obs.explain.ExplainResult` — the DB2-style EXPLAIN ANALYZE
   surface returned by :meth:`repro.core.engine.Database.explain_analyze`:
   the chosen :class:`~repro.query.plan.AccessPlan` annotated with actual

@@ -3,10 +3,11 @@
 A :class:`Tracer` installs itself on a :class:`~repro.core.stats.StatsRegistry`
 (``stats.tracer``); every layer of the engine opens spans through
 ``stats.trace("btree.search")`` without knowing whether anything is listening.
-On exit each span records the registry's counter deltas between its enter and
-exit, so the span tree is a hierarchical decomposition of the same numbers
-EXPERIMENTS.md reports globally — page I/O, index traffic, lock waits —
-attributed to the operator that caused them.
+Each open span is a charge sink (:meth:`StatsRegistry.charge`): every counter
+the installing thread adds while the span is open is mirrored into it, so the
+span tree is a hierarchical decomposition of the same numbers EXPERIMENTS.md
+reports globally — page I/O, index traffic, lock waits — attributed to the
+operator that caused them.
 
 Span trees export as plain JSON (:meth:`Span.to_dict`, :func:`trace_to_json`)
 with a deliberately flat schema (name/kind/attrs/counters/children), so
@@ -16,11 +17,13 @@ external tooling can consume them without knowing engine internals.
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator
 
 from repro.core.events import jsonable
-from repro.core.stats import StatsRegistry, counter_deltas
+from repro.core.stats import StatsRegistry
 
 
 class Span:
@@ -34,7 +37,7 @@ class Span:
         self.name = name
         self.attrs: dict[str, object] = dict(attrs) if attrs else {}
         self.children: list[Span] = []
-        #: Counter deltas observed between enter and exit (inclusive).
+        #: Counters charged between enter and exit (inclusive).
         self.counters: dict[str, int] = {}
         self.kind = kind
 
@@ -106,44 +109,58 @@ class Tracer:
         print(tracer.root.format())
 
     Spans nest by runtime call order: the innermost open span is the parent
-    of any span opened inside it.  The tracer is single-threaded, like the
-    engine itself.
+    of any span opened inside it.  A tracer belongs to the thread that
+    installed it: a span another thread opens is detached (not added to the
+    tree), and that thread's counters are never charged to this tree.
     """
 
     def __init__(self, stats: StatsRegistry, name: str = "trace") -> None:
         self.stats = stats
         self.root = Span(name, kind="root")
         self._stack: list[Span] = [self.root]
+        self._thread = threading.get_ident()
 
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
         """Open a child span; yields it so callers can set attributes."""
         span = Span(name, attrs)
+        if threading.get_ident() != self._thread:
+            yield span
+            return
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        before = self.stats.counters()
         try:
-            yield span
+            with self._charged(span):
+                yield span
         finally:
-            span.counters = counter_deltas(before, self.stats.counters())
             self._stack.pop()
 
     @contextmanager
     def install(self) -> Iterator["Tracer"]:
         """Attach to the registry for the duration of the block.
 
-        Also captures the root span's counter deltas, and restores any
-        previously installed tracer on exit (tracers may nest).
+        The root span is charged while installed, and any previously
+        installed tracer is restored on exit (tracers may nest).
         """
         previous = self.stats.tracer
         self.stats.tracer = self
-        before = self.stats.counters()
+        self._thread = threading.get_ident()
         try:
-            yield self
+            with self._charged(self.root):
+                yield self
         finally:
-            self.root.counters = counter_deltas(before,
-                                                self.stats.counters())
             self.stats.tracer = previous
+
+    @contextmanager
+    def _charged(self, span: Span) -> Iterator[None]:
+        """Charge ``span`` while the block runs; keep its non-zero counts."""
+        sink: Counter[str] = Counter()
+        try:
+            with self.stats.charge(sink):
+                yield
+        finally:
+            span.counters = {name: value for name, value in sink.items()
+                             if value}
 
 
 def trace_to_json(trace: Span | Tracer, indent: int | None = 2) -> str:

@@ -52,9 +52,9 @@ def sargable(op: str, literal: object, key_type: SqlType) -> bool:
     A number under any operator compares ``number(node)``, which is
     ``float`` of the stripped string value, as DOUBLE keys are made.  Every
     other pairing can miss matches: the string under ``<`` and the like
-    compares numbers, a VARCHAR probe for ``7`` misses ``7.0``, BIGINT and
-    DATE keys skip values XPath reads as numbers, and DECFLOAT keys keep
-    digits a double rounds away (``0.10000000000000001 = 0.1`` in XPath).
+    compares numbers, a VARCHAR probe for ``7`` misses ``7.0``, and
+    DECFLOAT keys keep digits a double rounds away
+    (``0.10000000000000001 = 0.1`` in XPath).
     """
     if isinstance(literal, str):
         return op == "=" and key_type is SqlType.VARCHAR

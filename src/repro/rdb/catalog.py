@@ -3,8 +3,7 @@
 The paper reuses the relational catalog with minor enhancement (§2): XML adds
 registered schemas (compiled to a binary format at registration time, Fig. 4)
 and the database-wide name table (§3.1).  The catalog here is a plain object
-registry with a binary persistence form so archive recovery can restore DDL
-state.
+registry; recovery rebuilds it by replaying the logged DDL.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError
-from repro.rdb import codec
 from repro.rdb.values import SqlType
 from repro.xdm.names import NameTable
 
@@ -81,7 +79,7 @@ class IndexDef:
 
 
 class Catalog:
-    """In-memory catalog with binary persistence."""
+    """In-memory catalog of tables, indexes, schemas and XML names."""
 
     def __init__(self) -> None:
         self.names = NameTable()
@@ -174,75 +172,3 @@ class Catalog:
             return self._schemas[name]
         except KeyError:
             raise CatalogError(f"schema {name!r} is not registered") from None
-
-    # -- persistence --------------------------------------------------------------
-
-    def encode(self) -> bytes:
-        out = bytearray()
-        codec.write_bytes(out, self.names.encode())
-        codec.write_uvarint(out, len(self._tables))
-        for table in self._tables.values():
-            codec.write_str(out, table.name)
-            codec.write_uvarint(out, len(table.columns))
-            for col in table.columns:
-                codec.write_str(out, col.name)
-                codec.write_str(out, col.sql_type.value)
-                codec.write_str(out, col.schema_name or "")
-            codec.write_uvarint(out, self._next_docid.get(table.name, 0))
-        codec.write_uvarint(out, len(self._indexes))
-        for index in self._indexes.values():
-            codec.write_str(out, index.name)
-            codec.write_str(out, index.table)
-            codec.write_str(out, index.kind)
-            out.append(1 if index.unique else 0)
-            codec.write_uvarint(out, len(index.spec))
-            for key, value in index.spec.items():
-                codec.write_str(out, key)
-                codec.write_str(out, value)
-        codec.write_uvarint(out, len(self._schemas))
-        for name, blob in self._schemas.items():
-            codec.write_str(out, name)
-            codec.write_bytes(out, blob)
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, data: bytes | memoryview) -> "Catalog":
-        catalog = cls()
-        pos = 0
-        names_blob, pos = codec.read_bytes(data, pos)
-        catalog.names = NameTable.decode(names_blob)
-        n_tables, pos = codec.read_uvarint(data, pos)
-        for _ in range(n_tables):
-            t_name, pos = codec.read_str(data, pos)
-            n_cols, pos = codec.read_uvarint(data, pos)
-            cols = []
-            for _ in range(n_cols):
-                c_name, pos = codec.read_str(data, pos)
-                c_type, pos = codec.read_str(data, pos)
-                c_schema, pos = codec.read_str(data, pos)
-                cols.append(ColumnDef(c_name, SqlType(c_type), c_schema or None))
-            next_docid, pos = codec.read_uvarint(data, pos)
-            table = TableDef(t_name, cols)
-            catalog._tables[t_name] = table
-            if next_docid:
-                catalog._next_docid[t_name] = next_docid
-        n_indexes, pos = codec.read_uvarint(data, pos)
-        for _ in range(n_indexes):
-            i_name, pos = codec.read_str(data, pos)
-            i_table, pos = codec.read_str(data, pos)
-            i_kind, pos = codec.read_str(data, pos)
-            unique = bool(data[pos])
-            pos += 1
-            n_spec, pos = codec.read_uvarint(data, pos)
-            spec = {}
-            for _ in range(n_spec):
-                key, pos = codec.read_str(data, pos)
-                value, pos = codec.read_str(data, pos)
-                spec[key] = value
-            catalog._indexes[i_name] = IndexDef(i_name, i_table, i_kind, spec, unique)
-        n_schemas, pos = codec.read_uvarint(data, pos)
-        for _ in range(n_schemas):
-            s_name, pos = codec.read_str(data, pos)
-            blob, pos = codec.read_bytes(data, pos)
-            catalog._schemas[s_name] = blob
-        return catalog

@@ -8,11 +8,12 @@ record precedes its first redo record, and only a transaction that logged
 writes a COMMIT or ABORT: a read-only one leaves the log untouched.
 
 The layer also hosts the engine's DB2-style *accounting trace*: every
-transaction owns a private counter sink, work performed on its behalf is
-charged there through :meth:`repro.core.stats.StatsRegistry.charge`, and
-commit/abort records one ``txn.accounting`` event — txn id,
-isolation, outcome, retries, charged counters — in the registry's event
-ring.  :func:`accounting_records` reads them back as
+transaction owns a private counter sink, opened on the running thread
+through :meth:`repro.core.stats.StatsRegistry.charge` while work runs on
+its behalf (the same rule charges any request clock or tracer span open
+around it), and commit/abort records one ``txn.accounting`` event — txn
+id, isolation, outcome, retries, charged counters — in the registry's
+event ring.  :func:`accounting_records` reads them back as
 :class:`AccountingRecord` objects.
 """
 

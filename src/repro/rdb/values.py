@@ -104,6 +104,9 @@ def encode_value(out: bytearray, sql_type: SqlType, value: object) -> None:
     if value is None:
         out.append(_NULL_TAG)
         return
+    if isinstance(value, bool):
+        raise TypeError_(f"{sql_type.value.upper()} cannot store bool: SQL "
+                         f"has no boolean column type")
     out.append(_PRESENT_TAG)
     value = coerce(sql_type, value)
     if sql_type is SqlType.BIGINT:
@@ -113,7 +116,12 @@ def encode_value(out: bytearray, sql_type: SqlType, value: object) -> None:
     elif sql_type is SqlType.DECFLOAT:
         codec.write_str(out, str(value))
     elif sql_type is SqlType.VARCHAR:
-        codec.write_str(out, value)  # type: ignore[arg-type]
+        try:
+            codec.write_str(out, value)  # type: ignore[arg-type]
+        except UnicodeEncodeError as error:
+            raise TypeError_(
+                f"text is not encodable as UTF-8: {error.reason} at offset "
+                f"{error.start}") from None
     elif sql_type in (SqlType.VARBINARY, SqlType.XML):
         codec.write_bytes(out, value)  # type: ignore[arg-type]
     elif sql_type is SqlType.DATE:

@@ -33,9 +33,11 @@ import itertools
 import queue as _queue
 import threading
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.deadline import Deadline
+from repro.core.stats import wait_breakdown
 from repro.errors import (DeadlineExceededError, DeadlockError,
                           FaultInjectionError, LockTimeoutError,
                           ServerClosedError, ServerOverloadedError)
@@ -332,14 +334,14 @@ class DatabaseServer:
         queue_wait_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.queue_wait_us", queue_wait_us)
         with self.stats.events.context(request=request.label), \
-                self.stats.request_clock() as waits:
+                self.stats.request_clock() as clock:
             self.stats.charge_wait("admission.queue", queue_wait_us)
             if request.deadline is not None and request.deadline.expired():
                 self.stats.add("serve.deadline_expired")
                 request.finish(error=DeadlineExceededError(
                     f"request {request.label!r} spent its deadline in the "
                     f"admission queue ({queue_wait_us}us)"))
-                self._observe_request(request, waits)
+                self._observe_request(request, clock)
                 return True
             try:
                 latch_wait_from = time.monotonic_ns()
@@ -360,7 +362,7 @@ class DatabaseServer:
                     if self._state == "serving":
                         self._state = "draining"
                 request.finish(error=crash)
-                self._observe_request(request, waits)
+                self._observe_request(request, clock)
                 return False
             except BaseException as error:
                 # The server/client boundary: every failure is marshalled
@@ -382,18 +384,18 @@ class DatabaseServer:
             else:
                 self.stats.add("serve.completed")
                 request.finish(result=result)
-            self._observe_request(request, waits)
+            self._observe_request(request, clock)
             return True
 
     def _observe_request(self, request: _Request,
-                         waits: dict[str, int] | None = None) -> None:
+                         clock: Counter[str]) -> None:
         elapsed_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.request_us", elapsed_us)
         error = request.error
         self.stats.events.emit(
             "serve.request", request=request.label, elapsed_us=elapsed_us,
             outcome="ok" if error is None else type(error).__name__,
-            waits=dict(waits) if waits else {})
+            waits=wait_breakdown(clock))
 
     def _purge_queue(self) -> None:
         while True:

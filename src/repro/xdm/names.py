@@ -3,8 +3,7 @@
 "In the stored XML data, all the names for elements, attributes, and
 namespaces are encoded using integers across the entire database" (§3.1).
 The :class:`NameTable` interns ``(namespace-uri, local-name)`` pairs and
-namespace URIs, and is persisted through the catalog so name ids are stable
-across restarts.
+namespace URIs, and lives in the catalog.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import re
 
 from repro.errors import CatalogError
-from repro.rdb import codec
 
 #: Reserved URI id meaning "no namespace".
 NO_NAMESPACE = 0
@@ -89,37 +87,3 @@ class NameTable:
     def local_name(self, name_id: int) -> str:
         """Just the local part of ``name_id``."""
         return self.name(name_id)[0]
-
-    # -- persistence ----------------------------------------------------------
-
-    def encode(self) -> bytes:
-        out = bytearray()
-        codec.write_uvarint(out, len(self._uris))
-        for uri in self._uris:
-            codec.write_str(out, uri)
-        codec.write_uvarint(out, len(self._names))
-        for uri_id, local in self._names:
-            codec.write_uvarint(out, uri_id)
-            codec.write_str(out, local)
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, data: bytes | memoryview) -> "NameTable":
-        table = cls.__new__(cls)
-        pos = 0
-        n_uris, pos = codec.read_uvarint(data, pos)
-        table._uris = []
-        table._uri_to_id = {}
-        for uri_id in range(n_uris):
-            uri, pos = codec.read_str(data, pos)
-            table._uris.append(uri)
-            table._uri_to_id[uri] = uri_id
-        n_names, pos = codec.read_uvarint(data, pos)
-        table._names = []
-        table._name_to_id = {}
-        for name_id in range(n_names):
-            uri_id, pos = codec.read_uvarint(data, pos)
-            local, pos = codec.read_str(data, pos)
-            table._names.append((uri_id, local))
-            table._name_to_id[(uri_id, local)] = name_id
-        return table

@@ -231,8 +231,7 @@ ENGINE_MUTANTS = (
            (WalDisciplineChecker,), ("WAL001",)),
     Mutant("E1", "an INSERT is applied and its pages flushed before its "
                  "record is logged", ENGINE,
-           (("            self._append(txn_id, LogOp.INSERT, table,\n"
-             "                         _encode_engine_row(row),\n"
+           (("            self._append(txn_id, LogOp.INSERT, table, payload,\n"
              "                         validate_against.encode()\n"
              "                         if validate_against else b\"\")\n"
              "            rid = self._apply_insert(definition, row, "
@@ -240,8 +239,7 @@ ENGINE_MUTANTS = (
              "            rid = self._apply_insert(definition, row, "
              "documents)\n"
              "            self.pool.flush_all()\n"
-             "            self._append(txn_id, LogOp.INSERT, table,\n"
-             "                         _encode_engine_row(row),\n"
+             "            self._append(txn_id, LogOp.INSERT, table, payload,\n"
              "                         validate_against.encode()\n"
              "                         if validate_against else b\"\")\n"),),
            (WalDisciplineChecker,), ("WAL001",)),

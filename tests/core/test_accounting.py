@@ -125,7 +125,7 @@ class TestChargeSinks:
         assert sink == {"wal.records": 2}
         assert stats.get("wal.records") == 4
 
-    def test_inner_sink_wins(self):
+    def test_sinks_stack_and_an_open_sink_counts_once(self):
         stats = StatsRegistry()
         outer: Counter = Counter()
         inner: Counter = Counter()
@@ -133,11 +133,23 @@ class TestChargeSinks:
             stats.add("buffer.hits")
             with stats.charge(inner):
                 stats.add("buffer.hits")
-            with stats.charge(None):  # suspend attribution
-                stats.add("buffer.hits")
+                with stats.charge(outer):  # already open: a no-op
+                    stats.add("buffer.hits")
             stats.add("buffer.hits")
-        assert outer == {"buffer.hits": 2}
-        assert inner == {"buffer.hits": 1}
+        assert outer == {"buffer.hits": 4}
+        assert inner == {"buffer.hits": 2}
+        assert stats.get("buffer.hits") == 4
+
+    def test_equal_sinks_are_still_distinct(self):
+        # Two empty Counters are equal; opening the second must not be
+        # mistaken for re-opening the first.
+        stats = StatsRegistry()
+        first: Counter = Counter()
+        second: Counter = Counter()
+        with stats.charge(first), stats.charge(second):
+            stats.add("wal.records")
+        assert first == {"wal.records": 1}
+        assert second == {"wal.records": 1}
 
 
 class TestAccountingRecords:

@@ -1,6 +1,12 @@
 """Engine-level transaction and crash/restart tests."""
 
+import datetime
+from decimal import Decimal
+
+import pytest
+
 from repro.core.engine import Database
+from repro.errors import ReproError
 from repro.fault import database_digest
 from repro.rdb.locks import LockMode
 from repro.rdb.wal import LogManager, LogOp
@@ -101,3 +107,47 @@ class TestCrashRestart:
         assert len(docs) == 1
         assert recovered.get_document("t", "doc", docs[0].docid) \
             == "<a>second</a>"
+
+
+#: One column of every SQL type, beside an XML column.
+EVERY_TYPE = [("n", "bigint"), ("x", "double"), ("m", "decfloat"),
+              ("s", "varchar"), ("b", "varbinary"), ("day", "date"),
+              ("doc", "xml")]
+TYPED_ROWS = [
+    (1, 2.5, Decimal("1.10"), "plain", b"\x00\xff", datetime.date(2020, 2, 29),
+     "<a>one</a>"),
+    (2, None, None, None, None, None, "<a><b>two</b></a>"),
+    (-3, -0.1, Decimal("-1E+5"), "ünïcode ✓", b"", datetime.date(1969, 12, 31),
+     "<a v='3'/>"),
+    (4, 7, "0.3", "", bytearray(b"ba"), "2001-01-01", "<a>four</a>"),
+]
+#: Rows the engine refuses before anything is logged.
+REFUSED_ROWS = {
+    "bool cell": (5, True, None, None, None, None, "<a/>"),
+    "unencodable text": (5, None, None, "\ud800", None, None, "<a/>"),
+    "wrong width": (5, 1.0, None, None, None, None),
+}
+
+
+class TestReplayRoundTrip:
+    @pytest.mark.parametrize("refused", sorted(REFUSED_ROWS))
+    def test_replay_round_trips_every_column_type(self, refused):
+        db = Database()
+        db.create_table("t", EVERY_TYPE)
+        for row in TYPED_ROWS[:2]:
+            db.insert("t", row)
+        db.run_in_txn(lambda eng, txn: [
+            eng.insert("t", row, txn_id=txn.txn_id) for row in TYPED_ROWS[2:]])
+        logged = len(list(db.log.records()))
+        with pytest.raises(ReproError):
+            db.insert("t", REFUSED_ROWS[refused])
+        txn = db.txns.begin()
+        with pytest.raises(ReproError):
+            db.insert("t", REFUSED_ROWS[refused], txn_id=txn.txn_id)
+        txn.commit()
+        assert len(list(db.log.records())) == logged
+        recovered = Database.replay(db.log)
+        assert sorted(map(repr, recovered.tables["t"].scan())) == \
+            sorted(map(repr, db.tables["t"].scan()))
+        assert database_digest(recovered) == database_digest(db)
+

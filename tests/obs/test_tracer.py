@@ -1,6 +1,7 @@
 """Unit tests for the tracing substrate (spans, deltas, export)."""
 
 import json
+import threading
 
 from repro.core.stats import StatsRegistry
 from repro.obs import Span, Tracer, trace_to_json, write_trace
@@ -101,6 +102,38 @@ class TestSpans:
                     pass
         text = tracer.root.format()
         assert "parent" in text and "child" in text and "io=1" in text
+
+
+class TestThreads:
+    def test_a_span_counts_only_its_own_threads_work(self):
+        # Thread A opens a span; thread B then counts and opens a span of
+        # its own while A's is still open.  A's span sees only A's adds,
+        # and B's span is not added to A's tree.
+        stats = StatsRegistry()
+        tracer = Tracer(stats)
+        a_open, b_done = threading.Event(), threading.Event()
+
+        def thread_b():
+            a_open.wait()
+            stats.add("serve.requests")
+            with stats.trace("other.span"):
+                stats.add("buffer.hits")
+            b_done.set()
+
+        other = threading.Thread(target=thread_b)
+        other.start()
+        with tracer.install():
+            with stats.trace("work") as span:
+                stats.add("btree.searches")
+                a_open.set()
+                b_done.wait()
+        other.join()
+        assert span.counters == {"btree.searches": 1}
+        assert tracer.root.counters == {"btree.searches": 1}
+        assert [child.name for child in tracer.root.children] == ["work"]
+        assert span.children == []
+        assert stats.counters() == {"btree.searches": 1,
+                                    "serve.requests": 1, "buffer.hits": 1}
 
 
 class TestExport:

@@ -11,6 +11,7 @@ key types' conversions.
 import pytest
 
 from repro.core.engine import Database
+from repro.errors import TypeError_
 from repro.query.plan import AccessMethod
 from repro.query.planner import sargable
 from repro.rdb.values import SqlType
@@ -18,12 +19,24 @@ from repro.rdb.values import SqlType
 VALUES = ("1", "x", "1.0", "20", "9", " 7", "-5", "0.10000000000000001",
           "0.1", "1e3", "2020-01-01", "")
 KEY_TYPES = ("double", "decfloat", "varchar", "string", "date", "bigint")
+#: Key types XPath cannot probe soundly (a BIGINT key skips ``7.5``; XPath
+#: 1.0 has no dates): creating an index on them is refused.
+REFUSED = TypeError_("index key type")
 OPS = ("=", "<", "<=", ">", ">=")
 LITERALS = ("7", "3", "10", "1", "0.1", "9", '"x"', '"1"', '" 7"',
             '"2020-01-01"', '"20"')
 #: Predicates that combine probes (groups ORed and ANDed).
 COMBINED = ('b = "x" or b = 9', "b = 9 or b < 0", 'b > 3 and b = "20"',
             "b >= 1 and b <= 9", '"x" = b', "10 > b")
+
+
+def refused(key_type: str) -> bool:
+    """Whether creating a ``key_type`` index raises the typed error."""
+    if key_type not in ("date", "bigint"):
+        return False
+    with pytest.raises(type(REFUSED), match=str(REFUSED)):
+        make_db(key_type)
+    return True
 
 
 def make_db(key_type: str) -> Database:
@@ -48,6 +61,8 @@ def predicates():
 
 @pytest.mark.parametrize("key_type", KEY_TYPES)
 def test_index_plans_answer_as_the_scan_does(key_type):
+    if refused(key_type):
+        return
     db = make_db(key_type)
     checked = 0
     for predicate in predicates():
@@ -69,13 +84,16 @@ def test_index_plans_answer_as_the_scan_does(key_type):
     ("varchar", "/a[b < 10]", [1, 3, 5, 6, 7, 8, 9]),
     ("double", '/a[b = "x"]', [2]),
     ("double", '/a[b = "x" or b = 9]', [2, 5]),
-    ("date", "/a[b = 3]", []),
-    ("date", '/a[b = "x"]', [2]),
-    ("bigint", '/a[b = "x"]', [2]),
+    ("date", "/a[b = 3]", REFUSED),
+    ("date", '/a[b = "x"]', REFUSED),
+    ("bigint", '/a[b = "x"]', REFUSED),
     ("decfloat", "/a[b = 0.1]", [8, 9]),
 ])
 def test_answers_that_a_probe_got_wrong(key_type, text, expected):
     """Probes that missed matches or raised where the scan answers."""
+    if expected is REFUSED:
+        assert refused(key_type)
+        return
     db = make_db(key_type)
     assert answer(db, text, AccessMethod.FULL_SCAN) == expected
     assert answer(db, text) == expected

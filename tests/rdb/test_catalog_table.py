@@ -94,24 +94,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             cat.schema("other.xsd")
 
-    def test_encode_decode_roundtrip(self):
-        cat = Catalog()
-        cat.add_table(emp_def())
-        cat.add_table(xml_def())
-        cat.next_docid("docs")
-        cat.add_index(IndexDef("ix1", "docs", "xpath",
-                               {"path": "//p", "type": "string",
-                                "column": "body"}))
-        cat.register_schema("s.xsd", b"\x02blob")
-        cat.names.intern_name("Product")
-        restored = Catalog.decode(cat.encode())
-        assert restored.table("emp").columns == emp_def().columns
-        assert restored.index("ix1").spec["path"] == "//p"
-        assert restored.schema("s.xsd") == b"\x02blob"
-        assert restored.next_docid("docs") == 2  # sequence continues
-        assert restored.names.lookup_name("Product") == \
-            cat.names.lookup_name("Product")
-
 
 class TestTable:
     @pytest.fixture

@@ -25,7 +25,7 @@ def make_db(plan=(), **overrides):
     db = Database(config, injector=FaultInjector(plan) if plan else None)
     db.create_table("docs", [("key", "varchar"), ("doc", "xml")])
     db.create_xpath_index("ix_price", "docs", "doc", "/Product/Price",
-                          "bigint")
+                          "double")
     return db
 
 
