@@ -79,10 +79,6 @@ def guard_token(expr: ast.expr) -> str | None:
     if token.startswith("self."):
         token = token[len("self."):]
     tail = token.rsplit(".", 1)[-1].lower()
-    # "clock" contains "lock" but scopes time, not mutual exclusion —
-    # ``with stats.request_clock():`` must not read as a latch region.
-    if "clock" in tail:
-        return None
     if "lock" in tail or "latch" in tail or "mutex" in tail:
         return token + suffix
     return None

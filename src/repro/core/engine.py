@@ -43,7 +43,7 @@ from repro.rdb.storage import Disk
 from repro.rdb.table import Table
 from repro.rdb.tablespace import Rid
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.values import SqlType, decode_row, encode_row
+from repro.rdb.values import SqlType, coerce, decode_row, encode_row
 from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
@@ -242,9 +242,11 @@ class Database:
             return documents
         docid = self.catalog.peek_docid(definition.name)
         for position, column in enumerate(definition.columns):
-            xml_text = row[position]
-            if column.sql_type is not SqlType.XML or xml_text is None:
+            if column.sql_type is not SqlType.XML or row[position] is None:
                 continue
+            # The cell's text by the rule the log encodes it with (bytes
+            # decode as UTF-8), so insert and replay parse the same text.
+            xml_text = coerce(SqlType.VARCHAR, row[position])
             store = self.xml_stores[(definition.name, column.name)]
             if validate_against is not None:
                 from repro.xschema.validator import validate_text
@@ -253,7 +255,7 @@ class Database:
                 documents[position] = store.prepare_events(docid,
                                                            stream.events())
             else:
-                documents[position] = store.prepare_text(docid, str(xml_text))
+                documents[position] = store.prepare_text(docid, xml_text)
         return documents
 
     def _apply_insert(self, definition: TableDef, row: tuple,
@@ -613,19 +615,12 @@ class Database:
         non-retryable by construction, so a client deadline cannot be
         burned by the retry machinery.
 
-        The whole call runs under a wait clock
-        (:meth:`~repro.core.stats.StatsRegistry.request_clock`): every
-        suspension any attempt hits — lock waits, buffer I/O, the retry
-        backoff itself — decomposes the
-        call's elapsed time into per-class waits.
+        Every suspension any attempt hits — lock waits, buffer I/O, the
+        retry backoff itself — is charged to the transaction's sink, so it
+        reaches the accounting record's per-class waits (a victim's too,
+        through the carried sink) and, on a serving-layer worker, the
+        request's wait clock open around the call.
         """
-        with self.stats.request_clock():
-            return self._run_txn_attempts(body, isolation, retries, deadline)
-
-    def _run_txn_attempts(self, body: Callable[["Database", object], _T],
-                          isolation: IsolationLevel | None,
-                          retries: int | None,
-                          deadline: Deadline | None) -> _T:
         limit = self.config.txn_retry_limit if retries is None else retries
         attempt = 0
         carry: Counter | None = None
@@ -665,19 +660,17 @@ class Database:
                     delay = self._retry_backoff_delay(attempt - 1)
                     if deadline is not None:
                         delay = deadline.clamp(delay)
+                    victims.append(txn.txn_id)
+                    # Charged to the aborted attempt's sink (its acct is
+                    # carried below), so the retry, its backoff and the
+                    # txn.retry_backoff wait survive into the final
+                    # attempt's record like every other victim cost.
                     with txn.charging():
                         self.stats.add("txn.retries")
                         if delay > 0:
                             self.stats.add("txn.retry_backoff_us",
                                            int(delay * 1_000_000))
-                    victims.append(txn.txn_id)
-                    if delay > 0:
-                        sleep = self.backoff_sleep or time.sleep
-                        # Charged to the aborted attempt's sink (its acct
-                        # is carried below), so the folded record's
-                        # txn.retry_backoff wait survives into the final
-                        # attempt like every other victim cost.
-                        with txn.charging():
+                            sleep = self.backoff_sleep or time.sleep
                             with self.stats.wait_timer("txn.retry_backoff"):
                                 sleep(delay)
                     carry = Counter(txn.acct)

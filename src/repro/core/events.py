@@ -14,9 +14,9 @@ Four producers write into it:
 * ``fault.<kind>`` — one per injected fault (the crash flight recorder).
 
 For a bigger ring, install ``EventTrace(ring_size=...)``.
-:meth:`EventTrace.context` stamps records with the request label / txn id
-the emitting thread is working for, which ties a transaction's record to
-the request that ran it.
+:meth:`EventTrace.context` stamps records with the label of the served
+request the emitting thread is working for, which ties a transaction's
+record to the request that ran it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ class EventRecord:
     """One structured trace event (the IFCID-record analogue).
 
     ``ts_ns`` is ``time.monotonic_ns()`` — ordering within a process, not
-    wall-clock time.  ``request``/``txn_id`` come from explicit arguments
-    or the emitting thread's ambient :meth:`EventTrace.context`.  Records
-    are shared with every reader of the ring: treat them as read-only.
+    wall-clock time.  ``txn_id`` is an explicit argument; ``request`` is
+    one too, or else the emitting thread's :meth:`EventTrace.context`.
+    Records are shared with every reader of the ring: treat them as
+    read-only.
     """
 
     event_id: int
@@ -104,36 +105,24 @@ class EventTrace:
     def emit(self, name: str, *, request: str | None = None,
              txn_id: int | None = None, **payload: Any) -> None:
         """Append one record to the ring."""
-        ctx: dict[str, Any] | None = getattr(self._local, "ctx", None)
-        if ctx is not None:
-            if request is None:
-                request = ctx.get("request")
-            if txn_id is None:
-                txn_id = ctx.get("txn_id")
+        if request is None:
+            request = getattr(self._local, "request", None)
         self._ring.append(EventRecord(next(self._ids), name,
                                       time.monotonic_ns(),
                                       threading.current_thread().name,
                                       request, txn_id, payload))
 
     @contextmanager
-    def context(self, *, request: str | None = None,
-                txn_id: int | None = None) -> Iterator[None]:
-        """Stamp records emitted by this thread inside the block.
-
-        Contexts nest and merge: an inner txn context inherits the outer
-        request label unless it overrides it.
-        """
-        previous: dict[str, Any] | None = getattr(self._local, "ctx", None)
-        merged = dict(previous) if previous else {}
-        if request is not None:
-            merged["request"] = request
-        if txn_id is not None:
-            merged["txn_id"] = txn_id
-        self._local.ctx = merged
+    def context(self, request: str) -> Iterator[None]:
+        """Stamp records emitted by this thread inside the block with the
+        ``request`` label (unless the emit passes its own); on exit the
+        label open before the block applies again."""
+        previous: str | None = getattr(self._local, "request", None)
+        self._local.request = request
         try:
             yield
         finally:
-            self._local.ctx = previous
+            self._local.request = previous
 
     # -- installation -----------------------------------------------------
 

@@ -96,8 +96,9 @@ HISTOGRAMS: frozenset[str] = frozenset({
     # serving layer: admission-queue wait and end-to-end request latency
     # (microseconds; p50/p99 for the load-harness report come from here)
     "serve.queue_wait_us", "serve.request_us",
-    # wait clock: total suspension time per request/txn (all classes);
-    # the per-class split lives in the ``waits.*_us`` counters
+    # wait clock: total suspension time per served request (all classes),
+    # observed by the serving layer; the per-class split lives in the
+    # ``waits.*_us`` counters
     "waits.request_wait_us",
 })
 
@@ -282,11 +283,12 @@ class StatsRegistry:
 
     Attribution has one rule: every :meth:`add` lands in the global bag
     and in every sink open on the *calling thread* (see :meth:`charge`).
-    A transaction's accounting, a request's wait clock
-    (:meth:`request_clock`) and a tracer span are all such sinks, so a
-    serving-layer worker charges only the work it runs, concurrently with
-    the others.  This is what keeps the "per-txn deltas sum to global
-    deltas" reconciliation invariant true under concurrent sessions.
+    A transaction's accounting, a served request's wait clock (the sink
+    the serving layer opens per request) and a tracer span are all such
+    sinks, so a serving-layer worker charges only the work it runs,
+    concurrently with the others.  This is what keeps the "per-txn deltas
+    sum to global deltas" reconciliation invariant true under concurrent
+    sessions.
     """
 
     #: What ``_lock`` guards (read by ``python -m repro.analyze``).
@@ -415,9 +417,9 @@ class StatsRegistry:
         The charge is one :meth:`add` of the ``waits.<class>_us`` counter,
         so it lands in every sink open on this thread: the running
         transaction's per-txn breakdown (which is what makes wait fields
-        fold across victim retries for free) and every wait clock open on
-        this thread (see :meth:`request_clock`); a served request's clock
-        is what its ``serve.request`` record carries.  Zero-microsecond
+        fold across victim retries for free) and, on a serving-layer
+        worker, the request's own sink, whose breakdown is what the
+        request's ``serve.request`` record carries.  Zero-microsecond
         waits are dropped: a suspension that never suspended is not a
         wait, and recording it would materialize noise counters in
         deterministic baselines.
@@ -444,44 +446,19 @@ class StatsRegistry:
                 wait_class, (time.monotonic_ns() - started) // 1000)
 
     @contextmanager
-    def request_clock(self) -> Iterator[Counter[str]]:
-        """Open a per-request/per-txn wait clock on the calling thread.
-
-        The clock is a fresh charge sink (see :meth:`charge`): it yields
-        the ``Counter`` every :meth:`add` on this thread fills while the
-        block runs, and ``wait_breakdown(clock)`` reads its per-class
-        waits at any point, including inside the block.  Clocks stack like
-        every sink: a transaction clock inside a serving-layer request
-        clock sees only its own waits, while the outer request clock sees
-        both.  On exit the total wait is observed into the
-        ``waits.request_wait_us`` histogram.
-        """
-        clock: Counter[str] = Counter()
-        stack = self._sinks.stack
-        # charge(clock), minus its scan: a fresh sink is never open yet.
-        stack.append(clock)
-        try:
-            yield clock
-        finally:
-            stack.pop()
-            total = sum(wait_breakdown(clock).values())
-            if total > 0:
-                self.observe("waits.request_wait_us", total)
-
-    @contextmanager
     def charge(self, sink: Counter[str]) -> Iterator[None]:
         """Attribute counter increments inside the block to ``sink``.
 
         ``sink`` joins the calling thread's stack of open sinks, and every
         :meth:`add` on this thread mirrors into each of them as well as
         the global bag — the one attribution rule behind per-transaction
-        accounting (:mod:`repro.rdb.txn`), wait clocks
-        (:meth:`request_clock`) and tracer spans.  Sinks stack: an outer
-        sink sees the work of every sink opened inside it.  Opening a sink
-        that is already open on this thread is a no-op, so re-entering a
-        transaction's charge (``commit()`` inside ``run_in_txn``'s charged
-        body) cannot double-count; sinks compare by identity, because two
-        empty ``Counter`` objects are equal.
+        accounting (:mod:`repro.rdb.txn`), a served request's wait clock
+        (:mod:`repro.serve.server`) and tracer spans.  Sinks stack: an
+        outer sink sees the work of every sink opened inside it.  Opening
+        a sink that is already open on this thread is a no-op, so
+        re-entering a transaction's charge (``commit()`` inside
+        ``run_in_txn``'s charged body) cannot double-count; sinks compare
+        by identity, because two empty ``Counter`` objects are equal.
 
         The stack is **thread-local**: each serving-layer worker charges
         only the work it runs, so concurrent sessions cannot

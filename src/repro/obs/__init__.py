@@ -11,8 +11,9 @@ them:
 * :class:`~repro.obs.tracer.Span` / :class:`~repro.obs.tracer.Tracer` — a
   span tree whose every open node is a charge sink of the installing
   thread (``StatsRegistry.charge``, the rule transaction accounting and
-  wait clocks use too), so "how many page reads did this B+tree probe
-  cost" falls out of the existing accounting; span trees export as JSON
+  a served request's wait clock use too), so "how many page reads did
+  this B+tree probe cost" falls out of the existing accounting; span
+  trees export as JSON
   (:meth:`Span.to_dict`, :func:`~repro.obs.exporters.write_trace`);
 * :class:`~repro.obs.explain.ExplainResult` — the DB2-style EXPLAIN ANALYZE
   surface returned by :meth:`repro.core.engine.Database.explain_analyze`:
@@ -23,7 +24,7 @@ them:
   ``Database.slow_queries``;
 * :mod:`repro.obs.exporters` — JSON exposition of
   counters/gauges/histograms;
-* :mod:`repro.obs.waits` — the reading side of the wait clock: per-class
+* :mod:`repro.obs.waits` — the reading side of the wait clocks: per-class
   suspension breakdowns (DB2 accounting class-3 analogue) folded from the
   ``waits.*_us`` counters charged by ``StatsRegistry.wait_timer``;
 * :mod:`repro.obs.perf` — ``python -m repro.obs.perf``, the wait-state

@@ -83,7 +83,7 @@ def render_waits(waits: dict) -> list[str]:
                      f"{request_wait.get('p50_us', 0):,} us  p99 "
                      f"{request_wait.get('p99_us', 0):,} us  max "
                      f"{request_wait.get('max_us', 0):,} us "
-                     f"({request_wait['count']} clocked)")
+                     f"({request_wait['count']} requests)")
     return lines
 
 

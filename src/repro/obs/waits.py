@@ -2,11 +2,12 @@
 
 The mechanism lives in :mod:`repro.core.stats` — the ordered :data:`WAITS`
 registry of named suspension classes, ``StatsRegistry.wait_timer(cls)``
-wrapping every blocking site, ``StatsRegistry.request_clock()`` decomposing
-each request/transaction as ``elapsed = cpuish + Σ waits`` (the load
-harness checks Σ waits ≤ elapsed on every ``serve.request`` record), and
-:func:`wait_breakdown`
-folding the ``waits.<class>_us`` counters back into per-class totals.
+wrapping every blocking site, the charge sinks every ``waits.*`` charge
+lands in (a transaction's accounting, and the one wait clock the serving
+layer opens per request, which decomposes the request as
+``elapsed = cpuish + Σ waits``; the load harness checks Σ waits ≤ elapsed
+on every ``serve.request`` record), and :func:`wait_breakdown` folding the
+``waits.<class>_us`` counters back into per-class totals.
 This module is the *reading* side built on them: totals, profiles and
 report lines for ``python -m repro.obs.report``, the load harness and
 the ``python -m repro.obs.perf`` profiler.
@@ -27,8 +28,8 @@ def wait_profile(stats: StatsRegistry) -> dict:
     """Snapshot the registry's wait state as a JSON-safe profile.
 
     ``by_class`` is the per-class total, ``request_wait`` the distribution
-    of per-clock totals (count / p50 / p99 / max from the
-    ``waits.request_wait_us`` histogram).
+    of total waits per served request that waited (count / p50 / p99 /
+    max from the ``waits.request_wait_us`` histogram).
     """
     by_class = wait_breakdown(stats.counters())
     profile: dict = {

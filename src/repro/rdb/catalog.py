@@ -87,10 +87,6 @@ class Catalog:
         self._indexes: dict[str, IndexDef] = {}
         self._schemas: dict[str, bytes] = {}
         self._next_docid: dict[str, int] = {}
-        #: Bumped by every add or drop of a table or index, so anything
-        #: derived from the catalog (a cached access plan) can tell it is
-        #: stale.
-        self.version = 0
 
     # -- tables ---------------------------------------------------------------
 
@@ -98,7 +94,6 @@ class Catalog:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
-        self.version += 1
         if table.has_xml:
             self._next_docid[table.name] = 1
 
@@ -110,15 +105,6 @@ class Catalog:
 
     def tables(self) -> list[TableDef]:
         return list(self._tables.values())
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
-        del self._tables[name]
-        self.version += 1
-        self._next_docid.pop(name, None)
-        for ix_name in [n for n, ix in self._indexes.items() if ix.table == name]:
-            del self._indexes[ix_name]
 
     def peek_docid(self, table: str) -> int:
         """The DocID :meth:`next_docid` will allocate next for ``table``."""
@@ -139,7 +125,6 @@ class Catalog:
             raise CatalogError(f"index {index.name!r} already exists")
         self.table(index.table)  # must exist
         self._indexes[index.name] = index
-        self.version += 1
 
     def index(self, name: str) -> IndexDef:
         try:
@@ -152,12 +137,6 @@ class Catalog:
             ix for ix in self._indexes.values()
             if ix.table == table and (kind is None or ix.kind == kind)
         ]
-
-    def drop_index(self, name: str) -> None:
-        if name not in self._indexes:
-            raise CatalogError(f"unknown index {name!r}")
-        del self._indexes[name]
-        self.version += 1
 
     # -- registered schemas --------------------------------------------------------
 

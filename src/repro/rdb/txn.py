@@ -10,11 +10,11 @@ writes a COMMIT or ABORT: a read-only one leaves the log untouched.
 The layer also hosts the engine's DB2-style *accounting trace*: every
 transaction owns a private counter sink, opened on the running thread
 through :meth:`repro.core.stats.StatsRegistry.charge` while work runs on
-its behalf (the same rule charges any request clock or tracer span open
-around it), and commit/abort records one ``txn.accounting`` event — txn
-id, isolation, outcome, retries, charged counters — in the registry's
-event ring.  :func:`accounting_records` reads them back as
-:class:`AccountingRecord` objects.
+its behalf (the same rule charges the served request's wait clock or a
+tracer span open around it), and commit/abort records one
+``txn.accounting`` event — txn id, isolation, outcome, retries, charged
+counters — in the registry's event ring.  :func:`accounting_records`
+reads them back as :class:`AccountingRecord` objects.
 """
 
 from __future__ import annotations

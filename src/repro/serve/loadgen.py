@@ -156,8 +156,9 @@ class LoadReport:
     verified: bool
     verify_errors: list
     counters: dict
-    #: class-3-style wait profile: per-class totals plus the per-request
-    #: total-wait distribution (`waits.request_wait_us`).
+    #: class-3-style wait profile: per-class totals plus the total-wait
+    #: distribution of the served requests that waited
+    #: (`waits.request_wait_us`, one observation per request).
     waits_by_class: dict = field(default_factory=dict)
     wait_total_us: int = 0
     p50_request_wait_us: int = 0
@@ -329,6 +330,7 @@ class LoadHarness:
                 if name.startswith("waits."):
                     acct_waits[name] = acct_waits.get(name, 0) + value
         request_waits: dict = {}
+        waited_requests = 0
         for record in stats.events.records("serve.request"):
             waits = record.payload["waits"]
             # Wait regions are disjoint sub-intervals of the request, each
@@ -336,6 +338,8 @@ class LoadHarness:
             # the elapsed time unless a suspension was charged twice.
             waited, elapsed_us = sum(waits.values()), \
                 record.payload["elapsed_us"]
+            if waited > 0:
+                waited_requests += 1
             if waited > elapsed_us:
                 verify_errors.append(
                     f"request {record.request} charged {waited}us of waits "
@@ -354,6 +358,14 @@ class LoadHarness:
         request_hist = stats.histogram("serve.request_us")
         queue_hist = stats.histogram("serve.queue_wait_us")
         wait_hist = stats.histogram("waits.request_wait_us")
+        # One wait clock per served request: the histogram holds exactly
+        # one observation per request that waited (countable only while
+        # the ring still holds every request record).
+        observed = wait_hist.count if wait_hist else 0
+        if not stats.events.dropped and observed != waited_requests:
+            verify_errors.append(
+                f"waits.request_wait_us holds {observed} observations for "
+                f"{waited_requests} served requests that waited")
         waits_by_class = wait_breakdown(snapshot)
         failures = [f for tally in tallies for f in tally.failures]
         counters = {name: value for name, value in snapshot.items()

@@ -320,21 +320,23 @@ class DatabaseServer:
     def _process(self, request: _Request) -> bool:
         """Run one request; False tells the worker to stop (crash).
 
-        The whole lifecycle runs under a wait clock backdated to the
-        submit timestamp, so the request's elapsed time decomposes as
-        ``elapsed = cpuish + Σ waits``: the admission-queue wait charged
-        up front, the engine-latch acquisition as ``latch.wait``, and
-        every suspension the work itself hits (lock waits, buffer I/O,
-        retry backoff) through the engine's own wait timers.
-        The clock's breakdown goes into the request's ``serve.request``
-        record.  The worker also stamps the request's event records with
-        its label, which ties the ``txn.accounting`` records of the work
-        to the request that ran it.
+        The whole lifecycle is charged to a fresh sink, the request's one
+        wait clock, backdated to the submit timestamp, so the request's
+        elapsed time decomposes as ``elapsed = cpuish + Σ waits``: the
+        admission-queue wait charged up front, the engine-latch
+        acquisition as ``latch.wait``, and every suspension the work
+        itself hits (lock waits, buffer I/O, retry backoff) through the
+        engine's own wait timers.  The clock's breakdown goes into the
+        request's ``serve.request`` record and its total into the
+        ``waits.request_wait_us`` histogram.  The worker also stamps the
+        request's event records with its label, which ties the
+        ``txn.accounting`` records of the work to the request that ran it.
         """
         queue_wait_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.queue_wait_us", queue_wait_us)
-        with self.stats.events.context(request=request.label), \
-                self.stats.request_clock() as clock:
+        clock: Counter[str] = Counter()
+        with self.stats.events.context(request.label), \
+                self.stats.charge(clock):
             self.stats.charge_wait("admission.queue", queue_wait_us)
             if request.deadline is not None and request.deadline.expired():
                 self.stats.add("serve.deadline_expired")
@@ -391,11 +393,15 @@ class DatabaseServer:
                          clock: Counter[str]) -> None:
         elapsed_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.request_us", elapsed_us)
+        waits = wait_breakdown(clock)
+        waited_us = sum(waits.values())
+        if waited_us > 0:
+            self.stats.observe("waits.request_wait_us", waited_us)
         error = request.error
         self.stats.events.emit(
             "serve.request", request=request.label, elapsed_us=elapsed_us,
             outcome="ok" if error is None else type(error).__name__,
-            waits=wait_breakdown(clock))
+            waits=waits)
 
     def _purge_queue(self) -> None:
         while True:

@@ -120,11 +120,14 @@ TYPED_ROWS = [
     (-3, -0.1, Decimal("-1E+5"), "ünïcode ✓", b"", datetime.date(1969, 12, 31),
      "<a v='3'/>"),
     (4, 7, "0.3", "", bytearray(b"ba"), "2001-01-01", "<a>four</a>"),
+    # An XML cell given as bytes is UTF-8 text, as the log encodes it.
+    (5, None, None, None, None, None, b"<a>five</a>"),
 ]
 #: Rows the engine refuses before anything is logged.
 REFUSED_ROWS = {
     "bool cell": (5, True, None, None, None, None, "<a/>"),
     "unencodable text": (5, None, None, "\ud800", None, None, "<a/>"),
+    "undecodable xml bytes": (5, None, None, None, None, None, b"\xff<a/>"),
     "wrong width": (5, 1.0, None, None, None, None),
 }
 
@@ -150,4 +153,6 @@ class TestReplayRoundTrip:
         assert sorted(map(repr, recovered.tables["t"].scan())) == \
             sorted(map(repr, db.tables["t"].scan()))
         assert database_digest(recovered) == database_digest(db)
+        for engine in (db, recovered):
+            assert engine.get_document("t", "doc", 5) == "<a>five</a>"
 

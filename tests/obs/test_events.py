@@ -45,19 +45,21 @@ class TestEventTrace:
 
     def test_context_stamps_and_nests(self):
         trace = EventTrace()
-        with trace.context(request="c1-op2"):
+        with trace.context("c1-op2"):
             trace.emit("serve.request", elapsed_us=1)
-            with trace.context(txn_id=9):
-                trace.emit("txn.accounting", outcome="committed")
+            trace.emit("txn.accounting", txn_id=9, outcome="committed")
+            with trace.context("c1-op3"):
+                trace.emit("fault.crash", detail="inner")
+            trace.emit("db.slow_query", rows=1)
         trace.emit("db.slow_query", rows=3)
-        by_name = {r.name: r for r in trace.records()}
-        assert by_name["serve.request"].request == "c1-op2"
-        assert by_name["serve.request"].txn_id is None
-        # The inner txn context inherits the outer request label.
-        assert by_name["txn.accounting"].request == "c1-op2"
-        assert by_name["txn.accounting"].txn_id == 9
-        # Outside any context, no stamp.
-        assert by_name["db.slow_query"].request is None
+        records = trace.records()
+        assert [(r.name, r.request) for r in records] == [
+            ("serve.request", "c1-op2"), ("txn.accounting", "c1-op2"),
+            ("fault.crash", "c1-op3"), ("db.slow_query", "c1-op2"),
+            # Outside any context, no stamp.
+            ("db.slow_query", None)]
+        # The txn id is the emit's own argument; the context adds none.
+        assert [r.txn_id for r in records] == [None, 9, None, None, None]
 
     def test_every_registry_carries_an_accounting_ring(self, stats):
         ring = stats.events
@@ -73,7 +75,7 @@ class TestEventTrace:
 
     def test_jsonl_round_trip(self, tmp_path):
         trace = EventTrace()
-        with trace.context(request="c0-op0"):
+        with trace.context("c0-op0"):
             trace.emit("serve.request", elapsed_us=120,
                        waits={"lock.wait": 30})
         path = str(tmp_path / "trace.jsonl")

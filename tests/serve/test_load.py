@@ -67,6 +67,7 @@ class TestLoadHarness:
         db, hot_ids = build_database(serving_config())
         harness = LoadHarness(db, None, hot_ids)
         db.stats.charge_wait("lock.wait", 10)
+        db.stats.observe("waits.request_wait_us", 25)
         db.stats.events.emit("serve.request", request="c0-op0",
                              elapsed_us=50, outcome="ok",
                              waits={"lock.wait": 25})
@@ -83,6 +84,7 @@ class TestLoadHarness:
         db, hot_ids = build_database(serving_config())
         harness = LoadHarness(db, None, hot_ids)
         db.stats.charge_wait("lock.wait", 80)
+        db.stats.observe("waits.request_wait_us", 80)
         db.stats.events.emit("serve.request", request="c0-op0",
                              elapsed_us=50, outcome="ok",
                              waits={"lock.wait": 80})
@@ -90,6 +92,24 @@ class TestLoadHarness:
         assert report.verify_errors == [
             "request c0-op0 charged 80us of waits into 50us elapsed: "
             "[('lock.wait', 80)]"]
+        db.close()
+
+    def test_report_flags_a_second_wait_observation(self):
+        """One served request has one wait clock: a second observation of
+        its total wait (a clock nested inside the request's) fails
+        verification."""
+        db, hot_ids = build_database(serving_config())
+        harness = LoadHarness(db, None, hot_ids)
+        db.stats.charge_wait("lock.wait", 30)
+        db.stats.observe("waits.request_wait_us", 30)
+        db.stats.observe("waits.request_wait_us", 30)
+        db.stats.events.emit("serve.request", request="c0-op0",
+                             elapsed_us=50, outcome="ok",
+                             waits={"lock.wait": 30})
+        report = harness._report([], 0, 0.0, seeded_insert_txns=1)
+        assert report.verify_errors == [
+            "waits.request_wait_us holds 2 observations for 1 served "
+            "requests that waited"]
         db.close()
 
     def test_report_round_trips_to_json(self):

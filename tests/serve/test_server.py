@@ -12,6 +12,7 @@ from repro.analyze.races import SharedStateRaceChecker, guarded_by
 from repro.cc.document import doc_resource, node_resource
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.engine import QUERY_CACHE_SIZE, Database
+from repro.core.events import EventTrace
 from repro.errors import ServerClosedError, TransactionError, XmlParseError
 from repro.fault.harness import verify_value_indexes
 from repro.fault.injector import SimulatedCrash
@@ -289,6 +290,38 @@ class TestServing:
         for name in ("serve.request_us", "serve.queue_wait_us"):
             hist = db.stats.histogram(name)
             assert hist is not None and hist.count == 3
+
+    def test_one_wait_observation_per_served_request(self):
+        # Two workers over an 8-page pool and documents of several pages:
+        # requests wait in the queue, on the latch and on buffer I/O.  Each
+        # served request has one wait clock, so the total-wait histogram
+        # holds one observation per request record that waited.
+        db = make_db(serve_workers=2, buffer_pool_pages=8)
+        EventTrace(ring_size=1024).install(db.stats)
+        big = "<Catalog>{}</Catalog>".format("".join(
+            f"<Product id='p{i}'><Name>widget {i} {'x' * 40}</Name>"
+            f"<Price>{i}</Price></Product>" for i in range(120)))
+
+        def client(first):
+            with server.session() as session:
+                for i in range(first, first + 12):
+                    session.insert("docs", (f"k{i}", big))
+                    session.query("docs", "doc", f"/Catalog/Product[@id='p{i}']")
+
+        with DatabaseServer(db) as server:
+            threads = [threading.Thread(target=client, args=(first,))
+                       for first in (0, 100)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert db.stats.get("buffer.misses") > 0
+        served = db.stats.events.records("serve.request")
+        assert len(served) >= 48 and db.stats.events.dropped == 0
+        waited = [r for r in served if sum(r.payload["waits"].values()) > 0]
+        assert waited
+        hist = db.stats.histogram("waits.request_wait_us")
+        assert hist is not None and hist.count == len(waited)
 
 
 class TestHostileInput:
