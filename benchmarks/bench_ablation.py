@@ -9,6 +9,8 @@
   read-vs-update tradeoff E1-E3 quantify per layer.
 """
 
+from collections import Counter
+
 from conftest import fresh_names, fresh_pool, print_table
 
 from repro.lang.parser import parse_xpath
@@ -48,10 +50,10 @@ def test_ablation_interval_vs_per_node_index(benchmark):
                 per_node.insert(index_key(1, event.node_id), rid.to_bytes())
                 node_ids.append(event.node_id)
 
-    with stats.delta() as interval_probe:
+    with stats.charge(interval_probe := Counter()):
         for abs_id in node_ids:
             assert store.node_index.probe(1, abs_id) is not None
-    with stats.delta() as pernode_probe:
+    with stats.charge(pernode_probe := Counter()):
         for abs_id in node_ids:
             assert per_node.search_one(index_key(1, abs_id)) is not None
 
@@ -85,7 +87,7 @@ def test_ablation_logical_links_survive_relocation(benchmark):
     store.insert_document_text(1, DOC)
 
     def traversal_fetches():
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             sum(1 for _ in store.document(1).events())
         return delta.get("ts.records_read", 0)
 
@@ -118,7 +120,7 @@ def test_ablation_record_limit_query_cost(benchmark):
         store = XmlStore(pool, fresh_names(), record_limit=limit)
         store.insert_document_text(1, DOC)
         pool.evict_all()
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             matches = QuickXScan(ROW_250).run(store.document(1).events())
         assert len(matches) == 1
         rows.append([limit, store.space.record_count,

@@ -6,6 +6,8 @@ nodes per record; "the ratio is approximately 1/p".  Record fetches stand in
 for t; the bench sweeps p and reports the measured fetch ratio against 1/p.
 """
 
+from collections import Counter
+
 from conftest import fresh_names, fresh_pool, print_table
 
 from repro.workload.generator import wide_document
@@ -32,7 +34,7 @@ def test_e2_traversal_ratio(benchmark):
     pool, shred_stats = fresh_pool()
     shred = ShreddedStore(pool, fresh_names())
     k = shred.insert_document_events(1, parse(DOC).events())
-    with shred_stats.delta() as shred_delta:
+    with shred_stats.charge(shred_delta := Counter()):
         sum(1 for _ in shred.document_events(1))
     shred_fetches = shred_delta.get("ts.records_read", 0)
 
@@ -40,7 +42,7 @@ def test_e2_traversal_ratio(benchmark):
     for limit in LIMITS:
         store, stats, info = build_packed(limit)
         p = info.node_count / info.record_count
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             traverse(store)
         fetches = delta.get("ts.records_read", 0)
         ratio = fetches / shred_fetches
@@ -56,7 +58,7 @@ def test_e2_traversal_ratio(benchmark):
     for limit in LIMITS:
         store, stats, info = build_packed(limit)
         p = info.node_count / info.record_count
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             traverse(store)
         ratio = delta.get("ts.records_read", 0) / shred_fetches
         assert ratio <= 2.5 / p

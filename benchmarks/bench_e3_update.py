@@ -7,6 +7,8 @@ larger log volume.  The bench updates one text node and reports bytes
 touched and WAL bytes under both schemes, sweeping the packing factor.
 """
 
+from collections import Counter
+
 from conftest import fresh_names, fresh_pool, print_table
 
 from repro.rdb.wal import LogManager, LogOp
@@ -36,7 +38,7 @@ def packed_update_cost(limit):
     target = target_text_id(store.document(1).events())
     updater = XmlUpdater(store)
     log = LogManager(stats)
-    with stats.delta() as delta:
+    with stats.charge(delta := Counter()):
         updater.replace_text(1, target, "updated text value")
         # Log what a real engine would harden: the new record image.
         record, _entry, _parent = store.document(1).find_node(target)
@@ -51,7 +53,7 @@ def test_e3_update_bytes(benchmark):
     shred.insert_document_events(1, parse(DOC).events())
     target = target_text_id(shred.document_events(1))
     log = LogManager(stats)
-    with stats.delta() as shred_delta:
+    with stats.charge(shred_delta := Counter()):
         shred.replace_text(1, target, "updated text value")
         log.append(1, LogOp.UPDATE, "shredts", b"x" * 40)  # one small row
     shred_bytes = shred_delta.get("ts.bytes_touched", 0)

@@ -13,6 +13,8 @@ and checks the paper's shape: indexes beat scans everywhere, and the
 DocID/NodeID preference flips with document size.
 """
 
+from collections import Counter
+
 from conftest import export_trace, print_table
 
 from repro.core.config import DEFAULT_CONFIG
@@ -61,7 +63,7 @@ def build_db(n_docs, products_per_doc, with_indexes=True):
 def run_case(db, query, method):
     stats = db.stats
     db.pool.evict_all()
-    with stats.delta() as delta:
+    with stats.charge(delta := Counter()):
         rows = db.xpath("catalog", "doc", query, method=method)
     return len(rows), delta
 

@@ -31,23 +31,14 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
 ARTIFACTS_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
 
-def export_trace(name: str, trace) -> str:
-    """Write a JSON trace artifact to ``benchmarks/artifacts/<name>.json``.
-
-    Accepts a :class:`~repro.obs.Span`, a :class:`~repro.obs.Tracer`, or an
-    :class:`~repro.obs.ExplainResult`; returns the path written.
-    """
-    from repro.obs import write_trace
-    from repro.obs.explain import ExplainResult
-
+def export_trace(name: str, result) -> str:
+    """Write an :class:`~repro.obs.ExplainResult` as a JSON trace artifact
+    to ``benchmarks/artifacts/<name>.json``; returns the path written."""
     path = os.path.join(ARTIFACTS_DIR, f"{name}.json")
-    if isinstance(trace, ExplainResult):
-        os.makedirs(ARTIFACTS_DIR, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json())
-            fh.write("\n")
-    else:
-        write_trace(path, trace)
+    os.makedirs(ARTIFACTS_DIR, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(result.to_json())
+        fh.write("\n")
     print(f"[trace] wrote {path}")
     return path
 

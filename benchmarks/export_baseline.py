@@ -5,7 +5,7 @@ with tree packing (E1/E4), navigational and scan queries (E2/E5), value
 index probes (E6), node-level updates (E3), and a transactional mix with
 an aborted delete — on a fixed configuration, then writes the engine's
 counters, gauges and histograms through
-:func:`repro.obs.exporters.metrics_to_dict` — the artifact
+:func:`repro.obs.report.metrics_to_dict` — the artifact
 ``python -m repro.obs.report`` renders.
 
 The engine is deterministic, so the counter values are stable across runs
@@ -38,8 +38,7 @@ import time
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.events import EventTrace
-from repro.obs.exporters import metrics_to_dict, write_metrics_json
-from repro.obs.waits import wait_profile
+from repro.obs.report import metrics_to_dict, wait_profile, write_metrics_json
 
 #: Fixed workload shape — change deliberately; the baseline diffs on it.
 DOCS = 96
@@ -131,9 +130,10 @@ def _commit_scenario() -> dict:
 #: Event-ring modes the overhead scenario times, in run order.
 _TRACE_MODES = ("reference", "default")
 
-#: Commits per overhead-scenario run: longer than the commit-path
-#: scenarios so scheduler jitter amortizes below the 5% CI gate.
-OVERHEAD_COMMITS = 192
+#: Commits per overhead-scenario run: long enough (about 0.6 s on a
+#: 2-vCPU VM) that scheduler jitter amortizes below the 5% CI gate; at
+#: 192 commits (about 0.1 s) single pairs ranged from 0.49 to 2.2.
+OVERHEAD_COMMITS = 1024
 
 #: Interleaved (reference, default) pairs the overhead scenario times.
 OVERHEAD_PAIRS = 9

@@ -25,18 +25,6 @@ class EngineConfig:
         lock_wait_budget: Simulated wait steps an *interactive*
             ``Transaction.lock`` call spends retrying a blocked request
             before raising ``LockTimeoutError``.
-        txn_retry_limit: How many times the engine's ``run_in_txn`` retries
-            a transaction aborted as a deadlock or timeout victim before
-            giving up.
-        txn_retry_backoff_base / txn_retry_backoff_cap: Jittered
-            exponential backoff between ``run_in_txn`` victim retries, in
-            seconds: attempt ``n`` sleeps ``min(cap, base * 2**n)`` scaled
-            by a jitter factor in [0.5, 1.5) drawn from a seeded RNG.
-            Without backoff, retrying victims restart immediately and
-            contending transactions collide again in lockstep (a retry hot
-            loop).  ``base`` 0 disables backoff entirely.
-        txn_retry_jitter_seed: Seed for the per-engine backoff-jitter RNG,
-            making retry delays reproducible in tests.
         checkpoint_interval: Commits between automatic WAL checkpoints,
             each run synchronously by the committing thread (0 disables
             automatic checkpointing; ``Database.checkpoint`` is always
@@ -66,10 +54,6 @@ class EngineConfig:
     buffer_pool_pages: int = 256
     record_size_limit: int = 1024
     lock_wait_budget: int = 64
-    txn_retry_limit: int = 5
-    txn_retry_backoff_base: float = 0.001
-    txn_retry_backoff_cap: float = 0.05
-    txn_retry_jitter_seed: int = 0
     txn_group_commit: bool = False
     checkpoint_interval: int = 0
     ckpt_background: bool = False

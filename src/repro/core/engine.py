@@ -30,7 +30,6 @@ from repro.indexes.manager import XPathValueIndex
 from repro.lang import ast
 from repro.lang.parser import lift_literals, parse_xpath
 from repro.obs.explain import ExplainResult
-from repro.obs.slowlog import SlowQueryRecord
 from repro.obs.tracer import Tracer
 from repro.query.executor import Executor, QueryMatch
 from repro.query.plan import AccessMethod, AccessPlan
@@ -53,6 +52,18 @@ from repro.xpath.values import Item
 
 #: Entries in a :class:`Database`'s query cache (statement shapes).
 QUERY_CACHE_SIZE = 256
+
+#: How many times ``run_in_txn`` retries a transaction aborted as a
+#: deadlock or timeout victim before the last error propagates.
+TXN_RETRY_LIMIT = 5
+#: Jittered exponential backoff between victim retries, in seconds:
+#: retry ``n`` sleeps ``min(CAP, BASE * 2**n)`` scaled by a jitter factor
+#: in [0.5, 1.5).  Without it, retrying victims restart at once and
+#: contending transactions collide again in lockstep (a retry hot loop).
+TXN_RETRY_BACKOFF_BASE = 0.001
+TXN_RETRY_BACKOFF_CAP = 0.05
+#: Seed of each engine's jitter RNG, so retry delays are reproducible.
+TXN_RETRY_JITTER_SEED = 0
 
 #: A query cache entry: the parsed path and its query tree, the planner's
 #: source groups per index set, and the QuickXScan over the tree's nodes
@@ -111,7 +122,7 @@ class Database:
         #: the ``serve.*`` counters without the latch.
         self.latch = threading.RLock()
         #: Jitter source for victim-retry backoff (seeded for determinism).
-        self._retry_rng = random.Random(config.txn_retry_jitter_seed)
+        self._retry_rng = random.Random(TXN_RETRY_JITTER_SEED)
         #: How ``run_in_txn`` sleeps between victim retries.  Defaults to
         #: ``time.sleep``; the serving layer installs a latch-releasing
         #: sleep so a backoff never stalls other sessions.
@@ -434,8 +445,9 @@ class Database:
 
         With any ``EngineConfig.slow_query_*`` threshold set, the query
         runs under a private tracer and its counter deltas are checked on
-        completion: offenders are recorded in the event ring with their
-        plan and span tree (see :attr:`slow_queries`).
+        completion: an offender is captured as an
+        :class:`~repro.obs.explain.ExplainResult` without its rows and
+        recorded in the event ring (see :attr:`slow_queries`).
         """
         if not self._slow_thresholds:
             return self._xpath(table, column, path_text, namespaces,
@@ -453,16 +465,14 @@ class Database:
         if exceeded:
             self.stats.add("obs.slow_queries")
             self.stats.events.emit(
-                "db.slow_query", table=table, column=column, path=path_text,
-                method=plan.method.value, rows=len(out), counters=deltas,
-                exceeded=exceeded, plan_text=plan.explain(),
-                root=tracer.root)
+                "db.slow_query",
+                query=ExplainResult(plan, [], tracer.root, exceeded))
         return out
 
     @property
-    def slow_queries(self) -> list[SlowQueryRecord]:
+    def slow_queries(self) -> list[ExplainResult]:
         """Slow queries retained in the event ring, oldest first."""
-        return [SlowQueryRecord(**record.payload)
+        return [record.payload["query"]
                 for record in self.stats.events.records("db.slow_query")]
 
     def _xpath(self, table: str, column: str, path_text: str,
@@ -576,34 +586,26 @@ class Database:
         self.txns.checkpoint()
 
     def _retry_backoff_delay(self, retry_index: int) -> float:
-        """Jittered exponential backoff before victim retry ``retry_index``.
-
-        ``min(cap, base * 2**retry_index)`` scaled by a jitter factor in
-        [0.5, 1.5) from the seeded per-engine RNG — deterministic for a
-        given config seed, and 0.0 whenever backoff is disabled
-        (``txn_retry_backoff_base`` <= 0).
-        """
-        base = self.config.txn_retry_backoff_base
-        if base <= 0:
-            return 0.0
-        cap = max(base, self.config.txn_retry_backoff_cap)
-        delay = min(cap, base * (2 ** retry_index))
+        """Jittered exponential backoff before victim retry ``retry_index``
+        (see :data:`TXN_RETRY_BACKOFF_BASE`), drawn from the seeded
+        per-engine RNG."""
+        delay = min(TXN_RETRY_BACKOFF_CAP,
+                    TXN_RETRY_BACKOFF_BASE * (2 ** retry_index))
         return delay * (0.5 + self._retry_rng.random())
 
     def run_in_txn(self, body: Callable[["Database", object], _T],
                    isolation: IsolationLevel | None = None,
-                   retries: int | None = None,
                    deadline: Deadline | None = None) -> _T:
         """Run ``body(db, txn)`` in a transaction, retrying victims.
 
         Commits on success and returns ``body``'s result.  On any engine
         error the transaction is aborted (undoing its changes); if the
         error was a deadlock or lock timeout the transaction is retried
-        from scratch, up to ``retries`` times (default
-        ``config.txn_retry_limit``), before the last error propagates.
+        from scratch, up to :data:`TXN_RETRY_LIMIT` times, before the last
+        error propagates.
 
         Victim retries back off with seeded jitter (see
-        ``EngineConfig.txn_retry_backoff_*``) instead of restarting
+        :data:`TXN_RETRY_BACKOFF_BASE`) instead of restarting
         immediately: an immediate restart re-collides with the very
         transactions that just won, turning contention into a retry hot
         loop.  The slept time is charged to the transaction's accounting
@@ -621,7 +623,6 @@ class Database:
         through the carried sink) and, on a serving-layer worker, the
         request's wait clock open around the call.
         """
-        limit = self.config.txn_retry_limit if retries is None else retries
         attempt = 0
         carry: Counter | None = None
         victims: list[int] = []
@@ -647,7 +648,7 @@ class Database:
                     with txn.charging():
                         result = body(self, txn)
                 except (DeadlockError, LockTimeoutError):
-                    retrying = attempt < limit
+                    retrying = attempt < TXN_RETRY_LIMIT
                     if txn.state is TxnState.ACTIVE:
                         # A victim about to be retried records nothing: its
                         # work folds into the next attempt's record.

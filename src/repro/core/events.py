@@ -10,10 +10,13 @@ Four producers write into it:
 
 * ``txn.accounting`` — one record per finished transaction (IFCID 3);
 * ``serve.request`` — one per served request, carrying its wait clock;
-* ``db.slow_query`` — one per query over a slow-query threshold;
+* ``db.slow_query`` — one per query over a slow-query threshold, carrying
+  its :class:`~repro.obs.explain.ExplainResult` (plan, span tree and the
+  thresholds exceeded, no result rows);
 * ``fault.<kind>`` — one per injected fault (the crash flight recorder).
 
-For a bigger ring, install ``EventTrace(ring_size=...)``.
+For a bigger ring, install ``EventTrace(ring_size=...)``.  A JSONL export
+(:meth:`EventTrace.write_jsonl`) is read by ``python -m repro.obs.report``.
 :meth:`EventTrace.context` stamps records with the label of the served
 request the emitting thread is working for, which ties a transaction's
 record to the request that ran it.
@@ -69,7 +72,7 @@ class EventRecord:
 
 def jsonable(value: object) -> Any:
     """``value`` made JSON-safe: containers recursively, bytes as hex,
-    objects through their ``to_dict()`` (a slow query's span tree), anything
+    objects through their ``to_dict()`` (a captured slow query), anything
     else as ``str``."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value

@@ -241,15 +241,6 @@ class Histogram:
                 f"max={self.max})")
 
 
-def counter_deltas(before: Mapping[str, int],
-                   after: Mapping[str, int]) -> dict[str, int]:
-    """Non-zero ``after - before`` per counter — the global diff behind
-    :meth:`StatsRegistry.delta`."""
-    return {name: value - before.get(name, 0)
-            for name, value in after.items()
-            if value != before.get(name, 0)}
-
-
 class _Sinks(threading.local):
     """The calling thread's stack of open charge sinks, outermost first."""
 
@@ -278,7 +269,7 @@ class StatsRegistry:
     is not atomic).  Almost every :meth:`add` already runs under the
     engine latch; the lock is for the ``serve.*`` counters charged on
     client threads, which do not hold it.  Whole-map
-    reads (:meth:`snapshot`, :meth:`counters`, :meth:`delta`,
+    reads (:meth:`counters`, :meth:`gauges`, :meth:`histograms`,
     :meth:`reset`) copy under it.
 
     Attribution has one rule: every :meth:`add` lands in the global bag
@@ -378,19 +369,6 @@ class StatsRegistry:
         with self._lock:
             return dict(self._counters)
 
-    def snapshot(self) -> dict[str, int]:
-        """All counters and gauges as a plain dict.
-
-        Gauges are namespaced under a ``gauge:`` key prefix so a gauge
-        sharing a counter's name can never clobber the counter (they are
-        different quantities: monotone totals vs high-water marks).
-        """
-        with self._lock:
-            merged: dict[str, int] = dict(self._counters)
-            for name, value in self._gauges.items():
-                merged[f"gauge:{name}"] = value
-        return merged
-
     # -- tracing hooks ----------------------------------------------------
 
     def trace(self, name: str, **attrs: object) -> Any:
@@ -453,7 +431,9 @@ class StatsRegistry:
         :meth:`add` on this thread mirrors into each of them as well as
         the global bag — the one attribution rule behind per-transaction
         accounting (:mod:`repro.rdb.txn`), a served request's wait clock
-        (:mod:`repro.serve.server`) and tracer spans.  Sinks stack: an
+        (:mod:`repro.serve.server`) and tracer spans; it is also how a
+        caller measures a block of its own work
+        (``with stats.charge(sink := Counter()): ...``).  Sinks stack: an
         outer sink sees the work of every sink opened inside it.  Opening
         a sink that is already open on this thread is a no-op, so
         re-entering a transaction's charge (``commit()`` inside
@@ -474,27 +454,6 @@ class StatsRegistry:
             yield
         finally:
             stack.pop()
-
-    @contextmanager
-    def delta(self) -> Iterator[dict[str, int]]:
-        """Context manager yielding a dict filled with counter deltas.
-
-        The yielded dict is empty during the block and is populated with the
-        difference between exit and entry values when the block finishes::
-
-            with stats.delta() as d:
-                run_query()
-            print(d.get("disk.page_reads", 0))
-        """
-        with self._lock:
-            before = dict(self._counters)
-        out: dict[str, int] = {}
-        try:
-            yield out
-        finally:
-            with self._lock:
-                after = dict(self._counters)
-            out.update(counter_deltas(before, after))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))

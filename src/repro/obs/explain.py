@@ -6,6 +6,11 @@ here.  The query runs for real under a :class:`~repro.obs.tracer.Tracer`,
 and the result pairs the planner's :class:`~repro.query.plan.AccessPlan`
 (§4.3, Table 2) with the span tree of what actually happened: per-operator
 row counts, index entries scanned, logical page touches and physical I/O.
+
+The same type is the one captured-query record: a query
+``Database.xpath`` finds over an ``EngineConfig.slow_query_*`` threshold
+is captured the same way and recorded in the event ring with the
+thresholds it exceeded (``Database.slow_queries`` reads them back).
 """
 
 from __future__ import annotations
@@ -25,17 +30,33 @@ _HEADLINE_COUNTERS = (
 
 @dataclass
 class ExplainResult:
-    """The outcome of one EXPLAIN ANALYZE run."""
+    """One captured query: an EXPLAIN ANALYZE run or a slow query."""
 
     plan: AccessPlan
     #: The query's actual result rows (EXPLAIN ANALYZE executes for real).
-    matches: list = field(default_factory=list)
-    #: Root of the captured span tree.
-    root: Span = field(default_factory=lambda: Span("explain"))
+    #: A captured slow query keeps none, so the event ring holds no rows.
+    matches: list
+    #: Root of the captured span tree; its counters are the query's
+    #: counter deltas.  Its first child is the span the query ran in.
+    root: Span
+    #: ``{counter name: (observed delta, threshold)}`` for every
+    #: slow-query threshold the query exceeded (empty for EXPLAIN).
+    exceeded: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def query(self) -> Span:
+        """The span the query ran in: its attributes name the table,
+        column, path text, access method and row count."""
+        return self.root.children[0]
 
     @property
     def row_count(self) -> int:
-        return len(self.matches)
+        return self.query.attrs["rows"]
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The query's counter deltas."""
+        return self.root.counters
 
     def span(self, name: str) -> Span | None:
         """First span named ``name`` in the captured tree."""
@@ -69,8 +90,19 @@ class ExplainResult:
         return out
 
     def format(self) -> str:
-        """DB2-style EXPLAIN ANALYZE text: plan, then actuals."""
-        lines = ["EXPLAIN ANALYZE"]
+        """DB2-style EXPLAIN ANALYZE text: plan, then actuals.  A slow
+        query opens with its ``SLOW QUERY`` header and the thresholds it
+        exceeded instead."""
+        if self.exceeded:
+            attrs = self.query.attrs
+            lines = [f"SLOW QUERY {attrs['path']!r} on {attrs['table']}."
+                     f"{attrs['column']} [{attrs['method']}] "
+                     f"rows={attrs['rows']}"]
+            lines.extend(f"  exceeded {name}: {value} > {limit}"
+                         for name, (value, limit)
+                         in sorted(self.exceeded.items()))
+        else:
+            lines = ["EXPLAIN ANALYZE"]
         lines.extend("  " + line for line in self.plan.explain().splitlines())
         lines.append(f"  actual rows: {self.row_count}")
         lines.append("operators (actual):")
@@ -86,7 +118,7 @@ class ExplainResult:
 
     def to_dict(self) -> dict:
         """JSON-safe rendering (plan summary + span tree)."""
-        return {
+        out = {
             "plan": {
                 "method": self.plan.method.value,
                 "path": str(self.plan.path),
@@ -99,6 +131,9 @@ class ExplainResult:
             "rows": self.row_count,
             "trace": self.root.to_dict(),
         }
+        if self.exceeded:
+            out["exceeded"] = dict(sorted(self.exceeded.items()))
+        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         import json

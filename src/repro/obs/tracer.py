@@ -9,14 +9,13 @@ span tree is a hierarchical decomposition of the same numbers EXPERIMENTS.md
 reports globally — page I/O, index traffic, lock waits — attributed to the
 operator that caused them.
 
-Span trees export as plain JSON (:meth:`Span.to_dict`, :func:`trace_to_json`)
-with a deliberately flat schema (name/kind/attrs/counters/children), so
-external tooling can consume them without knowing engine internals.
+Span trees export as plain JSON (:meth:`Span.to_dict`) with a deliberately
+flat schema (name/kind/attrs/counters/children), so external tooling can
+consume them without knowing engine internals.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -162,8 +161,3 @@ class Tracer:
             span.counters = {name: value for name, value in sink.items()
                              if value}
 
-
-def trace_to_json(trace: Span | Tracer, indent: int | None = 2) -> str:
-    """JSON text for a span tree (or a tracer's root)."""
-    span = trace.root if isinstance(trace, Tracer) else trace
-    return json.dumps(span.to_dict(), indent=indent)

@@ -12,15 +12,20 @@ necessary."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import NodeIdError, PlanningError, StorageError, XmlError
+from repro.indexes.manager import IndexHit
 from repro.xdm import nodeid
 from repro.xmlstore.store import XmlStore
 from repro.xpath.quickxscan import QuickXScan
 from repro.xpath.values import Item
 
-from repro.query.plan import AccessMethod, AccessPlan
+from repro.query.plan import AccessMethod, AccessPlan, IndexSource
+
+#: A candidate key of the index probes: a DocID, or ``(docid, anchor)``.
+_K = TypeVar("_K")
 
 
 @dataclass(frozen=True)
@@ -72,36 +77,44 @@ class Executor:
                 span.set("rows", len(out))
             return out
 
-    # -- DocID list -------------------------------------------------------------------
+    # -- index probes -----------------------------------------------------------------
 
-    def _docid_candidates(self, plan: AccessPlan) -> list[int]:
+    def _probe(self, plan: AccessPlan,
+               key: Callable[[IndexSource, IndexHit], _K | None]
+               ) -> list[_K]:
+        """The sorted candidate keys of the plan's index probes: ``key``
+        maps one source's hit to its candidate (``None`` skips the hit);
+        hits are ORed within a source group and ANDed across groups."""
         with self.stats.trace("exec.probe") as span:
-            candidate_set: set[int] | None = None
+            candidate_set: set[_K] | None = None
             probes = 0
             for group in plan.source_groups:
-                group_docs: set[int] = set()
+                group_keys: set[_K] = set()
                 for source in group:
                     probes += 1
                     self.stats.add("exec.index_probes")
                     for hit in source.index.lookup_op(source.op,
                                                       source.literal):
-                        group_docs.add(hit.docid)
-                # DocID ANDing across groups, ORing within a group.
+                        candidate = key(source, hit)
+                        if candidate is not None:
+                            group_keys.add(candidate)
                 if candidate_set is None:
-                    candidate_set = group_docs
+                    candidate_set = group_keys
                 else:
-                    candidate_set &= group_docs
+                    candidate_set &= group_keys
             self.stats.add("exec.candidates", len(candidate_set or ()))
             if span is not None:
                 span.set("probes", probes)
                 span.set("candidates", len(candidate_set or ()))
             return sorted(candidate_set or ())
 
+    # -- DocID list -------------------------------------------------------------------
+
     def _docid_list(self, plan: AccessPlan, scan: QuickXScan
                     ) -> list[QueryMatch]:
         with self.stats.trace("exec.docid_list") as span:
             out: list[QueryMatch] = []
-            candidates = self._docid_candidates(plan)
+            candidates = self._probe(plan, lambda _source, hit: hit.docid)
             for docid in candidates:
                 self.stats.add("exec.docs_evaluated")
                 items = scan.run(self.store.document(docid).source(),
@@ -117,44 +130,27 @@ class Executor:
 
     # -- NodeID list -------------------------------------------------------------------
 
-    def _anchor_candidates(self, plan: AccessPlan
-                           ) -> list[tuple[int, bytes]]:
-        with self.stats.trace("exec.probe") as span:
-            candidate_set: set[tuple[int, bytes]] | None = None
-            probes = 0
-            for group in plan.source_groups:
-                group_anchors: set[tuple[int, bytes]] = set()
-                for source in group:
-                    probes += 1
-                    self.stats.add("exec.index_probes")
-                    depth = source.suffix_depth
-                    if depth is None:
-                        raise PlanningError(
-                            "NodeID-list plan without derivable anchors")
-                    for hit in source.index.lookup_op(source.op,
-                                                      source.literal):
-                        anchor = hit.node_id
-                        try:
-                            for _ in range(depth):
-                                anchor = nodeid.parent(anchor)
-                        except NodeIdError:
-                            continue  # value node too shallow: cannot match
-                        group_anchors.add((hit.docid, anchor))
-                if candidate_set is None:
-                    candidate_set = group_anchors
-                else:
-                    candidate_set &= group_anchors  # NodeID ANDing
-            self.stats.add("exec.candidates", len(candidate_set or ()))
-            if span is not None:
-                span.set("probes", probes)
-                span.set("candidates", len(candidate_set or ()))
-            return sorted(candidate_set or ())
+    @staticmethod
+    def _anchor_of(source: IndexSource, hit: IndexHit
+                   ) -> tuple[int, bytes] | None:
+        """The ``(docid, anchor)`` candidate of a value-index hit: the
+        anchor is ``source.suffix_depth`` levels above the value node."""
+        depth = source.suffix_depth
+        if depth is None:
+            raise PlanningError("NodeID-list plan without derivable anchors")
+        anchor = hit.node_id
+        try:
+            for _ in range(depth):
+                anchor = nodeid.parent(anchor)
+        except NodeIdError:
+            return None  # value node too shallow: cannot match
+        return hit.docid, anchor
 
     def _nodeid_list(self, plan: AccessPlan, scan: QuickXScan
                      ) -> list[QueryMatch]:
         with self.stats.trace("exec.nodeid_list") as span:
             out: list[QueryMatch] = []
-            anchors = self._anchor_candidates(plan)
+            anchors = self._probe(plan, self._anchor_of)
             with self.stats.trace("exec.anchor") as verify_span:
                 for docid, anchor in anchors:
                     self.stats.add("exec.anchors_verified")

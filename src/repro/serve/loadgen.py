@@ -497,7 +497,7 @@ def main(argv: list | None = None) -> int:
                         help="write the JSON report here")
     parser.add_argument("--trace-out", type=str, default="",
                         help="write the run's event ring here as JSONL "
-                             "(feed it to python -m repro.obs.perf)")
+                             "(feed it to python -m repro.obs.report)")
     options = parser.parse_args(argv)
     trace = EventTrace(load_ring_size(options.clients, options.ops))
     report = run_load(clients=options.clients, ops_per_client=options.ops,

@@ -15,15 +15,18 @@ from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.txn import accounting_records
 
 
-def run_sum_check(result, scheduler, deltas, expected_records):
+def run_sum_check(result, scheduler, before, expected_records):
     records = accounting_records(scheduler.stats)
     assert len(records) == expected_records
     assert scheduler.stats.get("obs.accounting_records") == expected_records
     total: Counter = Counter()
     for record in records:
         total.update(record.counters)
-    visible = {name: value for name, value in deltas.items()
-               if value and not name.startswith("obs.")}
+    after = scheduler.stats.counters()
+    visible = {name: value - before.get(name, 0)
+               for name, value in after.items()
+               if value != before.get(name, 0)
+               and not name.startswith("obs.")}
     assert dict(total) == visible
     return records
 
@@ -40,11 +43,11 @@ class TestSchedulerAccounting:
                 yield Do(lambda: None)
             return body
 
-        with stats.delta() as deltas:
-            result = scheduler.run([("a", program("a")),
-                                    ("b", program("b"))])
+        before = stats.counters()
+        result = scheduler.run([("a", program("a")),
+                                ("b", program("b"))])
         assert result.committed == 2
-        records = run_sum_check(result, scheduler, deltas, 2)
+        records = run_sum_check(result, scheduler, before, 2)
         assert all(r.outcome == "committed" for r in records)
         assert all(r.isolation == "-" for r in records)
         assert all(r.retries == 0 and r.victim_attempts == ()
@@ -62,13 +65,13 @@ class TestSchedulerAccounting:
                 yield Lock(second, LockMode.X)
             return body
 
-        with stats.delta() as deltas:
-            result = scheduler.run([("ab", program("a", "b")),
-                                    ("ba", program("b", "a"))],
-                                   round_robin=True)
+        before = stats.counters()
+        result = scheduler.run([("ab", program("a", "b")),
+                                ("ba", program("b", "a"))],
+                               round_robin=True)
         assert result.committed == 2
         assert result.deadlock_aborts >= 1
-        records = run_sum_check(result, scheduler, deltas, 2)
+        records = run_sum_check(result, scheduler, before, 2)
         victims = [r for r in records if r.retries > 0]
         assert victims, "a deadlock victim must have been restarted"
         for record in victims:

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.engine import Database
+from repro.core.engine import TXN_RETRY_LIMIT, Database
 from repro.core.events import EventTrace
 from repro.core.stats import HISTOGRAMS, METRICS, Histogram, StatsRegistry
 from repro.errors import FaultInjectionError, LockTimeoutError
@@ -26,14 +26,16 @@ def summed(records) -> Counter:
     return total
 
 
-def txn_visible(deltas: dict) -> dict:
-    """Drop meta-counters bumped outside any charge context.
+def txn_visible(before: dict, after: dict) -> dict:
+    """The global bag's change between two ``counters()`` reads, less the
+    meta-counters bumped outside any charge context.
 
     ``obs.*`` is observation machinery, not transaction work; the
     registry never charges it to accounting records.
     """
-    return {name: value for name, value in deltas.items()
-            if value and not name.startswith("obs.")}
+    return {name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value != before.get(name, 0) and not name.startswith("obs.")}
 
 
 class TestHistogram:
@@ -157,21 +159,22 @@ class TestAccountingRecords:
         db = Database()
         db.create_table("t", [("n", "bigint"), ("doc", "xml")])
         emitted_before = db.stats.get("obs.accounting_records")
-        with db.stats.delta() as deltas:
-            db.run_in_txn(lambda eng, txn: eng.insert(
-                "t", (1, "<a>one</a>"), txn_id=txn.txn_id))
-            db.run_in_txn(lambda eng, txn: eng.insert(
-                "t", (2, "<a>two</a>"), txn_id=txn.txn_id))
-            loser = db.txns.begin()
-            db.insert("t", (3, "<a>three</a>"), txn_id=loser.txn_id)
-            loser.abort()
+        before = db.stats.counters()
+        db.run_in_txn(lambda eng, txn: eng.insert(
+            "t", (1, "<a>one</a>"), txn_id=txn.txn_id))
+        db.run_in_txn(lambda eng, txn: eng.insert(
+            "t", (2, "<a>two</a>"), txn_id=txn.txn_id))
+        loser = db.txns.begin()
+        db.insert("t", (3, "<a>three</a>"), txn_id=loser.txn_id)
+        loser.abort()
+        after = db.stats.counters()
         records = accounting_records(db.stats)
         new = records[-(db.stats.get("obs.accounting_records")
                         - emitted_before):]
         assert len(new) == 3
         assert [r.outcome for r in new] == ["committed", "committed",
                                             "aborted"]
-        assert dict(summed(new)) == txn_visible(deltas)
+        assert dict(summed(new)) == txn_visible(before, after)
 
     def test_headline_figures_match_counters(self):
         db = Database()
@@ -215,8 +218,9 @@ class TestRetryFolding:
             eng.insert("t", ("<a/>",), txn_id=txn.txn_id)
             return txn.txn_id
 
-        with db.stats.delta() as deltas:
-            final_txn = db.run_in_txn(body)
+        before = db.stats.counters()
+        final_txn = db.run_in_txn(body)
+        after = db.stats.counters()
         assert len(attempts) == 2
         # Exactly one record for the logical transaction: the victim
         # attempt recorded nothing and was folded into the final one.
@@ -238,7 +242,7 @@ class TestRetryFolding:
         # And the whole story still sums to the global deltas (the blocker
         # txn is still active, so only the retried txn did charged work in
         # the window).
-        assert dict(summed([record])) == txn_visible(deltas)
+        assert dict(summed([record])) == txn_visible(before, after)
 
     def test_exhausted_retries_leave_aborted_record(self):
         db = self._contended_db()
@@ -249,12 +253,12 @@ class TestRetryFolding:
             txn.lock(("doc", "t", 1), LockMode.S)
 
         with pytest.raises(LockTimeoutError):
-            db.run_in_txn(body, retries=1)
+            db.run_in_txn(body)
         record = accounting_records(db.stats)[-1]
         blocker.commit()
         assert record.outcome == "aborted"
-        assert record.retries == 1
-        assert len(record.victim_attempts) == 1
+        assert record.retries == TXN_RETRY_LIMIT
+        assert len(record.victim_attempts) == TXN_RETRY_LIMIT
 
 
 class TestSatelliteFixes:

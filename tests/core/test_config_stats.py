@@ -1,5 +1,7 @@
 """Unit tests for engine configuration and the stats registry."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
@@ -51,9 +53,10 @@ class TestStats:
         assert stats.gauge("peak") == 12
 
     def test_delta_context(self):
+        # A block's own work is measured by a charge sink.
         stats = StatsRegistry()
         stats.add("io", 5)
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             stats.add("io", 3)
             stats.add("new", 1)
         assert delta == {"io": 3, "new": 1}
@@ -62,7 +65,7 @@ class TestStats:
     def test_delta_ignores_zero_changes(self):
         stats = StatsRegistry()
         stats.add("io")
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             pass
         assert delta == {}
 
@@ -73,28 +76,6 @@ class TestStats:
         stats.reset()
         assert stats.get("a") == 0
         assert stats.gauge("b") == 0
-
-    def test_snapshot_namespaces_gauges(self):
-        stats = StatsRegistry()
-        stats.add("a", 2)
-        stats.set_high_water("b", 7)
-        snap = stats.snapshot()
-        assert snap == {"a": 2, "gauge:b": 7}
-
-    def test_snapshot_gauge_never_clobbers_counter(self):
-        # Regression: a gauge sharing a counter's name used to silently
-        # overwrite the counter in snapshot().
-        stats = StatsRegistry()
-        stats.add("xscan.peak_units", 100)
-        stats.set_high_water("xscan.peak_units", 3)
-        snap = stats.snapshot()
-        assert snap["xscan.peak_units"] == 100
-        assert snap["gauge:xscan.peak_units"] == 3
-        # Both round-trip independently of insertion order.
-        stats2 = StatsRegistry()
-        stats2.set_high_water("x", 9)
-        stats2.add("x", 1)
-        assert stats2.snapshot() == {"x": 1, "gauge:x": 9}
 
     def test_counters_excludes_gauges(self):
         stats = StatsRegistry()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.engine import Database
+from repro.core.engine import TXN_RETRY_LIMIT, Database
 from repro.core.stats import StatsRegistry
 from repro.cc.scheduler import Do, Lock, Scheduler
 from repro.errors import DeadlockError, LockTimeoutError
@@ -74,7 +74,7 @@ class TestInteractiveLockTimeout:
 class TestEngineRetry:
     def config(self, **kw):
         defaults = dict(page_size=1024, buffer_pool_pages=64,
-                        lock_wait_budget=8, txn_retry_limit=3)
+                        lock_wait_budget=8)
         defaults.update(kw)
         return EngineConfig(**defaults)
 
@@ -97,7 +97,7 @@ class TestEngineRetry:
         assert db.stats.get("txn.lock_timeouts") == 1
 
     def test_retry_exhaustion_raises_last_error(self):
-        db = Database(self.config(txn_retry_limit=2))
+        db = Database(self.config())
         holder = db.txns.begin()
         assert holder.try_lock("hot-row", LockMode.X)
         attempts = []
@@ -108,8 +108,8 @@ class TestEngineRetry:
 
         with pytest.raises(LockTimeoutError):
             db.run_in_txn(body)
-        assert len(attempts) == 3  # first try + 2 retries
-        assert db.stats.get("txn.retries") == 2
+        assert len(attempts) == 1 + TXN_RETRY_LIMIT
+        assert db.stats.get("txn.retries") == TXN_RETRY_LIMIT
         # Every attempt's txn was aborted, none leaked into the active set.
         assert list(db.txns.active) == [holder.txn_id]
 

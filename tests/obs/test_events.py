@@ -12,7 +12,7 @@ from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
 from repro.fault.harness import CrashHarness
 from repro.fault.injector import FaultInjector, FaultPlan
-from repro.obs.perf import profile_records, read_jsonl, render_profile
+from repro.obs.report import profile_records, read_jsonl, render_profile
 from repro.serve.loadgen import load_ring_size, run_load
 
 
@@ -86,8 +86,8 @@ class TestEventTrace:
         assert loaded[0]["payload"]["waits"] == {"lock.wait": 30}
 
     def test_jsonl_export_of_engine_records_is_json_safe(self, tmp_path):
-        # Accounting records carry tuples, slow-query records a span tree:
-        # the export renders both as plain JSON.
+        # Accounting records carry tuples, slow-query records a captured
+        # query: the export renders both as plain JSON.
         db = Database(EngineConfig(slow_query_events=1))
         db.create_table("t", [("id", "bigint"), ("doc", "xml")])
         db.run_in_txn(lambda eng, txn: eng.insert(
@@ -99,8 +99,10 @@ class TestEventTrace:
         assert txn["name"] == "txn.accounting"
         assert txn["payload"]["victim_attempts"] == []
         assert slow["name"] == "db.slow_query"
-        assert slow["payload"]["root"]["name"] == "slow_query"
-        assert slow["payload"]["exceeded"]["xscan.events"][1] == 1
+        query = slow["payload"]["query"]
+        assert query["trace"]["name"] == "slow_query"
+        assert query["exceeded"]["xscan.events"][1] == 1
+        assert "matches" not in query
 
 
 class TestFaultEvents:
@@ -148,7 +150,8 @@ class TestPerfProfiler:
         for record in served:
             request_clocks.update(record["payload"]["waits"])
         profile = profile_records(records)
-        # perf's totals are exactly the request clocks, class by class.
+        # The profile's totals are exactly the request clocks, class by
+        # class.
         assert request_clocks
         assert dict(profile.class_totals) == dict(request_clocks)
         assert len(profile.requests) == len(served)
@@ -163,8 +166,10 @@ class TestPerfProfiler:
         path.write_text("\n".join(
             json.dumps(record) for record in self._load_records()))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs.perf", str(path)],
+            [sys.executable, "-m", "repro.obs.report", str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "WAIT-CLASS PROFILE" in proc.stdout
+        assert "requests, elapsed" in proc.stdout
+        assert "cpuish+other" in proc.stdout.split("== SLOWEST REQUEST ==")[1]
         assert "TRACE SUMMARY" in proc.stdout

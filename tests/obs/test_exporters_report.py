@@ -1,4 +1,4 @@
-"""JSON metric artifacts, slow-query records, and the report CLI."""
+"""JSON metric artifacts, captured slow queries, and the report CLI."""
 
 import json
 import subprocess
@@ -8,9 +8,10 @@ from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.events import EventTrace
 from repro.core.stats import StatsRegistry
-from repro.obs import (Tracer, metrics_to_dict, wait_profile,
-                       write_metrics_json)
-from repro.obs.report import main as report_main, render_artifact
+from repro.obs import Tracer
+from repro.obs.report import (main as report_main, metrics_to_dict,
+                              render_artifact, wait_profile,
+                              write_metrics_json)
 
 
 def sample_stats() -> StatsRegistry:
@@ -51,16 +52,23 @@ class TestSlowQueryLog:
         db.xpath("t", "doc", "/a/b")
         assert len(db.slow_queries) == 1
         record = db.slow_queries[0]
-        assert record.path == "/a/b"
-        assert record.table == "t" and record.column == "doc"
+        assert record.query.attrs["path"] == "/a/b"
+        assert record.query.attrs["table"] == "t"
+        assert record.query.attrs["column"] == "doc"
+        assert record.row_count == 3
+        assert record.matches == []  # the ring holds no result rows
         assert "xscan.events" in record.exceeded
         value, limit = record.exceeded["xscan.events"]
         assert value > limit == 1
-        assert record.plan_text  # the planner's explanation came along
+        assert record.counters["xscan.events"] == value
         # The span tree captured the whole query.
         assert record.root.find("db.xpath") is not None
         assert db.stats.get("obs.slow_queries") == 1
-        assert "SLOW QUERY" in record.format()
+        text = record.format()
+        assert text.startswith("SLOW QUERY '/a/b' on t.doc [")
+        assert "  exceeded xscan.events: " in text
+        assert record.plan.explain().splitlines()[0] in text
+        assert "db.xpath" in text.split("trace:")[1]
         json.dumps(record.to_dict())
 
     def test_under_threshold_query_leaves_no_trace(self):
@@ -134,3 +142,6 @@ class TestReportCli:
         assert "ENGINE REPORT" in proc.stdout
         assert "== HISTOGRAMS ==" in proc.stdout
         assert "== WAITS (class-3 suspensions) ==" in proc.stdout
+        # The demo's own served requests feed the event-ring view.
+        assert "6 requests, elapsed" in proc.stdout
+        assert "== SLOWEST REQUEST ==" in proc.stdout

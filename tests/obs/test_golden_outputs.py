@@ -21,8 +21,7 @@ from pathlib import Path
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.obs.exporters import metrics_to_dict
-from repro.obs.report import render_artifact
+from repro.obs.report import metrics_to_dict, render_artifact
 from repro.query.plan import AccessMethod
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

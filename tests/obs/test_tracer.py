@@ -4,7 +4,7 @@ import json
 import threading
 
 from repro.core.stats import StatsRegistry
-from repro.obs import Span, Tracer, trace_to_json, write_trace
+from repro.obs import Tracer
 
 
 class TestNullPath:
@@ -33,7 +33,7 @@ class TestNullPath:
 
 
 class TestSpans:
-    def test_span_captures_counter_deltas(self):
+    def test_span_captures_its_counters(self):
         stats = StatsRegistry()
         stats.add("io", 5)
         tracer = Tracer(stats)
@@ -144,20 +144,9 @@ class TestExport:
             with stats.trace("op", blob=b"\x01\x02", tag="t") as span:
                 stats.add("io", 2)
                 span.set("rid", (1, 2))
-        data = json.loads(trace_to_json(tracer))
+        data = json.loads(json.dumps(tracer.root.to_dict()))
         op = data["children"][0]
         assert op["name"] == "op"
         assert op["counters"] == {"io": 2}
         assert op["attrs"]["blob"] == "0102"       # bytes hex-encoded
         assert op["attrs"]["rid"] == [1, 2]        # tuples to lists
-
-    def test_write_trace_creates_artifact(self, tmp_path):
-        span = Span("root")
-        span.children.append(Span("child", {"k": 1}))
-        path = tmp_path / "sub" / "trace.json"
-        written = write_trace(str(path), span)
-        assert written == str(path)
-        loaded = json.loads(path.read_text())
-        assert loaded["name"] == "root"
-        assert loaded["children"][0]["attrs"] == {"k": 1}
-        assert span.to_dict() == loaded

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import Database
-from repro.core.stats import WAITS, StatsRegistry, wait_counter
+from repro.core.stats import WAITS, StatsRegistry, wait_breakdown, wait_counter
 from repro.errors import LockTimeoutError
-from repro.obs.waits import format_breakdown, wait_breakdown, wait_profile
+from repro.obs.report import format_breakdown, wait_profile
 from repro.rdb.locks import LockMode
 from repro.rdb.txn import TransactionManager, accounting_records
 from repro.serve.server import DatabaseServer

@@ -1,5 +1,7 @@
 """Tests for access-path selection and plan execution (Table 2)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG
@@ -149,10 +151,10 @@ class TestExecutionEquivalence:
 
     def test_index_access_touches_fewer_documents(self, indexed_db):
         stats = indexed_db.stats
-        with stats.delta() as scan_delta:
+        with stats.charge(scan_delta := Counter()):
             indexed_db.xpath("catalog", "doc", QUERY_PRICE,
                              method=AccessMethod.FULL_SCAN)
-        with stats.delta() as index_delta:
+        with stats.charge(index_delta := Counter()):
             indexed_db.xpath("catalog", "doc", QUERY_PRICE,
                              method=AccessMethod.DOCID_LIST)
         assert index_delta.get("exec.docs_evaluated", 0) < \
@@ -160,7 +162,7 @@ class TestExecutionEquivalence:
 
     def test_nodeid_access_fetches_records_not_documents(self, indexed_db):
         stats = indexed_db.stats
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             rows = indexed_db.xpath("catalog", "doc", QUERY_PRICE,
                                     method=AccessMethod.NODEID_LIST)
         assert len(rows) == 4

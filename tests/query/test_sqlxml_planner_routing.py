@@ -1,5 +1,7 @@
 """Tests that a lone XMLEXISTS WHERE clause uses the access-path machinery."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.engine import Database
@@ -27,7 +29,7 @@ class TestXmlExistsRouting:
 
     def test_uses_index_not_per_row_scan(self, session):
         stats = session.db.stats
-        with stats.delta() as delta:
+        with stats.charge(delta := Counter()):
             session.execute(
                 "SELECT n FROM c WHERE "
                 "XMLEXISTS('/item[price > 400]' PASSING doc)")

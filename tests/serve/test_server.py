@@ -176,8 +176,8 @@ class TestServing:
             (hit,) = session.query("docs", "doc", "/Product/Name")
             assert hit.match.item.value == "widget 3"
         (record,) = db.slow_queries
-        assert record.path == "/Product/Name"
-        assert record.rows == 1
+        assert record.query.attrs["path"] == "/Product/Name"
+        assert record.row_count == 1
         assert "xscan.events" in record.exceeded
 
     @pytest.mark.parametrize("held, other_resource", [

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,7 +117,7 @@ def run_script(name, limit, reached):
         if op == "replace" and not valued or \
                 op == "delete" and len(events) < 2:
             op = "insert"
-        with store.stats.delta() as delta:
+        with store.stats.charge(delta := Counter()):
             if op == "replace":
                 updater.replace_text(1, rng.choice(valued),
                                      "v" * rng.choice([0, 3, 40, 250]))

@@ -77,7 +77,7 @@ class TestCachedCompile:
         assert query_again is query            # compiled once, then reused
         assert db.stats.get("xpath.parse_misses") == 1
         assert db.stats.get("xpath.parse_hits") == 1
-        assert "xpath.compile_hits" not in db.stats.snapshot()
+        assert "xpath.compile_hits" not in db.stats.counters()
 
 
 class TestLruBehaviour:
