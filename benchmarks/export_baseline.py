@@ -20,8 +20,10 @@ separate engine instances — ``commits_per_sec`` (one insert per
 committed transaction), ``wal_bytes_per_commit``, and
 ``tracing_overhead`` (the same commit loop with an event ring that
 records nothing and with the engine's default ring, timed in nine
-interleaved pairs; its ratio is the median per-pair ratio) — recorded
-under the artifact's ``scenarios`` key.  Wall-clock numbers vary by
+interleaved pairs; its ratio is the median per-pair ratio) and
+``served_vs_inprocess`` (one indexed point-query op stream run through a
+``DatabaseServer`` session and directly on the ``Database``, also in
+interleaved pairs) — recorded under the artifact's ``scenarios`` key.  Wall-clock numbers vary by
 machine, so the CI drift gate compares only
 ``counters``/``gauges``/``histograms`` and ignores ``scenarios``; the same
 exemption covers ``waits_profile``, where this exporter moves the
@@ -31,6 +33,7 @@ observability job separately gates ``tracing_overhead``: the default
 ring must stay within 5% of the record-nothing reference.
 """
 
+import random
 import statistics
 import sys
 import time
@@ -39,6 +42,8 @@ from repro.core.config import EngineConfig
 from repro.core.engine import Database
 from repro.core.events import EventTrace
 from repro.obs.report import metrics_to_dict, wait_profile, write_metrics_json
+from repro.rdb.locks import LockMode
+from repro.serve import DatabaseServer
 
 #: Fixed workload shape — change deliberately; the baseline diffs on it.
 DOCS = 96
@@ -200,6 +205,82 @@ def run_tracing_overhead(pairs: int = OVERHEAD_PAIRS) -> dict:
     return out
 
 
+#: Documents in the point-query corpus, and ops per timed run.
+POINT_DOCS = 256
+POINT_OPS = 1024
+
+#: Interleaved (served, in-process) pairs the point-query scenario times.
+POINT_PAIRS = 9
+
+
+def _point_query_db() -> tuple[Database, list[str]]:
+    """A corpus indexed on ``@id`` and a seeded stream of lookups by it."""
+    db = Database(EngineConfig())
+    db.create_table("products", [("id", "bigint"), ("doc", "xml")])
+    db.create_xpath_index("ix_id", "products", "doc", "/Product/@id",
+                          "string")
+    for i in range(POINT_DOCS):
+        db.insert("products", (i, f"<Product id='p{i}'><Name>item {i}"
+                                  f"</Name><Price>{i % 97}</Price>"
+                                  f"</Product>"))
+    rng = random.Random(0)
+    paths = [f"/Product[@id='p{rng.randrange(POINT_DOCS)}']"
+             for _ in range(POINT_OPS)]
+    return db, paths
+
+
+def _served_run(db: Database, paths: list[str]) -> float:
+    """The op stream through one ``Session``; returns seconds."""
+    with DatabaseServer(db) as server, server.session() as session:
+        started = time.perf_counter()
+        for path in paths:
+            session.query("products", "doc", path)
+        return time.perf_counter() - started
+
+
+def _inprocess_run(db: Database, paths: list[str]) -> float:
+    """The same auto-commit transactions ``Session.query`` runs (IS table
+    lock, then ``Database.xpath``), called directly; returns seconds."""
+    def query(path: str):
+        def body(eng: Database, txn):
+            txn.lock(("table", "products"), LockMode.IS)
+            return eng.xpath("products", "doc", path)
+        return body
+
+    started = time.perf_counter()
+    for path in paths:
+        db.run_in_txn(query(path))
+    return time.perf_counter() - started
+
+
+def run_served_vs_inprocess(pairs: int = POINT_PAIRS) -> dict:
+    """The serving layer's own cost on indexed point queries.
+
+    One engine serves every run, so both legs see the same warm buffer
+    pool and query cache; pairs alternate which leg runs first, after one
+    discarded warmup of each.  ``ratio`` is the median of the per-pair
+    served/in-process time ratios (1.0 means serving costs nothing).
+    """
+    db, paths = _point_query_db()
+    legs = {"served": _served_run, "inprocess": _inprocess_run}
+    for run in legs.values():  # warmup, discarded
+        run(db, paths)
+    times: dict[str, list[float]] = {leg: [] for leg in legs}
+    for pair in range(pairs):
+        order = list(legs) if pair % 2 == 0 else list(legs)[::-1]
+        for leg in order:
+            times[leg].append(legs[leg](db, paths))
+    ratios = [served / inprocess for served, inprocess
+              in zip(times["served"], times["inprocess"], strict=True)]
+    db.close()
+    out: dict = {leg: {"ops": POINT_OPS,
+                       "runs_seconds": [round(t, 6) for t in times[leg]]}
+                 for leg in legs}
+    out["pair_ratios"] = [round(ratio, 4) for ratio in ratios]
+    out["ratio"] = round(statistics.median(ratios), 4)
+    return out
+
+
 def run_scenarios() -> dict:
     """Timed scenarios (wall-clock; excluded from the CI drift gate)."""
     single = _commit_scenario()
@@ -212,6 +293,7 @@ def run_scenarios() -> dict:
                 single["wal_bytes"] / single["commits"], 1),
         },
         "tracing_overhead": run_tracing_overhead(),
+        "served_vs_inprocess": run_served_vs_inprocess(),
     }
 
 

@@ -69,6 +69,8 @@ _WAL_METHODS = {"append", "checkpoint", "log", "flush"}
 FLUSH_METHODS = frozenset({"flush_page", "flush_all"})
 PIN_RELEASES = frozenset({"unpin"})
 LOCK_RELEASES = frozenset({"release", "release_all", "unlock"})
+#: Receiver words on which ``acquire()`` may block the calling thread.
+_ACQUIRE_RECEIVERS = ("lock", "latch", "mutex", "semaphore", "token")
 
 
 def _receiver_tail(call: ast.Call) -> str:
@@ -83,9 +85,10 @@ def blocking_reason(call: ast.Call) -> str | None:
     Deliberately receiver-sensitive, mirroring the call-graph philosophy:
     ``str.join`` and ``dict.get`` must not read as thread joins or queue
     gets, so ``join``/``get`` only count on thread-ish/queue-ish receivers
-    and ``acquire`` only on lock-ish ones.  ``sleep`` and ``wait`` count
-    on any receiver — every ``wait()`` in this codebase (Event, Condition,
-    request completion) is a real suspension point.
+    and ``acquire`` only on lock-ish ones (locks, latches, mutexes, and
+    the semaphores that hand out concurrency tokens).  ``sleep`` and
+    ``wait`` count on any receiver — every ``wait()`` in this codebase
+    (Event, Condition) is a real suspension point.
     """
     name = call_name(call)
     tail = _receiver_tail(call)
@@ -97,8 +100,7 @@ def blocking_reason(call: ast.Call) -> str | None:
         return f"{tail}.join() blocks on thread exit"
     if name == "get" and ("queue" in tail or tail.endswith("_q")):
         return f"{tail}.get() blocks on an empty queue"
-    if name == "acquire" and ("lock" in tail or "latch" in tail
-                              or "mutex" in tail):
+    if name == "acquire" and any(word in tail for word in _ACQUIRE_RECEIVERS):
         return f"{tail}.acquire() blocks on lock acquisition"
     if name == "lock":
         # The transaction manager's interactive acquire: backoff-waits for

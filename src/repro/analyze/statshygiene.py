@@ -29,7 +29,7 @@ garbage.  Three invariants keep the namespace sound:
   backoff, retry backoff) each charge their own
   class; timing it again here would double-count every yielded wait.
   ``Event.wait``/``queue.get`` coordination waits are out of scope by
-  documented choice: they park worker threads, not units of work.
+  documented choice: they park threads, not units of work.
 * **STAT005** — registry drift, the converse of STAT002/003/004: an entry
   in ``METRICS``/``HISTOGRAMS``/``WAITS`` that *no* source site ever
   charges or observes is a dead metric — a renamed counter whose registry

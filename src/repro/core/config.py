@@ -41,13 +41,13 @@ class EngineConfig:
             engine's event ring (``Database.slow_queries``).  0 disables a
             threshold; both zero disables slow-query capture entirely (and
             its per-query tracer).
-        serve_workers: Worker threads in the serving layer's pool — the
-            server's concurrency-token count (DB2 z/OS:
-            CTHREAD, the active-thread ceiling).
-        serve_queue_limit: Bounded admission wait queue: requests beyond
-            the active set queue here; once the queue is full further
-            requests are shed with ``ServerOverloadedError`` (DB2:
-            queued-at-create-thread).
+        serve_workers: The serving layer's concurrency-token count: at
+            most this many requests run at once, each on its client's own
+            thread (DB2 z/OS: CTHREAD, the active-thread ceiling — a count
+            of threads, not a pool).
+        serve_queue_limit: Cap on requests waiting for a token; a request
+            that finds this many waiting is shed with
+            ``ServerOverloadedError`` (DB2: queued-at-create-thread).
     """
 
     page_size: int = 4096

@@ -57,11 +57,11 @@ QUERY_CACHE_SIZE = 256
 #: deadlock or timeout victim before the last error propagates.
 TXN_RETRY_LIMIT = 5
 #: Jittered exponential backoff between victim retries, in seconds:
-#: retry ``n`` sleeps ``min(CAP, BASE * 2**n)`` scaled by a jitter factor
-#: in [0.5, 1.5).  Without it, retrying victims restart at once and
-#: contending transactions collide again in lockstep (a retry hot loop).
+#: retry ``n`` sleeps ``BASE * 2**n`` scaled by a jitter factor in
+#: [0.5, 1.5), so the last of :data:`TXN_RETRY_LIMIT` retries waits about
+#: 16 ms.  Without it, retrying victims restart at once and contending
+#: transactions collide again in lockstep (a retry hot loop).
 TXN_RETRY_BACKOFF_BASE = 0.001
-TXN_RETRY_BACKOFF_CAP = 0.05
 #: Seed of each engine's jitter RNG, so retry delays are reproducible.
 TXN_RETRY_JITTER_SEED = 0
 
@@ -525,20 +525,22 @@ class Database:
         touches, physical reads) and the evaluated candidates — DB2-style
         EXPLAIN output for the planner of §5.
 
-        A fresh tracer is installed on this database's stats registry for
-        the duration of the call (nesting with an outer tracer is fine; the
-        outer one is restored afterwards).
+        The query runs the same path :meth:`xpath` runs — planning, the
+        executor and the DocID join — under a fresh tracer installed on
+        this database's stats registry for the duration of the call, so
+        its counters equal those of a slow-query capture of the same query
+        (nesting with an outer tracer is fine; the outer one is restored
+        afterwards).
         """
-        plan = self.plan_xpath(table, column, path_text, namespaces, method)
-        store = self._store(table, column)
         tracer = Tracer(self.stats, name="explain_analyze")
         with tracer.install():
             with tracer.span("query", table=table, column=column,
-                             path=path_text,
-                             method=plan.method.value) as span:
-                matches = Executor(store, stats=self.stats).execute(plan)
-                span.set("rows", len(matches))
-        return ExplainResult(plan, matches, tracer.root)
+                             path=path_text) as span:
+                plan, rows = self._xpath(table, column, path_text,
+                                         namespaces, method)
+                span.set("method", plan.method.value)
+                span.set("rows", len(rows))
+        return ExplainResult(plan, rows, tracer.root)
 
     def serialize_result(self, table: str, column: str,
                          result: XPathResult) -> str:
@@ -589,9 +591,8 @@ class Database:
         """Jittered exponential backoff before victim retry ``retry_index``
         (see :data:`TXN_RETRY_BACKOFF_BASE`), drawn from the seeded
         per-engine RNG."""
-        delay = min(TXN_RETRY_BACKOFF_CAP,
-                    TXN_RETRY_BACKOFF_BASE * (2 ** retry_index))
-        return delay * (0.5 + self._retry_rng.random())
+        return TXN_RETRY_BACKOFF_BASE * (2 ** retry_index) * (
+            0.5 + self._retry_rng.random())
 
     def run_in_txn(self, body: Callable[["Database", object], _T],
                    isolation: IsolationLevel | None = None,
@@ -620,7 +621,7 @@ class Database:
         Every suspension any attempt hits — lock waits, buffer I/O, the
         retry backoff itself — is charged to the transaction's sink, so it
         reaches the accounting record's per-class waits (a victim's too,
-        through the carried sink) and, on a serving-layer worker, the
+        through the carried sink) and, on a served request's thread, the
         request's wait clock open around the call.
         """
         attempt = 0

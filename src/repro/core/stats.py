@@ -113,8 +113,8 @@ HISTOGRAMS: frozenset[str] = frozenset({
 #: charges *some* registered class.  The order is the rendering order of
 #: every wait breakdown: biggest architectural layers first.
 WAITS: tuple[str, ...] = (
-    # serving layer: queued behind the admission queue before a worker
-    # picked the request up
+    # serving layer: waiting for a concurrency token before the request
+    # runs
     "admission.queue",
     # engine latch: blocked acquiring ``db.latch`` before running work
     "latch.wait",
@@ -276,7 +276,7 @@ class StatsRegistry:
     and in every sink open on the *calling thread* (see :meth:`charge`).
     A transaction's accounting, a served request's wait clock (the sink
     the serving layer opens per request) and a tracer span are all such
-    sinks, so a serving-layer worker charges only the work it runs,
+    sinks, so a served request's thread charges only the work it runs,
     concurrently with the others.  This is what keeps the "per-txn deltas
     sum to global deltas" reconciliation invariant true under concurrent
     sessions.
@@ -395,8 +395,8 @@ class StatsRegistry:
         The charge is one :meth:`add` of the ``waits.<class>_us`` counter,
         so it lands in every sink open on this thread: the running
         transaction's per-txn breakdown (which is what makes wait fields
-        fold across victim retries for free) and, on a serving-layer
-        worker, the request's own sink, whose breakdown is what the
+        fold across victim retries for free) and, on a served request's
+        thread, the request's own sink, whose breakdown is what the
         request's ``serve.request`` record carries.  Zero-microsecond
         waits are dropped: a suspension that never suspended is not a
         wait, and recording it would materialize noise counters in
@@ -440,8 +440,8 @@ class StatsRegistry:
         ``run_in_txn``'s charged body) cannot double-count; sinks compare
         by identity, because two empty ``Counter`` objects are equal.
 
-        The stack is **thread-local**: each serving-layer worker charges
-        only the work it runs, so concurrent sessions cannot
+        The stack is **thread-local**: each served request's thread
+        charges only the work it runs, so concurrent sessions cannot
         cross-attribute work.
         """
         stack = self._sinks.stack

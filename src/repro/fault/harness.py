@@ -15,7 +15,7 @@ database is exactly the committed prefix with consistent indexes.
 Because every log append is durable on return and the log *halts* when a
 crash fires at one of its points, ``run`` hardens exactly what a real
 crash would have: nothing a surviving
-worker did after the crash can leak into the WAL.
+thread did after the crash can leak into the WAL.
 :func:`recovered_commit_txns` extracts the committed txn ids from a
 reloaded log so tests can assert "acknowledged ⊆ recovered ⊆
 submitted".

@@ -33,7 +33,8 @@ class ExplainResult:
     """One captured query: an EXPLAIN ANALYZE run or a slow query."""
 
     plan: AccessPlan
-    #: The query's actual result rows (EXPLAIN ANALYZE executes for real).
+    #: The query's result rows, as :meth:`Database.xpath` returns them
+    #: (EXPLAIN ANALYZE executes for real).
     #: A captured slow query keeps none, so the event ring holds no rows.
     matches: list
     #: Root of the captured span tree; its counters are the query's

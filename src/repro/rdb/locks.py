@@ -83,8 +83,8 @@ class LockManager:
 
     Four plain maps with no lock of their own: like every other engine
     structure they are read and written only under the engine latch
-    (``Database.latch``), which the serving layer's workers hold for the
-    whole of each request.
+    (``Database.latch``), which the serving layer holds for the whole of
+    each request.
     """
 
     def __init__(self, stats: StatsRegistry | None = None) -> None:

@@ -216,7 +216,7 @@ class Transaction:
         Under a serving layer the manager's ``lock_wait_yield`` hook runs
         between backoff steps with real-thread semantics: it releases the
         engine latch and sleeps briefly so the lock *holder*'s session can
-        run on another worker and release the lock.  Without a server the
+        run on its own thread and release the lock.  Without a server the
         hook is ``None`` and the loop is the original single-threaded
         simulated wait.
         """
@@ -339,8 +339,8 @@ class TransactionManager:
         self.on_checkpoint = on_checkpoint
         #: optional hook run between lock-wait backoff steps — the serving
         #: layer installs a latch-release-and-sleep here so that while one
-        #: session waits for a lock, the holder's session can run on
-        #: another worker thread and release it.  ``None`` (the default)
+        #: session waits for a lock, the holder's session can run on its
+        #: own client thread and release it.  ``None`` (the default)
         #: keeps the single-threaded simulated wait loop unchanged.
         self.lock_wait_yield: Callable[[], None] | None = None
         self._commits_since_checkpoint = 0

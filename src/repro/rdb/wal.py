@@ -134,7 +134,7 @@ class LogManager:
             raise  # a non-fatal injected failure: the log lives on
         except BaseException as crash:
             # A simulated crash: the log dies before the exception leaves
-            # the caller's latched region, so no surviving worker can
+            # the caller's latched region, so no surviving thread can
             # harden a record after it.
             self.halt(crash)
             raise
@@ -146,7 +146,7 @@ class LogManager:
     def halt(self, error: BaseException) -> None:
         """Mark the logging path dead (a simulated crash hit a log point).
 
-        Surviving worker threads that try to append afterwards re-raise
+        Surviving client threads that try to append afterwards re-raise
         ``error`` — a crashed process cannot keep hardening log records,
         and letting it would corrupt the crash matrix's notion of what
         stable storage held at the instant of death.

@@ -1,9 +1,10 @@
 """The multi-client serving layer (DB2-style thread/connection governance).
 
 ``repro.serve`` fronts a single-threaded
-:class:`~repro.core.engine.Database` with a worker thread pool, per-client
-sessions, admission control with a bounded queue that sheds overflow,
-and request deadlines — see :mod:`repro.serve.server` for the
+:class:`~repro.core.engine.Database` with per-client sessions whose
+requests run on the client's own thread, admission control by
+concurrency tokens with a capped wait that sheds overflow, and request
+deadlines — see :mod:`repro.serve.server` for the
 architecture and DESIGN.md's "Serving layer" section for the DB2 mapping.
 
 Run a load experiment from the command line::

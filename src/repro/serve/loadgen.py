@@ -489,7 +489,9 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--ops", type=int, default=5,
                         help="operations per client")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", type=int, default=8,
+                        help="concurrency tokens (serve_workers): requests "
+                             "running at once, each on its client's thread")
     parser.add_argument("--queue-limit", type=int, default=64)
     parser.add_argument("--deadline", type=float, default=5.0,
                         help="per-request deadline in seconds")

@@ -15,9 +15,10 @@ dynamic statement cache is) and whose plan is made per call, so an index
 created later is used at once.
 
 A session object is *not* itself thread-safe — it models one client
-connection, and one client issues one request at a time.  All engine work
-happens on server worker threads; the session only builds closures and
-waits on the request outcome.
+connection, and one client issues one request at a time.  Each request
+runs on the client's own thread: the session builds a closure and hands it
+to :meth:`DatabaseServer.submit`, which takes a concurrency token and runs
+it under the engine latch.
 
 Every request body fires the ``serve.request`` fault point when the engine
 carries an injector, so chaos plans (``FaultPlan.fail_at``) can kill
@@ -46,7 +47,7 @@ class Session:
         self.session_id = session_id
         self.closed = False
         #: The session's explicit transaction, if one is open.  Only
-        #: touched by worker threads while they hold the engine latch.
+        #: touched while the engine latch is held.
         self.txn: Transaction | None = None
 
     # -- auto-commit requests ----------------------------------------------
@@ -68,7 +69,7 @@ class Session:
             return db.run_in_txn(self._chaos_wrap(body),
                                  isolation=isolation, deadline=resolved)
 
-        return self._server.call(self, work, label, resolved)
+        return self._server.submit(self, work, label, resolved)
 
     def query(self, table: str, column: str, path: str,
               namespaces: dict[str, str] | None = None,
@@ -119,7 +120,7 @@ class Session:
                 isolation or IsolationLevel.READ_COMMITTED)
             return self.txn.txn_id
 
-        return self._server.call(self, work, "begin", resolved)
+        return self._server.submit(self, work, "begin", resolved)
 
     def execute(self, body: Callable[["Database", Transaction], Any],
                 deadline: "Deadline | float | None" = None,
@@ -147,7 +148,7 @@ class Session:
             finally:
                 txn.deadline = None
 
-        return self._server.call(self, work, label, resolved)
+        return self._server.submit(self, work, label, resolved)
 
     def lock(self, resource: object, mode: LockMode = LockMode.X,
              deadline: "Deadline | float | None" = None) -> None:
@@ -173,7 +174,7 @@ class Session:
                     txn.abort()
                 raise
 
-        self._server.call(self, work, "commit", resolved)
+        self._server.submit(self, work, "commit", resolved)
 
     def rollback(self, deadline: "Deadline | float | None" = None) -> None:
         """Abort the session's explicit transaction (no-op if none open)."""
@@ -186,15 +187,15 @@ class Session:
             if txn is not None:
                 txn.abort()
 
-        self._server.call(self, work, "rollback", resolved)
+        self._server.submit(self, work, "rollback", resolved)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Release the session: roll back any open transaction.
 
-        Idempotent; also callable while the server drains (rollback runs
-        engine-side during shutdown, not through the admission queue).
+        Idempotent; also callable while the server drains (the rollback
+        takes the engine latch directly, not a concurrency token).
         """
         if self.closed:
             return

@@ -61,7 +61,7 @@ def race(number: int, what: str, module: str, old: str, new: str,
 
 
 RACE_MUTANTS = (
-    race(1, "_process runs request.work without db.latch", SERVER,
+    race(1, "_process runs the work without db.latch", SERVER,
          "                with self.db.latch:\n"
          "                    # Charged inside",
          "                if True:\n"
@@ -123,12 +123,12 @@ RACE_MUTANTS = (
          "            time.sleep(0.001)\n"
          "            return self._state\n",
          "LATCH001"),
-    race(10, "shutdown joins workers under _state_lock", SERVER,
-         "        for thread in self._threads:\n"
-         "            thread.join()\n",
+    race(10, "shutdown takes the tokens under _state_lock", SERVER,
+         "        for _ in range(self.token_count):\n"
+         "            self._take_token()\n",
          "        with self._state_lock:\n"
-         "            for thread in self._threads:\n"
-         "                thread.join()\n",
+         "            for _ in range(self.token_count):\n"
+         "                self._take_token()\n",
          "LATCH001"),
     race(11, "_release_session takes db.latch inside _state_lock", SERVER,
          "                                            None) is not None\n"
@@ -284,11 +284,14 @@ ENGINE_MUTANTS = (
              "        self.stats.add(\"wal.record\")\n"
              "        self.stats.add(\"wal.bytes\", encoded_len)"),),
            (StatsHygieneChecker,), ("STAT002",)),
-    Mutant("ST2b", "_purge_queue counts serve.shed_close", SERVER,
+    Mutant("ST2b", "a token waiter failed at close counts "
+                   "serve.shed_close", SERVER,
            (("            self.stats.add(\"serve.shed_closed\")\n"
-             "            request.finish(",
+             "            raise ServerClosedError(\n"
+             "                f\"server shut down before",
              "            self.stats.add(\"serve.shed_close\")\n"
-             "            request.finish("),),
+             "            raise ServerClosedError(\n"
+             "                f\"server shut down before"),),
            (StatsHygieneChecker,), ("STAT002",)),
     Mutant("ST3", "the wal.record_bytes histogram renamed", WAL,
            (("self.stats.observe(\"wal.record_bytes\", encoded_len)",

@@ -9,6 +9,8 @@ disciplined idioms must stay quiet.
 
 import textwrap
 
+import pytest
+
 from repro.analyze.baseline import Baseline, BaselineError
 from repro.analyze.cli import main
 from repro.analyze.framework import run_checkers
@@ -327,6 +329,30 @@ class TestLatch001:
         # the callee that actually waits.
         assert len(finding.call_path) >= 3
         assert any("wait" in line for line in finding.call_path[2:])
+
+    @pytest.mark.parametrize("receiver", ["_tokens", "admission_semaphore"])
+    def test_token_acquire_under_a_lock_fires(self, tmp_path, receiver):
+        # Taking a concurrency token waits for a holder to give one back:
+        # inside a lock region it stalls every thread that needs the lock.
+        path = write(tmp_path, "mod.py", f"""\
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._state_lock = threading.Lock()
+                    self.{receiver} = threading.BoundedSemaphore(4)
+
+                def drain(self):
+                    with self._state_lock:
+                        self.{receiver}.acquire()
+            """)
+        findings = run_checkers([LatchBlockingChecker()], [path],
+                                root=tmp_path)
+        assert [f.code for f in findings] == ["LATCH001"]
+        finding = findings[0]
+        assert finding.scope == "Server.drain"
+        assert finding.line == line_of(path, f"self.{receiver}.acquire()")
+        assert f"{receiver.lower()}.acquire() blocks" in finding.message
 
     def test_engine_latch_may_flush_by_design(self, tmp_path):
         findings = run_on(tmp_path, LatchBlockingChecker(), "mod.py", """\

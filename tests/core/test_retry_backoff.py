@@ -5,8 +5,8 @@ import time
 import pytest
 
 from repro.core.deadline import Deadline
-from repro.core.engine import (TXN_RETRY_BACKOFF_BASE, TXN_RETRY_BACKOFF_CAP,
-                               TXN_RETRY_LIMIT, Database)
+from repro.core.engine import (TXN_RETRY_BACKOFF_BASE, TXN_RETRY_LIMIT,
+                               Database)
 from repro.errors import DeadlineExceededError, DeadlockError
 from repro.rdb.txn import accounting_records
 
@@ -37,9 +37,14 @@ class TestJitteredBackoff:
         assert db.run_in_txn(failing_body(TXN_RETRY_LIMIT)) == "done"
         assert len(slept) == TXN_RETRY_LIMIT
         for index, delay in enumerate(slept):
-            envelope = min(TXN_RETRY_BACKOFF_CAP,
-                           TXN_RETRY_BACKOFF_BASE * (2 ** index))
+            envelope = TXN_RETRY_BACKOFF_BASE * (2 ** index)
             assert envelope * 0.5 <= delay < envelope * 1.5
+        # The seed-0 schedule, pinned: every engine draws exactly these.
+        assert slept == pytest.approx([0.0013444218515250481,
+                                       0.002515908805880605,
+                                       0.00368228632332338,
+                                       0.006071334002343707,
+                                       0.01618039554189774], rel=1e-12)
 
     def test_same_seed_same_delays(self):
         # Every engine seeds its jitter the same way: delays reproduce.

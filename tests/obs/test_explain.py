@@ -22,9 +22,9 @@ def catalog_doc(price, discount, name):
 QUERY = "/Catalog/Categories/Product[RegPrice > 100]"
 
 
-@pytest.fixture
-def db():
-    database = Database(DEFAULT_CONFIG.with_(record_size_limit=128))
+def make_catalog(**config):
+    database = Database(DEFAULT_CONFIG.with_(record_size_limit=128,
+                                             **config))
     database.create_table("catalog", [("id", "bigint"), ("doc", "xml")])
     prices = [50, 80, 120.5, 150, 200, 95, 130]
     discounts = [0.05, 0.2, 0.15, 0.3, 0.02, 0.12, 0.25]
@@ -35,6 +35,11 @@ def db():
         "ix_price", "catalog", "doc",
         "/Catalog/Categories/Product/RegPrice", "double")
     return database
+
+
+@pytest.fixture
+def db():
+    return make_catalog()
 
 
 class TestExplainAnalyze:
@@ -111,6 +116,19 @@ class TestExplainAnalyze:
         explained = db.explain_analyze("catalog", "doc", QUERY)
         assert sorted(m.docid for m in explained.matches) == \
             sorted(r.docid for r in plain)
+
+    @pytest.mark.parametrize("method", list(AccessMethod))
+    def test_explain_and_slow_query_capture_count_the_same(self, method):
+        # One extent for a captured query: EXPLAIN ANALYZE and a slow-query
+        # capture both trace planning, the executor and the DocID join.
+        explained = make_catalog(slow_query_events=1).explain_analyze(
+            "catalog", "doc", QUERY, method=method)
+        slow_db = make_catalog(slow_query_events=1)
+        rows = slow_db.xpath("catalog", "doc", QUERY, method=method)
+        [captured] = slow_db.slow_queries
+        assert explained.counters == captured.counters
+        assert explained.row_count == captured.row_count == len(rows)
+        assert explained.span("db.docid_join") is not None
 
     def test_tracer_uninstalled_afterwards(self, db):
         db.explain_analyze("catalog", "doc", QUERY)

@@ -132,7 +132,7 @@ class TestReadingSide:
     def test_profile_shape(self):
         db = Database(EngineConfig())
         with DatabaseServer(db) as server:
-            server.call(None, lambda eng: eng.stats.charge_wait(
+            server.submit(None, lambda eng: eng.stats.charge_wait(
                 "lock.wait", 80), "c0-op0", None)
         profile = wait_profile(db.stats)
         # The served request also waited in the admission queue and on

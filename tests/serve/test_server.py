@@ -277,7 +277,7 @@ class TestServing:
         # A raw request against the stopped server is shed with the
         # typed error and counted.
         with pytest.raises(ServerClosedError):
-            server.call(None, lambda database: None, "late", None)
+            server.submit(None, lambda database: None, "late", None)
         assert db.stats.get("serve.shed_closed") == 1
         server.shutdown()  # idempotent
 
@@ -292,7 +292,7 @@ class TestServing:
             assert hist is not None and hist.count == 3
 
     def test_one_wait_observation_per_served_request(self):
-        # Two workers over an 8-page pool and documents of several pages:
+        # Two tokens over an 8-page pool and documents of several pages:
         # requests wait in the queue, on the latch and on buffer I/O.  Each
         # served request has one wait clock, so the total-wait histogram
         # holds one observation per request record that waited.
@@ -348,9 +348,9 @@ class TestThreadSafetyRegressions:
     """Pin the fixes the RACE/LATCH checkers forced on the serving layer."""
 
     def test_first_crash_wins(self):
-        # RACE fix: workers and the shutdown path race to record a crash;
-        # _note_crash is latched and first-write-wins, so shutdown always
-        # re-raises the crash that actually stopped the server.
+        # RACE fix: client threads and the shutdown path race to record a
+        # crash; _note_crash is latched and first-write-wins, so shutdown
+        # always re-raises the crash that actually stopped the server.
         db = make_db()
         server = DatabaseServer(db).start()
         server._note_crash(SimulatedCrash("first", 1))
@@ -388,10 +388,10 @@ class TestThreadSafetyRegressions:
         assert server.state == "closed"
 
     def test_close_waits_for_the_latch_before_rolling_back(self):
-        # Session close rolls back under db.latch: while a worker runs
-        # another session's engine work, the closing client must block,
-        # and the transaction it abandons must stay ACTIVE until the
-        # latch is free.
+        # Session close rolls back under db.latch: while a client thread
+        # runs another session's engine work, the closing client must
+        # block, and the transaction it abandons must stay ACTIVE until
+        # the latch is free.
         db = make_db()
         with DatabaseServer(db) as server:
             a = server.session()
@@ -405,8 +405,9 @@ class TestThreadSafetyRegressions:
                 started.set()
                 release.wait(10)
 
-            request = server.submit(server.session(), hold_latch, "hold",
-                                    None)
+            holder = threading.Thread(target=server.submit, args=(
+                server.session(), hold_latch, "hold", None))
+            holder.start()
             assert started.wait(10)
             closer = threading.Thread(target=a.close)
             closer.start()
@@ -416,7 +417,7 @@ class TestThreadSafetyRegressions:
                 assert txn.state is TxnState.ACTIVE
             finally:
                 release.set()
-                request.wait()
+                holder.join(10)
                 closer.join(10)
             assert not closer.is_alive()
             assert txn.state is TxnState.ABORTED
@@ -430,7 +431,8 @@ class TestThreadSafetyRegressions:
                    if isinstance(node, ast.ClassDef)
                    and node.name == "DatabaseServer")
         assert guarded_by(cls)[1] == {
-            "_state_lock": ("_state", "_sessions", "_crashed")}
+            "_state_lock": ("_state", "_sessions", "_crashed", "_free",
+                            "_waiting")}
         assert run_checkers([SharedStateRaceChecker()], [SERVER_PY],
                             root=SERVER_PY.parents[2]) == []
 
