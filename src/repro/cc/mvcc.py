@@ -11,13 +11,13 @@ guarantee a reader's deferred access to be successful."
 The versioned NodeID index keys are ``DocID(8) || ~ver(4) || NodeID`` — the
 complemented version makes newer versions sort first, exactly the paper's
 descending arrangement.  A snapshot reader resolves its visible version once,
-then probes within that version's contiguous key range; old versions are
-garbage-collected beyond a retention bound.
+then reads or probes within that version's contiguous key range; old
+versions are garbage-collected beyond a retention bound.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import DocumentNotFoundError
 from repro.rdb.btree import BTree
@@ -56,6 +56,13 @@ class _SnapshotNodeIndex:
 
     def probe(self, docid: int, node_id: bytes) -> Rid | None:
         return self._store._probe_version(docid, self._version, node_id)
+
+    def entries_for_document(self, docid: int) -> Iterator[tuple[bytes, Rid]]:
+        """The visible version's (upper endpoint, RID) entries: one range
+        read over its ``(DocID, ver#)`` prefix."""
+        prefix = version_key(docid, self._version, b"")
+        for key, rid_bytes in self._store.index.scan_prefix(prefix):
+            yield key[len(prefix):], Rid.from_bytes(rid_bytes)
 
 
 class _SnapshotView:

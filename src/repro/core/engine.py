@@ -441,7 +441,8 @@ class Database:
         """Evaluate an XPath query over one XML column.
 
         Returns one result per matched node, joined back to the base row
-        through the DocID index (Fig. 2).
+        through the DocID index (Fig. 2): one DocID search and one row fetch
+        per matched document, shared by its results.
 
         With any ``EngineConfig.slow_query_*`` threshold set, the query
         runs under a private tracer and its counter deltas are checked on
@@ -491,7 +492,12 @@ class Database:
 
     def execute_plan(self, table: str, column: str,
                      plan: AccessPlan) -> list[XPathResult]:
-        """Execute a :class:`AccessPlan` built by :meth:`plan_xpath`.
+        """Execute a :class:`AccessPlan` built by :meth:`plan_xpath` and
+        join its matches to their base rows.
+
+        Every access method hands its matches over in DocID order, so the
+        join searches the DocID index and fetches the row once per
+        document: a match of the previous match's document reuses them.
 
         A plan reflects the indexes that existed when it was planned, so
         a caller that keeps one across DDL must plan again.
@@ -502,14 +508,19 @@ class Database:
             docid_index = self.docid_indexes[table]
             base_table = self.tables[table]
             out = []
+            docid: int | None = None
+            base: tuple[Rid, tuple] | None = None
             for match in matches:
-                rid_bytes = docid_index.search_one(
-                    match.docid.to_bytes(8, "big"))
-                if rid_bytes is None:  # pragma: no cover - index skew
+                if match.docid != docid:
+                    docid, base = match.docid, None
+                    rid_bytes = docid_index.search_one(
+                        docid.to_bytes(8, "big"))
+                    if rid_bytes is not None:
+                        base_rid = Rid.from_bytes(rid_bytes)
+                        base = base_rid, base_table.fetch(base_rid)
+                if base is None:  # pragma: no cover - index skew
                     continue
-                base_rid = Rid.from_bytes(rid_bytes)
-                out.append(XPathResult(match.docid, base_rid,
-                                       base_table.fetch(base_rid), match))
+                out.append(XPathResult(match.docid, *base, match))
             if join_span is not None:
                 join_span.set("rows", len(out))
         return out

@@ -91,7 +91,9 @@ def verify_value_indexes(db) -> None:
 
     Rebuilds each index from its store's records and compares the complete
     sorted entry lists; raises ``AssertionError`` on any divergence.  Also
-    checks every DocID index covers exactly the stored documents, and runs
+    checks every DocID index covers exactly the stored documents, and every
+    NodeID index lists exactly its store's documents (the list a full scan
+    reads), and runs
     the structural checks first: :meth:`SlottedPage.validate` over every
     data page of every XML store and relational table, and
     :meth:`BTree.verify` over every value, DocID and NodeID index.  A
@@ -107,6 +109,9 @@ def verify_value_indexes(db) -> None:
                 SlottedPage(data).validate()
     for store in db.xml_stores.values():
         store.node_index.tree.verify()
+        indexed = [docid for docid, _ in store.node_index.documents()]
+        assert indexed == store.docids(), \
+            f"NodeID index of {store.name!r} does not list its documents"
     for name, index in db.value_indexes.items():
         index.tree.verify()
         ix_def = db.catalog.index(name)

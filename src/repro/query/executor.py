@@ -66,10 +66,9 @@ class Executor:
         with self.stats.trace("exec.full_scan") as span:
             out: list[QueryMatch] = []
             docs = 0
-            for docid in self.store.docids():
+            for docid, source in self.store.scan_documents():
                 docs += 1
                 self.stats.add("exec.docs_evaluated")
-                source = self.store.document(docid).source()
                 for item in scan.run(source, plan.query.binds):
                     out.append(QueryMatch(docid, item))
             if span is not None:

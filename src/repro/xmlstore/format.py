@@ -144,7 +144,8 @@ def encode_proxy(first_abs_id: bytes) -> bytes:
     """Encode a proxy for a packed-out record.
 
     The proxy stores the *absolute* node ID of the first node in the packed
-    record; traversal probes the NodeID index with (DocID, this id) (§3.4).
+    record; traversal finds the record's NodeID-index entry as the first at
+    or after (DocID, this id) (§3.4).
     """
     out = bytearray([EntryKind.PROXY])
     codec.write_bytes(out, first_abs_id)

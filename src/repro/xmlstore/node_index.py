@@ -8,7 +8,13 @@ on the record containing that node — "the successful search ... is attributed
 to the arrangement for the NodeID index keys by using the upper end points".
 
 Keys are ``8-byte big-endian DocID || node-ID bytes`` so byte order equals
-(DocID, document order).
+(DocID, document order).  A reader of a whole document therefore needs no
+probe: the document's entries are one contiguous key range
+(:meth:`NodeIdIndex.entries_for_document`), and a full scan reads the whole
+index once, grouped by DocID (:meth:`NodeIdIndex.documents`) — ZML's
+"read the (DocID, NodeID) range once".  The record driver resolves the
+document's proxies from that range
+(:meth:`~repro.xmlstore.traversal.RecordScan.of_document`).
 """
 
 from __future__ import annotations
@@ -77,10 +83,25 @@ class NodeIdIndex:
         return Rid.from_bytes(rid_bytes)
 
     def entries_for_document(self, docid: int) -> Iterator[tuple[bytes, Rid]]:
-        """All (upper-endpoint NodeID, RID) entries of one document."""
-        prefix = docid.to_bytes(_DOCID_WIDTH, "big")
-        for key, rid_bytes in self.tree.scan_prefix(prefix):
+        """All (upper-endpoint NodeID, RID) entries of one document, in key
+        order: one range read, no point probe."""
+        for key, rid_bytes in self.tree.scan(
+                docid.to_bytes(_DOCID_WIDTH, "big"),
+                (docid + 1).to_bytes(_DOCID_WIDTH, "big")):
             yield key[_DOCID_WIDTH:], Rid.from_bytes(rid_bytes)
+
+    def documents(self) -> Iterator[tuple[int, list[tuple[bytes, Rid]]]]:
+        """Every indexed document's entries, as :meth:`entries_for_document`
+        gives them, in DocID order, from one read of the whole index."""
+        prefix, entries = None, []
+        for key, rid_bytes in self.tree.scan():
+            if key[:_DOCID_WIDTH] != prefix:
+                if entries:
+                    yield int.from_bytes(prefix, "big"), entries
+                prefix, entries = key[:_DOCID_WIDTH], []
+            entries.append((key[_DOCID_WIDTH:], Rid.from_bytes(rid_bytes)))
+        if entries:
+            yield int.from_bytes(prefix, "big"), entries
 
     def record_rids(self, docid: int) -> list[Rid]:
         """Distinct RIDs of a document's records, in clustering order."""

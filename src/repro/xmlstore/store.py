@@ -27,7 +27,7 @@ generation "fits existing infrastructure very well".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.core.stats import StatsRegistry
 from repro.errors import DocumentNotFoundError, PageFullError
@@ -40,7 +40,7 @@ from repro.xdm.parser import XmlParser
 from repro.xmlstore import format as fmt
 from repro.xmlstore.node_index import NodeIdIndex
 from repro.xmlstore.packing import PackedRecord, TreePacker
-from repro.xmlstore.traversal import StoredDocument
+from repro.xmlstore.traversal import RecordScan, StoredDocument
 
 
 class RecordObserver(Protocol):
@@ -171,6 +171,14 @@ class XmlStore:
     def document(self, docid: int) -> StoredDocument:
         """Read-side handle on a stored document."""
         return StoredDocument(self, docid)
+
+    def scan_documents(self) -> Iterator[tuple[int, RecordScan]]:
+        """Every stored document as the record driver's source, in DocID
+        order: one read of the NodeID index, grouped by DocID, and no
+        probe (a full scan's input)."""
+        for docid, entries in self.node_index.documents():
+            yield docid, RecordScan.of_document(self.names, docid, entries,
+                                                self.read_record)
 
     def document_exists(self, docid: int) -> bool:
         return self.node_index.probe(docid, b"") is not None

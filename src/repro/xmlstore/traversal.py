@@ -8,10 +8,15 @@ a proxy node is encountered, its node ID is used to search the NodeID index
 
 That algorithm runs here once, in :meth:`RecordScan.drive`: an explicit
 stack (no recursion) over record spans, with proxies resolved through a
-callback (the NodeID index, for :class:`StoredDocument`) or skipped when there
-is none — the per-record evaluation index key generation runs (§3.2-§3.3),
-whose ancestors are replayed from the record header.  The driver calls a
-*run*'s handlers, one per node, and what a run does with them is its own:
+callback or skipped when there is none — the per-record evaluation index key
+generation runs (§3.2-§3.3), whose ancestors are replayed from the record
+header.  A whole document's callback (:meth:`RecordScan.of_document`) probes
+nothing: the document's NodeID-index entries are read once, as one key range,
+and the root record is the first of them and a proxy's record the first at or
+after its node ID.  A subtree source resolves a proxy by a NodeID-index probe,
+as reading a large document's whole range for one anchor would cost more.
+The driver calls a *run*'s handlers, one per node, and what a run does with
+them is its own:
 
 * QuickXScan's :class:`repro.xpath.quickxscan.ScanRun` matches with no
   generator or event object per node, and steps over every subtree the
@@ -27,6 +32,8 @@ Element entries carry their subtree length, so locating a node by ID
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import DocumentNotFoundError, PackingError
@@ -50,6 +57,7 @@ _ELEM_START = EventKind.ELEM_START
 _ELEM_END = EventKind.ELEM_END
 _TEXT_EVENT = EventKind.TEXT
 _ATTR_EVENT = EventKind.ATTR
+_ENDPOINT = itemgetter(0)
 
 
 class RecordScan(NamedTuple):
@@ -85,6 +93,29 @@ class RecordScan(NamedTuple):
                            if (uri := names.uri(uri_id)))
         return cls(names, record, body_start, len(record), header.context_id,
                    ancestors=header.context_path, namespaces=namespaces)
+
+    @classmethod
+    def of_document(cls, names: NameTable, docid: int,
+                    entries: Sequence[tuple[bytes, "Rid"]],
+                    read: Callable[["Rid"], bytes]) -> "RecordScan":
+        """A whole document from its NodeID-index ``entries`` (upper
+        endpoint, RID), in key order and not empty: the first entry's record
+        is the root record — the probe for the root's empty node ID lands on
+        it — and a proxy resolves to the first entry at or after its node
+        ID, the probe's ``seek >=`` kept inside the document.  ``read``
+        fetches a record."""
+
+        def resolve(abs_id: bytes) -> bytes:
+            at = bisect_left(entries, abs_id, key=_ENDPOINT)
+            if at == len(entries):
+                raise PackingError(f"dangling proxy {nodeid.format_id(abs_id)}"
+                                   f" in DocID {docid}")
+            return read(entries[at][1])
+
+        record = read(entries[0][1])
+        header, body_start = fmt.decode_header(record)
+        return cls(names, record, body_start, len(record), header.context_id,
+                   resolve, nodeid.ROOT_ID)
 
     def drive(self, run) -> None:
         by_id = run.name_ids(self.names)
@@ -259,16 +290,22 @@ class StoredDocument:
     def source(self, node_id: bytes | None = None) -> RecordScan:
         """The whole document, or the subtree at ``node_id`` under its
         replayed ancestors (what a NodeID-list plan re-evaluates, §3.1), as
-        the record driver's source; the probe or descent is made now."""
-        names, resolve = self.store.names, self._resolve_proxy
+        the record driver's source.  The whole document's NodeID-index
+        entries are read now, as one range (:meth:`RecordScan.of_document`);
+        a subtree's descent is made now and its proxies probe the index."""
+        names = self.store.names
         if node_id is None:
-            record = self._read(nodeid.ROOT_ID)
-            header, body_start = fmt.decode_header(record)
-            return RecordScan(names, record, body_start, len(record),
-                              header.context_id, resolve, nodeid.ROOT_ID)
+            entries = list(
+                self.store.node_index.entries_for_document(self.docid))
+            if not entries:
+                raise DocumentNotFoundError(
+                    f"node {nodeid.format_id(nodeid.ROOT_ID)} not found in "
+                    f"DocID {self.docid}")
+            return RecordScan.of_document(names, self.docid, entries,
+                                          self.store.read_record)
         record, pos, entry, parent, ancestors, _ = self._descend(node_id)
-        return RecordScan(names, record, pos, entry.next_pos, parent, resolve,
-                          ancestors=ancestors)
+        return RecordScan(names, record, pos, entry.next_pos, parent,
+                          self._resolve_proxy, ancestors=ancestors)
 
     def events(self) -> Iterator[SaxEvent]:
         """Document-order virtual SAX events for the whole document."""

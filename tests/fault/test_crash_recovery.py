@@ -15,6 +15,7 @@ from repro.errors import RecoveryError, StorageError
 from repro.fault import (CrashHarness, FaultPlan, database_digest,
                          verify_value_indexes)
 from repro.rdb.wal import LogManager, LogOp
+from repro.xmlstore.node_index import index_key
 
 CONFIG = EngineConfig(page_size=1024, buffer_pool_pages=64)
 
@@ -105,6 +106,21 @@ class TestCrashPointMatrix:
         with recovered.pool.page(space.page_ids[0], write=True) as data:
             data[4] ^= 0x01  # live_bytes, the tally's first field
         with pytest.raises(StorageError, match="tally"):
+            verify_value_indexes(recovered)
+
+    def test_lost_root_entry_fails_the_document_list_check(self, tmp_path):
+        """A document whose root entry is gone from the NodeID index would
+        drop out of every full scan: the gate compares the index's
+        documents with the store's."""
+        harness = CrashHarness(str(tmp_path), config=CONFIG)
+        harness.run(workload, plan=[FaultPlan.crash_at("wal.commit.post", 3)])
+        recovered = harness.restart()
+        verify_value_indexes(recovered)
+        store = recovered.xml_stores[("t", "doc")]
+        docid = store.docids()[1]
+        (root, rid), = store.node_index.entries_for_document(docid)
+        store.node_index.tree.delete(index_key(docid, root), rid.to_bytes())
+        with pytest.raises(AssertionError, match="NodeID index"):
             verify_value_indexes(recovered)
 
     def test_no_crash_when_plan_unused(self, tmp_path):

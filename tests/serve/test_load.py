@@ -1,8 +1,12 @@
 """Load-harness tests: the 100-client invariant run and induced overload."""
 
+import threading
+import time
+
+from repro.core.events import EventTrace
 from repro.rdb.wal import LogManager
-from repro.serve.loadgen import (LoadHarness, build_database, run_load,
-                                 serving_config)
+from repro.serve.loadgen import (LoadHarness, build_database, load_ring_size,
+                                 run_load, serving_config)
 from repro.serve.server import DatabaseServer
 
 
@@ -24,11 +28,43 @@ class TestLoadHarness:
         assert report.counters["serve.requests"] >= 300
 
     def test_overload_sheds_and_still_verifies(self):
-        """A starved server (1 worker, tiny queue) sheds most of the load
-        with ServerOverloadedError but never loses or duplicates a commit
-        and still drains cleanly."""
-        report = run_load(clients=40, ops_per_client=3, seed=5,
-                          workers=1, queue_limit=2, deadline=30.0)
+        """A starved server (1 token, tiny queue) sheds load with
+        ServerOverloadedError but never loses or duplicates a commit and
+        still drains cleanly.  One request parks on the only token until
+        a client is shed, so the shedding does not rest on how the client
+        threads happen to overlap."""
+        config = serving_config(serve_workers=1, serve_queue_limit=2)
+        db, hot_ids = build_database(
+            config, trace=EventTrace(load_ring_size(40, 3)))
+        server = DatabaseServer(db).start()
+        started, release = threading.Event(), threading.Event()
+
+        def park(_db):
+            started.set()
+            release.wait(timeout=30)
+
+        def release_after_a_shed():
+            deadline = time.monotonic() + 30
+            while server.stats.get("serve.shed_queue_full") == 0 and \
+                    time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+
+        parked = threading.Thread(target=server.submit,
+                                  args=(None, park, "park", None))
+        parked.start()
+        assert started.wait(timeout=30)
+        watcher = threading.Thread(target=release_after_a_shed)
+        watcher.start()
+        try:
+            report = LoadHarness(db, server, hot_ids).run(
+                clients=40, ops_per_client=3, seed=5, deadline=30.0)
+        finally:
+            release.set()
+            watcher.join(timeout=30)
+            parked.join(timeout=30)
+            db.close()
+        assert not watcher.is_alive() and not parked.is_alive()
         assert report.shed > 0
         assert report.counters.get("serve.shed_queue_full", 0) > 0
         assert report.verified, report.verify_errors

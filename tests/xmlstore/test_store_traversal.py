@@ -1,14 +1,17 @@
 """Tests for XmlStore insertion, the NodeID index, and stored traversal."""
 
+from collections import Counter
+
 import pytest
 
-from repro.errors import DocumentNotFoundError
+from repro.errors import DocumentNotFoundError, PackingError
 from repro.xdm import nodeid
 from repro.xdm.events import EventKind, build_tree
 from repro.xdm.nodes import node_count
 from repro.xdm.parser import parse
 from repro.xdm.serializer import serialize
 from repro.xmlstore.node_index import NodeIdIndex, index_key, split_key
+from repro.xmlstore.traversal import EventSink
 
 
 class TestNodeIdIndexKeys:
@@ -143,6 +146,51 @@ class TestPointAccess:
         item = next(e.node_id for e in doc.events()
                     if e.kind is EventKind.ELEM_START and e.local == "item")
         assert doc.in_scope_namespaces(item).get("p") == "urn:b"
+
+
+class TestWholeDocumentRead:
+    """A whole document is one NodeID-index range read: the root record is
+    its first entry and every proxy resolves within the range."""
+
+    def test_reads_each_record_once_and_probes_nothing(self, store, stats,
+                                                       catalog_xml):
+        store.insert_document_text(1, catalog_xml)
+        store.insert_document_text(2, "<a>other</a>")
+        records = len(store.node_index.record_rids(1))
+        assert records > 2
+        with stats.charge(delta := Counter()):
+            text = store.document(1).serialize()
+        assert text == catalog_xml
+        assert delta["ts.records_read"] == records
+        assert delta["btree.searches"] == 0
+
+    def test_scan_documents_equals_per_document_reads(self, store,
+                                                      catalog_xml):
+        for docid in (1, 3, 4, 9):
+            store.insert_document_text(
+                docid, catalog_xml.replace("Widget", f"W{docid}"))
+        store.delete_document(4)
+        scanned = []
+        for docid, source in store.scan_documents():
+            events: list = []
+            source.drive(EventSink(events.append))
+            scanned.append((docid, events))
+        assert scanned == [(docid, list(store.document(docid).events())[1:-1])
+                           for docid in (1, 3, 9)]
+
+    def test_dangling_proxy_raises(self, store):
+        """Entries lost from the last proxied record on: its proxy runs
+        off the end of the document's range, as a probe would."""
+        store.insert_document_text(
+            1, "<a>" + "<c>many words of text</c>" * 4
+            + "<d>a long run of text that fills a record</d></a>")
+        entries = list(store.node_index.entries_for_document(1))
+        root = entries[0][1]
+        last = max(at for at, (_, rid) in enumerate(entries) if rid != root)
+        for high, rid in entries[last:]:
+            store.node_index.tree.delete(index_key(1, high), rid.to_bytes())
+        with pytest.raises(PackingError, match="dangling proxy"):
+            store.document(1).serialize()
 
 
 class TestDelete:
