@@ -10,6 +10,7 @@ the deterministic scheduler and compares wait steps and makespan.
 
 from conftest import fresh_names, fresh_pool, print_table
 
+from repro.cc.document import doc_resource
 from repro.cc.mvcc import VersionedXmlStore
 from repro.cc.scheduler import Do, Lock, Scheduler
 from repro.core.stats import StatsRegistry
@@ -27,13 +28,13 @@ def locking_workload():
     reads_done = []
 
     def reader(txn_id):
-        yield Lock(("doc", "doc", 1), LockMode.S)
+        yield Lock(doc_resource("doc", 1), LockMode.S)
         yield Do(lambda: reads_done.append(txn_id))
         yield Do(lambda: None)  # read work
 
     def writer(txn_id):
         for _ in range(N_WRITES):
-            yield Lock(("doc", "doc", 1), LockMode.X)
+            yield Lock(doc_resource("doc", 1), LockMode.X)
             yield Do(lambda: None)  # update work
         # locks held to commit (strict 2PL)
 

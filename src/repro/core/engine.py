@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -41,7 +41,8 @@ from repro.rdb.catalog import Catalog, ColumnDef, IndexDef, TableDef
 from repro.rdb.storage import Disk
 from repro.rdb.table import Table
 from repro.rdb.tablespace import Rid
-from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
+from repro.rdb.txn import (IsolationLevel, Transaction, TransactionManager,
+                           TxnState)
 from repro.rdb.values import SqlType, coerce, decode_row, encode_row
 from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
 from repro.xmlstore.store import PreparedDocument, XmlStore
@@ -347,7 +348,7 @@ class Database:
         store = self._store(table, column)
         indexes = [
             self.value_indexes[ix.name]
-            for ix in self.catalog.indexes_on(table, kind="xpath")
+            for ix in self.catalog.indexes_on(table)
             if ix.spec.get("column") == column
         ]
         return Planner(store, indexes)
@@ -613,8 +614,9 @@ class Database:
         Commits on success and returns ``body``'s result.  On any engine
         error the transaction is aborted (undoing its changes); if the
         error was a deadlock or lock timeout the transaction is retried
-        from scratch, up to :data:`TXN_RETRY_LIMIT` times, before the last
-        error propagates.
+        from scratch as its successor
+        (:meth:`~repro.rdb.txn.TransactionManager.restart`), up to
+        :data:`TXN_RETRY_LIMIT` times, before the last error propagates.
 
         Victim retries back off with seeded jitter (see
         :data:`TXN_RETRY_BACKOFF_BASE`) instead of restarting
@@ -632,28 +634,25 @@ class Database:
         Every suspension any attempt hits — lock waits, buffer I/O, the
         retry backoff itself — is charged to the transaction's sink, so it
         reaches the accounting record's per-class waits (a victim's too,
-        through the carried sink) and, on a served request's thread, the
+        folded into its successor) and, on a served request's thread, the
         request's wait clock open around the call.
         """
         attempt = 0
-        carry: Counter | None = None
-        victims: list[int] = []
+        txn: Transaction | None = None
         while True:
             if deadline is not None and deadline.expired():
                 self.stats.add("txn.deadline_exceeded")
                 raise DeadlineExceededError(
                     f"deadline expired before transaction attempt "
                     f"{attempt} could begin")
-            txn = self.txns.begin(isolation or IsolationLevel.READ_COMMITTED)
+            if txn is None:
+                txn = self.txns.begin(
+                    isolation or IsolationLevel.READ_COMMITTED)
+            else:
+                # The victim's work, its retry and its txn id fold into
+                # this attempt's accounting record.
+                txn = self.txns.restart(txn)
             txn.deadline = deadline
-            if carry is not None:
-                # Fold the aborted victim attempts into this attempt's
-                # accounting: their charged work, the retry count and their
-                # txn ids all land on the one record the final attempt
-                # emits (a retried transaction is one unit of work).
-                txn.acct.update(carry)
-                txn.retries = attempt
-                txn.victim_attempts = tuple(victims)
             with self.stats.trace("db.txn", txn_id=txn.txn_id,
                                   attempt=attempt) as span:
                 try:
@@ -673,20 +672,15 @@ class Database:
                     delay = self._retry_backoff_delay(attempt - 1)
                     if deadline is not None:
                         delay = deadline.clamp(delay)
-                    victims.append(txn.txn_id)
-                    # Charged to the aborted attempt's sink (its acct is
-                    # carried below), so the retry, its backoff and the
-                    # txn.retry_backoff wait survive into the final
-                    # attempt's record like every other victim cost.
-                    with txn.charging():
-                        self.stats.add("txn.retries")
-                        if delay > 0:
+                    if delay > 0:
+                        # Charged to the aborted attempt, whose accounting
+                        # the next attempt carries.
+                        with txn.charging():
                             self.stats.add("txn.retry_backoff_us",
                                            int(delay * 1_000_000))
                             sleep = self.backoff_sleep or time.sleep
                             with self.stats.wait_timer("txn.retry_backoff"):
                                 sleep(delay)
-                    carry = Counter(txn.acct)
                     continue
                 except BaseException:
                     if txn.state is TxnState.ACTIVE:
@@ -762,7 +756,7 @@ class Database:
             index = XPathValueIndex(definition, self.pool, self.catalog.names)
             index.attach(store)
             self.value_indexes[name] = index
-            self.catalog.add_index(IndexDef(name, table, "xpath", {
+            self.catalog.add_index(IndexDef(name, table, {
                 "column": column, **definition.spec()}))
         elif kind == "register_schema":
             from repro.xschema.compiler import compile_schema

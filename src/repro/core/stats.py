@@ -44,7 +44,7 @@ METRICS: frozenset[str] = frozenset({
     "lock.prefix_tests",
     # transactions
     "txn.begun", "txn.aborts", "txn.retries", "txn.deadlocks",
-    "txn.deadlock_aborts", "txn.timeout_aborts", "txn.lock_timeouts",
+    "txn.deadlock_aborts", "txn.lock_timeouts",
     "txn.retry_backoff_us", "txn.deadline_exceeded",
     # fault injection
     "fault.injected", "fault.crashes",

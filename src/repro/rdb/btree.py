@@ -456,11 +456,13 @@ class BTree:
                 self.stats.add("btree.entries_scanned", uncharged)
 
     def scan_prefix(self, prefix: bytes) -> Iterator[Entry]:
-        """All entries whose key starts with ``prefix``, in order."""
-        for key, value in self.scan(low=prefix):
-            if not key.startswith(prefix):
-                return
-            yield key, value
+        """All entries whose key starts with ``prefix``, in order: one
+        range scan bounded above by the prefix's successor, so no entry
+        past the prefix is decoded or charged."""
+        high = prefix.rstrip(b"\xff")
+        if high:
+            high = high[:-1] + bytes((high[-1] + 1,))
+        yield from self.scan(low=prefix, high=high or None)
 
     def height(self) -> int:
         """Levels from root to leaf (1 for a single-leaf tree)."""

@@ -21,8 +21,6 @@ class ColumnDef:
 
     name: str
     sql_type: SqlType
-    #: For XML columns: name of the registered schema to validate against.
-    schema_name: str | None = None
 
 
 @dataclass
@@ -64,18 +62,12 @@ class TableDef:
 
 @dataclass
 class IndexDef:
-    """A generic index definition.
-
-    ``kind`` distinguishes relational column indexes (``"column"``) from
-    XPath value indexes (``"xpath"``); ``spec`` carries kind-specific fields
-    (column name, or XPath pattern + key type).
-    """
+    """An XPath value index definition: ``spec`` carries its XML column,
+    XPath pattern and key type."""
 
     name: str
     table: str
-    kind: str
     spec: dict[str, str] = field(default_factory=dict)
-    unique: bool = False
 
 
 class Catalog:
@@ -132,11 +124,8 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown index {name!r}") from None
 
-    def indexes_on(self, table: str, kind: str | None = None) -> list[IndexDef]:
-        return [
-            ix for ix in self._indexes.values()
-            if ix.table == table and (kind is None or ix.kind == kind)
-        ]
+    def indexes_on(self, table: str) -> list[IndexDef]:
+        return [ix for ix in self._indexes.values() if ix.table == table]
 
     # -- registered schemas --------------------------------------------------------
 

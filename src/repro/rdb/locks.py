@@ -2,9 +2,11 @@
 
 The relational lock manager of Fig. 1, "enhanced to support ... concurrency
 of XML operations" (§2).  It is deliberately *non-blocking*: ``try_acquire``
-either grants or reports a conflict, and the deterministic scheduler in
-``repro.cc.scheduler`` retries blocked transactions, which keeps concurrency
-experiments reproducible.  A waits-for graph detects deadlocks.
+either grants or reports a conflict.  A blocked transaction asks again
+later: the deterministic scheduler in ``repro.cc.scheduler`` re-issues its
+program's request on a later step, which keeps concurrency experiments
+reproducible, and ``Transaction.lock`` retries under a bounded backoff.  A
+waits-for graph detects deadlocks.
 
 Resources are arbitrary hashable keys: class-tagged tuples such as
 ``("table", name)``, ``("row", table, rid)`` and ``("doc", column, docid)``

@@ -49,9 +49,12 @@ class TxnState(enum.Enum):
 class IsolationLevel(enum.Enum):
     """SQL isolation levels, "naturally extended to cover XML columns" (§5.1).
 
-    READ_COMMITTED releases read locks eagerly; REPEATABLE_READ holds them to
-    commit; UNCOMMITTED_READ takes no read locks at all (and is the case that
-    *requires* DocID locking for direct index access, §5.1).
+    Today a level is an accounting label only: it is carried on the
+    transaction and its accounting record, and no lock is taken or released
+    differently because of it.  (In the paper READ_COMMITTED releases read
+    locks eagerly, REPEATABLE_READ holds them to commit, and
+    UNCOMMITTED_READ takes none, the case that *requires* DocID locking for
+    direct index access.)
     """
 
     UNCOMMITTED_READ = "ur"
@@ -65,9 +68,9 @@ class AccountingRecord:
 
     ``counters`` holds the :class:`~repro.core.stats.StatsRegistry` deltas
     charged to the transaction — including work folded in from earlier
-    victim attempts when ``run_in_txn`` (or the deterministic scheduler)
-    retried it; those attempts' txn ids are listed in ``victim_attempts``
-    and counted by ``retries``.
+    victim attempts when ``run_in_txn`` or the deterministic scheduler
+    restarted it (:meth:`TransactionManager.restart`); those attempts' txn
+    ids are listed in ``victim_attempts`` and counted by ``retries``.
     """
 
     txn_id: int
@@ -136,22 +139,6 @@ class AccountingRecord:
         }
 
 
-def emit_accounting(stats: StatsRegistry, txn_id: int, isolation: str,
-                    outcome: str, retries: int,
-                    victim_attempts: tuple[int, ...],
-                    counters: dict[str, int]) -> None:
-    """Record one finished unit of work in the event ring.
-
-    The fields are :class:`AccountingRecord`'s, so :func:`accounting_records`
-    rebuilds the record from the event without a second copy being kept.
-    """
-    stats.add("obs.accounting_records")
-    stats.events.emit(
-        "txn.accounting", txn_id=txn_id, isolation=isolation,
-        outcome=outcome, retries=retries, victim_attempts=victim_attempts,
-        counters=counters)
-
-
 def accounting_records(stats: StatsRegistry) -> list[AccountingRecord]:
     """The accounting records retained in ``stats``'s event ring, oldest
     first.  ``obs.accounting_records`` counts every one ever emitted."""
@@ -178,8 +165,8 @@ class Transaction:
         self._undo: list[Callable[[], None]] = []
         #: Accounting sink: counter deltas charged to this transaction.
         self.acct: Counter[str] = Counter()
-        #: Victim attempts folded into this transaction by the retry
-        #: machinery (``Database.run_in_txn``).
+        #: Victim attempts folded into this transaction by
+        #: :meth:`TransactionManager.restart`.
         self.retries = 0
         self.victim_attempts: tuple[int, ...] = ()
         #: Request deadline (serving layer): checked between lock-wait
@@ -293,8 +280,9 @@ class Transaction:
         self._manager._finish(self)
 
     def abort(self, account: bool = True) -> None:
-        """Roll back.  ``account=False`` records no accounting event: the
-        retry machinery folds this attempt into the next one's record."""
+        """Roll back.  ``account=False`` records no accounting event: a
+        victim about to be restarted folds into its successor's record
+        (:meth:`TransactionManager.restart`)."""
         self._check_active()
         with self.charging():
             for action in reversed(self._undo):
@@ -383,6 +371,23 @@ class TransactionManager:
         self.log.checkpoint()
         self._commits_since_checkpoint = 0
 
+    def restart(self, victim: Transaction) -> Transaction:
+        """Begin the successor of ``victim``, an aborted deadlock or lock
+        timeout victim, with the victim's isolation.
+
+        The retry is charged to the victim, and the victim's accounting
+        folds into the successor: its charged counters, the retry count
+        and its txn id all land on the one record the final attempt
+        emits (a retried transaction is one unit of work).
+        """
+        with victim.charging():
+            self.stats.add("txn.retries")
+        txn = self.begin(victim.isolation)
+        txn.acct.update(victim.acct)
+        txn.retries = victim.retries + 1
+        txn.victim_attempts = victim.victim_attempts + (victim.txn_id,)
+        return txn
+
     def adopt(self, log: LogManager) -> None:
         """Continue ``log``, a recovered engine's history.  Later txn ids
         are past every id in it, so a new COMMIT never claims the records
@@ -397,12 +402,19 @@ class TransactionManager:
         self.active.pop(txn.txn_id, None)
         if account:
             # The IFCID 3 analogue: one accounting record per finished
-            # unit of work.
-            emit_accounting(
-                self.stats, txn.txn_id, txn.isolation.value,
-                "committed" if txn.state is TxnState.COMMITTED
+            # unit of work.  The event carries AccountingRecord's fields,
+            # so accounting_records() rebuilds the record from it.  The
+            # counters are copied first: a commit inside the transaction's
+            # own charge would otherwise put the meta counter below in it.
+            counters = dict(txn.acct)
+            self.stats.add("obs.accounting_records")
+            self.stats.events.emit(
+                "txn.accounting", txn_id=txn.txn_id,
+                isolation=txn.isolation.value,
+                outcome="committed" if txn.state is TxnState.COMMITTED
                 else "aborted",
-                txn.retries, txn.victim_attempts, dict(txn.acct))
+                retries=txn.retries, victim_attempts=txn.victim_attempts,
+                counters=counters)
         if txn.state is TxnState.COMMITTED and txn.logged and \
                 self.checkpoint_every > 0:
             self._commits_since_checkpoint += 1

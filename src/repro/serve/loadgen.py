@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from repro.cc.document import doc_resource
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import Database
 from repro.core.events import EventTrace
@@ -293,7 +294,7 @@ class LoadHarness:
         docid = rng.choice(self.hot_ids)
         session.begin(deadline=deadline)
         try:
-            session.lock(("doc", TABLE, docid), LockMode.X,
+            session.lock(doc_resource(TABLE, docid), LockMode.X,
                          deadline=deadline)
             session.commit(deadline=deadline)
         except ReproError:

@@ -13,6 +13,7 @@ from repro.rdb.buffer import BufferPool
 from repro.rdb.locks import LockManager, LockMode
 from repro.rdb.storage import Disk
 from repro.rdb.tablespace import Rid
+from repro.rdb.txn import accounting_records
 from repro.xdm.names import NameTable
 from repro.xdm.serializer import serialize
 
@@ -96,29 +97,10 @@ class TestScheduler:
         assert result.restarts == 1
         assert stats.get("txn.deadlock_aborts") == 1
 
-    def test_round_robin_victim_removed_immediately(self, stats):
-        """A non-restartable deadlock victim must leave the active set the
-        moment it is aborted, not linger as a phantom runner."""
-        lm = LockManager(stats)
-
-        def make(first, second):
-            def body(txn_id):
-                yield Lock(first, LockMode.X)
-                yield Lock(second, LockMode.X)
-            return body
-
-        result = Scheduler(lm, seed=5).run(
-            [("ab", make("a", "b")), ("ba", make("b", "a"))],
-            restartable=False, round_robin=True)
-        assert result.committed == 1
-        assert result.aborted == 1
-        assert result.deadlock_aborts == 1
-        assert result.restarts == 0
-        assert result.failed == ["ba"]  # youngest txn in the cycle dies
-        assert result.commit_order == ["ab"]
-
     def test_round_robin_deadlock_with_three_programs(self, stats):
-        """Three-way waits-for cycle under round-robin scheduling."""
+        """Three-way waits-for cycle under round-robin scheduling, pinned:
+        the youngest program in the cycle dies once and restarts, and its
+        one accounting record folds the victim attempt in."""
         lm = LockManager(stats)
 
         def make(first, second):
@@ -131,7 +113,40 @@ class TestScheduler:
             [("ab", make("a", "b")), ("bc", make("b", "c")),
              ("ca", make("c", "a"))], round_robin=True)
         assert result.committed == 3
-        assert result.deadlock_aborts >= 1
+        assert result.aborted == 1
+        assert result.wait_steps == 7
+        assert result.total_steps == 17
+        assert result.commit_order == ["bc", "ab", "ca"]
+        assert result.deadlock_aborts == 1
+        assert result.restarts == 1
+        records = accounting_records(stats)
+        assert len(records) == 3
+        retried = [r for r in records if r.retries]
+        assert len(retried) == 1
+        assert retried[0].retries == 1
+        assert len(retried[0].victim_attempts) == 1
+
+    def test_e9a_document_locking_schedule_pinned(self, stats):
+        """E9a's locking shape: 12 readers take S on one DocID lock while
+        one writer takes X on it four times (seed 42)."""
+        lm = LockManager(stats)
+        resource = doc_resource("doc", 1)
+
+        def reader(txn_id):
+            yield Lock(resource, LockMode.S)
+            yield Do(lambda: None)
+            yield Do(lambda: None)
+
+        def writer(txn_id):
+            for _ in range(4):
+                yield Lock(resource, LockMode.X)
+                yield Do(lambda: None)
+
+        programs = [("w", writer)] + [(f"r{i}", reader) for i in range(12)]
+        result = Scheduler(lm, seed=42).run(programs)
+        assert result.committed == 13
+        assert result.wait_steps == 15
+        assert result.makespan == 72
 
     def test_commit_order_recorded(self, stats):
         lm = LockManager(stats)

@@ -166,70 +166,9 @@ class TestEngineRetry:
 
 
 class TestSchedulerTimeouts:
-    def test_wait_budget_aborts_blocked_program(self, stats):
-        lm = LockManager(stats)
-        order = []
-
-        def hog(txn_id):
-            yield Lock("r", LockMode.X)
-            for _ in range(40):  # hold the lock for a long time
-                yield Do(lambda: None)
-            order.append("hog")
-
-        def impatient(txn_id):
-            yield Lock("r", LockMode.X)
-            order.append("impatient")
-
-        sched = Scheduler(lm, seed=7, wait_budget=6, backoff_cap=4,
-                          max_restarts=None, stats=stats)
-        result = sched.run([("hog", hog), ("impatient", impatient)],
-                           round_robin=True)
-        assert result.committed == 2  # timeout victim restarts and commits
-        assert result.timeout_aborts >= 1
-        assert result.restarts >= 1
-        assert stats.get("txn.timeout_aborts") >= 1
-        assert order == ["hog", "impatient"]
-
-    def test_restart_budget_exhaustion_fails_program(self, stats):
-        lm = LockManager(stats)
-
-        def hog(txn_id):
-            yield Lock("r", LockMode.X)
-            for _ in range(200):
-                yield Do(lambda: None)
-
-        def starved(txn_id):
-            yield Lock("r", LockMode.X)
-
-        sched = Scheduler(lm, seed=7, wait_budget=4, backoff_cap=2,
-                          max_restarts=1, stats=stats)
-        result = sched.run([("hog", hog), ("starved", starved)],
-                           round_robin=True)
-        assert result.committed == 1
-        assert result.failed == ["starved"]
-        assert result.timeout_aborts == 2  # initial try + one restart
-        assert result.restarts == 1
-
-    def test_backoff_is_bounded(self, stats):
-        lm = LockManager(stats)
-
-        def hog(txn_id):
-            yield Lock("r", LockMode.X)
-            for _ in range(10):
-                yield Do(lambda: None)
-
-        def waiter(txn_id):
-            yield Lock("r", LockMode.X)
-
-        sched = Scheduler(lm, seed=1, wait_budget=10_000, backoff_initial=1,
-                          backoff_cap=8, stats=stats)
-        result = sched.run([("hog", hog), ("waiter", waiter)],
-                          round_robin=True)
-        assert result.committed == 2
-        assert result.timeout_aborts == 0
-
     def test_default_scheduler_has_no_timeouts(self, stats):
-        """wait_budget=None preserves the seed behaviour: block forever."""
+        """A blocked program waits until its lock is granted: nothing
+        aborts it but a deadlock."""
         lm = LockManager(stats)
 
         def hog(txn_id):
@@ -242,5 +181,4 @@ class TestSchedulerTimeouts:
 
         result = Scheduler(lm, seed=2).run([("hog", hog), ("w", waiter)])
         assert result.committed == 2
-        assert result.timeout_aborts == 0
         assert result.aborted == 0

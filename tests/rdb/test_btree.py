@@ -123,6 +123,17 @@ class TestSplitsAndOrder:
             tree.insert(key, b"")
         assert [k for k, _ in tree.scan_prefix(b"ab")] == [b"ab1", b"ab2"]
 
+    def test_scan_prefix_ending_in_ff(self):
+        tree = make_tree()
+        for key in [b"a\xfe", b"a\xff", b"a\xff\x01", b"b", b"\xff",
+                    b"\xff\xff"]:
+            tree.insert(key, b"")
+        assert [k for k, _ in tree.scan_prefix(b"a\xff")] == \
+            [b"a\xff", b"a\xff\x01"]
+        # An all-0xff prefix has no successor: the scan runs to the end.
+        assert [k for k, _ in tree.scan_prefix(b"\xff")] == \
+            [b"\xff", b"\xff\xff"]
+
     def test_seek_ge(self):
         tree = make_tree()
         for i in range(0, 100, 10):
@@ -282,8 +293,8 @@ class TestCounters:
                 break
         assert self.counters(tree)[1] == 337
         assert len(list(tree.scan_prefix(b"07"))) == 30
-        # scan_prefix pulls one entry past the prefix to see it has ended.
-        assert self.counters(tree)[1] == 368
+        # scan_prefix stops at the prefix's successor: nothing past it.
+        assert self.counters(tree)[1] == 367
 
 
 class TestPins:

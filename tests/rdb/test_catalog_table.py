@@ -62,19 +62,18 @@ class TestCatalog:
     def test_indexes(self):
         cat = Catalog()
         cat.add_table(xml_def())
-        cat.add_index(IndexDef("ix1", "docs", "xpath",
+        cat.add_index(IndexDef("ix1", "docs",
                                {"path": "//Discount", "type": "double",
                                 "column": "body"}))
         assert cat.index("ix1").spec["path"] == "//Discount"
-        assert len(cat.indexes_on("docs", kind="xpath")) == 1
-        assert cat.indexes_on("docs", kind="column") == []
+        assert len(cat.indexes_on("docs")) == 1
         with pytest.raises(CatalogError):
             cat.index("ix2")
 
     def test_index_requires_table(self):
         cat = Catalog()
         with pytest.raises(CatalogError):
-            cat.add_index(IndexDef("ix", "nope", "column", {"column": "a"}))
+            cat.add_index(IndexDef("ix", "nope", {"column": "a"}))
 
     def test_schema_registration(self):
         cat = Catalog()
