@@ -57,8 +57,6 @@ class ScheduleResult:
     wait_steps: int = 0
     total_steps: int = 0
     commit_order: list[str] = field(default_factory=list)
-    deadlock_aborts: int = 0
-    restarts: int = 0
 
     @property
     def makespan(self) -> int:
@@ -155,8 +153,6 @@ class Scheduler:
             runner.iterator.close()
         victim.abort(account=False)
         result.aborted += 1
-        result.deadlock_aborts += 1
-        result.restarts += 1
         runner.txn = self.txns.restart(victim)
         runner.iterator = runner.body(runner.txn.txn_id)
         runner.pending = None

@@ -7,8 +7,9 @@ columns get an implicit ``DocID`` column, one internal XML table (an
 mapping DocIDs back to base rows, and any number of XPath value indexes.
 
 DDL and DML are logged; :meth:`Database.replay` performs archive recovery by
-re-executing the committed log against a fresh database — record placement is
-deterministic, so all physical IDs reproduce.
+repeating history: it re-runs every logged operation, aborts included,
+through the entry point that ran it live, so DocIDs, RIDs and name ids
+reproduce.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -44,7 +46,7 @@ from repro.rdb.tablespace import Rid
 from repro.rdb.txn import (IsolationLevel, Transaction, TransactionManager,
                            TxnState)
 from repro.rdb.values import SqlType, coerce, decode_row, encode_row
-from repro.rdb.wal import LogManager, LogOp, replay as wal_replay
+from repro.rdb.wal import LogManager, LogOp
 from repro.xmlstore.store import PreparedDocument, XmlStore
 from repro.xmlstore.update import XmlUpdater
 from repro.xpath.qtree import QueryTree, compile_query
@@ -213,12 +215,10 @@ class Database:
         with self.stats.trace("db.insert", table=table) as span, \
                 self.txns.charging(txn_id):
             definition = self.catalog.table(table)
-            # A value the table would refuse must not reach the log first:
-            # replay re-applies every logged auto-commit insert.  So every
-            # check runs before the append — encoding the logged row
-            # (width, types, UTF-8), then the prepare phase (parse,
-            # validate, pack) — and a refused document consumes no DocID,
-            # so replay allocates the same ones.
+            # Replay re-runs every logged insert, so every check (the
+            # logged row's encoding, then parse, validate and pack) runs
+            # before the append: a refused row logs nothing and consumes
+            # no DocID.
             payload = encode_row(_log_types(definition), row)
             documents = self._prepare_insert(definition, row,
                                              validate_against)
@@ -228,7 +228,9 @@ class Database:
             rid = self._apply_insert(definition, row, documents)
             txn = self.txns.active.get(txn_id)
             if txn is not None:
-                txn.on_abort(lambda: self._apply_delete(table, rid))
+                # A later delete's undo may have moved the row.
+                txn.on_abort(lambda: self._apply_delete(
+                    table, txn.moved.get(rid, rid)))
             if span is not None:
                 span.set("rid", str(rid))
             return rid
@@ -299,8 +301,9 @@ class Database:
 
         Inside a transaction the delete registers a logical-undo action
         (mirroring :meth:`insert`): abort re-inserts the row image —
-        including its XML documents' text — so an aborted delete leaves
-        the document queryable in the live engine, not just after replay.
+        including its XML documents' text — and records the row's new RID
+        on the transaction, where the undo of the insert that stored the
+        row looks it up.
         """
         with self.txns.charging(txn_id):
             txn = self.txns.active.get(txn_id)
@@ -310,17 +313,19 @@ class Database:
             self._append(txn_id, LogOp.DELETE, table, rid.to_bytes())
             self._apply_delete(table, rid)
             if txn is not None:
-                txn.on_abort(lambda: self._apply_insert(
-                    definition, restore_row,
-                    self._prepare_insert(definition, restore_row, None)))
+                def undo() -> None:
+                    txn.moved[rid] = self._apply_insert(
+                        definition, restore_row,
+                        self._prepare_insert(definition, restore_row, None))
+                txn.on_abort(undo)
 
     def _snapshot_row(self, definition: TableDef, rid: Rid) -> tuple:
         """Engine-level row image at ``rid`` (XML columns as text).
 
-        This is the pre-image a delete's logical undo re-inserts.  The
-        restored documents get fresh DocIDs/RIDs — logical undo restores
-        content, not physical placement, exactly like the archive-recovery
-        path.
+        This is the pre-image a delete's logical undo re-inserts, held by
+        the undo closure and never logged.  The restored row gets a fresh
+        DocID and RID; replay re-runs the undo at the same point in
+        history, so it allocates the same ones.
         """
         row = list(self.tables[definition.name].fetch(rid))
         for position, column in enumerate(definition.columns):
@@ -619,111 +624,123 @@ class Database:
         :data:`TXN_RETRY_LIMIT` times, before the last error propagates.
 
         Victim retries back off with seeded jitter (see
-        :data:`TXN_RETRY_BACKOFF_BASE`) instead of restarting
-        immediately: an immediate restart re-collides with the very
-        transactions that just won, turning contention into a retry hot
-        loop.  The slept time is charged to the transaction's accounting
-        record as ``txn.retry_backoff_us``.
+        :data:`TXN_RETRY_BACKOFF_BASE`): an immediate restart re-collides
+        with the transactions that just won, a retry hot loop.  The slept
+        time is charged to the retry as ``txn.retry_backoff_us``.
 
         ``deadline`` propagates into the transaction (capping its
         lock-wait budget) and gates each retry: once expired the work
-        fails with :class:`~repro.errors.DeadlineExceededError` —
-        non-retryable by construction, so a client deadline cannot be
-        burned by the retry machinery.
+        fails with :class:`~repro.errors.DeadlineExceededError`, which is
+        not retried.
 
-        Every suspension any attempt hits — lock waits, buffer I/O, the
-        retry backoff itself — is charged to the transaction's sink, so it
-        reaches the accounting record's per-class waits (a victim's too,
-        folded into its successor) and, on a served request's thread, the
-        request's wait clock open around the call.
+        However the attempt chain ends, it leaves exactly one accounting
+        record, which carries every suspension its attempts hit (lock
+        waits, buffer I/O, the backoff); a served request's wait clock
+        sees them too.  A body that aborts its own transaction emits that
+        attempt's record itself, and its retry starts a record of its own.
         """
         attempt = 0
         txn: Transaction | None = None
-        while True:
-            if deadline is not None and deadline.expired():
-                self.stats.add("txn.deadline_exceeded")
-                raise DeadlineExceededError(
-                    f"deadline expired before transaction attempt "
-                    f"{attempt} could begin")
-            if txn is None:
-                txn = self.txns.begin(
-                    isolation or IsolationLevel.READ_COMMITTED)
-            else:
-                # The victim's work, its retry and its txn id fold into
-                # this attempt's accounting record.
-                txn = self.txns.restart(txn)
-            txn.deadline = deadline
-            with self.stats.trace("db.txn", txn_id=txn.txn_id,
-                                  attempt=attempt) as span:
-                try:
-                    with txn.charging():
-                        result = body(self, txn)
-                except (DeadlockError, LockTimeoutError):
-                    retrying = attempt < TXN_RETRY_LIMIT
-                    if txn.state is TxnState.ACTIVE:
-                        # A victim about to be retried records nothing: its
-                        # work folds into the next attempt's record.
-                        txn.abort(account=not retrying)
-                    if span is not None:
-                        span.set("outcome", "victim")
-                    if not retrying:
-                        raise
-                    attempt += 1
-                    delay = self._retry_backoff_delay(attempt - 1)
-                    if deadline is not None:
-                        delay = deadline.clamp(delay)
-                    if delay > 0:
-                        # Charged to the aborted attempt, whose accounting
-                        # the next attempt carries.
+        try:
+            while True:
+                if deadline is not None and deadline.expired():
+                    with txn.charging() if txn else nullcontext():
+                        self.stats.add("txn.deadline_exceeded")
+                    raise DeadlineExceededError(
+                        f"deadline expired before transaction attempt "
+                        f"{attempt} could begin")
+                if txn is None:
+                    txn = self.txns.begin(
+                        isolation or IsolationLevel.READ_COMMITTED)
+                txn.deadline = deadline
+                with self.stats.trace("db.txn", txn_id=txn.txn_id,
+                                      attempt=attempt) as span:
+                    try:
                         with txn.charging():
-                            self.stats.add("txn.retry_backoff_us",
-                                           int(delay * 1_000_000))
-                            sleep = self.backoff_sleep or time.sleep
-                            with self.stats.wait_timer("txn.retry_backoff"):
-                                sleep(delay)
-                    continue
-                except BaseException:
+                            result = body(self, txn)
+                    except (DeadlockError, LockTimeoutError):
+                        if txn.state is TxnState.ACTIVE:
+                            txn.abort(account=False)  # recorded below
+                        if span is not None:
+                            span.set("outcome", "victim")
+                        if attempt >= TXN_RETRY_LIMIT:
+                            raise
+                        attempt += 1
+                        # The victim folds into the next attempt, which
+                        # the backoff is charged to.
+                        txn = self.txns.restart(txn)
+                        delay = self._retry_backoff_delay(attempt - 1)
+                        if deadline is not None:
+                            delay = deadline.clamp(delay)
+                        if delay > 0:
+                            with txn.charging():
+                                self.stats.add("txn.retry_backoff_us",
+                                               int(delay * 1_000_000))
+                                sleep = self.backoff_sleep or time.sleep
+                                with self.stats.wait_timer(
+                                        "txn.retry_backoff"):
+                                    sleep(delay)
+                        continue
+                    except BaseException:
+                        if txn.state is TxnState.ACTIVE:
+                            txn.abort()
+                        if span is not None:
+                            span.set("outcome", "abort")
+                        raise
                     if txn.state is TxnState.ACTIVE:
-                        txn.abort()
+                        txn.commit()
                     if span is not None:
-                        span.set("outcome", "abort")
-                    raise
-                if txn.state is TxnState.ACTIVE:
-                    txn.commit()
-                if span is not None:
-                    span.set("outcome", "commit")
-                return result
+                        span.set("outcome", "commit")
+                    return result
+        finally:
+            # However the chain ends it leaves one record: a retry that
+            # never ran is aborted (a commit a crash cut stays active).
+            if txn and not txn.logged and txn.state is TxnState.ACTIVE:
+                txn.abort()
+            if txn and txn.state is not TxnState.ACTIVE:
+                self.txns.account(txn)
 
     # -- recovery -----------------------------------------------------------------------
 
     @classmethod
     def replay(cls, log: LogManager,
                config: EngineConfig = DEFAULT_CONFIG) -> "Database":
-        """Archive recovery (§2 utilities): re-execute the committed
-        records of ``log`` against a fresh engine, in one redo pass.
+        """Archive recovery (§2 utilities) by repeating history: re-run
+        every record of ``log`` in order, on a fresh engine, through the
+        call that ran it live (BEGIN, under its logged txn id, INSERT,
+        DELETE, DDL, COMMIT, and ABORT with its undo), logging into a
+        scratch log.  Then abort the transactions with neither COMMIT nor
+        ABORT, newest BEGIN record first, appending their ABORT records to
+        ``log``, so a second crash recovers the same state.
 
-        The recovered engine owns ``log`` from then on: it appends to it
-        (so a later crash is recovered from the whole history) and counts
-        those appends in its own registry.
+        The recovered engine owns ``log`` and counts its later appends.
+        To replay a live engine's log while transactions are open, pass a
+        saved and reloaded copy, or the ABORTs land in the live log.
         """
         db = cls(config)
-
-        def apply(record) -> None:
-            if record.op is LogOp.DDL:
-                db._apply_ddl(record.target, record.payload)
+        db.txns.adopt(log)
+        db.log = db.txns.log = LogManager(StatsRegistry())
+        for record in log.records():
+            if record.op is LogOp.BEGIN:
+                db.txns.begin()
+            elif record.op is LogOp.COMMIT:
+                db.txns.active[record.txn_id].commit()
+            elif record.op is LogOp.ABORT:
+                db.txns.active[record.txn_id].abort()
             elif record.op is LogOp.INSERT:
                 definition = db.catalog.table(record.target)
-                row = decode_row(_log_types(definition), record.payload)
-                validate = record.extra.decode() if record.extra else None
-                db._apply_insert(definition, row,
-                                 db._prepare_insert(definition, row, validate))
+                db.insert(record.target,
+                          decode_row(_log_types(definition), record.payload),
+                          record.txn_id, record.extra.decode() or None)
             elif record.op is LogOp.DELETE:
-                db._apply_delete(record.target, Rid.from_bytes(record.payload))
-
-        wal_replay(log, apply)
+                db.delete_row(record.target, Rid.from_bytes(record.payload),
+                              record.txn_id)
+            elif record.op is LogOp.DDL:
+                db._apply_ddl(record.target, record.payload)
+        db.log = db.txns.log = log
         log.stats = db.stats
-        db.log = log
-        db.txns.adopt(log)
+        for txn in reversed(list(db.txns.active.values())):
+            txn.abort()
         return db
 
     def _apply_ddl(self, kind: str, payload: bytes) -> None:

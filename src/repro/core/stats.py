@@ -38,7 +38,7 @@ METRICS: frozenset[str] = frozenset({
     "ts.records_deleted", "ts.bytes_touched",
     # write-ahead log and recovery
     "wal.records", "wal.bytes", "wal.checkpoints",
-    "recovery.replayed", "recovery.torn_tail_dropped",
+    "recovery.torn_tail_dropped",
     # lock manager
     "lock.acquired", "lock.waits", "lock.wait_steps", "lock.deadlocks",
     "lock.prefix_tests",

@@ -4,8 +4,8 @@ The harness drives one engine instance under a fault plan, catches the
 :class:`~repro.fault.injector.SimulatedCrash` when the plan fires, hardens
 what a real crash would have left on stable storage (the WAL as of the last
 completed append, the device image as-is — torn pages included), and then
-simulates a restart: reload the WAL (torn-tail tolerant) and replay the
-committed records against a fresh engine.
+simulates a restart: reload the WAL (torn-tail tolerant) and replay it
+against a fresh engine, which repeats its history and aborts the losers.
 
 Verification helpers reduce a database to a comparable digest (every stored
 document plus every base row) and cross-check every XPath value index
@@ -191,7 +191,8 @@ class CrashHarness:
         return Disk.load(self.image_path, stats=self.stats, verify=verify)
 
     def restart(self):
-        """Simulate restart: reload the WAL and replay the committed log.
+        """Simulate restart: reload the WAL and replay it (``Database.replay``
+        appends the losers' ABORT records to the reloaded log).
 
         With a trace installed, the last events before the crash are
         dumped to ``crash_events.jsonl`` first — the flight-recorder

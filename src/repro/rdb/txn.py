@@ -2,8 +2,9 @@
 
 A thin transaction layer over :mod:`repro.rdb.locks` and
 :mod:`repro.rdb.wal`.  Updates register *undo actions* (closures that
-logically reverse the change); abort runs them in reverse order, mirroring
-the standard relational design the paper builds on.  A transaction's BEGIN
+logically reverse the change, held in memory and never logged); abort runs
+them in reverse order, and recovery re-runs the same aborts at the same
+points in history (``Database.replay``).  A transaction's BEGIN
 record precedes its first redo record, and only a transaction that logged
 writes a COMMIT or ABORT: a read-only one leaves the log untouched.
 
@@ -24,7 +25,7 @@ import itertools
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.deadline import Deadline
 from repro.core.stats import StatsRegistry, default_stats, wait_breakdown
@@ -155,7 +156,6 @@ class Transaction:
         self.isolation = isolation
         self._manager = manager
         self._locks = manager.locks
-        self._log = manager.log
         self._stats = manager.stats
         self.state = TxnState.ACTIVE
         #: Whether this transaction has written its BEGIN record, which
@@ -163,12 +163,16 @@ class Transaction:
         #: nothing, not even its COMMIT or ABORT.
         self.logged = False
         self._undo: list[Callable[[], None]] = []
+        #: Old -> new RID of each row an undo re-inserted (for its insert's).
+        self.moved: dict[object, object] = {}
         #: Accounting sink: counter deltas charged to this transaction.
         self.acct: Counter[str] = Counter()
         #: Victim attempts folded into this transaction by
         #: :meth:`TransactionManager.restart`.
         self.retries = 0
         self.victim_attempts: tuple[int, ...] = ()
+        #: Whether its accounting record has been emitted.
+        self.accounted = False
         #: Request deadline (serving layer): checked between lock-wait
         #: backoff steps; ``None`` means unbounded.
         self.deadline: Deadline | None = None
@@ -255,10 +259,11 @@ class Transaction:
         """Write a redo record under this transaction, its BEGIN record
         first if this is the first."""
         self._check_active()
+        log = self._manager.log
         if not self.logged:
-            self._log.append(self.txn_id, LogOp.BEGIN)
+            log.append(self.txn_id, LogOp.BEGIN)
             self.logged = True
-        self._log.append(self.txn_id, op, target, payload, extra)
+        log.append(self.txn_id, op, target, payload, extra)
 
     def on_abort(self, action: Callable[[], None]) -> None:
         """Register a logical undo action (run in reverse order on abort)."""
@@ -289,7 +294,7 @@ class Transaction:
                 action()
             self._undo.clear()
             if self.logged:
-                self._log.append(self.txn_id, LogOp.ABORT)
+                self._manager.log.append(self.txn_id, LogOp.ABORT)
             self._stats.add("txn.aborts")
         self.state = TxnState.ABORTED
         self._manager._finish(self, account)
@@ -332,7 +337,7 @@ class TransactionManager:
         #: keeps the single-threaded simulated wait loop unchanged.
         self.lock_wait_yield: Callable[[], None] | None = None
         self._commits_since_checkpoint = 0
-        self._ids = itertools.count(1)
+        self._ids: Iterator[int] = itertools.count(1)
         self.active: dict[int, Transaction] = {}
 
     def begin(self, isolation: IsolationLevel = IsolationLevel.READ_COMMITTED
@@ -348,13 +353,8 @@ class TransactionManager:
         return txn
 
     def charging(self, txn_id: int):
-        """Charge context for ``txn_id`` if it is active, else a no-op.
-
-        ``Database.insert`` and ``Database.delete_row`` route their work
-        through this, so per-transaction accounting needs no cooperation
-        from their callers.  Subdocument updates (``XmlUpdater``) take no
-        txn id and do not pass through it.
-        """
+        """Charge context for ``txn_id`` if it is active, else a no-op
+        (``Database.insert`` and ``delete_row`` charge through it)."""
         txn = self.active.get(txn_id)
         if txn is None:
             return nullcontext()
@@ -375,46 +375,54 @@ class TransactionManager:
         """Begin the successor of ``victim``, an aborted deadlock or lock
         timeout victim, with the victim's isolation.
 
-        The retry is charged to the victim, and the victim's accounting
-        folds into the successor: its charged counters, the retry count
-        and its txn id all land on the one record the final attempt
-        emits (a retried transaction is one unit of work).
+        The retry is charged to the successor.  A victim that has emitted
+        no record folds into it: its charged counters, the retry count and
+        its txn id land on the one record the final attempt emits (a
+        retried transaction is one unit of work).
         """
-        with victim.charging():
-            self.stats.add("txn.retries")
         txn = self.begin(victim.isolation)
-        txn.acct.update(victim.acct)
-        txn.retries = victim.retries + 1
-        txn.victim_attempts = victim.victim_attempts + (victim.txn_id,)
+        if not victim.accounted:
+            txn.acct.update(victim.acct)
+            txn.retries = victim.retries + 1
+            txn.victim_attempts = victim.victim_attempts + (victim.txn_id,)
+        with txn.charging():
+            self.stats.add("txn.retries")
         return txn
 
     def adopt(self, log: LogManager) -> None:
-        """Continue ``log``, a recovered engine's history.  Later txn ids
-        are past every id in it, so a new COMMIT never claims the records
-        of a transaction the crash cut."""
-        self.log = log
-        self._ids = itertools.count(
-            1 + max((record.txn_id for record in log.records()), default=0))
+        """Number transactions as ``log`` did: the next ones begun take
+        its BEGIN records' txn ids in order (replay begins one at each),
+        later ones ids past every id in it."""
+        records = list(log.records())
+        self._ids = itertools.chain(
+            [record.txn_id for record in records if record.op is LogOp.BEGIN],
+            itertools.count(1 + max((r.txn_id for r in records), default=0)))
+
+    def account(self, txn: Transaction) -> None:
+        """Emit ``txn``'s accounting record unless it has one already:
+        the IFCID 3 analogue, one record per finished unit of work, whose
+        event carries AccountingRecord's fields.  The counters are copied
+        first: a commit inside the transaction's own charge would
+        otherwise put the meta counter below in it."""
+        if txn.accounted:
+            return
+        txn.accounted = True
+        counters = dict(txn.acct)
+        self.stats.add("obs.accounting_records")
+        self.stats.events.emit(
+            "txn.accounting", txn_id=txn.txn_id,
+            isolation=txn.isolation.value,
+            outcome="committed" if txn.state is TxnState.COMMITTED
+            else "aborted",
+            retries=txn.retries, victim_attempts=txn.victim_attempts,
+            counters=counters)
 
     def _finish(self, txn: Transaction, account: bool = True) -> None:
         with txn.charging():
             self.locks.release_all(txn.txn_id)
         self.active.pop(txn.txn_id, None)
         if account:
-            # The IFCID 3 analogue: one accounting record per finished
-            # unit of work.  The event carries AccountingRecord's fields,
-            # so accounting_records() rebuilds the record from it.  The
-            # counters are copied first: a commit inside the transaction's
-            # own charge would otherwise put the meta counter below in it.
-            counters = dict(txn.acct)
-            self.stats.add("obs.accounting_records")
-            self.stats.events.emit(
-                "txn.accounting", txn_id=txn.txn_id,
-                isolation=txn.isolation.value,
-                outcome="committed" if txn.state is TxnState.COMMITTED
-                else "aborted",
-                retries=txn.retries, victim_attempts=txn.victim_attempts,
-                counters=counters)
+            self.account(txn)
         if txn.state is TxnState.COMMITTED and txn.logged and \
                 self.checkpoint_every > 0:
             self._commits_since_checkpoint += 1

@@ -3,7 +3,7 @@
 The paper reuses the relational logging/backup/recovery machinery unchanged
 (§2): packed XML records are logged exactly like rows.  This module provides
 a logical write-ahead log — each record names a table-space-level operation
-with its full payload — plus archive recovery: replaying the log against a
+with its full payload — for archive recovery: re-running the log against a
 fresh database deterministically reproduces record placement (the engine's
 insert path is deterministic), which is how the recovery tests restore XML
 columns and rebuild their indexes.
@@ -17,11 +17,12 @@ no longer be trusted.
 
 Every append is durable on return (one force per record), so
 :meth:`LogManager.save` persists the whole log: exactly what stable storage
-holds after a crash.  Recovery is one redo pass over the whole log
-(:func:`replay`): a transaction's records apply iff its COMMIT is anywhere
-in the log.  A ``CHECKPOINT`` record is an empty marker written after the
-buffer pool flush; recovery reads no page back, so the marker is not a
-starting point for it.
+holds after a crash.  Recovery (``Database.replay``) repeats history: it
+re-runs every record in order, aborted work included, through the engine's
+own entry points, then aborts the transactions left open.  A
+``CHECKPOINT`` record is an empty marker written after the buffer pool
+flush; recovery reads no page back, so the marker is not a starting point
+for it.
 
 The log doubles as the experiments' measure of *log volume* (E3): counters
 ``wal.records`` and ``wal.bytes`` report exactly what a real engine would
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.stats import StatsRegistry, default_stats
 from repro.errors import LogError, RecoveryError
@@ -251,26 +252,3 @@ class LogManager:
             pos = end
         return log
 
-
-def replay(log: LogManager, apply: Callable[[LogRecord], None]) -> int:
-    """Redo pass: feed the records of committed transactions to ``apply``.
-
-    A transaction's records apply iff its COMMIT is anywhere in the log —
-    the archive-recovery equivalent of undoing losers, as an in-flight,
-    aborted or crash-cut transaction never logged one.  Auto-commit
-    records (``txn_id`` -1) always apply.  Returns the number applied.
-    """
-    records = list(log.records())
-    committed = {record.txn_id for record in records
-                 if record.op is LogOp.COMMIT}
-    applied = 0
-    for record in records:
-        if record.op in (LogOp.BEGIN, LogOp.COMMIT, LogOp.ABORT,
-                         LogOp.CHECKPOINT):
-            continue
-        if record.txn_id >= 0 and record.txn_id not in committed:
-            continue
-        apply(record)
-        applied += 1
-    log.stats.add("recovery.replayed", applied)
-    return applied

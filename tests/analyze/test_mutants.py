@@ -314,10 +314,10 @@ ENGINE_MUTANTS = (
              "                yield_hook()\n"),),
            (StatsHygieneChecker,), ("STAT005",)),
     Mutant("ST4b", "the retry backoff sleep left untimed", ENGINE,
-           (("                            with self.stats.wait_timer("
-             "\"txn.retry_backoff\"):\n"
-             "                                sleep(delay)\n",
-             "                            sleep(delay)\n"),),
+           (("                                with self.stats.wait_timer(\n"
+             "                                        \"txn.retry_backoff\"):\n"
+             "                                    sleep(delay)\n",
+             "                                sleep(delay)\n"),),
            (StatsHygieneChecker,), ("STAT004", "STAT005")),
     Mutant("ST5", "the naive automaton no longer records its peak gauge",
            "repro/xpath/automaton.py",

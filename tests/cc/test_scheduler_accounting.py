@@ -70,7 +70,7 @@ class TestSchedulerAccounting:
                                 ("ba", program("b", "a"))],
                                round_robin=True)
         assert result.committed == 2
-        assert result.deadlock_aborts >= 1
+        assert result.aborted >= 1
         records = run_sum_check(result, scheduler, before, 2)
         victims = [r for r in records if r.retries > 0]
         assert victims, "a deadlock victim must have been restarted"

@@ -9,12 +9,16 @@ sum to the registry's global deltas for work done inside transactions.
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
+from repro.core.deadline import Deadline
 from repro.core.engine import TXN_RETRY_LIMIT, Database
 from repro.core.events import EventTrace
 from repro.core.stats import HISTOGRAMS, METRICS, Histogram, StatsRegistry
-from repro.errors import FaultInjectionError, LockTimeoutError
+from repro.errors import (DeadlineExceededError, DeadlockError,
+                          FaultInjectionError, LockTimeoutError)
 from repro.rdb.locks import LockMode
 from repro.rdb.txn import accounting_records
 
@@ -259,6 +263,74 @@ class TestRetryFolding:
         assert record.outcome == "aborted"
         assert record.retries == TXN_RETRY_LIMIT
         assert len(record.victim_attempts) == TXN_RETRY_LIMIT
+
+
+class TestAttemptChains:
+    """However a ``run_in_txn`` attempt chain ends, it leaves exactly one
+    accounting record, and the records sum to the global deltas.
+
+    An attempt inserts a row, then ends as drawn: ``commit``; ``victim``
+    (raises ``DeadlockError``, so it is retried); ``deadline`` (a victim
+    whose backoff outlives the request deadline); ``self_abort`` (aborts
+    its own transaction, which emits that attempt's record, then raises
+    ``DeadlockError``); or ``error`` (a non-engine exception).  A chain
+    also ends at the retry limit.  A self-aborted attempt's record stands
+    alone, so a chain leaves one record per self-abort plus one unless its
+    last attempt self-aborted.
+    """
+
+    KINDS = ("commit", "victim", "deadline", "self_abort", "error")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(KINDS),
+                             max_size=TXN_RETRY_LIMIT + 1),
+                    min_size=1, max_size=4))
+    def test_one_record_per_chain_and_sums_to_global(self, chains):
+        db = Database()
+        db.create_table("t", [("n", "bigint"), ("doc", "xml")])
+        emitted_before = db.stats.get("obs.accounting_records")
+        before = db.stats.counters()
+        expected = 0
+        for kinds in chains:
+            deadline = Deadline.after(3600)
+            plan = iter(kinds)
+            executed: list[str] = []
+
+            def expire(delay, deadline=deadline, executed=executed):
+                if executed[-1] == "deadline":
+                    deadline.expires_at = 0.0
+
+            def body(eng, txn, plan=plan, executed=executed):
+                executed.append(next(plan, "commit"))
+                eng.insert("t", (len(executed), "<a>x</a>"),
+                           txn_id=txn.txn_id)
+                if executed[-1] == "self_abort":
+                    txn.abort()
+                if executed[-1] in ("victim", "deadline", "self_abort"):
+                    raise DeadlockError("synthetic victim")
+                if executed[-1] == "error":
+                    raise ValueError("not an engine error")
+
+            db.backoff_sleep = expire
+            try:
+                db.run_in_txn(body, deadline=deadline)
+                ended = "commit"
+            except (DeadlockError, DeadlineExceededError, ValueError) as exc:
+                ended = type(exc).__name__
+            last = executed[-1]
+            if len(executed) > TXN_RETRY_LIMIT and last != "commit":
+                assert ended == ("ValueError" if last == "error"
+                                 else "DeadlockError")
+            else:
+                assert ended == {"commit": "commit", "error": "ValueError",
+                                 "deadline": "DeadlineExceededError"}[last]
+            expected += executed.count("self_abort") + \
+                (last != "self_abort")
+        after = db.stats.counters()
+        new = db.stats.get("obs.accounting_records") - emitted_before
+        assert new == expected
+        records = accounting_records(db.stats)[-new:]
+        assert dict(summed(records)) == txn_visible(before, after)
 
 
 class TestSatelliteFixes:

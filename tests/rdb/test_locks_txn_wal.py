@@ -14,7 +14,7 @@ from repro.errors import FaultInjectionError, TransactionError
 from repro.fault.injector import FaultInjector, FaultPlan, SimulatedCrash
 from repro.rdb.locks import LockManager, LockMode, mode_compatible, mode_lub
 from repro.rdb.txn import IsolationLevel, TransactionManager, TxnState
-from repro.rdb.wal import LogManager, LogOp, LogRecord, replay
+from repro.rdb.wal import LogManager, LogOp, LogRecord
 from repro.serve import DatabaseServer
 
 
@@ -354,32 +354,6 @@ class TestWal:
         reloaded = LogManager.load(path)
         assert [r.op for r in reloaded.records()] == [LogOp.BEGIN, LogOp.INSERT,
                                                       LogOp.COMMIT]
-
-    def test_replay_committed_only(self):
-        log = LogManager(StatsRegistry())
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.INSERT, "t", b"keep")
-        log.append(1, LogOp.COMMIT)
-        log.append(2, LogOp.BEGIN)
-        log.append(2, LogOp.INSERT, "t", b"lose")  # never committed
-        applied = []
-        count = replay(log, lambda r: applied.append(r.payload))
-        assert count == 1
-        assert applied == [b"keep"]
-
-    def test_replay_reads_commits_on_both_sides_of_a_checkpoint(self):
-        log = LogManager(StatsRegistry())
-        log.append(1, LogOp.BEGIN)
-        log.append(1, LogOp.INSERT, "t", b"before")
-        log.append(2, LogOp.BEGIN)
-        log.append(2, LogOp.INSERT, "t", b"straddles")
-        log.append(1, LogOp.COMMIT)
-        assert log.checkpoint().payload == b""
-        log.append(-1, LogOp.INSERT, "t", b"auto")
-        log.append(2, LogOp.COMMIT)
-        applied = []
-        replay(log, lambda r: applied.append(r.payload))
-        assert applied == [b"before", b"straddles", b"auto"]
 
     def test_crash_at_a_log_point_halts_the_log(self):
         stats = StatsRegistry()
